@@ -61,8 +61,9 @@ pub struct LintConfig {
 
 impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
-    /// the per-event serving loops + `emit!` + metrics handles as hot
-    /// paths, and `Record` construction confined to observe and the macro.
+    /// the per-event serving loops + `emit!` + metrics handles + placement
+    /// and warm-pool calls as hot paths, and `Record` construction confined
+    /// to observe and the macro.
     pub fn workspace_default() -> Self {
         let hot = |file_suffix: &str, item: &str| HotPath {
             file_suffix: file_suffix.to_string(),
@@ -89,6 +90,15 @@ impl LintConfig {
                 // these.
                 hot("simcore/src/metrics.rs", "incr"),
                 hot("simcore/src/metrics.rs", "record"),
+                // Placement and the warm pool: every function invocation
+                // acquires, places, removes and releases one pod.
+                hot("simcore/src/cluster.rs", "place"),
+                hot("simcore/src/cluster.rs", "place_overcommitted"),
+                hot("simcore/src/cluster.rs", "remove"),
+                hot("simcore/src/cluster.rs", "pick_node"),
+                hot("simcore/src/cluster.rs", "colocation_degree"),
+                hot("simcore/src/pool.rs", "acquire"),
+                hot("simcore/src/pool.rs", "release"),
             ],
             record_construction_allowed: vec![
                 "crates/observe/src".to_string(),

@@ -130,14 +130,12 @@ impl ClosedLoopExecutor {
             );
 
             let acquisition = pool.acquire(function.name(), size, *now);
-            // Place (or re-place) the pod on the cluster for this execution so
-            // co-location accounting reflects concurrently warm instances.
-            let _ = cluster.resize(acquisition.pod, size);
-            if cluster.node_of(acquisition.pod).is_none() {
-                cluster
-                    .place(acquisition.pod, function.name(), size)
-                    .expect("paper-scale cluster always fits one pod per function");
-            }
+            // Place the pod on the cluster for this execution so co-location
+            // accounting reflects concurrently running instances. The pod is
+            // never already placed: completion below always un-places it.
+            cluster
+                .place(acquisition.pod, function.name(), size)
+                .expect("paper-scale cluster always fits one pod per function");
             let colocated = cluster.colocation_degree(acquisition.pod, function.name());
             emit!(
                 observer,

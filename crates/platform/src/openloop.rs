@@ -1085,11 +1085,10 @@ impl OpenLoopSimulation {
             // janus-lint: allow(unwrap-discipline) — callers advance index only while < workflow.len()
             .expect("index within workflow");
         let acquisition = pool.acquire(function.name(), size, now);
-        let _ = cluster.resize(acquisition.pod, size);
-        let overcommitted = if cluster.node_of(acquisition.pod).is_none()
-            && cluster
-                .place(acquisition.pod, function.name(), size)
-                .is_err()
+        // The acquired pod is never placed: completion always un-places it.
+        let overcommitted = if cluster
+            .place(acquisition.pod, function.name(), size)
+            .is_err()
         {
             // Saturated cluster: overcommit the least-loaded node rather
             // than dropping the request. The pod runs, but it contends —

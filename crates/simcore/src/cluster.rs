@@ -18,7 +18,7 @@ use crate::pod::PodId;
 use crate::resources::Millicores;
 use crate::SimResult;
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — pod→node index for keyed lookup only; outputs iterate nodes by Vec order (golden trace holds)
+// janus-lint: allow(nondeterminism) — pod table for keyed lookup only; crash_node sorts what it collects, outputs iterate nodes by Vec order (golden trace holds)
 use std::collections::HashMap;
 
 /// Lifecycle state of one cluster node.
@@ -100,11 +100,27 @@ impl ClusterConfig {
     }
 }
 
+/// Where one placed pod lives: its node, its interned function slot and
+/// its CPU allocation.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
+    node: usize,
+    slot: usize,
+    allocation: Millicores,
+}
+
 /// A cluster of nodes tracking where every pod is placed.
 ///
 /// The fleet is **dynamic**: nodes can be added and drained at run time.
 /// Retired nodes keep their slot (a [`NodeId`] is an index and is never
 /// reused) but contribute neither capacity nor placement targets.
+///
+/// Placement is O(nodes) and allocation-free once a function has been seen:
+/// function names are interned into small *slots* (a linear scan over the
+/// handful of workflow functions), one pod table maps each pod to its node,
+/// slot and allocation, and per-(zone, slot) counts are kept in step with
+/// every placement, removal and crash, so zone-aware spread reads a zone's
+/// exposure in O(1) instead of recounting the zone's nodes.
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<Node>,
@@ -114,7 +130,13 @@ pub struct Cluster {
     node_zones: Vec<usize>,
     zone_count: usize,
     placement: PlacementPolicy,
-    pod_to_node: HashMap<PodId, NodeId>,
+    /// Interned function names; a name's index is its slot.
+    functions: Vec<String>,
+    /// Pods of each slot hosted per zone, at `slot * zone_count + zone`.
+    /// Invariant: the sum of the zone's nodes' counts for that slot (retired
+    /// nodes host nothing, so they contribute zero).
+    zone_slot_counts: Vec<usize>,
+    pods: HashMap<PodId, Placement>,
 }
 
 impl Cluster {
@@ -132,7 +154,9 @@ impl Cluster {
             node_zones,
             zone_count: config.zones,
             placement: config.placement,
-            pod_to_node: HashMap::new(),
+            functions: Vec::new(),
+            zone_slot_counts: Vec::new(),
+            pods: HashMap::new(),
         })
     }
 
@@ -225,10 +249,10 @@ impl Cluster {
 
     /// Abruptly kill a node: every hosted pod is lost on the spot (no
     /// draining), the node retires immediately and its [`NodeId`] is never
-    /// reused. Returns the `(pod, function)` pairs that were lost so the
-    /// caller can fail or retry the in-flight work and drop the pods from
-    /// any warm-pool tracking. Crashing a draining node is allowed; retired
-    /// or unknown nodes are an error.
+    /// reused. Returns the `(pod, function)` pairs that were lost, sorted by
+    /// pod, so the caller can fail or retry the in-flight work and drop the
+    /// pods from any warm-pool tracking. Crashing a draining node is
+    /// allowed; retired or unknown nodes are an error.
     pub fn crash_node(&mut self, id: NodeId) -> SimResult<Vec<(PodId, String)>> {
         let idx = id.0 as usize;
         match self.states.get(idx) {
@@ -241,17 +265,21 @@ impl Cluster {
             }
             Some(NodeState::Active) | Some(NodeState::Draining) => {}
         }
-        let mut lost: Vec<(PodId, String)> = self.nodes[idx]
-            .pods()
-            .map(|(pod, function, _)| (pod, function.to_string()))
+        let mut lost: Vec<(PodId, usize)> = self
+            .pods
+            .iter()
+            .filter(|(_, p)| p.node == idx)
+            .map(|(pod, p)| (*pod, p.slot))
             .collect();
         lost.sort_by_key(|(pod, _)| *pod);
         for (pod, _) in &lost {
-            self.nodes[idx].evict(*pod)?;
-            self.pod_to_node.remove(pod);
+            self.detach(*pod);
         }
         self.states[idx] = NodeState::Retired;
-        Ok(lost)
+        Ok(lost
+            .into_iter()
+            .map(|(pod, slot)| (pod, self.functions[slot].clone()))
+            .collect())
     }
 
     /// Start draining a node: it accepts no new placements and retires as
@@ -283,14 +311,7 @@ impl Cluster {
             if self.active_node_count() <= min_active.max(1) {
                 break;
             }
-            let Some(idx) = self
-                .nodes
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.states[*i] == NodeState::Active)
-                .min_by_key(|(_, n)| (n.allocated().get(), n.id().0))
-                .map(|(i, _)| i)
-            else {
+            let Some(idx) = self.least_allocated_active() else {
                 break;
             };
             self.states[idx] = NodeState::Draining;
@@ -299,6 +320,16 @@ impl Cluster {
             drained.push(id);
         }
         drained
+    }
+
+    /// The active node with the least allocated CPU, lowest id on ties.
+    fn least_allocated_active(&self) -> Option<usize> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.states[*i] == NodeState::Active)
+            .min_by_key(|(_, n)| (n.allocated().get(), n.id().0))
+            .map(|(i, _)| i)
     }
 
     /// Retire a draining node once empty; returns whether it retired.
@@ -339,18 +370,36 @@ impl Cluster {
         f64::from(self.total_allocated().get()) / f64::from(cap)
     }
 
-    /// Instances of `function` hosted on non-retired nodes of `zone` — the
-    /// correlated-failure exposure zone-aware spread placement minimises.
-    fn zone_function_count(&self, zone: usize, function: &str) -> usize {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.node_zones[*i] == zone && self.states[*i] != NodeState::Retired)
-            .map(|(_, n)| n.colocated_count(function))
-            .sum()
+    /// Slot of an already-interned function name.
+    fn slot_of(&self, function: &str) -> Option<usize> {
+        self.functions.iter().position(|f| f == function)
     }
 
-    fn pick_node(&self, function: &str, allocation: Millicores) -> Option<usize> {
+    /// Slot of `function`, interning the name on first sight.
+    fn intern(&mut self, function: &str) -> usize {
+        match self.slot_of(function) {
+            Some(slot) => slot,
+            None => self.intern_new(function),
+        }
+    }
+
+    /// Cold path: give a never-seen function the next slot, with a zero
+    /// count in every zone.
+    #[cold]
+    fn intern_new(&mut self, function: &str) -> usize {
+        self.functions.push(function.to_string());
+        self.zone_slot_counts
+            .resize(self.functions.len() * self.zone_count, 0);
+        self.functions.len() - 1
+    }
+
+    /// Instances of the function at `slot` hosted in `zone` — the
+    /// correlated-failure exposure zone-aware spread placement minimises.
+    fn zone_slot_count(&self, zone: usize, slot: usize) -> usize {
+        self.zone_slot_counts[slot * self.zone_count + zone]
+    }
+
+    fn pick_node(&self, slot: usize, allocation: Millicores) -> Option<usize> {
         let fitting = self
             .nodes
             .iter()
@@ -358,7 +407,7 @@ impl Cluster {
             .filter(|(i, n)| self.states[*i] == NodeState::Active && n.can_fit(allocation));
         match self.placement {
             PlacementPolicy::PackSameFunction => fitting
-                .max_by_key(|(_, n)| (n.colocated_count(function), n.free().get()))
+                .max_by_key(|(_, n)| (n.slot_count(slot), n.free().get()))
                 .map(|(i, _)| i),
             // Zone-aware spread: first keep instances of the same function
             // out of each other's blast radius (fewest copies in the node's
@@ -368,7 +417,7 @@ impl Cluster {
             PlacementPolicy::Spread => fitting
                 .max_by_key(|(i, n)| {
                     (
-                        std::cmp::Reverse(self.zone_function_count(self.node_zones[*i], function)),
+                        std::cmp::Reverse(self.zone_slot_count(self.node_zones[*i], slot)),
                         n.free().get(),
                     )
                 })
@@ -376,15 +425,53 @@ impl Cluster {
         }
     }
 
+    /// Record `pod` on node `idx` and keep the per-zone counts in step.
+    fn attach(&mut self, pod: PodId, idx: usize, slot: usize, allocation: Millicores) -> NodeId {
+        self.nodes[idx].attach(slot, allocation);
+        self.zone_slot_counts[slot * self.zone_count + self.node_zones[idx]] += 1;
+        self.pods.insert(
+            pod,
+            Placement {
+                node: idx,
+                slot,
+                allocation,
+            },
+        );
+        self.nodes[idx].id()
+    }
+
+    /// Forget `pod`, releasing its allocation; returns its node index.
+    fn detach(&mut self, pod: PodId) -> Option<usize> {
+        let p = self.pods.remove(&pod)?;
+        self.nodes[p.node].detach(p.slot, p.allocation);
+        self.zone_slot_counts[p.slot * self.zone_count + self.node_zones[p.node]] -= 1;
+        Some(p.node)
+    }
+
     /// Place a pod running `function` with `allocation` CPU. Returns the node
-    /// chosen, or an error if no active node can fit the allocation.
+    /// chosen, or an error if the pod is already placed or no active node
+    /// can fit the allocation.
     pub fn place(
         &mut self,
         pod: PodId,
         function: &str,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
-        let best_free = self
+        if let Some(p) = self.pods.get(&pod) {
+            return Err(already_placed(pod, self.nodes[p.node].id()));
+        }
+        let slot = self.intern(function);
+        match self.pick_node(slot, allocation) {
+            Some(idx) => Ok(self.attach(pod, idx, slot, allocation)),
+            None => Err(self.insufficient_capacity(allocation)),
+        }
+    }
+
+    /// Cold path: the placement error, naming the largest free capacity of
+    /// any active node.
+    #[cold]
+    fn insufficient_capacity(&self, requested: Millicores) -> SimError {
+        let available = self
             .nodes
             .iter()
             .enumerate()
@@ -392,82 +479,112 @@ impl Cluster {
             .map(|(_, n)| n.free())
             .max()
             .unwrap_or(Millicores::ZERO);
-        let idx = self
-            .pick_node(function, allocation)
-            .ok_or(SimError::InsufficientCapacity {
-                requested: allocation,
-                available: best_free,
-            })?;
-        self.nodes[idx].place(pod, function, allocation)?;
-        let node_id = self.nodes[idx].id();
-        self.pod_to_node.insert(pod, node_id);
-        Ok(node_id)
+        SimError::InsufficientCapacity {
+            requested,
+            available,
+        }
     }
 
     /// Place a pod on a saturated cluster by overcommitting the least-loaded
     /// active node (overload must contend, not disappear: an unplaced pod
     /// would run interference-free, making saturation *faster* than a busy
-    /// fleet). Errors only when no node is active.
+    /// fleet). Errors when the pod is already placed or no node is active.
     pub fn place_overcommitted(
         &mut self,
         pod: PodId,
         function: &str,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
+        if let Some(p) = self.pods.get(&pod) {
+            return Err(already_placed(pod, self.nodes[p.node].id()));
+        }
         let idx = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.states[*i] == NodeState::Active)
-            .min_by_key(|(_, n)| (n.allocated().get(), n.id().0))
-            .map(|(i, _)| i)
+            .least_allocated_active()
             .ok_or(SimError::InsufficientCapacity {
                 requested: allocation,
                 available: Millicores::ZERO,
             })?;
-        self.nodes[idx].place_overcommitted(pod, function, allocation)?;
-        let node_id = self.nodes[idx].id();
-        self.pod_to_node.insert(pod, node_id);
-        Ok(node_id)
+        let slot = self.intern(function);
+        Ok(self.attach(pod, idx, slot, allocation))
     }
 
     /// Remove a pod from its node. If the node was draining and this was its
     /// last pod, the node retires.
     pub fn remove(&mut self, pod: PodId) -> SimResult<()> {
-        let node_id = self
-            .pod_to_node
-            .remove(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod}")))?;
-        let idx = node_id.0 as usize;
-        self.nodes[idx].evict(pod)?;
+        let idx = self.detach(pod).ok_or_else(|| unknown_pod(pod))?;
         self.try_retire(idx);
         Ok(())
     }
 
-    /// Resize a placed pod.
+    /// Resize a placed pod. Growth must fit its node's capacity; shrinking
+    /// always succeeds.
     pub fn resize(&mut self, pod: PodId, allocation: Millicores) -> SimResult<()> {
-        let node_id = self
-            .pod_to_node
-            .get(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod}")))?;
-        self.nodes[node_id.0 as usize].resize(pod, allocation)
+        let p = self.pods.get_mut(&pod).ok_or_else(|| unknown_pod(pod))?;
+        let node = &mut self.nodes[p.node];
+        let current = p.allocation;
+        if node.allocated().saturating_sub(current) + allocation > node.capacity() {
+            return Err(SimError::InsufficientCapacity {
+                requested: allocation,
+                available: node.free() + current,
+            });
+        }
+        node.detach(p.slot, current);
+        node.attach(p.slot, allocation);
+        p.allocation = allocation;
+        Ok(())
     }
 
     /// The node currently hosting `pod`.
     pub fn node_of(&self, pod: PodId) -> Option<NodeId> {
-        self.pod_to_node.get(&pod).copied()
+        self.pods.get(&pod).map(|p| self.nodes[p.node].id())
+    }
+
+    /// CPU allocation of a placed pod.
+    pub fn pod_allocation(&self, pod: PodId) -> Option<Millicores> {
+        self.pods.get(&pod).map(|p| p.allocation)
+    }
+
+    /// Pods of `function` hosted on node `id` (0 for an unknown node or a
+    /// function never placed).
+    pub fn function_count(&self, id: NodeId, function: &str) -> usize {
+        match (self.nodes.get(id.0 as usize), self.slot_of(function)) {
+            (Some(node), Some(slot)) => node.slot_count(slot),
+            _ => 0,
+        }
+    }
+
+    /// Pods of `function` hosted in `zone` (0 for an unknown zone or a
+    /// function never placed) — the exposure zone-aware spread minimises.
+    pub fn zone_function_count(&self, zone: usize, function: &str) -> usize {
+        match self.slot_of(function) {
+            Some(slot) if zone < self.zone_count => self.zone_slot_count(zone, slot),
+            _ => 0,
+        }
     }
 
     /// How many pods of `function` are co-located with `pod` on its node
     /// (including `pod` itself). Returns 1 if the pod is unknown, i.e. no
     /// interference.
     pub fn colocation_degree(&self, pod: PodId, function: &str) -> usize {
-        match self.node_of(pod) {
-            Some(node_id) => self.nodes[node_id.0 as usize]
-                .colocated_count(function)
-                .max(1),
-            None => 1,
+        match (self.pods.get(&pod), self.slot_of(function)) {
+            (Some(p), Some(slot)) => self.nodes[p.node].slot_count(slot).max(1),
+            _ => 1,
         }
+    }
+}
+
+/// Cold path: a pod id that no placement knows about.
+#[cold]
+fn unknown_pod(pod: PodId) -> SimError {
+    SimError::UnknownEntity(format!("{pod}"))
+}
+
+/// Cold path: a second placement of a pod that already has a node.
+#[cold]
+fn already_placed(pod: PodId, node: NodeId) -> SimError {
+    SimError::InvalidTransition {
+        entity: format!("{pod}"),
+        detail: format!("already placed on {node}"),
     }
 }
 
@@ -544,6 +661,118 @@ mod tests {
         assert!(c.remove(PodId(1)).is_err());
         assert!(c.resize(PodId(1), Millicores::new(1000)).is_err());
         assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+    }
+
+    #[test]
+    fn placement_tracks_allocation_and_colocation() {
+        let mut c = cluster(1, PlacementPolicy::PackSameFunction);
+        c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
+        c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
+        c.place(PodId(3), "qa", Millicores::new(1000)).unwrap();
+        let node = c.node(NodeId(0)).unwrap();
+        assert_eq!(node.allocated().get(), 4000);
+        assert_eq!(node.free().get(), 4000);
+        assert_eq!(node.pod_count(), 3);
+        assert!((node.utilization() - 0.5).abs() < 1e-12);
+        assert_eq!(c.colocation_degree(PodId(1), "od"), 2);
+        assert_eq!(c.colocation_degree(PodId(3), "qa"), 1);
+        // A function asked about by name counts its own instances on the
+        // pod's node, and a never-seen name counts none.
+        assert_eq!(c.colocation_degree(PodId(3), "od"), 2);
+        assert_eq!(c.colocation_degree(PodId(1), "ts"), 1);
+    }
+
+    #[test]
+    fn placement_beyond_node_capacity_is_rejected() {
+        let mut c = cluster(1, PlacementPolicy::PackSameFunction);
+        c.place(PodId(1), "od", Millicores::new(7000)).unwrap();
+        let err = c.place(PodId(2), "od", Millicores::new(2000)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InsufficientCapacity {
+                requested: Millicores::new(2000),
+                available: Millicores::new(1000),
+            }
+        );
+        assert_eq!(c.node_of(PodId(2)), None);
+        assert_eq!(c.total_allocated().get(), 7000);
+    }
+
+    #[test]
+    fn duplicate_placement_is_rejected() {
+        let mut c = cluster(1, PlacementPolicy::PackSameFunction);
+        c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
+        assert!(c.place(PodId(1), "od", Millicores::new(1000)).is_err());
+        assert!(c
+            .place_overcommitted(PodId(1), "od", Millicores::new(1000))
+            .is_err());
+        assert_eq!(c.total_allocated().get(), 1000);
+        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+    }
+
+    #[test]
+    fn a_pod_placed_elsewhere_cannot_be_placed_again() {
+        // Spread would pick the empty second node for the duplicate; the
+        // pod table must reject it instead of leaking the first node's
+        // allocation.
+        let mut c = cluster(2, PlacementPolicy::Spread);
+        let first = c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
+        let err = c.place(PodId(1), "od", Millicores::new(1000)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InvalidTransition {
+                entity: "pod-1".into(),
+                detail: format!("already placed on {first}"),
+            }
+        );
+        assert!(c
+            .place_overcommitted(PodId(1), "qa", Millicores::new(1000))
+            .is_err());
+        assert_eq!(c.node_of(PodId(1)), Some(first));
+        assert_eq!(c.total_allocated().get(), 2000);
+        c.remove(PodId(1)).unwrap();
+        assert_eq!(c.total_allocated().get(), 0);
+        assert!(c.node(NodeId(0)).unwrap().pod_count() == 0);
+        assert!(c.node(NodeId(1)).unwrap().pod_count() == 0);
+    }
+
+    #[test]
+    fn remove_releases_capacity_and_colocation() {
+        let mut c = cluster(1, PlacementPolicy::PackSameFunction);
+        c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
+        c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
+        c.remove(PodId(1)).unwrap();
+        assert_eq!(c.total_allocated().get(), 1000);
+        assert_eq!(c.colocation_degree(PodId(2), "od"), 1);
+        assert_eq!(c.node(NodeId(0)).unwrap().pod_count(), 1);
+        assert_eq!(
+            c.remove(PodId(1)).unwrap_err(),
+            SimError::UnknownEntity("pod-1".into())
+        );
+    }
+
+    #[test]
+    fn resize_respects_node_capacity() {
+        let mut c = cluster(1, PlacementPolicy::PackSameFunction);
+        c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
+        c.place(PodId(2), "qa", Millicores::new(6000)).unwrap();
+        c.resize(PodId(1), Millicores::new(2000)).unwrap();
+        assert_eq!(c.pod_allocation(PodId(1)), Some(Millicores::new(2000)));
+        assert_eq!(c.total_allocated().get(), 8000);
+        let err = c.resize(PodId(1), Millicores::new(3000)).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::InsufficientCapacity {
+                requested: Millicores::new(3000),
+                available: Millicores::new(2000),
+            }
+        );
+        // Shrinking always succeeds, and colocation is untouched.
+        c.resize(PodId(1), Millicores::new(1000)).unwrap();
+        assert_eq!(c.total_allocated().get(), 7000);
+        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert!(c.resize(PodId(9), Millicores::new(1000)).is_err());
+        assert_eq!(c.pod_allocation(PodId(9)), None);
     }
 
     #[test]

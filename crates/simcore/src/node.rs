@@ -4,14 +4,14 @@
 //! instances of the *same* function onto the same VM, so nodes track how many
 //! pods of each function they currently host — that count drives the
 //! [`crate::interference::InterferenceModel`].
+//!
+//! A node is pure accounting: capacity, allocated CPU, pod count and one
+//! co-location count per function *slot*. The [`crate::cluster::Cluster`]
+//! owns the pod table and interns function names into those slots, so a
+//! placement touches no string and allocates nothing.
 
-use crate::error::SimError;
-use crate::pod::PodId;
 use crate::resources::Millicores;
-use crate::SimResult;
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — per-node pod map for keyed lookup only; capacity math folds over values commutatively
-use std::collections::HashMap;
 
 /// Identifier of a worker node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -29,17 +29,11 @@ pub struct Node {
     id: NodeId,
     capacity: Millicores,
     allocated: Millicores,
-    /// Allocation per pod currently placed here.
-    pods: HashMap<PodId, PodPlacement>,
-    /// Number of pods per function name (for co-location interference).
-    per_function: HashMap<String, usize>,
-}
-
-/// Book-keeping for one pod placed on a node.
-#[derive(Debug, Clone, PartialEq)]
-struct PodPlacement {
-    function: String,
-    allocation: Millicores,
+    pods: usize,
+    /// Pods hosted per interned function slot (for co-location
+    /// interference); grows to a slot's index the first time that slot is
+    /// placed here.
+    per_slot: Vec<usize>,
 }
 
 impl Node {
@@ -49,8 +43,8 @@ impl Node {
             id,
             capacity,
             allocated: Millicores::ZERO,
-            pods: HashMap::new(),
-            per_function: HashMap::new(),
+            pods: 0,
+            per_slot: Vec::new(),
         }
     }
 
@@ -64,7 +58,8 @@ impl Node {
         self.capacity
     }
 
-    /// Currently allocated CPU.
+    /// Currently allocated CPU. May exceed [`capacity`](Self::capacity) on
+    /// an overcommitted node.
     pub fn allocated(&self) -> Millicores {
         self.allocated
     }
@@ -74,7 +69,7 @@ impl Node {
         self.capacity.saturating_sub(self.allocated)
     }
 
-    /// CPU utilisation in `[0, 1]`.
+    /// CPU utilisation in `[0, 1]` (above 1 when overcommitted).
     pub fn utilization(&self) -> f64 {
         if self.capacity.get() == 0 {
             return 0.0;
@@ -84,13 +79,7 @@ impl Node {
 
     /// Number of pods hosted.
     pub fn pod_count(&self) -> usize {
-        self.pods.len()
-    }
-
-    /// Number of pods of `function` hosted (the co-location degree used by the
-    /// interference model).
-    pub fn colocated_count(&self, function: &str) -> usize {
-        self.per_function.get(function).copied().unwrap_or(0)
+        self.pods
     }
 
     /// Whether the node can host an extra `allocation`.
@@ -98,94 +87,28 @@ impl Node {
         self.free() >= allocation
     }
 
-    /// Place a pod of `function` with `allocation` CPU on this node.
-    pub fn place(&mut self, pod: PodId, function: &str, allocation: Millicores) -> SimResult<()> {
-        if !self.can_fit(allocation) {
-            return Err(SimError::InsufficientCapacity {
-                requested: allocation,
-                available: self.free(),
-            });
-        }
-        self.place_overcommitted(pod, function, allocation)
+    /// Pods of the function interned at `slot` hosted here (the co-location
+    /// degree used by the interference model).
+    pub(crate) fn slot_count(&self, slot: usize) -> usize {
+        self.per_slot.get(slot).copied().unwrap_or(0)
     }
 
-    /// [`place`](Self::place) without the capacity check: the overload path.
-    /// A saturated cluster still has to run the pod *somewhere*, and an
-    /// overcommitted node contends — `allocated` may exceed `capacity` and
-    /// the co-location count keeps growing, which is what drives the
-    /// interference model during overload.
-    pub fn place_overcommitted(
-        &mut self,
-        pod: PodId,
-        function: &str,
-        allocation: Millicores,
-    ) -> SimResult<()> {
-        if self.pods.contains_key(&pod) {
-            return Err(SimError::InvalidTransition {
-                entity: format!("{pod}"),
-                detail: format!("already placed on {}", self.id),
-            });
+    /// Account one pod of `slot` with `allocation` CPU. No capacity check:
+    /// the cluster decides whether the node may be overcommitted.
+    pub(crate) fn attach(&mut self, slot: usize, allocation: Millicores) {
+        if self.per_slot.len() <= slot {
+            self.per_slot.resize(slot + 1, 0);
         }
+        self.per_slot[slot] += 1;
+        self.pods += 1;
         self.allocated += allocation;
-        self.pods.insert(
-            pod,
-            PodPlacement {
-                function: function.to_string(),
-                allocation,
-            },
-        );
-        *self.per_function.entry(function.to_string()).or_insert(0) += 1;
-        Ok(())
     }
 
-    /// Remove a pod and release its allocation.
-    pub fn evict(&mut self, pod: PodId) -> SimResult<Millicores> {
-        let placement = self
-            .pods
-            .remove(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod} on {}", self.id)))?;
-        self.allocated = self.allocated.saturating_sub(placement.allocation);
-        if let Some(count) = self.per_function.get_mut(&placement.function) {
-            *count -= 1;
-            if *count == 0 {
-                self.per_function.remove(&placement.function);
-            }
-        }
-        Ok(placement.allocation)
-    }
-
-    /// Change the CPU allocation of an already-placed pod (the late-binding
-    /// resize operation). Fails if growth does not fit.
-    pub fn resize(&mut self, pod: PodId, new_allocation: Millicores) -> SimResult<()> {
-        let current = self
-            .pods
-            .get(&pod)
-            .ok_or_else(|| SimError::UnknownEntity(format!("{pod} on {}", self.id)))?
-            .allocation;
-        let after = self.allocated.saturating_sub(current) + new_allocation;
-        if after > self.capacity {
-            return Err(SimError::InsufficientCapacity {
-                requested: new_allocation,
-                available: self.free() + current,
-            });
-        }
-        self.allocated = after;
-        if let Some(p) = self.pods.get_mut(&pod) {
-            p.allocation = new_allocation;
-        }
-        Ok(())
-    }
-
-    /// Allocation of one hosted pod.
-    pub fn pod_allocation(&self, pod: PodId) -> Option<Millicores> {
-        self.pods.get(&pod).map(|p| p.allocation)
-    }
-
-    /// Iterate over `(pod, function, allocation)` of hosted pods.
-    pub fn pods(&self) -> impl Iterator<Item = (PodId, &str, Millicores)> + '_ {
-        self.pods
-            .iter()
-            .map(|(id, p)| (*id, p.function.as_str(), p.allocation))
+    /// Release one pod of `slot` holding `allocation` CPU.
+    pub(crate) fn detach(&mut self, slot: usize, allocation: Millicores) {
+        self.per_slot[slot] -= 1;
+        self.pods -= 1;
+        self.allocated = self.allocated.saturating_sub(allocation);
     }
 }
 
@@ -200,58 +123,34 @@ mod tests {
     #[test]
     fn placement_tracks_allocation_and_colocation() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(2000)).unwrap();
-        n.place(PodId(2), "od", Millicores::new(1000)).unwrap();
-        n.place(PodId(3), "qa", Millicores::new(1000)).unwrap();
+        n.attach(0, Millicores::new(2000));
+        n.attach(0, Millicores::new(1000));
+        n.attach(1, Millicores::new(1000));
         assert_eq!(n.allocated().get(), 4000);
         assert_eq!(n.free().get(), 4000);
-        assert_eq!(n.colocated_count("od"), 2);
-        assert_eq!(n.colocated_count("qa"), 1);
-        assert_eq!(n.colocated_count("ts"), 0);
+        assert_eq!(n.slot_count(0), 2);
+        assert_eq!(n.slot_count(1), 1);
+        assert_eq!(n.slot_count(7), 0, "a slot never placed here counts zero");
         assert!((n.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(n.pod_count(), 3);
-    }
-
-    #[test]
-    fn overcommit_is_rejected() {
-        let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(7000)).unwrap();
-        let err = n.place(PodId(2), "od", Millicores::new(2000)).unwrap_err();
-        assert!(matches!(err, SimError::InsufficientCapacity { .. }));
-    }
-
-    #[test]
-    fn duplicate_placement_is_rejected() {
-        let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        assert!(n.place(PodId(1), "od", Millicores::new(1000)).is_err());
+        assert!(n.can_fit(Millicores::new(4000)));
+        assert!(!n.can_fit(Millicores::new(4001)));
     }
 
     #[test]
     fn evict_releases_capacity_and_colocation() {
         let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(2000)).unwrap();
-        n.place(PodId(2), "od", Millicores::new(1000)).unwrap();
-        let released = n.evict(PodId(1)).unwrap();
-        assert_eq!(released.get(), 2000);
+        n.attach(0, Millicores::new(2000));
+        n.attach(0, Millicores::new(1000));
+        n.detach(0, Millicores::new(2000));
         assert_eq!(n.allocated().get(), 1000);
-        assert_eq!(n.colocated_count("od"), 1);
-        assert!(n.evict(PodId(1)).is_err());
-    }
-
-    #[test]
-    fn resize_respects_capacity() {
-        let mut n = node();
-        n.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        n.place(PodId(2), "qa", Millicores::new(6000)).unwrap();
-        n.resize(PodId(1), Millicores::new(2000)).unwrap();
-        assert_eq!(n.pod_allocation(PodId(1)), Some(Millicores::new(2000)));
-        assert_eq!(n.allocated().get(), 8000);
-        let err = n.resize(PodId(1), Millicores::new(3000)).unwrap_err();
-        assert!(matches!(err, SimError::InsufficientCapacity { .. }));
-        // Shrinking always succeeds.
-        n.resize(PodId(1), Millicores::new(1000)).unwrap();
-        assert_eq!(n.allocated().get(), 7000);
-        assert!(n.resize(PodId(9), Millicores::new(1000)).is_err());
+        assert_eq!(n.slot_count(0), 1);
+        assert_eq!(n.pod_count(), 1);
+        // Overcommit reads past 100 % and releases back below it.
+        n.attach(1, Millicores::new(9000));
+        assert_eq!(n.free(), Millicores::ZERO);
+        assert!(n.utilization() > 1.0);
+        n.detach(1, Millicores::new(9000));
+        assert_eq!(n.allocated().get(), 1000);
     }
 }

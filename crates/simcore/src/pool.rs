@@ -175,14 +175,18 @@ impl PoolManager {
     ///    specialisation delay;
     /// 2. a generic pool pod → warm hit, specialisation delay;
     /// 3. nothing available → cold start.
+    ///
+    /// A queued pod that can no longer start (untracked, or not idle) is a
+    /// stale entry and is skipped.
     pub fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
         // 1. Reuse a specialised idle pod.
-        if let Some(queue) = self.warm_by_function.get_mut(function) {
-            if let Some(pod_id) = queue.pop_front() {
-                self.idle_since.remove(&pod_id);
-                let pod = self.pods.get_mut(&pod_id).expect("tracked pod exists");
-                pod.resize(allocation).expect("idle pod resize");
-                pod.start_execution().expect("warm pod starts");
+        while let Some(pod_id) = self
+            .warm_by_function
+            .get_mut(function)
+            .and_then(VecDeque::pop_front)
+        {
+            self.idle_since.remove(&pod_id);
+            if self.start(pod_id, function, allocation) {
                 self.warm_hits += 1;
                 return Acquisition {
                     pod: pod_id,
@@ -192,30 +196,42 @@ impl PoolManager {
             }
         }
         // 2. Specialise a generic pod.
-        if let Some(pod_id) = self.generic.pop_front() {
-            let pod = self.pods.get_mut(&pod_id).expect("tracked pod exists");
-            pod.specialize(function).expect("generic pod specialises");
-            pod.resize(allocation).expect("pod resize");
-            pod.start_execution().expect("specialised pod starts");
-            self.warm_hits += 1;
-            return Acquisition {
-                pod: pod_id,
-                startup_delay: self.config.specialization_delay,
-                warm_hit: true,
-            };
+        while let Some(pod_id) = self.generic.pop_front() {
+            if self.start(pod_id, function, allocation) {
+                self.warm_hits += 1;
+                return Acquisition {
+                    pod: pod_id,
+                    startup_delay: self.config.specialization_delay,
+                    warm_hit: true,
+                };
+            }
         }
-        // 3. Cold start.
+        // 3. Cold start: a fresh generic pod always starts.
         let pod_id = self.new_pod(now);
-        let pod = self.pods.get_mut(&pod_id).expect("new pod exists");
-        pod.specialize(function).expect("new pod specialises");
-        pod.resize(allocation).expect("pod resize");
-        pod.start_execution().expect("new pod starts");
+        let started = self.start(pod_id, function, allocation);
+        debug_assert!(started, "a fresh generic pod starts");
         self.cold_starts += 1;
         Acquisition {
             pod: pod_id,
             startup_delay: self.config.cold_start_delay,
             warm_hit: false,
         }
+    }
+
+    /// Run a tracked generic or idle pod for `function` at `allocation`:
+    /// specialise it if generic, apply the size and mark it running.
+    /// Returns `false`, touching nothing, when the pod is untracked or
+    /// neither generic nor idle — the only states those transitions reject.
+    fn start(&mut self, pod_id: PodId, function: &str, allocation: Millicores) -> bool {
+        let Some(pod) = self.pods.get_mut(&pod_id) else {
+            return false;
+        };
+        let ready = match pod.state() {
+            PodState::Generic => pod.specialize(function).is_ok(),
+            PodState::Warm => true,
+            PodState::Running | PodState::Terminated => false,
+        };
+        ready && pod.resize(allocation).is_ok() && pod.start_execution().is_ok()
     }
 
     /// Return a pod after its execution finished; it becomes an idle
@@ -225,13 +241,14 @@ impl PoolManager {
             return;
         };
         if pod.state() == PodState::Running {
-            pod.finish_execution().expect("running pod finishes");
+            // Cannot fail: only a non-running pod is rejected.
+            let _ = pod.finish_execution();
         }
-        if let Some(function) = pod.function().map(str::to_string) {
-            self.warm_by_function
-                .entry(function)
-                .or_default()
-                .push_back(pod_id);
+        if let Some(function) = pod.function() {
+            match self.warm_by_function.get_mut(function) {
+                Some(queue) => queue.push_back(pod_id),
+                None => open_warm_queue(&mut self.warm_by_function, function, pod_id),
+            }
             self.idle_since.insert(pod_id, now);
         }
     }
@@ -306,6 +323,17 @@ impl PoolManager {
     pub fn tracked_pods(&self) -> usize {
         self.pods.len()
     }
+}
+
+/// Cold path: the first release of `function` opens its warm queue (once
+/// per function name for the pool's lifetime).
+#[cold]
+fn open_warm_queue(
+    warm_by_function: &mut HashMap<String, VecDeque<PodId>>,
+    function: &str,
+    pod_id: PodId,
+) {
+    warm_by_function.insert(function.to_string(), VecDeque::from([pod_id]));
 }
 
 #[cfg(test)]
@@ -403,6 +431,28 @@ mod tests {
         // … and recycling later never resurrects it.
         assert_eq!(mgr.recycle_idle(SimTime::from_secs(500.0)), 0);
         assert_eq!(mgr.tracked_pods(), 2, "refill provisions fresh pods only");
+    }
+
+    #[test]
+    fn stale_warm_entries_are_skipped() {
+        let mut mgr = pool(1);
+        let first = mgr.acquire("od", Millicores::new(1000), SimTime::ZERO);
+        // A second release of an idle pod queues it twice.
+        mgr.release(first.pod, SimTime::from_millis(10.0));
+        mgr.release(first.pod, SimTime::from_millis(20.0));
+        assert_eq!(mgr.warm_available("od"), 2);
+        let again = mgr.acquire("od", Millicores::new(1000), SimTime::from_millis(30.0));
+        assert_eq!(again.pod, first.pod);
+        // The duplicate entry names a running pod: it is dropped, the
+        // running pod keeps its size, and acquisition falls through to a
+        // cold start (the generic pool is empty).
+        let next = mgr.acquire("od", Millicores::new(2000), SimTime::from_millis(40.0));
+        assert_ne!(next.pod, first.pod);
+        assert!(!next.warm_hit);
+        assert_eq!(mgr.warm_available("od"), 0);
+        let running = mgr.pod(first.pod).unwrap();
+        assert_eq!(running.state(), PodState::Running);
+        assert_eq!(running.allocation(), Millicores::new(1000));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Randomised invariants spanning the profiler, synthesizer and adapter.
+//! Randomised invariants spanning the profiler, synthesizer, adapter and
+//! the simulator's pod placement.
 //!
 //! Property-style tests driven by the workspace's own deterministic
 //! [`SimRng`] (the external property-testing framework is not in the allowed
@@ -11,6 +12,10 @@ use janus_core::synthesizer::condense::condense;
 use janus_core::synthesizer::generation::{GenerationConfig, HintGenerator, RawHint};
 use janus_core::synthesizer::hints::{HintsTable, LookupOutcome};
 use janus_profiler::profile::WorkflowProfile;
+use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
+use janus_simcore::error::SimError;
+use janus_simcore::node::NodeId;
+use janus_simcore::pod::PodId;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::rng::SimRng;
 use janus_simcore::stats::percentile;
@@ -178,5 +183,311 @@ fn lookups_inside_the_range_never_miss() {
                 .is_hit(),
             "case {case}"
         );
+    }
+}
+
+const FUNCTIONS: [&str; 4] = ["asr", "qa", "tts", "od"];
+
+/// Brute-force model of one node: every hosted pod, recounted on demand.
+struct RefNode {
+    capacity: u32,
+    zone: usize,
+    state: NodeState,
+    pods: BTreeMap<u64, (&'static str, u32)>,
+}
+
+impl RefNode {
+    fn allocated(&self) -> u32 {
+        self.pods.values().map(|(_, mc)| mc).sum()
+    }
+
+    fn free(&self) -> u32 {
+        self.capacity.saturating_sub(self.allocated())
+    }
+
+    fn count(&self, function: &str) -> usize {
+        self.pods.values().filter(|(f, _)| *f == function).count()
+    }
+}
+
+/// Brute-force reference cluster implementing the placement rules by
+/// recounting every zone from scratch (including `max_by_key`'s last-max
+/// tie-break).
+struct RefCluster {
+    nodes: Vec<RefNode>,
+    zones: usize,
+    policy: PlacementPolicy,
+}
+
+impl RefCluster {
+    fn add_node(&mut self, capacity: u32) {
+        let zone = self.nodes.len() % self.zones;
+        self.nodes.push(RefNode {
+            capacity,
+            zone,
+            state: NodeState::Active,
+            pods: BTreeMap::new(),
+        });
+    }
+
+    fn zone_count(&self, zone: usize, function: &str) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| n.zone == zone && n.state != NodeState::Retired)
+            .map(|n| n.count(function))
+            .sum()
+    }
+
+    fn host_of(&self, pod: u64) -> Option<usize> {
+        self.nodes.iter().position(|n| n.pods.contains_key(&pod))
+    }
+
+    fn active(&self) -> impl Iterator<Item = (usize, &RefNode)> {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.state == NodeState::Active)
+    }
+
+    fn pick(&self, function: &str, mc: u32) -> Option<usize> {
+        let fitting = self.active().filter(|(_, n)| n.free() >= mc);
+        match self.policy {
+            PlacementPolicy::PackSameFunction => fitting
+                .max_by_key(|(_, n)| (n.count(function), n.free()))
+                .map(|(i, _)| i),
+            PlacementPolicy::Spread => fitting
+                .max_by_key(|(_, n)| {
+                    (
+                        std::cmp::Reverse(self.zone_count(n.zone, function)),
+                        n.free(),
+                    )
+                })
+                .map(|(i, _)| i),
+        }
+    }
+
+    fn least_allocated(&self) -> Option<usize> {
+        self.active()
+            .min_by_key(|(i, n)| (n.allocated(), *i))
+            .map(|(i, _)| i)
+    }
+
+    fn retire_if_drained(&mut self, idx: usize) -> bool {
+        let node = &mut self.nodes[idx];
+        if node.state == NodeState::Draining && node.pods.is_empty() {
+            node.state = NodeState::Retired;
+        }
+        node.state == NodeState::Retired
+    }
+}
+
+/// After every operation the cluster's per-node, per-zone and fleet-wide
+/// accounting equals a from-scratch recount of the reference.
+fn assert_matches_recount(c: &Cluster, r: &RefCluster, case: usize, step: usize) {
+    let at = format!("case {case} step {step}");
+    for (i, n) in r.nodes.iter().enumerate() {
+        let id = NodeId(i as u32);
+        assert_eq!(c.node_state(id), Some(n.state), "{at}: state of {id}");
+        let node = c.node(id).unwrap();
+        assert_eq!(
+            node.allocated().get(),
+            n.allocated(),
+            "{at}: {id} allocated"
+        );
+        assert_eq!(node.pod_count(), n.pods.len(), "{at}: {id} pods");
+        for f in FUNCTIONS {
+            assert_eq!(c.function_count(id, f), n.count(f), "{at}: {id} {f}");
+        }
+        for (pod, (f, mc)) in &n.pods {
+            assert_eq!(c.node_of(PodId(*pod)), Some(id), "{at}: host of pod {pod}");
+            assert_eq!(c.pod_allocation(PodId(*pod)), Some(Millicores::new(*mc)));
+            assert_eq!(c.colocation_degree(PodId(*pod), f), n.count(f).max(1));
+        }
+    }
+    for zone in 0..r.zones {
+        for f in FUNCTIONS {
+            assert_eq!(
+                c.zone_function_count(zone, f),
+                r.zone_count(zone, f),
+                "{at}: zone {zone} {f}"
+            );
+        }
+    }
+    let live: u32 = r
+        .nodes
+        .iter()
+        .filter(|n| n.state != NodeState::Retired)
+        .map(RefNode::allocated)
+        .sum();
+    assert_eq!(c.total_allocated().get(), live, "{at}: total allocated");
+    assert_eq!(c.active_node_count(), r.active().count(), "{at}");
+}
+
+/// Random place / overcommit / remove / grow / drain / crash sequences over
+/// 1–3 zones and both placement policies: the O(nodes) interned-slot
+/// placement picks exactly the node the per-zone recount picks, rejects
+/// what it rejects, and crashes lose the same sorted pods.
+#[test]
+fn placement_matches_a_brute_force_recount() {
+    const CAPACITY: u32 = 8000;
+    let mut rng = SimRng::seed_from_u64(0x1A05);
+    for case in 0..CASES {
+        let zones = rng.int_range(1, 3) as usize;
+        let nodes = rng.int_range(1, 6) as usize;
+        let policy = if case % 2 == 0 {
+            PlacementPolicy::Spread
+        } else {
+            PlacementPolicy::PackSameFunction
+        };
+        let mut c = Cluster::new(&ClusterConfig {
+            nodes,
+            node_capacity: Millicores::new(CAPACITY),
+            placement: policy,
+            zones,
+        })
+        .unwrap();
+        let mut r = RefCluster {
+            nodes: Vec::new(),
+            zones,
+            policy,
+        };
+        for _ in 0..nodes {
+            r.add_node(CAPACITY);
+        }
+        let mut next_pod = 0u64;
+        for step in 0..160 {
+            let placed: Vec<u64> = r
+                .nodes
+                .iter()
+                .flat_map(|n| n.pods.keys().copied())
+                .collect();
+            let f = *rng.choose(&FUNCTIONS);
+            let mc = rng.int_range(5, 40) as u32 * 100;
+            let roll = rng.int_range(0, 99);
+            match roll {
+                // Place a fresh pod (or, now and then, one already placed).
+                0..=44 => {
+                    let duplicate = roll < 4 && !placed.is_empty();
+                    let pod = if duplicate {
+                        *rng.choose(&placed)
+                    } else {
+                        next_pod += 1;
+                        next_pod
+                    };
+                    let got = c.place(PodId(pod), f, Millicores::new(mc));
+                    if duplicate {
+                        assert!(
+                            matches!(got, Err(SimError::InvalidTransition { .. })),
+                            "case {case} step {step}: duplicate {pod} placed"
+                        );
+                    } else {
+                        match r.pick(f, mc) {
+                            Some(idx) => {
+                                assert_eq!(got, Ok(NodeId(idx as u32)), "case {case} step {step}");
+                                r.nodes[idx].pods.insert(pod, (f, mc));
+                            }
+                            None => {
+                                let best = r.active().map(|(_, n)| n.free()).max().unwrap_or(0);
+                                assert_eq!(
+                                    got,
+                                    Err(SimError::InsufficientCapacity {
+                                        requested: Millicores::new(mc),
+                                        available: Millicores::new(best),
+                                    }),
+                                    "case {case} step {step}"
+                                );
+                            }
+                        }
+                    }
+                }
+                // Overcommit the least-allocated active node.
+                45..=54 => {
+                    let duplicate = roll == 45 && !placed.is_empty();
+                    let pod = if duplicate {
+                        *rng.choose(&placed)
+                    } else {
+                        next_pod += 1;
+                        next_pod
+                    };
+                    let got = c.place_overcommitted(PodId(pod), f, Millicores::new(mc));
+                    match (duplicate, r.least_allocated()) {
+                        (true, _) | (false, None) => {
+                            assert!(got.is_err(), "case {case} step {step}")
+                        }
+                        (false, Some(idx)) => {
+                            assert_eq!(got, Ok(NodeId(idx as u32)), "case {case} step {step}");
+                            r.nodes[idx].pods.insert(pod, (f, mc));
+                        }
+                    }
+                }
+                // Remove a placed pod (or an unknown one).
+                55..=84 => {
+                    if placed.is_empty() || roll == 55 {
+                        assert!(c.remove(PodId(next_pod + 1)).is_err());
+                    } else {
+                        let pod = *rng.choose(&placed);
+                        c.remove(PodId(pod)).unwrap();
+                        let idx = r.host_of(pod).unwrap();
+                        r.nodes[idx].pods.remove(&pod);
+                        r.retire_if_drained(idx);
+                    }
+                }
+                85..=88 => {
+                    let id = c.add_node(Millicores::new(CAPACITY)).unwrap();
+                    assert_eq!(id, NodeId(r.nodes.len() as u32), "case {case} step {step}");
+                    r.add_node(CAPACITY);
+                }
+                89..=91 => {
+                    let idx = rng.int_range(0, r.nodes.len() as u64) as usize;
+                    let got = c.drain_node(NodeId(idx as u32));
+                    match r.nodes.get(idx).map(|n| n.state) {
+                        None | Some(NodeState::Retired) => assert!(got.is_err()),
+                        Some(_) => {
+                            r.nodes[idx].state = NodeState::Draining;
+                            assert_eq!(
+                                got,
+                                Ok(r.retire_if_drained(idx)),
+                                "case {case} step {step}"
+                            );
+                        }
+                    }
+                }
+                92..=94 => {
+                    let count = rng.int_range(1, 2) as usize;
+                    let floor = rng.int_range(1, 3) as usize;
+                    let got = c.drain_least_allocated(count, floor);
+                    let mut want = Vec::new();
+                    for _ in 0..count {
+                        if r.active().count() <= floor {
+                            break;
+                        }
+                        let Some(idx) = r.least_allocated() else {
+                            break;
+                        };
+                        r.nodes[idx].state = NodeState::Draining;
+                        r.retire_if_drained(idx);
+                        want.push(NodeId(idx as u32));
+                    }
+                    assert_eq!(got, want, "case {case} step {step}");
+                }
+                _ => {
+                    let idx = rng.int_range(0, r.nodes.len() as u64) as usize;
+                    let got = c.crash_node(NodeId(idx as u32));
+                    match r.nodes.get(idx).map(|n| n.state) {
+                        None | Some(NodeState::Retired) => assert!(got.is_err()),
+                        Some(_) => {
+                            let node = &mut r.nodes[idx];
+                            let lost: Vec<(PodId, String)> = std::mem::take(&mut node.pods)
+                                .into_iter()
+                                .map(|(pod, (f, _))| (PodId(pod), f.to_string()))
+                                .collect();
+                            node.state = NodeState::Retired;
+                            assert_eq!(got, Ok(lost), "case {case} step {step}");
+                        }
+                    }
+                }
+            }
+            assert_matches_recount(&c, &r, case, step);
+        }
     }
 }
