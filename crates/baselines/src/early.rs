@@ -10,7 +10,7 @@ use janus_profiler::percentiles::Percentile;
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
-use janus_simcore::stats::percentile_of_sorted;
+use janus_simcore::stats::select_percentile;
 use janus_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -84,66 +84,92 @@ pub fn orion(
 ) -> Result<FixedSizingPolicy, String> {
     let grid = profile.grid();
     let target_ms = slo.as_millis() * config.safety_margin;
+    let mut convolution = Convolution::draw(profile.len(), config);
     let mut sizes: Vec<Millicores> = vec![grid.max; profile.len()];
     // Even all-Kmax may violate the SLO; ORION then deploys Kmax everywhere.
-    if e2e_percentile(profile, &sizes, config) > target_ms {
+    if convolution.e2e_percentile(profile, &sizes) > target_ms {
         return FixedSizingPolicy::new("ORION", sizes);
     }
     loop {
-        let mut best: Option<(usize, f64)> = None;
+        let mut best: Option<(usize, Millicores, f64)> = None;
         for i in 0..sizes.len() {
-            let Some(idx) = grid.index_of(sizes[i]) else {
+            let smaller = grid
+                .index_of(sizes[i])
+                .and_then(|idx| idx.checked_sub(1))
+                .and_then(|idx| grid.at(idx));
+            let Some(smaller) = smaller else {
                 continue;
             };
-            if idx == 0 {
-                continue;
-            }
-            let mut candidate = sizes.clone();
-            candidate[i] = grid.at(idx - 1).expect("index - 1 on grid");
-            let p99 = e2e_percentile(profile, &candidate, config);
+            let current = std::mem::replace(&mut sizes[i], smaller);
+            let p99 = convolution.e2e_percentile(profile, &sizes);
+            sizes[i] = current;
             if p99 <= target_ms {
                 // Prefer the reduction that leaves the most headroom.
-                if best.map(|(_, b)| p99 < b).unwrap_or(true) {
-                    best = Some((i, p99));
+                if best.map(|(_, _, b)| p99 < b).unwrap_or(true) {
+                    best = Some((i, smaller, p99));
                 }
             }
         }
         match best {
-            Some((i, _)) => {
-                let idx = grid.index_of(sizes[i]).expect("on grid");
-                sizes[i] = grid.at(idx - 1).expect("index - 1 on grid");
-            }
+            Some((i, smaller, _)) => sizes[i] = smaller,
             None => break,
         }
     }
     FixedSizingPolicy::new("ORION", sizes)
 }
 
-/// Estimate the `target_percentile` of the end-to-end latency for a candidate
-/// allocation by Monte-Carlo convolution of the per-function profiled
+/// ORION's Monte-Carlo convolution of the per-function profiled
 /// distributions (functions are profiled independently, matching ORION's
 /// independence assumption).
-fn e2e_percentile(profile: &WorkflowProfile, sizes: &[Millicores], config: &OrionConfig) -> f64 {
-    let mut rng = SimRng::seed_from_u64(config.seed);
-    let per_function: Vec<&[f64]> = profile
-        .functions()
-        .iter()
-        .zip(sizes)
-        .map(|(f, &k)| f.raw_samples(k))
-        .collect();
-    let mut sums: Vec<f64> = Vec::with_capacity(config.convolution_samples);
-    for _ in 0..config.convolution_samples {
-        let total: f64 = per_function
-            .iter()
-            .map(|samples| {
-                let idx = rng.int_range(0, samples.len() as u64 - 1) as usize;
-                samples[idx]
-            })
-            .sum();
-        sums.push(total);
+///
+/// The draws are made once per sizing run — `convolution_samples ×
+/// functions` raw outputs of an RNG seeded with `config.seed` — and every
+/// candidate allocation maps the same raw values onto its own sample sets,
+/// so candidates differ by their allocations only, never by sampling noise.
+struct Convolution {
+    /// Raw draws, sample-major: `draws[s * functions + f]`.
+    draws: Vec<u64>,
+    functions: usize,
+    target_percentile: f64,
+    /// End-to-end latency of every sample, reused across candidates.
+    sums: Vec<f64>,
+}
+
+impl Convolution {
+    fn draw(functions: usize, config: &OrionConfig) -> Self {
+        let mut rng = SimRng::seed_from_u64(config.seed);
+        Convolution {
+            draws: (0..config.convolution_samples * functions)
+                .map(|_| rng.next_u64())
+                .collect(),
+            functions,
+            target_percentile: config.target_percentile,
+            sums: Vec::with_capacity(config.convolution_samples),
+        }
     }
-    sums.sort_by(|a, b| a.total_cmp(b));
-    percentile_of_sorted(&sums, config.target_percentile)
+
+    /// Estimate the `target_percentile` of the end-to-end latency for a
+    /// candidate allocation.
+    fn e2e_percentile(&mut self, profile: &WorkflowProfile, sizes: &[Millicores]) -> f64 {
+        let per_function: Vec<&[f64]> = profile
+            .functions()
+            .iter()
+            .zip(sizes)
+            .map(|(f, &k)| f.raw_samples(k))
+            .collect();
+        self.sums.clear();
+        self.sums
+            .extend(self.draws.chunks_exact(self.functions).map(|draws| {
+                draws
+                    .iter()
+                    .zip(&per_function)
+                    .map(|(&draw, samples)| {
+                        samples[SimRng::map_to_range(draw, samples.len() as u64) as usize]
+                    })
+                    .sum::<f64>()
+            }));
+        select_percentile(&mut self.sums, self.target_percentile)
+    }
 }
 
 /// Minimum-total-allocation plan such that `Σ_i L_i(p, k_i) ≤ budget`,
@@ -159,8 +185,8 @@ pub fn min_total_cores_for_budget(
     // best[i][b] = minimal total cores for functions i.. within budget b (ms).
     let mut next: Vec<Option<u32>> = vec![None; horizon + 1];
     let mut choices: Vec<Vec<Option<Millicores>>> = vec![vec![None; horizon + 1]; n];
-    for i in (0..n).rev() {
-        let func = profile.function(i).expect("index in range");
+    let functions = profile.functions();
+    for (i, func) in functions.iter().enumerate().rev() {
         let latencies: Vec<(Millicores, f64)> = grid
             .iter()
             .map(|k| (k, func.latency(p, k).as_millis()))
@@ -196,14 +222,10 @@ pub fn min_total_cores_for_budget(
     next[horizon]?;
     let mut sizes = Vec::with_capacity(n);
     let mut b = horizon;
-    for (i, row) in choices.iter().enumerate() {
+    for (row, func) in choices.iter().zip(functions) {
         let k = row[b]?;
         sizes.push(k);
-        let lat = profile
-            .function(i)
-            .expect("in range")
-            .latency(p, k)
-            .as_millis();
+        let lat = func.latency(p, k).as_millis();
         b = (b as f64 - lat).floor().max(0.0) as usize;
     }
     Some(sizes)

@@ -75,10 +75,16 @@ impl SimRng {
         if span == u64::MAX {
             return self.next_u64();
         }
+        low + Self::map_to_range(self.next_u64(), span + 1)
+    }
+
+    /// Map one raw [`next_u64`](Self::next_u64) output into `0..range` —
+    /// the mapping [`int_range`](Self::int_range) applies — so a caller can
+    /// draw once and map the same raw values onto ranges of several sizes.
+    pub fn map_to_range(raw: u64, range: u64) -> u64 {
         // Lemire's multiply-shift bounded sampling; the bias is < 2^-64 per
         // draw, far below anything the statistical tests can resolve.
-        let range = span + 1;
-        low + ((u128::from(self.next_u64()) * u128::from(range)) >> 64) as u64
+        ((u128::from(raw) * u128::from(range)) >> 64) as u64
     }
 
     /// Standard normal sample via the Box–Muller transform.

@@ -34,16 +34,43 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     if sorted.len() == 1 {
         return sorted[0];
     }
-    let p = p.clamp(0.0, 100.0);
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = percentile_rank(sorted.len(), p);
     if lo == hi {
         sorted[lo]
     } else {
-        let frac = rank - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
+}
+
+/// [`percentile_of_sorted`] of `values` in any order, without sorting them:
+/// selects the two ranks the interpolation reads in O(n), reordering
+/// `values` in place. Bit-identical to sorting by `total_cmp` first.
+pub fn select_percentile(values: &mut [f64], p: f64) -> f64 {
+    debug_assert!(!values.is_empty());
+    if values.len() == 1 {
+        return values[0];
+    }
+    let (lo, hi, frac) = percentile_rank(values.len(), p);
+    let (_, &mut at_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    if lo == hi {
+        at_lo
+    } else {
+        // Rank `hi = lo + 1` is the smallest value above the selected one.
+        let at_hi = above
+            .iter()
+            .copied()
+            .min_by(f64::total_cmp)
+            .unwrap_or(at_lo);
+        at_lo * (1.0 - frac) + at_hi * frac
+    }
+}
+
+/// Where the `p`-th percentile of `len ≥ 2` ascending values falls: the two
+/// neighbouring ranks and the interpolation weight of the upper one.
+fn percentile_rank(len: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p.clamp(0.0, 100.0) / 100.0 * (len - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
 }
 
 /// Summary statistics over a sample set.

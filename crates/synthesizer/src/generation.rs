@@ -19,16 +19,26 @@
 //! memoises them in per-level dynamic-programming tables indexed by the
 //! residual budget at millisecond granularity — the same exploration, orders
 //! of magnitude fewer redundant evaluations, which is what makes the 1 ms
-//! budget sweep of §V-F tractable. Levels are filled bottom-up and each level
-//! is computed in parallel with rayon ("the synthesizer explores different
-//! percentiles concurrently", §IV-A).
+//! budget sweep of §V-F tractable.
+//!
+//! Levels are filled bottom-up, each one allocation-major: for every
+//! (candidate percentile, allocation) pair, in a fixed order, one pass over
+//! the contiguous budgets `b ≥ ⌈L⌉` that afford the head latency `L` relaxes
+//! each budget's best plan with a strict `<`, so the first minimum in that
+//! order wins every tie. Budget `b` reads the downstream plan at residual
+//! `⌊b − L⌋`, which equals `b − ⌈L⌉` except on a suffix of budgets where the
+//! float subtraction `b − L` rounds up to the next integer (`L` a hair above
+//! an integer, `b` large enough that its ulp swallows the gap). That suffix
+//! is monotone in `b`, so a binary search over the exact float expression
+//! finds where it starts, and each pass reads at most two shifted contiguous
+//! slices of the downstream row — the very entries a per-budget evaluation
+//! of `⌊b − L⌋` reads.
 
 use crate::hints::{CondensedHint, HintsTable};
 use janus_profiler::percentiles::{Percentile, PercentileGrid};
-use janus_profiler::profile::WorkflowProfile;
+use janus_profiler::profile::{FunctionProfile, WorkflowProfile};
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the hint generator.
@@ -89,20 +99,21 @@ pub struct RawHint {
 
 /// One dynamic-programming cell: the best plan for a suffix level at one
 /// quantised residual budget.
-#[derive(Debug, Clone, Copy)]
-struct LevelEntry {
-    feasible: bool,
-    head_cores: Millicores,
-    head_percentile: Percentile,
-    /// Expected cost of this level's objective (used only for argmin here).
-    expected_cost: f64,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LevelEntry {
+    /// Whether any plan meets this budget.
+    pub feasible: bool,
+    /// Planned allocation of the suffix's head function.
+    pub head_cores: Millicores,
+    /// Percentile the suffix's head function is planned at.
+    pub head_percentile: Percentile,
+    /// Expected resource consumption `s` of this level's objective (Eq. 4).
+    pub expected_cost: f64,
     /// Sum of planned allocations over this suffix (head + downstream plan).
-    planned_cores: f64,
+    pub planned_cores: f64,
     /// Σ R_i(tail, k_i) over this suffix — downstream absorption capacity
     /// offered to the caller.
-    resilience_ms: f64,
-    /// Σ L_i(plan) over this suffix — planned latency, for diagnostics.
-    planned_latency_ms: f64,
+    pub resilience_ms: f64,
 }
 
 impl LevelEntry {
@@ -114,10 +125,12 @@ impl LevelEntry {
             expected_cost: f64::INFINITY,
             planned_cores: f64::INFINITY,
             resilience_ms: 0.0,
-            planned_latency_ms: f64::INFINITY,
         }
     }
 }
+
+/// Marks a budget no (percentile, allocation) pair has fit yet.
+const NO_CHOICE: u32 = u32::MAX;
 
 /// The hint generator for one sub-workflow profile.
 #[derive(Debug)]
@@ -142,6 +155,16 @@ impl<'a> HintGenerator<'a> {
         horizon: SimDuration,
     ) -> Result<Self, String> {
         config.validate()?;
+        Ok(Self::with_valid_config(profile, config, horizon))
+    }
+
+    /// [`HintGenerator::new`] for a configuration the caller already
+    /// validated.
+    pub(crate) fn with_valid_config(
+        profile: &'a WorkflowProfile,
+        config: &'a GenerationConfig,
+        horizon: SimDuration,
+    ) -> Self {
         let tail = config.percentiles.tail();
         let natural_max = profile.max_budget(tail).as_millis();
         let horizon_ms = horizon.as_millis().max(natural_max).ceil() as usize + 1;
@@ -151,8 +174,8 @@ impl<'a> HintGenerator<'a> {
             levels: Vec::new(),
             horizon_ms,
         };
-        gen.fill_levels();
-        Ok(gen)
+        gen.levels = gen.fill_levels();
+        gen
     }
 
     /// The profile this generator plans for.
@@ -160,48 +183,58 @@ impl<'a> HintGenerator<'a> {
         self.profile
     }
 
+    /// The filled dynamic-programming tables: `levels()[i][b]` is the best
+    /// plan for functions `i..N` under a residual budget of `b` ms, for every
+    /// `b` from 0 to the horizon.
+    pub fn levels(&self) -> &[Vec<LevelEntry>] {
+        &self.levels
+    }
+
     fn tail(&self) -> Percentile {
         self.config.percentiles.tail()
     }
 
-    fn fill_levels(&mut self) {
-        let n = self.profile.len();
-        let mut levels: Vec<Vec<LevelEntry>> = Vec::with_capacity(n);
-        // Fill from the last function backwards.
-        let mut downstream: Option<Vec<LevelEntry>> = None;
-        for i in (0..n).rev() {
-            let level = self.fill_level(i, downstream.as_deref());
-            if let Some(prev) = downstream {
-                levels.push(prev);
-            }
-            downstream = Some(level);
+    fn fill_levels(&self) -> Vec<Vec<LevelEntry>> {
+        let functions = self.profile.functions();
+        let mut levels: Vec<Vec<LevelEntry>> = Vec::with_capacity(functions.len());
+        // Fill from the last function backwards: each level reads the one
+        // below it.
+        for (i, func) in functions.iter().enumerate().rev() {
+            let level = self.fill_level(i, func, levels.last().map(Vec::as_slice));
+            levels.push(level);
         }
-        levels.push(downstream.expect("at least one level"));
-        // `levels` currently holds [level_{n-1}, ..., level_0]; reverse so
-        // that `levels[i]` corresponds to suffix starting at function i.
+        // `levels` holds [level_{n-1}, ..., level_0]; reverse so that
+        // `levels[i]` corresponds to the suffix starting at function i.
         levels.reverse();
-        self.levels = levels;
+        levels
     }
 
-    /// Compute the DP row for suffix level `i` given the row of level `i+1`.
-    fn fill_level(&self, i: usize, downstream: Option<&[LevelEntry]>) -> Vec<LevelEntry> {
+    /// Compute the DP row for suffix level `i` (head function `func`) given
+    /// the row of level `i+1`, allocation-major (see the module docs).
+    fn fill_level(
+        &self,
+        i: usize,
+        func: &FunctionProfile,
+        downstream: Option<&[LevelEntry]>,
+    ) -> Vec<LevelEntry> {
         let tail = self.tail();
         let grid = self.profile.grid();
-        let func = self.profile.function(i).expect("level index in range");
         let n_remaining = self.profile.len() - i;
         let explore = i < self.config.exploration_depth && n_remaining > 1;
         let weight = if i == 0 { self.config.weight } else { 1.0 };
         let kmax_mc = f64::from(grid.max.get());
+        let downstream_count = (n_remaining - 1) as f64;
+        let width = self.horizon_ms + 1;
 
         // Candidate percentiles for this level's head.
-        let candidates: Vec<Percentile> = if explore {
-            self.config.percentiles.values().to_vec()
+        let candidates: &[Percentile] = if explore {
+            self.config.percentiles.values()
         } else {
-            vec![tail]
+            std::slice::from_ref(&tail)
         };
 
         // Pre-compute the per-allocation latency/timeout/resilience rows for
-        // every candidate percentile so the inner budget loop is lookups only.
+        // every candidate percentile so the budget passes are lookups only.
         struct Cand {
             percentile: Percentile,
             prob: f64,
@@ -223,79 +256,122 @@ impl<'a> HintGenerator<'a> {
                     .collect(),
             })
             .collect();
-        let tail_latency: Vec<f64> = grid
-            .iter()
-            .map(|mc| func.latency(tail, mc).as_millis())
-            .collect();
         let tail_resilience: Vec<f64> = grid
             .iter()
             .map(|mc| func.resilience(tail, mc).as_millis())
             .collect();
         let allocations: Vec<Millicores> = grid.iter().collect();
 
-        (0..=self.horizon_ms)
-            .into_par_iter()
-            .map(|budget_ms| {
-                let budget = budget_ms as f64;
-                let mut best = LevelEntry::infeasible();
-                for cand in &cands {
-                    for (ki, &mc) in allocations.iter().enumerate() {
-                        let head_latency = cand.latency[ki];
-                        if head_latency > budget {
-                            continue;
-                        }
-                        let (cost, planned_cores, resilience, planned_latency) = match downstream {
-                            None => {
-                                // Last function: it must finish within the
-                                // budget at the tail percentile — there is no
-                                // downstream slack left to absorb a timeout —
-                                // so exploration is disabled for it (the
-                                // `explore` flag already guarantees this).
-                                let k = f64::from(mc.get());
-                                (weight * k, k, tail_resilience[ki], tail_latency[ki])
-                            }
-                            Some(down) => {
-                                let residual = (budget - head_latency).floor();
-                                if residual < 0.0 {
-                                    continue;
-                                }
-                                let down_entry = &down[(residual as usize).min(self.horizon_ms)];
-                                if !down_entry.feasible {
-                                    continue;
-                                }
-                                // Resilience constraint (Eq. 6): the head's
-                                // potential timeout must not exceed what the
-                                // downstream plan can absorb by scaling up.
-                                if cand.timeout[ki] > down_entry.resilience_ms {
-                                    continue;
-                                }
-                                let k = f64::from(mc.get());
-                                let downstream_count = (n_remaining - 1) as f64;
-                                let cost = weight * k
-                                    + cand.prob * down_entry.planned_cores
-                                    + (1.0 - cand.prob) * downstream_count * kmax_mc;
-                                (
-                                    cost,
-                                    k + down_entry.planned_cores,
-                                    tail_resilience[ki] + down_entry.resilience_ms,
-                                    tail_latency[ki] + down_entry.planned_latency_ms,
-                                )
-                            }
-                        };
-                        if cost < best.expected_cost {
-                            best = LevelEntry {
-                                feasible: true,
-                                head_cores: mc,
-                                head_percentile: cand.percentile,
-                                expected_cost: cost,
-                                planned_cores,
-                                resilience_ms: resilience,
-                                planned_latency_ms: planned_latency,
-                            };
+        // Struct-of-arrays copy of the downstream row. An infeasible entry
+        // offers −∞ resilience, so the resilience check alone rejects it.
+        let (down_resilience, down_planned): (Vec<f64>, Vec<f64>) = downstream
+            .unwrap_or_default()
+            .iter()
+            .map(|e| {
+                let resilience = if e.feasible {
+                    e.resilience_ms
+                } else {
+                    f64::NEG_INFINITY
+                };
+                (resilience, e.planned_cores)
+            })
+            .unzip();
+
+        // Per budget: the best cost so far and the (candidate, allocation)
+        // pair that achieved it, as `candidate * allocations + allocation`.
+        let mut best_cost = vec![f64::INFINITY; width];
+        let mut best_choice = vec![NO_CHOICE; width];
+        for (ci, cand) in cands.iter().enumerate() {
+            for (ki, &mc) in allocations.iter().enumerate() {
+                let this_choice = (ci * allocations.len() + ki) as u32;
+                let head_latency = cand.latency[ki];
+                let Some(first) = first_affordable_budget(head_latency, width) else {
+                    continue;
+                };
+                let k = f64::from(mc.get());
+                let (costs, choices) = (&mut best_cost[first..], &mut best_choice[first..]);
+                if downstream.is_none() {
+                    // Last function: it must finish within the budget at the
+                    // tail percentile — there is no downstream slack left to
+                    // absorb a timeout — so exploration is disabled for it
+                    // (the `explore` flag already guarantees this), and its
+                    // cost does not depend on the budget.
+                    let cost = weight * k;
+                    for (best, best_at) in costs.iter_mut().zip(choices) {
+                        if cost < *best {
+                            *best = cost;
+                            *best_at = this_choice;
                         }
                     }
+                    continue;
                 }
-                best
+                // Eq. 4's terms. The sum stays left to right as written,
+                // `head + p·planned + overrun`: float addition does not
+                // associate, so hoisting `head + overrun` out of the pass
+                // would move the costs' last bits.
+                let head_cost = weight * k;
+                let prob = cand.prob;
+                let overrun_cost = (1.0 - prob) * downstream_count * kmax_mc;
+                let timeout = cand.timeout[ki];
+                let relax = |costs: &mut [f64], choices: &mut [u32], residual: usize| {
+                    let down = down_resilience[residual..]
+                        .iter()
+                        .zip(&down_planned[residual..]);
+                    for ((best, best_at), (&resilience, &planned)) in
+                        costs.iter_mut().zip(choices).zip(down)
+                    {
+                        let cost = head_cost + prob * planned + overrun_cost;
+                        // Resilience constraint (Eq. 6): the head's potential
+                        // timeout must not exceed what the downstream plan
+                        // can absorb by scaling up.
+                        if timeout <= resilience && cost < *best {
+                            *best = cost;
+                            *best_at = this_choice;
+                        }
+                    }
+                };
+                // Budgets `first + j` read residual `j` up to the rounding
+                // suffix, and residual `j + 1` from there on.
+                let lifted = first_lifted_budget(first, head_latency, width) - first;
+                let (exact_costs, lifted_costs) = costs.split_at_mut(lifted);
+                let (exact_choices, lifted_choices) = choices.split_at_mut(lifted);
+                relax(exact_costs, exact_choices, 0);
+                if !lifted_costs.is_empty() {
+                    relax(lifted_costs, lifted_choices, lifted + 1);
+                }
+            }
+        }
+
+        best_cost
+            .iter()
+            .zip(&best_choice)
+            .enumerate()
+            .map(|(budget_ms, (&expected_cost, &choice))| {
+                if choice == NO_CHOICE {
+                    return LevelEntry::infeasible();
+                }
+                let cand = &cands[choice as usize / allocations.len()];
+                let ki = choice as usize % allocations.len();
+                let k = f64::from(allocations[ki].get());
+                let (planned_cores, resilience_ms) = match downstream {
+                    None => (k, tail_resilience[ki]),
+                    Some(down) => {
+                        let residual = (budget_ms as f64 - cand.latency[ki]).floor();
+                        let down_entry = &down[residual as usize];
+                        (
+                            k + down_entry.planned_cores,
+                            tail_resilience[ki] + down_entry.resilience_ms,
+                        )
+                    }
+                };
+                LevelEntry {
+                    feasible: true,
+                    head_cores: allocations[ki],
+                    head_percentile: cand.percentile,
+                    expected_cost,
+                    planned_cores,
+                    resilience_ms,
+                }
             })
             .collect()
     }
@@ -319,17 +395,17 @@ impl<'a> HintGenerator<'a> {
         })
     }
 
-    /// Reconstruct the full allocation vector by walking the DP levels.
+    /// Reconstruct the full allocation vector by walking the DP levels from
+    /// the quantised budget, the way the DP itself consumed it.
     fn reconstruct(&self, budget_ms: f64) -> Vec<Millicores> {
         let mut allocation = Vec::with_capacity(self.profile.len());
-        let mut budget = budget_ms;
-        for i in 0..self.profile.len() {
-            let entry = self.levels[i][self.quantize(budget)];
+        let mut budget = self.quantize(budget_ms) as f64;
+        for (level, func) in self.levels.iter().zip(self.profile.functions()) {
+            let entry = level[self.quantize(budget)];
             if !entry.feasible {
                 break;
             }
             allocation.push(entry.head_cores);
-            let func = self.profile.function(i).expect("index in range");
             let consumed = func
                 .latency(entry.head_percentile, entry.head_cores)
                 .as_millis();
@@ -358,7 +434,6 @@ impl<'a> HintGenerator<'a> {
         }
         let steps = ((to_ms - from_ms) / step).floor() as usize;
         (0..=steps)
-            .into_par_iter()
             .filter_map(|i| {
                 let budget = from_ms + i as f64 * step;
                 self.generate(SimDuration::from_millis(budget))
@@ -380,10 +455,36 @@ impl<'a> HintGenerator<'a> {
             range.unwrap_or_else(|| (self.profile.min_budget(low), self.profile.max_budget(tail)));
         let raw = self.sweep(from, to);
         let rows = crate::condense::condense(&raw);
-        let table = HintsTable::new(suffix_start, raw.len(), rows)
-            .expect("condensed rows are sorted and disjoint by construction");
+        // janus-lint: allow(unwrap-discipline) — condense returns rows sorted by budget and disjoint, which is all `new` checks
+        let table = HintsTable::new(suffix_start, raw.len(), rows).expect("condensed rows");
         (table, raw)
     }
+}
+
+/// The smallest budget on a `width`-long axis that affords `latency`
+/// (`⌈L⌉`, since `L ≤ b` for an integral `b` exactly when `b ≥ ⌈L⌉`).
+fn first_affordable_budget(latency: f64, width: usize) -> Option<usize> {
+    let first = latency.ceil();
+    (first < width as f64).then_some(first as usize)
+}
+
+/// The first budget `b ≥ first` (or `width` if none) at which the float
+/// residual `⌊b − L⌋` is `b − first + 1` instead of `b − first`: `b − L`
+/// rounds up to an integer once `b`'s ulp outgrows the distance from `L`
+/// up to `⌈L⌉`. Rounding is monotone and the ulp grows with `b`, so the
+/// lifted budgets form a suffix and a binary search finds where it starts.
+fn first_lifted_budget(first: usize, latency: f64, width: usize) -> usize {
+    let lifted = |b: usize| (b as f64 - latency).floor() as usize > b - first;
+    let (mut lo, mut hi) = (first, width);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if lifted(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// Convenience: condensed rows for a raw sweep (re-exported for tests).

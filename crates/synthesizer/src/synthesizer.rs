@@ -163,10 +163,10 @@ impl Synthesizer {
 
         let mut tables: Vec<HintsTable> = Vec::with_capacity(profile.len());
         let mut raw_total = 0usize;
-        for start in 0..profile.len() {
-            let suffix = profile.suffix(start).expect("suffix start in range");
-            let generator =
-                HintGenerator::new(&suffix, &gen_config, horizon).expect("validated configuration");
+        let suffixes = (0..).map_while(|start| Some((start, profile.suffix(start)?)));
+        for (start, suffix) in suffixes {
+            // `Synthesizer::new` validated the configuration this derives from.
+            let generator = HintGenerator::with_valid_config(&suffix, &gen_config, horizon);
             let range = if start == 0 {
                 self.config
                     .full_range_ms
@@ -203,20 +203,18 @@ impl Synthesizer {
     }
 
     /// Synthesize bundles for several weights; the paper keeps "individual
-    /// hint tables for different weights" (§IV-B).
+    /// hint tables for different weights" (§IV-B). Fails on a weight below 1.
     pub fn synthesize_weights(
         &self,
         profile: &WorkflowProfile,
         weights: &[f64],
-    ) -> Vec<(HintsBundle, SynthesisReport)> {
+    ) -> Result<Vec<(HintsBundle, SynthesisReport)>, String> {
         weights
             .iter()
             .map(|&w| {
                 let mut cfg = self.config.clone();
                 cfg.weight = w;
-                Synthesizer::new(cfg)
-                    .expect("weight validated by caller")
-                    .synthesize(profile)
+                Ok(Synthesizer::new(cfg)?.synthesize(profile))
             })
             .collect()
     }
@@ -385,7 +383,10 @@ mod tests {
         // Table II: higher weights decrease the head allocation and percentile.
         let profile = ia_profile();
         let synthesizer = Synthesizer::with_defaults();
-        let results = synthesizer.synthesize_weights(&profile, &[1.0, 3.0]);
+        let results = synthesizer
+            .synthesize_weights(&profile, &[1.0, 3.0])
+            .unwrap();
+        assert!(synthesizer.synthesize_weights(&profile, &[0.5]).is_err());
         assert_eq!(results.len(), 2);
         let head_at = |bundle: &HintsBundle, budget_ms: f64| match bundle
             .table_after(0)

@@ -1,5 +1,5 @@
-//! Randomised invariants spanning the profiler, synthesizer, adapter and
-//! the simulator's pod placement.
+//! Randomised invariants spanning the profiler, synthesizer, adapter,
+//! the ORION convolution's percentile and the simulator's pod placement.
 //!
 //! Property-style tests driven by the workspace's own deterministic
 //! [`SimRng`] (the external property-testing framework is not in the allowed
@@ -8,8 +8,9 @@
 
 use janus_core::profiler::percentiles::{Percentile, PercentileGrid};
 use janus_core::profiler::profile::FunctionProfile;
+use janus_core::profiler::profiler::{Profiler, ProfilerConfig};
 use janus_core::synthesizer::condense::condense;
-use janus_core::synthesizer::generation::{GenerationConfig, HintGenerator, RawHint};
+use janus_core::synthesizer::generation::{GenerationConfig, HintGenerator, LevelEntry, RawHint};
 use janus_core::synthesizer::hints::{HintsTable, LookupOutcome};
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
@@ -18,8 +19,9 @@ use janus_simcore::node::NodeId;
 use janus_simcore::pod::PodId;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::rng::SimRng;
-use janus_simcore::stats::percentile;
+use janus_simcore::stats::{percentile, percentile_of_sorted, select_percentile};
 use janus_simcore::time::SimDuration;
+use janus_workloads::apps::intelligent_assistant;
 use std::collections::BTreeMap;
 
 const CASES: usize = 64;
@@ -182,6 +184,327 @@ fn lookups_inside_the_range_never_miss() {
                 .lookup(SimDuration::from_millis(hi + 10_000.0))
                 .is_hit(),
             "case {case}"
+        );
+    }
+}
+
+/// A latency near an integer, the way profiled percentiles land in
+/// practice and where the DP's residual `⌊b − L⌋` is most fragile: exactly
+/// integral, 1–3 ulps or 1e-13–1e-12 below one, or the same distances above
+/// one (where the float subtraction `b − L` rounds up for large enough `b`).
+fn near_integer_latency(rng: &mut SimRng, whole: f64) -> f64 {
+    let ulps = |v: f64, n: u64, up: bool| {
+        let bits = v.to_bits();
+        f64::from_bits(if up { bits + n } else { bits - n })
+    };
+    match rng.int_range(0, 6) {
+        0 => whole,
+        1 => ulps(whole, rng.int_range(1, 3), false),
+        2 => ulps(whole, rng.int_range(1, 3), true),
+        3 => whole - 1e-13,
+        4 => whole - 1e-12,
+        5 => whole + 1e-13,
+        _ => whole + 1e-12,
+    }
+}
+
+/// A small random profile: 1–3 functions on a 1–5 point core grid. Each grid
+/// point is either one near-integral sample (every percentile reads it, so
+/// percentile candidates tie) or a random spread of samples (percentiles
+/// differ, timeouts are positive).
+fn small_random_profile(rng: &mut SimRng, horizon_ms: f64) -> WorkflowProfile {
+    let points = rng.int_range(1, 5) as u32;
+    let grid = CoreGrid::new(
+        Millicores::new(1000),
+        Millicores::new(1000 + 500 * (points - 1)),
+        500,
+    )
+    .unwrap();
+    let n = rng.int_range(1, 3) as usize;
+    let per_function = horizon_ms / n as f64;
+    let functions = (0..n)
+        .map(|f| {
+            let samples = grid
+                .iter()
+                .map(|mc| {
+                    let whole = rng.int_range(1, per_function as u64) as f64;
+                    let set = if rng.uniform() < 0.6 {
+                        vec![near_integer_latency(rng, whole)]
+                    } else {
+                        let len = rng.int_range(2, 9);
+                        (0..len)
+                            .map(|_| whole * rng.uniform_range(0.5, 1.5))
+                            .collect()
+                    };
+                    (mc.get(), set)
+                })
+                .collect();
+            FunctionProfile::from_samples(format!("f{f}"), 1, grid, samples).unwrap()
+        })
+        .collect();
+    WorkflowProfile::new("wf", 1, grid, functions).unwrap()
+}
+
+/// The per-budget scan of Algorithm 1's memoised recursion: for every
+/// budget, every (percentile, allocation) pair in order, first strict
+/// minimum wins. The generator fills its tables allocation-major instead;
+/// this is the reference it must reproduce entry for entry.
+fn per_budget_levels(
+    profile: &WorkflowProfile,
+    config: &GenerationConfig,
+    horizon_ms: usize,
+) -> Vec<Vec<LevelEntry>> {
+    let tail = config.percentiles.tail();
+    let grid = profile.grid();
+    let kmax = f64::from(grid.max.get());
+    let infeasible = LevelEntry {
+        feasible: false,
+        head_cores: Millicores::ZERO,
+        head_percentile: Percentile::P99,
+        expected_cost: f64::INFINITY,
+        planned_cores: f64::INFINITY,
+        resilience_ms: 0.0,
+    };
+    let n = profile.len();
+    let mut levels: Vec<Vec<LevelEntry>> = Vec::new();
+    for (i, func) in profile.functions().iter().enumerate().rev() {
+        let explore = i < config.exploration_depth && n - i > 1;
+        let weight = if i == 0 { config.weight } else { 1.0 };
+        let candidates = if explore {
+            config.percentiles.values().to_vec()
+        } else {
+            vec![tail]
+        };
+        let down = levels.last();
+        let row = (0..=horizon_ms)
+            .map(|budget_ms| {
+                let budget = budget_ms as f64;
+                let mut best = infeasible;
+                for &p in &candidates {
+                    for mc in grid.iter() {
+                        let latency = func.latency(p, mc).as_millis();
+                        if latency > budget {
+                            continue;
+                        }
+                        let k = f64::from(mc.get());
+                        let resilience = func.resilience(tail, mc).as_millis();
+                        let (cost, planned, offered) = match down {
+                            None => (weight * k, k, resilience),
+                            Some(down) => {
+                                let d = down[((budget - latency).floor() as usize).min(horizon_ms)];
+                                if !d.feasible
+                                    || func.timeout(p, mc, tail).as_millis() > d.resilience_ms
+                                {
+                                    continue;
+                                }
+                                let cost = weight * k
+                                    + p.probability() * d.planned_cores
+                                    + (1.0 - p.probability()) * (n - i - 1) as f64 * kmax;
+                                (cost, k + d.planned_cores, resilience + d.resilience_ms)
+                            }
+                        };
+                        if cost < best.expected_cost {
+                            best = LevelEntry {
+                                feasible: true,
+                                head_cores: mc,
+                                head_percentile: p,
+                                expected_cost: cost,
+                                planned_cores: planned,
+                                resilience_ms: offered,
+                            };
+                        }
+                    }
+                }
+                best
+            })
+            .collect();
+        levels.push(row);
+    }
+    levels.reverse();
+    levels
+}
+
+/// The allocation-major DP fill reproduces the per-budget scan bit for bit:
+/// same feasibility, same argmin (first minimum on ties), same costs.
+#[test]
+fn allocation_major_fill_matches_the_per_budget_scan() {
+    let mut rng = SimRng::seed_from_u64(0x1A05);
+    let percentiles = PercentileGrid::paper_default();
+    for case in 0..CASES {
+        let horizon_ms = rng.int_range(20, 2500) as f64;
+        let profile = small_random_profile(&mut rng, horizon_ms);
+        let mut candidates: Vec<Percentile> = percentiles
+            .iter()
+            .filter(|_| rng.uniform() < 0.25)
+            .collect();
+        candidates.push(Percentile::P99);
+        let config = GenerationConfig {
+            weight: if rng.uniform() < 0.5 {
+                1.0
+            } else {
+                rng.uniform_range(1.0, 3.0)
+            },
+            percentiles: PercentileGrid::from_values(candidates).unwrap(),
+            exploration_depth: rng.int_range(0, 2) as usize,
+            budget_step_ms: 1.0,
+        };
+        assert_fill_matches_the_scan(&profile, &config, horizon_ms, &format!("case {case}"));
+    }
+}
+
+/// The budgets where the float residual `⌊b − L⌋` first rounds up by one
+/// are where an allocation-major fill can go off by one: pin a downstream
+/// feasibility edge right on each side of that split and compare again.
+#[test]
+fn rounding_split_edges_match_the_per_budget_scan() {
+    let horizon_ms = 3000.0;
+    let grid = CoreGrid::new(Millicores::new(1000), Millicores::new(1000), 100).unwrap();
+    let single = |name: &str, latency: f64| {
+        let samples = BTreeMap::from([(1000, vec![latency])]);
+        FunctionProfile::from_samples(name, 1, grid, samples).unwrap()
+    };
+    let mut splits = 0;
+    for whole in [3.0, 17.0, 250.0] {
+        for above in [1, 2, 3, 300] {
+            let head = f64::from_bits(f64::to_bits(whole) + above);
+            let first = head.ceil() as usize;
+            let Some(split) = (first..horizon_ms as usize)
+                .find(|&b| (b as f64 - head).floor() as usize > b - first)
+            else {
+                continue;
+            };
+            splits += 1;
+            // The downstream function turns feasible at residual `edge`.
+            // With `edge = split - first + 1` the split budget is the first
+            // feasible one, and only because its residual rounded up; with
+            // `edge = split - first` the budget below the split must stay
+            // infeasible, because its residual did not.
+            for edge in [split - first, split - first + 1] {
+                let profile = WorkflowProfile::new(
+                    "wf",
+                    1,
+                    grid,
+                    vec![single("head", head), single("tail", edge as f64)],
+                )
+                .unwrap();
+                let config = GenerationConfig::default();
+                let label = format!("head {head:e}, split {split}, edge {edge}");
+                assert_fill_matches_the_scan(&profile, &config, horizon_ms, &label);
+            }
+        }
+    }
+    assert!(splits >= 6, "only {splits} latencies hit a rounding split");
+}
+
+/// Fill `profile`'s tables and compare every entry, bit for bit, with the
+/// per-budget scan.
+fn assert_fill_matches_the_scan(
+    profile: &WorkflowProfile,
+    config: &GenerationConfig,
+    horizon_ms: f64,
+    label: &str,
+) {
+    let generator =
+        HintGenerator::new(profile, config, SimDuration::from_millis(horizon_ms)).unwrap();
+    let levels = generator.levels();
+    let width = levels[0].len();
+    let expected = per_budget_levels(profile, config, width - 1);
+    assert_eq!(levels.len(), expected.len(), "{label}");
+    let bits = |e: &LevelEntry| {
+        (
+            e.feasible,
+            e.head_cores,
+            e.head_percentile,
+            e.expected_cost.to_bits(),
+            e.planned_cores.to_bits(),
+            e.resilience_ms.to_bits(),
+        )
+    };
+    for (i, (row, want)) in levels.iter().zip(&expected).enumerate() {
+        for (b, (got, want)) in row.iter().zip(want).enumerate() {
+            assert_eq!(bits(got), bits(want), "{label}: level {i}, budget {b} ms");
+        }
+    }
+}
+
+/// Walking the DP for a fractional budget plans exactly what the DP priced
+/// for its quantised (whole-millisecond) budget — every function's size,
+/// not only the head's.
+#[test]
+fn plans_depend_only_on_the_quantised_budget() {
+    let mut rng = SimRng::seed_from_u64(0x1A06);
+    let profile = Profiler::new(ProfilerConfig {
+        samples_per_point: 300,
+        seed: 7,
+        ..ProfilerConfig::default()
+    })
+    .unwrap()
+    .profile_workflow(&intelligent_assistant(), 1);
+    for exploration_depth in 0..=2 {
+        let config = GenerationConfig {
+            exploration_depth,
+            ..GenerationConfig::default()
+        };
+        let horizon = profile.max_budget(Percentile::P99);
+        let generator = HintGenerator::new(&profile, &config, horizon).unwrap();
+        let mut budget = profile.min_budget(Percentile::P1).as_millis();
+        while budget < horizon.as_millis() {
+            let fractional = budget + rng.uniform();
+            let whole = fractional.floor();
+            let plan = |b: f64| {
+                generator
+                    .generate(SimDuration::from_millis(b))
+                    .map(|h| h.allocation)
+            };
+            assert_eq!(
+                plan(fractional),
+                plan(whole),
+                "depth {exploration_depth}: budget {fractional} ms"
+            );
+            budget += 3.0;
+        }
+    }
+}
+
+/// The O(n) selection ORION's convolution uses returns exactly the
+/// percentile of the sorted values — duplicates, tiny inputs and the
+/// interpolated ranks included.
+#[test]
+fn select_percentile_matches_the_sorted_percentile() {
+    let mut rng = SimRng::seed_from_u64(0x1A07);
+    for case in 0..CASES * 4 {
+        let len = match case % 4 {
+            0 => 1,
+            1 => 2,
+            _ => rng.int_range(3, 300) as usize,
+        };
+        // A small pool of values forces duplicates around the selected rank.
+        let pool: Vec<f64> = (0..rng.int_range(1, 6))
+            .map(|_| rng.uniform_range(0.0, 5000.0))
+            .collect();
+        let mut values: Vec<f64> = (0..len)
+            .map(|_| {
+                if rng.uniform() < 0.5 {
+                    pool[rng.int_range(0, pool.len() as u64 - 1) as usize]
+                } else {
+                    rng.uniform_range(0.0, 5000.0)
+                }
+            })
+            .collect();
+        let p = match case % 5 {
+            0 => 99.0,
+            1 => 0.0,
+            2 => 100.0,
+            _ => rng.uniform_range(0.0, 100.0),
+        };
+        let mut sorted = values.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let want = percentile_of_sorted(&sorted, p);
+        let got = select_percentile(&mut values, p);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "case {case}: len {len}, p {p}"
         );
     }
 }

@@ -10,6 +10,9 @@ use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
 use std::str::FromStr as _;
 
+#[path = "../examples/golden_policies.rs"]
+mod golden_policies;
+
 /// Read a committed spec file from the repo-root `specs/` directory.
 fn golden_spec(file: &str) -> SweepSpec {
     let path = format!("{}/../../specs/{file}", env!("CARGO_MANIFEST_DIR"));
@@ -430,6 +433,37 @@ fn golden_trace_artefact_is_reproducible_and_reportable() {
             .parse()
             .unwrap_or_else(|e| panic!("CSV cell `{cell}` not a number: {e}"));
         assert!(value.is_finite(), "CSV cell `{cell}` is not finite");
+    }
+}
+
+#[test]
+fn golden_policies_artefact_is_reproducible() {
+    // The committed artefact is what `examples/golden_policies.rs` prints:
+    // the hints bundles of the three Janus variants plus the ORION and
+    // GrandSLAM+ sizes, built from seeded profiles. Rewrites of the hint
+    // synthesizer or the early-binding baselines must leave it byte-identical;
+    // regenerate it with `cargo run --example golden_policies >
+    // specs/golden_policies.json` only when a policy change is intended.
+    let path = format!(
+        "{}/../../specs/golden_policies.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let committed = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read committed policies {path}: {e}"));
+    let fresh = golden_policies::golden_policies().unwrap() + "\n";
+    // `assert!`, not `assert_eq!`: a mismatch would print two 0.5 MB documents.
+    assert!(
+        fresh == committed,
+        "regenerated policies diverged from specs/golden_policies.json — rerun \
+         the golden_policies example to refresh it if the change is intended"
+    );
+    // Every embedded bundle still decodes through the provider-side parser.
+    let doc = janus_json::parse(&committed).unwrap();
+    for cell in doc.require("cells").unwrap().as_array().unwrap() {
+        for entry in cell.require("janus").unwrap().as_array().unwrap() {
+            let bundle = entry.require("bundle").unwrap().to_pretty();
+            janus_core::synthesizer::hints::HintsBundle::from_json(&bundle).unwrap();
+        }
     }
 }
 
