@@ -183,7 +183,11 @@ impl Value {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Append the canonical JSON spelling of `n`: integral values below 1e15
+/// as integers, everything else in Rust's shortest round-trip form,
+/// non-finite values as `null`. Every number the workspace writes goes
+/// through here, so hand-rolled encoders stay byte-identical to [`Value`].
+pub fn write_number(out: &mut String, n: f64) {
     // JSON has no NaN/Infinity; encode them as null (serde_json's choice),
     // which a typed reader then rejects with a clear "not a number" error
     // instead of producing an unparseable document.
@@ -198,7 +202,10 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters. The single source of string escaping, shared with
+/// [`Value`]'s encoders.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -219,26 +226,27 @@ fn write_string(out: &mut String, s: &str) {
 /// Parse a JSON document.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The validated input; `pos` always sits on a char boundary of it.
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -247,7 +255,8 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    /// Consume byte `b` or fail naming what was found instead.
+    fn eat(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -275,7 +284,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
         } else {
@@ -291,14 +300,17 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| format!("invalid number at byte {start}"))?;
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("invalid number `{text}`: {e}"))
     }
 
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -321,11 +333,13 @@ impl Parser<'_> {
                         b'b' => out.push('\u{0008}'),
                         b'f' => out.push('\u{000C}'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
+                            if self.pos + 4 > self.text.len() {
                                 return Err("truncated \\u escape".into());
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "non-ascii \\u escape".to_string())?;
+                            let hex = self
+                                .text
+                                .get(self.pos..self.pos + 4)
+                                .ok_or("non-ascii \\u escape")?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|e| format!("bad \\u escape: {e}"))?;
                             self.pos += 4;
@@ -337,10 +351,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
+                    // Consume one code point. The input is a `&str`, so it
+                    // is already valid UTF-8: decoding the next char is
+                    // O(1), not a re-validation of the rest of the document.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("invalid utf-8 in string at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -349,7 +367,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
+        self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -372,7 +390,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
+        self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -383,7 +401,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.eat(b':')?;
             self.skip_ws();
             let value = self.value()?;
             members.push((key, value));
@@ -449,6 +467,40 @@ mod tests {
             Value::Num(-25.0)
         );
         assert_eq!(v.get("b").unwrap().as_str().unwrap(), "xA\t");
+    }
+
+    #[test]
+    fn multi_byte_utf8_and_escapes_round_trip() {
+        // 2-, 3- and 4-byte code points next to every escape the encoder
+        // emits, and next to the `\u` and `\/` forms only the parser reads.
+        let text = "é ß λ | 中 € ✓ | 🦀 𝄞 | \" \\ \n \r \t \u{0001} \u{001f} | end";
+        let doc = Value::Arr(vec![
+            Value::Str(text.into()),
+            Value::Obj(vec![(text.into(), Value::Str("🦀".into()))]),
+        ]);
+        for encoded in [doc.to_compact(), doc.to_pretty()] {
+            assert_eq!(parse(&encoded).unwrap(), doc, "{encoded}");
+        }
+        let v = parse("\"a\\u00e9\\u4e2d\\/b\"").unwrap();
+        assert_eq!(v.as_str(), Some("aé中/b"));
+    }
+
+    #[test]
+    fn large_documents_parse_in_linear_time() {
+        // Several hundred KB of small string-heavy objects. Decoding each
+        // string character once used to re-validate the whole remaining
+        // document, which took seconds here even in release builds.
+        let row = |i: usize| {
+            Value::Obj(vec![
+                ("policy".into(), Value::Str(format!("janus-λ-{i}"))),
+                ("type".into(), Value::Str("completion".into())),
+                ("at_ms".into(), Value::Num(i as f64 * 0.5)),
+            ])
+        };
+        let doc = Value::Arr((0..10_000).map(row).collect());
+        let text = doc.to_compact();
+        assert!(text.len() >= 512 * 1024, "only {} bytes", text.len());
+        assert_eq!(parse(&text).unwrap(), doc);
     }
 
     #[test]

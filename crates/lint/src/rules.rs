@@ -62,7 +62,8 @@ pub struct LintConfig {
 impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
     /// the per-event serving loops + `emit!` + metrics handles + placement
-    /// and warm-pool calls as hot paths, and `Record` construction confined
+    /// and warm-pool calls + the flight recorder's per-record path as hot
+    /// paths, and `Record` construction confined
     /// to observe and the macro.
     pub fn workspace_default() -> Self {
         let hot = |file_suffix: &str, item: &str| HotPath {
@@ -99,6 +100,12 @@ impl LintConfig {
                 hot("simcore/src/cluster.rs", "colocation_degree"),
                 hot("simcore/src/pool.rs", "acquire"),
                 hot("simcore/src/pool.rs", "release"),
+                // The flight recorder's per-record path: every observer's
+                // `record`, the trace line writers and the span table.
+                hot("observe/src/lib.rs", "record"),
+                hot("observe/src/lib.rs", "write_record"),
+                hot("observe/src/lib.rs", "write_tick"),
+                hot("observe/src/lib.rs", "observe"),
             ],
             record_construction_allowed: vec![
                 "crates/observe/src".to_string(),
@@ -429,6 +436,22 @@ impl Sim {
         assert!(hits.iter().all(|h| h.message.contains("run_traced")));
         // The same source in an unconfigured file is silent.
         assert!(run(hot_path_alloc, "crates/platform/src/capacity.rs", src).is_empty());
+        // The flight recorder's line writers are hot paths too.
+        let writer = "\
+impl TraceObserver {
+    fn write_record(&mut self, record: &Record) {
+        let policy = self.policy.clone();
+    }
+    fn finish(&mut self) -> String {
+        self.lines.clone()
+    }
+}
+";
+        let hits = run(hot_path_alloc, "crates/observe/src/lib.rs", writer);
+        assert_eq!(hits.len(), 1, "{hits:#?}");
+        assert!(hits[0]
+            .message
+            .contains("`clone` allocates inside hot path `write_record`"));
         // macro_rules bodies are matched too.
         let emit = "macro_rules! emit {\n    ($x:expr) => { $x.to_string() };\n}\n";
         let hits = run(hot_path_alloc, "crates/platform/src/lib.rs", emit);

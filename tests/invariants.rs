@@ -1,5 +1,6 @@
 //! Randomised invariants spanning the profiler, synthesizer, adapter,
-//! the ORION convolution's percentile and the simulator's pod placement.
+//! the ORION convolution's percentile, the simulator's pod placement and
+//! the flight recorder's trace encoding.
 //!
 //! Property-style tests driven by the workspace's own deterministic
 //! [`SimRng`] (the external property-testing framework is not in the allowed
@@ -12,6 +13,11 @@ use janus_core::profiler::profiler::{Profiler, ProfilerConfig};
 use janus_core::synthesizer::condense::condense;
 use janus_core::synthesizer::generation::{GenerationConfig, HintGenerator, LevelEntry, RawHint};
 use janus_core::synthesizer::hints::{HintsTable, LookupOutcome};
+use janus_json::Value;
+use janus_observe::{
+    Observer, ObserverContext, Record, RecordKind, TickSample, TimeSeriesPoint, TraceObserver,
+    FAULT_KINDS,
+};
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
 use janus_simcore::error::SimError;
@@ -20,7 +26,7 @@ use janus_simcore::pod::PodId;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::rng::SimRng;
 use janus_simcore::stats::{percentile, percentile_of_sorted, select_percentile};
-use janus_simcore::time::SimDuration;
+use janus_simcore::time::{SimDuration, SimTime};
 use janus_workloads::apps::intelligent_assistant;
 use std::collections::BTreeMap;
 
@@ -811,6 +817,285 @@ fn placement_matches_a_brute_force_recount() {
                 }
             }
             assert_matches_recount(&c, &r, case, step);
+        }
+    }
+}
+
+/// The `Value`-tree encoding of a record's trace line — the encoder the
+/// trace sink used before it wrote lines directly — kept as the oracle the
+/// direct writer must match byte for byte: `policy`, `at_ms`, `type`, then
+/// the variant's fields.
+fn oracle_record_line(policy: &str, record: &Record) -> String {
+    let mut members = vec![
+        ("policy".to_string(), Value::Str(policy.to_string())),
+        ("at_ms".to_string(), Value::Num(record.at.as_millis())),
+        (
+            "type".to_string(),
+            Value::Str(record.kind.kind_name().to_string()),
+        ),
+    ];
+    let num = |members: &mut Vec<(String, Value)>, key: &str, v: f64| {
+        members.push((key.to_string(), Value::Num(v)));
+    };
+    match record.kind {
+        RecordKind::Arrival { request } | RecordKind::Shed { request } => {
+            num(&mut members, "request", request as f64);
+        }
+        RecordKind::Admission { request, admitted } => {
+            num(&mut members, "request", request as f64);
+            members.push(("admitted".to_string(), Value::Bool(admitted)));
+        }
+        RecordKind::Placement {
+            request,
+            function,
+            overcommitted,
+        } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "function", function as f64);
+            members.push(("overcommitted".to_string(), Value::Bool(overcommitted)));
+        }
+        RecordKind::ColdStart {
+            request,
+            function,
+            delay,
+        } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "function", function as f64);
+            num(&mut members, "delay_ms", delay.as_millis());
+        }
+        RecordKind::ExecStart { request, function } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "function", function as f64);
+        }
+        RecordKind::ExecEnd {
+            request,
+            function,
+            exec,
+        } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "function", function as f64);
+            num(&mut members, "exec_ms", exec.as_millis());
+        }
+        RecordKind::Retry {
+            request,
+            attempt,
+            lost,
+        } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "attempt", attempt as f64);
+            num(&mut members, "lost_ms", lost.as_millis());
+        }
+        RecordKind::Fault { kind } => {
+            members.push(("fault".to_string(), Value::Str(kind.to_string())));
+        }
+        RecordKind::Scaling {
+            from_nodes,
+            to_nodes,
+        } => {
+            num(&mut members, "from_nodes", from_nodes as f64);
+            num(&mut members, "to_nodes", to_nodes as f64);
+        }
+        RecordKind::Failed { request, e2e } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "e2e_ms", e2e.as_millis());
+        }
+        RecordKind::Completion {
+            request,
+            e2e,
+            slo_met,
+        } => {
+            num(&mut members, "request", request as f64);
+            num(&mut members, "e2e_ms", e2e.as_millis());
+            members.push(("slo_met".to_string(), Value::Bool(slo_met)));
+        }
+    }
+    Value::Obj(members).to_compact()
+}
+
+/// The `Value`-tree encoding of a tick's trace line: `policy`, the `tick`
+/// tag, then the [`TimeSeriesPoint`] fields.
+fn oracle_tick_line(policy: &str, sample: &TickSample) -> String {
+    let mut members = vec![
+        ("policy".to_string(), Value::Str(policy.to_string())),
+        ("type".to_string(), Value::Str("tick".to_string())),
+    ];
+    if let Value::Obj(rest) = TimeSeriesPoint::from_sample(sample).to_json() {
+        members.extend(rest);
+    }
+    Value::Obj(members).to_compact()
+}
+
+/// Policy names that need every kind of JSON escaping, plus plain and
+/// multi-byte text.
+fn arbitrary_policy(rng: &mut SimRng) -> String {
+    const ALPHABET: &[char] = &[
+        'a', 'z', 'J', '-', '_', '+', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0001}',
+        '\u{001f}', '\u{007f}', 'é', 'λ', '中', '🦀',
+    ];
+    let len = rng.int_range(1, 12) as usize;
+    (0..len).map(|_| *rng.choose(ALPHABET)).collect()
+}
+
+/// Milliseconds across the shapes the number formatter special-cases:
+/// zero, integral, non-integral, and at or beyond the 1e15 cutoff where
+/// integral values stop printing as integers.
+fn arbitrary_ms(rng: &mut SimRng) -> f64 {
+    match rng.int_range(0, 4) {
+        0 => 0.0,
+        1 => rng.int_range(0, 10_000_000) as f64,
+        2 => rng.uniform_range(0.0, 1e7),
+        3 => 1e15 + rng.int_range(0, 1 << 40) as f64,
+        _ => rng.uniform_range(1e15, 1e18),
+    }
+}
+
+/// Request ids exact in an `f64`, small or near 2^53.
+fn arbitrary_id(rng: &mut SimRng) -> u64 {
+    if rng.uniform() < 0.8 {
+        rng.int_range(0, 100_000)
+    } else {
+        rng.int_range(1 << 50, 1 << 53)
+    }
+}
+
+fn arbitrary_kind(rng: &mut SimRng) -> RecordKind {
+    let request = arbitrary_id(rng);
+    let function = rng.int_range(0, 12) as usize;
+    let flag = rng.uniform() < 0.5;
+    let ms = SimDuration::from_millis(arbitrary_ms(rng));
+    match rng.int_range(0, 11) {
+        0 => RecordKind::Arrival { request },
+        1 => RecordKind::Admission {
+            request,
+            admitted: flag,
+        },
+        2 => RecordKind::Placement {
+            request,
+            function,
+            overcommitted: flag,
+        },
+        3 => RecordKind::ColdStart {
+            request,
+            function,
+            delay: ms,
+        },
+        4 => RecordKind::ExecStart { request, function },
+        5 => RecordKind::ExecEnd {
+            request,
+            function,
+            exec: ms,
+        },
+        6 => RecordKind::Retry {
+            request,
+            attempt: rng.int_range(1, u64::from(u32::MAX)) as u32,
+            lost: ms,
+        },
+        7 => RecordKind::Fault {
+            kind: FAULT_KINDS[rng.int_range(0, FAULT_KINDS.len() as u64 - 1) as usize],
+        },
+        8 => RecordKind::Scaling {
+            from_nodes: rng.int_range(0, 500) as usize,
+            to_nodes: rng.int_range(0, 500) as usize,
+        },
+        9 => RecordKind::Shed { request },
+        10 => RecordKind::Failed { request, e2e: ms },
+        _ => RecordKind::Completion {
+            request,
+            e2e: ms,
+            slo_met: flag,
+        },
+    }
+}
+
+fn arbitrary_tick(rng: &mut SimRng, at: SimTime) -> TickSample {
+    let zones = rng.int_range(0, 3) as usize;
+    TickSample {
+        at,
+        queue_depth: rng.int_range(0, 5000) as usize,
+        inflight: rng.int_range(0, 5000) as usize,
+        active_nodes: rng.int_range(0, 64) as usize,
+        nodes_per_zone: (0..zones).map(|_| rng.int_range(0, 32) as usize).collect(),
+        utilization: rng.uniform(),
+        pool_size: rng.int_range(0, 200) as usize,
+        shed: rng.int_range(0, 1 << 40),
+        failed: rng.int_range(0, 1000),
+        retried: rng.int_range(0, 1000),
+    }
+}
+
+/// The trace sink's direct line writer produces exactly the bytes of the
+/// `Value`-tree encoding for every record kind and for ticks — including
+/// policy names that need escaping and runs of records sharing one
+/// timestamp (the reuse path) — and every line decodes back to its input.
+#[test]
+fn direct_trace_lines_match_the_value_tree_encoding() {
+    let mut rng = SimRng::seed_from_u64(0x1A0B);
+    for case in 0..CASES {
+        let policy = arbitrary_policy(&mut rng);
+        let mut observer = TraceObserver::new(&ObserverContext {
+            seed: case as u64,
+            policy: policy.clone(),
+            requests: 1, // sampling stride 1: every record is written
+            zones: 3,
+            slo: SimDuration::from_secs(1.0),
+        });
+        let mut expected = Vec::new();
+        let mut inputs = Vec::new();
+        let mut at = SimTime::from_millis(arbitrary_ms(&mut rng));
+        for _ in 0..rng.int_range(1, 60) {
+            // Half the lines reuse the previous instant, as the records of
+            // one simulated event do; the rest jump anywhere or move by a
+            // sub-millisecond step that keeps the integer part.
+            let roll = rng.uniform();
+            if roll < 0.25 {
+                at = SimTime::from_millis(arbitrary_ms(&mut rng));
+            } else if roll < 0.5 {
+                at = SimTime::from_millis(at.as_millis() + rng.uniform_range(0.0, 0.5));
+            }
+            if rng.uniform() < 0.15 {
+                let sample = arbitrary_tick(&mut rng, at);
+                expected.push(oracle_tick_line(&policy, &sample));
+                observer.tick(&sample);
+                inputs.push(Err(sample));
+            } else {
+                let record = Record {
+                    at,
+                    kind: arbitrary_kind(&mut rng),
+                };
+                expected.push(oracle_record_line(&policy, &record));
+                observer.record(&record);
+                inputs.push(Ok(record));
+            }
+        }
+        let report = observer.finish();
+        assert_eq!(report.records_kept, expected.len() as u64, "case {case}");
+        let trace = report.trace.expect("the trace sink writes a trace");
+        let lines: Vec<&str> = trace.split_terminator('\n').collect();
+        assert_eq!(lines.len(), expected.len(), "case {case}: {trace}");
+        for (i, ((line, want), input)) in lines.iter().zip(&expected).zip(&inputs).enumerate() {
+            assert_eq!(line, want, "case {case} line {i}");
+            let value = janus_json::parse(line)
+                .unwrap_or_else(|e| panic!("case {case} line {i}: invalid JSON ({e}): {line}"));
+            assert_eq!(
+                value.get("policy").and_then(Value::as_str),
+                Some(policy.as_str())
+            );
+            match input {
+                Ok(record) => {
+                    let decoded = Record::from_json(&value)
+                        .unwrap_or_else(|e| panic!("case {case} line {i}: {e}"));
+                    assert_eq!(&decoded, record, "case {case} line {i}");
+                }
+                Err(sample) => {
+                    let decoded = TimeSeriesPoint::from_json(&value)
+                        .unwrap_or_else(|e| panic!("case {case} line {i}: {e}"));
+                    assert_eq!(
+                        decoded,
+                        TimeSeriesPoint::from_sample(sample),
+                        "case {case} line {i}"
+                    );
+                }
+            }
         }
     }
 }
