@@ -264,7 +264,8 @@ pub fn execute(command: &Command, flags: &BenchFlags) -> Result<(), String> {
 pub fn listing() -> String {
     let mut out = String::new();
     out.push_str("experiments (janus run <name>):\n");
-    for (name, describe) in ExperimentRegistry::with_builtins().catalog() {
+    for experiment in ExperimentRegistry::with_builtins().iter() {
+        let (name, describe) = (experiment.name(), experiment.describe());
         out.push_str(&format!("  {name:<10} {describe}\n"));
     }
     let section = |out: &mut String, title: &str, names: Vec<&str>| {
@@ -301,7 +302,8 @@ pub fn listing() -> String {
         ObserverRegistry::with_builtins().names(),
     );
     out.push_str("lint rules (janus lint):\n");
-    for (name, describe) in janus_lint::LintRegistry::with_builtins().catalog() {
+    for rule in janus_lint::LintRegistry::with_builtins().iter() {
+        let (name, describe) = (rule.name(), rule.describe());
         out.push_str(&format!("  {name:<17} {describe}\n"));
     }
     out
@@ -316,7 +318,7 @@ fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
     if let Some(sink) = &sink {
         ctx = ctx.with_trace(sink.clone());
     }
-    let output = registry.run(name, &ctx)?;
+    let output = registry.lookup(name)?.run(&ctx)?;
     print!("{}", output.summary());
     if let (Some(path), Some(sink)) = (&flags.trace, &sink) {
         write_trace(path, name, sink)?;
@@ -411,7 +413,9 @@ fn run_perf_check(path: Option<&str>, flags: &BenchFlags) -> Result<(), String> 
             }
         )
     })?;
-    let output = ExperimentRegistry::with_builtins().run("perf", &flags.ctx())?;
+    let output = ExperimentRegistry::with_builtins()
+        .lookup("perf")?
+        .run(&flags.ctx())?;
     print!("{}", output.summary());
     // Same-shape comparison on both sides: slice-backed cells only, so the
     // streaming cell never gates (or excuses) a slice-path regression.
@@ -474,25 +478,37 @@ fn run_lint(json: bool, flags: &BenchFlags) -> Result<(), String> {
         );
     }
     if verdict.is_clean() {
-        Ok(())
-    } else {
-        let lines: Vec<String> = verdict
-            .regressions
-            .iter()
-            .map(|(rule, path, current, allowed)| {
-                format!("{path}: {current}x {rule} (baseline tolerates {allowed})")
-            })
-            .collect();
-        Err(format!(
-            "lint found {} (rule, file) group{} over the baseline:\n  {}\n\
-             fix the findings, justify them with `// janus-lint: allow(rule)`, \
-             or extend {}",
-            lines.len(),
-            if lines.len() == 1 { "" } else { "s" },
-            lines.join("\n  "),
-            janus_lint::BASELINE_PATH
-        ))
+        return Ok(());
     }
+    if verdict.regressions.is_empty() {
+        return Err(format!(
+            "lint baseline is stale: {} entr{} can be tightened; update {} \
+             in the same change",
+            verdict.improved.len(),
+            if verdict.improved.len() == 1 {
+                "y"
+            } else {
+                "ies"
+            },
+            janus_lint::BASELINE_PATH
+        ));
+    }
+    let lines: Vec<String> = verdict
+        .regressions
+        .iter()
+        .map(|(rule, path, current, allowed)| {
+            format!("{path}: {current}x {rule} (baseline tolerates {allowed})")
+        })
+        .collect();
+    Err(format!(
+        "lint found {} (rule, file) group{} over the baseline:\n  {}\n\
+         fix the findings, justify them with `// janus-lint: allow(rule)`, \
+         or extend {}",
+        lines.len(),
+        if lines.len() == 1 { "" } else { "s" },
+        lines.join("\n  "),
+        janus_lint::BASELINE_PATH
+    ))
 }
 
 /// Apply the flags to a decoded sweep spec: `--seed` replaces the seed axis
@@ -574,9 +590,10 @@ fn run_all(flags: &BenchFlags) -> Result<(), String> {
     let ctx = flags.ctx();
     let mut out: Vec<(String, Value)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for experiment in registry.names() {
+    for entry in registry.iter() {
+        let experiment = entry.name();
         println!("===== {experiment} =====");
-        match registry.run(experiment, &ctx) {
+        match entry.run(&ctx) {
             Ok(output) => {
                 print!("{}", output.summary());
                 if flags.out.is_some() {
@@ -771,9 +788,8 @@ mod tests {
             "experiments (janus run <name>):",
             "fig1a",
             "perf",
-            "policies: Optimal, ORION",
-            "scenarios: poisson",
-            "flash-crowd",
+            "policies: Optimal, ORION, GrandSLAM+, GrandSLAM, Janus-, Janus, Janus+\n",
+            "scenarios: poisson, diurnal, bursty, flash-crowd, trace-replay\n",
             "autoscalers: static, utilization, queue-depth",
             "admission policies: admit-all, token-bucket, queue-shed",
             "fault injectors: node-crash, spot-preempt, zone-outage, slow-node",

@@ -4,11 +4,9 @@
 //!
 //! Every run so far assumed perfectly reliable hardware; production serving
 //! is defined by how it degrades when it isn't. This crate adds failure
-//! modes as a first-class, registry-driven axis — the same open-registry
-//! shape `janus-core`'s `PolicyRegistry`, `janus-scenarios`'
-//! `ScenarioRegistry` and `janus-platform`'s capacity registries use — so
-//! sweeps and sessions resolve faults by name and downstream code can
-//! register its own.
+//! modes as a first-class, registry-driven axis — the generic
+//! [`Registry`] every other axis uses — so sweeps and sessions resolve
+//! faults by name and downstream code can register its own.
 //!
 //! A [`FaultInjector`] does **not** mutate the cluster itself. It compiles a
 //! [`FaultContext`] (seed, fleet size, zones, load shape) into a
@@ -34,6 +32,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::{SimDuration, SimTime};
 use std::fmt;
@@ -190,132 +189,63 @@ pub trait FaultInjector: Send + Sync + fmt::Debug {
     fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, String>;
 }
 
-/// An ordered, open registry of named fault injectors, mirroring the
-/// policy/scenario/capacity registries: registration order is preserved (it
-/// drives sweep ordering), re-registering a name replaces the earlier entry
-/// in place, and unknown names fail with the registered names listed.
-#[derive(Clone, Default)]
-pub struct FaultRegistry {
-    injectors: Vec<Arc<dyn FaultInjector>>,
-}
+/// The ordered, open registry of named [`FaultInjector`]s (see
+/// [`janus_simcore::registry`]); registration order drives sweep ordering.
+pub type FaultRegistry = Registry<dyn FaultInjector>;
 
-impl fmt::Debug for FaultRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
+impl Entry for dyn FaultInjector {
+    const NOUN: &'static str = "fault injector";
 
-impl FaultRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+    fn key(&self) -> &str {
+        self.name()
     }
 
-    /// A registry pre-loaded with the built-in injectors, in severity order:
-    /// `node-crash`, `spot-preempt`, `zone-outage`, `slow-node`.
-    pub fn with_builtins() -> Self {
-        let mut registry = FaultRegistry::new();
+    /// The built-in injectors, in severity order: `node-crash`,
+    /// `spot-preempt`, `zone-outage`, `slow-node`.
+    fn builtins(registry: &mut FaultRegistry) {
         registry.register(Arc::new(NodeCrashInjector));
         registry.register(Arc::new(SpotPreemptInjector));
         registry.register(Arc::new(ZoneOutageInjector));
         registry.register(Arc::new(SlowNodeInjector));
-        registry
+    }
+}
+
+impl Factory for dyn FaultInjector {
+    type Ctx<'a> = FaultContext;
+    type Output = FaultSchedule;
+
+    fn validate(ctx: &FaultContext) -> Result<(), String> {
+        ctx.validate()
     }
 
-    /// Register an injector. Replaces any earlier injector with the same
-    /// name (keeping its position), otherwise appends.
-    pub fn register(&mut self, injector: Arc<dyn FaultInjector>) -> &mut Self {
-        match self
-            .injectors
-            .iter()
-            .position(|i| i.name() == injector.name())
-        {
-            Some(i) => self.injectors[i] = injector,
-            None => self.injectors.push(injector),
-        }
-        self
-    }
-
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, schedule: F) -> &mut Self
-    where
-        F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync + 'static,
-    {
-        struct FnInjector<F> {
-            name: String,
-            schedule: F,
-        }
-        impl<F> fmt::Debug for FnInjector<F> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct("FnInjector")
-                    .field("name", &self.name)
-                    .finish()
-            }
-        }
-        impl<F> FaultInjector for FnInjector<F>
-        where
-            F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync,
-        {
-            fn name(&self) -> &str {
-                &self.name
-            }
-            fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, String> {
-                (self.schedule)(ctx)
-            }
-        }
-        self.register(Arc::new(FnInjector {
-            name: name.into(),
-            schedule,
-        }))
-    }
-
-    /// Look an injector up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn FaultInjector>> {
-        self.injectors.iter().find(|i| i.name() == name).cloned()
-    }
-
-    /// Check that `name` is registered, with an informative error listing
-    /// the known names otherwise.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(format!(
-                "unknown fault injector `{}`; registered: {}",
-                name,
-                self.names().join(", ")
-            ))
-        }
-    }
-
-    /// Compile the named injector's schedule, with informative errors for
-    /// unknown names or invalid contexts.
-    pub fn build(&self, name: &str, ctx: &FaultContext) -> Result<FaultSchedule, String> {
-        ctx.validate()?;
-        self.ensure_known(name)?;
-        let injector = self.get(name).expect("checked by ensure_known");
-        let mut schedule = injector.schedule(ctx)?;
+    /// Compile the schedule and sort it by firing time, whatever order the
+    /// injector produced it in.
+    fn make(&self, ctx: &FaultContext) -> Result<FaultSchedule, String> {
+        let mut schedule = self.schedule(ctx)?;
         schedule
             .events
             .sort_by(|a, b| a.at.as_millis().total_cmp(&b.at.as_millis()));
         Ok(schedule)
     }
 
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.injectors.iter().map(|i| i.name()).collect()
+    fn from_fn<F>(name: String, f: F) -> Arc<Self>
+    where
+        F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync + 'static,
+    {
+        Arc::new(NamedFn { name, f })
+    }
+}
+
+impl<F> FaultInjector for NamedFn<F>
+where
+    F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Number of registered injectors.
-    pub fn len(&self) -> usize {
-        self.injectors.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.injectors.is_empty()
+    fn schedule(&self, ctx: &FaultContext) -> Result<FaultSchedule, String> {
+        (self.f)(ctx)
     }
 }
 

@@ -1,17 +1,16 @@
 //! The declarative experiment API: [`Experiment`], [`ExperimentCtx`],
 //! [`ExperimentOutput`] and the open [`ExperimentRegistry`].
 //!
-//! Policies, scenarios, autoscalers and admission controllers already sit
-//! behind open registries; this module gives the *experiment* layer the same
-//! shape. An experiment is anything that can turn an [`ExperimentCtx`] (the
-//! scale and seed knobs every runner shares) into an [`ExperimentOutput`] —
-//! a bundle of result structs that are simultaneously human-readable
-//! (`Display`) and machine-readable ([`ToJson`]). The paper's figures and
-//! tables, the scenario/capacity sweeps and the perf trajectory are
-//! pre-registered built-ins; downstream crates register their own with
-//! [`ExperimentRegistry::register`] (or the closure shorthand
-//! [`ExperimentRegistry::register_fn`]) and run them through the same
-//! `janus` CLI without touching any `janus-*` crate.
+//! Experiments sit behind the same generic [`Registry`] as policies,
+//! scenarios, capacity controllers, faults and observers. An experiment is anything
+//! that can turn an [`ExperimentCtx`] (the scale and seed knobs every runner
+//! shares) into an [`ExperimentOutput`] — a bundle of result structs that
+//! are simultaneously human-readable (`Display`) and machine-readable
+//! ([`ToJson`]). The paper's figures and tables, the scenario/capacity
+//! sweeps and the perf trajectory are pre-registered built-ins; downstream
+//! crates implement [`Experiment`] for their own and register them with
+//! `ExperimentRegistry::register`, then run them through the same `janus`
+//! CLI without touching any `janus-*` crate.
 //!
 //! ```
 //! use janus_core::experiments::{ExperimentCtx, ExperimentRegistry, Scale};
@@ -19,7 +18,8 @@
 //! let registry = ExperimentRegistry::with_builtins();
 //! assert!(registry.names().contains(&"fig1c"));
 //! let output = registry
-//!     .run("fig1c", &ExperimentCtx::new(Scale::Quick))
+//!     .lookup("fig1c")
+//!     .and_then(|fig1c| fig1c.run(&ExperimentCtx::new(Scale::Quick)))
 //!     .expect("fig1c runs");
 //! assert!(output.summary().contains("Figure 1c"));
 //! assert!(output.to_json().get("experiment").is_some());
@@ -28,6 +28,7 @@
 use crate::comparison::ComparisonConfig;
 use crate::experiments::{CapacitySweepConfig, PerfConfig, ScenarioSweepConfig, ToJson};
 use janus_json::Value;
+use janus_simcore::registry::{Entry, Registry};
 use janus_workloads::apps::PaperApp;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -403,28 +404,24 @@ pub trait Experiment: Send + Sync {
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String>;
 }
 
-/// The open experiment registry, mirroring
-/// [`PolicyRegistry`](crate::registry::PolicyRegistry): ordered, open for
-/// registration, resolved by name with informative unknown-name errors.
-#[derive(Clone, Default)]
-pub struct ExperimentRegistry {
-    experiments: Vec<Arc<dyn Experiment>>,
-}
+/// The open experiment registry (see [`janus_simcore::registry`]): ordered,
+/// open for registration, resolved by name. `janus run <name>` is
+/// `registry.lookup(name)?.run(&ctx)`.
+pub type ExperimentRegistry = Registry<dyn Experiment>;
 
-impl ExperimentRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+impl Entry for dyn Experiment {
+    const NOUN: &'static str = "experiment";
+
+    fn key(&self) -> &str {
+        self.name()
     }
 
-    /// A registry pre-loaded with every experiment of the evaluation, in
-    /// paper order: the motivation figures, the overall comparison
-    /// tables/figures, the synthesis studies, the scenario/capacity sweeps
-    /// and the perf trajectory.
-    pub fn with_builtins() -> Self {
+    /// Every experiment of the evaluation, in paper order: the motivation
+    /// figures, the overall comparison tables/figures, the synthesis
+    /// studies, the scenario/capacity sweeps and the perf trajectory.
+    fn builtins(registry: &mut ExperimentRegistry) {
         use crate::experiments::{capacity_sweep, chaos_resilience, flash_scale, metrics};
         use crate::experiments::{motivation, overall, perf, scenario_sweep, slo_sweep, synthesis};
-        let mut registry = ExperimentRegistry::new();
         registry.register(Arc::new(motivation::Fig1aExperiment));
         registry.register(Arc::new(motivation::Fig1bExperiment));
         registry.register(Arc::new(motivation::Fig1cExperiment));
@@ -443,120 +440,6 @@ impl ExperimentRegistry {
         registry.register(Arc::new(chaos_resilience::ChaosResilienceExperiment));
         registry.register(Arc::new(perf::PerfExperiment));
         registry.register(Arc::new(flash_scale::FlashScaleExperiment));
-        registry
-    }
-
-    /// Register an experiment. Replaces any earlier experiment with the same
-    /// name (keeping its position), otherwise appends.
-    pub fn register(&mut self, experiment: Arc<dyn Experiment>) -> &mut Self {
-        match self
-            .experiments
-            .iter()
-            .position(|e| e.name() == experiment.name())
-        {
-            Some(i) => self.experiments[i] = experiment,
-            None => self.experiments.push(experiment),
-        }
-        self
-    }
-
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(
-        &mut self,
-        name: impl Into<String>,
-        describe: impl Into<String>,
-        run: F,
-    ) -> &mut Self
-    where
-        F: Fn(&ExperimentCtx) -> Result<ExperimentOutput, String> + Send + Sync + 'static,
-    {
-        self.register(Arc::new(FnExperiment {
-            name: name.into(),
-            describe: describe.into(),
-            run,
-        }))
-    }
-
-    /// Look an experiment up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn Experiment>> {
-        self.experiments.iter().find(|e| e.name() == name).cloned()
-    }
-
-    /// Error early (with the registered names) if `name` is unknown.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(self.unknown(name))
-        }
-    }
-
-    /// Run the named experiment, with an informative error for unknown
-    /// names.
-    pub fn run(&self, name: &str, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        self.get(name).ok_or_else(|| self.unknown(name))?.run(ctx)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.experiments.iter().map(|e| e.name()).collect()
-    }
-
-    /// `(name, description)` pairs, in registration order — the `janus list`
-    /// view.
-    pub fn catalog(&self) -> Vec<(&str, &str)> {
-        self.experiments
-            .iter()
-            .map(|e| (e.name(), e.describe()))
-            .collect()
-    }
-
-    /// Number of registered experiments.
-    pub fn len(&self) -> usize {
-        self.experiments.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.experiments.is_empty()
-    }
-
-    fn unknown(&self, name: &str) -> String {
-        format!(
-            "unknown experiment `{name}`; registered experiments: {}",
-            self.names().join(", ")
-        )
-    }
-}
-
-impl fmt::Debug for ExperimentRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ExperimentRegistry")
-            .field("experiments", &self.names())
-            .finish()
-    }
-}
-
-struct FnExperiment<F> {
-    name: String,
-    describe: String,
-    run: F,
-}
-
-impl<F> Experiment for FnExperiment<F>
-where
-    F: Fn(&ExperimentCtx) -> Result<ExperimentOutput, String> + Send + Sync,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn describe(&self) -> &str {
-        &self.describe
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        (self.run)(ctx)
     }
 }
 
@@ -594,43 +477,57 @@ mod tests {
             registry.ensure_known(name).unwrap();
         }
         assert_eq!(registry.len(), 18);
-        for (name, describe) in registry.catalog() {
-            assert!(!describe.is_empty(), "`{name}` has no description");
+        for experiment in registry.iter() {
+            let name = experiment.name();
+            assert!(
+                !experiment.describe().is_empty(),
+                "`{name}` has no description"
+            );
         }
     }
 
     #[test]
     fn unknown_names_list_the_registered_experiments() {
         let registry = ExperimentRegistry::with_builtins();
-        let err = registry
-            .run("fig99", &ExperimentCtx::new(Scale::Quick))
-            .unwrap_err();
+        let err = registry.ensure_known("fig99").unwrap_err();
         assert!(err.contains("unknown experiment `fig99`"), "{err}");
         assert!(err.contains("fig1a"), "{err}");
-        assert_eq!(registry.ensure_known("fig99").unwrap_err(), err);
     }
 
     #[test]
     fn custom_experiments_register_and_replace_by_name() {
+        struct Noop(Option<&'static str>);
+        impl Experiment for Noop {
+            fn name(&self) -> &str {
+                "noop"
+            }
+            fn describe(&self) -> &str {
+                "does nothing"
+            }
+            fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+                match self.0 {
+                    None => Ok(ExperimentOutput::single(
+                        crate::experiments::fig1c_interference(),
+                    )),
+                    Some(err) => Err(err.into()),
+                }
+            }
+        }
+        let run = |registry: &ExperimentRegistry| {
+            registry
+                .lookup("noop")?
+                .run(&ExperimentCtx::new(Scale::Quick))
+        };
         let mut registry = ExperimentRegistry::new();
-        registry.register_fn("noop", "does nothing", |_ctx| {
-            Ok(ExperimentOutput::single(
-                crate::experiments::fig1c_interference(),
-            ))
-        });
+        registry.register(Arc::new(Noop(None)));
         assert_eq!(registry.names(), vec!["noop"]);
-        let out = registry
-            .run("noop", &ExperimentCtx::new(Scale::Quick))
-            .unwrap();
+        let out = run(&registry).unwrap();
         assert_eq!(out.len(), 1);
         assert!(!out.is_empty());
         // Same-name registration replaces in place.
-        registry.register_fn("noop", "still nothing", |_ctx| Err("boom".into()));
+        registry.register(Arc::new(Noop(Some("boom"))));
         assert_eq!(registry.len(), 1);
-        let err = registry
-            .run("noop", &ExperimentCtx::new(Scale::Quick))
-            .unwrap_err();
-        assert_eq!(err, "boom");
+        assert_eq!(run(&registry).unwrap_err(), "boom");
     }
 
     #[test]

@@ -429,12 +429,9 @@ impl ToJson for SweepResult {
 fn resolve_names(spec: &SweepSpec) -> Result<(), String> {
     let policies = PolicyRegistry::with_builtins();
     for (i, name) in spec.policies.iter().enumerate() {
-        if policies.get(name).is_none() {
-            return Err(format!(
-                "`policies[{i}]`: unknown policy `{name}`; registered policies: {}",
-                policies.names().join(", ")
-            ));
-        }
+        policies
+            .ensure_known(name)
+            .map_err(|e| format!("`policies[{i}]`: {e}"))?;
     }
     let scenarios = ScenarioRegistry::with_builtins();
     for (i, name) in spec.scenarios.iter().enumerate() {

@@ -19,6 +19,7 @@ use janus_baselines::oracle::OptimalOracle;
 use janus_platform::policy::SizingPolicy;
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::interference::InterferenceModel;
+use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::resources::CoreGrid;
 use janus_simcore::time::SimDuration;
 use janus_synthesizer::synthesizer::{
@@ -128,34 +129,23 @@ pub trait PolicyFactory: Send + Sync {
     fn build(&self, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String>;
 }
 
-/// An ordered, open registry of [`PolicyFactory`]s.
-///
-/// Registration order is preserved (it drives default report ordering);
-/// registering a factory under an existing name replaces the earlier entry,
-/// so sessions can override a built-in without forking the registry.
-#[derive(Clone, Default)]
-pub struct PolicyRegistry {
-    factories: Vec<Arc<dyn PolicyFactory>>,
-}
+/// The ordered, open registry of [`PolicyFactory`]s (see
+/// [`janus_simcore::registry`]). Registration order drives default report
+/// ordering; registering under an existing name replaces the earlier entry
+/// in place, so sessions can override a built-in without forking the
+/// registry.
+pub type PolicyRegistry = Registry<dyn PolicyFactory>;
 
-impl fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("policies", &self.names())
-            .finish()
-    }
-}
+impl Entry for dyn PolicyFactory {
+    const NOUN: &'static str = "policy";
 
-impl PolicyRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+    fn key(&self) -> &str {
+        self.name()
     }
 
-    /// A registry pre-loaded with the paper's seven policies, in Table I
-    /// order: Optimal, ORION, GrandSLAM+, GrandSLAM, Janus-, Janus, Janus+.
-    pub fn with_builtins() -> Self {
-        let mut registry = PolicyRegistry::new();
+    /// The paper's seven policies, in Table I order: Optimal, ORION,
+    /// GrandSLAM+, GrandSLAM, Janus-, Janus, Janus+.
+    fn builtins(registry: &mut PolicyRegistry) {
         registry.register(Arc::new(OptimalFactory));
         registry.register(Arc::new(OrionFactory::default()));
         registry.register(Arc::new(GrandSlamFactory { per_function: true }));
@@ -165,74 +155,26 @@ impl PolicyRegistry {
         registry.register(Arc::new(JanusFactory::new(ExplorationDepth::None)));
         registry.register(Arc::new(JanusFactory::new(ExplorationDepth::HeadOnly)));
         registry.register(Arc::new(JanusFactory::new(ExplorationDepth::HeadAndNext)));
-        registry
+    }
+}
+
+impl Factory for dyn PolicyFactory {
+    type Ctx<'a> = PolicyContext<'a>;
+    type Output = BuiltPolicy;
+
+    fn make(&self, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String> {
+        self.build(ctx)
     }
 
-    /// Register a factory. Replaces any earlier factory with the same name
-    /// (keeping its position), otherwise appends.
-    pub fn register(&mut self, factory: Arc<dyn PolicyFactory>) -> &mut Self {
-        match self
-            .factories
-            .iter()
-            .position(|f| f.name() == factory.name())
-        {
-            Some(i) => self.factories[i] = factory,
-            None => self.factories.push(factory),
-        }
-        self
-    }
-
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
+    fn from_fn<F>(name: String, f: F) -> Arc<Self>
     where
         F: Fn(&PolicyContext<'_>) -> Result<BuiltPolicy, String> + Send + Sync + 'static,
     {
-        self.register(Arc::new(FnFactory {
-            name: name.into(),
-            build,
-        }))
-    }
-
-    /// Look a factory up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn PolicyFactory>> {
-        self.factories.iter().find(|f| f.name() == name).cloned()
-    }
-
-    /// Instantiate the named policy, with an informative error for unknown
-    /// names.
-    pub fn build(&self, name: &str, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String> {
-        let factory = self.get(name).ok_or_else(|| {
-            format!(
-                "unknown policy `{name}`; registered policies: {}",
-                self.names().join(", ")
-            )
-        })?;
-        let built = factory.build(ctx)?;
-        Ok(built)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.iter().map(|f| f.name()).collect()
-    }
-
-    /// Number of registered factories.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
+        Arc::new(NamedFn { name, f })
     }
 }
 
-struct FnFactory<F> {
-    name: String,
-    build: F,
-}
-
-impl<F> PolicyFactory for FnFactory<F>
+impl<F> PolicyFactory for NamedFn<F>
 where
     F: Fn(&PolicyContext<'_>) -> Result<BuiltPolicy, String> + Send + Sync,
 {
@@ -241,7 +183,7 @@ where
     }
 
     fn build(&self, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String> {
-        (self.build)(ctx)
+        (self.f)(ctx)
     }
 }
 

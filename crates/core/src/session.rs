@@ -525,6 +525,7 @@ impl ServingSessionBuilder {
         // Reports are addressed by name, so a duplicate would run but be
         // unreachable through every SessionReport accessor.
         for (i, name) in self.policies.iter().enumerate() {
+            self.registry.ensure_known(name)?;
             if self.policies[..i].contains(name) {
                 return Err(format!("policy `{name}` was added twice"));
             }
@@ -1230,6 +1231,14 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(err.contains("added twice"), "{err}");
+        // Policy names are checked by `build()` itself, before any
+        // profiling or policy construction.
+        let err = quick_builder()
+            .policies(["GrandSLAM", "Janux"])
+            .build()
+            .unwrap_err();
+        assert!(err.starts_with("unknown policy `Janux`"), "{err}");
+        assert!(err.contains("GrandSLAM, Janus-, Janus, Janus+"), "{err}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! enforces them syntactically: a hand-rolled Rust lexer (no external
 //! dependencies, in the spirit of `janus-json`), a per-file source model
 //! (test regions, inline directives, item spans), and an ordered open
-//! [`LintRegistry`] of rules mirroring the Policy/Scenario/Fault/Observer
-//! registries.
+//! [`LintRegistry`] of rules — the same generic registry as the
+//! policy/scenario/fault/observer ones.
 //!
 //! Built-in rules:
 //!
@@ -123,7 +123,10 @@ pub fn lint_file(
     registry: &LintRegistry,
     config: &LintConfig,
 ) -> (Vec<Diagnostic>, usize) {
-    let all = registry.check_file(file, config);
+    let mut all = Vec::new();
+    for rule in registry.iter() {
+        rule.check(file, config, &mut all);
+    }
     let total = all.len();
     let kept: Vec<Diagnostic> = all
         .into_iter()

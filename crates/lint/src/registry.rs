@@ -1,11 +1,10 @@
-//! The open lint-rule registry: the same ordered, name-keyed, in-place
-//! replaceable shape as `PolicyRegistry` / `ScenarioRegistry` /
-//! `FaultRegistry` / `ObserverRegistry`, so downstream crates add or
-//! override rules without touching `janus-lint`.
+//! The open lint-rule registry: the generic [`Registry`] over
+//! [`LintRule`]s, so downstream crates add or override rules without
+//! touching `janus-lint`.
 
 use crate::rules::{self, Diagnostic, LintConfig};
 use crate::SourceFile;
-use std::fmt;
+use janus_simcore::registry::{Entry, Registry};
 use std::sync::Arc;
 
 /// An object-safe lint rule: a named single-pass check over one file.
@@ -22,158 +21,66 @@ pub trait LintRule: Send + Sync {
 /// Ordered, open registry of lint rules.
 ///
 /// Order is respected everywhere rules are enumerated (`janus list`,
-/// diagnostics of one line), and [`register`](Self::register) replaces an
-/// existing rule *in place* so overriding a built-in keeps its position.
-pub struct LintRegistry {
-    rules: Vec<Arc<dyn LintRule>>,
-}
+/// diagnostics of one line), and `register` replaces an existing rule *in
+/// place* so overriding a built-in keeps its position.
+pub type LintRegistry = Registry<dyn LintRule>;
 
-impl fmt::Debug for LintRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LintRegistry")
-            .field("rules", &self.names())
-            .finish()
-    }
-}
+impl Entry for dyn LintRule {
+    const NOUN: &'static str = "lint rule";
 
-impl Default for LintRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
-impl LintRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        LintRegistry { rules: Vec::new() }
+    fn key(&self) -> &str {
+        self.name()
     }
 
     /// The five built-in rules, in reporting order.
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::new();
-        let builtin =
-            |name: &'static str,
-             describe: &'static str,
-             check: fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>)| {
-                Arc::new(FnRule {
-                    name: name.to_string(),
-                    describe: describe.to_string(),
-                    check: Box::new(check),
-                }) as Arc<dyn LintRule>
-            };
-        registry.register(builtin(
-            "nondeterminism",
-            "wall-clock/env reads, and HashMap/HashSet in simulation-state crates",
-            rules::nondeterminism,
-        ));
-        registry.register(builtin(
-            "hot-path-alloc",
-            "allocation-shaped calls inside the configured hot-path functions",
-            rules::hot_path_alloc,
-        ));
-        registry.register(builtin(
-            "unwrap-discipline",
-            "no .unwrap()/.expect() in non-test library code",
-            rules::unwrap_discipline,
-        ));
-        registry.register(builtin(
-            "float-cmp",
-            "no ==/!= against float literals",
-            rules::float_cmp,
-        ));
-        registry.register(builtin(
-            "emit-discipline",
-            "observer records constructed only through emit!",
-            rules::emit_discipline,
-        ));
-        registry
-    }
-
-    /// Register a rule. A rule with the same name is replaced *in place*
-    /// (keeping its reporting position); a new name appends.
-    pub fn register(&mut self, rule: Arc<dyn LintRule>) {
-        match self.rules.iter_mut().find(|r| r.name() == rule.name()) {
-            Some(slot) => *slot = rule,
-            None => self.rules.push(rule),
+    fn builtins(registry: &mut LintRegistry) {
+        let builtins: [FnRule; 5] = [
+            FnRule {
+                name: "nondeterminism",
+                describe: "wall-clock/env reads, and HashMap/HashSet in simulation-state crates",
+                check: rules::nondeterminism,
+            },
+            FnRule {
+                name: "hot-path-alloc",
+                describe: "allocation-shaped calls inside the configured hot-path functions",
+                check: rules::hot_path_alloc,
+            },
+            FnRule {
+                name: "unwrap-discipline",
+                describe: "no .unwrap()/.expect() in non-test library code",
+                check: rules::unwrap_discipline,
+            },
+            FnRule {
+                name: "float-cmp",
+                describe: "no ==/!= against float literals",
+                check: rules::float_cmp,
+            },
+            FnRule {
+                name: "emit-discipline",
+                describe: "observer records constructed only through emit!",
+                check: rules::emit_discipline,
+            },
+        ];
+        for rule in builtins {
+            registry.register(Arc::new(rule));
         }
-    }
-
-    /// Register a closure-based rule.
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, describe: impl Into<String>, check: F)
-    where
-        F: Fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>) + Send + Sync + 'static,
-    {
-        self.register(Arc::new(FnRule {
-            name: name.into(),
-            describe: describe.into(),
-            check: Box::new(check),
-        }));
-    }
-
-    /// Look up a rule by name.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn LintRule>> {
-        self.rules.iter().find(|r| r.name() == name)
-    }
-
-    /// Error unless `name` is registered; the message lists what is.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(format!(
-                "unknown lint rule `{name}`; registered: {}",
-                self.names().join(", ")
-            ))
-        }
-    }
-
-    /// Registered rule names, in order.
-    pub fn names(&self) -> Vec<&str> {
-        self.rules.iter().map(|r| r.name()).collect()
-    }
-
-    /// `(name, description)` pairs, in order.
-    pub fn catalog(&self) -> Vec<(&str, &str)> {
-        self.rules
-            .iter()
-            .map(|r| (r.name(), r.describe()))
-            .collect()
-    }
-
-    /// Run every rule over one file, in registry order.
-    pub fn check_file(&self, file: &SourceFile, config: &LintConfig) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for rule in &self.rules {
-            rule.check(file, config, &mut out);
-        }
-        out
-    }
-
-    /// Number of registered rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 }
 
+/// A rule that is a plain check function.
 struct FnRule {
-    name: String,
-    describe: String,
-    #[allow(clippy::type_complexity)]
-    check: Box<dyn Fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>) + Send + Sync>,
+    name: &'static str,
+    describe: &'static str,
+    check: fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>),
 }
 
 impl LintRule for FnRule {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn describe(&self) -> &str {
-        &self.describe
+        self.describe
     }
 
     fn check(&self, file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
@@ -198,9 +105,6 @@ mod tests {
                 "emit-discipline",
             ]
         );
-        assert_eq!(registry.len(), 5);
-        assert!(!registry.is_empty());
-        assert!(registry.get("float-cmp").is_some());
         assert!(registry.ensure_known("float-cmp").is_ok());
         let err = registry.ensure_known("tabs-vs-spaces").unwrap_err();
         assert!(err.contains("unknown lint rule `tabs-vs-spaces`"), "{err}");
@@ -212,23 +116,29 @@ mod tests {
     #[test]
     fn custom_rules_append_and_overrides_keep_position() {
         let mut registry = LintRegistry::with_builtins();
-        registry.register_fn("no-todo", "flags TODO comments", |file, _config, out| {
-            for (i, t) in file.tokens.iter().enumerate() {
-                if file.token_text(i).contains("TODO") {
-                    out.push(Diagnostic {
-                        rule: "no-todo".into(),
-                        path: file.path.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: "unfinished work".into(),
-                    });
+        registry.register(Arc::new(FnRule {
+            name: "no-todo",
+            describe: "flags TODO comments",
+            check: |file, _config, out| {
+                for (i, t) in file.tokens.iter().enumerate() {
+                    if file.token_text(i).contains("TODO") {
+                        out.push(Diagnostic {
+                            rule: "no-todo".into(),
+                            path: file.path.clone(),
+                            line: t.line,
+                            col: t.col,
+                            message: "unfinished work".into(),
+                        });
+                    }
                 }
-            }
-        });
+            },
+        }));
         assert_eq!(registry.len(), 6);
         assert_eq!(registry.names()[5], "no-todo");
         let file = SourceFile::parse("crates/x/src/a.rs", "// TODO: later\nfn f() {}\n").unwrap();
-        let hits = registry.check_file(&file, &LintConfig::workspace_default());
+        let (hits, suppressed) =
+            crate::lint_file(&file, &registry, &LintConfig::workspace_default());
+        assert_eq!(suppressed, 0);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "no-todo");
         assert_eq!(
@@ -237,7 +147,11 @@ mod tests {
         );
 
         // Replacing a built-in keeps its slot.
-        registry.register_fn("float-cmp", "stricter float rule", |_f, _c, _o| {});
+        registry.register(Arc::new(FnRule {
+            name: "float-cmp",
+            describe: "stricter float rule",
+            check: |_f, _c, _o| {},
+        }));
         assert_eq!(registry.names()[3], "float-cmp");
         assert_eq!(
             registry.get("float-cmp").unwrap().describe(),

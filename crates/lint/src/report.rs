@@ -189,9 +189,11 @@ pub struct BaselineVerdict {
 }
 
 impl BaselineVerdict {
-    /// Whether the run is clean relative to the baseline.
+    /// Whether the run matches the baseline exactly: nothing over it, and
+    /// nothing under it either — a burned-down entry must be tightened in
+    /// the same change, so the baseline only ever ratchets down.
     pub fn is_clean(&self) -> bool {
-        self.regressions.is_empty()
+        self.regressions.is_empty() && self.improved.is_empty()
     }
 }
 
@@ -309,12 +311,14 @@ mod tests {
             )]
         );
 
-        // Fewer than tolerated (including zero): burn-down progress.
+        // Fewer than tolerated (including zero): burn-down progress, which
+        // is not clean until the baseline is tightened.
         let verdict = compare_to_baseline(&two[..1], &baseline);
-        assert!(verdict.is_clean());
+        assert!(!verdict.is_clean());
+        assert!(verdict.regressions.is_empty());
         assert_eq!(verdict.improved.len(), 1);
         let verdict = compare_to_baseline(&[], &baseline);
-        assert!(verdict.is_clean());
+        assert!(!verdict.is_clean());
         assert_eq!(
             verdict.improved,
             vec![(

@@ -7,9 +7,8 @@
 //! *where does an SLO-violating request spend its time* or *when did the
 //! retry storm peak* were unanswerable without re-instrumenting by hand.
 //! This crate adds observability as a first-class, registry-driven axis —
-//! the same open-registry shape the policy/scenario/capacity/fault
-//! registries use — so sessions and sweeps resolve observers by name and
-//! downstream code can register its own.
+//! the generic [`Registry`] every other axis uses — so sessions and sweeps
+//! resolve observers by name and downstream code can register its own.
 //!
 //! An [`Observer`] receives typed lifecycle [`Record`]s (arrival, admission
 //! verdict, placement, cold start, execution start/end, retry, fault
@@ -51,6 +50,7 @@ pub mod report;
 pub use report::{qualify_policy, PolicyTrace, TraceReport};
 
 use janus_json::{write_number, write_string, Value};
+use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — request-keyed span index; summaries read running sums and never iterate it
@@ -813,129 +813,58 @@ pub trait ObserverFactory: Send + Sync + fmt::Debug {
     fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String>;
 }
 
-/// An ordered, open registry of named observer factories, mirroring the
-/// policy/scenario/capacity/fault registries: registration order is
-/// preserved, re-registering a name replaces the earlier entry in place,
-/// and unknown names fail with the registered names listed.
-#[derive(Clone, Default)]
-pub struct ObserverRegistry {
-    factories: Vec<Arc<dyn ObserverFactory>>,
-}
+/// The ordered, open registry of named [`ObserverFactory`]s (see
+/// [`janus_simcore::registry`]).
+pub type ObserverRegistry = Registry<dyn ObserverFactory>;
 
-impl fmt::Debug for ObserverRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ObserverRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
+impl Entry for dyn ObserverFactory {
+    const NOUN: &'static str = "observer";
 
-impl ObserverRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+    fn key(&self) -> &str {
+        self.name()
     }
 
-    /// A registry pre-loaded with the built-in observers, cheapest first:
-    /// `ring`, `trace`, `spans`, `time-series`, `flight-recorder`.
-    pub fn with_builtins() -> Self {
-        let mut registry = ObserverRegistry::new();
+    /// The built-in observers, cheapest first: `ring`, `trace`, `spans`,
+    /// `time-series`, `flight-recorder`.
+    fn builtins(registry: &mut ObserverRegistry) {
         registry.register(Arc::new(RingFactory));
         registry.register(Arc::new(TraceFactory));
         registry.register(Arc::new(SpanFactory));
         registry.register(Arc::new(TimeSeriesFactory));
         registry.register(Arc::new(FlightRecorderFactory));
-        registry
+    }
+}
+
+impl Factory for dyn ObserverFactory {
+    type Ctx<'a> = ObserverContext;
+    type Output = Box<dyn Observer>;
+
+    fn validate(ctx: &ObserverContext) -> Result<(), String> {
+        ctx.validate()
     }
 
-    /// Register a factory. Replaces any earlier factory with the same name
-    /// (keeping its position), otherwise appends.
-    pub fn register(&mut self, factory: Arc<dyn ObserverFactory>) -> &mut Self {
-        match self
-            .factories
-            .iter()
-            .position(|f| f.name() == factory.name())
-        {
-            Some(i) => self.factories[i] = factory,
-            None => self.factories.push(factory),
-        }
-        self
+    fn make(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
+        self.build(ctx)
     }
 
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
+    fn from_fn<F>(name: String, f: F) -> Arc<Self>
     where
         F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync + 'static,
     {
-        struct FnFactory<F> {
-            name: String,
-            build: F,
-        }
-        impl<F> fmt::Debug for FnFactory<F> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct("FnFactory")
-                    .field("name", &self.name)
-                    .finish()
-            }
-        }
-        impl<F> ObserverFactory for FnFactory<F>
-        where
-            F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync,
-        {
-            fn name(&self) -> &str {
-                &self.name
-            }
-            fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-                (self.build)(ctx)
-            }
-        }
-        self.register(Arc::new(FnFactory {
-            name: name.into(),
-            build,
-        }))
+        Arc::new(NamedFn { name, f })
+    }
+}
+
+impl<F> ObserverFactory for NamedFn<F>
+where
+    F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Look a factory up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn ObserverFactory>> {
-        self.factories.iter().find(|f| f.name() == name).cloned()
-    }
-
-    /// Check that `name` is registered, with an informative error listing
-    /// the known names otherwise.
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        self.lookup(name).map(|_| ())
-    }
-
-    /// Build the named observer, with informative errors for unknown names
-    /// or invalid contexts.
-    pub fn build(&self, name: &str, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        ctx.validate()?;
-        self.lookup(name)?.build(ctx)
-    }
-
-    fn lookup(&self, name: &str) -> Result<Arc<dyn ObserverFactory>, String> {
-        self.get(name).ok_or_else(|| {
-            format!(
-                "unknown observer `{}`; registered: {}",
-                name,
-                self.names().join(", ")
-            )
-        })
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.iter().map(|f| f.name()).collect()
-    }
-
-    /// Number of registered factories.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
+    fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
+        (self.f)(ctx)
     }
 }
 

@@ -16,15 +16,16 @@
 //!   counter, so `admitted + shed == generated` always holds.
 //!
 //! Both traits are object-safe, and both come with name-addressable
-//! registries ([`AutoscalerRegistry`], [`AdmissionRegistry`]) mirroring
-//! `janus-core`'s `PolicyRegistry` and `janus-scenarios`'
-//! `ScenarioRegistry`, so sessions and sweeps resolve capacity behaviour by
+//! registries ([`AutoscalerRegistry`], [`AdmissionRegistry`]), instances of
+//! the generic [`janus_simcore::registry::Registry`], so sessions and
+//! sweeps resolve capacity behaviour by
 //! name (`"static"`, `"utilization"`, `"queue-depth"`; `"admit-all"`,
 //! `"token-bucket"`, `"queue-shed"`) and downstream code can register its
 //! own.
 //!
 //! [`Cluster::drain_node`]: janus_simcore::cluster::Cluster::drain_node
 
+use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::time::{SimDuration, SimTime};
 use std::fmt;
 use std::sync::Arc;
@@ -395,145 +396,25 @@ pub trait AdmissionFactory: Send + Sync {
     fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String>;
 }
 
-macro_rules! capacity_registry {
-    ($registry:ident, $factory:ident, $policy:ident, $kind:literal) => {
-        /// An ordered, open registry of named factories. Registration order
-        /// is preserved (it drives sweep ordering); re-registering a name
-        /// replaces the earlier entry in place.
-        #[derive(Clone, Default)]
-        pub struct $registry {
-            factories: Vec<Arc<dyn $factory>>,
-        }
+/// The ordered, open registry of [`AutoscalerFactory`]s (see
+/// [`janus_simcore::registry`]); registration order drives sweep ordering.
+pub type AutoscalerRegistry = Registry<dyn AutoscalerFactory>;
 
-        impl fmt::Debug for $registry {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_struct(stringify!($registry))
-                    .field("names", &self.names())
-                    .finish()
-            }
-        }
+/// The ordered, open registry of [`AdmissionFactory`]s (see
+/// [`janus_simcore::registry`]); registration order drives sweep ordering.
+pub type AdmissionRegistry = Registry<dyn AdmissionFactory>;
 
-        impl $registry {
-            /// An empty registry (no built-ins).
-            pub fn new() -> Self {
-                Self::default()
-            }
+impl Entry for dyn AutoscalerFactory {
+    const NOUN: &'static str = "autoscaler";
 
-            /// Register a factory. Replaces any earlier factory with the
-            /// same name (keeping its position), otherwise appends.
-            pub fn register(&mut self, factory: Arc<dyn $factory>) -> &mut Self {
-                match self
-                    .factories
-                    .iter()
-                    .position(|f| f.name() == factory.name())
-                {
-                    Some(i) => self.factories[i] = factory,
-                    None => self.factories.push(factory),
-                }
-                self
-            }
+    fn key(&self) -> &str {
+        self.name()
+    }
 
-            /// Closure shorthand for [`register`](Self::register).
-            pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
-            where
-                F: Fn(&CapacityContext) -> Result<Box<dyn $policy>, String> + Send + Sync + 'static,
-            {
-                struct FnFactory<F> {
-                    name: String,
-                    build: F,
-                }
-                impl<F> $factory for FnFactory<F>
-                where
-                    F: Fn(&CapacityContext) -> Result<Box<dyn $policy>, String> + Send + Sync,
-                {
-                    fn name(&self) -> &str {
-                        &self.name
-                    }
-                    fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn $policy>, String> {
-                        (self.build)(ctx)
-                    }
-                }
-                self.register(Arc::new(FnFactory {
-                    name: name.into(),
-                    build,
-                }))
-            }
-
-            /// Look a factory up by its registered name.
-            pub fn get(&self, name: &str) -> Option<Arc<dyn $factory>> {
-                self.factories.iter().find(|f| f.name() == name).cloned()
-            }
-
-            fn unknown_name_error(&self, name: &str) -> String {
-                format!(
-                    concat!("unknown ", $kind, " `{}`; registered: {}"),
-                    name,
-                    self.names().join(", ")
-                )
-            }
-
-            /// Check that `name` is registered, with an informative error
-            /// listing the known names otherwise.
-            pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-                if self.get(name).is_some() {
-                    Ok(())
-                } else {
-                    Err(self.unknown_name_error(name))
-                }
-            }
-
-            /// Instantiate the named policy, with an informative error for
-            /// unknown names or invalid contexts.
-            pub fn build(
-                &self,
-                name: &str,
-                ctx: &CapacityContext,
-            ) -> Result<Box<dyn $policy>, String> {
-                ctx.validate()?;
-                match self.get(name) {
-                    Some(factory) => factory.build(ctx),
-                    None => Err(self.unknown_name_error(name)),
-                }
-            }
-
-            /// Registered names, in registration order.
-            pub fn names(&self) -> Vec<&str> {
-                self.factories.iter().map(|f| f.name()).collect()
-            }
-
-            /// Number of registered factories.
-            pub fn len(&self) -> usize {
-                self.factories.len()
-            }
-
-            /// True when nothing is registered.
-            pub fn is_empty(&self) -> bool {
-                self.factories.is_empty()
-            }
-        }
-    };
-}
-
-capacity_registry!(
-    AutoscalerRegistry,
-    AutoscalerFactory,
-    AutoscalerPolicy,
-    "autoscaler"
-);
-capacity_registry!(
-    AdmissionRegistry,
-    AdmissionFactory,
-    AdmissionPolicy,
-    "admission policy"
-);
-
-impl AutoscalerRegistry {
-    /// A registry pre-loaded with the built-in autoscalers: `static` (the
-    /// paper's fixed fleet), `utilization` (threshold step scaling with a 5 s
-    /// cool-down, up to 8× the initial fleet), and `queue-depth`
-    /// (proportional to in-flight requests).
-    pub fn with_builtins() -> Self {
-        let mut registry = AutoscalerRegistry::new();
+    /// `static` (the paper's fixed fleet), `utilization` (threshold step
+    /// scaling with a 5 s cool-down, up to 8× the initial fleet), and
+    /// `queue-depth` (proportional to in-flight requests).
+    fn builtins(registry: &mut AutoscalerRegistry) {
         registry.register_fn("static", |_ctx| {
             Ok(Box::new(StaticAutoscaler) as Box<dyn AutoscalerPolicy>)
         });
@@ -557,17 +438,56 @@ impl AutoscalerRegistry {
                 ctx.initial_nodes.saturating_mul(8),
             )?) as Box<dyn AutoscalerPolicy>)
         });
-        registry
     }
 }
 
-impl AdmissionRegistry {
-    /// A registry pre-loaded with the built-in admission policies:
+impl Factory for dyn AutoscalerFactory {
+    type Ctx<'a> = CapacityContext;
+    type Output = Box<dyn AutoscalerPolicy>;
+
+    fn validate(ctx: &CapacityContext) -> Result<(), String> {
+        ctx.validate()
+    }
+
+    fn make(&self, ctx: &CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String> {
+        self.build(ctx)
+    }
+
+    fn from_fn<F>(name: String, f: F) -> Arc<Self>
+    where
+        F: Fn(&CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String>
+            + Send
+            + Sync
+            + 'static,
+    {
+        Arc::new(NamedFn { name, f })
+    }
+}
+
+impl<F> AutoscalerFactory for NamedFn<F>
+where
+    F: Fn(&CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn AutoscalerPolicy>, String> {
+        (self.f)(ctx)
+    }
+}
+
+impl Entry for dyn AdmissionFactory {
+    const NOUN: &'static str = "admission policy";
+
+    fn key(&self) -> &str {
+        self.name()
+    }
+
     /// `admit-all`, `token-bucket` (1.5× the base rate sustained, one
     /// second of burst) and `queue-shed` (shed beyond ~2× the SLO-implied
     /// in-flight depth).
-    pub fn with_builtins() -> Self {
-        let mut registry = AdmissionRegistry::new();
+    fn builtins(registry: &mut AdmissionRegistry) {
         registry.register_fn("admit-all", |_ctx| {
             Ok(Box::new(AdmitAll) as Box<dyn AdmissionPolicy>)
         });
@@ -582,7 +502,39 @@ impl AdmissionRegistry {
             let depth = (2.0 * ctx.base_rps * ctx.slo.as_secs()).ceil() as usize;
             Ok(Box::new(QueueLengthAdmission::new(depth.max(1))?) as Box<dyn AdmissionPolicy>)
         });
-        registry
+    }
+}
+
+impl Factory for dyn AdmissionFactory {
+    type Ctx<'a> = CapacityContext;
+    type Output = Box<dyn AdmissionPolicy>;
+
+    fn validate(ctx: &CapacityContext) -> Result<(), String> {
+        ctx.validate()
+    }
+
+    fn make(&self, ctx: &CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> {
+        self.build(ctx)
+    }
+
+    fn from_fn<F>(name: String, f: F) -> Arc<Self>
+    where
+        F: Fn(&CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> + Send + Sync + 'static,
+    {
+        Arc::new(NamedFn { name, f })
+    }
+}
+
+impl<F> AdmissionFactory for NamedFn<F>
+where
+    F: Fn(&CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> + Send + Sync,
+{
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn build(&self, ctx: &CapacityContext) -> Result<Box<dyn AdmissionPolicy>, String> {
+        (self.f)(ctx)
     }
 }
 

@@ -17,10 +17,10 @@
 //!   (sinusoidal rate modulation), [`BurstyArrivals`] (two-state MMPP),
 //!   [`FlashCrowd`] (baseline rate plus a spike window) and [`TraceReplay`]
 //!   (inter-arrival gaps lifted from a [`janus_trace::Trace`]).
-//! * [`ScenarioRegistry`] — scenarios addressable by name, mirroring
-//!   `janus-core`'s `PolicyRegistry`: the built-ins are pre-registered and
-//!   custom processes plug in through [`ScenarioRegistry::register_fn`]
-//!   without touching any `janus-*` crate.
+//! * [`ScenarioRegistry`] — scenarios addressable by name through the
+//!   generic `janus_simcore::registry::Registry`: the built-ins are
+//!   pre-registered and custom processes plug in through
+//!   [`ScenarioRegistry::register_fn`] without touching any `janus-*` crate.
 //! * [`MergedRequestSource`] — multi-tenant serving: k per-tenant arrival
 //!   streams (one lazy generator each, seeded via [`tenant_stream_seed`])
 //!   merged by next-arrival time into one bounded-memory request source

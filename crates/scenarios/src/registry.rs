@@ -1,9 +1,9 @@
 //! The open scenario registry: arrival processes addressable by name.
 //!
-//! Mirrors `janus-core`'s `PolicyRegistry` on the workload axis: a scenario
-//! is anything that can build an [`ArrivalProcess`] from a
-//! [`ScenarioContext`] (the base arrival rate, the request count and the
-//! session seed), registered under a display name. The five built-ins cover
+//! The generic [`Registry`] on the workload axis: a scenario is anything
+//! that can build an [`ArrivalProcess`] from a [`ScenarioContext`] (the base
+//! arrival rate, the request count and the session seed), registered under
+//! a display name. The five built-ins cover
 //! the load shapes of the paper's motivation section; downstream code
 //! registers custom processes with [`ScenarioRegistry::register`] (or the
 //! closure shorthand [`ScenarioRegistry::register_fn`]) and serves them by
@@ -16,9 +16,9 @@
 use crate::arrival::{
     ArrivalProcess, BurstyArrivals, DiurnalArrivals, FlashCrowd, PoissonArrivals, TraceReplay,
 };
+use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::time::SimDuration;
 use janus_trace::{Trace, TraceConfig};
-use std::fmt;
 use std::sync::Arc;
 
 /// Everything a factory may consult when instantiating an arrival process
@@ -64,34 +64,22 @@ pub trait ScenarioFactory: Send + Sync {
     fn build(&self, ctx: &ScenarioContext) -> Result<Box<dyn ArrivalProcess>, String>;
 }
 
-/// An ordered, open registry of [`ScenarioFactory`]s.
-///
-/// Registration order is preserved (it drives sweep ordering); registering a
-/// factory under an existing name replaces the earlier entry in place, so a
-/// sweep can override a built-in without forking the registry.
-#[derive(Clone, Default)]
-pub struct ScenarioRegistry {
-    factories: Vec<Arc<dyn ScenarioFactory>>,
-}
+/// The ordered, open registry of [`ScenarioFactory`]s (see
+/// [`janus_simcore::registry`]). Registration order drives sweep ordering;
+/// registering under an existing name replaces the earlier entry in place,
+/// so a sweep can override a built-in without forking the registry.
+pub type ScenarioRegistry = Registry<dyn ScenarioFactory>;
 
-impl fmt::Debug for ScenarioRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScenarioRegistry")
-            .field("scenarios", &self.names())
-            .finish()
-    }
-}
+impl Entry for dyn ScenarioFactory {
+    const NOUN: &'static str = "scenario";
 
-impl ScenarioRegistry {
-    /// An empty registry (no built-ins).
-    pub fn new() -> Self {
-        Self::default()
+    fn key(&self) -> &str {
+        self.name()
     }
 
-    /// A registry pre-loaded with the five built-in load shapes:
-    /// `poisson`, `diurnal`, `bursty`, `flash-crowd`, `trace-replay`.
-    pub fn with_builtins() -> Self {
-        let mut registry = ScenarioRegistry::new();
+    /// The five built-in load shapes: `poisson`, `diurnal`, `bursty`,
+    /// `flash-crowd`, `trace-replay`.
+    fn builtins(registry: &mut ScenarioRegistry) {
         registry.register_fn("poisson", |ctx| {
             Ok(Box::new(PoissonArrivals::new(ctx.base_rps)?))
         });
@@ -136,93 +124,30 @@ impl ScenarioRegistry {
                 TraceReplay::from_trace(&trace)?.scaled_to_rate(ctx.base_rps)?,
             ))
         });
-        registry
+    }
+}
+
+impl Factory for dyn ScenarioFactory {
+    type Ctx<'a> = ScenarioContext;
+    type Output = Box<dyn ArrivalProcess>;
+
+    fn validate(ctx: &ScenarioContext) -> Result<(), String> {
+        ctx.validate()
     }
 
-    /// Register a factory. Replaces any earlier factory with the same name
-    /// (keeping its position), otherwise appends.
-    pub fn register(&mut self, factory: Arc<dyn ScenarioFactory>) -> &mut Self {
-        match self
-            .factories
-            .iter()
-            .position(|f| f.name() == factory.name())
-        {
-            Some(i) => self.factories[i] = factory,
-            None => self.factories.push(factory),
-        }
-        self
+    fn make(&self, ctx: &ScenarioContext) -> Result<Box<dyn ArrivalProcess>, String> {
+        self.build(ctx)
     }
 
-    /// Closure shorthand for [`register`](Self::register).
-    pub fn register_fn<F>(&mut self, name: impl Into<String>, build: F) -> &mut Self
+    fn from_fn<F>(name: String, f: F) -> Arc<Self>
     where
         F: Fn(&ScenarioContext) -> Result<Box<dyn ArrivalProcess>, String> + Send + Sync + 'static,
     {
-        self.register(Arc::new(FnFactory {
-            name: name.into(),
-            build,
-        }))
-    }
-
-    /// Look a factory up by its registered name.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn ScenarioFactory>> {
-        self.factories.iter().find(|f| f.name() == name).cloned()
-    }
-
-    fn unknown_name_error(&self, name: &str) -> String {
-        format!(
-            "unknown scenario `{name}`; registered scenarios: {}",
-            self.names().join(", ")
-        )
-    }
-
-    /// Check that `name` is registered, with an informative error listing
-    /// the known scenarios otherwise. Lets callers validate names early
-    /// (e.g. at session build time) without a [`ScenarioContext`].
-    pub fn ensure_known(&self, name: &str) -> Result<(), String> {
-        if self.get(name).is_some() {
-            Ok(())
-        } else {
-            Err(self.unknown_name_error(name))
-        }
-    }
-
-    /// Instantiate the named scenario, with an informative error for unknown
-    /// names or invalid contexts.
-    pub fn build(
-        &self,
-        name: &str,
-        ctx: &ScenarioContext,
-    ) -> Result<Box<dyn ArrivalProcess>, String> {
-        ctx.validate()?;
-        match self.get(name) {
-            Some(factory) => factory.build(ctx),
-            None => Err(self.unknown_name_error(name)),
-        }
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.factories.iter().map(|f| f.name()).collect()
-    }
-
-    /// Number of registered factories.
-    pub fn len(&self) -> usize {
-        self.factories.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.factories.is_empty()
+        Arc::new(NamedFn { name, f })
     }
 }
 
-struct FnFactory<F> {
-    name: String,
-    build: F,
-}
-
-impl<F> ScenarioFactory for FnFactory<F>
+impl<F> ScenarioFactory for NamedFn<F>
 where
     F: Fn(&ScenarioContext) -> Result<Box<dyn ArrivalProcess>, String> + Send + Sync,
 {
@@ -231,7 +156,7 @@ where
     }
 
     fn build(&self, ctx: &ScenarioContext) -> Result<Box<dyn ArrivalProcess>, String> {
-        (self.build)(ctx)
+        (self.f)(ctx)
     }
 }
 

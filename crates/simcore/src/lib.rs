@@ -26,6 +26,8 @@
 //!   truncated ranges) so every experiment is reproducible from a seed.
 //! * [`metrics`] — counters and sample recorders with pre-interned handles
 //!   so per-event recording pays no name lookup.
+//! * [`registry`] — the generic name-keyed [`Registry`] behind every open
+//!   extension point of the workspace (policies, scenarios, faults, …).
 //!
 //! Everything here is deliberately independent of Janus itself so that the
 //! baselines (ORION, GrandSLAM, …) run on the identical substrate.
@@ -42,6 +44,7 @@ pub mod metrics;
 pub mod node;
 pub mod pod;
 pub mod pool;
+pub mod registry;
 pub mod resources;
 pub mod rng;
 pub mod stats;
@@ -56,6 +59,7 @@ pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle,
 pub use node::{Node, NodeId};
 pub use pod::{Pod, PodId, PodState};
 pub use pool::{PoolConfig, PoolManager};
+pub use registry::Registry;
 pub use resources::{CoreGrid, Millicores};
 pub use rng::SimRng;
 pub use stats::{percentile, Cdf, RunningStats, StreamingSummary, Summary};
