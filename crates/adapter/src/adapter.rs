@@ -90,6 +90,11 @@ impl Adapter {
         &self.bundle
     }
 
+    /// The configuration the adapter was created with.
+    pub fn config(&self) -> &AdapterConfig {
+        &self.config
+    }
+
     /// Replace the hints bundle (asynchronous regeneration completing,
     /// §III-D). Supervision counters are reset because the new tables
     /// reflect the new execution-time distribution.

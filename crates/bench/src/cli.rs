@@ -566,6 +566,11 @@ fn run_sweep_file(
         println!("{}", point.progress_line(total));
     })?;
     print!("{result}");
+    println!(
+        "set-up: {} builds for {} points",
+        result.setups_built,
+        result.points.len()
+    );
     if let Some(dir) = results {
         let hits = result.cache_hits;
         let ran = result.points.len() - hits;

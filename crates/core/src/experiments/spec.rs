@@ -16,10 +16,10 @@
 //!
 //! [`SweepSpec::expand`] turns the axes into the cartesian grid of
 //! [`SessionSpec`] points (scenario-major, then load, seed, autoscaler,
-//! admission); the [`sweep`](crate::experiments::sweep) driver runs them in
-//! parallel.
+//! admission, fault, observer); the [`sweep`](crate::experiments::sweep)
+//! driver runs them in parallel.
 
-use crate::session::{Load, ServingSession, ServingSessionBuilder, TenantLoad};
+use crate::session::{strictest_slo, Load, ServingSession, ServingSessionBuilder, TenantLoad};
 use janus_json::{parse, Value};
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
@@ -63,7 +63,49 @@ pub struct SessionSpec {
     pub budget_step_ms: f64,
 }
 
+/// Everything a session's set-up stage reads — profiling and every policy
+/// build — as one ordered value; see [`SessionSpec::setup_key`]. Sessions
+/// with equal keys build identical profiles and policies.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct SetupKey {
+    app: &'static str,
+    concurrency: u32,
+    seed: u64,
+    samples_per_point: usize,
+    slo_ms_bits: u64,
+    budget_step_ms_bits: u64,
+}
+
 impl SessionSpec {
+    /// The set-up inputs of this session. The profiler reads the workflow
+    /// (from `app`), `concurrency`, `samples_per_point` and `seed` (as
+    /// `seed ^ 0x5EED`). The policy context adds the SLO (the app's default
+    /// at `concurrency`, tightened by any tenant `slo_ms`), the seed, and the
+    /// synthesis budget step; its remaining fields are the same for every
+    /// spec — the paper's core grid, the paper-calibrated interference model
+    /// of `ExecutorConfig::paper_serving` (which `cluster` does not change)
+    /// and the builder's head-function weight.
+    ///
+    /// Serve-only fields stay out: `scenario`, `rps`, `autoscaler`,
+    /// `admission`, `fault`, `observer`, `cluster`, `tenants` (but for their
+    /// SLO), `requests`, and `policies` (built and kept per name). Policies
+    /// whose factories read the request set are rebuilt for every session,
+    /// key or no key.
+    pub(crate) fn setup_key(&self) -> SetupKey {
+        let slo = strictest_slo(
+            self.app.default_slo(self.concurrency),
+            self.tenants.as_deref().unwrap_or_default(),
+        );
+        SetupKey {
+            app: self.app.short_name(),
+            concurrency: self.concurrency,
+            seed: self.seed,
+            samples_per_point: self.samples_per_point,
+            slo_ms_bits: slo.as_millis().to_bits(),
+            budget_step_ms_bits: self.budget_step_ms.to_bits(),
+        }
+    }
+
     /// The equivalent [`ServingSession`] builder: apply every field of the
     /// spec, leave everything else at the builder's defaults.
     pub fn builder(&self) -> ServingSessionBuilder {
@@ -160,8 +202,9 @@ impl SessionSpec {
 }
 
 /// A full evaluation described as data: the cartesian grid of
-/// scenarios × loads × seeds × autoscalers × admissions, each point serving
-/// every listed policy on a shared request set.
+/// scenarios × loads × seeds × autoscalers × admissions × faults ×
+/// observers, each point serving every listed policy on a shared request
+/// set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Human-readable sweep name (reported in the output document).
@@ -200,10 +243,21 @@ pub struct SweepSpec {
     pub budget_step_ms: f64,
 }
 
+/// Reject the first value of axis `key` that repeats an earlier one.
+fn no_duplicates<T: PartialEq>(key: &str, axis: &[T]) -> Result<(), String> {
+    for (i, value) in axis.iter().enumerate() {
+        if let Some(first) = axis[..i].iter().position(|earlier| earlier == value) {
+            return Err(format!("`{key}[{i}]`: duplicate of `{key}[{first}]`"));
+        }
+    }
+    Ok(())
+}
+
 impl SweepSpec {
     /// Structural validity independent of any registry: every axis that must
-    /// be non-empty is, and numeric knobs are sane. Name resolution against
-    /// the policy/scenario/capacity registries happens in the sweep driver.
+    /// be non-empty is, no axis repeats a value, and numeric knobs are sane.
+    /// Name resolution against the policy/scenario/capacity registries
+    /// happens in the sweep driver.
     pub fn validate(&self) -> Result<(), String> {
         for (key, empty) in [
             ("policies", self.policies.is_empty()),
@@ -238,6 +292,23 @@ impl SweepSpec {
         {
             return Err(format!("`loads_rps`: rate {bad} must be positive"));
         }
+        // A repeated axis value would run its points twice, and only the
+        // first copy is reachable through `SweepResult::point`.
+        for (key, axis) in [
+            ("policies", &self.policies[..]),
+            ("scenarios", &self.scenarios[..]),
+            (
+                "autoscalers",
+                self.autoscalers.as_deref().unwrap_or_default(),
+            ),
+            ("admissions", self.admissions.as_deref().unwrap_or_default()),
+            ("faults", self.faults.as_deref().unwrap_or_default()),
+            ("observers", self.observers.as_deref().unwrap_or_default()),
+        ] {
+            no_duplicates(key, axis)?;
+        }
+        no_duplicates("loads_rps", &self.loads_rps)?;
+        no_duplicates("seeds", &self.seeds)?;
         if self.concurrency == 0 {
             return Err("`concurrency`: must be at least 1".into());
         }
@@ -293,7 +364,7 @@ impl SweepSpec {
 
     /// Expand the axes into the cartesian grid of session specs, in
     /// deterministic order: scenario-major, then load, seed, autoscaler,
-    /// admission, fault.
+    /// admission, fault, observer.
     pub fn expand(&self) -> Vec<SessionSpec> {
         let optionals = |axis: &Option<Vec<String>>| -> Vec<Option<String>> {
             match axis {
@@ -1019,6 +1090,29 @@ mod tests {
                 "missing required key `placement`",
             ),
             (
+                r#"{"name": "x", "app": "IA", "policies": ["Janus"],
+                    "scenarios": ["poisson"], "loads_rps": [1.0], "requests": 5,
+                    "seeds": [7, 7]}"#,
+                "`seeds[1]`: duplicate of `seeds[0]`",
+            ),
+            (
+                r#"{"name": "x", "app": "IA", "policies": ["Janus"],
+                    "scenarios": ["poisson", "bursty", "poisson"], "loads_rps": [1.0],
+                    "requests": 5}"#,
+                "`scenarios[2]`: duplicate of `scenarios[0]`",
+            ),
+            (
+                r#"{"name": "x", "app": "IA", "policies": ["Janus"],
+                    "scenarios": ["poisson"], "loads_rps": [1.0, 2.0, 1.0], "requests": 5}"#,
+                "`loads_rps[2]`: duplicate of `loads_rps[0]`",
+            ),
+            (
+                r#"{"name": "x", "app": "IA", "policies": ["Janus"],
+                    "scenarios": ["poisson"], "loads_rps": [1.0], "requests": 5,
+                    "faults": ["node-crash", "zone-outage", "zone-outage"]}"#,
+                "`faults[2]`: duplicate of `faults[1]`",
+            ),
+            (
                 r#"{"name": "x", "name": "y", "app": "IA", "policies": ["Janus"],
                     "scenarios": ["poisson"], "loads_rps": [1.0], "requests": 5}"#,
                 "duplicate key `name`",
@@ -1027,6 +1121,162 @@ mod tests {
         for (text, needle) in cases {
             let err = SweepSpec::from_str(text).unwrap_err();
             assert!(err.contains(needle), "expected `{needle}` in `{err}`");
+        }
+    }
+
+    #[test]
+    fn setup_keys_change_with_every_set_up_input_and_no_serve_only_axis() {
+        let base = tiny_spec().expand()[0].clone();
+        let key = base.setup_key();
+        let tenant = |slo_ms: Option<f64>| {
+            Some(vec![TenantLoad {
+                count: 2,
+                scenario: "bursty".into(),
+                rps: 1.0,
+                slo_ms,
+            }])
+        };
+        let set_up: Vec<(&str, SessionSpec)> = vec![
+            (
+                "app",
+                SessionSpec {
+                    app: PaperApp::VideoAnalyze,
+                    ..base.clone()
+                },
+            ),
+            (
+                "concurrency",
+                SessionSpec {
+                    concurrency: 2,
+                    ..base.clone()
+                },
+            ),
+            (
+                "seed",
+                SessionSpec {
+                    seed: base.seed + 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "samples_per_point",
+                SessionSpec {
+                    samples_per_point: base.samples_per_point + 1,
+                    ..base.clone()
+                },
+            ),
+            (
+                "budget_step_ms",
+                SessionSpec {
+                    budget_step_ms: base.budget_step_ms * 2.0,
+                    ..base.clone()
+                },
+            ),
+            (
+                "a tenant SLO tighter than the app's",
+                SessionSpec {
+                    tenants: tenant(Some(1000.0)),
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (field, spec) in set_up {
+            assert_ne!(spec.setup_key(), key, "{field} is a set-up input");
+        }
+        let serve_only: Vec<(&str, SessionSpec)> = vec![
+            (
+                "scenario",
+                SessionSpec {
+                    scenario: Some("bursty".into()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "rps",
+                SessionSpec {
+                    rps: Some(9.0),
+                    ..base.clone()
+                },
+            ),
+            (
+                "closed loop",
+                SessionSpec {
+                    rps: None,
+                    scenario: None,
+                    ..base.clone()
+                },
+            ),
+            (
+                "autoscaler",
+                SessionSpec {
+                    autoscaler: Some("queue-depth".into()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "admission",
+                SessionSpec {
+                    admission: Some("token-bucket".into()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "fault",
+                SessionSpec {
+                    fault: Some("zone-outage".into()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "observer",
+                SessionSpec {
+                    observer: Some("flight-recorder".into()),
+                    ..base.clone()
+                },
+            ),
+            (
+                "cluster",
+                SessionSpec {
+                    cluster: Some(ClusterConfig {
+                        nodes: 4,
+                        node_capacity: Millicores::from_cores(8),
+                        placement: PlacementPolicy::Spread,
+                        zones: 2,
+                    }),
+                    ..base.clone()
+                },
+            ),
+            (
+                "tenants",
+                SessionSpec {
+                    tenants: tenant(None),
+                    ..base.clone()
+                },
+            ),
+            (
+                "a tenant SLO looser than the app's",
+                SessionSpec {
+                    tenants: tenant(Some(60_000.0)),
+                    ..base.clone()
+                },
+            ),
+            (
+                "requests",
+                SessionSpec {
+                    requests: base.requests * 2,
+                    ..base.clone()
+                },
+            ),
+            (
+                "policies",
+                SessionSpec {
+                    policies: vec!["ORION".into()],
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (field, spec) in serve_only {
+            assert_eq!(spec.setup_key(), key, "{field} is serve-only");
         }
     }
 

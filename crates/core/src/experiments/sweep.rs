@@ -3,15 +3,28 @@
 //! [`run_sweep`] is the engine behind `janus sweep <spec.json>` — the
 //! data-driven generalization of the hand-written scenario/capacity sweeps.
 //! The spec's axes expand into [`SessionSpec`] grid points
-//! (scenario-major, then load, seed, autoscaler, admission); every point is
-//! one paired, invariant-checked [`ServingSession`]. Points fan out across
-//! threads in contiguous stripes, and each worker runs its stripe through
+//! (scenario-major, then load, seed, autoscaler, admission, fault,
+//! observer); every point is one paired, invariant-checked
+//! [`ServingSession`]. Results come back in grid order regardless of
+//! scheduling, and sessions are seed-deterministic, so a sweep is
+//! reproducible bit for bit.
+//!
+//! Set-up — profiling the workflow and building the policies — reads only a
+//! few of a point's inputs (`SessionSpec::setup_key`); the scenario,
+//! load, capacity, fault and observer axes are runtime conditions it never
+//! sees. So the points that must run are sorted by (set-up key, grid index)
+//! and cut into contiguous stripes, one per worker thread. Each worker runs
+//! its stripe through
 //! [`run_in`](crate::session::ServingSession::run_in) with one
-//! [`OpenLoopArena`] and one set of
-//! interned metric handles, so engine heaps, in-flight tables and metric
-//! interning are paid once per worker instead of once per point. Results
-//! come back in grid order regardless of scheduling, and sessions are
-//! seed-deterministic, so a sweep is reproducible bit for bit.
+//! [`OpenLoopArena`], one set of interned metric handles, and a one-entry
+//! [`SetupMemo`] that is rebuilt whenever the key changes: engine heaps,
+//! in-flight tables and metric interning are paid once per worker, and
+//! set-up once per distinct key in its stripe. Memoized policies serve
+//! every point from a fresh instance, and factories that read the request
+//! set (the Optimal oracle) are rebuilt for every point. Because equal keys
+//! are adjacent, a sweep builds each set-up at most once per worker that
+//! its points span — at most `threads - 1` duplicate builds in all — with
+//! no lock and no shared map.
 //!
 //! [`run_sweep_streaming`] additionally invokes a callback as each point
 //! completes (from the worker thread that ran it) — the `janus` CLI uses it
@@ -34,10 +47,10 @@
 //! [`ServingSession`]: crate::session::ServingSession
 
 use crate::experiments::perf::{rate_per_sec, MIN_WALL_MS};
-use crate::experiments::spec::{SessionSpec, SweepSpec};
+use crate::experiments::spec::{SessionSpec, SetupKey, SweepSpec};
 use crate::experiments::ToJson;
 use crate::registry::PolicyRegistry;
-use crate::session::{PolicyReport, SessionReport};
+use crate::session::{PolicyReport, SessionReport, SetupMemo};
 use janus_json::Value;
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry};
 use janus_platform::metrics::ServingMetrics;
@@ -284,6 +297,10 @@ pub struct SweepResult {
     /// storeless runs). Not serialised: the JSON view must be byte-identical
     /// between cold and warm runs.
     pub cache_hits: usize,
+    /// How many set-ups (profile plus policy builds) the live points were
+    /// served from: one per run of equal set-up keys in each worker's
+    /// stripe, 0 for a fully warm replay. Not serialised, like `cache_hits`.
+    pub setups_built: usize,
 }
 
 impl SweepResult {
@@ -522,26 +539,36 @@ pub fn run_sweep_stored(
     }
     let cache_hits = replayed.len();
 
-    // Contiguous stripes, one per worker: each stripe shares one arena and
-    // one set of interned metric handles across all its points.
+    // Key-ordered contiguous stripes, one per worker: points that share a
+    // set-up are adjacent, so each worker builds a set-up once per key in
+    // its stripe. Each stripe also shares one arena and one set of interned
+    // metric handles across all its points.
+    let mut to_run: Vec<(SetupKey, usize, SessionSpec)> = to_run
+        .into_iter()
+        .map(|(index, session_spec)| (session_spec.setup_key(), index, session_spec))
+        .collect();
+    to_run.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
     let threads = std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
         .min(to_run.len().max(1));
     let stripe_len = to_run.len().div_ceil(threads);
-    let stripes: Vec<Vec<(usize, SessionSpec)>> = to_run
+    let stripes: Vec<Vec<(SetupKey, usize, SessionSpec)>> = to_run
         .chunks(stripe_len.max(1))
         .map(<[_]>::to_vec)
         .collect();
 
-    let completed: Vec<Result<Vec<SweepPoint>, String>> = stripes
+    let completed: Vec<Result<(usize, Vec<SweepPoint>), String>> = stripes
         .into_par_iter()
         .map(|stripe| {
             let metrics_registry = MetricsRegistry::new();
             let metrics = ServingMetrics::intern(&metrics_registry);
             let mut arena = OpenLoopArena::new();
+            let mut memo = SetupMemo::default();
+            let mut memo_key: Option<SetupKey> = None;
+            let mut setups_built = 0;
             let mut done = Vec::with_capacity(stripe.len());
-            for (index, session_spec) in stripe {
+            for (key, index, session_spec) in stripe {
                 // janus-lint: allow(nondeterminism) — per-point wall cost for progress lines only
                 let point_started = Instant::now();
                 let context = |e: String| {
@@ -552,9 +579,14 @@ pub fn run_sweep_stored(
                         session_spec.seed
                     )
                 };
+                if memo_key.as_ref() != Some(&key) {
+                    memo = SetupMemo::default();
+                    memo_key = Some(key);
+                    setups_built += 1;
+                }
                 let session = session_spec.builder().build().map_err(context)?;
                 let report = session
-                    .run_in(&mut arena, &metrics_registry, &metrics)
+                    .run_in(&mut arena, &metrics_registry, &metrics, &mut memo)
                     .map_err(context)?;
                 let policies: Vec<PolicyCell> = report
                     .policies
@@ -582,14 +614,17 @@ pub fn run_sweep_stored(
                 on_point(&point);
                 done.push(point);
             }
-            Ok(done)
+            Ok((setups_built, done))
         })
         .collect();
 
     let mut points = replayed;
     points.reserve(total.saturating_sub(points.len()));
+    let mut setups_built = 0;
     for stripe in completed {
-        points.extend(stripe?);
+        let (built, done) = stripe?;
+        setups_built += built;
+        points.extend(done);
     }
     points.sort_by_key(|p| p.index);
 
@@ -602,6 +637,7 @@ pub fn run_sweep_stored(
             .max(MIN_WALL_MS),
         points,
         cache_hits,
+        setups_built,
     };
     result.validate()?;
     Ok(result)
@@ -699,6 +735,70 @@ mod tests {
         assert_eq!(doc.require("experiment").unwrap().as_str(), Some("sweep"));
     }
 
+    /// A cold sweep builds each distinct set-up at least once, and at most
+    /// once more per stripe boundary it straddles.
+    fn assert_setups_within_bounds(result: &SweepResult) {
+        let mut keys: Vec<SetupKey> = result
+            .points
+            .iter()
+            .map(|p| p.session.setup_key())
+            .collect();
+        keys.sort();
+        keys.dedup();
+        let threads = std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+            .min(result.points.len());
+        let built = result.setups_built;
+        assert!(
+            keys.len() <= built && built < keys.len() + threads,
+            "{built} set-ups for {} keys on {threads} threads",
+            keys.len()
+        );
+    }
+
+    #[test]
+    fn memoized_set_ups_serve_every_point_as_a_standalone_session() {
+        use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
+        use janus_simcore::resources::Millicores;
+        // Four cells per set-up key (scenario x autoscaler at one seed),
+        // with a request-reading policy (Optimal) beside three memoized ones.
+        let spec = SweepSpec {
+            policies: vec![
+                "Optimal".into(),
+                "ORION".into(),
+                "GrandSLAM+".into(),
+                "Janus".into(),
+            ],
+            loads_rps: vec![3.0],
+            autoscalers: Some(vec!["static".into(), "queue-depth".into()]),
+            faults: Some(vec!["zone-outage".into()]),
+            observers: Some(vec!["flight-recorder".into()]),
+            cluster: Some(ClusterConfig {
+                nodes: 4,
+                node_capacity: Millicores::from_cores(8),
+                placement: PlacementPolicy::Spread,
+                zones: 2,
+            }),
+            requests: 40,
+            ..tiny_spec()
+        };
+        let result = run_sweep(&spec).unwrap();
+        assert_eq!(result.points.len(), 8);
+        assert_setups_within_bounds(&result);
+        assert!(result.setups_built < result.points.len());
+        for point in &result.points {
+            let alone = point.session.builder().build().unwrap().run().unwrap();
+            let swept = point.live_report().unwrap();
+            for name in &spec.policies {
+                let at = format!("point {} policy {name}", point.index);
+                assert_eq!(swept.serving(name), alone.serving(name), "{at}");
+                assert!(swept.flight(name).is_some(), "{at}");
+                assert_eq!(swept.flight(name), alone.flight(name), "{at}");
+            }
+        }
+    }
+
     #[test]
     fn policy_cells_round_trip_through_json() {
         let cell = PolicyCell {
@@ -750,6 +850,7 @@ mod tests {
 
         let cold = run_sweep_stored(&spec, Some((&store, StoreMode::Reuse)), &|_| {}).unwrap();
         assert_eq!(cold.cache_hits, 0);
+        assert_setups_within_bounds(&cold);
         assert_eq!(store.load_all().unwrap().len(), 4);
 
         let ran = AtomicUsize::new(0);
@@ -766,6 +867,7 @@ mod tests {
             "warm run must not run sessions"
         );
         assert_eq!(warm.cache_hits, 4);
+        assert_eq!(warm.setups_built, 0, "a warm replay builds no set-up");
         assert!(warm.points.iter().all(|p| p.live_report().is_none()));
 
         // The aggregate views are byte-identical between cold and warm.
@@ -1018,5 +1120,11 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("`loads_rps`"), "{err}");
+        let err = run_sweep(&SweepSpec {
+            seeds: vec![7, 11, 7],
+            ..tiny_spec()
+        })
+        .unwrap_err();
+        assert!(err.contains("`seeds[2]`: duplicate of `seeds[0]`"), "{err}");
     }
 }

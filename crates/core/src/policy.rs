@@ -66,6 +66,16 @@ impl SizingPolicy for JanusPolicy {
     fn mean_decision_time_us(&self) -> Option<f64> {
         Some(self.adapter.mean_decision_time_us())
     }
+
+    /// A new adapter over the same bundle and configuration: the decision
+    /// counters and the miss-rate supervisor start from zero, because they
+    /// carry feedback across requests.
+    fn fresh(&self) -> Option<Box<dyn SizingPolicy>> {
+        Some(Box::new(JanusPolicy::new(
+            self.name.clone(),
+            Adapter::new(self.adapter.bundle().clone(), self.adapter.config().clone()),
+        )))
+    }
 }
 
 #[cfg(test)]
@@ -141,5 +151,19 @@ mod tests {
         assert_eq!(k, Millicores::new(3000));
         assert_eq!(policy.misses(), 2);
         assert!(policy.adapter().miss_rate() > 0.0);
+    }
+
+    #[test]
+    fn fresh_instances_start_with_zeroed_feedback() {
+        let mut served =
+            JanusPolicy::new("Janus", Adapter::new(bundle(), AdapterConfig::default()));
+        served.size_next(&ctx(), 0, SimDuration::from_millis(100.0));
+        assert_eq!(served.misses(), 1);
+        let mut fresh = served.fresh().expect("Janus makes fresh instances");
+        assert_eq!(fresh.name(), "Janus");
+        assert_eq!(fresh.mean_decision_time_us(), Some(0.0));
+        // Same bundle: the same table decision as the original served.
+        let k0 = fresh.size_next(&ctx(), 0, SimDuration::from_secs(3.0));
+        assert_eq!(k0, Millicores::new(1400));
     }
 }

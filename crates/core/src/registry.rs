@@ -103,6 +103,16 @@ impl BuiltPolicy {
             synthesis: Some(report),
         }
     }
+
+    /// A new, never-served instance of this policy carrying a copy of its
+    /// synthesis report (see [`SizingPolicy::fresh`]); `None` when the
+    /// policy cannot make one.
+    pub fn fresh(&self) -> Option<BuiltPolicy> {
+        Some(BuiltPolicy {
+            policy: self.policy.fresh()?,
+            synthesis: self.synthesis.clone(),
+        })
+    }
 }
 
 impl fmt::Debug for BuiltPolicy {
@@ -127,6 +137,15 @@ pub trait PolicyFactory: Send + Sync {
 
     /// Instantiate the policy for one serving run.
     fn build(&self, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String>;
+
+    /// Whether [`build`](Self::build) reads [`PolicyContext::requests`].
+    /// A factory that does not may have one build serve every run that
+    /// shares the other context fields, each from a
+    /// [`fresh`](SizingPolicy::fresh) instance; one that does is rebuilt for
+    /// every run. Default: `true`, the safe answer for any factory.
+    fn reads_requests(&self) -> bool {
+        true
+    }
 }
 
 /// The ordered, open registry of [`PolicyFactory`]s (see
@@ -226,6 +245,10 @@ impl PolicyFactory for OrionFactory {
             &self.config,
         )?))
     }
+
+    fn reads_requests(&self) -> bool {
+        false
+    }
 }
 
 /// Built-in: GrandSLAM (identical sizes) and GrandSLAM+ (per-function sizes).
@@ -251,6 +274,10 @@ impl PolicyFactory for GrandSlamFactory {
             grandslam(ctx.profile, ctx.slo)?
         };
         Ok(BuiltPolicy::plain(policy))
+    }
+
+    fn reads_requests(&self) -> bool {
+        false
     }
 }
 
@@ -285,6 +312,10 @@ impl PolicyFactory for JanusFactory {
             Adapter::new(bundle, AdapterConfig::default()),
         );
         Ok(BuiltPolicy::with_synthesis(policy, report))
+    }
+
+    fn reads_requests(&self) -> bool {
+        false
     }
 }
 
@@ -352,6 +383,16 @@ mod tests {
                 assert_eq!(built.policy.name(), name);
                 let is_janus = name.starts_with("Janus");
                 assert_eq!(built.synthesis.is_some(), is_janus, "{name}");
+                // Only the oracle reads the request set; every other
+                // built-in can serve many runs from fresh instances.
+                let factory = registry.get(name).unwrap();
+                assert_eq!(factory.reads_requests(), name == "Optimal", "{name}");
+                if factory.reads_requests() {
+                    continue;
+                }
+                let fresh = built.fresh().expect("fresh instance");
+                assert_eq!(fresh.policy.name(), name);
+                assert_eq!(fresh.synthesis.is_some(), is_janus, "{name}");
             }
         });
     }

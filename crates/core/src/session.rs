@@ -38,7 +38,9 @@
 //! `Load::Open { rps }` without a scenario stays the constant-rate Poisson
 //! special case, reproducing the historical request stream bit for bit.
 
-use crate::registry::{PolicyContext, PolicyFactory, PolicyRegistry, SynthesisSettings};
+use crate::registry::{
+    BuiltPolicy, PolicyContext, PolicyFactory, PolicyRegistry, SynthesisSettings,
+};
 use janus_chaos::{FaultContext, FaultRegistry, FaultSchedule};
 use janus_observe::{Observer, ObserverContext, ObserverRegistry, ObserverReport};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
@@ -48,6 +50,7 @@ use janus_platform::openloop::{
     CapacityControls, OpenLoopArena, OpenLoopConfig, OpenLoopSimulation,
 };
 use janus_platform::outcome::ServingReport;
+use janus_profiler::profile::WorkflowProfile;
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_scenarios::{
     tenant_stream_seed, ArrivalProcess, MergedRequestSource, ScenarioContext, ScenarioRegistry,
@@ -575,13 +578,9 @@ impl ServingSessionBuilder {
                     if !(ms.is_finite() && ms > 0.0) {
                         return Err(format!("`tenants[{i}].slo_ms`: {ms} must be positive"));
                     }
-                    // The strictest tenant SLO governs the whole run.
-                    let tenant_slo = SimDuration::from_millis(ms);
-                    if tenant_slo < slo {
-                        slo = tenant_slo;
-                    }
                 }
             }
+            slo = strictest_slo(slo, tenants);
         }
         if let Some(cluster) = &self.cluster {
             cluster.validate().map_err(|e| e.to_string())?;
@@ -648,6 +647,61 @@ impl ServingSessionBuilder {
     pub fn run(self) -> Result<SessionReport, String> {
         self.build()?.run()
     }
+}
+
+/// The SLO a session with `tenants` serves under: the strictest tenant SLO
+/// governs the whole run, if it is tighter than `slo`.
+pub(crate) fn strictest_slo(slo: SimDuration, tenants: &[TenantLoad]) -> SimDuration {
+    tenants
+        .iter()
+        .filter_map(|tenant| tenant.slo_ms)
+        .map(SimDuration::from_millis)
+        .fold(slo, SimDuration::min)
+}
+
+/// The set-up artefacts of one session, kept so the next session with the
+/// same set-up inputs skips building them: the workflow profile, and one
+/// never-served prototype per policy whose factory does not read the
+/// request set. Later sessions serve fresh instances of the prototypes
+/// ([`BuiltPolicy::fresh`]), so no feedback state leaks between runs.
+///
+/// A memo is valid only for sessions whose set-up inputs are equal — in a
+/// sweep, points with equal `SessionSpec::setup_key`. Start a new memo
+/// whenever they change.
+#[derive(Debug, Default)]
+pub struct SetupMemo {
+    profile: Option<WorkflowProfile>,
+    prototypes: Vec<(String, BuiltPolicy)>,
+}
+
+/// Policy `name` for one run: a fresh instance of its prototype in
+/// `prototypes`, or else a new build. A new build whose factory does not
+/// read the request set, and which can make fresh instances, becomes the
+/// prototype and is never served itself.
+fn memoized_build(
+    registry: &PolicyRegistry,
+    name: &str,
+    ctx: &PolicyContext<'_>,
+    prototypes: &mut Vec<(String, BuiltPolicy)>,
+) -> Result<BuiltPolicy, String> {
+    if registry.lookup(name)?.reads_requests() {
+        return registry.build(name, ctx);
+    }
+    if let Some(built) = prototypes
+        .iter()
+        .find(|(prototype, _)| prototype == name)
+        .and_then(|(_, prototype)| prototype.fresh())
+    {
+        return Ok(built);
+    }
+    let prototype = registry.build(name, ctx)?;
+    Ok(match prototype.fresh() {
+        Some(built) => {
+            prototypes.push((name.to_string(), prototype));
+            built
+        }
+        None => prototype,
+    })
 }
 
 /// Reborrow an owned per-policy observer as the `Option<&mut dyn Observer>`
@@ -750,29 +804,49 @@ impl ServingSession {
         let metrics_registry = MetricsRegistry::new();
         let metrics = ServingMetrics::intern(&metrics_registry);
         let mut arena = OpenLoopArena::new();
-        self.run_in(&mut arena, &metrics_registry, &metrics)
+        self.run_in(
+            &mut arena,
+            &metrics_registry,
+            &metrics,
+            &mut SetupMemo::default(),
+        )
     }
 
     /// [`run`](Self::run) with caller-provided scratch state: the open-loop
-    /// arena and the interned metric handles. Sweep drivers running many
-    /// sessions back-to-back pass the same arena/handles for every grid
-    /// point, so the engine heap, in-flight table and metric interning are
-    /// paid once per worker thread instead of once per point. The registry
-    /// is reset on entry (handles stay attached), so the embedded snapshot
-    /// is identical to a fresh run's.
+    /// arena, the interned metric handles and a set-up memo. Sweep drivers
+    /// running many sessions back-to-back pass the same arena/handles for
+    /// every grid point, so the engine heap, in-flight table and metric
+    /// interning are paid once per worker thread instead of once per point.
+    /// The registry is reset on entry (handles stay attached), so the
+    /// embedded snapshot is identical to a fresh run's.
+    ///
+    /// The profile and the policies come from `memo` when it holds them and
+    /// are stored into it when it does not; the caller must pass a memo only
+    /// to sessions that share its set-up inputs (see [`SetupMemo`]).
+    /// Factories that read the request set are rebuilt on every run.
     pub fn run_in(
         &self,
         arena: &mut OpenLoopArena,
         metrics_registry: &MetricsRegistry,
         metrics: &ServingMetrics,
+        memo: &mut SetupMemo,
     ) -> Result<SessionReport, String> {
         metrics_registry.reset();
-        let profiler = Profiler::new(ProfilerConfig {
-            samples_per_point: self.samples_per_point,
-            seed: self.seed ^ 0x5EED,
-            ..ProfilerConfig::default()
-        })?;
-        let profile = profiler.profile_workflow(&self.workflow, self.concurrency);
+        let SetupMemo {
+            profile,
+            prototypes,
+        } = memo;
+        let profile = match profile {
+            Some(profile) => profile,
+            None => {
+                let profiler = Profiler::new(ProfilerConfig {
+                    samples_per_point: self.samples_per_point,
+                    seed: self.seed ^ 0x5EED,
+                    ..ProfilerConfig::default()
+                })?;
+                profile.insert(profiler.profile_workflow(&self.workflow, self.concurrency))
+            }
+        };
 
         // The arrival gaps share the generator's RNG stream, so the
         // scenario-less cases reproduce the historical streams draw for
@@ -835,7 +909,7 @@ impl ServingSession {
         }
         let ctx = PolicyContext {
             workflow: &self.workflow,
-            profile: &profile,
+            profile,
             slo: self.slo,
             concurrency: self.concurrency,
             requests: &requests,
@@ -847,7 +921,7 @@ impl ServingSession {
 
         let mut policies = Vec::with_capacity(self.policies.len());
         for name in &self.policies {
-            let mut built = self.registry.build(name, &ctx)?;
+            let mut built = memoized_build(&self.registry, name, &ctx, prototypes)?;
             // A fresh observer per policy run, seeded from the session: the
             // trace of every column of a paired comparison samples the same
             // request ids, and reruns are byte-identical. Sessions without

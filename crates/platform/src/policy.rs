@@ -61,6 +61,16 @@ pub trait SizingPolicy: Send {
     fn mean_decision_time_us(&self) -> Option<f64> {
         None
     }
+
+    /// A new instance in the state this one was built in, as if no request
+    /// had ever been served — or `None` if the policy cannot make one.
+    /// Sweeps build a policy once per distinct set-up, keep it unserved, and
+    /// serve every grid point that shares the set-up from a fresh instance,
+    /// so an instance must carry no state from requests it served. Default:
+    /// `None` (the policy is rebuilt for every run).
+    fn fresh(&self) -> Option<Box<dyn SizingPolicy>> {
+        None
+    }
 }
 
 /// The simplest early-binding policy: a fixed per-function allocation vector,
@@ -129,6 +139,10 @@ impl SizingPolicy for FixedSizingPolicy {
             .copied()
             .expect("constructor guarantees a non-empty size vector")
     }
+
+    fn fresh(&self) -> Option<Box<dyn SizingPolicy>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]
@@ -173,6 +187,12 @@ mod tests {
         );
         assert_eq!(p.total(), Millicores::new(4500));
         assert_eq!(p.mean_decision_time_us(), None);
+        let mut fresh = p.fresh().expect("fixed policies make fresh instances");
+        assert_eq!(fresh.name(), "fixed");
+        assert_eq!(
+            fresh.size_next(&ctx(), 1, SimDuration::ZERO),
+            Millicores::new(1500)
+        );
     }
 
     #[test]
