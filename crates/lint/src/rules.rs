@@ -98,7 +98,10 @@ impl LintConfig {
                 hot("simcore/src/cluster.rs", "remove"),
                 hot("simcore/src/cluster.rs", "pick_node"),
                 hot("simcore/src/cluster.rs", "colocation_degree"),
+                hot("simcore/src/cluster.rs", "attach"),
+                hot("simcore/src/cluster.rs", "detach"),
                 hot("simcore/src/pool.rs", "acquire"),
+                hot("simcore/src/pool.rs", "start"),
                 hot("simcore/src/pool.rs", "release"),
                 // The flight recorder's per-record path: every observer's
                 // `record`, the trace line writers and the span table.

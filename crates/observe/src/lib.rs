@@ -50,13 +50,12 @@ pub mod report;
 pub use report::{qualify_policy, PolicyTrace, TraceReport};
 
 use janus_json::{write_number, write_string, Value};
+use janus_simcore::idmap::IdMap;
 use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — request-keyed span index; summaries read running sums and never iterate it
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Everything an observer may consult when it is built for one policy run —
@@ -566,36 +565,14 @@ impl SpanSummary {
     }
 }
 
-/// Hasher for the span table's request ids: one multiply by a fixed odd
-/// constant (Fibonacci hashing). Request ids are dense, so the product
-/// spreads them over both the low bits the table indexes with and the high
-/// bits it tags with, at a fraction of SipHash's cost. Nothing iterates the
-/// table, so its order never reaches an output.
-#[derive(Debug, Clone, Copy, Default)]
-struct RequestIdHasher(u64);
-
-impl Hasher for RequestIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// Accumulates [`Record`]s into per-request spans and aggregates them into
 /// a [`SpanSummary`]. Functions of one request run sequentially, so a
 /// single pending cold-start slot per request suffices.
 #[derive(Debug, Clone, Default)]
 pub struct SpanBuilder {
-    open: HashMap<u64, OpenSpan, BuildHasherDefault<RequestIdHasher>>,
+    /// Open spans by request id. Summaries read running sums and never
+    /// iterate it.
+    open: IdMap<u64, OpenSpan>,
     arrivals: u64,
     served: u64,
     shed: u64,

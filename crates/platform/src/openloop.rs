@@ -44,6 +44,7 @@ use janus_chaos::{FaultAction, FaultEvent, FaultSchedule};
 use janus_observe::{Observer, Record, RecordKind, TickSample};
 use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState};
 use janus_simcore::engine::{Engine, EngineConfig};
+use janus_simcore::idmap::{IdMap, IdSet};
 use janus_simcore::interference::InterferenceModel;
 use janus_simcore::node::NodeId;
 use janus_simcore::pod::PodId;
@@ -54,8 +55,6 @@ use janus_simcore::time::{SimDuration, SimTime};
 use janus_workloads::request::{RequestInput, RequestSource, SliceSource};
 use janus_workloads::workflow::Workflow;
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — in-flight/pod indices for keyed lookup; event order comes from the BinaryHeap, never map iteration
-use std::collections::{HashMap, HashSet};
 
 /// Open-loop simulation configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -142,7 +141,7 @@ struct FaultRuntime {
     events: Vec<FaultEvent>,
     cursor: usize,
     rng: SimRng,
-    lost_pods: HashSet<PodId>,
+    lost_pods: IdSet<PodId>,
     /// Preempted nodes and the instant their termination notice expires.
     preempt_deadlines: Vec<(NodeId, SimTime)>,
     /// Degraded nodes: `(node, service-time factor, degraded until)`.
@@ -160,7 +159,7 @@ impl FaultRuntime {
             rng: SimRng::seed_from_u64(schedule.victim_seed),
             events: schedule.events,
             cursor: 0,
-            lost_pods: HashSet::new(),
+            lost_pods: IdSet::default(),
             preempt_deadlines: Vec::new(),
             slow: Vec::new(),
             applied: 0,
@@ -257,12 +256,14 @@ struct InFlight {
 /// each run used to build a fresh engine heap and in-flight table. The
 /// arena keeps those allocations alive across runs (the engine's
 /// [`reset`](Engine::reset) retains its heap capacity) and exposes the
-/// run statistics — events processed, peak queue depth — that the perf
-/// trajectory bench reports.
+/// run statistics — events processed, peak queue depth — that perfbench
+/// reports.
 #[derive(Debug)]
 pub struct OpenLoopArena {
     engine: Engine<Event>,
-    inflight: HashMap<u64, InFlight>,
+    /// Keyed by request id; only probed, counted, or collected and sorted
+    /// (`deliver_faults`), so its order never reaches an output.
+    inflight: IdMap<u64, InFlight>,
     peak_resident: usize,
 }
 
@@ -284,7 +285,7 @@ impl OpenLoopArena {
     pub fn with_engine_config(config: EngineConfig) -> Self {
         OpenLoopArena {
             engine: Engine::new(config),
-            inflight: HashMap::new(),
+            inflight: IdMap::default(),
             peak_resident: 0,
         }
     }
@@ -585,7 +586,7 @@ impl OpenLoopSimulation {
                             continue;
                         }
                     }
-                    let ctx = self.ctx(&input);
+                    let ctx = self.ctx(input.id);
                     policy.on_admit(&ctx);
                     if let Some(m) = metrics {
                         m.requests.incr(1);
@@ -649,7 +650,7 @@ impl OpenLoopSimulation {
                         state.latencies.push(exec);
                         state.latencies.len()
                     };
-                    let ctx = self.ctx(&inflight[&request_id].input);
+                    let ctx = self.ctx(request_id);
                     policy.on_complete(&ctx, index, exec);
                     if let Some(m) = metrics {
                         m.functions.incr(1);
@@ -860,9 +861,9 @@ impl OpenLoopSimulation {
         Ok(capacity)
     }
 
-    fn ctx(&self, input: &RequestInput) -> RequestContext {
+    fn ctx(&self, request_id: u64) -> RequestContext {
         RequestContext {
-            request_id: input.id,
+            request_id,
             slo: self.config.slo,
             concurrency: self.config.concurrency,
             workflow_len: self.workflow.len(),
@@ -878,7 +879,7 @@ impl OpenLoopSimulation {
         &self,
         rt: &mut FaultRuntime,
         policy: &mut dyn SizingPolicy,
-        inflight: &mut HashMap<u64, InFlight>,
+        inflight: &mut IdMap<u64, InFlight>,
         on_outcome: &mut dyn FnMut(RequestOutcome),
         now: SimTime,
         pool: &mut PoolManager,
@@ -972,7 +973,7 @@ impl OpenLoopSimulation {
         }
         lost.sort_unstable();
         pool.drop_lost(&lost);
-        let lost_set: HashSet<PodId> = lost.into_iter().collect();
+        let lost_set: IdSet<PodId> = lost.into_iter().collect();
         let mut affected: Vec<u64> = inflight
             .iter()
             .filter(|(_, s)| s.current_pod.is_some_and(|p| lost_set.contains(&p)))
@@ -1054,7 +1055,7 @@ impl OpenLoopSimulation {
     fn start_function(
         &self,
         policy: &mut dyn SizingPolicy,
-        inflight: &mut HashMap<u64, InFlight>,
+        inflight: &mut IdMap<u64, InFlight>,
         request_id: u64,
         index: usize,
         now: SimTime,
@@ -1067,12 +1068,7 @@ impl OpenLoopSimulation {
     ) {
         // janus-lint: allow(unwrap-discipline) — every caller inserts or verifies the entry before starting a function
         let state = inflight.get_mut(&request_id).expect("in-flight request");
-        let ctx = RequestContext {
-            request_id,
-            slo: self.config.slo,
-            concurrency: self.config.concurrency,
-            workflow_len: self.workflow.len(),
-        };
+        let ctx = self.ctx(request_id);
         let elapsed_wall = now.saturating_since(state.started_at);
         let remaining = (self.config.slo - elapsed_wall).saturate();
         let size = policy
@@ -1086,17 +1082,17 @@ impl OpenLoopSimulation {
             .expect("index within workflow");
         let acquisition = pool.acquire(function.name(), size, now);
         // The acquired pod is never placed: completion always un-places it.
-        let overcommitted = if cluster
-            .place(acquisition.pod, function.name(), size)
-            .is_err()
-        {
+        let (node, overcommitted) = match cluster.place(acquisition.pod, function.name(), size) {
+            Ok(node) => (Some(node), false),
             // Saturated cluster: overcommit the least-loaded node rather
             // than dropping the request. The pod runs, but it contends —
             // overload shows up as interference, not as free capacity.
-            let _ = cluster.place_overcommitted(acquisition.pod, function.name(), size);
-            true
-        } else {
-            false
+            Err(_) => (
+                cluster
+                    .place_overcommitted(acquisition.pod, function.name(), size)
+                    .ok(),
+                true,
+            ),
         };
         emit!(
             observer,
@@ -1107,7 +1103,11 @@ impl OpenLoopSimulation {
                 overcommitted,
             }
         );
-        let colocated = cluster.colocation_degree(acquisition.pod, function.name());
+        // The pod's co-location degree, read off the node it just landed on
+        // (an unplaced pod runs alone).
+        let colocated = node.map_or(1, |node| {
+            cluster.function_count(node, function.name()).max(1)
+        });
         let mut exec = function.execution_time(
             size,
             self.config.concurrency,
@@ -1117,7 +1117,7 @@ impl OpenLoopSimulation {
         );
         if let Some(rt) = fault_rt {
             // A degraded (slow-node fault) host multiplies the service time.
-            exec = exec * rt.slow_factor(cluster.node_of(acquisition.pod), now);
+            exec = exec * rt.slow_factor(node, now);
         }
         let startup = if self.config.count_startup_delays {
             acquisition.startup_delay

@@ -13,13 +13,12 @@
 //!   a common mitigation baseline.
 
 use crate::error::SimError;
+use crate::idmap::IdMap;
 use crate::node::{Node, NodeId};
 use crate::pod::PodId;
 use crate::resources::Millicores;
 use crate::SimResult;
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — pod table for keyed lookup only; crash_node sorts what it collects, outputs iterate nodes by Vec order (golden trace holds)
-use std::collections::HashMap;
 
 /// Lifecycle state of one cluster node.
 ///
@@ -136,7 +135,9 @@ pub struct Cluster {
     /// Invariant: the sum of the zone's nodes' counts for that slot (retired
     /// nodes host nothing, so they contribute zero).
     zone_slot_counts: Vec<usize>,
-    pods: HashMap<PodId, Placement>,
+    /// Where each placed pod lives. Keyed lookup only (`crash_node` sorts
+    /// what it collects), so the table's order never reaches an output.
+    pods: IdMap<PodId, Placement>,
 }
 
 impl Cluster {
@@ -156,7 +157,7 @@ impl Cluster {
             placement: config.placement,
             functions: Vec::new(),
             zone_slot_counts: Vec::new(),
-            pods: HashMap::new(),
+            pods: IdMap::default(),
         })
     }
 
@@ -967,5 +968,40 @@ mod tests {
         c.place(PodId(1), "od", Millicores::from_cores(8)).unwrap();
         assert!((c.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(c.total_capacity(), Millicores::from_cores(16));
+    }
+
+    #[test]
+    fn sparse_huge_pod_ids_are_placed_and_removed() {
+        // Pod ids are never reused, so a table indexed by id would grow with
+        // the largest id ever issued. Ids at the top of the range must cost
+        // what small ones do.
+        let mut c = zoned(4, 2);
+        let ids: Vec<PodId> = (0..200u64).map(|i| PodId(u64::MAX - i * 7919)).collect();
+        for (i, pod) in ids.iter().enumerate() {
+            let function = ["od", "qa"][i % 2];
+            c.place(*pod, function, Millicores::new(100)).unwrap();
+        }
+        assert_eq!(c.total_allocated().get(), 200 * 100);
+        assert_eq!(
+            c.zone_function_count(0, "od") + c.zone_function_count(1, "od"),
+            100
+        );
+        assert!(c.colocation_degree(ids[0], "od") >= 1);
+        for pod in ids.iter().step_by(2) {
+            c.remove(*pod).unwrap();
+        }
+        assert_eq!(c.total_allocated().get(), 100 * 100);
+        assert_eq!(c.node_of(ids[0]), None);
+        assert!(c.node_of(ids[1]).is_some());
+        assert_eq!(
+            c.zone_function_count(0, "od") + c.zone_function_count(1, "od"),
+            0
+        );
+        // A crash hands back the lost ids sorted, whatever their size.
+        let victim = c.node_of(ids[1]).unwrap();
+        let lost = c.crash_node(victim).unwrap();
+        assert!(!lost.is_empty());
+        assert!(lost.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(lost.iter().all(|(pod, f)| ids.contains(pod) && f == "qa"));
     }
 }

@@ -28,6 +28,9 @@
 //!   so per-event recording pays no name lookup.
 //! * [`registry`] — the generic name-keyed [`Registry`] behind every open
 //!   extension point of the workspace (policies, scenarios, faults, …).
+//! * [`idmap`] — [`IdMap`] / [`IdSet`], hash tables with a one-multiply
+//!   hasher for the simulator-assigned pod and request ids every function
+//!   invocation looks up.
 //!
 //! Everything here is deliberately independent of Janus itself so that the
 //! baselines (ORION, GrandSLAM, …) run on the identical substrate.
@@ -39,6 +42,7 @@ pub mod cluster;
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod idmap;
 pub mod interference;
 pub mod metrics;
 pub mod node;
@@ -54,6 +58,7 @@ pub use cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
 pub use engine::{Engine, EngineConfig};
 pub use error::SimError;
 pub use event::{EventQueue, ScheduledEvent};
+pub use idmap::{IdMap, IdSet};
 pub use interference::{InterferenceModel, ResourceDimension};
 pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle, StreamingHandle};
 pub use node::{Node, NodeId};

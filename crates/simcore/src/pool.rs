@@ -5,12 +5,12 @@
 //! specialising a warm pod to a function costs a small specialisation delay
 //! rather than a full cold start.
 
+use crate::idmap::IdMap;
 use crate::pod::{Pod, PodId, PodState};
 use crate::resources::Millicores;
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-// janus-lint: allow(nondeterminism) — pod registry for keyed lookup; eviction/scheduling order comes from the VecDeque, never map iteration
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Pool-manager configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -54,20 +54,33 @@ pub struct Acquisition {
     pub warm_hit: bool,
 }
 
+/// One tracked pod and, while it waits in a warm queue, when it went idle.
+#[derive(Debug)]
+struct PodEntry {
+    pod: Pod,
+    /// Last time the pod went idle (for recycling); `None` once it leaves
+    /// its warm queue, and for generic pods.
+    idle_since: Option<SimTime>,
+}
+
 /// Warm-pool manager tracking generic pods, specialised idle pods and
 /// hit/miss statistics.
+///
+/// Every queue entry names a tracked pod: a pod leaves the pod table only
+/// together with all its queue entries (shrink, recycling, loss). A warm
+/// acquire or a release costs one pod-table probe plus a linear scan of the
+/// handful of function names.
 #[derive(Debug)]
 pub struct PoolManager {
     config: PoolConfig,
     next_pod: u64,
     /// Generic warm pods ready to be specialised.
     generic: VecDeque<PodId>,
-    /// Idle pods already specialised, keyed by function.
-    warm_by_function: HashMap<String, VecDeque<PodId>>,
-    /// All pods ever created, by id.
-    pods: HashMap<PodId, Pod>,
-    /// Last time each idle pod went idle (for recycling).
-    idle_since: HashMap<PodId, SimTime>,
+    /// Idle pods already specialised: one queue per function, in the order
+    /// the functions were first released.
+    warm_by_function: Vec<(String, VecDeque<PodId>)>,
+    /// Every tracked pod, by id.
+    pods: IdMap<PodId, PodEntry>,
     warm_hits: u64,
     cold_starts: u64,
 }
@@ -79,9 +92,8 @@ impl PoolManager {
             config,
             next_pod: 0,
             generic: VecDeque::new(),
-            warm_by_function: HashMap::new(),
-            pods: HashMap::new(),
-            idle_since: HashMap::new(),
+            warm_by_function: Vec::new(),
+            pods: IdMap::default(),
             warm_hits: 0,
             cold_starts: 0,
         };
@@ -101,10 +113,8 @@ impl PoolManager {
 
     /// Number of idle specialised pods for `function`.
     pub fn warm_available(&self, function: &str) -> usize {
-        self.warm_by_function
-            .get(function)
-            .map(VecDeque::len)
-            .unwrap_or(0)
+        warm_slot(&self.warm_by_function, function)
+            .map_or(0, |slot| self.warm_by_function[slot].1.len())
     }
 
     /// Total warm-pool hits so far.
@@ -130,7 +140,13 @@ impl PoolManager {
         let id = PodId(self.next_pod);
         self.next_pod += 1;
         let pod = Pod::generic(id, self.config.initial_allocation, now);
-        self.pods.insert(id, pod);
+        self.pods.insert(
+            id,
+            PodEntry {
+                pod,
+                idle_since: None,
+            },
+        );
         id
     }
 
@@ -180,19 +196,16 @@ impl PoolManager {
     /// stale entry and is skipped.
     pub fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
         // 1. Reuse a specialised idle pod.
-        while let Some(pod_id) = self
-            .warm_by_function
-            .get_mut(function)
-            .and_then(VecDeque::pop_front)
-        {
-            self.idle_since.remove(&pod_id);
-            if self.start(pod_id, function, allocation) {
-                self.warm_hits += 1;
-                return Acquisition {
-                    pod: pod_id,
-                    startup_delay: SimDuration::ZERO,
-                    warm_hit: true,
-                };
+        if let Some(slot) = warm_slot(&self.warm_by_function, function) {
+            while let Some(pod_id) = self.warm_by_function[slot].1.pop_front() {
+                if self.start(pod_id, function, allocation) {
+                    self.warm_hits += 1;
+                    return Acquisition {
+                        pod: pod_id,
+                        startup_delay: SimDuration::ZERO,
+                        warm_hit: true,
+                    };
+                }
             }
         }
         // 2. Specialise a generic pod.
@@ -218,14 +231,17 @@ impl PoolManager {
         }
     }
 
-    /// Run a tracked generic or idle pod for `function` at `allocation`:
-    /// specialise it if generic, apply the size and mark it running.
-    /// Returns `false`, touching nothing, when the pod is untracked or
-    /// neither generic nor idle — the only states those transitions reject.
+    /// Run a tracked pod just taken off a queue for `function` at
+    /// `allocation`: it is no longer idle, and if it is generic or idle it is
+    /// specialised (when generic), sized and marked running. Returns `false`
+    /// when the pod is untracked or neither generic nor idle — the only
+    /// states those transitions reject — leaving the pod itself untouched.
     fn start(&mut self, pod_id: PodId, function: &str, allocation: Millicores) -> bool {
-        let Some(pod) = self.pods.get_mut(&pod_id) else {
+        let Some(entry) = self.pods.get_mut(&pod_id) else {
             return false;
         };
+        entry.idle_since = None;
+        let pod = &mut entry.pod;
         let ready = match pod.state() {
             PodState::Generic => pod.specialize(function).is_ok(),
             PodState::Warm => true,
@@ -237,79 +253,93 @@ impl PoolManager {
     /// Return a pod after its execution finished; it becomes an idle
     /// specialised pod available for reuse.
     pub fn release(&mut self, pod_id: PodId, now: SimTime) {
-        let Some(pod) = self.pods.get_mut(&pod_id) else {
+        let Some(entry) = self.pods.get_mut(&pod_id) else {
             return;
         };
-        if pod.state() == PodState::Running {
+        if entry.pod.state() == PodState::Running {
             // Cannot fail: only a non-running pod is rejected.
-            let _ = pod.finish_execution();
+            let _ = entry.pod.finish_execution();
         }
-        if let Some(function) = pod.function() {
-            match self.warm_by_function.get_mut(function) {
-                Some(queue) => queue.push_back(pod_id),
+        if let Some(function) = entry.pod.function() {
+            match warm_slot(&self.warm_by_function, function) {
+                Some(slot) => self.warm_by_function[slot].1.push_back(pod_id),
                 None => open_warm_queue(&mut self.warm_by_function, function, pod_id),
             }
-            self.idle_since.insert(pod_id, now);
+            entry.idle_since = Some(now);
         }
     }
 
     /// Recycle specialised pods idle for longer than the configured window
     /// and top the generic pool back up. Returns how many pods were recycled.
+    ///
+    /// One pass over the pod table finds and drops the expired pods; then
+    /// only the warm queues of their functions are swept, once each.
     pub fn recycle_idle(&mut self, now: SimTime) -> usize {
         let cutoff = self.config.idle_recycle_after;
-        let mut recycled = 0;
-        let expired: Vec<PodId> = self
-            .idle_since
-            .iter()
-            .filter(|(_, since)| now.saturating_since(**since) >= cutoff)
-            .map(|(id, _)| *id)
-            .collect();
-        for pod_id in expired {
-            self.idle_since.remove(&pod_id);
-            for queue in self.warm_by_function.values_mut() {
-                queue.retain(|id| *id != pod_id);
+        let before = self.pods.len();
+        // Slots of the warm queues holding an expired pod (allocated only
+        // when something expires).
+        let mut swept: Vec<usize> = Vec::new();
+        let warm = &self.warm_by_function;
+        // A recycled pod leaves its warm queue below (its only queue), so
+        // nothing can reach it again; drop it from the tracking map rather
+        // than keeping terminated entries forever (the open loop recycles on
+        // every capacity tick — long runs must stay bounded).
+        self.pods.retain(|_, entry| {
+            let expired = entry
+                .idle_since
+                .is_some_and(|since| now.saturating_since(since) >= cutoff);
+            if expired {
+                // An idle pod is specialised and queued under its function.
+                if let Some(slot) = entry.pod.function().and_then(|f| warm_slot(warm, f)) {
+                    if !swept.contains(&slot) {
+                        swept.push(slot);
+                    }
+                }
             }
-            // Recycled pods leave every queue above, so nothing can reach
-            // them again; drop them from the tracking map rather than
-            // keeping terminated entries forever (the open loop recycles on
-            // every capacity tick — long runs must stay bounded).
-            self.pods.remove(&pod_id);
-            recycled += 1;
+            !expired
+        });
+        let recycled = before - self.pods.len();
+        for slot in swept {
+            let pods = &self.pods;
+            self.warm_by_function[slot]
+                .1
+                .retain(|id| pods.contains_key(id));
         }
         self.refill(now);
         recycled
     }
 
     /// Forget pods lost abruptly (a node crash, not a drain): each is
-    /// removed from the generic pool, every warm queue, the idle tracker and
-    /// the pod table, so nothing can hand a dead pod out again and the
-    /// tracking map cannot grow dead entries across a crash-heavy run.
-    /// Unknown ids are ignored (the pod may already have been recycled).
-    /// Returns how many pods were actually dropped.
+    /// removed from the pod table, and then one pass over the generic pool
+    /// and every warm queue drops their entries, so nothing can hand a dead
+    /// pod out again and the tracking map cannot grow dead entries across a
+    /// crash-heavy run. Unknown ids are ignored (the pod may already have
+    /// been recycled). Returns how many pods were actually dropped.
     pub fn drop_lost(&mut self, lost: &[PodId]) -> usize {
-        let mut dropped = 0;
+        let before = self.pods.len();
         for pod_id in lost {
-            if self.pods.remove(pod_id).is_none() {
-                continue;
+            self.pods.remove(pod_id);
+        }
+        let dropped = before - self.pods.len();
+        if dropped > 0 {
+            let pods = &self.pods;
+            self.generic.retain(|id| pods.contains_key(id));
+            for (_, queue) in &mut self.warm_by_function {
+                queue.retain(|id| pods.contains_key(id));
             }
-            self.generic.retain(|id| id != pod_id);
-            for queue in self.warm_by_function.values_mut() {
-                queue.retain(|id| id != pod_id);
-            }
-            self.idle_since.remove(pod_id);
-            dropped += 1;
         }
         dropped
     }
 
     /// Mutable access to a pod (e.g. for a resize while it is idle or running).
     pub fn pod_mut(&mut self, pod_id: PodId) -> Option<&mut Pod> {
-        self.pods.get_mut(&pod_id)
+        self.pods.get_mut(&pod_id).map(|entry| &mut entry.pod)
     }
 
     /// Immutable access to a pod.
     pub fn pod(&self, pod_id: PodId) -> Option<&Pod> {
-        self.pods.get(&pod_id)
+        self.pods.get(&pod_id).map(|entry| &entry.pod)
     }
 
     /// Total pods ever created (including surplus generic pods already
@@ -325,15 +355,21 @@ impl PoolManager {
     }
 }
 
+/// Slot of `function`'s warm queue: a linear scan of the handful of
+/// function names, cheaper than hashing the name.
+fn warm_slot(warm_by_function: &[(String, VecDeque<PodId>)], function: &str) -> Option<usize> {
+    warm_by_function.iter().position(|(f, _)| f == function)
+}
+
 /// Cold path: the first release of `function` opens its warm queue (once
 /// per function name for the pool's lifetime).
 #[cold]
 fn open_warm_queue(
-    warm_by_function: &mut HashMap<String, VecDeque<PodId>>,
+    warm_by_function: &mut Vec<(String, VecDeque<PodId>)>,
     function: &str,
     pod_id: PodId,
 ) {
-    warm_by_function.insert(function.to_string(), VecDeque::from([pod_id]));
+    warm_by_function.push((function.to_string(), VecDeque::from([pod_id])));
 }
 
 #[cfg(test)]
@@ -489,5 +525,279 @@ mod tests {
         let recycled = mgr.recycle_idle(SimTime::from_secs(300.0));
         assert_eq!(recycled, 1);
         assert_eq!(mgr.generic_available(), 1);
+    }
+
+    /// Naive reference model of the pool's contract: every table is a
+    /// `Vec` searched linearly, idle times live in their own list, and each
+    /// lost or expired pod is removed from every queue one by one.
+    struct ModelPool {
+        config: PoolConfig,
+        next_pod: u64,
+        generic: Vec<PodId>,
+        warm: Vec<(String, Vec<PodId>)>,
+        pods: Vec<Pod>,
+        idle_since: Vec<(PodId, SimTime)>,
+        warm_hits: u64,
+        cold_starts: u64,
+    }
+
+    impl ModelPool {
+        fn new(config: PoolConfig) -> Self {
+            let mut model = ModelPool {
+                config,
+                next_pod: 0,
+                generic: Vec::new(),
+                warm: Vec::new(),
+                pods: Vec::new(),
+                idle_since: Vec::new(),
+                warm_hits: 0,
+                cold_starts: 0,
+            };
+            model.refill(SimTime::ZERO);
+            model
+        }
+
+        fn pod(&self, id: PodId) -> Option<&Pod> {
+            self.pods.iter().find(|p| p.id() == id)
+        }
+
+        fn new_pod(&mut self, now: SimTime) -> PodId {
+            let id = PodId(self.next_pod);
+            self.next_pod += 1;
+            self.pods
+                .push(Pod::generic(id, self.config.initial_allocation, now));
+            id
+        }
+
+        fn refill(&mut self, now: SimTime) {
+            while self.generic.len() < self.config.pool_size {
+                let id = self.new_pod(now);
+                self.generic.push(id);
+            }
+        }
+
+        fn forget(&mut self, id: PodId) {
+            self.pods.retain(|p| p.id() != id);
+            self.idle_since.retain(|(p, _)| *p != id);
+            for (_, queue) in &mut self.warm {
+                queue.retain(|p| *p != id);
+            }
+        }
+
+        fn start(&mut self, id: PodId, function: &str, allocation: Millicores) -> bool {
+            let Some(pod) = self.pods.iter_mut().find(|p| p.id() == id) else {
+                return false;
+            };
+            let ready = match pod.state() {
+                PodState::Generic => pod.specialize(function).is_ok(),
+                PodState::Warm => true,
+                PodState::Running | PodState::Terminated => false,
+            };
+            ready && pod.resize(allocation).is_ok() && pod.start_execution().is_ok()
+        }
+
+        fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
+            if let Some(q) = self.warm.iter().position(|(f, _)| f == function) {
+                while !self.warm[q].1.is_empty() {
+                    let id = self.warm[q].1.remove(0);
+                    self.idle_since.retain(|(p, _)| *p != id);
+                    if self.start(id, function, allocation) {
+                        self.warm_hits += 1;
+                        return Acquisition {
+                            pod: id,
+                            startup_delay: SimDuration::ZERO,
+                            warm_hit: true,
+                        };
+                    }
+                }
+            }
+            while !self.generic.is_empty() {
+                let id = self.generic.remove(0);
+                if self.start(id, function, allocation) {
+                    self.warm_hits += 1;
+                    return Acquisition {
+                        pod: id,
+                        startup_delay: self.config.specialization_delay,
+                        warm_hit: true,
+                    };
+                }
+            }
+            let id = self.new_pod(now);
+            assert!(self.start(id, function, allocation));
+            self.cold_starts += 1;
+            Acquisition {
+                pod: id,
+                startup_delay: self.config.cold_start_delay,
+                warm_hit: false,
+            }
+        }
+
+        fn release(&mut self, id: PodId, now: SimTime) {
+            let Some(pod) = self.pods.iter_mut().find(|p| p.id() == id) else {
+                return;
+            };
+            if pod.state() == PodState::Running {
+                pod.finish_execution().unwrap();
+            }
+            let Some(function) = pod.function().map(str::to_string) else {
+                return;
+            };
+            match self.warm.iter_mut().find(|(f, _)| *f == function) {
+                Some((_, queue)) => queue.push(id),
+                None => self.warm.push((function, vec![id])),
+            }
+            self.idle_since.retain(|(p, _)| *p != id);
+            self.idle_since.push((id, now));
+        }
+
+        fn recycle_idle(&mut self, now: SimTime) -> usize {
+            let cutoff = self.config.idle_recycle_after;
+            let expired: Vec<PodId> = self
+                .idle_since
+                .iter()
+                .filter(|(_, since)| now.saturating_since(*since) >= cutoff)
+                .map(|(id, _)| *id)
+                .collect();
+            for id in &expired {
+                self.forget(*id);
+            }
+            self.refill(now);
+            expired.len()
+        }
+
+        fn drop_lost(&mut self, lost: &[PodId]) -> usize {
+            let mut dropped = 0;
+            for &id in lost {
+                if self.pod(id).is_some() {
+                    self.forget(id);
+                    self.generic.retain(|p| *p != id);
+                    dropped += 1;
+                }
+            }
+            dropped
+        }
+
+        fn set_target_pool_size(&mut self, target: usize, now: SimTime) {
+            self.config.pool_size = target;
+            while self.generic.len() > target {
+                let id = self.generic.pop().unwrap();
+                self.pods.retain(|p| p.id() != id);
+            }
+            self.refill(now);
+        }
+
+        fn warm_available(&self, function: &str) -> usize {
+            self.warm
+                .iter()
+                .find(|(f, _)| f == function)
+                .map_or(0, |(_, queue)| queue.len())
+        }
+    }
+
+    /// Everything observable about one pod.
+    fn view(pod: Option<&Pod>) -> Option<(PodState, Millicores, Option<String>, u64)> {
+        pod.map(|p| {
+            (
+                p.state(),
+                p.allocation(),
+                p.function().map(str::to_string),
+                p.executions(),
+            )
+        })
+    }
+
+    #[test]
+    fn random_operations_match_a_naive_reference_model() {
+        use crate::rng::SimRng;
+        const FUNCTIONS: [&str; 4] = ["od", "qa", "ts", "asr"];
+        let config = PoolConfig {
+            pool_size: 3,
+            idle_recycle_after: SimDuration::from_secs(5.0),
+            ..PoolConfig::default()
+        };
+        let mut mgr = PoolManager::new(config.clone());
+        let mut model = ModelPool::new(config);
+        let mut rng = SimRng::seed_from_u64(0x5EED_F00D);
+        let mut now = SimTime::ZERO;
+        let mut running: Vec<PodId> = Vec::new();
+        let (mut recycled, mut dropped, mut stale_releases) = (0, 0, 0);
+        for step in 0..10_000 {
+            now += SimDuration::from_millis(rng.uniform_range(0.0, 400.0));
+            // Any id issued so far, or one just past it (unknown).
+            let issued = model.next_pod;
+            let any_id = |rng: &mut SimRng| PodId(rng.int_range(0, issued + 1));
+            let touched = match rng.int_range(0, 99) {
+                0..=39 => {
+                    let function = FUNCTIONS[rng.int_range(0, 3) as usize];
+                    let allocation = Millicores::new(1000 + 100 * rng.int_range(0, 20) as u32);
+                    let got = mgr.acquire(function, allocation, now);
+                    let want = model.acquire(function, allocation, now);
+                    assert_eq!(got, want, "acquire at step {step}");
+                    running.push(got.pod);
+                    got.pod
+                }
+                40..=74 => {
+                    // Mostly finish a running pod; sometimes release an
+                    // arbitrary id (idle, generic, lost or unknown).
+                    let pod = if !running.is_empty() && rng.int_range(0, 9) < 8 {
+                        let i = rng.int_range(0, running.len() as u64 - 1) as usize;
+                        running.swap_remove(i)
+                    } else {
+                        stale_releases += 1;
+                        any_id(&mut rng)
+                    };
+                    mgr.release(pod, now);
+                    model.release(pod, now);
+                    pod
+                }
+                75..=84 => {
+                    let n = mgr.recycle_idle(now);
+                    assert_eq!(n, model.recycle_idle(now), "recycle at step {step}");
+                    recycled += n;
+                    any_id(&mut rng)
+                }
+                85..=92 => {
+                    let mut lost: Vec<PodId> =
+                        (0..rng.int_range(0, 4)).map(|_| any_id(&mut rng)).collect();
+                    if !running.is_empty() {
+                        let i = rng.int_range(0, running.len() as u64 - 1) as usize;
+                        lost.push(running.swap_remove(i));
+                    }
+                    let n = mgr.drop_lost(&lost);
+                    assert_eq!(n, model.drop_lost(&lost), "drop_lost at step {step}");
+                    dropped += n;
+                    lost.first().copied().unwrap_or(PodId(0))
+                }
+                _ => {
+                    let target = rng.int_range(0, 6) as usize;
+                    mgr.set_target_pool_size(target, now);
+                    model.set_target_pool_size(target, now);
+                    any_id(&mut rng)
+                }
+            };
+            assert_eq!(
+                view(mgr.pod(touched)),
+                view(model.pod(touched)),
+                "pod {touched} at step {step}"
+            );
+            assert_eq!(mgr.generic_available(), model.generic.len(), "step {step}");
+            for function in FUNCTIONS {
+                assert_eq!(
+                    mgr.warm_available(function),
+                    model.warm_available(function),
+                    "warm {function} at step {step}"
+                );
+            }
+            assert_eq!(mgr.tracked_pods(), model.pods.len(), "step {step}");
+            assert_eq!(mgr.total_pods() as u64, model.next_pod, "step {step}");
+            assert_eq!(
+                (mgr.warm_hits(), mgr.cold_starts()),
+                (model.warm_hits, model.cold_starts),
+                "step {step}"
+            );
+        }
+        // The run reached every path the model pins.
+        assert!(recycled > 0 && dropped > 0 && stale_releases > 0);
+        assert!(mgr.warm_hits() > 0 && mgr.cold_starts() > 0);
     }
 }
