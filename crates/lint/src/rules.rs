@@ -61,10 +61,10 @@ pub struct LintConfig {
 
 impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
-    /// the per-event serving loops + `emit!` + metrics handles + placement
-    /// and warm-pool calls + the flight recorder's per-record path as hot
-    /// paths, and `Record` construction confined
-    /// to observe and the macro.
+    /// the per-event serving loops + `emit!` + metrics handles + placement,
+    /// warm-pool and event-queue calls + the flight recorder's per-record
+    /// path as hot paths, and `Record` construction confined to observe and
+    /// the macro.
     pub fn workspace_default() -> Self {
         let hot = |file_suffix: &str, item: &str| HotPath {
             file_suffix: file_suffix.to_string(),
@@ -97,12 +97,17 @@ impl LintConfig {
                 hot("simcore/src/cluster.rs", "place_overcommitted"),
                 hot("simcore/src/cluster.rs", "remove"),
                 hot("simcore/src/cluster.rs", "pick_node"),
+                hot("simcore/src/cluster.rs", "last_max"),
                 hot("simcore/src/cluster.rs", "colocation_degree"),
                 hot("simcore/src/cluster.rs", "attach"),
                 hot("simcore/src/cluster.rs", "detach"),
                 hot("simcore/src/pool.rs", "acquire"),
                 hot("simcore/src/pool.rs", "start"),
                 hot("simcore/src/pool.rs", "release"),
+                // The event queue: every event is scheduled and popped once.
+                hot("simcore/src/event.rs", "schedule_class"),
+                hot("simcore/src/event.rs", "pop"),
+                hot("simcore/src/engine.rs", "next_event"),
                 // The flight recorder's per-record path: every observer's
                 // `record`, the trace line writers and the span table.
                 hot("observe/src/lib.rs", "record"),

@@ -19,6 +19,7 @@ use crate::pod::PodId;
 use crate::resources::Millicores;
 use crate::SimResult;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// Lifecycle state of one cluster node.
 ///
@@ -400,45 +401,73 @@ impl Cluster {
         self.zone_slot_counts[slot * self.zone_count + zone]
     }
 
+    /// The active node that fits `allocation` and ranks highest under the
+    /// placement policy, in one pass over the fleet. Each node's criteria
+    /// are packed into one integer key (see [`rank`]) and `>=` keeps the
+    /// *last* maximum, the node `Iterator::max_by_key` would return.
     fn pick_node(&self, slot: usize, allocation: Millicores) -> Option<usize> {
-        let fitting = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(i, n)| self.states[*i] == NodeState::Active && n.can_fit(allocation));
         match self.placement {
-            PlacementPolicy::PackSameFunction => fitting
-                .max_by_key(|(_, n)| (n.slot_count(slot), n.free().get()))
-                .map(|(i, _)| i),
+            PlacementPolicy::PackSameFunction => self.last_max(allocation, |_, node| {
+                rank(count32(node.slot_count(slot)), node.free())
+            }),
             // Zone-aware spread: first keep instances of the same function
             // out of each other's blast radius (fewest copies in the node's
             // zone), then balance load (most free capacity). With one zone
             // the first criterion ties everywhere, degenerating to the
             // original most-free-capacity spread.
-            PlacementPolicy::Spread => fitting
-                .max_by_key(|(i, n)| {
-                    (
-                        std::cmp::Reverse(self.zone_slot_count(self.node_zones[*i], slot)),
-                        n.free().get(),
-                    )
-                })
-                .map(|(i, _)| i),
+            PlacementPolicy::Spread => self.last_max(allocation, |i, node| {
+                let copies = self.zone_slot_count(self.node_zones[i], slot);
+                rank(u32::MAX - count32(copies), node.free())
+            }),
         }
     }
 
-    /// Record `pod` on node `idx` and keep the per-zone counts in step.
-    fn attach(&mut self, pod: PodId, idx: usize, slot: usize, allocation: Millicores) -> NodeId {
+    /// Index of the last active node fitting `allocation` with the largest
+    /// `key`.
+    #[inline]
+    fn last_max(&self, allocation: Millicores, key: impl Fn(usize, &Node) -> u64) -> Option<usize> {
+        let mut best = None;
+        let mut best_key = 0;
+        for (i, (node, state)) in self.nodes.iter().zip(&self.states).enumerate() {
+            if *state != NodeState::Active || !node.can_fit(allocation) {
+                continue;
+            }
+            let key = key(i, node);
+            if best.is_none() || key >= best_key {
+                best = Some(i);
+                best_key = key;
+            }
+        }
+        best
+    }
+
+    /// Record `pod` on node `target` with one pod-table probe and keep the
+    /// node and per-zone counts in step. A pod placed already is rejected,
+    /// whatever `target` holds; otherwise `target`'s error is returned.
+    fn attach(
+        &mut self,
+        pod: PodId,
+        slot: usize,
+        target: SimResult<usize>,
+        allocation: Millicores,
+    ) -> SimResult<NodeId> {
+        let idx = match self.pods.entry(pod) {
+            Entry::Occupied(placed) => {
+                return Err(already_placed(pod, self.nodes[placed.get().node].id()))
+            }
+            Entry::Vacant(vacant) => {
+                let idx = target?;
+                vacant.insert(Placement {
+                    node: idx,
+                    slot,
+                    allocation,
+                });
+                idx
+            }
+        };
         self.nodes[idx].attach(slot, allocation);
         self.zone_slot_counts[slot * self.zone_count + self.node_zones[idx]] += 1;
-        self.pods.insert(
-            pod,
-            Placement {
-                node: idx,
-                slot,
-                allocation,
-            },
-        );
-        self.nodes[idx].id()
+        Ok(self.nodes[idx].id())
     }
 
     /// Forget `pod`, releasing its allocation; returns its node index.
@@ -458,14 +487,11 @@ impl Cluster {
         function: &str,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
-        if let Some(p) = self.pods.get(&pod) {
-            return Err(already_placed(pod, self.nodes[p.node].id()));
-        }
         let slot = self.intern(function);
-        match self.pick_node(slot, allocation) {
-            Some(idx) => Ok(self.attach(pod, idx, slot, allocation)),
-            None => Err(self.insufficient_capacity(allocation)),
-        }
+        let target = self
+            .pick_node(slot, allocation)
+            .ok_or_else(|| self.insufficient_capacity(allocation));
+        self.attach(pod, slot, target, allocation)
     }
 
     /// Cold path: the placement error, naming the largest free capacity of
@@ -496,17 +522,14 @@ impl Cluster {
         function: &str,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
-        if let Some(p) = self.pods.get(&pod) {
-            return Err(already_placed(pod, self.nodes[p.node].id()));
-        }
-        let idx = self
+        let slot = self.intern(function);
+        let target = self
             .least_allocated_active()
             .ok_or(SimError::InsufficientCapacity {
                 requested: allocation,
                 available: Millicores::ZERO,
-            })?;
-        let slot = self.intern(function);
-        Ok(self.attach(pod, idx, slot, allocation))
+            });
+        self.attach(pod, slot, target, allocation)
     }
 
     /// Remove a pod from its node. If the node was draining and this was its
@@ -518,12 +541,14 @@ impl Cluster {
     }
 
     /// Resize a placed pod. Growth must fit its node's capacity; shrinking
-    /// always succeeds.
+    /// always succeeds, also on an overcommitted node.
     pub fn resize(&mut self, pod: PodId, allocation: Millicores) -> SimResult<()> {
         let p = self.pods.get_mut(&pod).ok_or_else(|| unknown_pod(pod))?;
         let node = &mut self.nodes[p.node];
         let current = p.allocation;
-        if node.allocated().saturating_sub(current) + allocation > node.capacity() {
+        if allocation > current
+            && node.allocated().saturating_sub(current) + allocation > node.capacity()
+        {
             return Err(SimError::InsufficientCapacity {
                 requested: allocation,
                 available: node.free() + current,
@@ -572,6 +597,21 @@ impl Cluster {
             _ => 1,
         }
     }
+}
+
+/// One node's placement rank: `major` in the high 32 bits, free CPU in the
+/// low 32, so integer order is the lexicographic order of `(major, free)`
+/// that `max_by_key` compared.
+#[inline]
+fn rank(major: u32, free: Millicores) -> u64 {
+    u64::from(major) << 32 | u64::from(free.get())
+}
+
+/// A pod count as a rank's major part. It saturates at `u32::MAX`, a count
+/// no node or zone can reach.
+#[inline]
+fn count32(count: usize) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
 }
 
 /// Cold path: a pod id that no placement knows about.
@@ -774,6 +814,24 @@ mod tests {
         assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
         assert!(c.resize(PodId(9), Millicores::new(1000)).is_err());
         assert_eq!(c.pod_allocation(PodId(9)), None);
+
+        // Shrinking succeeds on an overcommitted node too, while growth
+        // there is still refused.
+        let mut c = Cluster::new(&ClusterConfig {
+            nodes: 1,
+            node_capacity: Millicores::new(4000),
+            placement: PlacementPolicy::PackSameFunction,
+            zones: 1,
+        })
+        .unwrap();
+        c.place(PodId(1), "od", Millicores::new(3000)).unwrap();
+        c.place_overcommitted(PodId(2), "od", Millicores::new(3000))
+            .unwrap();
+        c.resize(PodId(1), Millicores::new(2000)).unwrap();
+        assert_eq!(c.pod_allocation(PodId(1)), Some(Millicores::new(2000)));
+        assert_eq!(c.total_allocated().get(), 5000);
+        assert!(c.resize(PodId(1), Millicores::new(2500)).is_err());
+        assert_eq!(c.total_allocated().get(), 5000);
     }
 
     #[test]
@@ -968,6 +1026,44 @@ mod tests {
         c.place(PodId(1), "od", Millicores::from_cores(8)).unwrap();
         assert!((c.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(c.total_capacity(), Millicores::from_cores(16));
+    }
+
+    #[test]
+    fn copies_outrank_any_free_capacity_difference() {
+        // Free capacity fills the low half of a node's placement rank; on
+        // nodes of billions of millicores it must still never outweigh one
+        // copy of the function.
+        let huge = |placement, zones| {
+            Cluster::new(&ClusterConfig {
+                nodes: 2,
+                node_capacity: Millicores::new(4_000_000_000),
+                placement,
+                zones,
+            })
+            .unwrap()
+        };
+        // Pack: equal nodes tie to the last; the second pod follows the
+        // first although the other node has more free CPU.
+        let mut c = huge(PlacementPolicy::PackSameFunction, 1);
+        let first = c.place(PodId(1), "od", Millicores::new(1_000_000)).unwrap();
+        assert_eq!(first, NodeId(1));
+        assert_eq!(c.place(PodId(2), "od", Millicores::new(10)).unwrap(), first);
+        // Spread: a zone without the function beats a zone with one copy
+        // even with half the free CPU.
+        let mut c = huge(PlacementPolicy::Spread, 2);
+        assert_eq!(
+            c.place(PodId(1), "qa", Millicores::new(2_000_000_000))
+                .unwrap(),
+            NodeId(1)
+        );
+        assert_eq!(
+            c.place(PodId(2), "od", Millicores::new(10)).unwrap(),
+            NodeId(0)
+        );
+        assert_eq!(
+            c.place(PodId(3), "od", Millicores::new(10)).unwrap(),
+            NodeId(1)
+        );
     }
 
     #[test]

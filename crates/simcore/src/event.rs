@@ -14,9 +14,16 @@
 //! never mix scheduling disciplines can ignore classes entirely (everything
 //! defaults to class 0, where ordering degenerates to the historical
 //! time-then-sequence rule).
+//!
+//! Payloads never move while the heap sifts: each pending payload sits in a
+//! slab slot (`Vec<Option<E>>` plus a free-slot list, both kept across
+//! [`EventQueue::clear`]), and the heap orders small `Copy` keys — the firing
+//! time as a `u64` that orders exactly like `f64::total_cmp`, the class, the
+//! sequence number and the slot. A key is 24 bytes whatever the payload, so
+//! a push or pop moves a few words per level instead of a whole event.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// An event scheduled at a point in simulated time carrying an arbitrary
@@ -34,35 +41,48 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.class == other.class && self.seq == other.seq
+/// What the heap sifts: the event's order (time, class, seq) plus the slab
+/// slot holding its payload. `seq` is unique, so `slot` never decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    time: u64,
+    class: u8,
+    seq: u64,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
+
+/// Map an `f64`'s bits to a `u64` whose unsigned order is `f64::total_cmp`'s:
+/// negative values (sign bit set) have every bit flipped, so larger
+/// magnitudes sort lower, and non-negative values get the sign bit set, so
+/// they sort above every negative value (`-0.0` just below `0.0`).
+fn time_key(at: SimTime) -> u64 {
+    let bits = at.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .at
-            .total_cmp(&self.at)
-            .then_with(|| other.class.cmp(&self.class))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+/// Inverse of [`time_key`]: the exact instant the key was made from.
+fn key_time(key: u64) -> SimTime {
+    SimTime::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// A deterministic priority queue of future events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<ScheduledEvent<E>>,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Payload slab: `Some` exactly at the slots of pending events.
+    slots: Vec<Option<E>>,
+    /// Vacant slots, reused before the slab grows.
+    free: Vec<u32>,
     next_seq: u64,
     peak: usize,
 }
@@ -81,11 +101,13 @@ impl<E> EventQueue<E> {
 
     /// Empty queue pre-sized for `capacity` pending events, so simulations
     /// that know their arrival count up front (open-loop replays schedule
-    /// every arrival before the first pop) skip the heap's growth
-    /// reallocations.
+    /// every arrival before the first pop) skip the heap's and the slab's
+    /// growth reallocations.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
             next_seq: 0,
             peak: 0,
         }
@@ -94,6 +116,8 @@ impl<E> EventQueue<E> {
     /// Reserve space for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
         self.heap.reserve(additional);
+        self.slots
+            .reserve(additional.saturating_sub(self.free.len()));
     }
 
     /// Schedule `payload` to fire at `at` in the default class 0. Returns
@@ -108,24 +132,49 @@ impl<E> EventQueue<E> {
     pub fn schedule_class(&mut self, at: SimTime, class: u8, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(ScheduledEvent {
-            at,
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(payload);
+                slot
+            }
+            None => self.grow_slab(payload),
+        };
+        self.heap.push(Reverse(Key {
+            time: time_key(at),
             class,
             seq,
-            payload,
-        });
+            slot,
+        }));
         self.peak = self.peak.max(self.heap.len());
         seq
     }
 
+    /// Append `payload` in a new slab slot (no vacant slot to reuse).
+    fn grow_slab(&mut self, payload: E) -> u32 {
+        let slot = u32::try_from(self.slots.len())
+            .unwrap_or_else(|_| unreachable!("more than u32::MAX pending events"));
+        self.slots.push(Some(payload));
+        slot
+    }
+
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop()
+        let Reverse(key) = self.heap.pop()?;
+        let Some(payload) = self.slots[key.slot as usize].take() else {
+            unreachable!("pending event {} has an empty slab slot", key.seq);
+        };
+        self.free.push(key.slot);
+        Some(ScheduledEvent {
+            at: key_time(key.time),
+            class: key.class,
+            seq: key.seq,
+            payload,
+        })
     }
 
     /// Firing time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|Reverse(key)| key_time(key.time))
     }
 
     /// Number of pending events.
@@ -146,10 +195,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Drop all pending events and reset the peak-depth statistic. The
-    /// backing allocation is kept, so a cleared queue can be reused across
-    /// runs without reallocating.
+    /// heap's and the slab's allocations are kept, so a cleared queue can be
+    /// reused across runs without reallocating.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slots.clear();
+        self.free.clear();
         self.peak = 0;
     }
 }
@@ -157,6 +208,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use crate::time::SimTime;
 
     #[test]
@@ -226,5 +278,146 @@ mod tests {
         q.reserve(16);
         q.schedule(SimTime::from_millis(1.0), 1);
         assert_eq!(q.peak_len(), 1);
+    }
+
+    #[test]
+    fn time_keys_order_like_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.5,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in values {
+            let ta = SimTime::from_bits(a.to_bits());
+            assert_eq!(key_time(time_key(ta)).to_bits(), a.to_bits());
+            for b in values {
+                let tb = SimTime::from_bits(b.to_bits());
+                assert_eq!(
+                    time_key(ta).cmp(&time_key(tb)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
+    }
+
+    /// Reference model: every pending event in a `Vec`, the earliest found
+    /// by a scan over (`total_cmp` time, class, seq).
+    #[derive(Default)]
+    struct Model {
+        pending: Vec<(SimTime, u8, u64, u64)>,
+        next_seq: u64,
+        peak: usize,
+    }
+
+    impl Model {
+        fn schedule(&mut self, at: SimTime, class: u8, payload: u64) -> u64 {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.push((at, class, seq, payload));
+            self.peak = self.peak.max(self.pending.len());
+            seq
+        }
+
+        fn earliest(&self) -> Option<usize> {
+            (0..self.pending.len()).min_by(|&i, &j| {
+                let (a, b) = (&self.pending[i], &self.pending[j]);
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+            })
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u8, u64, u64)> {
+            self.earliest().map(|i| self.pending.swap_remove(i))
+        }
+
+        fn clear(&mut self) {
+            self.pending.clear();
+            self.peak = 0;
+        }
+    }
+
+    #[test]
+    fn random_operations_match_a_sorted_reference_model() {
+        // Few distinct timestamps force ties on time (and, with three
+        // classes, on class), so seq decides often; -0.0 and 0.0 must stay
+        // distinct, ordered as total_cmp orders them.
+        const TIMES: [f64; 7] = [0.0, -0.0, 1.0, 2.5, -4.0, 1e9, 2.5e-7];
+        let mut rng = SimRng::seed_from_u64(0xE7E47);
+        let mut queue: EventQueue<u64> = EventQueue::with_capacity(4);
+        let mut model = Model::default();
+        let (mut pops, mut ties) = (0usize, 0usize);
+        for step in 0..10_000u64 {
+            let at = SimTime::from_millis(TIMES[rng.int_range(0, 6) as usize]);
+            match rng.int_range(0, 99) {
+                0..=34 => {
+                    assert_eq!(queue.schedule(at, step), model.schedule(at, 0, step));
+                }
+                35..=59 => {
+                    let class = rng.int_range(0, 2) as u8;
+                    assert_eq!(
+                        queue.schedule_class(at, class, step),
+                        model.schedule(at, class, step)
+                    );
+                }
+                60..=89 => {
+                    let expected = model.pop();
+                    let got = queue.pop().map(|e| (e.at, e.class, e.seq, e.payload));
+                    match (got, expected) {
+                        (Some(g), Some(e)) => {
+                            assert_eq!(
+                                g.0.as_millis().to_bits(),
+                                e.0.as_millis().to_bits(),
+                                "step {step}: time"
+                            );
+                            assert_eq!((g.1, g.2, g.3), (e.1, e.2, e.3), "step {step}");
+                            pops += 1;
+                            if model
+                                .pending
+                                .iter()
+                                .any(|p| p.0.as_millis().to_bits() == e.0.as_millis().to_bits())
+                            {
+                                ties += 1;
+                            }
+                        }
+                        (None, None) => {}
+                        (g, e) => panic!("step {step}: popped {g:?}, model has {e:?}"),
+                    }
+                }
+                90..=98 => {
+                    let expected = model
+                        .earliest()
+                        .map(|i| model.pending[i].0.as_millis().to_bits());
+                    assert_eq!(queue.peek_time().map(|t| t.as_millis().to_bits()), expected);
+                }
+                _ => {
+                    queue.clear();
+                    model.clear();
+                }
+            }
+            assert_eq!(queue.len(), model.pending.len(), "step {step}: len");
+            assert_eq!(queue.is_empty(), model.pending.is_empty());
+            assert_eq!(queue.peak_len(), model.peak, "step {step}: peak");
+        }
+        // The run must exercise what it is meant to: many pops, many of
+        // them among equal timestamps.
+        assert!(pops > 2_000 && ties > 500, "pops {pops}, ties {ties}");
+        while let Some((at, class, seq, payload)) = model.pop() {
+            let e = queue.pop().expect("queue drains with the model");
+            assert_eq!(
+                (e.at.as_millis().to_bits(), e.class, e.seq, e.payload),
+                (at.as_millis().to_bits(), class, seq, payload)
+            );
+        }
+        assert!(queue.pop().is_none());
     }
 }

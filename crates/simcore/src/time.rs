@@ -43,6 +43,17 @@ impl SimTime {
         self.0 / 1000.0
     }
 
+    /// Raw bits of the millisecond value (the event queue's time key).
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// The instant whose millisecond value has exactly these bits, finite or
+    /// not: the inverse of [`to_bits`](Self::to_bits).
+    pub(crate) fn from_bits(bits: u64) -> Self {
+        SimTime(f64::from_bits(bits))
+    }
+
     /// Duration elapsed since `earlier`. Saturates at zero if `earlier` is in
     /// the future (never panics, mirroring `Instant::saturating_duration_since`).
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
