@@ -1,7 +1,7 @@
 //! The Janus sizing policy: the provider-side adapter exposed through the
 //! platform's [`SizingPolicy`] interface.
 
-use janus_adapter::adapter::{Adapter, DecisionSource};
+use janus_adapter::adapter::Adapter;
 use janus_platform::policy::{RequestContext, SizingPolicy};
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
@@ -16,7 +16,6 @@ use janus_simcore::time::SimDuration;
 pub struct JanusPolicy {
     name: String,
     adapter: Adapter,
-    misses: u64,
 }
 
 impl JanusPolicy {
@@ -26,7 +25,6 @@ impl JanusPolicy {
         JanusPolicy {
             name: name.into(),
             adapter,
-            misses: 0,
         }
     }
 
@@ -35,9 +33,10 @@ impl JanusPolicy {
         &self.adapter
     }
 
-    /// Number of hint-table misses observed so far.
+    /// Number of hint-table misses observed so far (the adapter's
+    /// supervisor counts them).
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.adapter.supervisor().misses()
     }
 }
 
@@ -56,11 +55,7 @@ impl SizingPolicy for JanusPolicy {
         index: usize,
         remaining_budget: SimDuration,
     ) -> Millicores {
-        let decision = self.adapter.decide(index, remaining_budget);
-        if decision.source == DecisionSource::MissScaleToMax {
-            self.misses += 1;
-        }
-        decision.head_cores
+        self.adapter.decide(index, remaining_budget).head_cores
     }
 
     fn mean_decision_time_us(&self) -> Option<f64> {

@@ -1061,7 +1061,8 @@ impl ServingSession {
 pub struct PolicyReport {
     /// Registered policy name.
     pub name: String,
-    /// Mean `size_next` decision latency in µs, if the policy tracks it.
+    /// Mean `size_next` decision latency in µs, if the policy tracks it
+    /// (Janus's adapter times one decision in 64).
     pub mean_decision_time_us: Option<f64>,
     /// Per-request serving outcomes.
     pub serving: ServingReport,

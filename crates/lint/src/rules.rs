@@ -62,9 +62,9 @@ pub struct LintConfig {
 impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
     /// the per-event serving loops + `emit!` + metrics handles + placement,
-    /// warm-pool and event-queue calls + the flight recorder's per-record
-    /// path as hot paths, and `Record` construction confined to observe and
-    /// the macro.
+    /// warm-pool, adapter-decision and event-queue calls + the flight
+    /// recorder's per-record path as hot paths, and `Record` construction
+    /// confined to observe and the macro.
     pub fn workspace_default() -> Self {
         let hot = |file_suffix: &str, item: &str| HotPath {
             file_suffix: file_suffix.to_string(),
@@ -98,12 +98,16 @@ impl LintConfig {
                 hot("simcore/src/cluster.rs", "remove"),
                 hot("simcore/src/cluster.rs", "pick_node"),
                 hot("simcore/src/cluster.rs", "last_max"),
-                hot("simcore/src/cluster.rs", "colocation_degree"),
                 hot("simcore/src/cluster.rs", "attach"),
                 hot("simcore/src/cluster.rs", "detach"),
                 hot("simcore/src/pool.rs", "acquire"),
                 hot("simcore/src/pool.rs", "start"),
                 hot("simcore/src/pool.rs", "release"),
+                // The adapter's table search: every function start of a
+                // late-binding policy asks it once.
+                hot("adapter/src/adapter.rs", "decide"),
+                hot("synthesizer/src/hints.rs", "lookup"),
+                hot("synthesizer/src/hints.rs", "table_after"),
                 // The event queue: every event is scheduled and popped once.
                 hot("simcore/src/event.rs", "schedule_class"),
                 hot("simcore/src/event.rs", "pop"),

@@ -133,10 +133,12 @@ impl ClosedLoopExecutor {
             // Place the pod on the cluster for this execution so co-location
             // accounting reflects concurrently running instances. The pod is
             // never already placed: completion below always un-places it.
-            cluster
+            let node = cluster
                 .place(acquisition.pod, function.name(), size)
                 .expect("paper-scale cluster always fits one pod per function");
-            let colocated = cluster.colocation_degree(acquisition.pod, function.name());
+            // The co-location degree, read off the node the pod just landed
+            // on (the pod counts itself).
+            let colocated = cluster.function_count(node, function.name()).max(1);
             emit!(
                 observer,
                 *now,

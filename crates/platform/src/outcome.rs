@@ -38,7 +38,9 @@ pub struct RequestOutcome {
     /// requests, which are accounted separately via
     /// [`ServingReport::shed_rate`], not as SLO violations).
     pub slo_met: bool,
-    /// Number of hint-table misses (late-binding policies only; 0 otherwise).
+    /// Reserved for this request's hint-table misses. Neither serving loop
+    /// fills it yet, so it is always 0; a late-binding policy's misses are
+    /// counted by its adapter (`JanusPolicy::misses`).
     pub adaptation_misses: u32,
 }
 
@@ -301,7 +303,8 @@ impl ServingReport {
         janus_simcore::stats::percentile(&self.served_e2e_ms(), p).map(SimDuration::from_millis)
     }
 
-    /// Total hint-table misses across all requests.
+    /// Sum of the outcomes' `adaptation_misses`. Neither serving loop fills
+    /// that field yet, so this is 0 for every report, Janus's included.
     pub fn total_misses(&self) -> u64 {
         self.outcomes
             .iter()

@@ -57,7 +57,8 @@ pub trait SizingPolicy: Send {
     fn on_admit(&mut self, _ctx: &RequestContext) {}
 
     /// Mean time the policy spent inside `size_next`, in microseconds, if the
-    /// policy tracks it (Janus does, for §V-H). Default: `None`.
+    /// policy tracks it (Janus does, for §V-H, over a sample of its
+    /// decisions). Default: `None`.
     fn mean_decision_time_us(&self) -> Option<f64> {
         None
     }

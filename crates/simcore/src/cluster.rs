@@ -578,25 +578,6 @@ impl Cluster {
             _ => 0,
         }
     }
-
-    /// Pods of `function` hosted in `zone` (0 for an unknown zone or a
-    /// function never placed) — the exposure zone-aware spread minimises.
-    pub fn zone_function_count(&self, zone: usize, function: &str) -> usize {
-        match self.slot_of(function) {
-            Some(slot) if zone < self.zone_count => self.zone_slot_count(zone, slot),
-            _ => 0,
-        }
-    }
-
-    /// How many pods of `function` are co-located with `pod` on its node
-    /// (including `pod` itself). Returns 1 if the pod is unknown, i.e. no
-    /// interference.
-    pub fn colocation_degree(&self, pod: PodId, function: &str) -> usize {
-        match (self.pods.get(&pod), self.slot_of(function)) {
-            (Some(p), Some(slot)) => self.nodes[p.node].slot_count(slot).max(1),
-            _ => 1,
-        }
-    }
 }
 
 /// One node's placement rank: `major` in the high 32 bits, free CPU in the
@@ -643,6 +624,13 @@ mod tests {
         .unwrap()
     }
 
+    /// Pods of `function` in `zone`, read off the per-zone counts that
+    /// zone-aware spread ranks by.
+    fn zone_count(c: &Cluster, zone: usize, function: &str) -> usize {
+        c.slot_of(function)
+            .map_or(0, |slot| c.zone_slot_count(zone, slot))
+    }
+
     fn zoned(nodes: usize, zones: usize) -> Cluster {
         Cluster::new(&ClusterConfig {
             nodes,
@@ -661,7 +649,7 @@ mod tests {
         let n3 = c.place(PodId(3), "od", Millicores::new(1000)).unwrap();
         assert_eq!(n1, n2);
         assert_eq!(n2, n3);
-        assert_eq!(c.colocation_degree(PodId(3), "od"), 3);
+        assert_eq!(c.function_count(n3, "od"), 3);
     }
 
     #[test]
@@ -675,7 +663,7 @@ mod tests {
             .map(|p| c.node_of(*p).unwrap())
             .collect();
         assert_eq!(nodes.len(), 3, "spread places each pod on its own node");
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert!(nodes.iter().all(|n| c.function_count(*n, "od") == 1));
     }
 
     #[test]
@@ -701,7 +689,7 @@ mod tests {
         assert_eq!(c.total_allocated().get(), 0);
         assert!(c.remove(PodId(1)).is_err());
         assert!(c.resize(PodId(1), Millicores::new(1000)).is_err());
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert_eq!(c.function_count(NodeId(0), "od"), 0);
     }
 
     #[test]
@@ -715,12 +703,11 @@ mod tests {
         assert_eq!(node.free().get(), 4000);
         assert_eq!(node.pod_count(), 3);
         assert!((node.utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 2);
-        assert_eq!(c.colocation_degree(PodId(3), "qa"), 1);
-        // A function asked about by name counts its own instances on the
-        // pod's node, and a never-seen name counts none.
-        assert_eq!(c.colocation_degree(PodId(3), "od"), 2);
-        assert_eq!(c.colocation_degree(PodId(1), "ts"), 1);
+        assert_eq!(c.function_count(NodeId(0), "od"), 2);
+        assert_eq!(c.function_count(NodeId(0), "qa"), 1);
+        // A never-seen name counts none, and so does an unknown node.
+        assert_eq!(c.function_count(NodeId(0), "ts"), 0);
+        assert_eq!(c.function_count(NodeId(7), "od"), 0);
     }
 
     #[test]
@@ -748,7 +735,7 @@ mod tests {
             .place_overcommitted(PodId(1), "od", Millicores::new(1000))
             .is_err());
         assert_eq!(c.total_allocated().get(), 1000);
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert_eq!(c.function_count(NodeId(0), "od"), 1);
     }
 
     #[test]
@@ -784,7 +771,7 @@ mod tests {
         c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
         c.remove(PodId(1)).unwrap();
         assert_eq!(c.total_allocated().get(), 1000);
-        assert_eq!(c.colocation_degree(PodId(2), "od"), 1);
+        assert_eq!(c.function_count(NodeId(0), "od"), 1);
         assert_eq!(c.node(NodeId(0)).unwrap().pod_count(), 1);
         assert_eq!(
             c.remove(PodId(1)).unwrap_err(),
@@ -811,7 +798,7 @@ mod tests {
         // Shrinking always succeeds, and colocation is untouched.
         c.resize(PodId(1), Millicores::new(1000)).unwrap();
         assert_eq!(c.total_allocated().get(), 7000);
-        assert_eq!(c.colocation_degree(PodId(1), "od"), 1);
+        assert_eq!(c.function_count(NodeId(0), "od"), 1);
         assert!(c.resize(PodId(9), Millicores::new(1000)).is_err());
         assert_eq!(c.pod_allocation(PodId(9)), None);
 
@@ -981,7 +968,7 @@ mod tests {
             .unwrap();
         assert_eq!(c.node_of(PodId(3)), Some(node));
         assert!(c.utilization() > 1.0);
-        assert_eq!(c.colocation_degree(PodId(3), "od"), 2);
+        assert_eq!(c.function_count(node, "od"), 2);
         // Draining nodes are not overcommit targets either.
         c.drain_node(NodeId(0)).unwrap();
         c.drain_node(NodeId(1)).unwrap();
@@ -1078,21 +1065,15 @@ mod tests {
             c.place(*pod, function, Millicores::new(100)).unwrap();
         }
         assert_eq!(c.total_allocated().get(), 200 * 100);
-        assert_eq!(
-            c.zone_function_count(0, "od") + c.zone_function_count(1, "od"),
-            100
-        );
-        assert!(c.colocation_degree(ids[0], "od") >= 1);
+        assert_eq!(zone_count(&c, 0, "od") + zone_count(&c, 1, "od"), 100);
+        assert!(c.function_count(c.node_of(ids[0]).unwrap(), "od") >= 1);
         for pod in ids.iter().step_by(2) {
             c.remove(*pod).unwrap();
         }
         assert_eq!(c.total_allocated().get(), 100 * 100);
         assert_eq!(c.node_of(ids[0]), None);
         assert!(c.node_of(ids[1]).is_some());
-        assert_eq!(
-            c.zone_function_count(0, "od") + c.zone_function_count(1, "od"),
-            0
-        );
+        assert_eq!(zone_count(&c, 0, "od") + zone_count(&c, 1, "od"), 0);
         // A crash hands back the lost ids sorted, whatever their size.
         let victim = c.node_of(ids[1]).unwrap();
         let lost = c.crash_node(victim).unwrap();

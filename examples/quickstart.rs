@@ -51,7 +51,7 @@ fn main() -> Result<(), String> {
         );
     }
     println!(
-        "\nmean CPU {:.1} mc, P99 E2E {:.2} s, SLO attainment {:.1}%, mean decision {:.1} µs",
+        "\nmean CPU {:.1} mc, P99 E2E {:.2} s, SLO attainment {:.1}%, mean decision {:.1} µs (1 in 64 timed)",
         janus.serving.mean_cpu_millicores(),
         janus
             .serving
