@@ -4,11 +4,10 @@ use crate::supervisor::{MissRateSupervisor, SupervisorConfig};
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
 use janus_synthesizer::hints::{HintsBundle, LookupOutcome};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Where an adaptation decision came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionSource {
     /// The budget matched a hints-table row.
     TableHit,
@@ -20,7 +19,7 @@ pub enum DecisionSource {
 }
 
 /// The adapter's answer for one finished function.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptationDecision {
     /// New CPU allocation for the head function of the remaining
     /// sub-workflow.
@@ -37,7 +36,7 @@ pub struct AdaptationDecision {
 const TIMING_STRIDE: u64 = 64;
 
 /// Adapter configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdapterConfig {
     /// Allocation used when the hints table misses (the paper scales to
     /// 3000 mc, i.e. `Kmax`).

@@ -6,10 +6,9 @@
 //! of per-request state that makes this derivation: SLO minus elapsed time.
 
 use janus_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Tracks the time budget of one in-flight workflow request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetTracker {
     slo: SimDuration,
     admitted_at: SimTime,

@@ -7,12 +7,11 @@
 //! (§III-A). The channel decouples the online decision path (which must stay
 //! in the microsecond range) from the offline regeneration pipeline.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 /// Events the adapter emits towards the developer side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FeedbackEvent {
     /// The miss rate exceeded the configured threshold; the developer should
     /// re-run the profiler and synthesizer for this workflow.

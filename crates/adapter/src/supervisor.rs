@@ -5,10 +5,8 @@
 //! threshold, the adapter sends feedback to the developer" (§III-A). The
 //! default threshold is 1 % (§V-A).
 
-use serde::{Deserialize, Serialize};
-
 /// Supervisor configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupervisorConfig {
     /// Miss-rate threshold above which regeneration is recommended (0.01 in
     /// the paper).
@@ -30,7 +28,7 @@ impl Default for SupervisorConfig {
 
 /// Counts hits and misses and decides when to recommend regenerating the
 /// hints tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissRateSupervisor {
     config: SupervisorConfig,
     hits: u64,

@@ -12,7 +12,6 @@ use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
 use janus_simcore::stats::select_percentile;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// GrandSLAM \[41\]: identical sizes for all functions. Returns the smallest
 /// uniform allocation `k` on the grid such that `Σ_i L_i(99, k) ≤ slo`; falls
@@ -46,7 +45,7 @@ pub fn grandslam_plus(
 }
 
 /// Configuration of the ORION baseline's distribution convolution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrionConfig {
     /// Monte-Carlo draws used to estimate the end-to-end latency
     /// distribution for a candidate allocation.

@@ -28,11 +28,8 @@
 
 pub mod cli;
 
-use janus_core::comparison::ComparisonConfig;
 use janus_core::experiments::{ExperimentCtx, ToJson};
-use janus_core::session::ServingSessionBuilder;
 use janus_json::Value;
-use janus_workloads::apps::PaperApp;
 
 pub use janus_core::experiments::Scale;
 
@@ -171,19 +168,6 @@ impl BenchFlags {
         ExperimentCtx::new(self.scale).with_seed(self.seed)
     }
 
-    /// Comparison configuration at the parsed scale, with the seed override
-    /// applied.
-    pub fn comparison(&self, app: PaperApp, concurrency: u32) -> ComparisonConfig {
-        self.ctx().comparison(app, concurrency)
-    }
-
-    /// The equivalent [`ServingSession`](janus_core::session::ServingSession)
-    /// builder for callers that serve directly rather than through an
-    /// experiment runner.
-    pub fn session(&self, app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
-        self.comparison(app, concurrency).session()
-    }
-
     /// The experiment seed: the `--seed` override when given, otherwise the
     /// caller's default (each figure has its own, so figures stay
     /// independent).
@@ -264,7 +248,9 @@ impl BenchFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use janus_core::experiments::TABLE1_POLICIES;
     use janus_core::session::Load;
+    use janus_workloads::apps::PaperApp;
 
     fn parse(args: &[&str]) -> Result<BenchFlags, String> {
         BenchFlags::from_args(args.iter().map(|s| s.to_string()))
@@ -277,7 +263,14 @@ mod tests {
         assert_eq!(parse(&["--paper"]).unwrap().scale, Scale::Paper);
         let flags = parse(&["--quick", "--seed", "99"]).unwrap();
         assert_eq!(flags.seed, Some(99));
-        assert_eq!(flags.comparison(PaperApp::IntelligentAssistant, 1).seed, 99);
+        let served = flags
+            .ctx()
+            .session(PaperApp::IntelligentAssistant, 1)
+            .policy("GrandSLAM")
+            .load(Load::Closed { requests: 5 })
+            .run()
+            .unwrap();
+        assert_eq!(served.seed, 99);
         assert_eq!(flags.ctx().seed_or(1), 99);
         assert_eq!(flags.ctx().scale, Scale::Quick);
     }
@@ -345,17 +338,21 @@ mod tests {
     #[test]
     fn flags_produce_a_runnable_session_builder() {
         let flags = parse(&["--quick", "--seed", "5"]).unwrap();
-        // The builder inherits the comparison config's seven paper policies;
-        // appending one of them again is rejected as a duplicate.
+        // Serving Table I's seven policies, appending one of them again is
+        // rejected as a duplicate.
         let err = flags
+            .ctx()
             .session(PaperApp::IntelligentAssistant, 1)
+            .policies(TABLE1_POLICIES.iter().copied())
             .policy("GrandSLAM")
             .load(Load::Closed { requests: 5 })
             .build()
             .unwrap_err();
         assert!(err.contains("added twice"), "{err}");
         let session = flags
+            .ctx()
             .session(PaperApp::IntelligentAssistant, 1)
+            .policies(TABLE1_POLICIES.iter().copied())
             .load(Load::Closed { requests: 5 })
             .build()
             .unwrap();

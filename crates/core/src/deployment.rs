@@ -16,10 +16,9 @@ use janus_synthesizer::synthesizer::{
 };
 use janus_workloads::apps::PaperApp;
 use janus_workloads::workflow::Workflow;
-use serde::{Deserialize, Serialize};
 
 /// The three Janus variants of §V-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JanusVariant {
     /// `Janus⁻`: every function planned at P99 (no percentile exploration).
     Minus,
@@ -47,7 +46,7 @@ impl JanusVariant {
 }
 
 /// Configuration of a Janus deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentConfig {
     /// The application to deploy.
     pub app: PaperApp,

@@ -25,8 +25,8 @@
 //! assert!(output.to_json().get("experiment").is_some());
 //! ```
 
-use crate::comparison::ComparisonConfig;
 use crate::experiments::{CapacitySweepConfig, PerfConfig, ScenarioSweepConfig, ToJson};
+use crate::session::{Load, ServingSession, ServingSessionBuilder};
 use janus_json::Value;
 use janus_simcore::registry::{Entry, Registry};
 use janus_workloads::apps::PaperApp;
@@ -51,24 +51,6 @@ impl Scale {
         match self {
             Scale::Paper => "paper",
             Scale::Quick => "quick",
-        }
-    }
-
-    /// Comparison configuration for an application at this scale.
-    pub fn comparison(self, app: PaperApp, concurrency: u32) -> ComparisonConfig {
-        match self {
-            Scale::Paper => ComparisonConfig {
-                requests: 1000,
-                samples_per_point: 1000,
-                budget_step_ms: 1.0,
-                ..ComparisonConfig::paper_default(app, concurrency)
-            },
-            Scale::Quick => ComparisonConfig {
-                requests: 200,
-                samples_per_point: 300,
-                budget_step_ms: 5.0,
-                ..ComparisonConfig::paper_default(app, concurrency)
-            },
         }
     }
 
@@ -257,13 +239,24 @@ impl ExperimentCtx {
         self.seed.unwrap_or(default)
     }
 
-    /// Comparison configuration at this scale, seed override applied.
-    pub fn comparison(&self, app: PaperApp, concurrency: u32) -> ComparisonConfig {
-        let mut config = self.scale.comparison(app, concurrency);
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        config
+    /// The closed-loop session of the paper's paired comparisons (Table I,
+    /// Figures 4–6 and 9) for an application at this scale, under its
+    /// default SLO, seed override applied (default 7). Paper scale replays
+    /// 1000 requests with 1000 profile samples and a 1 ms budget step; quick
+    /// scale 200 requests, 300 samples and a 5 ms step. The caller adds the
+    /// policies.
+    pub fn session(&self, app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
+        let (requests, samples_per_point, budget_step_ms) = match self.scale {
+            Scale::Paper => (1000, 1000, 1.0),
+            Scale::Quick => (200, 300, 5.0),
+        };
+        ServingSession::builder()
+            .app(app)
+            .concurrency(concurrency)
+            .load(Load::Closed { requests })
+            .seed(self.seed_or(7))
+            .samples_per_point(samples_per_point)
+            .budget_step_ms(budget_step_ms)
     }
 
     /// Scenario-sweep configuration at this scale, seed override applied.
@@ -552,7 +545,13 @@ mod tests {
     fn ctx_applies_the_seed_override_everywhere() {
         let ctx = ExperimentCtx::new(Scale::Quick).with_seed(Some(99));
         assert_eq!(ctx.seed_or(5), 99);
-        assert_eq!(ctx.comparison(PaperApp::IntelligentAssistant, 1).seed, 99);
+        let served = ctx
+            .session(PaperApp::IntelligentAssistant, 1)
+            .policy("GrandSLAM")
+            .load(Load::Closed { requests: 5 })
+            .run()
+            .unwrap();
+        assert_eq!(served.seed, 99);
         assert_eq!(ctx.scenario_sweep(PaperApp::IntelligentAssistant).seed, 99);
         assert_eq!(ctx.capacity_sweep(PaperApp::IntelligentAssistant).seed, 99);
         assert_eq!(ctx.perf_config().seed, 99);

@@ -19,15 +19,14 @@
 use crate::experiments::perf::{rate_per_sec, MIN_WALL_MS};
 use crate::session::{Load, ServingSession, SessionReport};
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
+use janus_simcore::parallel;
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 /// Configuration of one capacity sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacitySweepConfig {
     /// Application under test.
     pub app: PaperApp,
@@ -111,7 +110,7 @@ impl CapacitySweepConfig {
 
 /// One cell of the capacity grid: one scenario served under one
 /// (autoscaler, admission) regime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityCell {
     /// Scenario name the cell ran under.
     pub scenario: String,
@@ -148,7 +147,7 @@ pub struct CapacityCell {
 /// The outcome of a capacity sweep: one invariant-checked cell per
 /// (scenario, autoscaler, admission) triple, in configuration order
 /// (scenario-major, then autoscaler, then admission).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacitySweepResult {
     /// Configuration the sweep ran with.
     pub config: CapacitySweepConfig,
@@ -317,9 +316,8 @@ pub fn capacity_sweep_observed(
             }
         }
     }
-    let cells: Vec<Result<CapacityCell, String>> = grid
-        .into_par_iter()
-        .map(|(scenario, autoscaler, admission)| {
+    let cells: Vec<Result<CapacityCell, String>> =
+        parallel::map(grid, |(scenario, autoscaler, admission)| {
             // janus-lint: allow(nondeterminism) — wall-clock cost of the cell, reported as metadata; cell results are seed-pure
             let started = Instant::now();
             let mut builder = ServingSession::builder()
@@ -367,8 +365,7 @@ pub fn capacity_sweep_observed(
                 requests_per_sec: rate_per_sec(config.requests as u64, wall_ms),
                 report,
             })
-        })
-        .collect();
+        });
     let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
     let result = CapacitySweepResult {
         config: config.clone(),

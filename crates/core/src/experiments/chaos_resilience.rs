@@ -24,15 +24,14 @@ use crate::experiments::ToJson;
 use crate::session::{Load, ServingSession, SessionReport};
 use janus_json::Value;
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
+use janus_simcore::parallel;
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 /// Configuration of one chaos-resilience grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosResilienceConfig {
     /// Application under test.
     pub app: PaperApp,
@@ -108,7 +107,7 @@ impl ChaosResilienceConfig {
 
 /// One row of the grid: one sizing policy under one (autoscaler, admission)
 /// regime, with the fault applied.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosCell {
     /// Autoscaler name the cell ran under.
     pub autoscaler: String,
@@ -137,7 +136,7 @@ pub struct ChaosCell {
 /// The outcome of a chaos-resilience run: one row per (autoscaler,
 /// admission, policy), in configuration order, plus the full session
 /// reports behind them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChaosResilienceResult {
     /// Configuration the grid ran with.
     pub config: ChaosResilienceConfig,
@@ -350,9 +349,8 @@ pub fn chaos_resilience_observed(
             grid.push((autoscaler.clone(), admission.clone()));
         }
     }
-    let reports: Vec<Result<SessionReport, String>> = grid
-        .into_par_iter()
-        .map(|(autoscaler, admission)| {
+    let reports: Vec<Result<SessionReport, String>> =
+        parallel::map(grid, |(autoscaler, admission)| {
             let mut builder = ServingSession::builder()
                 .app(config.app)
                 .concurrency(config.concurrency)
@@ -375,8 +373,7 @@ pub fn chaos_resilience_observed(
             builder
                 .run()
                 .map_err(|e| format!("cell ({autoscaler}, {admission}): {e}"))
-        })
-        .collect();
+        });
     let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     let mut cells = Vec::with_capacity(reports.len() * config.policies.len());

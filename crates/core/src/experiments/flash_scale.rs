@@ -28,14 +28,13 @@ use janus_simcore::resources::Millicores;
 use janus_simcore::stats::StreamingSummary;
 use janus_workloads::apps::PaperApp;
 use janus_workloads::request::RequestInputGenerator;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 use super::perf::{rate_per_sec, MIN_WALL_MS};
 
 /// Configuration of one flash-scale run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlashScaleConfig {
     /// Application whose workflow is served.
     pub app: PaperApp,
@@ -95,7 +94,7 @@ impl FlashScaleConfig {
 /// The outcome of a flash-scale run: serving tallies folded from the
 /// outcome stream, plus the residency figures the experiment exists to
 /// bound.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlashScaleResult {
     /// Configuration the run used.
     pub config: FlashScaleConfig,

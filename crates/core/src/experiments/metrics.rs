@@ -3,12 +3,11 @@
 use janus_profiler::percentiles::Percentile;
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_workloads::apps::text_to_speech;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Figure 7 data: timeout vs cores per percentile, and resilience vs cores
 /// per concurrency, for the TS function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Result {
     /// CPU allocations (millicores) the curves are sampled at.
     pub cores: Vec<u32>,

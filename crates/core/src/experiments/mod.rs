@@ -11,7 +11,7 @@
 //!   runnable by name via `janus run <name>`);
 //! * [`spec`] — the serializable [`SweepSpec`]/[`SessionSpec`] data model
 //!   (`janus sweep <spec.json>` describes a whole evaluation grid as JSON);
-//! * [`sweep`] — the rayon-parallel [`run_sweep`] driver executing those
+//! * [`sweep`] — the parallel [`run_sweep`] driver executing those
 //!   grids with per-worker arena/metrics reuse.
 //!
 //! The experiment-to-module mapping is documented in `DESIGN.md` (§3).
@@ -50,7 +50,7 @@ pub use motivation::{
     fig1a_slack_cdf, fig1b_workset_variance, fig1c_interference, fig2_binding_comparison,
     Fig1aResult, Fig1bResult, Fig1cResult, Fig2Result,
 };
-pub use overall::{fig4_latency_cdfs, fig5_resource_consumption, table1_overall, OverallResult};
+pub use overall::{OverallResult, TABLE1_POLICIES};
 pub use perf::{perf_trajectory, rate_per_sec, PerfCell, PerfConfig, PerfResult};
 pub use perf_history::{
     check_against, comparable_mean, history_with_entry, latest_baseline, today_utc, PerfBaseline,

@@ -13,13 +13,12 @@ use janus_trace::synth::{Trace, TraceConfig};
 use janus_workloads::apps::{intelligent_assistant, PaperApp};
 use janus_workloads::microbench;
 use janus_workloads::request::RequestInputGenerator;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::deployment::{DeploymentConfig, JanusDeployment};
 
 /// Figure 1a: slack CDFs of function invocations under P99 SLOs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1aResult {
     /// `(slack, cumulative fraction)` points for all invocations.
     pub all: Vec<(f64, f64)>,
@@ -82,7 +81,7 @@ impl fmt::Display for Fig1aResult {
 }
 
 /// Figure 1b: per-function latency variance caused by varying working sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1bResult {
     /// Rows `(function, P1 latency s, P99 latency s, ratio)`.
     pub rows: Vec<(String, f64, f64, f64)>,
@@ -133,7 +132,7 @@ impl fmt::Display for Fig1bResult {
 }
 
 /// Figure 1c: interference from co-locating homogeneous functions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig1cResult {
     /// Rows `(dominant dimension, normalized latency at 1..=6 co-located)`.
     pub rows: Vec<(String, Vec<f64>)>,
@@ -187,7 +186,7 @@ impl fmt::Display for Fig1cResult {
 
 /// Figure 2: per-request E2E latency and CPU (normalised by Optimal) under
 /// early binding vs late binding.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig2Result {
     /// SLO used (seconds).
     pub slo_s: f64,

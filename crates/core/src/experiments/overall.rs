@@ -1,98 +1,100 @@
 //! Overall performance experiments: Table I, Figure 4 and Figure 5 (§V-B).
 
-use crate::comparison::{self, ComparisonConfig, ComparisonOutcome, PolicyKind};
+use crate::experiments::api::ExperimentCtx;
+use crate::session::SessionReport;
 use janus_workloads::apps::PaperApp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The seven policies of Table I and Figure 5, in the paper's column order.
+pub const TABLE1_POLICIES: &[&str] = &[
+    "Optimal",
+    "ORION",
+    "GrandSLAM+",
+    "GrandSLAM",
+    "Janus-",
+    "Janus",
+    "Janus+",
+];
 
 /// Result shared by Table I, Figure 4 and Figure 5: a full policy comparison
 /// for one (application, concurrency) pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverallResult {
-    /// The underlying comparison outcome.
-    pub outcome: ComparisonOutcome,
+    /// The session that served every policy on one request set.
+    pub report: SessionReport,
 }
 
 impl OverallResult {
-    /// Application short name ("IA" / "VA").
-    pub fn app_name(&self) -> &'static str {
-        self.outcome.config.app.short_name()
+    /// Serve [`TABLE1_POLICIES`] on one request set: `app` at `concurrency`,
+    /// at the context's scale and seed.
+    pub fn run(ctx: &ExperimentCtx, app: PaperApp, concurrency: u32) -> Result<Self, String> {
+        let report = ctx
+            .session(app, concurrency)
+            .policies(TABLE1_POLICIES.iter().copied())
+            .run()?;
+        Ok(OverallResult { report })
+    }
+
+    /// Application short name ("IA" / "VA"): the paper workflows' names.
+    pub fn app_name(&self) -> &str {
+        &self.report.workflow
     }
 
     /// Table I row: reduction (%) of Janus vs each baseline, normalised by
     /// Optimal, in the paper's column order.
     pub fn table1_row(&self) -> Vec<(String, f64)> {
-        [
-            PolicyKind::Orion,
-            PolicyKind::GrandSlamPlus,
-            PolicyKind::GrandSlam,
-            PolicyKind::JanusMinus,
-            PolicyKind::JanusPlus,
-        ]
-        .iter()
-        .filter_map(|&other| {
-            self.outcome
-                .reduction_percent(PolicyKind::Janus, other)
-                .map(|r| (other.name().to_string(), r))
-        })
-        .collect()
+        ["ORION", "GrandSLAM+", "GrandSLAM", "Janus-", "Janus+"]
+            .into_iter()
+            .filter_map(|other| {
+                self.report
+                    .reduction_percent("Janus", other)
+                    .map(|r| (other.to_string(), r))
+            })
+            .collect()
     }
 
     /// Figure 5 row: mean CPU (millicores) per policy.
     pub fn fig5_row(&self) -> Vec<(String, f64)> {
-        self.outcome
-            .config
+        self.report
             .policies
             .iter()
-            .zip(&self.outcome.reports)
-            .map(|(k, r)| (k.name().to_string(), r.mean_cpu_millicores()))
+            .map(|p| (p.name.clone(), p.serving.mean_cpu_millicores()))
             .collect()
     }
 
     /// Figure 4 series: `(policy, E2E latency CDF points)`.
     pub fn fig4_series(&self, points: usize) -> Vec<(String, Vec<(f64, f64)>)> {
-        self.outcome
-            .config
+        self.report
             .policies
             .iter()
-            .zip(&self.outcome.reports)
-            .map(|(k, r)| (k.name().to_string(), r.e2e_cdf().points(points)))
+            .map(|p| (p.name.clone(), p.serving.e2e_cdf().points(points)))
             .collect()
     }
 
     /// Maximum SLO violation rate across the Janus variants in this run.
     pub fn janus_violation_rate(&self) -> f64 {
-        [
-            PolicyKind::JanusMinus,
-            PolicyKind::Janus,
-            PolicyKind::JanusPlus,
-        ]
-        .iter()
-        .filter_map(|&k| self.outcome.report(k))
-        .map(|r| r.slo_violation_rate())
-        .fold(0.0, f64::max)
+        ["Janus-", "Janus", "Janus+"]
+            .into_iter()
+            .filter_map(|name| self.report.serving(name))
+            .map(|r| r.slo_violation_rate())
+            .fold(0.0, f64::max)
     }
 }
 
 impl fmt::Display for OverallResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cfg = &self.outcome.config;
+        let report = &self.report;
         writeln!(
             f,
             "# {} @ concurrency {} (SLO {:.1} s, {} requests)",
             self.app_name(),
-            cfg.concurrency,
-            cfg.slo.as_secs(),
-            cfg.requests
+            report.concurrency,
+            report.slo.as_secs(),
+            report.load.requests()
         )?;
         writeln!(f, "## Figure 5: mean CPU per request (millicores)")?;
         for (name, cpu) in self.fig5_row() {
-            let norm = cpu
-                / self
-                    .outcome
-                    .report(PolicyKind::Optimal)
-                    .map(|r| r.mean_cpu_millicores())
-                    .unwrap_or(cpu);
+            let norm = cpu / report.mean_cpu_millicores("Optimal").unwrap_or(cpu);
             writeln!(f, "{name:>12} {cpu:>10.1}  (x{norm:.3} of Optimal)")?;
         }
         writeln!(
@@ -103,53 +105,23 @@ impl fmt::Display for OverallResult {
             writeln!(f, "{name:>12} {reduction:>8.1}%")?;
         }
         writeln!(f, "## SLO compliance")?;
-        for (kind, report) in self
-            .outcome
-            .config
-            .policies
-            .iter()
-            .zip(&self.outcome.reports)
-        {
+        for p in &report.policies {
             writeln!(
                 f,
                 "{:>12} P99 E2E {:>8.2} s, violations {:>6.2}%",
-                kind.name(),
-                report
+                p.name,
+                p.serving
                     .e2e_percentile(99.0)
                     .map(|d| d.as_secs())
                     .unwrap_or(0.0),
-                report.slo_violation_rate() * 100.0
+                p.serving.slo_violation_rate() * 100.0
             )?;
         }
         Ok(())
     }
 }
 
-/// Run the Table I / Figure 5a comparison for one application at one
-/// concurrency level.
-pub fn table1_overall(config: &ComparisonConfig) -> Result<OverallResult, String> {
-    Ok(OverallResult {
-        outcome: comparison::run(config)?,
-    })
-}
-
-/// Figure 4: the same run viewed as latency CDFs; provided as an alias so the
-/// bench binaries read naturally.
-pub fn fig4_latency_cdfs(config: &ComparisonConfig) -> Result<OverallResult, String> {
-    table1_overall(config)
-}
-
-/// Figure 5: the same run viewed as resource-consumption bars.
-pub fn fig5_resource_consumption(config: &ComparisonConfig) -> Result<OverallResult, String> {
-    table1_overall(config)
-}
-
-/// Convenience: the standard paper configuration for an app/concurrency.
-pub fn paper_config(app: PaperApp, concurrency: u32) -> ComparisonConfig {
-    ComparisonConfig::paper_default(app, concurrency)
-}
-
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::api::{Experiment, ExperimentOutput};
 use crate::experiments::ToJson;
 use janus_json::Value;
 
@@ -169,7 +141,7 @@ impl Experiment for Table1Experiment {
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
         let mut out = ExperimentOutput::new();
         for app in PaperApp::ALL {
-            let result = table1_overall(&ctx.comparison(app, 1))
+            let result = OverallResult::run(ctx, app, 1)
                 .map_err(|e| format!("{}: {e}", app.short_name()))?;
             out.push(app.short_name(), result);
         }
@@ -184,13 +156,13 @@ pub struct Fig4Cdf(pub OverallResult);
 
 impl fmt::Display for Fig4Cdf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let cfg = &self.0.outcome.config;
+        let report = &self.0.report;
         writeln!(
             f,
             "# Figure 4: {} concurrency {} (SLO {:.1} s) E2E latency CDF",
             self.0.app_name(),
-            cfg.concurrency,
-            cfg.slo.as_secs()
+            report.concurrency,
+            report.slo.as_secs()
         )?;
         for (policy, points) in self.0.fig4_series(11) {
             write!(f, "{policy:>12}:")?;
@@ -230,7 +202,7 @@ impl Experiment for Fig4Experiment {
         ];
         let mut out = ExperimentOutput::new();
         for (app, conc) in setups {
-            let result = fig4_latency_cdfs(&ctx.comparison(app, conc))
+            let result = OverallResult::run(ctx, app, conc)
                 .map_err(|e| format!("{} conc {conc}: {e}", app.short_name()))?;
             out.push(
                 format!("{} concurrency {conc}", app.short_name()),
@@ -253,25 +225,17 @@ pub struct Fig5Consumption {
 impl fmt::Display for Fig5Consumption {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.normalized {
-            for (kind, report) in self
-                .result
-                .outcome
-                .config
-                .policies
-                .iter()
-                .zip(&self.result.outcome.reports)
-            {
-                let norm = self
-                    .result
-                    .outcome
-                    .normalized_cpu(*kind)
+            let report = &self.result.report;
+            for p in &report.policies {
+                let norm = report
+                    .normalized_cpu(&p.name, "Optimal")
                     .unwrap_or(f64::NAN);
                 writeln!(
                     f,
                     "{:>12} {:>8.3}  ({:.1} mc)",
-                    kind.name(),
+                    p.name,
                     norm,
-                    report.mean_cpu_millicores()
+                    p.serving.mean_cpu_millicores()
                 )?;
             }
         } else {
@@ -305,7 +269,7 @@ impl Experiment for Fig5Experiment {
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
         let mut out = ExperimentOutput::new();
         for app in PaperApp::ALL {
-            let result = fig5_resource_consumption(&ctx.comparison(app, 1))
+            let result = OverallResult::run(ctx, app, 1)
                 .map_err(|e| format!("{}: {e}", app.short_name()))?;
             out.push(
                 format!(
@@ -319,10 +283,9 @@ impl Experiment for Fig5Experiment {
             );
         }
         for conc in [2u32, 3] {
-            let config = ctx.comparison(PaperApp::IntelligentAssistant, conc);
-            let slo_s = config.slo.as_secs();
-            let result =
-                fig5_resource_consumption(&config).map_err(|e| format!("IA conc {conc}: {e}"))?;
+            let result = OverallResult::run(ctx, PaperApp::IntelligentAssistant, conc)
+                .map_err(|e| format!("IA conc {conc}: {e}"))?;
+            let slo_s = result.report.slo.as_secs();
             out.push(
                 format!("IA normalised CPU, concurrency {conc} (SLO {slo_s:.1} s)"),
                 Fig5Consumption {
@@ -338,19 +301,26 @@ impl Experiment for Fig5Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Load, ServingSession};
 
     #[test]
     fn overall_result_exposes_table1_and_fig5_views() {
-        let mut config = ComparisonConfig::quick_for_tests(PaperApp::IntelligentAssistant, 1);
-        config.policies = vec![
-            PolicyKind::Optimal,
-            PolicyKind::Orion,
-            PolicyKind::GrandSlam,
-            PolicyKind::GrandSlamPlus,
-            PolicyKind::JanusMinus,
-            PolicyKind::Janus,
-        ];
-        let result = table1_overall(&config).unwrap();
+        let report = ServingSession::builder()
+            .app(PaperApp::IntelligentAssistant)
+            .policies([
+                "Optimal",
+                "ORION",
+                "GrandSLAM",
+                "GrandSLAM+",
+                "Janus-",
+                "Janus",
+            ])
+            .load(Load::Closed { requests: 150 })
+            .samples_per_point(250)
+            .budget_step_ms(10.0)
+            .run()
+            .unwrap();
+        let result = OverallResult { report };
         assert_eq!(result.app_name(), "IA");
 
         let row = result.table1_row();

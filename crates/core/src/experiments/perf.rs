@@ -25,12 +25,11 @@ use janus_simcore::stats::StreamingSummary;
 use janus_workloads::apps::PaperApp;
 use janus_workloads::request::{GeneratorSource, RequestInput, RequestInputGenerator};
 use janus_workloads::workflow::Workflow;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 /// Configuration of one perf-trajectory run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfConfig {
     /// Application whose workflow is served.
     pub app: PaperApp,
@@ -88,7 +87,7 @@ impl PerfConfig {
 }
 
 /// Measurements of one (scenario) grid cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfCell {
     /// Scenario name the cell ran under.
     pub scenario: String,
@@ -127,7 +126,7 @@ pub struct PerfCell {
 }
 
 /// The outcome of a perf-trajectory run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PerfResult {
     /// Configuration the run used.
     pub config: PerfConfig,

@@ -1,8 +1,8 @@
 //! Machine-readable views of the experiment results.
 //!
-//! The serde shim carries no serialisation machinery (see `DESIGN.md` §4),
-//! so results become JSON the same way the hints bundle does: through the
-//! hand-rolled encoder in [`janus_json`]. Every experiment
+//! Results become JSON the same way the hints bundle does: through the
+//! hand-rolled encoder in [`janus_json`] (the workspace has no serialisation
+//! framework, see `DESIGN.md` §4). Every experiment
 //! result struct implements [`ToJson`]; the `janus-bench` binaries write the
 //! document next to their stdout tables when `--out <path>` is given, which
 //! makes performance trajectories diffable and plottable without scraping
@@ -144,30 +144,29 @@ impl ToJson for Fig2Result {
 
 impl ToJson for OverallResult {
     fn to_json(&self) -> Value {
-        let cfg = &self.outcome.config;
-        let policies = cfg
+        let session = &self.report;
+        let policies = session
             .policies
             .iter()
-            .zip(&self.outcome.reports)
-            .map(|(kind, report)| {
+            .map(|p| {
                 obj(vec![
-                    ("name", text(kind.name())),
-                    ("mean_cpu_millicores", num(report.mean_cpu_millicores())),
+                    ("name", text(&p.name)),
+                    ("mean_cpu_millicores", num(p.serving.mean_cpu_millicores())),
                     (
                         "normalized_cpu",
-                        self.outcome
-                            .normalized_cpu(*kind)
+                        session
+                            .normalized_cpu(&p.name, "Optimal")
                             .map(num)
                             .unwrap_or(Value::Null),
                     ),
                     (
                         "p99_e2e_s",
-                        report
+                        p.serving
                             .e2e_percentile(99.0)
                             .map(|d| num(d.as_secs()))
                             .unwrap_or(Value::Null),
                     ),
-                    ("slo_violation_rate", num(report.slo_violation_rate())),
+                    ("slo_violation_rate", num(p.serving.slo_violation_rate())),
                 ])
             })
             .collect();
@@ -184,9 +183,9 @@ impl ToJson for OverallResult {
         obj(vec![
             ("experiment", text("overall")),
             ("app", text(self.app_name())),
-            ("concurrency", count(cfg.concurrency as usize)),
-            ("slo_s", num(cfg.slo.as_secs())),
-            ("requests", count(cfg.requests)),
+            ("concurrency", count(session.concurrency as usize)),
+            ("slo_s", num(session.slo.as_secs())),
+            ("requests", count(session.load.requests())),
             ("policies", Value::Arr(policies)),
             ("table1", Value::Arr(table1)),
         ])

@@ -5,7 +5,7 @@
 //! [`ServingSession`] — all policies of a column replay the *same* request
 //! set under the same arrival process (paired comparison), and the session
 //! checks its structural invariants before returning. Columns are
-//! independent, so they fan out across threads (rayon); results come back in
+//! independent, so they fan out across threads; results come back in
 //! configuration order regardless of scheduling.
 //!
 //! Because every built-in scenario is normalized to the sweep's base rate
@@ -14,14 +14,13 @@
 
 use crate::session::{Load, ServingSession, SessionReport};
 use janus_scenarios::ScenarioRegistry;
+use janus_simcore::parallel;
 use janus_simcore::stats::StreamingSummary;
 use janus_workloads::apps::PaperApp;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Configuration of one scenario sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSweepConfig {
     /// Application under test.
     pub app: PaperApp,
@@ -84,7 +83,7 @@ impl ScenarioSweepConfig {
 
 /// One column of the sweep grid: every configured policy served under one
 /// scenario, paired on an identical request set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioCell {
     /// Scenario name the column ran under.
     pub scenario: String,
@@ -94,7 +93,7 @@ pub struct ScenarioCell {
 
 /// The outcome of a scenario sweep: one invariant-checked session per
 /// scenario, in configuration order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioSweepResult {
     /// Configuration the sweep ran with.
     pub config: ScenarioSweepConfig,
@@ -266,13 +265,10 @@ pub fn scenario_sweep_with(
     }
     // One session per scenario, fanned out across threads. Sessions are
     // seed-deterministic, so the parallel sweep is reproducible and its
-    // result order follows configuration order (the shim's parallel map is
+    // result order follows configuration order (the parallel map is
     // order-preserving).
-    let cells: Vec<Result<ScenarioCell, String>> = config
-        .scenarios
-        .clone()
-        .into_par_iter()
-        .map(|scenario| {
+    let cells: Vec<Result<ScenarioCell, String>> =
+        parallel::map(config.scenarios.clone(), |scenario| {
             let report = ServingSession::builder()
                 .app(config.app)
                 .concurrency(config.concurrency)
@@ -289,8 +285,7 @@ pub fn scenario_sweep_with(
                 .run()
                 .map_err(|e| format!("scenario `{scenario}`: {e}"))?;
             Ok(ScenarioCell { scenario, report })
-        })
-        .collect();
+        });
     let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
     let result = ScenarioSweepResult {
         config: config.clone(),

@@ -1,13 +1,12 @@
 //! Figure 9: resource consumption (normalised by Optimal) across SLOs (§V-G).
 
-use crate::comparison::{self, ComparisonConfig, PolicyKind};
+use crate::session::ServingSessionBuilder;
 use janus_simcore::time::SimDuration;
 use janus_workloads::apps::PaperApp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Figure 9 data for one application: normalised CPU per policy per SLO.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Result {
     /// Application short name.
     pub app: String,
@@ -17,34 +16,38 @@ pub struct Fig9Result {
     pub series: Vec<(String, Vec<f64>)>,
 }
 
+/// The policies Figure 9 serves, in run order: the Optimal normaliser first.
+pub const SLO_SWEEP_POLICIES: &[&str] = &["Optimal", "ORION", "GrandSLAM", "Janus"];
+
 /// Run the SLO sweep for one application: IA over 3–7 s, VA over 1.5–2.0 s in
 /// the paper; the SLO list is a parameter so tests can use fewer points.
+/// `base` supplies the scale and seed; the sweep sets the application, each
+/// SLO and [`SLO_SWEEP_POLICIES`], so `base` must name no policy itself.
 pub fn fig9_slo_sweep(
     app: PaperApp,
     slos_s: &[f64],
-    base: &ComparisonConfig,
+    base: &ServingSessionBuilder,
 ) -> Result<Fig9Result, String> {
-    let policies = [PolicyKind::Orion, PolicyKind::GrandSlam, PolicyKind::Janus];
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
+    let series_names = &SLO_SWEEP_POLICIES[1..];
+    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); series_names.len()];
     for &slo in slos_s {
-        let config = ComparisonConfig {
-            app,
-            slo: SimDuration::from_secs(slo),
-            policies: PolicyKind::SLO_SWEEP.to_vec(),
-            ..base.clone()
-        };
-        let outcome = comparison::run(&config)?;
-        for (i, &p) in policies.iter().enumerate() {
-            per_policy[i].push(outcome.normalized_cpu(p).unwrap_or(f64::NAN));
+        let report = base
+            .clone()
+            .app(app)
+            .slo(SimDuration::from_secs(slo))
+            .policies(SLO_SWEEP_POLICIES.iter().copied())
+            .run()?;
+        for (series, name) in per_policy.iter_mut().zip(series_names) {
+            series.push(report.normalized_cpu(name, "Optimal").unwrap_or(f64::NAN));
         }
     }
     Ok(Fig9Result {
         app: app.short_name().to_string(),
         slos_s: slos_s.to_vec(),
-        series: policies
+        series: series_names
             .iter()
             .zip(per_policy)
-            .map(|(p, v)| (p.name().to_string(), v))
+            .map(|(name, v)| (name.to_string(), v))
             .collect(),
     })
 }
@@ -110,7 +113,7 @@ impl Experiment for Fig9Experiment {
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
         let mut out = ExperimentOutput::new();
         for app in PaperApp::ALL {
-            let result = fig9_slo_sweep(app, fig9_slos(app, ctx.scale), &ctx.comparison(app, 1))
+            let result = fig9_slo_sweep(app, fig9_slos(app, ctx.scale), &ctx.session(app, 1))
                 .map_err(|e| format!("{}: {e}", app.short_name()))?;
             out.push(app.short_name(), result);
         }
@@ -121,17 +124,16 @@ impl Experiment for Fig9Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Load, ServingSession};
 
     #[test]
     fn janus_beats_the_early_binders_across_slos() {
         // 120 requests is noise-dominated (ORION can "beat" the oracle on a
         // lucky draw); 300 keeps the run fast while the ordering is stable.
-        let base = ComparisonConfig {
-            requests: 300,
-            samples_per_point: 300,
-            budget_step_ms: 2.0,
-            ..ComparisonConfig::paper_default(PaperApp::IntelligentAssistant, 1)
-        };
+        let base = ServingSession::builder()
+            .load(Load::Closed { requests: 300 })
+            .samples_per_point(300)
+            .budget_step_ms(2.0);
         let result = fig9_slo_sweep(PaperApp::IntelligentAssistant, &[3.0, 3.5], &base).unwrap();
         assert_eq!(result.slos_s, vec![3.0, 3.5]);
         assert_eq!(result.series.len(), 3);

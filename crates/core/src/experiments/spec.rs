@@ -24,11 +24,10 @@ use janus_json::{parse, Value};
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
-use serde::{Deserialize, Serialize};
 
 /// One serving session described as data: a single point of a sweep grid,
 /// or a standalone session spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionSpec {
     /// Application under test.
     pub app: PaperApp,
@@ -205,7 +204,7 @@ impl SessionSpec {
 /// scenarios × loads × seeds × autoscalers × admissions × faults ×
 /// observers, each point serving every listed policy on a shared request
 /// set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Human-readable sweep name (reported in the output document).
     pub name: String,

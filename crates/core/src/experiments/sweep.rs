@@ -58,7 +58,7 @@ use janus_platform::openloop::OpenLoopArena;
 use janus_results::ResultsStore;
 use janus_scenarios::ScenarioRegistry;
 use janus_simcore::metrics::MetricsRegistry;
-use rayon::prelude::*;
+use janus_simcore::parallel;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::time::Instant;
@@ -558,9 +558,8 @@ pub fn run_sweep_stored(
         .map(<[_]>::to_vec)
         .collect();
 
-    let completed: Vec<Result<(usize, Vec<SweepPoint>), String>> = stripes
-        .into_par_iter()
-        .map(|stripe| {
+    let completed: Vec<Result<(usize, Vec<SweepPoint>), String>> =
+        parallel::map(stripes, |stripe| {
             let metrics_registry = MetricsRegistry::new();
             let metrics = ServingMetrics::intern(&metrics_registry);
             let mut arena = OpenLoopArena::new();
@@ -615,8 +614,7 @@ pub fn run_sweep_stored(
                 done.push(point);
             }
             Ok((setups_built, done))
-        })
-        .collect();
+        });
 
     let mut points = replayed;
     points.reserve(total.saturating_sub(points.len()));

@@ -1,19 +1,18 @@
 //! Synthesizer-centric experiments: Figures 6 and 8, Table II and the system
 //! overhead report (§V-C, §V-E, §V-F, §V-H).
 
-use crate::comparison::{self, ComparisonConfig, PolicyKind};
 use crate::deployment::{DeploymentConfig, JanusDeployment};
+use crate::session::ServingSessionBuilder;
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_simcore::time::SimDuration;
 use janus_synthesizer::synthesizer::{Synthesizer, SynthesizerConfig};
 use janus_workloads::apps::PaperApp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
 
 /// Figure 6: resource consumption and synthesis time of Janus vs Janus⁺
 /// across SLOs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// SLOs evaluated (seconds).
     pub slos_s: Vec<f64>,
@@ -51,11 +50,13 @@ impl Fig6Result {
     }
 }
 
-/// Run Figure 6 for IA: serve under Janus and Janus⁺ at each SLO and record
-/// the synthesis time of each hints bundle.
+/// Run Figure 6: serve under Janus and Janus⁺ at each SLO and record the
+/// synthesis time of each hints bundle. `base` supplies the application,
+/// scale and seed; the run sets each SLO and the two policies, so `base`
+/// must name no policy itself.
 pub fn fig6_exploration_cost(
     slos_s: &[f64],
-    base: &ComparisonConfig,
+    base: &ServingSessionBuilder,
 ) -> Result<Fig6Result, String> {
     let mut result = Fig6Result {
         slos_s: slos_s.to_vec(),
@@ -65,34 +66,29 @@ pub fn fig6_exploration_cost(
         janus_plus_time_s: Vec::new(),
     };
     for &slo in slos_s {
-        let config = ComparisonConfig {
-            slo: SimDuration::from_secs(slo),
-            policies: vec![PolicyKind::Janus, PolicyKind::JanusPlus],
-            ..base.clone()
-        };
-        let outcome = comparison::run(&config)?;
-        result.janus_cpu.push(
-            outcome
-                .report(PolicyKind::Janus)
-                .expect("janus in run")
-                .mean_cpu_millicores(),
-        );
-        result.janus_plus_cpu.push(
-            outcome
-                .report(PolicyKind::JanusPlus)
-                .expect("janus+ in run")
-                .mean_cpu_millicores(),
-        );
-        let time_of = |variant: &str| {
-            outcome
+        let report = base
+            .clone()
+            .slo(SimDuration::from_secs(slo))
+            .policies(["Janus", "Janus+"])
+            .run()?;
+        for (name, cpu, time_s) in [
+            ("Janus", &mut result.janus_cpu, &mut result.janus_time_s),
+            (
+                "Janus+",
+                &mut result.janus_plus_cpu,
+                &mut result.janus_plus_time_s,
+            ),
+        ] {
+            let policy = report
+                .report(name)
+                .ok_or_else(|| format!("SLO {slo} s: policy `{name}` missing from its session"))?;
+            let synthesis = policy
                 .synthesis
-                .iter()
-                .find(|s| s.variant == variant)
-                .map(|s| s.synthesis_time_ms / 1000.0)
-                .unwrap_or(0.0)
-        };
-        result.janus_time_s.push(time_of("Janus"));
-        result.janus_plus_time_s.push(time_of("Janus+"));
+                .as_ref()
+                .ok_or_else(|| format!("SLO {slo} s: policy `{name}` reported no synthesis"))?;
+            cpu.push(policy.serving.mean_cpu_millicores());
+            time_s.push(synthesis.synthesis_time_ms / 1000.0);
+        }
     }
     Ok(result)
 }
@@ -130,7 +126,7 @@ impl fmt::Display for Fig6Result {
 }
 
 /// Figure 8: number of condensed hints per weight.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Result {
     /// Weights evaluated.
     pub weights: Vec<f64>,
@@ -216,7 +212,7 @@ impl fmt::Display for Fig8Result {
 
 /// Table II: impact of the head weight on the head function's allocation and
 /// chosen percentile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Result {
     /// Rows `(weight, mean head millicores, mean head percentile)`.
     pub rows: Vec<(f64, f64, f64)>,
@@ -286,7 +282,7 @@ impl fmt::Display for Table2Result {
 }
 
 /// §V-H system overhead: online adaptation latency and hints memory footprint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OverheadResult {
     /// Rows `(workflow, mean decision µs, max decision µs, bundle bytes,
     /// condensed hints, synthesis ms)`.
@@ -384,7 +380,7 @@ impl Experiment for Fig6Experiment {
             Scale::Paper => &[3.0, 4.0, 5.0, 6.0, 7.0],
             Scale::Quick => &[3.0, 5.0, 7.0],
         };
-        let base = ctx.comparison(PaperApp::IntelligentAssistant, 1);
+        let base = ctx.session(PaperApp::IntelligentAssistant, 1);
         Ok(ExperimentOutput::single(fig6_exploration_cost(
             slos, &base,
         )?))
@@ -461,6 +457,7 @@ impl Experiment for OverheadExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Load, ServingSession};
     use janus_workloads::apps::PaperApp;
 
     #[test]
@@ -515,12 +512,11 @@ mod tests {
 
     #[test]
     fn fig6_janus_plus_gains_little_but_costs_much_more_time() {
-        let base = ComparisonConfig {
-            requests: 100,
-            samples_per_point: 250,
-            budget_step_ms: 10.0,
-            ..ComparisonConfig::paper_default(PaperApp::IntelligentAssistant, 1)
-        };
+        let base = ServingSession::builder()
+            .app(PaperApp::IntelligentAssistant)
+            .load(Load::Closed { requests: 100 })
+            .samples_per_point(250)
+            .budget_step_ms(10.0);
         let r = fig6_exploration_cost(&[3.0, 5.0], &base).unwrap();
         assert_eq!(r.slos_s.len(), 2);
         // Janus+ never uses more CPU than Janus (larger search space)…
@@ -542,5 +538,27 @@ mod tests {
             r.mean_time_blowup()
         );
         assert!(!format!("{r}").is_empty());
+    }
+
+    #[test]
+    fn fig6_fails_when_a_policy_reports_no_synthesis() {
+        // A "Janus+" that skips the hints pipeline has no synthesis time to
+        // report; the figure must say so rather than plot 0 s.
+        let base = ServingSession::builder()
+            .app(PaperApp::IntelligentAssistant)
+            .load(Load::Closed { requests: 5 })
+            .samples_per_point(250)
+            .budget_step_ms(10.0)
+            .register_fn("Janus+", |ctx| {
+                Ok(crate::registry::BuiltPolicy::plain(
+                    janus_platform::policy::FixedSizingPolicy::uniform(
+                        "Janus+",
+                        ctx.workflow,
+                        ctx.grid.max,
+                    )?,
+                ))
+            });
+        let err = fig6_exploration_cost(&[3.0], &base).unwrap_err();
+        assert!(err.contains("`Janus+` reported no synthesis"), "{err}");
     }
 }

@@ -36,9 +36,6 @@
 //! * [`JanusPolicy`] — the resulting late-binding
 //!   [`SizingPolicy`](janus_platform::policy::SizingPolicy), runnable on the
 //!   same platform executor as every baseline.
-//! * [`comparison`] — the legacy paired-comparison surface, now a thin shim
-//!   over [`session`] (the closed `PolicyKind` enum maps one-to-one onto the
-//!   registry's built-in names).
 //! * [`experiments`] — the declarative experiment layer: an object-safe
 //!   [`Experiment`](experiments::Experiment) trait behind an open
 //!   [`ExperimentRegistry`](experiments::ExperimentRegistry) (one built-in
@@ -72,14 +69,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod comparison;
 pub mod deployment;
 pub mod experiments;
 pub mod policy;
 pub mod registry;
 pub mod session;
 
-pub use comparison::{ComparisonConfig, ComparisonOutcome, PolicyKind};
 pub use deployment::{DeploymentConfig, JanusDeployment, JanusVariant};
 pub use policy::JanusPolicy;
 pub use registry::{BuiltPolicy, PolicyContext, PolicyFactory, PolicyRegistry};

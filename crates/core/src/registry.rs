@@ -9,10 +9,6 @@
 //! evaluation are pre-registered built-ins; downstream crates register their
 //! own policies with [`PolicyRegistry::register`] (or the closure shorthand
 //! [`PolicyRegistry::register_fn`]) without touching any `janus-*` crate.
-//!
-//! The legacy closed `PolicyKind` enum in [`crate::comparison`] is now a thin
-//! shim that resolves through this registry — see `DESIGN.md` for the
-//! migration guide.
 
 use janus_baselines::early::{grandslam, grandslam_plus, orion, OrionConfig};
 use janus_baselines::oracle::OptimalOracle;

@@ -1,11 +1,9 @@
 //! One entry point for serving: the [`ServingSession`] builder.
 //!
-//! Before this module, running a policy against a workload meant choosing
-//! between three incompatible surfaces: `ComparisonConfig` + `comparison::run`
-//! for paired comparisons, a hand-wired
-//! [`ClosedLoopExecutor`], or a
-//! hand-wired [`OpenLoopSimulation`]
-//! for Poisson arrivals. A session unifies them:
+//! A session is the one way to serve policies against a workload, instead of
+//! a hand-wired [`ClosedLoopExecutor`] or a hand-wired
+//! [`OpenLoopSimulation`]; a paired comparison is a session with several
+//! policies:
 //!
 //! ```
 //! use janus_core::session::{Load, ServingSession};
@@ -65,11 +63,10 @@ use janus_workloads::request::{
     InterArrivalSampler, PoissonGaps, RequestInput, RequestInputGenerator, RequestSource as _,
 };
 use janus_workloads::workflow::Workflow;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How requests are offered to the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Load {
     /// Closed loop: `requests` replayed back-to-back, one in flight at a
     /// time — the paper's evaluation methodology (§V).
@@ -116,7 +113,7 @@ impl Load {
 /// own RNG stream from the session seed via [`tenant_stream_seed`], so
 /// adding a tenant never perturbs another tenant's draws and the merged run
 /// is reproducible bit for bit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantLoad {
     /// Number of identical independent streams this tenant contributes.
     pub count: usize,
@@ -163,7 +160,6 @@ pub struct ServingSessionBuilder {
     seed: u64,
     samples_per_point: usize,
     synthesis: SynthesisSettings,
-    count_startup_delays: bool,
     registry: PolicyRegistry,
     scenarios: ScenarioRegistry,
     autoscalers: AutoscalerRegistry,
@@ -191,7 +187,6 @@ impl Default for ServingSessionBuilder {
             seed: 7,
             samples_per_point: 1000,
             synthesis: SynthesisSettings::default(),
-            count_startup_delays: true,
             registry: PolicyRegistry::with_builtins(),
             scenarios: ScenarioRegistry::with_builtins(),
             autoscalers: AutoscalerRegistry::with_builtins(),
@@ -448,12 +443,6 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Whether pod startup delays count against latency. Default true.
-    pub fn count_startup_delays(mut self, count: bool) -> Self {
-        self.count_startup_delays = count;
-        self
-    }
-
     /// Replace the policy registry (default: the built-in seven).
     pub fn registry(mut self, registry: PolicyRegistry) -> Self {
         self.registry = registry;
@@ -633,7 +622,6 @@ impl ServingSessionBuilder {
             seed: self.seed,
             samples_per_point: self.samples_per_point,
             synthesis: self.synthesis,
-            count_startup_delays: self.count_startup_delays,
             registry: self.registry,
             scenarios: self.scenarios,
             autoscalers: self.autoscalers,
@@ -738,7 +726,6 @@ pub struct ServingSession {
     seed: u64,
     samples_per_point: usize,
     synthesis: SynthesisSettings,
-    count_startup_delays: bool,
     registry: PolicyRegistry,
     scenarios: ScenarioRegistry,
     autoscalers: AutoscalerRegistry,
@@ -900,10 +887,7 @@ impl ServingSession {
             }
         };
 
-        let mut exec_config = ExecutorConfig {
-            count_startup_delays: self.count_startup_delays,
-            ..ExecutorConfig::paper_serving(self.slo, self.concurrency)
-        };
+        let mut exec_config = ExecutorConfig::paper_serving(self.slo, self.concurrency);
         if let Some(cluster) = &self.cluster {
             exec_config.cluster = cluster.clone();
         }
@@ -956,7 +940,7 @@ impl ServingSession {
                         cluster: exec_config.cluster.clone(),
                         pool: exec_config.pool.clone(),
                         interference: exec_config.interference.clone(),
-                        count_startup_delays: self.count_startup_delays,
+                        count_startup_delays: exec_config.count_startup_delays,
                     };
                     let sim = OpenLoopSimulation::new(self.workflow.clone(), open_config);
                     if self.autoscaler.is_some() || self.admission.is_some() || self.fault.is_some()
@@ -1057,7 +1041,7 @@ impl ServingSession {
 }
 
 /// Everything one policy produced in a session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyReport {
     /// Registered policy name.
     pub name: String,
@@ -1082,7 +1066,7 @@ impl PolicyReport {
 
 /// The normalized outcome of a [`ServingSession`] run: one
 /// [`PolicyReport`] per configured policy, in configuration order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SessionReport {
     /// Workflow name.
     pub workflow: String,
@@ -1096,9 +1080,7 @@ pub struct SessionReport {
     /// closed loops and the plain Poisson open loop).
     pub scenario: Option<String>,
     /// Tenant classes merged into the arrival stream, for multi-tenant
-    /// sessions (`None` for single-stream runs; absent in pre-tenancy
-    /// reports, which decode as `None`).
-    #[serde(default)]
+    /// sessions (`None` for single-stream runs).
     pub tenants: Option<Vec<TenantLoad>>,
     /// Autoscaler name for capacity-controlled open loops.
     pub autoscaler: Option<String>,
@@ -1170,6 +1152,17 @@ impl SessionReport {
     pub fn normalized_cpu(&self, name: &str, baseline: &str) -> Option<f64> {
         let base = self.serving(baseline)?;
         Some(self.serving(name)?.cpu_normalized_by(base))
+    }
+
+    /// Table I entry: resource reduction of `ours` versus `other`,
+    /// normalised by Optimal, as a percentage.
+    pub fn reduction_percent(&self, ours: &str, other: &str) -> Option<f64> {
+        let optimal = self.serving("Optimal")?;
+        Some(
+            self.serving(ours)?
+                .reduction_vs(self.serving(other)?, optimal)
+                * 100.0,
+        )
     }
 
     /// Structural invariants every well-formed report satisfies; `run`

@@ -4,10 +4,9 @@
 //! Three kinds of documents cross a process boundary as text: the hints
 //! bundle (§III-A "submitted to the adapter"), the experiment reports the
 //! `janus` CLI writes with `--out` (`BENCH_*.json`), and the declarative
-//! sweep specs it reads with `janus sweep <spec.json>`. None of them may
-//! depend on an unavailable serialisation framework (the serde shim carries
-//! no machinery), so this crate implements just enough of RFC 8259 for all
-//! of them: objects, arrays, finite numbers and escaped strings.
+//! sweep specs it reads with `janus sweep <spec.json>`. The workspace
+//! builds offline with no serialisation framework, so this crate implements
+//! just enough of RFC 8259 for all of them: objects, arrays, finite numbers and escaped strings.
 //!
 //! The encoder is canonical: for any [`Value`] containing only finite
 //! numbers, `parse(v.to_pretty())` reproduces `v` exactly and re-encoding

@@ -53,7 +53,6 @@ use janus_json::{write_number, write_string, Value};
 use janus_simcore::idmap::IdMap;
 use janus_simcore::registry::{Entry, Factory, NamedFn, Registry};
 use janus_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -364,7 +363,7 @@ pub struct TickSample {
 
 /// One point of a [`TimeSeriesReport`] — the serializable form of a
 /// [`TickSample`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeriesPoint {
     /// Simulated time of the sample, in milliseconds.
     pub at_ms: f64,
@@ -464,7 +463,7 @@ impl TimeSeriesPoint {
 }
 
 /// The time-series half of a flight recording: one point per capacity tick.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeriesReport {
     /// Samples in tick order.
     pub points: Vec<TimeSeriesPoint>,
@@ -498,7 +497,7 @@ impl TimeSeriesReport {
 /// Per-request phase breakdowns aggregated over one policy run, derived by
 /// [`SpanBuilder`] from the record stream. All means are over *served*
 /// requests and degrade to `0.0` (never NaN) when nothing was served.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanSummary {
     /// Requests that arrived.
     pub arrivals: u64,
@@ -699,7 +698,7 @@ impl SpanBuilder {
 /// populated depends on the observer: the `trace` built-in fills `trace`,
 /// `spans` fills `spans`, `time-series` fills `time_series`, and the
 /// `flight-recorder` composite fills all three.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObserverReport {
     /// Name of the observer that produced the report.
     pub observer: String,

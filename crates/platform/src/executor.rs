@@ -27,10 +27,9 @@ use janus_simcore::pool::{PoolConfig, PoolManager};
 use janus_simcore::time::{SimDuration, SimTime};
 use janus_workloads::request::RequestInput;
 use janus_workloads::workflow::Workflow;
-use serde::{Deserialize, Serialize};
 
 /// Executor configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorConfig {
     /// End-to-end latency SLO.
     pub slo: SimDuration,

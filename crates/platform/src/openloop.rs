@@ -54,10 +54,9 @@ use janus_simcore::rng::SimRng;
 use janus_simcore::time::{SimDuration, SimTime};
 use janus_workloads::request::{RequestInput, RequestSource, SliceSource};
 use janus_workloads::workflow::Workflow;
-use serde::{Deserialize, Serialize};
 
 /// Open-loop simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpenLoopConfig {
     /// End-to-end latency SLO.
     pub slo: SimDuration,

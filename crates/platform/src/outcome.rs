@@ -4,10 +4,9 @@ use crate::metrics::ServingMetrics;
 use janus_simcore::resources::Millicores;
 use janus_simcore::stats::{Cdf, StreamingSummary, Summary};
 use janus_simcore::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// What happened to a request at the platform's front door.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestDisposition {
     /// Admitted and served to completion.
     Served,
@@ -19,7 +18,7 @@ pub enum RequestDisposition {
 }
 
 /// The result of serving one workflow request under one sizing policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutcome {
     /// Request identifier (matches the replayed [`RequestInput`]).
     ///
@@ -106,7 +105,7 @@ impl RequestOutcome {
 }
 
 /// One applied autoscaler action, for determinism checks and event logs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingEvent {
     /// Simulated time the action was applied.
     pub at: SimTime,
@@ -118,7 +117,7 @@ pub struct ScalingEvent {
 
 /// Capacity accounting of one open-loop run under elastic control: what the
 /// autoscaler and the admission policy did, and what it cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapacityReport {
     /// Autoscaler name the run used.
     pub autoscaler: String,
@@ -174,7 +173,7 @@ impl CapacityReport {
 }
 
 /// Aggregated results of serving a request set under one policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Policy name.
     pub policy: String,

@@ -9,10 +9,9 @@
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
 use janus_workloads::workflow::Workflow;
-use serde::{Deserialize, Serialize};
 
 /// Per-request, policy-visible context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestContext {
     /// Request identifier.
     pub request_id: u64,
@@ -77,7 +76,7 @@ pub trait SizingPolicy: Send {
 /// The simplest early-binding policy: a fixed per-function allocation vector,
 /// applied identically to every request. Both GrandSLAM-style baselines and
 /// unit tests build on this.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FixedSizingPolicy {
     name: String,
     sizes: Vec<Millicores>,

@@ -6,11 +6,10 @@
 //! floating-point percentile in `(0, 100)`, and [`PercentileGrid`] is the
 //! ordered set of candidate percentiles the synthesizer searches.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A percentile in the open interval (0, 100).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Percentile(f64);
 
 impl Percentile {
@@ -79,7 +78,7 @@ impl PartialEq<f64> for Percentile {
 }
 
 /// An ordered set of candidate percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PercentileGrid {
     values: Vec<Percentile>,
 }

@@ -4,7 +4,6 @@ use crate::percentiles::Percentile;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::stats::percentile_of_sorted;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The execution-time distribution of one function at one concurrency level,
@@ -13,7 +12,7 @@ use std::collections::BTreeMap;
 /// Internally the profile stores the sorted raw samples per grid allocation,
 /// so any percentile can be queried after profiling (the synthesizer explores
 /// many percentiles for head functions).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionProfile {
     function: String,
     concurrency: u32,
@@ -114,7 +113,7 @@ impl FunctionProfile {
 }
 
 /// Profiles of every function of a workflow at one concurrency level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowProfile {
     workflow: String,
     concurrency: u32,

@@ -8,22 +8,22 @@
 //! way the authors ran their functions on Fission: many sample executions per
 //! (allocation, concurrency) grid point.
 //!
-//! Grid points are profiled in parallel with rayon — profiling is offline and
-//! embarrassingly parallel, exactly the "explores different percentiles
-//! concurrently" structure the paper describes for the offline pipeline.
+//! Grid points are profiled in parallel ([`janus_simcore::parallel::map`]) —
+//! profiling is offline and embarrassingly parallel, exactly the "explores
+//! different percentiles concurrently" structure the paper describes for the
+//! offline pipeline.
 
 use crate::profile::{FunctionProfile, WorkflowProfile};
 use janus_simcore::interference::InterferenceModel;
+use janus_simcore::parallel;
 use janus_simcore::resources::CoreGrid;
 use janus_simcore::rng::SimRng;
 use janus_workloads::function::FunctionModel;
 use janus_workloads::workflow::Workflow;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Profiler configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfilerConfig {
     /// Number of sample executions per (allocation, concurrency) grid point.
     pub samples_per_point: usize,
@@ -95,35 +95,31 @@ impl Profiler {
     /// Profile one function at the given concurrency (batch size).
     pub fn profile_function(&self, function: &FunctionModel, concurrency: u32) -> FunctionProfile {
         let cfg = &self.config;
-        let samples: BTreeMap<u32, Vec<f64>> = cfg
-            .grid
-            .iter()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|mc| {
-                // Common random numbers: every grid point replays the same
-                // working-set / noise stream, so profiled latencies are
-                // exactly monotone in the allocation (variance reduction) and
-                // independent of rayon's scheduling order.
-                let mut rng = SimRng::seed_from_u64(
-                    cfg.seed ^ (u64::from(concurrency) << 16) ^ hash_name(function.name()),
-                );
-                let v: Vec<f64> = (0..cfg.samples_per_point)
-                    .map(|_| {
-                        function
-                            .sample_execution_time(
-                                mc,
-                                concurrency,
-                                cfg.colocation_degree,
-                                &cfg.interference,
-                                &mut rng,
-                            )
-                            .as_millis()
-                    })
-                    .collect();
-                (mc.get(), v)
-            })
-            .collect();
+        let samples: BTreeMap<u32, Vec<f64>> = parallel::map(cfg.grid.iter().collect(), |mc| {
+            // Common random numbers: every grid point replays the same
+            // working-set / noise stream, so profiled latencies are
+            // exactly monotone in the allocation (variance reduction) and
+            // independent of which thread profiles the point.
+            let mut rng = SimRng::seed_from_u64(
+                cfg.seed ^ (u64::from(concurrency) << 16) ^ hash_name(function.name()),
+            );
+            let v: Vec<f64> = (0..cfg.samples_per_point)
+                .map(|_| {
+                    function
+                        .sample_execution_time(
+                            mc,
+                            concurrency,
+                            cfg.colocation_degree,
+                            &cfg.interference,
+                            &mut rng,
+                        )
+                        .as_millis()
+                })
+                .collect();
+            (mc.get(), v)
+        })
+        .into_iter()
+        .collect();
         FunctionProfile::from_samples(function.name(), concurrency, cfg.grid, samples)
             .expect("profiler produces complete grids")
     }

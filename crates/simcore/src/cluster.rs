@@ -18,7 +18,6 @@ use crate::node::{Node, NodeId};
 use crate::pod::PodId;
 use crate::resources::Millicores;
 use crate::SimResult;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
 /// Lifecycle state of one cluster node.
@@ -28,7 +27,7 @@ use std::collections::hash_map::Entry;
 /// ([`Cluster::drain_node`]). Draining is allocation-aware — a node that
 /// still hosts pods keeps serving them but accepts no new placements, and
 /// retires automatically once its last pod is evicted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Accepting placements and serving pods.
     Active,
@@ -40,7 +39,7 @@ pub enum NodeState {
 }
 
 /// How pods are assigned to nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// Prefer the node already hosting the most pods of the same function
     /// (models production packing and maximises interference).
@@ -51,7 +50,7 @@ pub enum PlacementPolicy {
 }
 
 /// Cluster configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of worker nodes.
     pub nodes: usize,

@@ -11,10 +11,8 @@
 //! same function. Defaults are calibrated so that six co-located instances of
 //! a network-bound function slow down ≈ 8×, reproducing Figure 1c.
 
-use serde::{Deserialize, Serialize};
-
 /// The resource dimension a function predominantly stresses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceDimension {
     /// Compute-bound (e.g. AES encryption). CPU is partitioned per-pod, so
     /// contention is mildest.
@@ -50,7 +48,7 @@ impl std::fmt::Display for ResourceDimension {
 }
 
 /// Per-dimension slowdown curve parameters: `slowdown = 1 + coeff * (n-1)^exp`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowdownCurve {
     /// Linear coefficient of the contention term.
     pub coeff: f64,
@@ -72,7 +70,7 @@ impl SlowdownCurve {
 
 /// Interference model mapping (dimension, co-location degree) to a latency
 /// multiplier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceModel {
     cpu: SlowdownCurve,
     memory: SlowdownCurve,

@@ -31,6 +31,8 @@
 //! * [`idmap`] — [`IdMap`] / [`IdSet`], hash tables with a one-multiply
 //!   hasher for the simulator-assigned pod and request ids every function
 //!   invocation looks up.
+//! * [`parallel`] — an order-preserving parallel [`parallel::map`] on
+//!   scoped threads for the offline fan-outs (profiling, sweeps).
 //!
 //! Everything here is deliberately independent of Janus itself so that the
 //! baselines (ORION, GrandSLAM, …) run on the identical substrate.
@@ -46,6 +48,7 @@ pub mod idmap;
 pub mod interference;
 pub mod metrics;
 pub mod node;
+pub mod parallel;
 pub mod pod;
 pub mod pool;
 pub mod registry;

@@ -35,7 +35,6 @@
 //!   serving hot path where buffering every sample would be wasteful.
 
 use crate::stats::{StreamingSummary, Summary};
-use serde::{Deserialize, Serialize};
 // janus-lint: allow(nondeterminism) — name→series registry for keyed lookup; snapshots sort names before rendering
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -348,7 +347,7 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time view of a [`MetricsRegistry`], embeddable in reports.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter, sorted by name.
     pub counters: Vec<(String, u64)>,

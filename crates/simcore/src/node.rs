@@ -11,10 +11,9 @@
 //! placement touches no string and allocates nothing.
 
 use crate::resources::Millicores;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a worker node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {

@@ -8,10 +8,9 @@ use crate::error::SimError;
 use crate::resources::Millicores;
 use crate::time::SimTime;
 use crate::SimResult;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a pod (function instance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PodId(pub u64);
 
 impl std::fmt::Display for PodId {
@@ -21,7 +20,7 @@ impl std::fmt::Display for PodId {
 }
 
 /// Lifecycle states of a pod.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PodState {
     /// Created but not yet specialised to a function (generic warm pool pod).
     Generic,

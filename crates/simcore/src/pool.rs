@@ -9,11 +9,10 @@ use crate::idmap::IdMap;
 use crate::pod::{Pod, PodId, PodState};
 use crate::resources::Millicores;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Pool-manager configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolConfig {
     /// Number of generic pods kept warm.
     pub pool_size: usize,

@@ -5,14 +5,11 @@
 //! knob exposed to sizing policies; [`CoreGrid`] captures the discrete
 //! exploration grid used by the profiler and the synthesizer.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A CPU allocation expressed in millicores (1/1000 of a physical core).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Millicores(pub u32);
 
 impl Millicores {
@@ -86,7 +83,7 @@ impl fmt::Display for Millicores {
 /// synthesizer: `[min, max]` with a fixed `step`, all in millicores.
 ///
 /// The paper uses `CoreGrid::paper_default()` = 1000..=3000 step 100.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreGrid {
     /// Minimum allocation (`Kmin` in the paper).
     pub min: Millicores,

@@ -4,8 +4,6 @@
 //! The paper works almost exclusively in percentiles (P1–P99 profiles, P99
 //! SLOs, P99/P50 variability ratios), so these helpers are used everywhere.
 
-use serde::{Deserialize, Serialize};
-
 /// Compute the `p`-th percentile (0 <= p <= 100) of a sample set using
 /// linear interpolation between closest ranks (the same convention as
 /// `numpy.percentile(..., interpolation="linear")`, which the paper's pandas
@@ -74,7 +72,7 @@ fn percentile_rank(len: usize, p: f64) -> (usize, usize, f64) {
 }
 
 /// Summary statistics over a sample set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -141,7 +139,7 @@ impl Summary {
 
 /// An empirical cumulative distribution function, used for the latency CDFs of
 /// Figure 4 and the slack CDF of Figure 1a.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }
@@ -203,7 +201,7 @@ impl Cdf {
 
 /// Online mean/variance accumulator (Welford). Used by long-running serving
 /// loops where storing every sample would be wasteful.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -322,7 +320,7 @@ const BUCKET_COUNT: usize = ((MAX_EXP - MIN_EXP) as usize) * BUCKETS_PER_DECADE;
 /// suitable for sweep-style experiments and long-running serving loops.
 /// Mean, variance, min, max and count are exact (Welford); only the
 /// percentiles are approximate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamingSummary {
     moments: RunningStats,
     /// Samples `<= 0` (latencies: exact zeros); kept out of the log buckets.

@@ -6,16 +6,15 @@
 //! milliseconds since simulation start. `f64` keeps arithmetic simple while a
 //! dedicated newtype prevents confusing instants with durations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// A point in simulated time, in milliseconds since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 /// A span of simulated time, in milliseconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimTime {

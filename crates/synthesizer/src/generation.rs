@@ -39,10 +39,9 @@ use janus_profiler::percentiles::{Percentile, PercentileGrid};
 use janus_profiler::profile::{FunctionProfile, WorkflowProfile};
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the hint generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationConfig {
     /// Weight `W` applied to the head function's allocation in the objective
     /// (Insight 4: "heavier head").
@@ -85,7 +84,7 @@ impl GenerationConfig {
 }
 
 /// A raw (pre-condensing) hint: the full allocation plan for one time budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawHint {
     /// Time budget this hint was generated for (ms).
     pub budget_ms: f64,

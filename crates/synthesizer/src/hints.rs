@@ -10,10 +10,9 @@
 use janus_profiler::percentiles::Percentile;
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One condensed hint row: budgets in `[start_ms, end_ms]` map to `head_cores`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CondensedHint {
     /// Inclusive lower bound of the time-budget range (ms).
     pub start_ms: f64,
@@ -34,7 +33,7 @@ impl CondensedHint {
 }
 
 /// Outcome of a hints-table lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LookupOutcome {
     /// The budget fell inside a row's range.
     Hit {
@@ -61,7 +60,7 @@ impl LookupOutcome {
 }
 
 /// A condensed hints table for one sub-workflow suffix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HintsTable {
     /// Index of the first remaining function: the table to consult after the
     /// first `suffix_start` functions of the workflow finished. `0` is the
@@ -167,7 +166,7 @@ impl HintsTable {
 /// The full set of hints a developer submits for one workflow at one
 /// concurrency level and one head-function weight: a condensed table per
 /// sub-workflow suffix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HintsBundle {
     /// Workflow name.
     pub workflow: String,

@@ -5,12 +5,11 @@ use crate::hints::{HintsBundle, HintsTable};
 use janus_profiler::percentiles::PercentileGrid;
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Which leading functions of every sub-workflow may explore percentiles
 /// below the tail — the three late-binding variants of §V-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExplorationDepth {
     /// `Janus⁻`: no exploration, every function is planned at the tail
     /// percentile (P99).
@@ -42,7 +41,7 @@ impl ExplorationDepth {
 }
 
 /// Synthesizer configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesizerConfig {
     /// Head-function weight `W` (Insight 4). The paper uses 1.0 by default
     /// and studies 1–3 in §V-E.
@@ -102,7 +101,7 @@ impl SynthesizerConfig {
 }
 
 /// Statistics of one synthesis run (drives Figures 6b and 8 and §V-H).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisReport {
     /// Workflow name.
     pub workflow: String,

@@ -9,10 +9,9 @@
 
 use crate::synth::Trace;
 use janus_simcore::stats::{percentile_of_sorted, Cdf};
-use serde::{Deserialize, Serialize};
 
 /// The slack CDFs reported in Figure 1a.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlackCdfs {
     /// Slack CDF over all invocations.
     pub all: Cdf,

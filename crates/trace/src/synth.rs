@@ -1,10 +1,9 @@
 //! Synthetic Azure-Functions-like trace generation.
 
 use janus_simcore::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Number of distinct functions in the trace.
     pub functions: usize,
@@ -70,7 +69,7 @@ impl TraceConfig {
 }
 
 /// One function invocation in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Invocation {
     /// Function identifier (0 = most popular).
     pub function_id: usize,
@@ -82,7 +81,7 @@ pub struct Invocation {
 }
 
 /// A synthetic invocation trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// All invocations.
     pub invocations: Vec<Invocation>,

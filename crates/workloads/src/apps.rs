@@ -22,11 +22,10 @@ use crate::workflow::Workflow;
 use crate::workingset::WorksetDistribution;
 use janus_simcore::interference::ResourceDimension;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one of the two paper applications together with its default SLO
 /// per concurrency level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PaperApp {
     /// Intelligent Assistant: OD → QA → TS.
     IntelligentAssistant,

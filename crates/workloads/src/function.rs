@@ -10,10 +10,9 @@ use janus_simcore::interference::{InterferenceModel, ResourceDimension};
 use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Model of one serverless function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FunctionModel {
     name: String,
     /// Dominant resource dimension (drives co-location interference).

@@ -9,13 +9,12 @@
 //! of more resources" (§V-D).
 
 use janus_simcore::resources::Millicores;
-use serde::{Deserialize, Serialize};
 
 /// Reference allocation at which `base_ms` is defined (1 core).
 pub const REFERENCE_MILLICORES: f64 = 1000.0;
 
 /// Deterministic latency parameters of a function.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyParams {
     /// Execution time in milliseconds at the reference allocation (1000 mc),
     /// batch size 1, nominal working set, no interference, no noise.

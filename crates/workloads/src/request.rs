@@ -14,7 +14,6 @@
 use crate::workflow::Workflow;
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One step of an arrival process: the gap between consecutive requests.
@@ -60,7 +59,7 @@ impl InterArrivalSampler for PoissonGaps {
 }
 
 /// The immutable, policy-independent part of one workflow request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestInput {
     /// Request identifier (sequence number within the experiment).
     pub id: u64,

@@ -9,7 +9,6 @@
 //! treats the head function.
 
 use crate::function::FunctionModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised when constructing or slicing workflows.
@@ -41,7 +40,7 @@ impl fmt::Display for WorkflowError {
 impl std::error::Error for WorkflowError {}
 
 /// A serverless workflow: named, staged DAG of [`FunctionModel`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     name: String,
     functions: Vec<FunctionModel>,

@@ -13,10 +13,9 @@
 //!   interference (the paper reports P99/P50 of only 1.37–1.56 for VA).
 
 use janus_simcore::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution over working-set latency scale factors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorksetDistribution {
     /// Fixed working set: always scale 1.0.
     Constant,

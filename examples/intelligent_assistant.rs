@@ -8,7 +8,7 @@
 //!
 //! [`ServingSession`]: janus_core::session::ServingSession
 
-use janus_core::comparison::PolicyKind;
+use janus_core::experiments::TABLE1_POLICIES;
 use janus_core::session::{Load, ServingSession};
 use janus_core::workloads::apps::PaperApp;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), String> {
     let session = ServingSession::builder()
         .app(PaperApp::IntelligentAssistant)
         .concurrency(1)
-        .policies(PolicyKind::ALL.iter().map(|k| k.name()))
+        .policies(TABLE1_POLICIES.iter().copied())
         .load(Load::Closed { requests: 300 })
         .samples_per_point(400)
         .budget_step_ms(2.0)
@@ -49,13 +49,8 @@ fn main() -> Result<(), String> {
     }
 
     println!("\nTable I style reductions (normalised by Optimal):");
-    let optimal_cpu = report
-        .mean_cpu_millicores("Optimal")
-        .expect("Optimal is in the session");
-    let janus_cpu = report.mean_cpu_millicores("Janus").expect("Janus ran");
     for other in ["ORION", "GrandSLAM+", "GrandSLAM", "Janus-", "Janus+"] {
-        if let Some(other_cpu) = report.mean_cpu_millicores(other) {
-            let reduction = (other_cpu - janus_cpu) / optimal_cpu * 100.0;
+        if let Some(reduction) = report.reduction_percent("Janus", other) {
             println!("  Janus vs {other:>12}: {reduction:>6.1}%");
         }
     }

@@ -6,32 +6,37 @@
 //! checks the headline evaluation claims against the baselines
 //! (janus-baselines).
 
-use janus_core::comparison::{self, ComparisonConfig, PolicyKind};
 use janus_core::deployment::{DeploymentConfig, JanusDeployment, JanusVariant};
+use janus_core::experiments::{ExperimentCtx, Scale, TABLE1_POLICIES};
 use janus_core::platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_core::session::{ServingSessionBuilder, SessionReport};
 use janus_core::workloads::apps::PaperApp;
 use janus_core::workloads::request::RequestInputGenerator;
 use janus_simcore::time::SimDuration;
 
-fn quick(app: PaperApp, concurrency: u32) -> ComparisonConfig {
-    ComparisonConfig {
-        requests: 200,
-        samples_per_point: 300,
-        budget_step_ms: 5.0,
-        ..ComparisonConfig::paper_default(app, concurrency)
-    }
+/// The quick-scale paired comparison: 200 requests, 300 profile samples, a
+/// 5 ms budget step, seed 7.
+fn quick(app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
+    ExperimentCtx::new(Scale::Quick).session(app, concurrency)
+}
+
+fn table1(app: PaperApp) -> SessionReport {
+    quick(app, 1)
+        .policies(TABLE1_POLICIES.iter().copied())
+        .run()
+        .unwrap()
 }
 
 #[test]
 fn table1_headline_holds_for_ia() {
-    let outcome = comparison::run(&quick(PaperApp::IntelligentAssistant, 1)).unwrap();
-    let optimal = outcome.report(PolicyKind::Optimal).unwrap();
-    let janus = outcome.report(PolicyKind::Janus).unwrap();
-    let orion = outcome.report(PolicyKind::Orion).unwrap();
-    let grandslam = outcome.report(PolicyKind::GrandSlam).unwrap();
-    let grandslam_plus = outcome.report(PolicyKind::GrandSlamPlus).unwrap();
-    let janus_minus = outcome.report(PolicyKind::JanusMinus).unwrap();
-    let janus_plus = outcome.report(PolicyKind::JanusPlus).unwrap();
+    let outcome = table1(PaperApp::IntelligentAssistant);
+    let optimal = outcome.serving("Optimal").unwrap();
+    let janus = outcome.serving("Janus").unwrap();
+    let orion = outcome.serving("ORION").unwrap();
+    let grandslam = outcome.serving("GrandSLAM").unwrap();
+    let grandslam_plus = outcome.serving("GrandSLAM+").unwrap();
+    let janus_minus = outcome.serving("Janus-").unwrap();
+    let janus_plus = outcome.serving("Janus+").unwrap();
 
     // Who wins: Optimal <= Janus+ <= Janus <= Janus- and Janus < every early binder.
     assert!(optimal.mean_cpu_millicores() <= janus.mean_cpu_millicores());
@@ -42,68 +47,45 @@ fn table1_headline_holds_for_ia() {
     assert!(grandslam_plus.mean_cpu_millicores() <= grandslam.mean_cpu_millicores());
 
     // Everyone keeps the P99-style SLO guarantee (small violation rates).
-    for kind in PolicyKind::ALL {
-        let rate = outcome.report(kind).unwrap().slo_violation_rate();
-        assert!(rate <= 0.03, "{} violation rate {rate}", kind.name());
+    for name in TABLE1_POLICIES {
+        let rate = outcome.serving(name).unwrap().slo_violation_rate();
+        assert!(rate <= 0.03, "{name} violation rate {rate}");
     }
 
     // The Table I reductions are positive for every early-binding baseline.
-    for other in [
-        PolicyKind::Orion,
-        PolicyKind::GrandSlamPlus,
-        PolicyKind::GrandSlam,
-    ] {
-        let reduction = outcome.reduction_percent(PolicyKind::Janus, other).unwrap();
-        assert!(
-            reduction > 0.0,
-            "reduction vs {} was {reduction}",
-            other.name()
-        );
+    for other in ["ORION", "GrandSLAM+", "GrandSLAM"] {
+        let reduction = outcome.reduction_percent("Janus", other).unwrap();
+        assert!(reduction > 0.0, "reduction vs {other} was {reduction}");
     }
 }
 
 #[test]
 fn table1_headline_holds_for_va() {
-    let outcome = comparison::run(&quick(PaperApp::VideoAnalyze, 1)).unwrap();
-    let janus = outcome.report(PolicyKind::Janus).unwrap();
-    let orion = outcome.report(PolicyKind::Orion).unwrap();
-    let grandslam = outcome.report(PolicyKind::GrandSlam).unwrap();
+    let outcome = table1(PaperApp::VideoAnalyze);
+    let janus = outcome.serving("Janus").unwrap();
+    let orion = outcome.serving("ORION").unwrap();
+    let grandslam = outcome.serving("GrandSLAM").unwrap();
     assert!(janus.mean_cpu_millicores() < orion.mean_cpu_millicores());
     assert!(orion.mean_cpu_millicores() < grandslam.mean_cpu_millicores());
     assert!(janus.slo_violation_rate() <= 0.03);
-    assert!(
-        outcome
-            .reduction_percent(PolicyKind::Janus, PolicyKind::GrandSlamPlus)
-            .unwrap()
-            > 0.0
-    );
+    assert!(outcome.reduction_percent("Janus", "GrandSLAM+").unwrap() > 0.0);
 }
 
 #[test]
 fn higher_concurrency_magnifies_early_binding_overprovisioning() {
     // §V-B: at concurrency 2–3 the early binders over-allocate even more
     // relative to Optimal, while Janus tracks the variance at runtime.
-    let conc1 = comparison::run(&ComparisonConfig {
-        policies: vec![
-            PolicyKind::Optimal,
-            PolicyKind::GrandSlam,
-            PolicyKind::Janus,
-        ],
-        ..quick(PaperApp::IntelligentAssistant, 1)
-    })
-    .unwrap();
-    let conc2 = comparison::run(&ComparisonConfig {
-        policies: vec![
-            PolicyKind::Optimal,
-            PolicyKind::GrandSlam,
-            PolicyKind::Janus,
-        ],
-        ..quick(PaperApp::IntelligentAssistant, 2)
-    })
-    .unwrap();
-    let janus_norm_1 = conc1.normalized_cpu(PolicyKind::Janus).unwrap();
-    let janus_norm_2 = conc2.normalized_cpu(PolicyKind::Janus).unwrap();
-    let gs_norm_2 = conc2.normalized_cpu(PolicyKind::GrandSlam).unwrap();
+    let run = |concurrency| {
+        quick(PaperApp::IntelligentAssistant, concurrency)
+            .policies(["Optimal", "GrandSLAM", "Janus"])
+            .run()
+            .unwrap()
+    };
+    let conc1 = run(1);
+    let conc2 = run(2);
+    let janus_norm_1 = conc1.normalized_cpu("Janus", "Optimal").unwrap();
+    let janus_norm_2 = conc2.normalized_cpu("Janus", "Optimal").unwrap();
+    let gs_norm_2 = conc2.normalized_cpu("GrandSLAM", "Optimal").unwrap();
     assert!(
         gs_norm_2 > janus_norm_2,
         "GrandSLAM {gs_norm_2} vs Janus {janus_norm_2}"
@@ -113,11 +95,7 @@ fn higher_concurrency_magnifies_early_binding_overprovisioning() {
         "Janus stays near Optimal"
     );
     assert!(
-        conc2
-            .report(PolicyKind::Janus)
-            .unwrap()
-            .slo_violation_rate()
-            <= 0.03,
+        conc2.serving("Janus").unwrap().slo_violation_rate() <= 0.03,
         "Janus keeps the 4s SLO at concurrency 2"
     );
 }
