@@ -1387,6 +1387,158 @@ mod tests {
         assert_eq!(open.metrics.series_count(ServingMetrics::E2E_MS), 30);
     }
 
+    /// Records every serving metric per event, through the handles, from
+    /// the lifecycle records: the reference the loops' per-run tallies must
+    /// reproduce.
+    struct PerEventMetrics {
+        metrics: ServingMetrics,
+        /// Scaling records count as autoscaler actions (only sound when no
+        /// fault resizes the fleet).
+        count_scaling: bool,
+        admitted: std::collections::BTreeSet<u64>,
+    }
+
+    impl Observer for PerEventMetrics {
+        fn name(&self) -> &str {
+            "per-event-metrics"
+        }
+
+        fn record(&mut self, record: &janus_observe::Record) {
+            use janus_observe::RecordKind;
+            let m = &self.metrics;
+            match record.kind {
+                // Every admitted request places its first function at once.
+                RecordKind::Placement { request, .. } if self.admitted.insert(request) => {
+                    m.requests.incr(1);
+                }
+                RecordKind::ColdStart { .. } => m.cold_starts.incr(1),
+                RecordKind::ExecEnd { exec, .. } => {
+                    m.functions.incr(1);
+                    m.function_ms.record(exec.as_millis());
+                }
+                RecordKind::Completion { e2e, slo_met, .. } => {
+                    m.e2e_ms.record(e2e.as_millis());
+                    if !slo_met {
+                        m.slo_violations.incr(1);
+                    }
+                }
+                RecordKind::Shed { .. } => m.shed.incr(1),
+                RecordKind::Failed { .. } => m.failed.incr(1),
+                RecordKind::Retry { .. } => m.retried.incr(1),
+                RecordKind::Scaling {
+                    from_nodes,
+                    to_nodes,
+                } if self.count_scaling => {
+                    if to_nodes > from_nodes {
+                        m.scale_ups.incr(1);
+                    } else {
+                        m.scale_downs.incr(1);
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        fn finish(&mut self) -> ObserverReport {
+            ObserverReport {
+                observer: self.name().to_string(),
+                records_seen: 0,
+                records_kept: 0,
+                trace: None,
+                spans: None,
+                time_series: None,
+            }
+        }
+    }
+
+    #[test]
+    fn loop_tallies_leave_the_registry_per_event_recording_leaves() {
+        use janus_simcore::cluster::PlacementPolicy;
+        let open = |requests| Load::Open { requests, rps: 6.0 };
+        let cluster = |nodes, zones| ClusterConfig {
+            nodes,
+            node_capacity: janus_simcore::resources::Millicores::from_cores(8),
+            placement: PlacementPolicy::Spread,
+            zones,
+        };
+        let sessions = [
+            // The paper's closed loop.
+            (quick_builder(), true),
+            // Open loop under elastic capacity: sheds and scaling actions.
+            (
+                quick_builder()
+                    .load(open(80))
+                    .cluster(cluster(2, 1))
+                    .scenario("flash-crowd")
+                    .autoscaler("utilization")
+                    .admission("queue-shed"),
+                true,
+            ),
+            // Open loop under a zone outage: retries and fault resizes.
+            (
+                quick_builder()
+                    .load(open(60))
+                    .cluster(cluster(4, 2))
+                    .scenario("flash-crowd")
+                    .fault("zone-outage"),
+                false,
+            ),
+        ];
+        let mut seen = MetricsSnapshot::default();
+        for (builder, count_scaling) in sessions {
+            let reference = MetricsRegistry::new();
+            let per_event = ServingMetrics::intern(&reference);
+            let session = builder
+                .policies(["ORION", "GrandSLAM", "Janus"])
+                .register_observer_fn("per-event-metrics", move |_| {
+                    Ok(Box::new(PerEventMetrics {
+                        metrics: per_event.clone(),
+                        count_scaling,
+                        admitted: Default::default(),
+                    }) as Box<dyn Observer>)
+                })
+                .observe("per-event-metrics")
+                .build()
+                .unwrap();
+            let registry = MetricsRegistry::new();
+            let metrics = ServingMetrics::intern(&registry);
+            let report = session
+                .run_in(
+                    &mut OpenLoopArena::new(),
+                    &registry,
+                    &metrics,
+                    &mut SetupMemo::default(),
+                )
+                .unwrap();
+            assert_eq!(registry.snapshot(), reference.snapshot());
+            assert_eq!(report.metrics, reference.snapshot());
+            for stream in [ServingMetrics::FUNCTION_MS, ServingMetrics::E2E_MS] {
+                let tallied = registry.streaming(stream).unwrap();
+                assert!(!tallied.is_empty());
+                assert_eq!(Some(tallied), reference.streaming(stream), "{stream}");
+            }
+            for (name, value) in reference.snapshot().counters {
+                seen.counters.push((name, value));
+            }
+        }
+        // Every counter was exercised by some session.
+        for name in [
+            ServingMetrics::COLD_STARTS,
+            ServingMetrics::SLO_VIOLATIONS,
+            ServingMetrics::SHED,
+            ServingMetrics::RETRIED,
+            ServingMetrics::SCALE_UPS,
+        ] {
+            let total: u64 = seen
+                .counters
+                .iter()
+                .filter(|(n, _)| n == name)
+                .map(|(_, v)| v)
+                .sum();
+            assert!(total > 0, "no session exercised {name}");
+        }
+    }
+
     #[test]
     fn sessions_are_deterministic_in_the_seed() {
         let run = |seed: u64| quick_builder().policy("Janus").seed(seed).run().unwrap();

@@ -61,8 +61,9 @@ pub struct LintConfig {
 
 impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
-    /// the per-event serving loops + `emit!` + metrics handles + placement,
-    /// warm-pool, adapter-decision and event-queue calls + the flight
+    /// the per-event serving loops + `emit!` + metrics handles + the
+    /// streaming-summary fold + placement, warm-pool, adapter-decision and
+    /// event-queue calls + the flight
     /// recorder's per-record path as hot paths, and `Record` construction
     /// confined to observe and the macro.
     pub fn workspace_default() -> Self {
@@ -91,6 +92,10 @@ impl LintConfig {
                 // these.
                 hot("simcore/src/metrics.rs", "incr"),
                 hot("simcore/src/metrics.rs", "record"),
+                // The streaming-summary fold the serving loops' tallies call
+                // for every finished function and request.
+                hot("simcore/src/stats.rs", "record"),
+                hot("simcore/src/stats.rs", "bucket_index"),
                 // Placement and the warm pool: every function invocation
                 // acquires, places, removes and releases one pod.
                 hot("simcore/src/cluster.rs", "place"),

@@ -17,7 +17,7 @@
 //! the same request set face exactly the same inputs — the comparison is
 //! paired, like the paper's.
 
-use crate::metrics::ServingMetrics;
+use crate::metrics::{ServingMetrics, ServingTally};
 use crate::outcome::{RequestDisposition, RequestOutcome, ServingReport};
 use crate::policy::{RequestContext, SizingPolicy};
 use janus_observe::{Observer, Record, RecordKind};
@@ -95,7 +95,7 @@ impl ClosedLoopExecutor {
         pool: &mut PoolManager,
         cluster: &mut Cluster,
         now: &mut SimTime,
-        metrics: Option<&ServingMetrics>,
+        tally: &mut ServingTally<'_>,
         observer: &mut Option<&mut dyn Observer>,
     ) -> RequestOutcome {
         let ctx = RequestContext {
@@ -105,9 +105,7 @@ impl ClosedLoopExecutor {
             workflow_len: self.workflow.len(),
         };
         policy.on_admit(&ctx);
-        if let Some(m) = metrics {
-            m.requests.incr(1);
-        }
+        tally.requests += 1;
         emit!(
             observer,
             *now,
@@ -192,14 +190,9 @@ impl ClosedLoopExecutor {
             allocations.push(size);
             function_latencies.push(exec);
             policy.on_complete(&ctx, index, exec);
-            if let Some(m) = metrics {
-                // Per-event recording through pre-resolved handles only —
-                // no name lookup inside the replay loop.
-                m.functions.incr(1);
-                m.function_ms.record(exec.as_millis());
-                if acquisition.startup_delay > SimDuration::ZERO {
-                    m.cold_starts.incr(1);
-                }
+            tally.function(exec);
+            if acquisition.startup_delay > SimDuration::ZERO {
+                tally.cold_starts += 1;
             }
             emit!(
                 observer,
@@ -221,9 +214,7 @@ impl ClosedLoopExecutor {
             slo_met: e2e <= self.config.slo,
             adaptation_misses: 0,
         };
-        if let Some(m) = metrics {
-            outcome.record_into(m);
-        }
+        tally.served(&outcome);
         emit!(
             observer,
             *now,
@@ -243,7 +234,8 @@ impl ClosedLoopExecutor {
 
     /// [`run`](Self::run), additionally folding every served event into
     /// pre-interned [`ServingMetrics`] handles (resolved once by the caller
-    /// at session setup; per-event recording does no name lookup).
+    /// at session setup). The run tallies into a loop-owned
+    /// [`ServingTally`] and flushes it into the handles once, at its end.
     pub fn run_instrumented(
         &self,
         policy: &mut dyn SizingPolicy,
@@ -268,6 +260,7 @@ impl ClosedLoopExecutor {
         let mut pool = PoolManager::new(self.config.pool.clone());
         let mut cluster = Cluster::new(&self.config.cluster).expect("validated cluster config");
         let mut now = SimTime::ZERO;
+        let mut tally = ServingTally::new(metrics);
         let outcomes = requests
             .iter()
             .map(|r| {
@@ -277,7 +270,7 @@ impl ClosedLoopExecutor {
                     &mut pool,
                     &mut cluster,
                     &mut now,
-                    metrics,
+                    &mut tally,
                     &mut observer,
                 )
             })

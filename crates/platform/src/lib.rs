@@ -23,7 +23,7 @@
 //!   engine (used for the queueing/extension experiments).
 //! * [`outcome`] — per-request outcomes and aggregated serving reports.
 //! * [`metrics`] — the pre-interned [`metrics::ServingMetrics`] handle
-//!   bundle both serving loops record through on the per-event hot path.
+//!   bundle both serving loops flush their per-run tallies into.
 //! * [`capacity`] — elastic capacity: the [`capacity::AutoscalerPolicy`] and
 //!   [`capacity::AdmissionPolicy`] traits, their built-ins and the
 //!   name-addressable registries the open loop's capacity tick drives.

@@ -35,7 +35,7 @@
 //! [`run`]: OpenLoopSimulation::run
 
 use crate::capacity::{AdmissionPolicy, AutoscalerPolicy, ScalingAction, ScalingObservation};
-use crate::metrics::ServingMetrics;
+use crate::metrics::{ServingMetrics, ServingTally};
 use crate::outcome::{
     CapacityReport, RequestDisposition, RequestOutcome, ScalingEvent, ServingReport,
 };
@@ -335,9 +335,9 @@ impl OpenLoopSimulation {
 
     /// [`run`](Self::run) with reusable state and optional metrics: the
     /// `arena` carries engine/in-flight allocations (and run statistics)
-    /// across paired runs, and every served event folds into the
-    /// pre-interned [`ServingMetrics`] handles with no per-event name
-    /// lookup.
+    /// across paired runs, and every served event is tallied by the loop
+    /// and flushed into the pre-interned [`ServingMetrics`] handles once,
+    /// at the end of the run.
     pub fn run_instrumented(
         &self,
         policy: &mut dyn SizingPolicy,
@@ -427,7 +427,7 @@ impl OpenLoopSimulation {
         )?;
         // Streamed outcomes surface in completion order; reports keep the
         // historical id order.
-        outcomes.sort_by_key(|o| o.request_id);
+        order_by_request_id(&mut outcomes);
         Ok(ServingReport {
             policy: policy.name().to_string(),
             workflow: self.workflow.name().to_string(),
@@ -465,6 +465,9 @@ impl OpenLoopSimulation {
         engine.reset();
         inflight.clear();
         *peak_resident = 0;
+        // Flushed into `metrics` when dropped: when the run ends, or at an
+        // early error return.
+        let mut tally = ServingTally::new(metrics);
         let mut pool = PoolManager::new(self.config.pool.clone());
         // janus-lint: allow(unwrap-discipline) — the builder validated this exact config before the run started
         let mut cluster = Cluster::new(&self.config.cluster).expect("validated cluster config");
@@ -552,9 +555,7 @@ impl OpenLoopSimulation {
                             // janus-lint: allow(unwrap-discipline) — accounting is built whenever controls are (ten lines up)
                             let acct = accounting.as_mut().expect("controls imply accounting");
                             acct.shed += 1;
-                            if let Some(m) = metrics {
-                                m.shed.incr(1);
-                            }
+                            tally.shed += 1;
                             emit!(observer, now, RecordKind::Shed { request: input.id });
                             on_outcome(RequestOutcome::shed(input.id));
                             continue;
@@ -565,9 +566,7 @@ impl OpenLoopSimulation {
                         // back up: an admitted request has nowhere to run.
                         if let Some(rt) = fault_rt.as_mut() {
                             rt.failed += 1;
-                            if let Some(m) = metrics {
-                                m.failed.incr(1);
-                            }
+                            tally.failed += 1;
                             emit!(
                                 observer,
                                 now,
@@ -587,9 +586,7 @@ impl OpenLoopSimulation {
                     }
                     let ctx = self.ctx(input.id);
                     policy.on_admit(&ctx);
-                    if let Some(m) = metrics {
-                        m.requests.incr(1);
-                    }
+                    tally.requests += 1;
                     let state = InFlight {
                         input,
                         started_at: now,
@@ -615,7 +612,7 @@ impl OpenLoopSimulation {
                         &mut pool,
                         &mut cluster,
                         engine,
-                        metrics,
+                        &mut tally,
                         fault_rt.as_ref(),
                         &mut observer,
                     );
@@ -651,10 +648,7 @@ impl OpenLoopSimulation {
                     };
                     let ctx = self.ctx(request_id);
                     policy.on_complete(&ctx, index, exec);
-                    if let Some(m) = metrics {
-                        m.functions.incr(1);
-                        m.function_ms.record(exec.as_millis());
-                    }
+                    tally.function(exec);
                     emit!(
                         observer,
                         now,
@@ -676,9 +670,7 @@ impl OpenLoopSimulation {
                             function_latencies: state.latencies,
                             adaptation_misses: 0,
                         };
-                        if let Some(m) = metrics {
-                            outcome.record_into(m);
-                        }
+                        tally.served(&outcome);
                         emit!(
                             observer,
                             now,
@@ -699,7 +691,7 @@ impl OpenLoopSimulation {
                             &mut pool,
                             &mut cluster,
                             engine,
-                            metrics,
+                            &mut tally,
                             fault_rt.as_ref(),
                             &mut observer,
                         );
@@ -720,7 +712,7 @@ impl OpenLoopSimulation {
                             &mut pool,
                             &mut cluster,
                             engine,
-                            metrics,
+                            &mut tally,
                             acct,
                             &mut observer,
                         );
@@ -751,9 +743,7 @@ impl OpenLoopSimulation {
                                     from_nodes: before,
                                     to_nodes: cluster.node_count(),
                                 });
-                                if let Some(m) = metrics {
-                                    m.scale_ups.incr(1);
-                                }
+                                tally.scale_ups += 1;
                                 emit!(
                                     observer,
                                     now,
@@ -776,9 +766,7 @@ impl OpenLoopSimulation {
                                     from_nodes: before,
                                     to_nodes: cluster.node_count(),
                                 });
-                                if let Some(m) = metrics {
-                                    m.scale_downs.incr(1);
-                                }
+                                tally.scale_downs += 1;
                                 emit!(
                                     observer,
                                     now,
@@ -884,7 +872,7 @@ impl OpenLoopSimulation {
         pool: &mut PoolManager,
         cluster: &mut Cluster,
         engine: &mut Engine<Event>,
-        metrics: Option<&ServingMetrics>,
+        tally: &mut ServingTally<'_>,
         acct: &mut CapacityAccounting,
         observer: &mut Option<&mut dyn Observer>,
     ) {
@@ -1000,9 +988,7 @@ impl OpenLoopSimulation {
             };
             if retry && cluster.node_count() > 0 {
                 rt.retried += 1;
-                if let Some(m) = metrics {
-                    m.retried.incr(1);
-                }
+                tally.retried += 1;
                 emit!(
                     observer,
                     now,
@@ -1021,7 +1007,7 @@ impl OpenLoopSimulation {
                     pool,
                     cluster,
                     engine,
-                    metrics,
+                    tally,
                     Some(&*rt),
                     observer,
                 );
@@ -1029,9 +1015,7 @@ impl OpenLoopSimulation {
                 // janus-lint: allow(unwrap-discipline) — present: get_mut on the same key succeeded in this iteration
                 let state = inflight.remove(&request_id).expect("in-flight request");
                 rt.failed += 1;
-                if let Some(m) = metrics {
-                    m.failed.incr(1);
-                }
+                tally.failed += 1;
                 emit!(
                     observer,
                     now,
@@ -1061,7 +1045,7 @@ impl OpenLoopSimulation {
         pool: &mut PoolManager,
         cluster: &mut Cluster,
         engine: &mut Engine<Event>,
-        metrics: Option<&ServingMetrics>,
+        tally: &mut ServingTally<'_>,
         fault_rt: Option<&FaultRuntime>,
         observer: &mut Option<&mut dyn Observer>,
     ) {
@@ -1123,12 +1107,8 @@ impl OpenLoopSimulation {
         } else {
             SimDuration::ZERO
         };
-        if let Some(m) = metrics {
-            if acquisition.startup_delay > SimDuration::ZERO {
-                m.cold_starts.incr(1);
-            }
-        }
         if acquisition.startup_delay > SimDuration::ZERO {
+            tally.cold_starts += 1;
             // `delay` is the startup time that counts against latency
             // (zero when the config excludes startup delays), matching the
             // span builder's phase accounting.
@@ -1165,6 +1145,39 @@ impl OpenLoopSimulation {
                 elapsed: exec + startup,
             },
         );
+    }
+}
+
+/// Put `outcomes` in request-id order, as a stable sort by id would.
+///
+/// Generated request sets number their requests from 0, so the ids are
+/// usually a permutation of the slots `0..n`. That is checked first, with
+/// an n-bit seen-set; then each outcome is swapped into its slot, in O(n)
+/// and without a second outcome buffer. Any other id set (offset, sparse or
+/// duplicated ids) falls back to the stable sort. The check moves nothing,
+/// so duplicated ids keep their order.
+fn order_by_request_id(outcomes: &mut [RequestOutcome]) {
+    let n = outcomes.len();
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    let is_permutation = outcomes.iter().all(|o| {
+        let Some(id) = usize::try_from(o.request_id).ok().filter(|&id| id < n) else {
+            return false;
+        };
+        let (word, bit) = (id / 64, 1u64 << (id % 64));
+        let fresh = seen[word] & bit == 0;
+        seen[word] |= bit;
+        fresh
+    });
+    if !is_permutation {
+        outcomes.sort_by_key(|o| o.request_id);
+        return;
+    }
+    for slot in 0..n {
+        // Every swap puts one outcome into its final slot.
+        while outcomes[slot].request_id as usize != slot {
+            let home = outcomes[slot].request_id as usize;
+            outcomes.swap(slot, home);
+        }
     }
 }
 
@@ -1996,6 +2009,108 @@ mod tests {
         let report = sim.run(&mut p2, &reqs).unwrap();
         let report_sum: f64 = report.outcomes.iter().map(|o| o.e2e.as_millis()).sum();
         assert!((e2e_sum - report_sum).abs() < 1e-9);
+    }
+
+    fn outcome_with_id(request_id: u64, tag: f64) -> RequestOutcome {
+        RequestOutcome::failed(
+            request_id,
+            SimDuration::from_millis(tag),
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    #[test]
+    fn placing_outcomes_by_id_matches_a_stable_sort() {
+        let mut rng = janus_simcore::rng::SimRng::seed_from_u64(5);
+        let shuffled = |ids: &mut Vec<u64>, rng: &mut janus_simcore::rng::SimRng| {
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.int_range(0, i as u64 + 1) as usize);
+            }
+        };
+        let mut cases: Vec<Vec<u64>> = vec![vec![], vec![0], vec![3], vec![1, 0]];
+        for n in [2u64, 7, 64, 65, 500] {
+            // A permutation of 0..n, an offset one, and one with duplicates.
+            let mut ids: Vec<u64> = (0..n).collect();
+            shuffled(&mut ids, &mut rng);
+            cases.push(ids.clone());
+            cases.push(ids.iter().map(|id| id + 10).collect());
+            let mut dup = ids.clone();
+            dup[0] = dup[dup.len() - 1];
+            cases.push(dup);
+            cases.push(ids.iter().map(|id| id / 2).collect());
+        }
+        cases.push(vec![u64::MAX, 0]);
+        for ids in cases {
+            // The tag is the input position, so stability is observable.
+            let outcomes: Vec<RequestOutcome> = ids
+                .iter()
+                .enumerate()
+                .map(|(pos, &id)| outcome_with_id(id, pos as f64))
+                .collect();
+            let mut sorted = outcomes.clone();
+            sorted.sort_by_key(|o| o.request_id);
+            let mut placed = outcomes;
+            order_by_request_id(&mut placed);
+            assert_eq!(placed, sorted, "ids {ids:?}");
+        }
+    }
+
+    #[test]
+    fn metrics_are_flushed_when_a_run_fails_early() {
+        use janus_simcore::metrics::MetricsRegistry;
+        use janus_workloads::request::RequestSource;
+        /// Yields its requests in the given order, out of order or not.
+        #[derive(Debug)]
+        struct Unsorted(std::vec::IntoIter<RequestInput>);
+        impl RequestSource for Unsorted {
+            fn next_request(&mut self, _: &Workflow) -> Option<RequestInput> {
+                self.0.next()
+            }
+            fn resident(&self) -> usize {
+                self.0.len()
+            }
+        }
+        let ia = intelligent_assistant();
+        let sim =
+            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let mut reqs =
+            RequestInputGenerator::new(9, SimDuration::from_millis(200.0)).generate(&ia, 30);
+        // The last arrival lies behind the clock when it is drawn.
+        reqs[29].arrival_offset = SimDuration::ZERO;
+        let registry = MetricsRegistry::new();
+        let metrics = ServingMetrics::intern(&registry);
+        let mut policy = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
+        let mut completions = 0u64;
+        let err = sim
+            .run_streaming(
+                &mut policy,
+                &mut Unsorted(reqs.into_iter()),
+                &mut OpenLoopArena::new(),
+                Some(&metrics),
+                None,
+                None,
+                &mut |_| completions += 1,
+            )
+            .unwrap_err();
+        assert!(err.contains("out-of-order"), "{err}");
+        // Everything tallied before the error reached the registry:
+        // request 29 was never admitted, the ones before it were.
+        assert!(completions > 0);
+        assert_eq!(registry.counter(ServingMetrics::REQUESTS), 28);
+        assert_eq!(
+            registry.streaming(ServingMetrics::E2E_MS).unwrap().count(),
+            completions
+        );
+        let functions = registry.counter(ServingMetrics::FUNCTIONS);
+        assert!(functions >= 3 * completions);
+        assert_eq!(
+            registry
+                .streaming(ServingMetrics::FUNCTION_MS)
+                .unwrap()
+                .count(),
+            functions
+        );
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! The evaluation harness records many named counters (SLO violations, hint
 //! misses, cold starts) and sample streams (E2E latency, per-request CPU).
-//! The registry is thread-safe so the thread-parallel synthesizer and
-//! concurrent serving loops can share one instance.
+//! The registry is thread-safe: handles are `Arc`s to atomic counters and
+//! locked series, so threads may share one instance.
 //!
 //! # Hot-path contract
 //!
 //! Name-based lookups (`incr`, `record`, …) hash the metric name and take the
 //! registry's map lock on **every** call — fine for setup and reporting, too
 //! slow for the per-event path of a simulation serving millions of requests.
-//! Hot paths intern a handle **once** at setup time and record through it:
+//! Setup code interns a handle **once** and records through it:
 //!
 //! ```
 //! use janus_simcore::metrics::MetricsRegistry;
@@ -32,14 +32,28 @@
 //!   percentiles; used by paper-figure paths that need full CDFs;
 //! * **streaming series** ([`StreamingHandle`]) — O(1) memory
 //!   [`StreamingSummary`] folding; used by sweep-style experiments and the
-//!   serving hot path where buffering every sample would be wasteful.
+//!   serving loops, where buffering every sample would be wasteful.
+//!
+//! Even a handle's atomic add or lock is too much per event for the
+//! serving loops, which nothing reads until a run ends. They touch the
+//! registry once per run instead: plain `u64` tallies are added to the
+//! counters when the run ends, and each stream is moved out with
+//! [`StreamingHandle::take`], folded into without a lock, and handed back
+//! with [`StreamingHandle::restore`].
 
 use crate::stats::{StreamingSummary, Summary};
 // janus-lint: allow(nondeterminism) — name→series registry for keyed lookup; snapshots sort names before rendering
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, RwLock};
+use std::sync::{LockResult, Mutex, PoisonError, RwLock};
+
+/// The guard of a metrics lock, poisoned or not. Every critical section in
+/// this module is a push, a fold, a swap or a clone, so a panic elsewhere
+/// while one was held leaves no half-updated metric behind.
+fn held<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A pre-resolved, cheaply clonable handle to one named counter.
 ///
@@ -82,15 +96,12 @@ impl SeriesHandle {
     /// Append one observation.
     #[inline]
     pub fn record(&self, value: f64) {
-        self.samples
-            .write()
-            .expect("metrics lock poisoned")
-            .push(value);
+        held(self.samples.write()).push(value);
     }
 
     /// Number of recorded observations.
     pub fn len(&self) -> usize {
-        self.samples.read().expect("metrics lock poisoned").len()
+        held(self.samples.read()).len()
     }
 
     /// True when nothing has been recorded.
@@ -100,7 +111,7 @@ impl SeriesHandle {
 
     /// Copy of the recorded samples.
     pub fn snapshot(&self) -> Vec<f64> {
-        self.samples.read().expect("metrics lock poisoned").clone()
+        held(self.samples.read()).clone()
     }
 
     /// Exact summary statistics (None when empty).
@@ -127,20 +138,39 @@ impl StreamingHandle {
     /// Fold one observation into the stream.
     #[inline]
     pub fn record(&self, value: f64) {
-        self.inner
-            .lock()
-            .expect("metrics lock poisoned")
-            .record(value);
+        held(self.inner.lock()).record(value);
     }
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.inner.lock().expect("metrics lock poisoned").count()
+        held(self.inner.lock()).count()
     }
 
     /// Copy of the accumulated summary.
     pub fn snapshot(&self) -> StreamingSummary {
-        self.inner.lock().expect("metrics lock poisoned").clone()
+        held(self.inner.lock()).clone()
+    }
+
+    /// Move the accumulated summary out, leaving the stream empty until
+    /// [`restore`](Self::restore). A serving loop takes its streams once
+    /// per run and folds every sample into the taken summaries with no
+    /// lock: the samples fold in the same order as through
+    /// [`record`](Self::record), so the result is the same bit for bit.
+    pub fn take(&self) -> StreamingSummary {
+        std::mem::take(&mut *held(self.inner.lock()))
+    }
+
+    /// Hand back a summary from [`take`](Self::take). It replaces the
+    /// stream if nothing was recorded in between, and is merged into it
+    /// otherwise (exact counts and histogram; the moments as
+    /// [`StreamingSummary::merge`] combines them).
+    pub fn restore(&self, summary: StreamingSummary) {
+        let mut stream = held(self.inner.lock());
+        if stream.is_empty() {
+            *stream = summary;
+        } else {
+            stream.merge(&summary);
+        }
     }
 
     /// True when both handles point at the same underlying stream.
@@ -166,10 +196,10 @@ fn intern<V, F>(map: &RwLock<HashMap<String, Arc<V>>>, name: &str, init: F) -> A
 where
     F: FnOnce() -> V,
 {
-    if let Some(v) = map.read().expect("metrics lock poisoned").get(name) {
+    if let Some(v) = held(map.read()).get(name) {
         return Arc::clone(v);
     }
-    let mut write = map.write().expect("metrics lock poisoned");
+    let mut write = held(map.write());
     Arc::clone(
         write
             .entry(name.to_string())
@@ -212,9 +242,7 @@ impl MetricsRegistry {
 
     /// Read a counter (0 if it was never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .expect("metrics lock poisoned")
+        held(self.counters.read())
             .get(name)
             .map(|c| c.load(Ordering::Relaxed))
             .unwrap_or(0)
@@ -227,11 +255,9 @@ impl MetricsRegistry {
 
     /// Snapshot of a buffered sample series (empty if never recorded).
     pub fn series(&self, name: &str) -> Vec<f64> {
-        self.samples
-            .read()
-            .expect("metrics lock poisoned")
+        held(self.samples.read())
             .get(name)
-            .map(|s| s.read().expect("metrics lock poisoned").clone())
+            .map(|s| held(s.read()).clone())
             .unwrap_or_default()
     }
 
@@ -250,48 +276,28 @@ impl MetricsRegistry {
     /// Copy of a streaming series' accumulated summary (None if never
     /// recorded).
     pub fn streaming(&self, name: &str) -> Option<StreamingSummary> {
-        self.streams
-            .read()
-            .expect("metrics lock poisoned")
+        held(self.streams.read())
             .get(name)
-            .map(|s| s.lock().expect("metrics lock poisoned").clone())
+            .map(|s| held(s.lock()).clone())
     }
 
     /// Names of all counters.
     pub fn counter_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .counters
-            .read()
-            .expect("metrics lock poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = held(self.counters.read()).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Names of all buffered sample series.
     pub fn series_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .samples
-            .read()
-            .expect("metrics lock poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = held(self.samples.read()).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Names of all streaming series.
     pub fn streaming_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .streams
-            .read()
-            .expect("metrics lock poisoned")
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = held(self.streams.read()).keys().cloned().collect();
         names.sort();
         names
     }
@@ -301,19 +307,14 @@ impl MetricsRegistry {
     /// crucially — previously interned handles stay attached, so hot paths
     /// never re-intern after a reset.
     pub fn reset(&self) {
-        for cell in self
-            .counters
-            .read()
-            .expect("metrics lock poisoned")
-            .values()
-        {
+        for cell in held(self.counters.read()).values() {
             cell.store(0, Ordering::Relaxed);
         }
-        for series in self.samples.read().expect("metrics lock poisoned").values() {
-            series.write().expect("metrics lock poisoned").clear();
+        for series in held(self.samples.read()).values() {
+            held(series.write()).clear();
         }
-        for stream in self.streams.read().expect("metrics lock poisoned").values() {
-            *stream.lock().expect("metrics lock poisoned") = StreamingSummary::new();
+        for stream in held(self.streams.read()).values() {
+            *held(stream.lock()) = StreamingSummary::new();
         }
     }
 
@@ -322,22 +323,17 @@ impl MetricsRegistry {
     /// buffered and as a streaming series contributes one entry with the
     /// summed sample count.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .read()
-            .expect("metrics lock poisoned")
+        let mut counters: Vec<(String, u64)> = held(self.counters.read())
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect();
         counters.sort();
         let mut series: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for (name, s) in self.samples.read().expect("metrics lock poisoned").iter() {
-            *series.entry(name.clone()).or_default() +=
-                s.read().expect("metrics lock poisoned").len() as u64;
+        for (name, s) in held(self.samples.read()).iter() {
+            *series.entry(name.clone()).or_default() += held(s.read()).len() as u64;
         }
-        for (name, s) in self.streams.read().expect("metrics lock poisoned").iter() {
-            *series.entry(name.clone()).or_default() +=
-                s.lock().expect("metrics lock poisoned").count();
+        for (name, s) in held(self.streams.read()).iter() {
+            *series.entry(name.clone()).or_default() += held(s.lock()).count();
         }
         MetricsSnapshot {
             counters,
@@ -466,6 +462,56 @@ mod tests {
         assert_eq!(m.counter("a"), 7);
         assert_eq!(m.series("b"), vec![3.0]);
         assert_eq!(m.streaming("c").unwrap().count(), 1);
+    }
+
+    #[test]
+    fn take_and_restore_fold_like_per_sample_recording() {
+        let m = MetricsRegistry::new();
+        let h = m.streaming_handle("lat");
+        let reference = StreamingHandle {
+            inner: Arc::new(Mutex::new(StreamingSummary::new())),
+        };
+        h.record(3.5);
+        reference.record(3.5);
+        // A taken stream is empty until restored …
+        let mut taken = h.take();
+        assert_eq!(h.count(), 0);
+        for v in [0.25, 17.0, 1e-3, 900.0] {
+            taken.record(v);
+            reference.record(v);
+        }
+        h.restore(taken);
+        // … and then holds exactly what recording each sample would.
+        assert_eq!(h.snapshot(), reference.snapshot());
+        // Samples recorded while a stream is taken are merged, not lost.
+        let taken = h.take();
+        h.record(5.0);
+        h.restore(taken);
+        assert_eq!(h.count(), 6);
+    }
+
+    #[test]
+    fn a_poisoned_lock_does_not_take_the_registry_down() {
+        let m = Arc::new(MetricsRegistry::new());
+        let s = m.series_handle("lat");
+        let st = m.streaming_handle("stream");
+        let poisoner = {
+            let (s, st) = (s.clone(), st.clone());
+            thread::spawn(move || {
+                let _series = s.samples.write();
+                let _stream = st.inner.lock();
+                panic!("poison both locks");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(s.samples.is_poisoned() && st.inner.is_poisoned());
+        s.record(1.0);
+        st.record(2.0);
+        assert_eq!(m.series("lat"), vec![1.0]);
+        assert_eq!(m.streaming("stream").unwrap().count(), 1);
+        assert_eq!(m.snapshot().total_samples(), 2);
+        m.reset();
+        assert_eq!(m.snapshot().total_samples(), 0);
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! The paper works almost exclusively in percentiles (P1–P99 profiles, P99
 //! SLOs, P99/P50 variability ratios), so these helpers are used everywhere.
 
+use std::sync::OnceLock;
+
 /// Compute the `p`-th percentile (0 <= p <= 100) of a sample set using
 /// linear interpolation between closest ranks (the same convention as
 /// `numpy.percentile(..., interpolation="linear")`, which the paper's pandas
@@ -201,7 +203,7 @@ impl Cdf {
 
 /// Online mean/variance accumulator (Welford). Used by long-running serving
 /// loops where storing every sample would be wasteful.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -306,6 +308,92 @@ const MIN_EXP: i32 = -9;
 const MAX_EXP: i32 = 12;
 /// Total bucket count covering `[10^MIN_EXP, 10^MAX_EXP)`.
 const BUCKET_COUNT: usize = ((MAX_EXP - MIN_EXP) as usize) * BUCKETS_PER_DECADE;
+/// The top bucket, which also takes every sample from `10^MAX_EXP` up.
+const TOP_BUCKET: usize = BUCKET_COUNT - 1;
+/// Mantissa bits (below the exponent) that pick a [`BucketTable`] guess
+/// cell. A cell spans a factor of at most `1 + 2^-6 ≈ 1.0156`, less than
+/// one bucket's `10^(1/128) ≈ 1.0182`, so it holds at most one bucket
+/// boundary.
+const GUESS_BITS: u32 = 6;
+/// Right shift from an `f64`'s bits to its guess-cell key (sign, exponent
+/// and the top [`GUESS_BITS`] mantissa bits).
+const GUESS_SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - GUESS_BITS;
+
+/// The bucket layout's definition: a sample `x` belongs to bucket
+/// `floor((log10 x − MIN_EXP) · BUCKETS_PER_DECADE)`, clamped into the
+/// array, with NaN and everything below `10^MIN_EXP` in bucket 0.
+/// [`BucketTable`] is derived from this formula and tested against it; the
+/// recording path never calls it.
+fn bucket_by_formula(x: f64) -> usize {
+    let idx = ((x.log10() - f64::from(MIN_EXP)) * BUCKETS_PER_DECADE as f64).floor();
+    if idx < 0.0 {
+        0
+    } else {
+        (idx as usize).min(TOP_BUCKET)
+    }
+}
+
+/// [`bucket_by_formula`] as a table: the exact bucket boundaries, plus a
+/// coarse guess per (binary exponent, top mantissa bits) cell.
+#[derive(Debug)]
+struct BucketTable {
+    /// `lower[k]` is the smallest positive `f64` that the formula puts in
+    /// bucket `k` or above (`lower[0]` is the smallest subnormal).
+    lower: Box<[f64]>,
+    /// The bucket of the smallest value of each guess cell, for the cells
+    /// from the one holding `lower[1]` to the one holding `lower[TOP]`.
+    guess: Box<[u16]>,
+    /// Cell key of `guess[0]`.
+    first_key: u64,
+}
+
+impl BucketTable {
+    /// The process-wide table, built on first use.
+    fn get() -> &'static BucketTable {
+        static TABLE: OnceLock<BucketTable> = OnceLock::new();
+        TABLE.get_or_init(BucketTable::build)
+    }
+
+    #[cold]
+    fn build() -> BucketTable {
+        let mut lower = Vec::with_capacity(BUCKET_COUNT);
+        lower.push(f64::from_bits(1));
+        for k in 1..BUCKET_COUNT {
+            // Start at the ideal boundary and walk ulps to the formula's.
+            let mut x = 10f64.powf(f64::from(MIN_EXP) + k as f64 / BUCKETS_PER_DECADE as f64);
+            if bucket_by_formula(x) >= k {
+                while bucket_by_formula(x.next_down()) >= k {
+                    x = x.next_down();
+                }
+            } else {
+                while bucket_by_formula(x) < k {
+                    x = x.next_up();
+                }
+            }
+            lower.push(x);
+        }
+        let key = |x: f64| x.to_bits() >> GUESS_SHIFT;
+        let first_key = key(lower[1]);
+        let bucket_of = |x: f64| lower.partition_point(|&b| b <= x) - 1;
+        let guess = (first_key..=key(lower[TOP_BUCKET]))
+            .map(|cell| {
+                let smallest = f64::from_bits(cell << GUESS_SHIFT);
+                let largest = f64::from_bits(((cell + 1) << GUESS_SHIFT) - 1);
+                let bucket = bucket_of(smallest);
+                assert!(
+                    bucket_of(largest) <= bucket + 1,
+                    "a guess cell spans more than one bucket boundary"
+                );
+                bucket as u16
+            })
+            .collect();
+        BucketTable {
+            lower: lower.into_boxed_slice(),
+            guess,
+            first_key,
+        }
+    }
+}
 
 /// Streaming summary statistics: Welford moments plus a fixed-resolution
 /// log-bucketed histogram for approximate percentiles.
@@ -320,7 +408,25 @@ const BUCKET_COUNT: usize = ((MAX_EXP - MIN_EXP) as usize) * BUCKETS_PER_DECADE;
 /// suitable for sweep-style experiments and long-running serving loops.
 /// Mean, variance, min, max and count are exact (Welford); only the
 /// percentiles are approximate.
-#[derive(Debug, Clone)]
+///
+/// # Bucket lookup
+///
+/// A positive sample `x` lands in bucket
+/// `floor((log10 x − MIN_EXP) · 128)`, clamped to the array. `record`
+/// finds that bucket without `log10`, through a table built once per
+/// process:
+///
+/// - `lower[k]`, the smallest `f64` the formula puts in bucket `k` or
+///   above, found by walking ulps from `10^(k/128 − 9)` with the formula
+///   itself, so the table reproduces its rounding exactly;
+/// - one guess per (binary exponent, top 6 mantissa bits) cell: the bucket
+///   of the cell's smallest value. A cell is narrower than a bucket, so a
+///   sample is in its cell's guess or the next bucket, and one comparison
+///   against `lower` decides.
+///
+/// NaN and samples below `10^-9` go to bucket 0, `+∞` and samples from
+/// `10^12` up to the top bucket, and samples `<= 0` to the zero count.
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingSummary {
     moments: RunningStats,
     /// Samples `<= 0` (latencies: exact zeros); kept out of the log buckets.
@@ -345,13 +451,21 @@ impl StreamingSummary {
         }
     }
 
+    /// The bucket of `x` under [`bucket_by_formula`], read off the
+    /// [`BucketTable`]: a guess from the exponent and top mantissa bits,
+    /// corrected by one boundary comparison.
+    #[inline]
     fn bucket_index(x: f64) -> usize {
-        let idx = ((x.log10() - f64::from(MIN_EXP)) * BUCKETS_PER_DECADE as f64).floor();
-        if idx < 0.0 {
-            0
-        } else {
-            (idx as usize).min(BUCKET_COUNT - 1)
+        let table = BucketTable::get();
+        if x.is_nan() || x < table.lower[1] {
+            return 0;
         }
+        if x >= table.lower[TOP_BUCKET] {
+            return TOP_BUCKET;
+        }
+        let cell = (x.to_bits() >> GUESS_SHIFT) - table.first_key;
+        let guess = usize::from(table.guess[cell as usize]);
+        guess + usize::from(x >= table.lower[guess + 1])
     }
 
     /// Geometric midpoint of bucket `idx` — the representative value a
@@ -661,6 +775,72 @@ mod tests {
         assert_eq!(empty.count(), whole.count());
         whole.merge(&StreamingSummary::new());
         assert_eq!(empty.quantile(50.0), whole.quantile(50.0));
+    }
+
+    /// `bucket_index` must agree with `bucket_by_formula` on `x`.
+    fn assert_bucket_matches_formula(x: f64) {
+        assert_eq!(
+            StreamingSummary::bucket_index(x),
+            bucket_by_formula(x),
+            "bucket of {x:e} (bits {:#x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn bucket_table_boundaries_are_the_formulas() {
+        let table = BucketTable::get();
+        assert_eq!(table.lower.len(), BUCKET_COUNT);
+        for (k, &lower) in table.lower.iter().enumerate().skip(1) {
+            assert_eq!(bucket_by_formula(lower), k, "lower[{k}] = {lower:e}");
+            assert_eq!(
+                bucket_by_formula(lower.next_down()),
+                k - 1,
+                "below lower[{k}]"
+            );
+            // Every ulp within 16 of the boundary, on both sides.
+            let (mut below, mut above) = (lower, lower);
+            for _ in 0..16 {
+                below = below.next_down();
+                above = above.next_up();
+                assert_bucket_matches_formula(below);
+                assert_bucket_matches_formula(above);
+            }
+            assert_bucket_matches_formula(lower);
+        }
+    }
+
+    #[test]
+    fn bucket_index_matches_the_formula_on_random_and_special_samples() {
+        let mut rng = crate::rng::SimRng::seed_from_u64(0xB0C4E7);
+        // Log-uniform over 1e-12 to 1e14, past both ends of the histogram.
+        for _ in 0..1_000_000 {
+            assert_bucket_matches_formula(10f64.powf(rng.uniform_range(-12.0, 14.0)));
+        }
+        for x in [
+            0.0,
+            -0.0,
+            -1.0,
+            -1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            1e-9,
+            1e12,
+        ] {
+            assert_bucket_matches_formula(x);
+        }
+        // The documented placements of the special inputs.
+        assert_eq!(StreamingSummary::bucket_index(f64::NAN), 0);
+        assert_eq!(StreamingSummary::bucket_index(f64::INFINITY), TOP_BUCKET);
+        let mut ss = StreamingSummary::new();
+        ss.record(0.0);
+        ss.record(-3.0);
+        assert_eq!(ss.zeros, 2);
+        assert!(ss.buckets.iter().all(|&c| c == 0));
     }
 
     #[test]
