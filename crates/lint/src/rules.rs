@@ -84,8 +84,10 @@ impl LintConfig {
                 hot("platform/src/openloop.rs", "run_traced"),
                 hot("platform/src/openloop.rs", "start_function"),
                 hot("platform/src/openloop.rs", "deliver_faults"),
-                // The closed-loop serving path.
+                // The closed-loop serving path: the run and its per-request
+                // body.
                 hot("platform/src/executor.rs", "run_traced"),
+                hot("platform/src/executor.rs", "serve_one"),
                 // The zero-cost-when-off observer hook.
                 hot("platform/src/lib.rs", "emit"),
                 // Pre-interned metric handles: every event records through
@@ -97,15 +99,20 @@ impl LintConfig {
                 hot("simcore/src/stats.rs", "record"),
                 hot("simcore/src/stats.rs", "bucket_index"),
                 // Placement and the warm pool: every function invocation
-                // acquires, places, removes and releases one pod.
+                // acquires, places, removes and releases one pod, through
+                // the id-taking methods (the name-taking ones wrap them).
                 hot("simcore/src/cluster.rs", "place"),
+                hot("simcore/src/cluster.rs", "place_id"),
                 hot("simcore/src/cluster.rs", "place_overcommitted"),
+                hot("simcore/src/cluster.rs", "place_overcommitted_id"),
+                hot("simcore/src/cluster.rs", "function_count_id"),
                 hot("simcore/src/cluster.rs", "remove"),
                 hot("simcore/src/cluster.rs", "pick_node"),
                 hot("simcore/src/cluster.rs", "last_max"),
                 hot("simcore/src/cluster.rs", "attach"),
                 hot("simcore/src/cluster.rs", "detach"),
                 hot("simcore/src/pool.rs", "acquire"),
+                hot("simcore/src/pool.rs", "acquire_id"),
                 hot("simcore/src/pool.rs", "start"),
                 hot("simcore/src/pool.rs", "release"),
                 // The adapter's table search: every function start of a

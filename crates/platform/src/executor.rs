@@ -25,6 +25,7 @@ use janus_simcore::cluster::{Cluster, ClusterConfig};
 use janus_simcore::interference::InterferenceModel;
 use janus_simcore::pool::{PoolConfig, PoolManager};
 use janus_simcore::time::{SimDuration, SimTime};
+use janus_simcore::FunctionId;
 use janus_workloads::request::RequestInput;
 use janus_workloads::workflow::Workflow;
 
@@ -86,12 +87,14 @@ impl ClosedLoopExecutor {
     }
 
     /// Serve one request under `policy`, starting at simulated time `now`,
-    /// using the shared `pool` and `cluster`.
+    /// using the shared `pool` and `cluster`, whose ids for the workflow's
+    /// functions are `functions` (in workflow order).
     #[allow(clippy::too_many_arguments)]
     fn serve_one(
         &self,
         policy: &mut dyn SizingPolicy,
         request: &RequestInput,
+        functions: &[FunctionId],
         pool: &mut PoolManager,
         cluster: &mut Cluster,
         now: &mut SimTime,
@@ -119,23 +122,24 @@ impl ClosedLoopExecutor {
         let mut allocations = Vec::with_capacity(self.workflow.len());
         let mut function_latencies = Vec::with_capacity(self.workflow.len());
 
-        for (index, function) in self.workflow.functions().iter().enumerate() {
+        let stages = self.workflow.functions().iter().zip(functions);
+        for (index, (function, &id)) in stages.enumerate() {
             let size = policy.size_next(&ctx, index, remaining);
             let size = size.clamp_to(
                 janus_simcore::resources::Millicores::new(1),
                 self.config.cluster.node_capacity,
             );
 
-            let acquisition = pool.acquire(function.name(), size, *now);
+            let acquisition = pool.acquire_id(id, size, *now);
             // Place the pod on the cluster for this execution so co-location
             // accounting reflects concurrently running instances. The pod is
             // never already placed: completion below always un-places it.
             let node = cluster
-                .place(acquisition.pod, function.name(), size)
+                .place_id(acquisition.pod, id, size)
                 .expect("paper-scale cluster always fits one pod per function");
             // The co-location degree, read off the node the pod just landed
             // on (the pod counts itself).
-            let colocated = cluster.function_count(node, function.name()).max(1);
+            let colocated = cluster.function_count_id(node, id).max(1);
             emit!(
                 observer,
                 *now,
@@ -259,6 +263,7 @@ impl ClosedLoopExecutor {
         let mut observer = observer;
         let mut pool = PoolManager::new(self.config.pool.clone());
         let mut cluster = Cluster::new(&self.config.cluster).expect("validated cluster config");
+        let functions = crate::resolve_functions(&self.workflow, &mut pool, &mut cluster);
         let mut now = SimTime::ZERO;
         let mut tally = ServingTally::new(metrics);
         let outcomes = requests
@@ -267,6 +272,7 @@ impl ClosedLoopExecutor {
                 self.serve_one(
                     policy,
                     r,
+                    &functions,
                     &mut pool,
                     &mut cluster,
                     &mut now,

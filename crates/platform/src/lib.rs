@@ -48,6 +48,31 @@ macro_rules! emit {
     };
 }
 
+/// Resolve `workflow`'s functions once per run, in workflow order, to the
+/// ids the per-invocation path indexes `pool` and `cluster` by: entry `i`
+/// is the id of function `i`. Both serving loops call it right after
+/// building their fresh pool and cluster, so the two tables see the same
+/// names in the same order and issue the same dense ids.
+fn resolve_functions(
+    workflow: &janus_workloads::workflow::Workflow,
+    pool: &mut janus_simcore::pool::PoolManager,
+    cluster: &mut janus_simcore::cluster::Cluster,
+) -> Vec<janus_simcore::FunctionId> {
+    workflow
+        .functions()
+        .iter()
+        .map(|function| {
+            let id = pool.function_id(function.name());
+            assert_eq!(
+                cluster.function_id(function.name()),
+                id,
+                "a fresh pool and cluster resolve one workflow alike"
+            );
+            id
+        })
+        .collect()
+}
+
 pub mod capacity;
 pub mod executor;
 pub mod metrics;

@@ -52,6 +52,7 @@ use janus_simcore::pool::{PoolConfig, PoolManager};
 use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::{SimDuration, SimTime};
+use janus_simcore::FunctionId;
 use janus_workloads::request::{RequestInput, RequestSource, SliceSource};
 use janus_workloads::workflow::Workflow;
 
@@ -471,6 +472,7 @@ impl OpenLoopSimulation {
         let mut pool = PoolManager::new(self.config.pool.clone());
         // janus-lint: allow(unwrap-discipline) — the builder validated this exact config before the run started
         let mut cluster = Cluster::new(&self.config.cluster).expect("validated cluster config");
+        let functions = crate::resolve_functions(&self.workflow, &mut pool, &mut cluster);
         // Detach the compiled fault schedule from the controls so delivery
         // can borrow the rest of the run state freely.
         let mut fault_rt = controls
@@ -609,6 +611,7 @@ impl OpenLoopSimulation {
                         request_id,
                         0,
                         now,
+                        &functions,
                         &mut pool,
                         &mut cluster,
                         engine,
@@ -688,6 +691,7 @@ impl OpenLoopSimulation {
                             request_id,
                             index + 1,
                             now,
+                            &functions,
                             &mut pool,
                             &mut cluster,
                             engine,
@@ -709,6 +713,7 @@ impl OpenLoopSimulation {
                             inflight,
                             &mut *on_outcome,
                             now,
+                            &functions,
                             &mut pool,
                             &mut cluster,
                             engine,
@@ -869,6 +874,7 @@ impl OpenLoopSimulation {
         inflight: &mut IdMap<u64, InFlight>,
         on_outcome: &mut dyn FnMut(RequestOutcome),
         now: SimTime,
+        functions: &[FunctionId],
         pool: &mut PoolManager,
         cluster: &mut Cluster,
         engine: &mut Engine<Event>,
@@ -1004,6 +1010,7 @@ impl OpenLoopSimulation {
                     request_id,
                     index,
                     now,
+                    functions,
                     pool,
                     cluster,
                     engine,
@@ -1042,6 +1049,7 @@ impl OpenLoopSimulation {
         request_id: u64,
         index: usize,
         now: SimTime,
+        functions: &[FunctionId],
         pool: &mut PoolManager,
         cluster: &mut Cluster,
         engine: &mut Engine<Event>,
@@ -1063,16 +1071,17 @@ impl OpenLoopSimulation {
             .function(index)
             // janus-lint: allow(unwrap-discipline) — callers advance index only while < workflow.len()
             .expect("index within workflow");
-        let acquisition = pool.acquire(function.name(), size, now);
+        let id = functions[index];
+        let acquisition = pool.acquire_id(id, size, now);
         // The acquired pod is never placed: completion always un-places it.
-        let (node, overcommitted) = match cluster.place(acquisition.pod, function.name(), size) {
+        let (node, overcommitted) = match cluster.place_id(acquisition.pod, id, size) {
             Ok(node) => (Some(node), false),
             // Saturated cluster: overcommit the least-loaded node rather
             // than dropping the request. The pod runs, but it contends —
             // overload shows up as interference, not as free capacity.
             Err(_) => (
                 cluster
-                    .place_overcommitted(acquisition.pod, function.name(), size)
+                    .place_overcommitted_id(acquisition.pod, id, size)
                     .ok(),
                 true,
             ),
@@ -1088,9 +1097,7 @@ impl OpenLoopSimulation {
         );
         // The pod's co-location degree, read off the node it just landed on
         // (an unplaced pod runs alone).
-        let colocated = node.map_or(1, |node| {
-            cluster.function_count(node, function.name()).max(1)
-        });
+        let colocated = node.map_or(1, |node| cluster.function_count_id(node, id).max(1));
         let mut exec = function.execution_time(
             size,
             self.config.concurrency,

@@ -11,8 +11,13 @@
 //!   default and is what creates the interference of Figure 1c.
 //! * [`PlacementPolicy::Spread`] — spread pods across the least-loaded nodes,
 //!   a common mitigation baseline.
+//!
+//! Function names are resolved once per run to dense [`FunctionId`]s
+//! ([`Cluster::function_id`]); placement and co-location counts take the id
+//! and index per-node and per-zone counts by it.
 
 use crate::error::SimError;
+use crate::function::{FunctionId, FunctionNames};
 use crate::idmap::IdMap;
 use crate::node::{Node, NodeId};
 use crate::pod::PodId;
@@ -99,12 +104,12 @@ impl ClusterConfig {
     }
 }
 
-/// Where one placed pod lives: its node, its interned function slot and
-/// its CPU allocation.
+/// Where one placed pod lives: its node, its function and its CPU
+/// allocation.
 #[derive(Debug, Clone, Copy)]
 struct Placement {
     node: usize,
-    slot: usize,
+    function: FunctionId,
     allocation: Millicores,
 }
 
@@ -114,12 +119,12 @@ struct Placement {
 /// Retired nodes keep their slot (a [`NodeId`] is an index and is never
 /// reused) but contribute neither capacity nor placement targets.
 ///
-/// Placement is O(nodes) and allocation-free once a function has been seen:
-/// function names are interned into small *slots* (a linear scan over the
-/// handful of workflow functions), one pod table maps each pod to its node,
-/// slot and allocation, and per-(zone, slot) counts are kept in step with
-/// every placement, removal and crash, so zone-aware spread reads a zone's
-/// exposure in O(1) instead of recounting the zone's nodes.
+/// Placement is O(nodes) and allocation-free, and it compares no name:
+/// callers resolve each function once to a [`FunctionId`], one pod table
+/// maps each pod to its node, function and allocation, and per-(zone,
+/// function) counts are kept in step with every placement, removal and
+/// crash, so zone-aware spread reads a zone's exposure in O(1) instead of
+/// recounting the zone's nodes.
 #[derive(Debug)]
 pub struct Cluster {
     nodes: Vec<Node>,
@@ -129,12 +134,13 @@ pub struct Cluster {
     node_zones: Vec<usize>,
     zone_count: usize,
     placement: PlacementPolicy,
-    /// Interned function names; a name's index is its slot.
-    functions: Vec<String>,
-    /// Pods of each slot hosted per zone, at `slot * zone_count + zone`.
-    /// Invariant: the sum of the zone's nodes' counts for that slot (retired
-    /// nodes host nothing, so they contribute zero).
-    zone_slot_counts: Vec<usize>,
+    /// The names behind the cluster's function ids.
+    functions: FunctionNames,
+    /// Pods of each function hosted per zone, at
+    /// `function * zone_count + zone`. Invariant: the sum of the zone's
+    /// nodes' counts for that function (retired nodes host nothing, so they
+    /// contribute zero).
+    zone_function_counts: Vec<usize>,
     /// Where each placed pod lives. Keyed lookup only (`crash_node` sorts
     /// what it collects), so the table's order never reaches an output.
     pods: IdMap<PodId, Placement>,
@@ -155,8 +161,8 @@ impl Cluster {
             node_zones,
             zone_count: config.zones,
             placement: config.placement,
-            functions: Vec::new(),
-            zone_slot_counts: Vec::new(),
+            functions: FunctionNames::default(),
+            zone_function_counts: Vec::new(),
             pods: IdMap::default(),
         })
     }
@@ -266,11 +272,11 @@ impl Cluster {
             }
             Some(NodeState::Active) | Some(NodeState::Draining) => {}
         }
-        let mut lost: Vec<(PodId, usize)> = self
+        let mut lost: Vec<(PodId, FunctionId)> = self
             .pods
             .iter()
             .filter(|(_, p)| p.node == idx)
-            .map(|(pod, p)| (*pod, p.slot))
+            .map(|(pod, p)| (*pod, p.function))
             .collect();
         lost.sort_by_key(|(pod, _)| *pod);
         for (pod, _) in &lost {
@@ -279,7 +285,7 @@ impl Cluster {
         self.states[idx] = NodeState::Retired;
         Ok(lost
             .into_iter()
-            .map(|(pod, slot)| (pod, self.functions[slot].clone()))
+            .map(|(pod, function)| (pod, self.functions.name(function).to_string()))
             .collect())
     }
 
@@ -371,43 +377,30 @@ impl Cluster {
         f64::from(self.total_allocated().get()) / f64::from(cap)
     }
 
-    /// Slot of an already-interned function name.
-    fn slot_of(&self, function: &str) -> Option<usize> {
-        self.functions.iter().position(|f| f == function)
-    }
-
-    /// Slot of `function`, interning the name on first sight.
-    fn intern(&mut self, function: &str) -> usize {
-        match self.slot_of(function) {
-            Some(slot) => slot,
-            None => self.intern_new(function),
-        }
-    }
-
-    /// Cold path: give a never-seen function the next slot, with a zero
-    /// count in every zone.
-    #[cold]
-    fn intern_new(&mut self, function: &str) -> usize {
-        self.functions.push(function.to_string());
-        self.zone_slot_counts
+    /// The cluster's id for `function`: the one name lookup, interning the
+    /// name (with a zero count in every zone) on first sight. Ids are
+    /// dense, in first-seen order.
+    pub fn function_id(&mut self, function: &str) -> FunctionId {
+        let id = self.functions.intern(function);
+        self.zone_function_counts
             .resize(self.functions.len() * self.zone_count, 0);
-        self.functions.len() - 1
+        id
     }
 
-    /// Instances of the function at `slot` hosted in `zone` — the
-    /// correlated-failure exposure zone-aware spread placement minimises.
-    fn zone_slot_count(&self, zone: usize, slot: usize) -> usize {
-        self.zone_slot_counts[slot * self.zone_count + zone]
+    /// Instances of `function` hosted in `zone` — the correlated-failure
+    /// exposure zone-aware spread placement minimises.
+    fn zone_function_count(&self, zone: usize, function: FunctionId) -> usize {
+        self.zone_function_counts[function.index() * self.zone_count + zone]
     }
 
     /// The active node that fits `allocation` and ranks highest under the
     /// placement policy, in one pass over the fleet. Each node's criteria
     /// are packed into one integer key (see [`rank`]) and `>=` keeps the
     /// *last* maximum, the node `Iterator::max_by_key` would return.
-    fn pick_node(&self, slot: usize, allocation: Millicores) -> Option<usize> {
+    fn pick_node(&self, function: FunctionId, allocation: Millicores) -> Option<usize> {
         match self.placement {
             PlacementPolicy::PackSameFunction => self.last_max(allocation, |_, node| {
-                rank(count32(node.slot_count(slot)), node.free())
+                rank(count32(node.function_count(function)), node.free())
             }),
             // Zone-aware spread: first keep instances of the same function
             // out of each other's blast radius (fewest copies in the node's
@@ -415,7 +408,7 @@ impl Cluster {
             // the first criterion ties everywhere, degenerating to the
             // original most-free-capacity spread.
             PlacementPolicy::Spread => self.last_max(allocation, |i, node| {
-                let copies = self.zone_slot_count(self.node_zones[i], slot);
+                let copies = self.zone_function_count(self.node_zones[i], function);
                 rank(u32::MAX - count32(copies), node.free())
             }),
         }
@@ -446,7 +439,7 @@ impl Cluster {
     fn attach(
         &mut self,
         pod: PodId,
-        slot: usize,
+        function: FunctionId,
         target: SimResult<usize>,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
@@ -458,22 +451,23 @@ impl Cluster {
                 let idx = target?;
                 vacant.insert(Placement {
                     node: idx,
-                    slot,
+                    function,
                     allocation,
                 });
                 idx
             }
         };
-        self.nodes[idx].attach(slot, allocation);
-        self.zone_slot_counts[slot * self.zone_count + self.node_zones[idx]] += 1;
+        self.nodes[idx].attach(function, allocation);
+        self.zone_function_counts[function.index() * self.zone_count + self.node_zones[idx]] += 1;
         Ok(self.nodes[idx].id())
     }
 
     /// Forget `pod`, releasing its allocation; returns its node index.
     fn detach(&mut self, pod: PodId) -> Option<usize> {
         let p = self.pods.remove(&pod)?;
-        self.nodes[p.node].detach(p.slot, p.allocation);
-        self.zone_slot_counts[p.slot * self.zone_count + self.node_zones[p.node]] -= 1;
+        self.nodes[p.node].detach(p.function, p.allocation);
+        self.zone_function_counts
+            [p.function.index() * self.zone_count + self.node_zones[p.node]] -= 1;
         Some(p.node)
     }
 
@@ -486,11 +480,26 @@ impl Cluster {
         function: &str,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
-        let slot = self.intern(function);
+        let id = self.function_id(function);
+        self.place_id(pod, id, allocation)
+    }
+
+    /// [`place`](Self::place) for a function already resolved by
+    /// [`function_id`](Self::function_id): the per-invocation path.
+    ///
+    /// # Panics
+    ///
+    /// If `function` was not issued by this cluster.
+    pub fn place_id(
+        &mut self,
+        pod: PodId,
+        function: FunctionId,
+        allocation: Millicores,
+    ) -> SimResult<NodeId> {
         let target = self
-            .pick_node(slot, allocation)
+            .pick_node(function, allocation)
             .ok_or_else(|| self.insufficient_capacity(allocation));
-        self.attach(pod, slot, target, allocation)
+        self.attach(pod, function, target, allocation)
     }
 
     /// Cold path: the placement error, naming the largest free capacity of
@@ -521,14 +530,29 @@ impl Cluster {
         function: &str,
         allocation: Millicores,
     ) -> SimResult<NodeId> {
-        let slot = self.intern(function);
+        let id = self.function_id(function);
+        self.place_overcommitted_id(pod, id, allocation)
+    }
+
+    /// [`place_overcommitted`](Self::place_overcommitted) for a function
+    /// already resolved by [`function_id`](Self::function_id).
+    ///
+    /// # Panics
+    ///
+    /// If `function` was not issued by this cluster.
+    pub fn place_overcommitted_id(
+        &mut self,
+        pod: PodId,
+        function: FunctionId,
+        allocation: Millicores,
+    ) -> SimResult<NodeId> {
         let target = self
             .least_allocated_active()
             .ok_or(SimError::InsufficientCapacity {
                 requested: allocation,
                 available: Millicores::ZERO,
             });
-        self.attach(pod, slot, target, allocation)
+        self.attach(pod, function, target, allocation)
     }
 
     /// Remove a pod from its node. If the node was draining and this was its
@@ -553,8 +577,8 @@ impl Cluster {
                 available: node.free() + current,
             });
         }
-        node.detach(p.slot, current);
-        node.attach(p.slot, allocation);
+        node.detach(p.function, current);
+        node.attach(p.function, allocation);
         p.allocation = allocation;
         Ok(())
     }
@@ -572,10 +596,18 @@ impl Cluster {
     /// Pods of `function` hosted on node `id` (0 for an unknown node or a
     /// function never placed).
     pub fn function_count(&self, id: NodeId, function: &str) -> usize {
-        match (self.nodes.get(id.0 as usize), self.slot_of(function)) {
-            (Some(node), Some(slot)) => node.slot_count(slot),
-            _ => 0,
-        }
+        self.functions
+            .get(function)
+            .map_or(0, |function| self.function_count_id(id, function))
+    }
+
+    /// Pods of the function `function` hosted on node `id` (0 for an
+    /// unknown node or a function never placed): the co-location degree
+    /// the serving loops read after every placement.
+    pub fn function_count_id(&self, id: NodeId, function: FunctionId) -> usize {
+        self.nodes
+            .get(id.0 as usize)
+            .map_or(0, |node| node.function_count(function))
     }
 }
 
@@ -626,8 +658,9 @@ mod tests {
     /// Pods of `function` in `zone`, read off the per-zone counts that
     /// zone-aware spread ranks by.
     fn zone_count(c: &Cluster, zone: usize, function: &str) -> usize {
-        c.slot_of(function)
-            .map_or(0, |slot| c.zone_slot_count(zone, slot))
+        c.functions
+            .get(function)
+            .map_or(0, |id| c.zone_function_count(zone, id))
     }
 
     fn zoned(nodes: usize, zones: usize) -> Cluster {
@@ -1079,5 +1112,113 @@ mod tests {
         assert!(!lost.is_empty());
         assert!(lost.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(lost.iter().all(|(pod, f)| ids.contains(pod) && f == "qa"));
+    }
+
+    #[test]
+    fn names_and_resolved_ids_take_the_same_path() {
+        use crate::rng::SimRng;
+        const FUNCTIONS: [&str; 4] = ["od", "qa", "ts", "asr"];
+        let mut rng = SimRng::seed_from_u64(0xC1_05_7E_12);
+        for (case, placement) in [PlacementPolicy::PackSameFunction, PlacementPolicy::Spread]
+            .into_iter()
+            .enumerate()
+        {
+            let config = ClusterConfig {
+                nodes: 4,
+                node_capacity: Millicores::from_cores(8),
+                placement,
+                zones: 2,
+            };
+            // One cluster is driven through names, the other through ids
+            // resolved up front in the reverse order.
+            let mut by_name = Cluster::new(&config).unwrap();
+            let mut by_id = Cluster::new(&config).unwrap();
+            let mut ids = [FunctionId(0); 4];
+            for (i, function) in FUNCTIONS.iter().enumerate().rev() {
+                ids[i] = by_id.function_id(function);
+            }
+            assert_eq!(
+                ids,
+                [FunctionId(3), FunctionId(2), FunctionId(1), FunctionId(0)],
+                "ids are dense, in first-seen order"
+            );
+            let mut placed: Vec<PodId> = Vec::new();
+            let (mut next_pod, mut refused, mut crashed) = (0, 0, 0);
+            for step in 0..2_000 {
+                let at = format!("case {case} step {step}");
+                let f = rng.int_range(0, 3) as usize;
+                let allocation = Millicores::new(100 * rng.int_range(5, 40) as u32);
+                match rng.int_range(0, 99) {
+                    0..=44 => {
+                        // A fresh pod, or now and then one already placed.
+                        let pod = if placed.is_empty() || rng.int_range(0, 9) > 0 {
+                            next_pod += 1;
+                            PodId(next_pod)
+                        } else {
+                            *rng.choose(&placed)
+                        };
+                        let got = by_name.place(pod, FUNCTIONS[f], allocation);
+                        assert_eq!(got, by_id.place_id(pod, ids[f], allocation), "{at}");
+                        match got {
+                            Ok(_) => placed.push(pod),
+                            Err(_) => refused += 1,
+                        }
+                    }
+                    45..=54 => {
+                        next_pod += 1;
+                        let pod = PodId(next_pod);
+                        let got = by_name.place_overcommitted(pod, FUNCTIONS[f], allocation);
+                        let want = by_id.place_overcommitted_id(pod, ids[f], allocation);
+                        assert_eq!(got, want, "{at}");
+                        if got.is_ok() {
+                            placed.push(pod);
+                        }
+                    }
+                    55..=89 if !placed.is_empty() => {
+                        let i = rng.int_range(0, placed.len() as u64 - 1) as usize;
+                        let pod = placed.swap_remove(i);
+                        assert_eq!(by_name.remove(pod), by_id.remove(pod), "{at}");
+                    }
+                    90..=94 => {
+                        let node = NodeId(rng.int_range(0, by_name.nodes.len() as u64) as u32);
+                        let lost = by_name.crash_node(node);
+                        assert_eq!(lost, by_id.crash_node(node), "{at}");
+                        for (pod, _) in lost.unwrap_or_default() {
+                            placed.retain(|p| *p != pod);
+                            crashed += 1;
+                        }
+                    }
+                    _ => {
+                        let capacity = Millicores::from_cores(8);
+                        assert_eq!(by_name.add_node(capacity), by_id.add_node(capacity));
+                    }
+                }
+                assert_eq!(by_name.total_allocated(), by_id.total_allocated(), "{at}");
+                for i in 0..=by_name.nodes.len() {
+                    let node = NodeId(i as u32);
+                    assert_eq!(by_name.node_state(node), by_id.node_state(node), "{at}");
+                    for (f, function) in FUNCTIONS.iter().enumerate() {
+                        let count = by_name.function_count(node, function);
+                        assert_eq!(count, by_id.function_count_id(node, ids[f]), "{at}");
+                        assert_eq!(count, by_id.function_count(node, function), "{at}");
+                    }
+                }
+                for pod in &placed {
+                    assert_eq!(by_name.node_of(*pod), by_id.node_of(*pod), "{at}");
+                }
+            }
+            // The run reached every path: refusals, crashes with pods.
+            assert!(refused > 0 && crashed > 0 && !placed.is_empty());
+            // Resolution is stable, and the name path numbered the four
+            // functions densely.
+            for (f, function) in FUNCTIONS.iter().enumerate() {
+                assert_eq!(by_id.function_id(function), ids[f]);
+            }
+            let mut seen: Vec<FunctionId> =
+                FUNCTIONS.iter().map(|f| by_name.function_id(f)).collect();
+            seen.sort();
+            assert_eq!(seen, (0..4).map(FunctionId).collect::<Vec<_>>());
+            assert_eq!(by_name.function_count_id(NodeId(0), FunctionId(9)), 0);
+        }
     }
 }

@@ -16,6 +16,8 @@
 //! * [`event`] / [`engine`] — a binary-heap event queue and simulation driver.
 //! * [`node`], [`pod`], [`cluster`] — worker VMs, function instances and
 //!   placement, mirroring Fission pods on Kubernetes nodes.
+//! * [`function`] — [`FunctionId`], a function name resolved once per run,
+//!   which the pool and the cluster index their per-function state by.
 //! * [`pool`] — a warm-pool manager modelled on the Fission PoolManager
 //!   executor (cold-start avoidance).
 //! * [`interference`] — co-location performance-interference model used to
@@ -44,6 +46,7 @@ pub mod cluster;
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod function;
 pub mod idmap;
 pub mod interference;
 pub mod metrics;
@@ -61,6 +64,7 @@ pub use cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
 pub use engine::{Engine, EngineConfig};
 pub use error::SimError;
 pub use event::{EventQueue, ScheduledEvent};
+pub use function::FunctionId;
 pub use idmap::{IdMap, IdSet};
 pub use interference::{InterferenceModel, ResourceDimension};
 pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle, StreamingHandle};

@@ -6,10 +6,12 @@
 //! [`crate::interference::InterferenceModel`].
 //!
 //! A node is pure accounting: capacity, allocated CPU, pod count and one
-//! co-location count per function *slot*. The [`crate::cluster::Cluster`]
-//! owns the pod table and interns function names into those slots, so a
-//! placement touches no string and allocates nothing.
+//! co-location count per [`FunctionId`]. The [`crate::cluster::Cluster`]
+//! owns the pod table and resolves function names to ids once, so a
+//! placement touches no string and allocates nothing once a function's
+//! count exists on the node.
 
+use crate::function::FunctionId;
 use crate::resources::Millicores;
 
 /// Identifier of a worker node.
@@ -29,10 +31,9 @@ pub struct Node {
     capacity: Millicores,
     allocated: Millicores,
     pods: usize,
-    /// Pods hosted per interned function slot (for co-location
-    /// interference); grows to a slot's index the first time that slot is
-    /// placed here.
-    per_slot: Vec<usize>,
+    /// Pods hosted per function id (for co-location interference); grows to
+    /// an id's index the first time that function is placed here.
+    per_function: Vec<usize>,
 }
 
 impl Node {
@@ -43,7 +44,7 @@ impl Node {
             capacity,
             allocated: Millicores::ZERO,
             pods: 0,
-            per_slot: Vec::new(),
+            per_function: Vec::new(),
         }
     }
 
@@ -86,26 +87,30 @@ impl Node {
         self.free() >= allocation
     }
 
-    /// Pods of the function interned at `slot` hosted here (the co-location
-    /// degree used by the interference model).
-    pub(crate) fn slot_count(&self, slot: usize) -> usize {
-        self.per_slot.get(slot).copied().unwrap_or(0)
+    /// Pods of `function` hosted here (the co-location degree used by the
+    /// interference model).
+    pub(crate) fn function_count(&self, function: FunctionId) -> usize {
+        self.per_function
+            .get(function.index())
+            .copied()
+            .unwrap_or(0)
     }
 
-    /// Account one pod of `slot` with `allocation` CPU. No capacity check:
-    /// the cluster decides whether the node may be overcommitted.
-    pub(crate) fn attach(&mut self, slot: usize, allocation: Millicores) {
-        if self.per_slot.len() <= slot {
-            self.per_slot.resize(slot + 1, 0);
+    /// Account one pod of `function` with `allocation` CPU. No capacity
+    /// check: the cluster decides whether the node may be overcommitted.
+    pub(crate) fn attach(&mut self, function: FunctionId, allocation: Millicores) {
+        let slot = function.index();
+        if self.per_function.len() <= slot {
+            self.per_function.resize(slot + 1, 0);
         }
-        self.per_slot[slot] += 1;
+        self.per_function[slot] += 1;
         self.pods += 1;
         self.allocated += allocation;
     }
 
-    /// Release one pod of `slot` holding `allocation` CPU.
-    pub(crate) fn detach(&mut self, slot: usize, allocation: Millicores) {
-        self.per_slot[slot] -= 1;
+    /// Release one pod of `function` holding `allocation` CPU.
+    pub(crate) fn detach(&mut self, function: FunctionId, allocation: Millicores) {
+        self.per_function[function.index()] -= 1;
         self.pods -= 1;
         self.allocated = self.allocated.saturating_sub(allocation);
     }
@@ -122,14 +127,18 @@ mod tests {
     #[test]
     fn placement_tracks_allocation_and_colocation() {
         let mut n = node();
-        n.attach(0, Millicores::new(2000));
-        n.attach(0, Millicores::new(1000));
-        n.attach(1, Millicores::new(1000));
+        n.attach(FunctionId(0), Millicores::new(2000));
+        n.attach(FunctionId(0), Millicores::new(1000));
+        n.attach(FunctionId(1), Millicores::new(1000));
         assert_eq!(n.allocated().get(), 4000);
         assert_eq!(n.free().get(), 4000);
-        assert_eq!(n.slot_count(0), 2);
-        assert_eq!(n.slot_count(1), 1);
-        assert_eq!(n.slot_count(7), 0, "a slot never placed here counts zero");
+        assert_eq!(n.function_count(FunctionId(0)), 2);
+        assert_eq!(n.function_count(FunctionId(1)), 1);
+        assert_eq!(
+            n.function_count(FunctionId(7)),
+            0,
+            "a function never placed here counts zero"
+        );
         assert!((n.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(n.pod_count(), 3);
         assert!(n.can_fit(Millicores::new(4000)));
@@ -139,17 +148,17 @@ mod tests {
     #[test]
     fn evict_releases_capacity_and_colocation() {
         let mut n = node();
-        n.attach(0, Millicores::new(2000));
-        n.attach(0, Millicores::new(1000));
-        n.detach(0, Millicores::new(2000));
+        n.attach(FunctionId(0), Millicores::new(2000));
+        n.attach(FunctionId(0), Millicores::new(1000));
+        n.detach(FunctionId(0), Millicores::new(2000));
         assert_eq!(n.allocated().get(), 1000);
-        assert_eq!(n.slot_count(0), 1);
+        assert_eq!(n.function_count(FunctionId(0)), 1);
         assert_eq!(n.pod_count(), 1);
         // Overcommit reads past 100 % and releases back below it.
-        n.attach(1, Millicores::new(9000));
+        n.attach(FunctionId(1), Millicores::new(9000));
         assert_eq!(n.free(), Millicores::ZERO);
         assert!(n.utilization() > 1.0);
-        n.detach(1, Millicores::new(9000));
+        n.detach(FunctionId(1), Millicores::new(9000));
         assert_eq!(n.allocated().get(), 1000);
     }
 }

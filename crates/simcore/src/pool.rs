@@ -4,7 +4,13 @@
 //! cold starts" (§V-A): a pool of generic pods is kept warm per node, and
 //! specialising a warm pod to a function costs a small specialisation delay
 //! rather than a full cold start.
+//!
+//! Function names are resolved once per run to dense [`FunctionId`]s
+//! ([`PoolManager::function_id`]); the warm queues are indexed by id and
+//! every pod remembers the id it was specialised to, so acquire and release
+//! touch no string.
 
+use crate::function::{FunctionId, FunctionNames};
 use crate::idmap::IdMap;
 use crate::pod::{Pod, PodId, PodState};
 use crate::resources::Millicores;
@@ -53,10 +59,13 @@ pub struct Acquisition {
     pub warm_hit: bool,
 }
 
-/// One tracked pod and, while it waits in a warm queue, when it went idle.
+/// One tracked pod, the function it is specialised to and, while it waits
+/// in a warm queue, when it went idle.
 #[derive(Debug)]
 struct PodEntry {
     pod: Pod,
+    /// The function the pool specialised the pod to; `None` while generic.
+    function: Option<FunctionId>,
     /// Last time the pod went idle (for recycling); `None` once it leaves
     /// its warm queue, and for generic pods.
     idle_since: Option<SimTime>,
@@ -67,17 +76,19 @@ struct PodEntry {
 ///
 /// Every queue entry names a tracked pod: a pod leaves the pod table only
 /// together with all its queue entries (shrink, recycling, loss). A warm
-/// acquire or a release costs one pod-table probe plus a linear scan of the
-/// handful of function names.
+/// acquire or a release costs one pod-table probe and one index into the
+/// warm queues.
 #[derive(Debug)]
 pub struct PoolManager {
     config: PoolConfig,
     next_pod: u64,
     /// Generic warm pods ready to be specialised.
     generic: VecDeque<PodId>,
-    /// Idle pods already specialised: one queue per function, in the order
-    /// the functions were first released.
-    warm_by_function: Vec<(String, VecDeque<PodId>)>,
+    /// The names behind the pool's function ids.
+    functions: FunctionNames,
+    /// Idle pods already specialised: one queue per function, indexed by
+    /// [`FunctionId`].
+    warm: Vec<VecDeque<PodId>>,
     /// Every tracked pod, by id.
     pods: IdMap<PodId, PodEntry>,
     warm_hits: u64,
@@ -91,7 +102,8 @@ impl PoolManager {
             config,
             next_pod: 0,
             generic: VecDeque::new(),
-            warm_by_function: Vec::new(),
+            functions: FunctionNames::default(),
+            warm: Vec::new(),
             pods: IdMap::default(),
             warm_hits: 0,
             cold_starts: 0,
@@ -110,10 +122,28 @@ impl PoolManager {
         self.generic.len()
     }
 
+    /// The pool's id for `function`: the one name lookup, interning the
+    /// name (and opening its empty warm queue) on first sight. Ids are
+    /// dense, in first-seen order.
+    pub fn function_id(&mut self, function: &str) -> FunctionId {
+        let id = self.functions.intern(function);
+        if self.warm.len() < self.functions.len() {
+            self.warm.push(VecDeque::new());
+        }
+        id
+    }
+
     /// Number of idle specialised pods for `function`.
     pub fn warm_available(&self, function: &str) -> usize {
-        warm_slot(&self.warm_by_function, function)
-            .map_or(0, |slot| self.warm_by_function[slot].1.len())
+        self.functions
+            .get(function)
+            .map_or(0, |id| self.warm_available_id(id))
+    }
+
+    /// Number of idle specialised pods for the function `id` (0 for an id
+    /// this pool never issued).
+    pub fn warm_available_id(&self, id: FunctionId) -> usize {
+        self.warm.get(id.index()).map_or(0, VecDeque::len)
     }
 
     /// Total warm-pool hits so far.
@@ -143,6 +173,7 @@ impl PoolManager {
             id,
             PodEntry {
                 pod,
+                function: None,
                 idle_since: None,
             },
         );
@@ -194,17 +225,31 @@ impl PoolManager {
     /// A queued pod that can no longer start (untracked, or not idle) is a
     /// stale entry and is skipped.
     pub fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
+        let id = self.function_id(function);
+        self.acquire_id(id, allocation, now)
+    }
+
+    /// [`acquire`](Self::acquire) for a function already resolved by
+    /// [`function_id`](Self::function_id): the per-invocation path.
+    ///
+    /// # Panics
+    ///
+    /// If `function` was not issued by this pool.
+    pub fn acquire_id(
+        &mut self,
+        function: FunctionId,
+        allocation: Millicores,
+        now: SimTime,
+    ) -> Acquisition {
         // 1. Reuse a specialised idle pod.
-        if let Some(slot) = warm_slot(&self.warm_by_function, function) {
-            while let Some(pod_id) = self.warm_by_function[slot].1.pop_front() {
-                if self.start(pod_id, function, allocation) {
-                    self.warm_hits += 1;
-                    return Acquisition {
-                        pod: pod_id,
-                        startup_delay: SimDuration::ZERO,
-                        warm_hit: true,
-                    };
-                }
+        while let Some(pod_id) = self.warm[function.index()].pop_front() {
+            if self.start(pod_id, function, allocation) {
+                self.warm_hits += 1;
+                return Acquisition {
+                    pod: pod_id,
+                    startup_delay: SimDuration::ZERO,
+                    warm_hit: true,
+                };
             }
         }
         // 2. Specialise a generic pod.
@@ -235,14 +280,17 @@ impl PoolManager {
     /// specialised (when generic), sized and marked running. Returns `false`
     /// when the pod is untracked or neither generic nor idle — the only
     /// states those transitions reject — leaving the pod itself untouched.
-    fn start(&mut self, pod_id: PodId, function: &str, allocation: Millicores) -> bool {
+    fn start(&mut self, pod_id: PodId, function: FunctionId, allocation: Millicores) -> bool {
         let Some(entry) = self.pods.get_mut(&pod_id) else {
             return false;
         };
         entry.idle_since = None;
         let pod = &mut entry.pod;
         let ready = match pod.state() {
-            PodState::Generic => pod.specialize(function).is_ok(),
+            PodState::Generic => {
+                entry.function = Some(function);
+                pod.specialize(self.functions.name(function)).is_ok()
+            }
             PodState::Warm => true,
             PodState::Running | PodState::Terminated => false,
         };
@@ -259,11 +307,8 @@ impl PoolManager {
             // Cannot fail: only a non-running pod is rejected.
             let _ = entry.pod.finish_execution();
         }
-        if let Some(function) = entry.pod.function() {
-            match warm_slot(&self.warm_by_function, function) {
-                Some(slot) => self.warm_by_function[slot].1.push_back(pod_id),
-                None => open_warm_queue(&mut self.warm_by_function, function, pod_id),
-            }
+        if let Some(function) = entry.function {
+            self.warm[function.index()].push_back(pod_id);
             entry.idle_since = Some(now);
         }
     }
@@ -276,10 +321,9 @@ impl PoolManager {
     pub fn recycle_idle(&mut self, now: SimTime) -> usize {
         let cutoff = self.config.idle_recycle_after;
         let before = self.pods.len();
-        // Slots of the warm queues holding an expired pod (allocated only
-        // when something expires).
-        let mut swept: Vec<usize> = Vec::new();
-        let warm = &self.warm_by_function;
+        // The functions whose warm queues hold an expired pod (allocated
+        // only when something expires).
+        let mut swept: Vec<FunctionId> = Vec::new();
         // A recycled pod leaves its warm queue below (its only queue), so
         // nothing can reach it again; drop it from the tracking map rather
         // than keeping terminated entries forever (the open loop recycles on
@@ -290,20 +334,18 @@ impl PoolManager {
                 .is_some_and(|since| now.saturating_since(since) >= cutoff);
             if expired {
                 // An idle pod is specialised and queued under its function.
-                if let Some(slot) = entry.pod.function().and_then(|f| warm_slot(warm, f)) {
-                    if !swept.contains(&slot) {
-                        swept.push(slot);
+                if let Some(function) = entry.function {
+                    if !swept.contains(&function) {
+                        swept.push(function);
                     }
                 }
             }
             !expired
         });
         let recycled = before - self.pods.len();
-        for slot in swept {
+        for function in swept {
             let pods = &self.pods;
-            self.warm_by_function[slot]
-                .1
-                .retain(|id| pods.contains_key(id));
+            self.warm[function.index()].retain(|id| pods.contains_key(id));
         }
         self.refill(now);
         recycled
@@ -324,14 +366,16 @@ impl PoolManager {
         if dropped > 0 {
             let pods = &self.pods;
             self.generic.retain(|id| pods.contains_key(id));
-            for (_, queue) in &mut self.warm_by_function {
+            for queue in &mut self.warm {
                 queue.retain(|id| pods.contains_key(id));
             }
         }
         dropped
     }
 
-    /// Mutable access to a pod (e.g. for a resize while it is idle or running).
+    /// Mutable access to a pod (e.g. for a resize while it is idle or
+    /// running). Specialise pods only through acquisition: a released pod
+    /// joins the warm queue of the function the pool specialised it to.
     pub fn pod_mut(&mut self, pod_id: PodId) -> Option<&mut Pod> {
         self.pods.get_mut(&pod_id).map(|entry| &mut entry.pod)
     }
@@ -352,23 +396,6 @@ impl PoolManager {
     pub fn tracked_pods(&self) -> usize {
         self.pods.len()
     }
-}
-
-/// Slot of `function`'s warm queue: a linear scan of the handful of
-/// function names, cheaper than hashing the name.
-fn warm_slot(warm_by_function: &[(String, VecDeque<PodId>)], function: &str) -> Option<usize> {
-    warm_by_function.iter().position(|(f, _)| f == function)
-}
-
-/// Cold path: the first release of `function` opens its warm queue (once
-/// per function name for the pool's lifetime).
-#[cold]
-fn open_warm_queue(
-    warm_by_function: &mut Vec<(String, VecDeque<PodId>)>,
-    function: &str,
-    pod_id: PodId,
-) {
-    warm_by_function.push((function.to_string(), VecDeque::from([pod_id])));
 }
 
 #[cfg(test)]
@@ -798,5 +825,107 @@ mod tests {
         // The run reached every path the model pins.
         assert!(recycled > 0 && dropped > 0 && stale_releases > 0);
         assert!(mgr.warm_hits() > 0 && mgr.cold_starts() > 0);
+    }
+
+    #[test]
+    fn names_and_resolved_ids_take_the_same_path() {
+        use crate::rng::SimRng;
+        const FUNCTIONS: [&str; 4] = ["od", "qa", "ts", "asr"];
+        let config = PoolConfig {
+            pool_size: 3,
+            idle_recycle_after: SimDuration::from_secs(5.0),
+            ..PoolConfig::default()
+        };
+        // One pool is driven through names, the other through ids resolved
+        // up front in the reverse order, so the two number the functions
+        // differently.
+        let mut by_name = PoolManager::new(config.clone());
+        let mut by_id = PoolManager::new(config);
+        let mut ids = [FunctionId(0); 4];
+        for (i, function) in FUNCTIONS.iter().enumerate().rev() {
+            ids[i] = by_id.function_id(function);
+        }
+        assert_eq!(
+            ids,
+            [FunctionId(3), FunctionId(2), FunctionId(1), FunctionId(0)],
+            "ids are dense, in first-seen order"
+        );
+        let mut rng = SimRng::seed_from_u64(0x1D50_F00D);
+        let mut now = SimTime::ZERO;
+        let mut running: Vec<PodId> = Vec::new();
+        for step in 0..5_000 {
+            now += SimDuration::from_millis(rng.uniform_range(0.0, 400.0));
+            let issued = by_name.total_pods() as u64;
+            let touched = match rng.int_range(0, 99) {
+                0..=44 => {
+                    let f = rng.int_range(0, 3) as usize;
+                    let allocation = Millicores::new(1000 + 100 * rng.int_range(0, 20) as u32);
+                    let got = by_name.acquire(FUNCTIONS[f], allocation, now);
+                    assert_eq!(
+                        got,
+                        by_id.acquire_id(ids[f], allocation, now),
+                        "acquire at step {step}"
+                    );
+                    running.push(got.pod);
+                    got.pod
+                }
+                45..=79 => {
+                    let pod = if !running.is_empty() && rng.int_range(0, 9) < 8 {
+                        let i = rng.int_range(0, running.len() as u64 - 1) as usize;
+                        running.swap_remove(i)
+                    } else {
+                        PodId(rng.int_range(0, issued))
+                    };
+                    by_name.release(pod, now);
+                    by_id.release(pod, now);
+                    pod
+                }
+                80..=89 => {
+                    let n = by_name.recycle_idle(now);
+                    assert_eq!(n, by_id.recycle_idle(now), "recycle at step {step}");
+                    PodId(rng.int_range(0, issued))
+                }
+                _ => {
+                    let mut lost: Vec<PodId> = (0..rng.int_range(0, 2))
+                        .map(|_| PodId(rng.int_range(0, issued)))
+                        .collect();
+                    if !running.is_empty() {
+                        let i = rng.int_range(0, running.len() as u64 - 1) as usize;
+                        lost.push(running.swap_remove(i));
+                    }
+                    let n = by_name.drop_lost(&lost);
+                    assert_eq!(n, by_id.drop_lost(&lost), "drop_lost at step {step}");
+                    lost[0]
+                }
+            };
+            assert_eq!(
+                view(by_name.pod(touched)),
+                view(by_id.pod(touched)),
+                "pod {touched} at step {step}"
+            );
+            for (f, function) in FUNCTIONS.iter().enumerate() {
+                let warm = by_name.warm_available(function);
+                assert_eq!(warm, by_id.warm_available_id(ids[f]), "step {step}");
+                assert_eq!(warm, by_id.warm_available(function), "step {step}");
+            }
+            assert_eq!(by_name.generic_available(), by_id.generic_available());
+            assert_eq!(by_name.tracked_pods(), by_id.tracked_pods());
+            assert_eq!(
+                (by_name.warm_hits(), by_name.cold_starts()),
+                (by_id.warm_hits(), by_id.cold_starts()),
+                "step {step}"
+            );
+        }
+        assert!(by_id.warm_hits() > 0 && by_id.cold_starts() > 0);
+        // Resolution is stable: a name keeps its id, whichever path first
+        // saw it, and the name path numbered the four functions densely.
+        for (f, function) in FUNCTIONS.iter().enumerate() {
+            assert_eq!(by_id.function_id(function), ids[f]);
+        }
+        let mut seen: Vec<FunctionId> = FUNCTIONS.iter().map(|f| by_name.function_id(f)).collect();
+        seen.sort();
+        assert_eq!(seen, (0..4).map(FunctionId).collect::<Vec<_>>());
+        assert_eq!(by_name.function_id("new"), FunctionId(4));
+        assert_eq!(by_name.warm_available_id(FunctionId(9)), 0);
     }
 }

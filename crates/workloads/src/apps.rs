@@ -78,7 +78,7 @@ impl PaperApp {
 /// Object detection (Faster-RCNN MobileNet on COCO images): compute-bound,
 /// latency grows with the number of objects in the image.
 pub fn object_detection() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "od",
         ResourceDimension::Cpu,
         true,
@@ -89,15 +89,15 @@ pub fn object_detection() -> FunctionModel {
         },
         WorksetDistribution::coco_objects(),
         0.20,
-    )
-    .expect("static OD parameters are valid")
+    );
+    constant(built, "static OD parameters are valid")
 }
 
 /// Question answering (DistilBERT on SQuAD): compute/memory bound, latency
 /// grows with context length. The paper reports its P99/P50 ratio rising from
 /// 2.17× (conc 1) to 2.32× (conc 2).
 pub fn question_answering() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "qa",
         ResourceDimension::Memory,
         true,
@@ -108,13 +108,13 @@ pub fn question_answering() -> FunctionModel {
         },
         WorksetDistribution::squad_words(),
         0.20,
-    )
-    .expect("static QA parameters are valid")
+    );
+    constant(built, "static QA parameters are valid")
 }
 
 /// Text-to-speech (MMS-TTS): compute bound, latency grows with answer length.
 pub fn text_to_speech() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "ts",
         ResourceDimension::Cpu,
         true,
@@ -125,13 +125,13 @@ pub fn text_to_speech() -> FunctionModel {
         },
         WorksetDistribution::tts_answer(),
         0.18,
-    )
-    .expect("static TS parameters are valid")
+    );
+    constant(built, "static TS parameters are valid")
 }
 
 /// Frame extraction (ffmpeg): IO bound, not batchable, mild variance.
 pub fn frame_extraction() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "fe",
         ResourceDimension::Io,
         false,
@@ -142,13 +142,13 @@ pub fn frame_extraction() -> FunctionModel {
         },
         WorksetDistribution::fixed_video(),
         0.14,
-    )
-    .expect("static FE parameters are valid")
+    );
+    constant(built, "static FE parameters are valid")
 }
 
 /// Image classification (SqueezeNet): compute bound, batchable.
 pub fn image_classification() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "icl",
         ResourceDimension::Cpu,
         true,
@@ -159,13 +159,13 @@ pub fn image_classification() -> FunctionModel {
         },
         WorksetDistribution::fixed_video(),
         0.17,
-    )
-    .expect("static ICL parameters are valid")
+    );
+    constant(built, "static ICL parameters are valid")
 }
 
 /// Image compression (shutil archive): IO bound, not batchable.
 pub fn image_compression() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "ico",
         ResourceDimension::Io,
         false,
@@ -176,30 +176,38 @@ pub fn image_compression() -> FunctionModel {
         },
         WorksetDistribution::fixed_video(),
         0.12,
-    )
-    .expect("static ICO parameters are valid")
+    );
+    constant(built, "static ICO parameters are valid")
+}
+
+/// A function model or workflow built from this module's constants.
+/// Fallible constructors validate inputs that here are compile-time
+/// constants, so an error is a bug in this file, not a runtime condition.
+fn constant<T, E: std::fmt::Debug>(built: Result<T, E>, what: &str) -> T {
+    // janus-lint: allow(unwrap-discipline) — the inputs are this module's constants, and `apps::tests` build every function and both workflows, so a bad constant fails there
+    built.expect(what)
 }
 
 /// The Intelligent Assistant chain: OD → QA → TS.
 pub fn intelligent_assistant() -> Workflow {
-    Workflow::chain(
+    let built = Workflow::chain(
         "IA",
         vec![object_detection(), question_answering(), text_to_speech()],
-    )
-    .expect("IA chain is valid")
+    );
+    constant(built, "IA chain is valid")
 }
 
 /// The Video Analyze chain: FE → ICL → ICO.
 pub fn video_analyze() -> Workflow {
-    Workflow::chain(
+    let built = Workflow::chain(
         "VA",
         vec![
             frame_extraction(),
             image_classification(),
             image_compression(),
         ],
-    )
-    .expect("VA chain is valid")
+    );
+    constant(built, "VA chain is valid")
 }
 
 #[cfg(test)]
