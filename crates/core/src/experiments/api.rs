@@ -25,7 +25,7 @@
 //! assert!(output.to_json().get("experiment").is_some());
 //! ```
 
-use crate::experiments::{CapacitySweepConfig, PerfConfig, ScenarioSweepConfig, ToJson};
+use crate::experiments::{PerfConfig, SessionSpec, SweepResult, SweepSpec, ToJson};
 use crate::session::{Load, ServingSession, ServingSessionBuilder};
 use janus_json::Value;
 use janus_simcore::registry::{Entry, Registry};
@@ -78,27 +78,11 @@ impl Scale {
         }
     }
 
-    /// Scenario-sweep configuration for an application at this scale.
-    pub fn scenario_sweep(self, app: PaperApp) -> ScenarioSweepConfig {
-        match self {
-            Scale::Paper => ScenarioSweepConfig::paper_default(app),
-            Scale::Quick => ScenarioSweepConfig::quick(app),
-        }
-    }
-
     /// Perf-trajectory configuration at this scale.
     pub fn perf(self) -> PerfConfig {
         match self {
             Scale::Paper => PerfConfig::paper_default(),
             Scale::Quick => PerfConfig::quick(),
-        }
-    }
-
-    /// Capacity-sweep configuration for an application at this scale.
-    pub fn capacity_sweep(self, app: PaperApp) -> CapacitySweepConfig {
-        match self {
-            Scale::Paper => CapacitySweepConfig::paper_default(app),
-            Scale::Quick => CapacitySweepConfig::quick(app),
         }
     }
 }
@@ -259,22 +243,39 @@ impl ExperimentCtx {
             .budget_step_ms(budget_step_ms)
     }
 
-    /// Scenario-sweep configuration at this scale, seed override applied.
-    pub fn scenario_sweep(&self, app: PaperApp) -> ScenarioSweepConfig {
-        let mut config = self.scale.scenario_sweep(app);
+    /// A grid experiment's [`SweepSpec`] at this scale, built by its
+    /// `paper` or `quick` constructor, with the seed override (when given)
+    /// as its whole `seeds` axis.
+    pub fn sweep_spec(
+        &self,
+        app: PaperApp,
+        paper: fn(PaperApp) -> SweepSpec,
+        quick: fn(PaperApp) -> SweepSpec,
+    ) -> SweepSpec {
+        let mut spec = match self.scale {
+            Scale::Paper => paper(app),
+            Scale::Quick => quick(app),
+        };
         if let Some(seed) = self.seed {
-            config.seed = seed;
+            spec.seeds = vec![seed];
         }
-        config
+        spec
     }
 
-    /// Capacity-sweep configuration at this scale, seed override applied.
-    pub fn capacity_sweep(&self, app: PaperApp) -> CapacitySweepConfig {
-        let mut config = self.scale.capacity_sweep(app);
-        if let Some(seed) = self.seed {
-            config.seed = seed;
+    /// Append every live point's trace to the sink, in grid order, each
+    /// qualified with the grid coordinates `qualifier` names for its point
+    /// (the points of one grid serve the same policies).
+    pub fn append_sweep_traces(
+        &self,
+        sweep: &SweepResult,
+        qualifier: impl Fn(&SessionSpec) -> String,
+    ) -> Result<(), String> {
+        for point in &sweep.points {
+            if let Some(trace) = point.live_report().and_then(|r| r.trace()) {
+                self.append_trace(&trace, Some(&qualifier(&point.session)))?;
+            }
         }
-        config
+        Ok(())
     }
 
     /// Perf-trajectory configuration at this scale, seed override applied.
@@ -552,8 +553,21 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(served.seed, 99);
-        assert_eq!(ctx.scenario_sweep(PaperApp::IntelligentAssistant).seed, 99);
-        assert_eq!(ctx.capacity_sweep(PaperApp::IntelligentAssistant).seed, 99);
+        use crate::experiments::{capacity_sweep, chaos_resilience, scenario_sweep};
+        type SpecFn = fn(PaperApp) -> SweepSpec;
+        let grids: [(SpecFn, SpecFn); 3] = [
+            (scenario_sweep::paper_spec, scenario_sweep::quick_spec),
+            (capacity_sweep::paper_spec, capacity_sweep::quick_spec),
+            (chaos_resilience::paper_spec, chaos_resilience::quick_spec),
+        ];
+        for (paper, quick) in grids {
+            let app = PaperApp::IntelligentAssistant;
+            let expected = SweepSpec {
+                seeds: vec![99],
+                ..quick(app)
+            };
+            assert_eq!(ctx.sweep_spec(app, paper, quick), expected);
+        }
         assert_eq!(ctx.perf_config().seed, 99);
         let plain = ExperimentCtx::new(Scale::Paper);
         assert_eq!(plain.seed_or(5), 5);

@@ -2,106 +2,68 @@
 //! zone dies mid flash-crowd.
 //!
 //! The capacity sweep asks what elasticity buys under load *shape*; this
-//! experiment asks what it buys under *failure*. Every cell of the
-//! (autoscaler × admission) grid serves the same flash-crowd request set on
-//! a multi-zone spread fleet while the configured fault injector (default
-//! `zone-outage`) kills a whole zone partway through the spike — the worst
-//! correlated failure the topology admits. Both sizing policies run paired
-//! inside each cell, so the grid separates three effects that a single run
-//! confounds: what the sizing policy contributes, what the autoscaler
-//! recovers, and what admission control protects.
+//! experiment asks what it buys under *failure*. The (autoscaler ×
+//! admission) grid is a [`SweepSpec`] served by [`run_sweep`]: every point
+//! serves the same flash-crowd request set on a multi-zone spread fleet
+//! while the fault injector (`zone-outage`) kills a whole zone partway
+//! through the spike — the worst correlated failure the topology admits.
+//! Both sizing policies run paired inside each point, so the grid separates
+//! three effects that a single run confounds: what the sizing policy
+//! contributes, what the autoscaler recovers, and what admission control
+//! protects.
 //!
-//! Each row reports the graceful-degradation quantities: SLO attainment over
-//! what was served, shed and failed counts, fault-triggered retries,
-//! node-seconds billed and nodes lost. Conservation
-//! (`admitted + shed == generated`, `admitted == served + failed`) is
-//! validated in every cell, and the whole grid is bit-reproducible in the
-//! seed — the fault schedule is part of the replayed experiment, not
-//! ambient randomness.
+//! [`ChaosResilienceResult`] views the returned [`SweepResult`] as one row
+//! per (point, policy) with the graceful-degradation quantities: SLO
+//! attainment over what was served, shed and failed counts, fault-triggered
+//! retries, node-seconds billed and nodes lost. Every session validates
+//! conservation (`admitted + shed == generated`, `admitted == served +
+//! failed`), and the whole grid is bit-reproducible in the seed — the fault
+//! schedule is part of the replayed experiment, not ambient randomness.
 
-use crate::experiments::perf::{rate_per_sec, MIN_WALL_MS};
-use crate::experiments::ToJson;
-use crate::session::{Load, ServingSession, SessionReport};
-use janus_json::Value;
+use crate::experiments::scenario_sweep::served_report;
+use crate::experiments::spec::SweepSpec;
+use crate::experiments::sweep::{run_sweep, SweepPoint, SweepResult};
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
-use janus_simcore::parallel;
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
 use std::fmt;
-use std::time::Instant;
 
-/// Configuration of one chaos-resilience grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosResilienceConfig {
-    /// Application under test.
-    pub app: PaperApp,
-    /// Batch size (concurrency) requests are served at.
-    pub concurrency: u32,
-    /// Sizing policies served paired in every cell.
-    pub policies: Vec<String>,
-    /// Fault injector every cell runs under.
-    pub fault: String,
-    /// Arrival scenario every cell runs under.
-    pub scenario: String,
-    /// Autoscaler names to sweep.
-    pub autoscalers: Vec<String>,
-    /// Admission-policy names to sweep.
-    pub admissions: Vec<String>,
-    /// Starting fleet: multi-zone spread nodes, so a zone outage is a
-    /// correlated loss the survivors can (or cannot) absorb.
-    pub cluster: ClusterConfig,
-    /// Requests generated per cell per policy.
-    pub requests: usize,
-    /// Long-run mean arrival rate.
-    pub rps: f64,
-    /// Request / profiling / fault seed.
-    pub seed: u64,
-    /// Profiler samples per grid point.
-    pub samples_per_point: usize,
-    /// Synthesizer budget step in milliseconds.
-    pub budget_step_ms: f64,
-}
-
-impl ChaosResilienceConfig {
-    /// The default fleet: four spread 8-core nodes across two zones, so the
-    /// outage halves capacity in one event.
-    pub fn two_zone_fleet() -> ClusterConfig {
-        ClusterConfig {
+/// The paper-scale grid: {static, utilization} × {admit-all, queue-shed}
+/// under a flash crowd with a mid-run zone outage, on four spread 8-core
+/// nodes across two zones, so the outage halves capacity in one event.
+pub fn paper_spec(app: PaperApp) -> SweepSpec {
+    SweepSpec {
+        name: "chaos_resilience".into(),
+        app,
+        concurrency: 1,
+        policies: vec!["GrandSLAM".into(), "Janus".into()],
+        scenarios: vec!["flash-crowd".into()],
+        loads_rps: vec![6.0],
+        seeds: vec![7],
+        autoscalers: Some(vec!["static".into(), "utilization".into()]),
+        admissions: Some(vec!["admit-all".into(), "queue-shed".into()]),
+        faults: Some(vec!["zone-outage".into()]),
+        observers: None,
+        cluster: Some(ClusterConfig {
             nodes: 4,
             node_capacity: Millicores::from_cores(8),
             placement: PlacementPolicy::Spread,
             zones: 2,
-        }
+        }),
+        tenants: None,
+        requests: 300,
+        samples_per_point: 1000,
+        budget_step_ms: 1.0,
     }
+}
 
-    /// Paper-scale grid: {static, utilization} × {admit-all, queue-shed}
-    /// under a flash crowd with a mid-run zone outage.
-    pub fn paper_default(app: PaperApp) -> Self {
-        ChaosResilienceConfig {
-            app,
-            concurrency: 1,
-            policies: vec!["GrandSLAM".into(), "Janus".into()],
-            fault: "zone-outage".into(),
-            scenario: "flash-crowd".into(),
-            autoscalers: vec!["static".into(), "utilization".into()],
-            admissions: vec!["admit-all".into(), "queue-shed".into()],
-            cluster: Self::two_zone_fleet(),
-            requests: 300,
-            rps: 6.0,
-            seed: 7,
-            samples_per_point: 1000,
-            budget_step_ms: 1.0,
-        }
-    }
-
-    /// Reduced scale for smoke runs and CI (`--quick`).
-    pub fn quick(app: PaperApp) -> Self {
-        ChaosResilienceConfig {
-            requests: 90,
-            samples_per_point: 300,
-            budget_step_ms: 5.0,
-            ..Self::paper_default(app)
-        }
+/// Reduced scale for smoke runs and CI (`--quick`).
+pub fn quick_spec(app: PaperApp) -> SweepSpec {
+    SweepSpec {
+        requests: 90,
+        samples_per_point: 300,
+        budget_step_ms: 5.0,
+        ..paper_spec(app)
     }
 }
 
@@ -118,39 +80,79 @@ pub struct ChaosCell {
     /// SLO attainment over served requests, in `[0, 1]`.
     pub slo_attainment: f64,
     /// Requests admitted and served to completion.
-    pub served: usize,
+    pub served: u64,
     /// Requests shed at arrival.
-    pub shed: usize,
+    pub shed: u64,
     /// Admitted requests lost to the fault (retry budget exhausted).
-    pub failed: usize,
+    pub failed: u64,
     /// Fault-interrupted requests that re-enqueued and started over.
-    pub retried: usize,
+    pub retried: u64,
     /// Nodes force-killed by the fault.
-    pub nodes_lost: usize,
+    pub nodes_lost: u64,
     /// Node-seconds billed (the capacity bill of surviving the fault).
     pub node_seconds: f64,
     /// Peak non-retired node count.
     pub peak_nodes: usize,
 }
 
-/// The outcome of a chaos-resilience run: one row per (autoscaler,
-/// admission, policy), in configuration order, plus the full session
-/// reports behind them.
+impl ChaosCell {
+    /// The rows of one grid point: one per policy, in spec order, from the
+    /// published [`PolicyCell`](crate::experiments::PolicyCell) figures
+    /// plus the peak fleet size of the live capacity report.
+    fn rows(point: &SweepPoint) -> Result<Vec<Self>, String> {
+        let report = served_report(point)?;
+        point
+            .policies
+            .iter()
+            .zip(&report.policies)
+            .map(|(cell, policy)| {
+                let capacity = policy.serving.capacity.as_ref().ok_or_else(|| {
+                    format!(
+                        "point {} / policy `{}`: no capacity report",
+                        point.index, cell.name
+                    )
+                })?;
+                Ok(ChaosCell {
+                    autoscaler: capacity.autoscaler.clone(),
+                    admission: capacity.admission.clone(),
+                    policy: cell.name.clone(),
+                    slo_attainment: cell.slo_attainment,
+                    served: cell.served,
+                    shed: cell.shed,
+                    failed: cell.failed,
+                    retried: cell.retried,
+                    nodes_lost: cell.nodes_lost,
+                    node_seconds: cell.node_seconds.unwrap_or_default(),
+                    peak_nodes: capacity.peak_nodes,
+                })
+            })
+            .collect()
+    }
+}
+
+/// The outcome of a chaos-resilience run: a view over the sweep with one
+/// row per (autoscaler, admission, policy), in grid order.
 #[derive(Debug, Clone)]
 pub struct ChaosResilienceResult {
-    /// Configuration the grid ran with.
-    pub config: ChaosResilienceConfig,
+    /// The sweep behind the view: one paired session per (autoscaler,
+    /// admission) point.
+    pub sweep: SweepResult,
     /// Grid rows, autoscaler-major, then admission, then policy.
     pub cells: Vec<ChaosCell>,
-    /// One session report per (autoscaler, admission) cell, in grid order.
-    pub reports: Vec<SessionReport>,
-    /// Wall-clock time of the whole grid, in ms (clamped to stay positive).
-    pub wall_ms: f64,
-    /// Cells processed per wall-clock second.
-    pub cells_per_sec: f64,
 }
 
 impl ChaosResilienceResult {
+    /// View a completed chaos grid, one row per point and policy.
+    fn from_sweep(sweep: SweepResult) -> Result<Self, String> {
+        let mut cells = Vec::with_capacity(sweep.points.len() * sweep.spec.policies.len());
+        for point in &sweep.points {
+            cells.extend(ChaosCell::rows(point)?);
+        }
+        let result = ChaosResilienceResult { sweep, cells };
+        result.validate()?;
+        Ok(result)
+    }
+
     /// The row of one (autoscaler, admission, policy) triple.
     pub fn cell(&self, autoscaler: &str, admission: &str, policy: &str) -> Option<&ChaosCell> {
         self.cells
@@ -170,34 +172,15 @@ impl ChaosResilienceResult {
         rows
     }
 
-    /// Cross-cell invariants on top of each session's own validation.
+    /// Invariants on top of the sweep's and each session's own validation:
+    /// the fault killed nodes in every row, and every row billed real
+    /// capacity.
     pub fn validate(&self) -> Result<(), String> {
-        let expected = self.config.autoscalers.len()
-            * self.config.admissions.len()
-            * self.config.policies.len();
-        if self.cells.len() != expected {
-            return Err(format!(
-                "chaos grid produced {} rows for a {expected}-row grid",
-                self.cells.len()
-            ));
-        }
         for cell in &self.cells {
             let label = format!(
                 "cell ({}, {}, {})",
                 cell.autoscaler, cell.admission, cell.policy
             );
-            if cell.served + cell.shed + cell.failed != self.config.requests {
-                return Err(format!(
-                    "{label}: served {} + shed {} + failed {} != generated {}",
-                    cell.served, cell.shed, cell.failed, self.config.requests
-                ));
-            }
-            if !(0.0..=1.0).contains(&cell.slo_attainment) {
-                return Err(format!(
-                    "{label}: SLO attainment {} outside [0, 1]",
-                    cell.slo_attainment
-                ));
-            }
             if cell.nodes_lost == 0 {
                 return Err(format!("{label}: the fault killed no nodes"));
             }
@@ -214,18 +197,20 @@ impl ChaosResilienceResult {
 
 impl fmt::Display for ChaosResilienceResult {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let spec = &self.sweep.spec;
+        let cluster = spec.cluster.clone().unwrap_or_default();
         writeln!(
             f,
             "# Chaos resilience: {} under `{}` during `{}`, {} requests/cell @ {} rps on \
              {}x{}mc in {} zones",
-            self.config.app.short_name(),
-            self.config.fault,
-            self.config.scenario,
-            self.config.requests,
-            self.config.rps,
-            self.config.cluster.nodes,
-            self.config.cluster.node_capacity.get(),
-            self.config.cluster.zones,
+            spec.app.short_name(),
+            spec.faults.as_deref().unwrap_or_default().join(", "),
+            spec.scenarios[0],
+            spec.requests,
+            spec.loads_rps[0],
+            cluster.nodes,
+            cluster.node_capacity.get(),
+            cluster.zones,
         )?;
         writeln!(
             f,
@@ -272,148 +257,14 @@ impl fmt::Display for ChaosResilienceResult {
     }
 }
 
-impl ToJson for ChaosResilienceResult {
-    fn to_json(&self) -> Value {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                Value::Obj(vec![
-                    ("autoscaler".to_string(), Value::Str(c.autoscaler.clone())),
-                    ("admission".to_string(), Value::Str(c.admission.clone())),
-                    ("policy".to_string(), Value::Str(c.policy.clone())),
-                    ("slo_attainment".to_string(), Value::Num(c.slo_attainment)),
-                    ("served".to_string(), Value::Num(c.served as f64)),
-                    ("shed".to_string(), Value::Num(c.shed as f64)),
-                    ("failed".to_string(), Value::Num(c.failed as f64)),
-                    ("retried".to_string(), Value::Num(c.retried as f64)),
-                    ("nodes_lost".to_string(), Value::Num(c.nodes_lost as f64)),
-                    ("node_seconds".to_string(), Value::Num(c.node_seconds)),
-                    ("peak_nodes".to_string(), Value::Num(c.peak_nodes as f64)),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            (
-                "experiment".to_string(),
-                Value::Str("chaos_resilience".to_string()),
-            ),
-            (
-                "app".to_string(),
-                Value::Str(self.config.app.short_name().into()),
-            ),
-            ("fault".to_string(), Value::Str(self.config.fault.clone())),
-            (
-                "scenario".to_string(),
-                Value::Str(self.config.scenario.clone()),
-            ),
-            ("seed".to_string(), Value::Num(self.config.seed as f64)),
-            (
-                "requests".to_string(),
-                Value::Num(self.config.requests as f64),
-            ),
-            ("cells".to_string(), Value::Arr(cells)),
-            ("wall_ms".to_string(), Value::Num(self.wall_ms)),
-            ("cells_per_sec".to_string(), Value::Num(self.cells_per_sec)),
-        ])
-    }
+/// Run a chaos-resilience spec through [`run_sweep`] and view the result.
+/// With an `observers` axis the fault deliveries show up as typed records in
+/// each point's flight report.
+pub fn chaos_resilience(spec: &SweepSpec) -> Result<ChaosResilienceResult, String> {
+    ChaosResilienceResult::from_sweep(run_sweep(spec)?)
 }
 
-/// Run the chaos-resilience grid: one paired multi-policy session per
-/// (autoscaler, admission) cell, every cell under the same fault schedule,
-/// fanned out across threads. Deterministic in the seed.
-pub fn chaos_resilience(config: &ChaosResilienceConfig) -> Result<ChaosResilienceResult, String> {
-    chaos_resilience_observed(config, None)
-}
-
-/// [`chaos_resilience`] with an observer attached to every cell's session
-/// (`janus run chaos_resilience --trace`): the fault deliveries then show up
-/// as typed records in each cell's flight report.
-pub fn chaos_resilience_observed(
-    config: &ChaosResilienceConfig,
-    observer: Option<&str>,
-) -> Result<ChaosResilienceResult, String> {
-    if config.policies.is_empty() {
-        return Err("chaos resilience needs at least one policy".into());
-    }
-    if config.autoscalers.is_empty() || config.admissions.is_empty() {
-        return Err(
-            "chaos resilience needs at least one autoscaler and one admission policy".into(),
-        );
-    }
-    // janus-lint: allow(nondeterminism) — wall-clock cost of the grid, reported as metadata; grid results are seed-pure
-    let started = Instant::now();
-    let mut grid = Vec::new();
-    for autoscaler in &config.autoscalers {
-        for admission in &config.admissions {
-            grid.push((autoscaler.clone(), admission.clone()));
-        }
-    }
-    let reports: Vec<Result<SessionReport, String>> =
-        parallel::map(grid, |(autoscaler, admission)| {
-            let mut builder = ServingSession::builder()
-                .app(config.app)
-                .concurrency(config.concurrency)
-                .policies(config.policies.clone())
-                .load(Load::Open {
-                    requests: config.requests,
-                    rps: config.rps,
-                })
-                .cluster(config.cluster.clone())
-                .scenario(&config.scenario)
-                .autoscaler(&autoscaler)
-                .admission(&admission)
-                .fault(&config.fault)
-                .seed(config.seed)
-                .samples_per_point(config.samples_per_point)
-                .budget_step_ms(config.budget_step_ms);
-            if let Some(observer) = observer {
-                builder = builder.observe(observer);
-            }
-            builder
-                .run()
-                .map_err(|e| format!("cell ({autoscaler}, {admission}): {e}"))
-        });
-    let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let mut cells = Vec::with_capacity(reports.len() * config.policies.len());
-    for report in &reports {
-        for policy in &config.policies {
-            let serving = report
-                .serving(policy)
-                .ok_or_else(|| format!("policy `{policy}` missing from its own session"))?;
-            let capacity = serving
-                .capacity
-                .as_ref()
-                .ok_or_else(|| format!("policy `{policy}`: no capacity report"))?;
-            cells.push(ChaosCell {
-                autoscaler: capacity.autoscaler.clone(),
-                admission: capacity.admission.clone(),
-                policy: policy.clone(),
-                slo_attainment: 1.0 - serving.slo_violation_rate(),
-                served: serving.served_len(),
-                shed: capacity.shed,
-                failed: capacity.failed,
-                retried: capacity.retried,
-                nodes_lost: capacity.nodes_lost,
-                node_seconds: capacity.node_seconds,
-                peak_nodes: capacity.peak_nodes,
-            });
-        }
-    }
-    let wall_ms = (started.elapsed().as_secs_f64() * 1000.0).max(MIN_WALL_MS);
-    let result = ChaosResilienceResult {
-        config: config.clone(),
-        cells_per_sec: rate_per_sec(cells.len() as u64, wall_ms),
-        cells,
-        reports,
-        wall_ms,
-    };
-    result.validate()?;
-    Ok(result)
-}
-
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
+use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
 
 /// `chaos_resilience` as a registered [`Experiment`]: the IA flash-crowd
 /// zone-outage grid at the configured scale.
@@ -429,23 +280,15 @@ impl Experiment for ChaosResilienceExperiment {
     }
 
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut config = match ctx.scale {
-            Scale::Paper => ChaosResilienceConfig::paper_default(PaperApp::IntelligentAssistant),
-            Scale::Quick => ChaosResilienceConfig::quick(PaperApp::IntelligentAssistant),
-        };
-        config.seed = ctx.seed_or(config.seed);
-        let result = chaos_resilience_observed(&config, ctx.observer_name())?;
-        // Reports come back in grid order (autoscaler-major, then
-        // admission); both policies of one cell share its qualifier.
-        let mut reports = result.reports.iter();
-        for autoscaler in &config.autoscalers {
-            for admission in &config.admissions {
-                let Some(report) = reports.next() else { break };
-                if let Some(trace) = report.trace() {
-                    ctx.append_trace(&trace, Some(&format!("{autoscaler}/{admission}")))?;
-                }
-            }
-        }
+        let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
+        spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);
+        let result = chaos_resilience(&spec)?;
+        // Both policies of one point share its qualifier.
+        ctx.append_sweep_traces(&result.sweep, |s| {
+            [&s.autoscaler, &s.admission]
+                .map(|axis| axis.as_deref().unwrap_or_default())
+                .join("/")
+        })?;
         Ok(ExperimentOutput::single(result))
     }
 }
@@ -453,19 +296,20 @@ impl Experiment for ChaosResilienceExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ToJson;
 
-    fn tiny_config() -> ChaosResilienceConfig {
-        ChaosResilienceConfig {
+    fn tiny_spec() -> SweepSpec {
+        SweepSpec {
             requests: 60,
             samples_per_point: 250,
             budget_step_ms: 10.0,
-            ..ChaosResilienceConfig::quick(PaperApp::IntelligentAssistant)
+            ..quick_spec(PaperApp::IntelligentAssistant)
         }
     }
 
     #[test]
     fn the_grid_survives_a_zone_outage_and_accounts_for_every_request() {
-        let result = chaos_resilience(&tiny_config()).unwrap();
+        let result = chaos_resilience(&tiny_spec()).unwrap();
         result.validate().unwrap();
         assert_eq!(
             result.cells.len(),
@@ -475,7 +319,7 @@ mod tests {
         for cell in &result.cells {
             assert_eq!(
                 cell.served + cell.shed + cell.failed,
-                result.config.requests
+                result.sweep.spec.requests as u64
             );
             if cell.autoscaler == "static" {
                 // With a fixed fleet the 4 nodes stay 2 per zone, so the
@@ -503,7 +347,7 @@ mod tests {
 
     #[test]
     fn traced_chaos_runs_carry_the_fault_deliveries() {
-        use crate::experiments::api::TraceSink;
+        use crate::experiments::api::{Scale, TraceSink};
         use janus_observe::TraceReport;
 
         let sink = TraceSink::new();
@@ -529,27 +373,32 @@ mod tests {
 
     #[test]
     fn chaos_grids_are_deterministic_and_reject_bad_configs() {
-        let config = ChaosResilienceConfig {
-            autoscalers: vec!["utilization".into()],
-            admissions: vec!["admit-all".into()],
+        let spec = SweepSpec {
+            autoscalers: Some(vec!["utilization".into()]),
+            admissions: Some(vec!["admit-all".into()]),
             policies: vec!["GrandSLAM".into()],
-            ..tiny_config()
+            ..tiny_spec()
         };
-        let a = chaos_resilience(&config).unwrap();
-        let b = chaos_resilience(&config).unwrap();
-        assert_eq!(
-            a.reports[0].serving("GrandSLAM").unwrap(),
-            b.reports[0].serving("GrandSLAM").unwrap()
-        );
-        let err = chaos_resilience(&ChaosResilienceConfig {
+        let a = chaos_resilience(&spec).unwrap();
+        let b = chaos_resilience(&spec).unwrap();
+        let serving = |r: &ChaosResilienceResult| {
+            r.sweep.points[0]
+                .live_report()
+                .unwrap()
+                .serving("GrandSLAM")
+                .unwrap()
+                .clone()
+        };
+        assert_eq!(serving(&a), serving(&b));
+        let err = chaos_resilience(&SweepSpec {
             policies: vec![],
-            ..config.clone()
+            ..spec.clone()
         })
         .unwrap_err();
-        assert!(err.contains("at least one policy"), "{err}");
-        let err = chaos_resilience(&ChaosResilienceConfig {
-            fault: "meteor-strike".into(),
-            ..config
+        assert!(err.contains("`policies`: axis must not be empty"), "{err}");
+        let err = chaos_resilience(&SweepSpec {
+            faults: Some(vec!["meteor-strike".into()]),
+            ..spec
         })
         .unwrap_err();
         assert!(err.contains("unknown fault injector"), "{err}");

@@ -18,14 +18,14 @@ pub struct Fig7Result {
 }
 
 /// Compute Figure 7 for the TS function: timeout `D(p, k)` for P25/P50/P75
-/// and resilience `R(99, k)` for concurrency 1–3.
-pub fn fig7_timeout_resilience(samples: usize, seed: u64) -> Fig7Result {
+/// and resilience `R(99, k)` for concurrency 1–3. Fails on an invalid
+/// profiler configuration (`samples == 0`).
+pub fn fig7_timeout_resilience(samples: usize, seed: u64) -> Result<Fig7Result, String> {
     let profiler = Profiler::new(ProfilerConfig {
         samples_per_point: samples,
         seed,
         ..ProfilerConfig::default()
-    })
-    .expect("valid profiler configuration");
+    })?;
     let ts = text_to_speech();
     let cores: Vec<u32> = (1000..=3000).step_by(500).collect();
 
@@ -33,7 +33,7 @@ pub fn fig7_timeout_resilience(samples: usize, seed: u64) -> Fig7Result {
     let timeout = [25.0, 50.0, 75.0]
         .iter()
         .map(|&p| {
-            let pct = Percentile::new(p).expect("static percentile in range");
+            let pct = Percentile::new(p)?;
             let series = cores
                 .iter()
                 .map(|&mc| {
@@ -46,9 +46,9 @@ pub fn fig7_timeout_resilience(samples: usize, seed: u64) -> Fig7Result {
                         .as_secs()
                 })
                 .collect();
-            (p, series)
+            Ok((p, series))
         })
-        .collect();
+        .collect::<Result<_, String>>()?;
 
     let resilience = [1u32, 2, 3]
         .iter()
@@ -69,11 +69,11 @@ pub fn fig7_timeout_resilience(samples: usize, seed: u64) -> Fig7Result {
         })
         .collect();
 
-    Fig7Result {
+    Ok(Fig7Result {
         cores,
         timeout,
         resilience,
-    }
+    })
 }
 
 impl fmt::Display for Fig7Result {
@@ -121,7 +121,7 @@ impl Experiment for Fig7Experiment {
         Ok(ExperimentOutput::single(fig7_timeout_resilience(
             ctx.profile_samples(),
             ctx.seed_or(0xF7),
-        )))
+        )?))
     }
 }
 
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn fig7_shapes_match_the_paper() {
-        let r = fig7_timeout_resilience(400, 9);
+        let r = fig7_timeout_resilience(400, 9).unwrap();
         assert_eq!(r.cores, vec![1000, 1500, 2000, 2500, 3000]);
         assert_eq!(r.timeout.len(), 3);
         assert_eq!(r.resilience.len(), 3);

@@ -37,13 +37,8 @@ pub use api::{
     Experiment, ExperimentCtx, ExperimentOutput, ExperimentRegistry, ExperimentResult, Scale,
     TraceSink,
 };
-pub use capacity_sweep::{
-    capacity_sweep, capacity_sweep_observed, CapacityCell, CapacitySweepConfig, CapacitySweepResult,
-};
-pub use chaos_resilience::{
-    chaos_resilience, chaos_resilience_observed, ChaosCell, ChaosResilienceConfig,
-    ChaosResilienceResult,
-};
+pub use capacity_sweep::{capacity_sweep, CapacityCell, CapacitySweepResult};
+pub use chaos_resilience::{chaos_resilience, ChaosCell, ChaosResilienceResult};
 pub use flash_scale::{flash_scale_run, FlashScaleConfig, FlashScaleResult};
 pub use metrics::{fig7_timeout_resilience, Fig7Result};
 pub use motivation::{
@@ -58,9 +53,7 @@ pub use perf_history::{
 };
 pub use report_json::ToJson;
 pub use results_report::{ResultsReport, ResultsRow};
-pub use scenario_sweep::{
-    scenario_sweep, scenario_sweep_with, ScenarioCell, ScenarioSweepConfig, ScenarioSweepResult,
-};
+pub use scenario_sweep::{scenario_sweep, ScenarioSweepResult};
 pub use slo_sweep::{fig9_slo_sweep, Fig9Result};
 pub use spec::{SessionSpec, SweepSpec};
 pub use sweep::{

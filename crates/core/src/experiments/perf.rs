@@ -356,8 +356,14 @@ pub fn perf_trajectory(config: &PerfConfig) -> Result<PerfResult, String> {
             .map_err(|e| format!("perf policy: {e}"))?;
             // janus-lint: allow(nondeterminism) — min-of-N wall timing IS the measurement; the simulated report stays seed-pure
             let started = Instant::now();
-            let report =
-                sim.run_instrumented(&mut policy, &requests, &mut arena, Some(&metrics))?;
+            let report = sim.run_traced(
+                &mut policy,
+                &requests,
+                &mut arena,
+                Some(&metrics),
+                None,
+                None,
+            )?;
             let elapsed_ms = started.elapsed().as_secs_f64() * 1000.0;
             if report.len() != config.requests {
                 return Err(format!(

@@ -9,9 +9,9 @@
 //! the tables.
 
 use super::{
-    CapacitySweepResult, Fig1aResult, Fig1bResult, Fig1cResult, Fig2Result, Fig6Result, Fig7Result,
-    Fig8Result, Fig9Result, FlashScaleResult, OverallResult, OverheadResult, PerfResult,
-    ScenarioSweepResult, Table2Result,
+    rate_per_sec, CapacitySweepResult, ChaosResilienceResult, Fig1aResult, Fig1bResult,
+    Fig1cResult, Fig2Result, Fig6Result, Fig7Result, Fig8Result, Fig9Result, FlashScaleResult,
+    OverallResult, OverheadResult, PerfResult, ScenarioSweepResult, Table2Result,
 };
 use janus_json::Value;
 
@@ -344,41 +344,39 @@ impl ToJson for OverheadResult {
 
 impl ToJson for ScenarioSweepResult {
     fn to_json(&self) -> Value {
+        let spec = &self.sweep.spec;
         let grid = self
-            .cells
+            .sweep
+            .points
             .iter()
-            .map(|cell| {
-                let policies = cell
-                    .report
+            .map(|point| {
+                let policies = point
                     .policies
                     .iter()
                     .map(|p| {
                         obj(vec![
                             ("name", text(&p.name)),
-                            ("slo_attainment", num(p.slo_attainment())),
-                            ("mean_cpu_millicores", num(p.serving.mean_cpu_millicores())),
-                            (
-                                "p99_e2e_s",
-                                p.serving
-                                    .e2e_percentile(99.0)
-                                    .map(|d| num(d.as_secs()))
-                                    .unwrap_or(Value::Null),
-                            ),
+                            ("slo_attainment", num(p.slo_attainment)),
+                            ("mean_cpu_millicores", num(p.mean_cpu_millicores)),
+                            ("p99_e2e_s", p.p99_e2e_s.map(num).unwrap_or(Value::Null)),
                         ])
                     })
                     .collect();
                 obj(vec![
-                    ("scenario", text(&cell.scenario)),
+                    (
+                        "scenario",
+                        text(point.session.scenario.as_deref().unwrap_or_default()),
+                    ),
                     ("policies", Value::Arr(policies)),
                 ])
             })
             .collect();
         obj(vec![
             ("experiment", text("scenario_sweep")),
-            ("app", text(self.config.app.short_name())),
-            ("concurrency", count(self.config.concurrency as usize)),
-            ("requests", count(self.config.requests)),
-            ("base_rps", num(self.config.rps)),
+            ("app", text(spec.app.short_name())),
+            ("concurrency", count(spec.concurrency as usize)),
+            ("requests", count(spec.requests)),
+            ("base_rps", num(spec.loads_rps[0])),
             ("grid", Value::Arr(grid)),
         ])
     }
@@ -386,6 +384,8 @@ impl ToJson for ScenarioSweepResult {
 
 impl ToJson for CapacitySweepResult {
     fn to_json(&self) -> Value {
+        let spec = &self.sweep.spec;
+        let cluster = self.cluster();
         let grid = self
             .cells
             .iter()
@@ -410,17 +410,60 @@ impl ToJson for CapacitySweepResult {
             .collect();
         obj(vec![
             ("experiment", text("capacity_sweep")),
-            ("app", text(self.config.app.short_name())),
-            ("policy", text(&self.config.policy)),
-            ("requests", count(self.config.requests)),
-            ("base_rps", num(self.config.rps)),
-            ("initial_nodes", count(self.config.cluster.nodes)),
+            ("app", text(spec.app.short_name())),
+            ("policy", text(&spec.policies[0])),
+            ("requests", count(spec.requests)),
+            ("base_rps", num(spec.loads_rps[0])),
+            ("initial_nodes", count(cluster.nodes)),
             (
                 "node_capacity_mc",
-                count(self.config.cluster.node_capacity.get() as usize),
+                count(cluster.node_capacity.get() as usize),
             ),
-            ("seed", count(self.config.seed as usize)),
+            ("seed", count(spec.seeds[0] as usize)),
             ("grid", Value::Arr(grid)),
+        ])
+    }
+}
+
+impl ToJson for ChaosResilienceResult {
+    fn to_json(&self) -> Value {
+        let spec = &self.sweep.spec;
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                obj(vec![
+                    ("autoscaler", text(&c.autoscaler)),
+                    ("admission", text(&c.admission)),
+                    ("policy", text(&c.policy)),
+                    ("slo_attainment", num(c.slo_attainment)),
+                    ("served", num(c.served as f64)),
+                    ("shed", num(c.shed as f64)),
+                    ("failed", num(c.failed as f64)),
+                    ("retried", num(c.retried as f64)),
+                    ("nodes_lost", num(c.nodes_lost as f64)),
+                    ("node_seconds", num(c.node_seconds)),
+                    ("peak_nodes", count(c.peak_nodes)),
+                ])
+            })
+            .collect();
+        let wall_ms = self.sweep.total_wall_ms;
+        obj(vec![
+            ("experiment", text("chaos_resilience")),
+            ("app", text(spec.app.short_name())),
+            (
+                "fault",
+                text(&spec.faults.as_deref().unwrap_or_default().join(", ")),
+            ),
+            ("scenario", text(&spec.scenarios[0])),
+            ("seed", num(spec.seeds[0] as f64)),
+            ("requests", count(spec.requests)),
+            ("cells", Value::Arr(cells)),
+            ("wall_ms", num(wall_ms)),
+            (
+                "cells_per_sec",
+                num(rate_per_sec(self.cells.len() as u64, wall_ms)),
+            ),
         ])
     }
 }
@@ -543,16 +586,16 @@ mod tests {
     #[test]
     fn sweep_results_encode_the_full_grid() {
         use janus_workloads::apps::PaperApp;
-        let config = experiments::ScenarioSweepConfig {
+        let spec = experiments::SweepSpec {
             scenarios: vec!["poisson".into()],
             policies: vec!["GrandSLAM".into()],
+            loads_rps: vec![2.0],
             requests: 20,
-            rps: 2.0,
             samples_per_point: 250,
             budget_step_ms: 10.0,
-            ..experiments::ScenarioSweepConfig::quick(PaperApp::IntelligentAssistant)
+            ..experiments::scenario_sweep::quick_spec(PaperApp::IntelligentAssistant)
         };
-        let result = experiments::scenario_sweep(&config).unwrap();
+        let result = experiments::scenario_sweep(&spec).unwrap();
         let doc = json::parse(&result.to_json().to_pretty()).unwrap();
         let grid = doc.require("grid").unwrap().as_array().unwrap();
         assert_eq!(grid.len(), 1);

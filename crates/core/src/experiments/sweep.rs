@@ -1,13 +1,13 @@
 //! The generic sweep driver: execute a [`SweepSpec`] grid in parallel.
 //!
-//! [`run_sweep`] is the engine behind `janus sweep <spec.json>` — the
-//! data-driven generalization of the hand-written scenario/capacity sweeps.
-//! The spec's axes expand into [`SessionSpec`] grid points
-//! (scenario-major, then load, seed, autoscaler, admission, fault,
-//! observer); every point is one paired, invariant-checked
-//! [`ServingSession`]. Results come back in grid order regardless of
-//! scheduling, and sessions are seed-deterministic, so a sweep is
-//! reproducible bit for bit.
+//! [`run_sweep`] is the one grid engine: it runs `janus sweep <spec.json>`
+//! and the `scenarios`, `capacity` and `chaos_resilience` experiments, whose
+//! results are views over the [`SweepResult`] it returns. The spec's axes
+//! expand into [`SessionSpec`] grid points (scenario-major, then load,
+//! seed, autoscaler, admission, fault, observer); every point is one
+//! paired, invariant-checked [`ServingSession`]. Results come back in grid
+//! order regardless of scheduling, and sessions are seed-deterministic, so
+//! a sweep is reproducible bit for bit.
 //!
 //! Set-up — profiling the workflow and building the policies — reads only a
 //! few of a point's inputs (`SessionSpec::setup_key`); the scenario,

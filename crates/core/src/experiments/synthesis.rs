@@ -241,7 +241,9 @@ pub fn table2_weight_impact(
             ..SynthesizerConfig::default()
         })?;
         let (bundle, _) = synthesizer.synthesize(&profile);
-        let table = bundle.table_after(0).expect("full-workflow table exists");
+        let table = bundle
+            .table_after(0)
+            .ok_or("synthesized bundle has no full-workflow table")?;
         let mut cores_acc = 0.0;
         let mut pct_acc = 0.0;
         let mut span_acc = 0.0;

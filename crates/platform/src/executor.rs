@@ -233,24 +233,14 @@ impl ClosedLoopExecutor {
 
     /// Replay `requests` under `policy` and aggregate the outcomes.
     pub fn run(&self, policy: &mut dyn SizingPolicy, requests: &[RequestInput]) -> ServingReport {
-        self.run_instrumented(policy, requests, None)
+        self.run_traced(policy, requests, None, None)
     }
 
     /// [`run`](Self::run), additionally folding every served event into
     /// pre-interned [`ServingMetrics`] handles (resolved once by the caller
-    /// at session setup). The run tallies into a loop-owned
-    /// [`ServingTally`] and flushes it into the handles once, at its end.
-    pub fn run_instrumented(
-        &self,
-        policy: &mut dyn SizingPolicy,
-        requests: &[RequestInput],
-        metrics: Option<&ServingMetrics>,
-    ) -> ServingReport {
-        self.run_traced(policy, requests, metrics, None)
-    }
-
-    /// [`run_instrumented`](Self::run_instrumented) with an optional attached
-    /// [`Observer`] receiving the per-request lifecycle records. With
+    /// at session setup) and offering the per-request lifecycle records to
+    /// an optional attached [`Observer`]. The run tallies into a loop-owned
+    /// `ServingTally` and flushes it into the handles once, at its end. With
     /// `observer: None` this is exactly the uninstrumented hot path — the
     /// `emit!` sites never construct a record.
     pub fn run_traced(
@@ -371,7 +361,7 @@ mod tests {
         let reqs = requests(50, 1);
         let mut policy =
             FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
-        let report = exec.run_instrumented(&mut policy, &reqs, Some(&metrics));
+        let report = exec.run_traced(&mut policy, &reqs, Some(&metrics), None);
         assert_eq!(registry.counter(ServingMetrics::REQUESTS), 50);
         assert_eq!(registry.counter(ServingMetrics::FUNCTIONS), 150);
         assert_eq!(metrics.e2e_ms.count(), 50);

@@ -8,7 +8,7 @@
 //!
 //! Nothing reads those metrics until a run ends, so the executor and the
 //! open-loop simulation do not record through the handles per event
-//! either. Each run counts into a [`ServingTally`] it owns: plain `u64`
+//! either. Each run counts into a `ServingTally` it owns: plain `u64`
 //! counters, and the two latency streams moved out of the registry with
 //! [`StreamingHandle::take`] and folded into without a lock. The tally
 //! flushes into the handles once, when it is dropped at the end of the run

@@ -331,59 +331,44 @@ impl OpenLoopSimulation {
         policy: &mut dyn SizingPolicy,
         requests: &[RequestInput],
     ) -> Result<ServingReport, String> {
-        self.run_instrumented(policy, requests, &mut OpenLoopArena::new(), None)
+        self.run_traced(
+            policy,
+            requests,
+            &mut OpenLoopArena::new(),
+            None,
+            None,
+            None,
+        )
     }
 
-    /// [`run`](Self::run) with reusable state and optional metrics: the
-    /// `arena` carries engine/in-flight allocations (and run statistics)
-    /// across paired runs, and every served event is tallied by the loop
-    /// and flushed into the pre-interned [`ServingMetrics`] handles once,
-    /// at the end of the run.
-    pub fn run_instrumented(
-        &self,
-        policy: &mut dyn SizingPolicy,
-        requests: &[RequestInput],
-        arena: &mut OpenLoopArena,
-        metrics: Option<&ServingMetrics>,
-    ) -> Result<ServingReport, String> {
-        self.run_with_capacity(policy, requests, arena, metrics, None)
-    }
-
-    /// The general serving loop: [`run_instrumented`](Self::run_instrumented)
-    /// plus optional elastic-capacity control. With [`CapacityControls`],
-    /// every arrival is gated by the admission policy (shed requests are
-    /// recorded as [`RequestDisposition::Shed`] outcomes and counted through
-    /// the `shed` metric), and a periodic capacity tick recycles idle pods,
-    /// retargets the warm pool to the fleet size, and applies the
-    /// autoscaler's decisions; the returned report then carries a
-    /// [`CapacityReport`]. When the controls also carry a compiled
-    /// [`FaultSchedule`], each tick first delivers the faults due by then —
-    /// crashing, preempting or degrading nodes, dropping the lost pods from
-    /// pool and cluster tracking, and retrying (once) or failing the
-    /// requests that were running on them — so failures, autoscaling and
-    /// admission interleave on one deterministic timeline.
-    pub fn run_with_capacity(
-        &self,
-        policy: &mut dyn SizingPolicy,
-        requests: &[RequestInput],
-        arena: &mut OpenLoopArena,
-        metrics: Option<&ServingMetrics>,
-        controls: Option<CapacityControls<'_>>,
-    ) -> Result<ServingReport, String> {
-        self.run_traced(policy, requests, arena, metrics, controls, None)
-    }
-
-    /// The fully-instrumented serving loop:
-    /// [`run_with_capacity`](Self::run_with_capacity) plus an optional
-    /// flight-recorder hook. With an [`Observer`] attached, every request
-    /// lifecycle step (arrival, admission verdict, placement, cold start,
-    /// execution, retry, fault delivery, scaling, shed/fail/completion)
-    /// is offered as a typed record stamped with simulated time, and every
-    /// capacity tick contributes a fleet-telemetry sample. With `None` the
-    /// hooks compile down to a branch on the `Option` discriminant — no
-    /// record is constructed and nothing is allocated, so untraced runs
-    /// cost what they did before the hooks existed (the perf bench guards
-    /// this).
+    /// The fully-instrumented serving loop over a request slice: [`run`](Self::run)
+    /// with reusable state, optional metrics, optional elastic-capacity
+    /// control and an optional flight-recorder hook.
+    ///
+    /// - The `arena` carries engine/in-flight allocations (and run
+    ///   statistics) across paired runs, and every served event is tallied
+    ///   by the loop and flushed into the pre-interned [`ServingMetrics`]
+    ///   handles once, at the end of the run.
+    /// - With [`CapacityControls`], every arrival is gated by the admission
+    ///   policy (shed requests are recorded as [`RequestDisposition::Shed`]
+    ///   outcomes and counted through the `shed` metric), and a periodic
+    ///   capacity tick recycles idle pods, retargets the warm pool to the
+    ///   fleet size, and applies the autoscaler's decisions; the returned
+    ///   report then carries a [`CapacityReport`]. When the controls also
+    ///   carry a compiled [`FaultSchedule`], each tick first delivers the
+    ///   faults due by then — crashing, preempting or degrading nodes,
+    ///   dropping the lost pods from pool and cluster tracking, and
+    ///   retrying (once) or failing the requests that were running on them
+    ///   — so failures, autoscaling and admission interleave on one
+    ///   deterministic timeline.
+    /// - With an [`Observer`] attached, every request lifecycle step
+    ///   (arrival, admission verdict, placement, cold start, execution,
+    ///   retry, fault delivery, scaling, shed/fail/completion) is offered as
+    ///   a typed record stamped with simulated time, and every capacity tick
+    ///   contributes a fleet-telemetry sample. With `None` the hooks compile
+    ///   down to a branch on the `Option` discriminant — no record is
+    ///   constructed and nothing is allocated, so untraced runs cost what
+    ///   they did before the hooks existed (the perf bench guards this).
     pub fn run_traced(
         &self,
         policy: &mut dyn SizingPolicy,
@@ -1292,7 +1277,7 @@ mod tests {
         let mut arena = OpenLoopArena::new();
         let mut p1 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let first = sim
-            .run_instrumented(&mut p1, &reqs, &mut arena, Some(&metrics))
+            .run_traced(&mut p1, &reqs, &mut arena, Some(&metrics), None, None)
             .unwrap();
         let events_first = arena.events_processed();
         let peak_first = arena.peak_queue_depth();
@@ -1302,7 +1287,7 @@ mod tests {
 
         let mut p2 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let second = sim
-            .run_instrumented(&mut p2, &reqs, &mut arena, Some(&metrics))
+            .run_traced(&mut p2, &reqs, &mut arena, Some(&metrics), None, None)
             .unwrap();
         assert_eq!(first, second, "arena reuse must not perturb the simulation");
         assert_eq!(arena.events_processed(), events_first);
@@ -1336,7 +1321,7 @@ mod tests {
         let mut autoscaler = StaticAutoscaler;
         let mut admission = QueueLengthAdmission::new(2).unwrap();
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1346,6 +1331,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1401,7 +1387,7 @@ mod tests {
                 .unwrap();
         let mut admission = AdmitAll;
         let run_scaled = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1411,6 +1397,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         let cap = run_scaled.capacity.as_ref().unwrap();
@@ -1460,7 +1447,7 @@ mod tests {
         let mut autoscaler = StaticAutoscaler;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1470,6 +1457,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1509,7 +1497,7 @@ mod tests {
         let mut autoscaler = SpinScaler;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1519,6 +1507,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap();
         assert_eq!(report.served_len(), 10, "every request still served");
@@ -1537,7 +1526,7 @@ mod tests {
                 UtilizationThresholdAutoscaler::new(0.5, 0.1, 1, SimDuration::from_secs(2.0), 1, 8)
                     .unwrap();
             let mut admission = QueueLengthAdmission::new(12).unwrap();
-            sim.run_with_capacity(
+            sim.run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1547,6 +1536,7 @@ mod tests {
                     admission: &mut admission,
                     faults: None,
                 }),
+                None,
             )
             .unwrap()
         };
@@ -1598,7 +1588,7 @@ mod tests {
                 .unwrap();
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1608,6 +1598,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(crash_schedule(&[1.5, 2.5, 3.5])),
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1658,7 +1649,7 @@ mod tests {
                 UtilizationThresholdAutoscaler::new(0.5, 0.1, 1, SimDuration::from_secs(2.0), 1, 8)
                     .unwrap();
             let mut admission = QueueLengthAdmission::new(12).unwrap();
-            sim.run_with_capacity(
+            sim.run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1668,6 +1659,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(crash_schedule(&[1.0, 2.0])),
                 }),
+                None,
             )
             .unwrap()
         };
@@ -1708,7 +1700,7 @@ mod tests {
         let mut autoscaler = StaticAutoscaler;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1718,6 +1710,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(schedule),
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1784,7 +1777,7 @@ mod tests {
         let mut autoscaler = TickedStatic(1000.0);
         let mut admission = AdmitAll;
         let graceful = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1794,6 +1787,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(preempt(30_000.0)),
                 }),
+                None,
             )
             .unwrap();
         let cap = graceful.capacity.as_ref().unwrap();
@@ -1810,7 +1804,7 @@ mod tests {
         let mut autoscaler = TickedStatic(100.0);
         let mut admission = AdmitAll;
         let forced = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &heavy,
                 &mut OpenLoopArena::new(),
@@ -1820,6 +1814,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(preempt(1.0)),
                 }),
+                None,
             )
             .unwrap();
         let cap = forced.capacity.as_ref().unwrap();
@@ -1865,7 +1860,7 @@ mod tests {
         let mut autoscaler = FastStatic;
         let mut admission = AdmitAll;
         let report = sim
-            .run_with_capacity(
+            .run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1875,6 +1870,7 @@ mod tests {
                     admission: &mut admission,
                     faults: Some(schedule),
                 }),
+                None,
             )
             .unwrap();
         let cap = report.capacity.as_ref().unwrap();
@@ -1918,7 +1914,7 @@ mod tests {
         let run = |faults: Option<FaultSchedule>| {
             let mut autoscaler = StaticAutoscaler;
             let mut admission = AdmitAll;
-            sim.run_with_capacity(
+            sim.run_traced(
                 &mut FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap(),
                 &reqs,
                 &mut OpenLoopArena::new(),
@@ -1928,6 +1924,7 @@ mod tests {
                     admission: &mut admission,
                     faults,
                 }),
+                None,
             )
             .unwrap()
         };
@@ -1958,7 +1955,7 @@ mod tests {
             let mut p1 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
             let mut arena = OpenLoopArena::new();
             let materialized = sim
-                .run_instrumented(&mut p1, &reqs, &mut arena, None)
+                .run_traced(&mut p1, &reqs, &mut arena, None, None, None)
                 .unwrap();
             // The slice is resident by definition: peak ≈ N.
             assert_eq!(arena.peak_resident_arrivals(), 80);
@@ -2134,7 +2131,7 @@ mod tests {
         });
         let mut p = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let truncated = sim
-            .run_instrumented(&mut p, &reqs, &mut capped, None)
+            .run_traced(&mut p, &reqs, &mut capped, None, None, None)
             .unwrap();
         assert!(truncated.len() < 10);
         // … and an uncapped arena serves everything.
@@ -2144,7 +2141,7 @@ mod tests {
         });
         let mut p2 = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let full = sim
-            .run_instrumented(&mut p2, &reqs, &mut uncapped, None)
+            .run_traced(&mut p2, &reqs, &mut uncapped, None, None, None)
             .unwrap();
         assert_eq!(full.len(), 10);
     }

@@ -1,9 +1,9 @@
 //! End-to-end tests of the declarative experiment surface: the golden spec
-//! files under `specs/` decode, run, and reproduce — bit for bit — what the
-//! pre-redesign hand-written sweeps computed.
+//! files under `specs/` decode, run, and reproduce — bit for bit — what one
+//! hand-wired session per grid point computes.
 
-use janus_core::experiments::{run_sweep, scenario_sweep, ScenarioSweepConfig, SweepSpec, ToJson};
-use janus_core::session::{Load, ServingSession};
+use janus_core::experiments::{run_sweep, SweepSpec, ToJson};
+use janus_core::session::{Load, ServingSession, SessionReport};
 use janus_observe::TraceReport;
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
@@ -50,64 +50,112 @@ fn smoke_spec_runs_end_to_end_and_is_deterministic() {
     );
 }
 
-#[test]
-fn scenario_policy_spec_reproduces_the_handwritten_sweep_bit_for_bit() {
-    // The committed spec describes the same grid the hand-written
-    // `scenario_sweep` runner (PR 2) computes. The spec-driven driver must
-    // reproduce it exactly — same serving outcomes, same pooled metrics —
-    // even though it runs through `SessionSpec::builder` and reuses one
-    // arena + interned handles across grid points.
-    let spec = golden_spec("scenario_policy.json");
-    assert_eq!(spec.loads_rps.len(), 1);
-    assert_eq!(spec.seeds.len(), 1);
-    let config = ScenarioSweepConfig {
-        app: PaperApp::IntelligentAssistant,
-        concurrency: spec.concurrency,
-        scenarios: spec.scenarios.clone(),
-        policies: spec.policies.clone(),
-        requests: spec.requests,
-        rps: spec.loads_rps[0],
-        seed: spec.seeds[0],
-        samples_per_point: spec.samples_per_point,
-        budget_step_ms: spec.budget_step_ms,
-    };
-    let handwritten = scenario_sweep(&config).unwrap();
-    let spec_driven = run_sweep(&spec).unwrap();
-    assert_eq!(spec_driven.points.len(), handwritten.cells.len());
-    for (point, cell) in spec_driven.points.iter().zip(&handwritten.cells) {
-        assert_eq!(
-            point.session.scenario.as_deref(),
-            Some(cell.scenario.as_str())
-        );
-        let report = point.live_report().unwrap();
-        assert_eq!(report.scenario, cell.report.scenario);
-        assert_eq!(report.names(), cell.report.names());
-        for policy in &spec.policies {
-            assert_eq!(
-                report.serving(policy).unwrap(),
-                cell.report.serving(policy).unwrap(),
-                "scenario `{}` / policy `{policy}` diverged from the \
-                 pre-redesign sweep",
-                cell.scenario
-            );
-            // Synthesis artefacts match on everything but wall-clock time.
-            let synth = |r: &janus_core::session::SessionReport| {
-                r.report(policy).unwrap().synthesis.as_ref().map(|s| {
-                    (
-                        s.raw_hints,
-                        s.condensed_hints,
-                        s.compression_ratio.to_bits(),
-                        s.variant.clone(),
-                    )
-                })
-            };
-            assert_eq!(synth(report), synth(&cell.report));
+/// The reference `run_sweep` must reproduce: one `ServingSession`
+/// wired by hand per grid point, in the spec's grid order (scenario-major,
+/// then load, seed, autoscaler, admission, fault), each run on its own with
+/// no set-up memo, no shared arena and no stripes.
+fn hand_wired_sessions(spec: &SweepSpec) -> Vec<SessionReport> {
+    assert!(spec.observers.is_none() && spec.tenants.is_none());
+    let axis = |names: &Option<Vec<String>>| -> Vec<Option<String>> {
+        match names {
+            Some(names) => names.iter().cloned().map(Some).collect(),
+            None => vec![None],
         }
-        assert_eq!(
-            report.metrics, cell.report.metrics,
-            "scenario `{}`: pooled hot-path metrics diverged",
-            cell.scenario
-        );
+    };
+    let mut regimes = Vec::new();
+    for autoscaler in axis(&spec.autoscalers) {
+        for admission in axis(&spec.admissions) {
+            for fault in axis(&spec.faults) {
+                regimes.push((autoscaler.clone(), admission.clone(), fault));
+            }
+        }
+    }
+    let mut reports = Vec::new();
+    for scenario in &spec.scenarios {
+        for &rps in &spec.loads_rps {
+            for &seed in &spec.seeds {
+                for (autoscaler, admission, fault) in &regimes {
+                    let mut builder = ServingSession::builder()
+                        .app(spec.app)
+                        .concurrency(spec.concurrency)
+                        .policies(spec.policies.clone())
+                        .load(Load::Open {
+                            requests: spec.requests,
+                            rps,
+                        })
+                        .scenario(scenario)
+                        .seed(seed)
+                        .samples_per_point(spec.samples_per_point)
+                        .budget_step_ms(spec.budget_step_ms);
+                    if let Some(cluster) = &spec.cluster {
+                        builder = builder.cluster(cluster.clone());
+                    }
+                    if let Some(name) = autoscaler {
+                        builder = builder.autoscaler(name);
+                    }
+                    if let Some(name) = admission {
+                        builder = builder.admission(name);
+                    }
+                    if let Some(name) = fault {
+                        builder = builder.fault(name);
+                    }
+                    reports.push(builder.run().unwrap());
+                }
+            }
+        }
+    }
+    reports
+}
+
+#[test]
+fn grid_specs_reproduce_hand_wired_sessions_bit_for_bit() {
+    // `run_sweep` memoizes set-ups per worker, reuses one arena
+    // and one set of interned handles across a stripe, and runs stripes in
+    // set-up-key order. None of that may show: every point must equal its
+    // hand-wired session — same serving outcomes (capacity and fault
+    // accounting included), same synthesis, same pooled metrics.
+    for file in [
+        "scenario_policy.json",
+        "capacity_grid.json",
+        "chaos_grid.json",
+    ] {
+        let spec = golden_spec(file);
+        let reference = hand_wired_sessions(&spec);
+        let spec_driven = run_sweep(&spec).unwrap();
+        assert_eq!(spec_driven.points.len(), reference.len(), "{file}");
+        for (point, expected) in spec_driven.points.iter().zip(&reference) {
+            let at = format!("{file} point {}", point.index);
+            let report = point.live_report().unwrap();
+            assert_eq!(report.scenario, expected.scenario, "{at}");
+            assert_eq!(report.autoscaler, expected.autoscaler, "{at}");
+            assert_eq!(report.admission, expected.admission, "{at}");
+            assert_eq!(report.fault, expected.fault, "{at}");
+            assert_eq!(report.seed, expected.seed, "{at}");
+            assert_eq!(report.names(), expected.names(), "{at}");
+            for policy in &spec.policies {
+                assert_eq!(
+                    report.serving(policy).unwrap(),
+                    expected.serving(policy).unwrap(),
+                    "{at} / policy `{policy}` diverged from its hand-wired session"
+                );
+                // Synthesis artefacts match on everything but wall-clock time.
+                let synth = |r: &SessionReport| {
+                    r.report(policy).unwrap().synthesis.as_ref().map(|s| {
+                        (
+                            s.raw_hints,
+                            s.condensed_hints,
+                            s.compression_ratio.to_bits(),
+                            s.variant.clone(),
+                        )
+                    })
+                };
+                assert_eq!(synth(report), synth(expected), "{at}");
+            }
+            assert_eq!(
+                report.metrics, expected.metrics,
+                "{at}: pooled hot-path metrics diverged"
+            );
+        }
     }
 }
 

@@ -71,7 +71,14 @@ fn every_builtin_scenario_streams_bit_identically() {
                 generator(scenario, seed).generate(&workflow, REQUESTS);
             let mut arena = OpenLoopArena::new();
             let eager = sim
-                .run_instrumented(&mut policy(&workflow), &requests, &mut arena, None)
+                .run_traced(
+                    &mut policy(&workflow),
+                    &requests,
+                    &mut arena,
+                    None,
+                    None,
+                    None,
+                )
                 .unwrap();
             let eager_events = arena.events_processed();
             // The slice is resident wholesale; streaming holds one arrival.
@@ -170,7 +177,7 @@ fn capacity_and_chaos_paths_stream_bit_identically() {
             let requests: Vec<RequestInput> =
                 generator("flash-crowd", seed).generate(&workflow, REQUESTS);
             let (eager, _) = capacity_run(&sim, &workflow, seed, fault, |sim, p, arena, c| {
-                sim.run_with_capacity(p, &requests, arena, None, Some(c))
+                sim.run_traced(p, &requests, arena, None, Some(c), None)
             });
             let mut source = GeneratorSource::new(generator("flash-crowd", seed), REQUESTS);
             let (streamed, resident) =
@@ -274,7 +281,14 @@ fn merged_tenant_streams_match_their_materialized_drain() {
     assert_eq!(requests.len(), REQUESTS);
     let mut arena = OpenLoopArena::new();
     let eager = sim
-        .run_instrumented(&mut policy(&workflow), &requests, &mut arena, None)
+        .run_traced(
+            &mut policy(&workflow),
+            &requests,
+            &mut arena,
+            None,
+            None,
+            None,
+        )
         .unwrap();
     // …and serve an identical fresh one lazily.
     let mut source = build_merged();
