@@ -311,6 +311,18 @@ pub fn listing() -> String {
 
 fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
     let registry = ExperimentRegistry::with_builtins();
+    let experiment = registry.lookup(name)?;
+    if flags.trace.is_some() && !experiment.traces() {
+        let capable: Vec<&str> = registry
+            .iter()
+            .filter(|e| e.traces())
+            .map(|e| e.name())
+            .collect();
+        return Err(format!(
+            "--trace: experiment `{name}` emits no trace (trace-capable experiments: {})",
+            capable.join(", ")
+        ));
+    }
     let mut ctx = flags.ctx();
     // `--trace` hands the experiment a shared sink; the context derives the
     // flight-recorder observer from its presence.
@@ -318,7 +330,7 @@ fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
     if let Some(sink) = &sink {
         ctx = ctx.with_trace(sink.clone());
     }
-    let output = registry.lookup(name)?.run(&ctx)?;
+    let output = experiment.run(&ctx)?;
     print!("{}", output.summary());
     if let (Some(path), Some(sink)) = (&flags.trace, &sink) {
         write_trace(path, name, sink)?;
@@ -336,13 +348,12 @@ fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
 
 /// Drain the trace sink to the `--trace` path. An empty sink is an error:
 /// the user explicitly asked for a trace and silently writing nothing would
-/// hide that the experiment never emits one.
+/// hide that a trace-capable experiment observed no session.
 fn write_trace(path: &str, name: &str, sink: &TraceSink) -> Result<(), String> {
     let lines = sink.take();
     if lines.is_empty() {
         return Err(format!(
-            "--trace: experiment `{name}` emitted no trace lines \
-             (trace-capable experiments: capacity, chaos_resilience)"
+            "--trace: experiment `{name}` emitted no trace lines"
         ));
     }
     janus_results::write_atomic(std::path::Path::new(path), &lines)
@@ -895,9 +906,24 @@ mod tests {
         }
         assert!(cells > 0, "csv has data rows");
 
-        // Experiments without a trace hook refuse --trace loudly.
-        let err = execute(&Command::Run("fig1a".into()), &flags).unwrap_err();
-        assert!(err.contains("emitted no trace lines"), "{err}");
+        // Experiments without a trace hook refuse --trace before running:
+        // no `--out` artefact is written.
+        let out_path = temp_path("janus_cli_trace_refused.json");
+        let _ = std::fs::remove_file(&out_path);
+        let refused = BenchFlags {
+            out: Some(out_path.clone()),
+            ..flags
+        };
+        let err = execute(&Command::Run("fig1a".into()), &refused).unwrap_err();
+        assert!(
+            err.contains("`fig1a` emits no trace")
+                && err.contains("trace-capable experiments: capacity, chaos_resilience"),
+            "{err}"
+        );
+        assert!(
+            !std::path::Path::new(&out_path).exists(),
+            "a refused --trace run wrote {out_path}"
+        );
         let _ = std::fs::remove_file(&trace_path);
         let _ = std::fs::remove_file(&csv_path);
     }

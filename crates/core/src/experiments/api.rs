@@ -396,6 +396,13 @@ pub trait Experiment: Send + Sync {
 
     /// Run the experiment.
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String>;
+
+    /// Whether the experiment appends session traces to the context's
+    /// [`TraceSink`] (`janus run <name> --trace PATH`). The CLI refuses
+    /// `--trace` up front for experiments that do not.
+    fn traces(&self) -> bool {
+        false
+    }
 }
 
 /// The open experiment registry (see [`janus_simcore::registry`]): ordered,

@@ -273,6 +273,10 @@ impl Experiment for CapacitySweepExperiment {
         "Capacity sweep: every arrival scenario under every capacity regime"
     }
 
+    fn traces(&self) -> bool {
+        true
+    }
+
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
         let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
         spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);

@@ -279,6 +279,10 @@ impl Experiment for ChaosResilienceExperiment {
         "Chaos resilience: capacity regimes under a mid-flash-crowd zone outage"
     }
 
+    fn traces(&self) -> bool {
+        true
+    }
+
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
         let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
         spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);

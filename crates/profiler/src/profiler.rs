@@ -8,14 +8,19 @@
 //! way the authors ran their functions on Fission: many sample executions per
 //! (allocation, concurrency) grid point.
 //!
-//! Grid points are profiled in parallel ([`janus_simcore::parallel::map`]) —
-//! profiling is offline and embarrassingly parallel, exactly the "explores
-//! different percentiles concurrently" structure the paper describes for the
-//! offline pipeline.
+//! Every grid point of a function replays the same seeded stream of random
+//! factors (common random numbers), and a sample's latency,
+//! `det(k) × factor × slowdown`, is monotone in its factor. So the profiler
+//! draws the factors once per function, sorts them once, and maps the sorted
+//! factors onto each grid point: each point's samples come out already
+//! sorted, bit-identical to drawing, timing and sorting per point. That
+//! leaves a few microseconds of arithmetic per grid point, too little to
+//! hand to threads, so the profiler runs on the calling thread; the sweep
+//! driver, which profiles once per distinct set-up, is the only user of
+//! [`janus_simcore::parallel::map`].
 
 use crate::profile::{FunctionProfile, WorkflowProfile};
 use janus_simcore::interference::InterferenceModel;
-use janus_simcore::parallel;
 use janus_simcore::resources::CoreGrid;
 use janus_simcore::rng::SimRng;
 use janus_workloads::function::FunctionModel;
@@ -95,32 +100,40 @@ impl Profiler {
     /// Profile one function at the given concurrency (batch size).
     pub fn profile_function(&self, function: &FunctionModel, concurrency: u32) -> FunctionProfile {
         let cfg = &self.config;
-        let samples: BTreeMap<u32, Vec<f64>> = parallel::map(cfg.grid.iter().collect(), |mc| {
-            // Common random numbers: every grid point replays the same
-            // working-set / noise stream, so profiled latencies are
-            // exactly monotone in the allocation (variance reduction) and
-            // independent of which thread profiles the point.
-            let mut rng = SimRng::seed_from_u64(
-                cfg.seed ^ (u64::from(concurrency) << 16) ^ hash_name(function.name()),
-            );
-            let v: Vec<f64> = (0..cfg.samples_per_point)
-                .map(|_| {
-                    function
-                        .sample_execution_time(
-                            mc,
-                            concurrency,
-                            cfg.colocation_degree,
-                            &cfg.interference,
-                            &mut rng,
-                        )
-                        .as_millis()
-                })
-                .collect();
-            (mc.get(), v)
-        })
-        .into_iter()
-        .collect();
+        // Common random numbers: every grid point uses the same working-set
+        // / noise factors, so profiled latencies are exactly monotone in the
+        // allocation (variance reduction). Latency is monotone in the factor,
+        // so sorting the factors once sorts every point's samples.
+        let mut rng = SimRng::seed_from_u64(
+            cfg.seed ^ (u64::from(concurrency) << 16) ^ hash_name(function.name()),
+        );
+        let mut factors: Vec<f64> = (0..cfg.samples_per_point)
+            .map(|_| function.sample_random_factor(&mut rng))
+            .collect();
+        factors.sort_by(f64::total_cmp);
+        let samples: BTreeMap<u32, Vec<f64>> = cfg
+            .grid
+            .iter()
+            .map(|mc| {
+                let latencies = factors
+                    .iter()
+                    .map(|&factor| {
+                        function
+                            .execution_time(
+                                mc,
+                                concurrency,
+                                factor,
+                                cfg.colocation_degree,
+                                &cfg.interference,
+                            )
+                            .as_millis()
+                    })
+                    .collect();
+                (mc.get(), latencies)
+            })
+            .collect();
         FunctionProfile::from_samples(function.name(), concurrency, cfg.grid, samples)
+            // janus-lint: allow(unwrap-discipline) — every grid point gets `samples_per_point` (validated >= 10) finite, non-negative latencies, which is all `from_samples` checks
             .expect("profiler produces complete grids")
     }
 
@@ -132,6 +145,7 @@ impl Profiler {
             .map(|f| self.profile_function(f, concurrency))
             .collect();
         WorkflowProfile::new(workflow.name(), concurrency, self.config.grid, functions)
+            // janus-lint: allow(unwrap-discipline) — a workflow has at least one function and every profile above shares this grid and concurrency, which is all `new` checks
             .expect("profiles share grid and concurrency by construction")
     }
 
@@ -164,7 +178,9 @@ mod tests {
     use super::*;
     use crate::percentiles::Percentile;
     use janus_simcore::resources::Millicores;
-    use janus_workloads::apps::{intelligent_assistant, object_detection, text_to_speech};
+    use janus_workloads::apps::{
+        intelligent_assistant, object_detection, text_to_speech, video_analyze,
+    };
 
     fn quick_profiler() -> Profiler {
         Profiler::new(ProfilerConfig {
@@ -172,6 +188,81 @@ mod tests {
             ..ProfilerConfig::default()
         })
         .unwrap()
+    }
+
+    /// The profiler's former algorithm, kept as its oracle: reseed the
+    /// stream at every grid point, draw and time `samples_per_point`
+    /// executions there, and let `from_samples` sort them.
+    fn per_point_profile(
+        cfg: &ProfilerConfig,
+        function: &FunctionModel,
+        concurrency: u32,
+    ) -> FunctionProfile {
+        let samples = cfg
+            .grid
+            .iter()
+            .map(|mc| {
+                let mut rng = SimRng::seed_from_u64(
+                    cfg.seed ^ (u64::from(concurrency) << 16) ^ hash_name(function.name()),
+                );
+                let v: Vec<f64> = (0..cfg.samples_per_point)
+                    .map(|_| {
+                        function
+                            .sample_execution_time(
+                                mc,
+                                concurrency,
+                                cfg.colocation_degree,
+                                &cfg.interference,
+                                &mut rng,
+                            )
+                            .as_millis()
+                    })
+                    .collect();
+                (mc.get(), v)
+            })
+            .collect();
+        FunctionProfile::from_samples(function.name(), concurrency, cfg.grid, samples).unwrap()
+    }
+
+    #[test]
+    fn sorted_factors_reproduce_per_point_draws_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut compared = 0;
+        for workflow in [intelligent_assistant(), video_analyze()] {
+            for function in workflow.functions() {
+                for concurrency in [1, 3] {
+                    for colocation_degree in [1, 2] {
+                        for samples_per_point in [10, 300] {
+                            let cfg = ProfilerConfig {
+                                samples_per_point,
+                                colocation_degree,
+                                ..ProfilerConfig::default()
+                            };
+                            let got = Profiler::new(cfg.clone())
+                                .unwrap()
+                                .profile_function(function, concurrency);
+                            let want = per_point_profile(&cfg, function, concurrency);
+                            for mc in cfg.grid.iter() {
+                                assert_eq!(
+                                    bits(got.raw_samples(mc)),
+                                    bits(want.raw_samples(mc)),
+                                    "{} at concurrency {concurrency}, degree \
+                                     {colocation_degree}, {samples_per_point} samples, {mc}",
+                                    function.name()
+                                );
+                            }
+                            assert_eq!(got, want);
+                            compared += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            compared,
+            6 * 8,
+            "three IA and three VA functions, 8 settings each"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //!   hasher for the simulator-assigned pod and request ids every function
 //!   invocation looks up.
 //! * [`parallel`] — an order-preserving parallel [`parallel::map`] on
-//!   scoped threads for the offline fan-outs (profiling, sweeps).
+//!   scoped threads for the sweep driver's stripes.
 //!
 //! Everything here is deliberately independent of Janus itself so that the
 //! baselines (ORION, GrandSLAM, …) run on the identical substrate.

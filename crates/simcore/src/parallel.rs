@@ -1,11 +1,13 @@
 //! Order-preserving parallel map on scoped threads.
 //!
-//! The workspace's offline fan-outs — profiler grid points, sweep stripes,
-//! scenario and capacity grids — each map a list of independent, seeded
-//! jobs to their results. [`map`] splits the list into one contiguous chunk
-//! per available core, runs each chunk on a [`std::thread::scope`] thread
-//! and reassembles the results **in input order**, so a parallel run is as
-//! reproducible as a sequential one.
+//! The sweep driver (`janus-core`'s `experiments::sweep`) is the one user:
+//! it maps its stripes of independent, seeded grid cells to their results,
+//! and the scenario, capacity and chaos experiments reach it as sweeps.
+//! (The profiler no longer fans out: its per-function work is a few
+//! microseconds of arithmetic per grid point.) [`map`] splits the list into
+//! one contiguous chunk per available core, runs each chunk on a
+//! [`std::thread::scope`] thread and reassembles the results **in input
+//! order**, so a parallel run is as reproducible as a sequential one.
 
 use std::num::NonZeroUsize;
 

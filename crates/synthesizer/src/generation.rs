@@ -33,6 +33,11 @@
 //! finds where it starts, and each pass reads at most two shifted contiguous
 //! slices of the downstream row — the very entries a per-budget evaluation
 //! of `⌊b − L⌋` reads.
+//!
+//! A pass whose head timeout exceeds the largest resilience any feasible
+//! downstream plan offers fails Eq. 6 at every budget, so it cannot change
+//! the row and is skipped before it starts ([`HintGenerator::skipped_passes`]
+//! counts them). The last level has no downstream and keeps every pass.
 
 use crate::hints::{CondensedHint, HintsTable};
 use janus_profiler::percentiles::{Percentile, PercentileGrid};
@@ -141,6 +146,9 @@ pub struct HintGenerator<'a> {
     levels: Vec<Vec<LevelEntry>>,
     /// Upper bound (ms, inclusive) of the DP budget axis.
     horizon_ms: usize,
+    /// (percentile, allocation) passes skipped because Eq. 6 fails at
+    /// every budget.
+    skipped_passes: usize,
 }
 
 impl<'a> HintGenerator<'a> {
@@ -172,8 +180,9 @@ impl<'a> HintGenerator<'a> {
             config,
             levels: Vec::new(),
             horizon_ms,
+            skipped_passes: 0,
         };
-        gen.levels = gen.fill_levels();
+        (gen.levels, gen.skipped_passes) = gen.fill_levels();
         gen
     }
 
@@ -189,32 +198,44 @@ impl<'a> HintGenerator<'a> {
         &self.levels
     }
 
+    /// How many (percentile, allocation) passes the fill skipped, over all
+    /// levels: those whose head timeout `D(p, k)` exceeds the largest
+    /// resilience of any feasible plan in the level below, so Eq. 6 fails
+    /// at every budget (see the module docs).
+    pub fn skipped_passes(&self) -> usize {
+        self.skipped_passes
+    }
+
     fn tail(&self) -> Percentile {
         self.config.percentiles.tail()
     }
 
-    fn fill_levels(&self) -> Vec<Vec<LevelEntry>> {
+    /// Fill every level; returns the rows and the skipped-pass count.
+    fn fill_levels(&self) -> (Vec<Vec<LevelEntry>>, usize) {
         let functions = self.profile.functions();
         let mut levels: Vec<Vec<LevelEntry>> = Vec::with_capacity(functions.len());
+        let mut skipped = 0;
         // Fill from the last function backwards: each level reads the one
         // below it.
         for (i, func) in functions.iter().enumerate().rev() {
-            let level = self.fill_level(i, func, levels.last().map(Vec::as_slice));
+            let level = self.fill_level(i, func, levels.last().map(Vec::as_slice), &mut skipped);
             levels.push(level);
         }
         // `levels` holds [level_{n-1}, ..., level_0]; reverse so that
         // `levels[i]` corresponds to the suffix starting at function i.
         levels.reverse();
-        levels
+        (levels, skipped)
     }
 
     /// Compute the DP row for suffix level `i` (head function `func`) given
     /// the row of level `i+1`, allocation-major (see the module docs).
+    /// Adds the passes it skips to `skipped`.
     fn fill_level(
         &self,
         i: usize,
         func: &FunctionProfile,
         downstream: Option<&[LevelEntry]>,
+        skipped: &mut usize,
     ) -> Vec<LevelEntry> {
         let tail = self.tail();
         let grid = self.profile.grid();
@@ -275,6 +296,15 @@ impl<'a> HintGenerator<'a> {
                 (resilience, e.planned_cores)
             })
             .unzip();
+        // The most any downstream plan can absorb: a head timeout above it
+        // fails Eq. 6 at every budget. The last level has no constraint.
+        let max_absorbable = match downstream {
+            Some(_) => down_resilience
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max),
+            None => f64::INFINITY,
+        };
 
         // Per budget: the best cost so far and the (candidate, allocation)
         // pair that achieved it, as `candidate * allocations + allocation`.
@@ -283,6 +313,11 @@ impl<'a> HintGenerator<'a> {
         for (ci, cand) in cands.iter().enumerate() {
             for (ki, &mc) in allocations.iter().enumerate() {
                 let this_choice = (ci * allocations.len() + ki) as u32;
+                let timeout = cand.timeout[ki];
+                if timeout > max_absorbable {
+                    *skipped += 1;
+                    continue;
+                }
                 let head_latency = cand.latency[ki];
                 let Some(first) = first_affordable_budget(head_latency, width) else {
                     continue;
@@ -311,7 +346,6 @@ impl<'a> HintGenerator<'a> {
                 let head_cost = weight * k;
                 let prob = cand.prob;
                 let overrun_cost = (1.0 - prob) * downstream_count * kmax_mc;
-                let timeout = cand.timeout[ki];
                 let relax = |costs: &mut [f64], choices: &mut [u32], residual: usize| {
                     let down = down_resilience[residual..]
                         .iter()

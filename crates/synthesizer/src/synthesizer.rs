@@ -155,24 +155,24 @@ impl Synthesizer {
         let started = Instant::now();
         let gen_config = self.config.generation_config();
         let tail = self.config.percentiles.tail();
-        let horizon = match self.config.full_range_ms {
-            Some((_, hi)) => SimDuration::from_millis(hi),
-            None => profile.max_budget(tail),
-        };
 
         let mut tables: Vec<HintsTable> = Vec::with_capacity(profile.len());
         let mut raw_total = 0usize;
         let suffixes = (0..).map_while(|start| Some((start, profile.suffix(start)?)));
         for (start, suffix) in suffixes {
+            // Each DP stops where its table's sweep stops: the configured
+            // range for the full workflow, else the suffix's own
+            // `max_budget(tail)`. A DP entry reads only entries at budgets
+            // no larger than its own, so budgets above that are never read.
+            let (horizon, range) = match (start, self.config.full_range_ms) {
+                (0, Some((lo, hi))) => {
+                    let (lo, hi) = (SimDuration::from_millis(lo), SimDuration::from_millis(hi));
+                    (hi, Some((lo, hi)))
+                }
+                _ => (suffix.max_budget(tail), None),
+            };
             // `Synthesizer::new` validated the configuration this derives from.
             let generator = HintGenerator::with_valid_config(&suffix, &gen_config, horizon);
-            let range = if start == 0 {
-                self.config
-                    .full_range_ms
-                    .map(|(lo, hi)| (SimDuration::from_millis(lo), SimDuration::from_millis(hi)))
-            } else {
-                None
-            };
             let (table, raw) = generator.build_table(start, range);
             raw_total += raw.len();
             tables.push(table);
@@ -286,6 +286,47 @@ mod tests {
         // The sub-workflow table after OD finishes covers ~2.x s budgets.
         let after_od = bundle.table_after(1).unwrap();
         assert!(after_od.lookup(SimDuration::from_secs(2.0)).is_hit());
+    }
+
+    /// Each sub-workflow's DP stops at the suffix's own maximum budget, yet
+    /// every table equals the one a generator over the full workflow's
+    /// horizon builds for that suffix.
+    #[test]
+    fn suffix_tables_match_generators_on_the_full_horizon() {
+        let profile = ia_profile();
+        let horizon = profile.max_budget(Percentile::P99);
+        for exploration in [
+            ExplorationDepth::None,
+            ExplorationDepth::HeadOnly,
+            ExplorationDepth::HeadAndNext,
+        ] {
+            for weight in [1.0, 2.0] {
+                let config = SynthesizerConfig {
+                    weight,
+                    exploration,
+                    ..SynthesizerConfig::default()
+                };
+                let (bundle, report) = Synthesizer::new(config.clone())
+                    .unwrap()
+                    .synthesize(&profile);
+                let gen_config = config.generation_config();
+                let mut raw_hints = 0;
+                assert_eq!(bundle.tables.len(), profile.len());
+                for (start, table) in bundle.tables.iter().enumerate() {
+                    let suffix = profile.suffix(start).unwrap();
+                    let generator = HintGenerator::new(&suffix, &gen_config, horizon).unwrap();
+                    let (want, raw) = generator.build_table(start, None);
+                    assert_eq!(
+                        table,
+                        &want,
+                        "{} W={weight}: table after {start}",
+                        exploration.variant_name()
+                    );
+                    raw_hints += raw.len();
+                }
+                assert_eq!(report.raw_hints, raw_hints);
+            }
+        }
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl FunctionModel {
         SimDuration::from_millis(det * random_factor.max(0.0) * slow)
     }
 
-    /// Convenience: sample a full execution time in one call (used by the
-    /// profiler, which does not need to separate the random factor).
+    /// Convenience: sample a full execution time in one call, for callers
+    /// that do not need to separate the random factor.
     pub fn sample_execution_time(
         &self,
         mc: Millicores,

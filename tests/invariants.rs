@@ -336,6 +336,7 @@ fn per_budget_levels(
 fn allocation_major_fill_matches_the_per_budget_scan() {
     let mut rng = SimRng::seed_from_u64(0x1A05);
     let percentiles = PercentileGrid::paper_default();
+    let mut cases_with_skips = 0;
     for case in 0..CASES {
         let horizon_ms = rng.int_range(20, 2500) as f64;
         let profile = small_random_profile(&mut rng, horizon_ms);
@@ -354,8 +355,15 @@ fn allocation_major_fill_matches_the_per_budget_scan() {
             exploration_depth: rng.int_range(0, 2) as usize,
             budget_step_ms: 1.0,
         };
-        assert_fill_matches_the_scan(&profile, &config, horizon_ms, &format!("case {case}"));
+        let skipped =
+            assert_fill_matches_the_scan(&profile, &config, horizon_ms, &format!("case {case}"));
+        cases_with_skips += usize::from(skipped > 0);
     }
+    // Skipped passes must be exercised, not just allowed.
+    assert!(
+        cases_with_skips >= CASES / 8,
+        "only {cases_with_skips} of {CASES} cases skip a pass"
+    );
 }
 
 /// The budgets where the float residual `⌊b − L⌋` first rounds up by one
@@ -402,19 +410,55 @@ fn rounding_split_edges_match_the_per_budget_scan() {
     assert!(splits >= 6, "only {splits} latencies hit a rounding split");
 }
 
+/// The (percentile, allocation) passes of a fill that Eq. 6 rejects at
+/// every budget: at every level but the last, those whose head timeout
+/// exceeds the largest resilience of any feasible plan in the scan's row
+/// below.
+fn dead_passes(
+    profile: &WorkflowProfile,
+    config: &GenerationConfig,
+    levels: &[Vec<LevelEntry>],
+) -> usize {
+    let tail = config.percentiles.tail();
+    let n = profile.len();
+    let mut dead = 0;
+    for (i, func) in profile.functions().iter().enumerate().take(n - 1) {
+        let max_resilience = levels[i + 1]
+            .iter()
+            .filter(|e| e.feasible)
+            .map(|e| e.resilience_ms)
+            .fold(f64::NEG_INFINITY, f64::max);
+        let candidates = if i < config.exploration_depth {
+            config.percentiles.values().to_vec()
+        } else {
+            vec![tail]
+        };
+        for p in candidates {
+            dead += profile
+                .grid()
+                .iter()
+                .filter(|&mc| func.timeout(p, mc, tail).as_millis() > max_resilience)
+                .count();
+        }
+    }
+    dead
+}
+
 /// Fill `profile`'s tables and compare every entry, bit for bit, with the
-/// per-budget scan.
+/// per-budget scan, and the passes the fill skipped with those the scan
+/// shows Eq. 6 rejects outright. Returns the number of skipped passes.
 fn assert_fill_matches_the_scan(
     profile: &WorkflowProfile,
     config: &GenerationConfig,
     horizon_ms: f64,
     label: &str,
-) {
+) -> usize {
     let generator =
         HintGenerator::new(profile, config, SimDuration::from_millis(horizon_ms)).unwrap();
     let levels = generator.levels();
     let width = levels[0].len();
     let expected = per_budget_levels(profile, config, width - 1);
+
     assert_eq!(levels.len(), expected.len(), "{label}");
     let bits = |e: &LevelEntry| {
         (
@@ -431,6 +475,13 @@ fn assert_fill_matches_the_scan(
             assert_eq!(bits(got), bits(want), "{label}: level {i}, budget {b} ms");
         }
     }
+    let skipped = generator.skipped_passes();
+    assert_eq!(
+        skipped,
+        dead_passes(profile, config, &expected),
+        "{label}: skipped passes"
+    );
+    skipped
 }
 
 /// Walking the DP for a fractional budget plans exactly what the DP priced
