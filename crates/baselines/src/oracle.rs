@@ -12,6 +12,7 @@ use janus_platform::policy::{RequestContext, SizingPolicy};
 use janus_simcore::interference::InterferenceModel;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::time::SimDuration;
+use janus_workloads::function::FunctionModel;
 use janus_workloads::request::RequestInput;
 use janus_workloads::workflow::Workflow;
 use std::collections::HashMap;
@@ -60,16 +61,14 @@ impl OptimalOracle {
     /// Actual execution time of function `index` at allocation `k` for this
     /// request (co-location degree 1, matching the closed-loop evaluation).
     fn actual_latency(
-        workflow: &Workflow,
+        function: &FunctionModel,
         request: &RequestInput,
         index: usize,
         k: Millicores,
         concurrency: u32,
         interference: &InterferenceModel,
     ) -> f64 {
-        workflow
-            .function(index)
-            .expect("index within workflow")
+        function
             .execution_time(k, concurrency, request.factor(index), 1, interference)
             .as_millis()
     }
@@ -85,11 +84,14 @@ impl OptimalOracle {
         let n = workflow.len();
         let slo_ms = slo.as_millis();
         // Per-function latency at every grid allocation.
-        let latencies: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
+        let latencies: Vec<Vec<f64>> = workflow
+            .functions()
+            .iter()
+            .enumerate()
+            .map(|(i, function)| {
                 grid.iter()
                     .map(|k| {
-                        Self::actual_latency(workflow, request, i, k, concurrency, interference)
+                        Self::actual_latency(function, request, i, k, concurrency, interference)
                     })
                     .collect()
             })
@@ -133,11 +135,12 @@ impl OptimalOracle {
         // Longer workflows: budget-quantised DP (1 ms).
         let horizon = slo_ms.floor().max(0.0) as usize;
         let mut next: Vec<Option<u32>> = vec![None; horizon + 1];
-        let mut choices: Vec<Vec<Option<Millicores>>> = vec![vec![None; horizon + 1]; n];
+        // The grid index of the cheapest feasible allocation per (i, b).
+        let mut choices: Vec<Vec<Option<usize>>> = vec![vec![None; horizon + 1]; n];
         for i in (0..n).rev() {
             let mut current: Vec<Option<u32>> = vec![None; horizon + 1];
             for b in 0..=horizon {
-                let mut best: Option<(u32, Millicores)> = None;
+                let mut best: Option<(u32, usize)> = None;
                 for (ki, &k) in points.iter().enumerate() {
                     let lat = latencies[i][ki];
                     if lat > b as f64 {
@@ -151,13 +154,13 @@ impl OptimalOracle {
                     if let Some(tc) = tail {
                         let total = tc + k.get();
                         if best.map(|(t, _)| total < t).unwrap_or(true) {
-                            best = Some((total, k));
+                            best = Some((total, ki));
                         }
                     }
                 }
-                if let Some((total, k)) = best {
+                if let Some((total, ki)) = best {
                     current[b] = Some(total);
-                    choices[i][b] = Some(k);
+                    choices[i][b] = Some(ki);
                 }
             }
             next = current;
@@ -168,9 +171,10 @@ impl OptimalOracle {
         let mut plan = Vec::with_capacity(n);
         let mut b = horizon;
         for i in 0..n {
-            let k = choices[i][b].unwrap_or(grid.max);
-            plan.push(k);
-            let ki = grid.index_of(k).expect("grid point");
+            // A feasible start keeps every later step feasible, so the
+            // top-of-grid fallback never fires.
+            let ki = choices[i][b].unwrap_or(points.len() - 1);
+            plan.push(points[ki]);
             b = (b as f64 - latencies[i][ki]).floor().max(0.0) as usize;
         }
         plan

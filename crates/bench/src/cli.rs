@@ -58,7 +58,8 @@ pub const USAGE: &str = "usage: janus <command> [flags]\n\
     \x20 --seed N     override the experiment seed (sweeps: replaces the seed axis)\n\
     \x20 --out PATH   write the result as JSON to PATH, then decode-check it\n\
     \x20 --trace PATH write the run's JSONL flight trace to PATH (implies the\n\
-    \x20              flight-recorder observer; trace-capable experiments only)\n\
+    \x20              flight-recorder observer; `janus run` of a trace-capable\n\
+    \x20              experiment only)\n\
     \x20 --help       print this message";
 
 /// A parsed `janus` invocation.
@@ -100,7 +101,8 @@ where
     I: IntoIterator<Item = String>,
 {
     let mut args = args.into_iter().peekable();
-    let mut command = match args.next().as_deref() {
+    let word = args.next();
+    let mut command = match word.as_deref() {
         None => return Err("missing command".into()),
         Some("list") => Command::List,
         Some("all") => Command::All,
@@ -219,6 +221,15 @@ where
         }
     }
     let flags = BenchFlags::from_args(rest)?;
+    // Only `janus run` writes a trace; refuse the flag elsewhere before a
+    // command spends its work and writes nothing.
+    if flags.trace.is_some() && !matches!(command, Command::Run(_)) {
+        return Err(format!(
+            "--trace: `janus {}` writes no trace; trace one experiment with \
+             `janus run <experiment> --trace PATH`",
+            word.unwrap_or_default()
+        ));
+    }
     Ok((command, flags))
 }
 
@@ -764,6 +775,18 @@ mod tests {
         assert!(err.contains("takes only --json and --out"), "{err}");
         let err = parse_cli(&["lint", "--json", "--json"]).unwrap_err();
         assert!(err.contains("--json given twice"), "{err}");
+        // Only `run` writes a trace, so every other command refuses
+        // --trace up front and points at the one that does.
+        for args in [
+            &["all", "--quick", "--trace", "t.jsonl"][..],
+            &["sweep", "s.json", "--trace", "t.jsonl"][..],
+            &["report", "t.jsonl", "--trace", "u.jsonl"][..],
+            &["perf-check", "--trace", "t.jsonl"][..],
+        ] {
+            let err = parse_cli(args).unwrap_err();
+            assert!(err.contains("writes no trace"), "{err}");
+            assert!(err.contains("janus run <experiment> --trace"), "{err}");
+        }
     }
 
     #[test]

@@ -187,16 +187,6 @@ impl BenchFlags {
         }
     }
 
-    /// Collect one result into an aggregation buffer, encoding it only when
-    /// `--out` was given — the shared helper for invocations that write
-    /// several results into one JSON document via
-    /// [`write_out_value`](Self::write_out_value).
-    pub fn collect_out(&self, out: &mut Vec<Value>, result: &dyn ToJson) {
-        if self.out.is_some() {
-            out.push(result.to_json());
-        }
-    }
-
     /// [`write_out`](Self::write_out) for an already-assembled document —
     /// used by invocations that aggregate several results into one file.
     pub fn write_out_value(&self, value: &Value) {

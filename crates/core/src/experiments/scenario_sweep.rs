@@ -228,8 +228,8 @@ impl fmt::Display for ScenarioSweepResult {
 }
 
 /// Run a scenario-sweep spec through [`run_sweep`] and view the result.
-/// Custom scenario registries stay reachable per session through
-/// [`ServingSessionBuilder::scenario_registry`](crate::session::ServingSessionBuilder::scenario_registry).
+/// Custom scenarios stay reachable per session through
+/// [`ServingSessionBuilder::register_scenario_fn`](crate::session::ServingSessionBuilder::register_scenario_fn).
 pub fn scenario_sweep(spec: &SweepSpec) -> Result<ScenarioSweepResult, String> {
     ScenarioSweepResult::from_sweep(run_sweep(spec)?)
 }

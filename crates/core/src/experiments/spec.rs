@@ -19,8 +19,13 @@
 //! admission, fault, observer); the [`sweep`](crate::experiments::sweep)
 //! driver runs them in parallel.
 
+use crate::registry::PolicyRegistry;
 use crate::session::{strictest_slo, Load, ServingSession, ServingSessionBuilder, TenantLoad};
+use janus_chaos::FaultRegistry;
 use janus_json::{parse, Value};
+use janus_observe::ObserverRegistry;
+use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry};
+use janus_scenarios::ScenarioRegistry;
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;
@@ -83,7 +88,8 @@ impl SessionSpec {
     /// synthesis budget step; its remaining fields are the same for every
     /// spec — the paper's core grid, the paper-calibrated interference model
     /// of `ExecutorConfig::paper_serving` (which `cluster` does not change)
-    /// and the builder's head-function weight.
+    /// and the head-function weight, which a session does not set: it is
+    /// always `SynthesisSettings::default()`'s.
     ///
     /// Serve-only fields stay out: `scenario`, `rps`, `autoscaler`,
     /// `admission`, `fault`, `observer`, `cluster`, `tenants` (but for their
@@ -103,6 +109,17 @@ impl SessionSpec {
             slo_ms_bits: slo.as_millis().to_bits(),
             budget_step_ms_bits: self.budget_step_ms.to_bits(),
         }
+    }
+
+    /// Qualify error `e` of this spec, grid point `index` of a sweep, with
+    /// the point's coordinates.
+    pub(crate) fn at_point(&self, index: usize, e: String) -> String {
+        format!(
+            "point {index} (scenario `{}`, {} rps, seed {}): {e}",
+            self.scenario.as_deref().unwrap_or("-"),
+            self.rps.unwrap_or(f64::NAN),
+            self.seed
+        )
     }
 
     /// The equivalent [`ServingSession`] builder: apply every field of the
@@ -253,10 +270,12 @@ fn no_duplicates<T: PartialEq>(key: &str, axis: &[T]) -> Result<(), String> {
 }
 
 impl SweepSpec {
-    /// Structural validity independent of any registry: every axis that must
-    /// be non-empty is, no axis repeats a value, and numeric knobs are sane.
-    /// Name resolution against the policy/scenario/capacity registries
-    /// happens in the sweep driver.
+    /// Check the spec before anything runs: every axis that must be
+    /// non-empty is, no axis repeats a value, every rate is positive, and
+    /// every name resolves against the built-in registries. Then every
+    /// expanded point must pass [`ServingSessionBuilder::build`], the one
+    /// session validator; a failure names the point and, where a spec key
+    /// caused it, the key.
     pub fn validate(&self) -> Result<(), String> {
         for (key, empty) in [
             ("policies", self.policies.is_empty()),
@@ -308,44 +327,59 @@ impl SweepSpec {
         }
         no_duplicates("loads_rps", &self.loads_rps)?;
         no_duplicates("seeds", &self.seeds)?;
-        if self.concurrency == 0 {
-            return Err("`concurrency`: must be at least 1".into());
+        self.resolve_names()?;
+        for (index, point) in self.expand().iter().enumerate() {
+            point
+                .builder()
+                .build()
+                .map_err(|e| point.at_point(index, e))?;
         }
-        if self.requests == 0 {
-            return Err("`requests`: must be at least 1".into());
+        Ok(())
+    }
+
+    /// Resolve every name in the spec against the built-in registries,
+    /// reporting the offending spec key on failure.
+    fn resolve_names(&self) -> Result<(), String> {
+        let policies = PolicyRegistry::with_builtins();
+        for (i, name) in self.policies.iter().enumerate() {
+            policies
+                .ensure_known(name)
+                .map_err(|e| format!("`policies[{i}]`: {e}"))?;
         }
-        if self.samples_per_point == 0 {
-            return Err("`samples_per_point`: must be at least 1".into());
+        let scenarios = ScenarioRegistry::with_builtins();
+        for (i, name) in self.scenarios.iter().enumerate() {
+            scenarios
+                .ensure_known(name)
+                .map_err(|e| format!("`scenarios[{i}]`: {e}"))?;
         }
-        if !(self.budget_step_ms.is_finite() && self.budget_step_ms > 0.0) {
-            return Err(format!(
-                "`budget_step_ms`: {} must be positive",
-                self.budget_step_ms
-            ));
+        for (i, tenant) in self.tenants.iter().flatten().enumerate() {
+            scenarios
+                .ensure_known(&tenant.scenario)
+                .map_err(|e| format!("`tenants[{i}].scenario`: {e}"))?;
         }
-        if let Some(cluster) = &self.cluster {
-            cluster.validate().map_err(|e| format!("`cluster`: {e}"))?;
+        let autoscalers = AutoscalerRegistry::with_builtins();
+        for (i, name) in self.autoscalers.iter().flatten().enumerate() {
+            autoscalers
+                .ensure_known(name)
+                .map_err(|e| format!("`autoscalers[{i}]`: {e}"))?;
         }
-        if let Some(tenants) = &self.tenants {
-            if tenants.is_empty() {
-                return Err("`tenants`: must list at least one tenant".into());
-            }
-            for (i, tenant) in tenants.iter().enumerate() {
-                if tenant.count == 0 {
-                    return Err(format!("`tenants[{i}].count`: must be at least 1"));
-                }
-                if !(tenant.rps.is_finite() && tenant.rps > 0.0) {
-                    return Err(format!(
-                        "`tenants[{i}].rps`: rate {} must be positive",
-                        tenant.rps
-                    ));
-                }
-                if let Some(ms) = tenant.slo_ms {
-                    if !(ms.is_finite() && ms > 0.0) {
-                        return Err(format!("`tenants[{i}].slo_ms`: {ms} must be positive"));
-                    }
-                }
-            }
+        let admissions = AdmissionRegistry::with_builtins();
+        for (i, name) in self.admissions.iter().flatten().enumerate() {
+            admissions
+                .ensure_known(name)
+                .map_err(|e| format!("`admissions[{i}]`: {e}"))?;
+        }
+        let faults = FaultRegistry::with_builtins();
+        for (i, name) in self.faults.iter().flatten().enumerate() {
+            faults
+                .ensure_known(name)
+                .map_err(|e| format!("`faults[{i}]`: {e}"))?;
+        }
+        let observers = ObserverRegistry::with_builtins();
+        for (i, name) in self.observers.iter().flatten().enumerate() {
+            observers
+                .ensure_known(name)
+                .map_err(|e| format!("`observers[{i}]`: {e}"))?;
         }
         Ok(())
     }
@@ -1121,6 +1155,77 @@ mod tests {
             let err = SweepSpec::from_str(text).unwrap_err();
             assert!(err.contains(needle), "expected `{needle}` in `{err}`");
         }
+    }
+
+    #[test]
+    fn every_value_the_session_builder_rejects_fails_decoding_at_its_key() {
+        let base = r#""name": "x", "policies": ["Janus"], "scenarios": ["poisson"],
+                       "loads_rps": [1.0]"#;
+        let tenant = |fields: &str| format!(r#""app": "IA", "requests": 5, "tenants": [{fields}]"#);
+        let cases: Vec<(String, &str)> = vec![
+            (
+                r#""app": "IA", "requests": 5, "concurrency": 0"#.into(),
+                "`concurrency`: must be at least 1",
+            ),
+            (
+                r#""app": "VA", "requests": 5, "concurrency": 2"#.into(),
+                "`concurrency`: VA cannot batch",
+            ),
+            (r#""app": "IA", "requests": 0"#.into(), "`requests`:"),
+            (
+                r#""app": "IA", "requests": 5, "samples_per_point": 0"#.into(),
+                "`samples_per_point`: must be at least 1",
+            ),
+            (
+                r#""app": "IA", "requests": 5, "budget_step_ms": 0.05"#.into(),
+                "`budget_step_ms`: 0.05 must be at least 0.1",
+            ),
+            (
+                r#""app": "IA", "requests": 5,
+                   "cluster": {"nodes": 0, "node_capacity_mc": 8000, "placement": "spread"}"#
+                    .into(),
+                "`cluster`: ",
+            ),
+            (
+                r#""app": "IA", "requests": 5, "tenants": []"#.into(),
+                "`tenants`: must list at least one tenant",
+            ),
+            (
+                tenant(r#"{"count": 0, "scenario": "bursty", "rps": 1.0}"#),
+                "`tenants[0].count`: must be at least 1",
+            ),
+            (
+                tenant(r#"{"count": 1, "scenario": "bursty", "rps": 0}"#),
+                "`tenants[0].rps`: rate 0 must be positive",
+            ),
+            (
+                tenant(r#"{"count": 1, "scenario": "tsunami", "rps": 1.0}"#),
+                "`tenants[0].scenario`: unknown scenario `tsunami`",
+            ),
+            (
+                tenant(r#"{"count": 1, "scenario": "bursty", "rps": 1.0, "slo_ms": 0}"#),
+                "`tenants[0].slo_ms`: 0 must be positive",
+            ),
+        ];
+        for (fields, needle) in &cases {
+            let err = SweepSpec::from_str(&format!("{{{base}, {fields}}}")).unwrap_err();
+            assert!(err.contains(needle), "expected `{needle}` in `{err}`");
+        }
+        // Each of these is a builder error, found on an expanded point: the
+        // message names the point before the key.
+        let err = SweepSpec::from_str(&format!(
+            r#"{{{base}, "app": "IA", "requests": 5, "budget_step_ms": 0.05}}"#
+        ))
+        .unwrap_err();
+        assert!(
+            err.starts_with("point 0 (scenario `poisson`, 1 rps, seed 7): "),
+            "{err}"
+        );
+        // The same spec at the smallest accepted step decodes.
+        SweepSpec::from_str(&format!(
+            r#"{{{base}, "app": "IA", "requests": 5, "budget_step_ms": 0.1}}"#
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -39,24 +39,22 @@
 //! every figure the aggregate carries — including per-point `wall_ms` — is
 //! persisted in the cell file, not recomputed.
 //!
-//! Every name in the spec is resolved against the built-in registries
-//! *before* anything runs, and the error points at the offending spec key
-//! (`` `policies[2]`: unknown policy … ``), so a typo fails in milliseconds
-//! instead of after the first half of the grid.
+//! [`SweepSpec::validate`] runs *before* anything else: it resolves every
+//! name against the built-in registries and checks every point through the
+//! session builder, and the error points at the offending spec key
+//! (`` `policies[2]`: unknown policy … ``), so a typo or an unservable
+//! point fails in milliseconds instead of after the first half of the grid.
 //!
 //! [`ServingSession`]: crate::session::ServingSession
 
 use crate::experiments::perf::{rate_per_sec, MIN_WALL_MS};
 use crate::experiments::spec::{SessionSpec, SetupKey, SweepSpec};
 use crate::experiments::ToJson;
-use crate::registry::PolicyRegistry;
 use crate::session::{PolicyReport, SessionReport, SetupMemo};
 use janus_json::Value;
-use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry};
 use janus_platform::metrics::ServingMetrics;
 use janus_platform::openloop::OpenLoopArena;
 use janus_results::ResultsStore;
-use janus_scenarios::ScenarioRegistry;
 use janus_simcore::metrics::MetricsRegistry;
 use janus_simcore::parallel;
 use std::fmt;
@@ -441,53 +439,6 @@ impl ToJson for SweepResult {
     }
 }
 
-/// Resolve every name in the spec against the built-in registries before
-/// running anything, reporting the offending spec key on failure.
-fn resolve_names(spec: &SweepSpec) -> Result<(), String> {
-    let policies = PolicyRegistry::with_builtins();
-    for (i, name) in spec.policies.iter().enumerate() {
-        policies
-            .ensure_known(name)
-            .map_err(|e| format!("`policies[{i}]`: {e}"))?;
-    }
-    let scenarios = ScenarioRegistry::with_builtins();
-    for (i, name) in spec.scenarios.iter().enumerate() {
-        scenarios
-            .ensure_known(name)
-            .map_err(|e| format!("`scenarios[{i}]`: {e}"))?;
-    }
-    for (i, tenant) in spec.tenants.iter().flatten().enumerate() {
-        scenarios
-            .ensure_known(&tenant.scenario)
-            .map_err(|e| format!("`tenants[{i}].scenario`: {e}"))?;
-    }
-    let autoscalers = AutoscalerRegistry::with_builtins();
-    for (i, name) in spec.autoscalers.iter().flatten().enumerate() {
-        autoscalers
-            .ensure_known(name)
-            .map_err(|e| format!("`autoscalers[{i}]`: {e}"))?;
-    }
-    let admissions = AdmissionRegistry::with_builtins();
-    for (i, name) in spec.admissions.iter().flatten().enumerate() {
-        admissions
-            .ensure_known(name)
-            .map_err(|e| format!("`admissions[{i}]`: {e}"))?;
-    }
-    let faults = janus_chaos::FaultRegistry::with_builtins();
-    for (i, name) in spec.faults.iter().flatten().enumerate() {
-        faults
-            .ensure_known(name)
-            .map_err(|e| format!("`faults[{i}]`: {e}"))?;
-    }
-    let observers = janus_observe::ObserverRegistry::with_builtins();
-    for (i, name) in spec.observers.iter().flatten().enumerate() {
-        observers
-            .ensure_known(name)
-            .map_err(|e| format!("`observers[{i}]`: {e}"))?;
-    }
-    Ok(())
-}
-
 /// Run a sweep against an optional results store, invoking `on_point` as
 /// each grid point completes (cache replays first, in grid order from the
 /// calling thread; live points from the worker threads that ran them).
@@ -505,7 +456,6 @@ pub fn run_sweep_stored(
     on_point: &(dyn Fn(&SweepPoint) + Sync),
 ) -> Result<SweepResult, String> {
     spec.validate()?;
-    resolve_names(spec)?;
     let expanded = spec.expand();
     let total = expanded.len();
 
@@ -570,14 +520,7 @@ pub fn run_sweep_stored(
             for (key, index, session_spec) in stripe {
                 // janus-lint: allow(nondeterminism) — per-point wall cost for progress lines only
                 let point_started = Instant::now();
-                let context = |e: String| {
-                    format!(
-                        "point {index} (scenario `{}`, {} rps, seed {}): {e}",
-                        session_spec.scenario.as_deref().unwrap_or("-"),
-                        session_spec.rps.unwrap_or(f64::NAN),
-                        session_spec.seed
-                    )
-                };
+                let context = |e: String| session_spec.at_point(index, e);
                 if memo_key.as_ref() != Some(&key) {
                     memo = SetupMemo::default();
                     memo_key = Some(key);

@@ -58,6 +58,7 @@ use janus_simcore::metrics::{MetricsRegistry, MetricsSnapshot};
 use janus_simcore::resources::CoreGrid;
 use janus_simcore::time::SimDuration;
 use janus_synthesizer::synthesizer::SynthesisReport;
+use janus_synthesizer::MIN_BUDGET_STEP_MS;
 use janus_workloads::apps::PaperApp;
 use janus_workloads::request::{
     InterArrivalSampler, PoissonGaps, RequestInput, RequestInputGenerator, RequestSource as _,
@@ -283,12 +284,6 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Replace the scenario registry (default: the built-in five).
-    pub fn scenario_registry(mut self, scenarios: ScenarioRegistry) -> Self {
-        self.scenarios = scenarios;
-        self
-    }
-
     /// Serve on a custom cluster layout (node count, per-node capacity,
     /// placement policy) instead of the paper's single 52-core node —
     /// elasticity experiments start from a small multi-node fleet.
@@ -326,12 +321,6 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Replace the fault-injector registry (default: the built-in four).
-    pub fn fault_registry(mut self, faults: FaultRegistry) -> Self {
-        self.faults = faults;
-        self
-    }
-
     /// Register an additional fault injector on this session's registry.
     pub fn register_fault_fn<F>(mut self, name: impl Into<String>, schedule: F) -> Self
     where
@@ -354,44 +343,12 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Replace the observer registry (default: the built-in five).
-    pub fn observer_registry(mut self, observers: ObserverRegistry) -> Self {
-        self.observers = observers;
-        self
-    }
-
     /// Register an additional observer factory on this session's registry.
     pub fn register_observer_fn<F>(mut self, name: impl Into<String>, build: F) -> Self
     where
         F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync + 'static,
     {
         self.observers.register_fn(name, build);
-        self
-    }
-
-    /// Replace the autoscaler registry (default: the built-in three).
-    pub fn autoscaler_registry(mut self, autoscalers: AutoscalerRegistry) -> Self {
-        self.autoscalers = autoscalers;
-        self
-    }
-
-    /// Replace the admission registry (default: the built-in three).
-    pub fn admission_registry(mut self, admissions: AdmissionRegistry) -> Self {
-        self.admissions = admissions;
-        self
-    }
-
-    /// Register an additional autoscaler factory on this session's registry.
-    pub fn register_autoscaler_fn<F>(mut self, name: impl Into<String>, build: F) -> Self
-    where
-        F: Fn(
-                &CapacityContext,
-            ) -> Result<Box<dyn janus_platform::capacity::AutoscalerPolicy>, String>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.autoscalers.register_fn(name, build);
         self
     }
 
@@ -437,12 +394,6 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Head-function weight `W` for hint synthesis. Default 1.0.
-    pub fn weight(mut self, weight: f64) -> Self {
-        self.synthesis.weight = weight;
-        self
-    }
-
     /// Replace the policy registry (default: the built-in seven).
     pub fn registry(mut self, registry: PolicyRegistry) -> Self {
         self.registry = registry;
@@ -475,15 +426,18 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Validate and finalise the session.
+    /// Validate and finalise the session: the one place a serving
+    /// configuration is accepted or rejected. `SweepSpec::validate` checks
+    /// every grid point through it, so errors that a spec key can cause
+    /// name that key (`` `concurrency`: … ``).
     pub fn build(self) -> Result<ServingSession, String> {
-        let (workflow, app) = match (self.workflow, self.app) {
+        let (workflow, app) = match (&self.workflow, self.app) {
             (Some(_), Some(_)) => {
                 // Accepting both would silently serve the custom workflow
                 // under the app's default SLO and batching rules.
                 return Err("set either .app(..) or .workflow(..), not both".into());
             }
-            (Some(workflow), None) => (workflow, None),
+            (Some(workflow), None) => (workflow.clone(), None),
             (None, Some(app)) => (app.workflow(), Some(app)),
             (None, None) => {
                 return Err("session needs .app(..) or .workflow(..)".into());
@@ -493,10 +447,13 @@ impl ServingSessionBuilder {
             return Err("cannot serve an empty workflow".into());
         }
         if self.concurrency == 0 {
-            return Err("concurrency must be at least 1".into());
+            return Err("`concurrency`: must be at least 1".into());
         }
         if app == Some(PaperApp::VideoAnalyze) && self.concurrency > 1 {
-            return Err("VA cannot batch (FE and ICO are non-batchable); use concurrency 1".into());
+            return Err(
+                "`concurrency`: VA cannot batch (FE and ICO are non-batchable); use concurrency 1"
+                    .into(),
+            );
         }
         let slo = match (self.slo, app) {
             (Some(slo), _) => slo,
@@ -523,7 +480,7 @@ impl ServingSessionBuilder {
             }
         }
         if self.load.requests() == 0 {
-            return Err("load must offer at least one request".into());
+            return Err("`requests`: load must offer at least one request".into());
         }
         self.load.mean_inter_arrival()?;
         if let Some(spec) = &self.arrivals {
@@ -572,7 +529,7 @@ impl ServingSessionBuilder {
             slo = strictest_slo(slo, tenants);
         }
         if let Some(cluster) = &self.cluster {
-            cluster.validate().map_err(|e| e.to_string())?;
+            cluster.validate().map_err(|e| format!("`cluster`: {e}"))?;
         }
         if self.autoscaler.is_some() || self.admission.is_some() {
             if matches!(self.load, Load::Closed { .. }) {
@@ -604,30 +561,18 @@ impl ServingSessionBuilder {
             self.observers.ensure_known(name)?;
         }
         if self.samples_per_point == 0 {
-            return Err("samples_per_point must be at least 1".into());
+            return Err("`samples_per_point`: must be at least 1".into());
+        }
+        let step = self.synthesis.budget_step_ms;
+        if !(step.is_finite() && step >= MIN_BUDGET_STEP_MS) {
+            return Err(format!(
+                "`budget_step_ms`: {step} must be at least {MIN_BUDGET_STEP_MS}"
+            ));
         }
         Ok(ServingSession {
+            inputs: self,
             workflow,
             slo,
-            concurrency: self.concurrency,
-            policies: self.policies,
-            load: self.load,
-            arrivals: self.arrivals,
-            tenants: self.tenants,
-            cluster: self.cluster,
-            autoscaler: self.autoscaler,
-            admission: self.admission,
-            fault: self.fault,
-            observer: self.observer,
-            seed: self.seed,
-            samples_per_point: self.samples_per_point,
-            synthesis: self.synthesis,
-            registry: self.registry,
-            scenarios: self.scenarios,
-            autoscalers: self.autoscalers,
-            admissions: self.admissions,
-            faults: self.faults,
-            observers: self.observers,
         })
     }
 
@@ -711,27 +656,13 @@ fn observer_hook<'a>(
 /// number of registered policies replaying the same requests.
 #[derive(Debug)]
 pub struct ServingSession {
+    /// The builder that [`build`](ServingSessionBuilder::build) accepted.
+    inputs: ServingSessionBuilder,
+    /// The served workflow: the app's, or the custom one.
     workflow: Workflow,
+    /// The run SLO: explicit or the app's default, tightened by the
+    /// strictest tenant SLO.
     slo: SimDuration,
-    concurrency: u32,
-    policies: Vec<String>,
-    load: Load,
-    arrivals: Option<ArrivalSpec>,
-    tenants: Option<Vec<TenantLoad>>,
-    cluster: Option<ClusterConfig>,
-    autoscaler: Option<String>,
-    admission: Option<String>,
-    fault: Option<String>,
-    observer: Option<String>,
-    seed: u64,
-    samples_per_point: usize,
-    synthesis: SynthesisSettings,
-    registry: PolicyRegistry,
-    scenarios: ScenarioRegistry,
-    autoscalers: AutoscalerRegistry,
-    admissions: AdmissionRegistry,
-    faults: FaultRegistry,
-    observers: ObserverRegistry,
 }
 
 impl ServingSession {
@@ -752,32 +683,33 @@ impl ServingSession {
 
     /// The policy names that will run, in order.
     pub fn policies(&self) -> &[String] {
-        &self.policies
+        &self.inputs.policies
     }
 
     /// The session's policy registry.
     pub fn registry(&self) -> &PolicyRegistry {
-        &self.registry
+        &self.inputs.registry
     }
 
     /// The arrival process of this session, if one was configured (either an
     /// explicit process or a resolved scenario name).
     fn arrival_process(&self) -> Result<Option<Arc<dyn ArrivalProcess>>, String> {
-        match &self.arrivals {
+        let inputs = &self.inputs;
+        match &inputs.arrivals {
             None => Ok(None),
             Some(ArrivalSpec::Process(process)) => Ok(Some(Arc::clone(process))),
             Some(ArrivalSpec::Named(name)) => {
-                let base_rps = match self.load {
+                let base_rps = match inputs.load {
                     Load::Open { rps, .. } => rps,
                     // build() rejects scenarios on closed loads.
                     Load::Closed { .. } => unreachable!("validated in build()"),
                 };
                 let ctx = ScenarioContext {
                     base_rps,
-                    requests: self.load.requests(),
-                    seed: self.seed,
+                    requests: inputs.load.requests(),
+                    seed: inputs.seed,
                 };
-                Ok(Some(Arc::from(self.scenarios.build(name, &ctx)?)))
+                Ok(Some(Arc::from(inputs.scenarios.build(name, &ctx)?)))
             }
         }
     }
@@ -818,6 +750,7 @@ impl ServingSession {
         metrics: &ServingMetrics,
         memo: &mut SetupMemo,
     ) -> Result<SessionReport, String> {
+        let inputs = &self.inputs;
         metrics_registry.reset();
         let SetupMemo {
             profile,
@@ -827,11 +760,11 @@ impl ServingSession {
             Some(profile) => profile,
             None => {
                 let profiler = Profiler::new(ProfilerConfig {
-                    samples_per_point: self.samples_per_point,
-                    seed: self.seed ^ 0x5EED,
+                    samples_per_point: inputs.samples_per_point,
+                    seed: inputs.seed ^ 0x5EED,
                     ..ProfilerConfig::default()
                 })?;
-                profile.insert(profiler.profile_workflow(&self.workflow, self.concurrency))
+                profile.insert(profiler.profile_workflow(&self.workflow, inputs.concurrency))
             }
         };
 
@@ -846,9 +779,11 @@ impl ServingSession {
                 None => Box::new(PoissonGaps::new(load.mean_inter_arrival()?)),
             })
         };
-        let requests: Vec<RequestInput> = match &self.tenants {
-            None => RequestInputGenerator::with_sampler(self.seed, primary_sampler(&self.load)?)
-                .generate(&self.workflow, self.load.requests()),
+        let requests: Vec<RequestInput> = match &inputs.tenants {
+            None => {
+                RequestInputGenerator::with_sampler(inputs.seed, primary_sampler(&inputs.load)?)
+                    .generate(&self.workflow, inputs.load.requests())
+            }
             Some(tenants) => {
                 // Stream 0 is the session's own arrival process; each tenant
                 // replica is an independent stream with a well-separated RNG
@@ -861,25 +796,25 @@ impl ServingSession {
                 // path skips this materialization; see the `flash_scale`
                 // experiment.)
                 let mut generators = vec![RequestInputGenerator::with_sampler(
-                    tenant_stream_seed(self.seed, 0),
-                    primary_sampler(&self.load)?,
+                    tenant_stream_seed(inputs.seed, 0),
+                    primary_sampler(&inputs.load)?,
                 )];
                 let mut stream: u64 = 1;
                 for tenant in tenants {
                     for _ in 0..tenant.count {
-                        let seed = tenant_stream_seed(self.seed, stream);
+                        let seed = tenant_stream_seed(inputs.seed, stream);
                         let ctx = ScenarioContext {
                             base_rps: tenant.rps,
-                            requests: self.load.requests(),
+                            requests: inputs.load.requests(),
                             seed,
                         };
-                        let sampler = self.scenarios.build(&tenant.scenario, &ctx)?.sampler();
+                        let sampler = inputs.scenarios.build(&tenant.scenario, &ctx)?.sampler();
                         generators.push(RequestInputGenerator::with_sampler(seed, sampler));
                         stream += 1;
                     }
                 }
-                let mut merged = MergedRequestSource::new(generators, self.load.requests())?;
-                let mut requests = Vec::with_capacity(self.load.requests());
+                let mut merged = MergedRequestSource::new(generators, inputs.load.requests())?;
+                let mut requests = Vec::with_capacity(inputs.load.requests());
                 while let Some(req) = merged.next_request(&self.workflow) {
                     requests.push(req);
                 }
@@ -887,44 +822,44 @@ impl ServingSession {
             }
         };
 
-        let mut exec_config = ExecutorConfig::paper_serving(self.slo, self.concurrency);
-        if let Some(cluster) = &self.cluster {
+        let mut exec_config = ExecutorConfig::paper_serving(self.slo, inputs.concurrency);
+        if let Some(cluster) = &inputs.cluster {
             exec_config.cluster = cluster.clone();
         }
         let ctx = PolicyContext {
             workflow: &self.workflow,
             profile,
             slo: self.slo,
-            concurrency: self.concurrency,
+            concurrency: inputs.concurrency,
             requests: &requests,
             grid: CoreGrid::paper_default(),
             interference: &exec_config.interference,
-            seed: self.seed,
-            synthesis: self.synthesis,
+            seed: inputs.seed,
+            synthesis: inputs.synthesis,
         };
 
-        let mut policies = Vec::with_capacity(self.policies.len());
-        for name in &self.policies {
-            let mut built = memoized_build(&self.registry, name, &ctx, prototypes)?;
+        let mut policies = Vec::with_capacity(inputs.policies.len());
+        for name in &inputs.policies {
+            let mut built = memoized_build(&inputs.registry, name, &ctx, prototypes)?;
             // A fresh observer per policy run, seeded from the session: the
             // trace of every column of a paired comparison samples the same
             // request ids, and reruns are byte-identical. Sessions without
             // an observer skip the build entirely — the serving loops see
             // `None` and never construct a record.
-            let mut observer: Option<Box<dyn Observer>> = match &self.observer {
+            let mut observer: Option<Box<dyn Observer>> = match &inputs.observer {
                 Some(observer_name) => {
                     let observer_ctx = ObserverContext {
-                        seed: self.seed,
+                        seed: inputs.seed,
                         policy: name.clone(),
-                        requests: self.load.requests(),
+                        requests: inputs.load.requests(),
                         zones: exec_config.cluster.zones,
                         slo: self.slo,
                     };
-                    Some(self.observers.build(observer_name, &observer_ctx)?)
+                    Some(inputs.observers.build(observer_name, &observer_ctx)?)
                 }
                 None => None,
             };
-            let serving = match self.load {
+            let serving = match inputs.load {
                 Load::Closed { .. } => {
                     ClosedLoopExecutor::new(self.workflow.clone(), exec_config.clone()).run_traced(
                         built.policy.as_mut(),
@@ -936,79 +871,79 @@ impl ServingSession {
                 Load::Open { rps, .. } => {
                     let open_config = OpenLoopConfig {
                         slo: self.slo,
-                        concurrency: self.concurrency,
+                        concurrency: inputs.concurrency,
                         cluster: exec_config.cluster.clone(),
                         pool: exec_config.pool.clone(),
                         interference: exec_config.interference.clone(),
                         count_startup_delays: exec_config.count_startup_delays,
                     };
                     let sim = OpenLoopSimulation::new(self.workflow.clone(), open_config);
-                    if self.autoscaler.is_some() || self.admission.is_some() || self.fault.is_some()
+                    // Fresh capacity policies per policy run: every column
+                    // of the paired comparison faces identical control
+                    // loops with identical initial state. Uncontrolled runs
+                    // build none and serve without controls, so their
+                    // reports carry no capacity section.
+                    let autoscaler_name = inputs.autoscaler.as_deref().unwrap_or("static");
+                    let admission_name = inputs.admission.as_deref().unwrap_or("admit-all");
+                    let mut capacity_policies = None;
+                    if inputs.autoscaler.is_some()
+                        || inputs.admission.is_some()
+                        || inputs.fault.is_some()
                     {
-                        // Fresh capacity policies per policy run: every
-                        // column of the paired comparison faces identical
-                        // control loops with identical initial state.
                         let capacity_ctx = CapacityContext {
                             base_rps: rps,
-                            requests: self.load.requests(),
+                            requests: inputs.load.requests(),
                             initial_nodes: exec_config.cluster.nodes,
                             slo: self.slo,
                         };
-                        let autoscaler_name = self.autoscaler.as_deref().unwrap_or("static");
-                        let admission_name = self.admission.as_deref().unwrap_or("admit-all");
-                        let mut autoscaler =
-                            self.autoscalers.build(autoscaler_name, &capacity_ctx)?;
-                        let mut admission = self.admissions.build(admission_name, &capacity_ctx)?;
-                        // The fault schedule is rebuilt from the session seed
-                        // for each policy run, so every column of the paired
-                        // comparison replays the identical fault sequence.
-                        let fault_schedule = match &self.fault {
-                            Some(name) => {
-                                let fault_ctx = FaultContext {
-                                    seed: self.seed,
-                                    initial_nodes: exec_config.cluster.nodes,
-                                    zones: exec_config.cluster.zones,
-                                    base_rps: rps,
-                                    requests: self.load.requests(),
-                                    slo: self.slo,
-                                };
-                                Some(self.faults.build(name, &fault_ctx)?)
-                            }
-                            None => None,
-                        };
-                        let mut serving = sim.run_traced(
-                            built.policy.as_mut(),
-                            &requests,
-                            &mut *arena,
-                            Some(metrics),
-                            Some(CapacityControls {
-                                autoscaler: autoscaler.as_mut(),
-                                admission: admission.as_mut(),
-                                faults: fault_schedule,
-                            }),
-                            observer_hook(&mut observer),
-                        )?;
-                        if let Some(capacity) = serving.capacity.as_mut() {
-                            // Report the *registered* names: a custom factory
-                            // may wrap a built-in whose self-reported name
-                            // differs from the name it was registered under.
-                            capacity.autoscaler = autoscaler_name.to_string();
-                            capacity.admission = admission_name.to_string();
-                            if let Some(name) = &self.fault {
-                                capacity.injector = Some(name.clone());
-                            }
-                        }
-                        serving
-                    } else {
-                        sim.run_traced(
-                            built.policy.as_mut(),
-                            &requests,
-                            &mut *arena,
-                            Some(metrics),
-                            None,
-                            observer_hook(&mut observer),
-                        )?
+                        capacity_policies = Some((
+                            inputs.autoscalers.build(autoscaler_name, &capacity_ctx)?,
+                            inputs.admissions.build(admission_name, &capacity_ctx)?,
+                        ));
                     }
+                    // The fault schedule is rebuilt from the session seed for
+                    // each policy run, so every column of the paired
+                    // comparison replays the identical fault sequence.
+                    let faults = match &inputs.fault {
+                        Some(name) => {
+                            let fault_ctx = FaultContext {
+                                seed: inputs.seed,
+                                initial_nodes: exec_config.cluster.nodes,
+                                zones: exec_config.cluster.zones,
+                                base_rps: rps,
+                                requests: inputs.load.requests(),
+                                slo: self.slo,
+                            };
+                            Some(inputs.faults.build(name, &fault_ctx)?)
+                        }
+                        None => None,
+                    };
+                    let controls = capacity_policies.as_mut().map(|(autoscaler, admission)| {
+                        CapacityControls {
+                            autoscaler: autoscaler.as_mut(),
+                            admission: admission.as_mut(),
+                            faults,
+                        }
+                    });
+                    let mut serving = sim.run_traced(
+                        built.policy.as_mut(),
+                        &requests,
+                        &mut *arena,
+                        Some(metrics),
+                        controls,
+                        observer_hook(&mut observer),
+                    )?;
+                    if let Some(capacity) = serving.capacity.as_mut() {
+                        // Report the *registered* names: a custom factory may
+                        // wrap a built-in whose self-reported name differs
+                        // from the name it was registered under.
+                        capacity.autoscaler = autoscaler_name.to_string();
+                        capacity.admission = admission_name.to_string();
+                        if let Some(name) = &inputs.fault {
+                            capacity.injector = Some(name.clone());
+                        }
+                    }
+                    serving
                 }
             };
             policies.push(PolicyReport {
@@ -1023,15 +958,15 @@ impl ServingSession {
         let report = SessionReport {
             workflow: self.workflow.name().to_string(),
             slo: self.slo,
-            concurrency: self.concurrency,
-            load: self.load,
+            concurrency: inputs.concurrency,
+            load: inputs.load,
             scenario: process.map(|p| p.name().to_string()),
-            tenants: self.tenants.clone(),
-            autoscaler: self.autoscaler.clone(),
-            admission: self.admission.clone(),
-            fault: self.fault.clone(),
-            observer: self.observer.clone(),
-            seed: self.seed,
+            tenants: inputs.tenants.clone(),
+            autoscaler: inputs.autoscaler.clone(),
+            admission: inputs.admission.clone(),
+            fault: inputs.fault.clone(),
+            observer: inputs.observer.clone(),
+            seed: inputs.seed,
             policies,
             metrics: metrics_registry.snapshot(),
         };

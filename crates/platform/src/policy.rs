@@ -137,6 +137,7 @@ impl SizingPolicy for FixedSizingPolicy {
             .get(index)
             .or_else(|| self.sizes.last())
             .copied()
+            // janus-lint: allow(unwrap-discipline) — `new` rejects an empty size vector, so `last()` is always `Some`
             .expect("constructor guarantees a non-empty size vector")
     }
 

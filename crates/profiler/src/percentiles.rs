@@ -88,7 +88,7 @@ impl PercentileGrid {
     /// with a step of 5, always including the P99 tail).
     pub fn paper_default() -> Self {
         let mut values: Vec<Percentile> = (0..20)
-            .map(|i| Percentile::new(1.0 + 5.0 * i as f64).expect("grid value in range"))
+            .map(|i| Percentile(1.0 + 5.0 * i as f64)) // 1..=96, inside (0, 100)
             .collect();
         values.push(Percentile::P99);
         PercentileGrid { values }
@@ -134,11 +134,13 @@ impl PercentileGrid {
 
     /// The highest percentile (the tail anchor used for non-head functions).
     pub fn tail(&self) -> Percentile {
+        // janus-lint: allow(unwrap-discipline) — every constructor leaves the grid non-empty (`from_values` rejects an empty list)
         *self.values.last().expect("grid is non-empty")
     }
 
     /// The lowest percentile.
     pub fn lowest(&self) -> Percentile {
+        // janus-lint: allow(unwrap-discipline) — every constructor leaves the grid non-empty (`from_values` rejects an empty list)
         *self.values.first().expect("grid is non-empty")
     }
 

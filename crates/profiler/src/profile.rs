@@ -75,6 +75,7 @@ impl FunctionProfile {
         self.samples
             .get(&snapped.get())
             .map(Vec::as_slice)
+            // janus-lint: allow(unwrap-discipline) — `from_samples` requires samples at every point of `grid.iter()`, and `snap_up` returns one of them on a grid whose span is a whole number of steps (`paper_default`, the grid every session profiles)
             .expect("grid point present by construction")
     }
 

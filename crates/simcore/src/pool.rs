@@ -373,13 +373,6 @@ impl PoolManager {
         dropped
     }
 
-    /// Mutable access to a pod (e.g. for a resize while it is idle or
-    /// running). Specialise pods only through acquisition: a released pod
-    /// joins the warm queue of the function the pool specialised it to.
-    pub fn pod_mut(&mut self, pod_id: PodId) -> Option<&mut Pod> {
-        self.pods.get_mut(&pod_id).map(|entry| &mut entry.pod)
-    }
-
     /// Immutable access to a pod.
     pub fn pod(&self, pod_id: PodId) -> Option<&Pod> {
         self.pods.get(&pod_id).map(|entry| &entry.pod)

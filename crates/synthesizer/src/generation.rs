@@ -39,7 +39,7 @@
 //! the row and is skipped before it starts ([`HintGenerator::skipped_passes`]
 //! counts them). The last level has no downstream and keeps every pass.
 
-use crate::hints::{CondensedHint, HintsTable};
+use crate::hints::HintsTable;
 use janus_profiler::percentiles::{Percentile, PercentileGrid};
 use janus_profiler::profile::{FunctionProfile, WorkflowProfile};
 use janus_simcore::resources::Millicores;
@@ -61,6 +61,9 @@ pub struct GenerationConfig {
     pub budget_step_ms: f64,
 }
 
+/// The finest budget-sweep granularity, in ms, that synthesis accepts.
+pub const MIN_BUDGET_STEP_MS: f64 = 0.1;
+
 impl Default for GenerationConfig {
     fn default() -> Self {
         GenerationConfig {
@@ -78,9 +81,9 @@ impl GenerationConfig {
         if !(self.weight.is_finite() && self.weight >= 1.0) {
             return Err(format!("weight must be >= 1, got {}", self.weight));
         }
-        if !(self.budget_step_ms.is_finite() && self.budget_step_ms >= 0.1) {
+        if !(self.budget_step_ms.is_finite() && self.budget_step_ms >= MIN_BUDGET_STEP_MS) {
             return Err(format!(
-                "budget step must be >= 0.1 ms, got {}",
+                "budget step must be >= {MIN_BUDGET_STEP_MS} ms, got {}",
                 self.budget_step_ms
             ));
         }
@@ -447,14 +450,6 @@ impl<'a> HintGenerator<'a> {
         allocation
     }
 
-    /// The smallest budget (ms) with a feasible plan, scanning upward from
-    /// the profile's `Tmin`.
-    pub fn min_feasible_budget_ms(&self) -> Option<f64> {
-        (0..=self.horizon_ms)
-            .find(|&b| self.levels[0][b].feasible)
-            .map(|b| b as f64)
-    }
-
     /// Sweep every budget in `[from, to]` with the configured step and emit
     /// the raw hints (skipping infeasible budgets). This is the outer loop of
     /// Algorithm 1 (lines 2–4).
@@ -518,9 +513,4 @@ fn first_lifted_budget(first: usize, latency: f64, width: usize) -> usize {
         }
     }
     lo
-}
-
-/// Convenience: condensed rows for a raw sweep (re-exported for tests).
-pub fn condense_raw(raw: &[RawHint]) -> Vec<CondensedHint> {
-    crate::condense::condense(raw)
 }

@@ -141,11 +141,10 @@ impl HintsTable {
     /// n ≤ ~150 rows, which is what keeps the online adaptation under the
     /// paper's 3 ms decision budget.
     pub fn lookup(&self, budget: SimDuration) -> LookupOutcome {
-        if self.rows.is_empty() {
+        let Some(last) = self.rows.last() else {
             return LookupOutcome::Miss;
-        }
+        };
         let b = budget.as_millis();
-        let last = self.rows.last().expect("non-empty");
         if b > last.end_ms {
             return LookupOutcome::AboveRange {
                 head_cores: last.head_cores,

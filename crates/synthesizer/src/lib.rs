@@ -35,6 +35,6 @@ pub mod json;
 pub mod synthesizer;
 
 pub use condense::condense;
-pub use generation::{GenerationConfig, HintGenerator, RawHint};
+pub use generation::{GenerationConfig, HintGenerator, RawHint, MIN_BUDGET_STEP_MS};
 pub use hints::{CondensedHint, HintsBundle, HintsTable, LookupOutcome};
 pub use synthesizer::{ExplorationDepth, SynthesisReport, Synthesizer, SynthesizerConfig};

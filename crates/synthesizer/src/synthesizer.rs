@@ -1,6 +1,6 @@
 //! The synthesizer front-end: profiles in, condensed hints bundle out.
 
-use crate::generation::{GenerationConfig, HintGenerator};
+use crate::generation::{GenerationConfig, HintGenerator, MIN_BUDGET_STEP_MS};
 use crate::hints::{HintsBundle, HintsTable};
 use janus_profiler::percentiles::PercentileGrid;
 use janus_profiler::profile::WorkflowProfile;
@@ -76,9 +76,9 @@ impl SynthesizerConfig {
         if !(self.weight.is_finite() && self.weight >= 1.0) {
             return Err(format!("weight must be >= 1.0, got {}", self.weight));
         }
-        if !(self.budget_step_ms.is_finite() && self.budget_step_ms >= 0.1) {
+        if !(self.budget_step_ms.is_finite() && self.budget_step_ms >= MIN_BUDGET_STEP_MS) {
             return Err(format!(
-                "budget_step_ms must be >= 0.1, got {}",
+                "budget_step_ms must be >= {MIN_BUDGET_STEP_MS}, got {}",
                 self.budget_step_ms
             ));
         }

@@ -310,14 +310,15 @@ fn chaos_grid_spec_kills_a_zone_in_every_cell_and_stays_deterministic() {
 
 #[test]
 fn invalid_specs_point_at_the_offending_key() {
-    // Unknown names pass decoding (they are registry questions) but fail
-    // name resolution before anything runs, naming the offending key.
+    // Unknown names fail decoding: `SweepSpec::validate` resolves every
+    // name against the registries before anything runs, naming the
+    // offending key.
     let unknown_policy = r#"{
         "name": "bad", "app": "IA",
         "policies": ["GrandSLAM", "Janux"],
         "scenarios": ["poisson"], "loads_rps": [1], "requests": 10
     }"#;
-    let err = run_sweep(&SweepSpec::from_str(unknown_policy).unwrap()).unwrap_err();
+    let err = SweepSpec::from_str(unknown_policy).unwrap_err();
     assert!(err.contains("`policies[1]`"), "{err}");
     assert!(err.contains("unknown policy `Janux`"), "{err}");
     assert!(err.contains("GrandSLAM"), "error lists the registry: {err}");
@@ -327,7 +328,7 @@ fn invalid_specs_point_at_the_offending_key() {
         "policies": ["GrandSLAM"],
         "scenarios": ["poisson", "tsunami"], "loads_rps": [1], "requests": 10
     }"#;
-    let err = run_sweep(&SweepSpec::from_str(unknown_scenario).unwrap()).unwrap_err();
+    let err = SweepSpec::from_str(unknown_scenario).unwrap_err();
     assert!(err.contains("`scenarios[1]`"), "{err}");
     assert!(err.contains("unknown scenario `tsunami`"), "{err}");
 
