@@ -8,7 +8,7 @@
 //! in the microsecond range) from the offline regeneration pipeline.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Events the adapter emits towards the developer side.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,39 +47,33 @@ impl FeedbackChannel {
         Self::default()
     }
 
+    /// The queue, poisoned or not. Every critical section is one push, pop,
+    /// drain or length read, so a panic elsewhere while the lock was held
+    /// leaves no half-updated queue behind.
+    fn queue(&self) -> MutexGuard<'_, VecDeque<FeedbackEvent>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Emit an event. Never blocks on a consumer; if the developer side went
     /// away the event simply waits in the queue (the adapter must not stall
     /// the serving path).
     pub fn emit(&self, event: FeedbackEvent) {
-        self.queue
-            .lock()
-            .expect("feedback queue lock poisoned")
-            .push_back(event);
+        self.queue().push_back(event);
     }
 
     /// Non-blocking poll for the next pending event.
     pub fn poll(&self) -> Option<FeedbackEvent> {
-        self.queue
-            .lock()
-            .expect("feedback queue lock poisoned")
-            .pop_front()
+        self.queue().pop_front()
     }
 
     /// Drain all pending events.
     pub fn drain(&self) -> Vec<FeedbackEvent> {
-        self.queue
-            .lock()
-            .expect("feedback queue lock poisoned")
-            .drain(..)
-            .collect()
+        self.queue().drain(..).collect()
     }
 
     /// Number of events waiting to be consumed.
     pub fn pending(&self) -> usize {
-        self.queue
-            .lock()
-            .expect("feedback queue lock poisoned")
-            .len()
+        self.queue().len()
     }
 }
 
@@ -108,6 +102,25 @@ mod tests {
             FeedbackEvent::RegenerationRequested { .. }
         ));
         assert_eq!(chan.pending(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_queue_keeps_serving() {
+        let chan = FeedbackChannel::new();
+        chan.emit(FeedbackEvent::BundleInstalled {
+            workflow: "IA".to_string(),
+        });
+        let holder = chan.clone();
+        let crashed = thread::spawn(move || {
+            let _held = holder.queue.lock();
+            panic!("consumer crashed while holding the queue");
+        })
+        .join();
+        assert!(crashed.is_err());
+        assert!(chan.queue.is_poisoned());
+        assert_eq!(chan.pending(), 1);
+        assert!(chan.poll().is_some());
+        assert_eq!(chan.drain(), Vec::new());
     }
 
     #[test]

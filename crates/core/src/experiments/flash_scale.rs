@@ -17,9 +17,8 @@
 
 use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
-use janus_platform::openloop::{
-    CapacityControls, OpenLoopArena, OpenLoopConfig, OpenLoopSimulation,
-};
+use janus_platform::executor::ExecutorConfig;
+use janus_platform::openloop::{CapacityControls, OpenLoopArena, OpenLoopSimulation};
 use janus_platform::outcome::{RequestDisposition, RequestOutcome};
 use janus_platform::policy::FixedSizingPolicy;
 use janus_scenarios::{tenant_stream_seed, MergedRequestSource, ScenarioContext, ScenarioRegistry};
@@ -257,7 +256,7 @@ pub fn flash_scale_run(config: &FlashScaleConfig) -> Result<FlashScaleResult, St
     }
     let mut source = MergedRequestSource::new(generators, config.requests)?;
 
-    let open_config = OpenLoopConfig::new(slo);
+    let open_config = ExecutorConfig::paper_serving(slo, 1);
     let capacity_ctx = CapacityContext {
         base_rps: config.total_rps(),
         requests: config.requests,

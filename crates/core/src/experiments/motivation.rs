@@ -32,23 +32,23 @@ pub struct Fig1aResult {
     pub frac_popular_below_40: f64,
 }
 
-/// Run the Figure 1a analysis on a synthetic Azure-like trace.
-pub fn fig1a_slack_cdf(invocations: usize, seed: u64) -> Fig1aResult {
+/// Run the Figure 1a analysis on a synthetic Azure-like trace. Fails if
+/// the trace configuration is invalid (for example zero invocations).
+pub fn fig1a_slack_cdf(invocations: usize, seed: u64) -> Result<Fig1aResult, String> {
     let trace = Trace::generate(&TraceConfig {
         invocations,
         seed,
         ..TraceConfig::default()
-    })
-    .expect("static trace configuration is valid");
+    })?;
     let analysis = SlackAnalysis::from_trace(&trace);
     let cdfs = analysis.cdfs(&trace, 100);
-    Fig1aResult {
+    Ok(Fig1aResult {
         all: cdfs.all.points(21),
         popular: cdfs.popular.points(21),
         popular_fraction: cdfs.popular_fraction,
         frac_all_above_60: 1.0 - cdfs.all.fraction_below(0.6),
         frac_popular_below_40: cdfs.popular.fraction_below(0.4),
-    }
+    })
 }
 
 impl fmt::Display for Fig1aResult {
@@ -88,14 +88,15 @@ pub struct Fig1bResult {
 }
 
 /// Profile OD / QA / TS at a fixed 2000 mc allocation and report P1 vs P99.
-pub fn fig1b_workset_variance(samples: usize, seed: u64) -> Fig1bResult {
+/// Fails if the profiler configuration is invalid (for example zero
+/// samples).
+pub fn fig1b_workset_variance(samples: usize, seed: u64) -> Result<Fig1bResult, String> {
     let profiler = Profiler::new(ProfilerConfig {
         samples_per_point: samples,
         seed,
         interference: InterferenceModel::none(),
         ..ProfilerConfig::default()
-    })
-    .expect("valid profiler configuration");
+    })?;
     let rows = intelligent_assistant()
         .functions()
         .iter()
@@ -110,7 +111,7 @@ pub fn fig1b_workset_variance(samples: usize, seed: u64) -> Fig1bResult {
             (func.name().to_uppercase(), p1, p99, p99 / p1)
         })
         .collect();
-    Fig1bResult { rows }
+    Ok(Fig1bResult { rows })
 }
 
 impl fmt::Display for Fig1bResult {
@@ -198,7 +199,8 @@ pub struct Fig2Result {
 
 /// Compare early binding (GrandSLAM-style, P99-sized) against late binding
 /// (Janus) on a small request sample, normalising CPU by the Optimal oracle.
-pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
+/// Fails if a policy cannot be built from the profile.
+pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Result<Fig2Result, String> {
     let app = PaperApp::IntelligentAssistant;
     let workflow = app.workflow();
     let slo = app.default_slo(1);
@@ -206,14 +208,13 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
         samples_per_point: 600,
         seed,
         ..ProfilerConfig::default()
-    })
-    .expect("valid profiler configuration");
+    })?;
     let profile = profiler.profile_workflow(&workflow, 1);
     let reqs = RequestInputGenerator::new(seed, SimDuration::ZERO).generate(&workflow, requests);
     let exec_config = ExecutorConfig::paper_serving(slo, 1);
     let executor = ClosedLoopExecutor::new(workflow.clone(), exec_config.clone());
 
-    let mut early = grandslam(&profile, slo).expect("IA workflow is non-empty");
+    let mut early = grandslam(&profile, slo)?;
     let early_report = executor.run(&mut early, &reqs);
 
     let deployment = JanusDeployment::from_profile(
@@ -224,8 +225,7 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
         },
         workflow.clone(),
         profile,
-    )
-    .expect("valid deployment");
+    )?;
     let mut late = deployment.policy();
     let late_report = executor.run(&mut late, &reqs);
 
@@ -253,11 +253,11 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Fig2Result {
         .collect();
     let mean_cpu_reduction =
         1.0 - late_report.mean_cpu_millicores() / early_report.mean_cpu_millicores();
-    Fig2Result {
+    Ok(Fig2Result {
         slo_s: slo.as_secs(),
         rows,
         mean_cpu_reduction,
-    }
+    })
 }
 
 impl fmt::Display for Fig2Result {
@@ -304,7 +304,7 @@ impl Experiment for Fig1aExperiment {
         Ok(ExperimentOutput::single(fig1a_slack_cdf(
             ctx.trace_invocations(),
             ctx.seed_or(0xA2C5E),
-        )))
+        )?))
     }
 }
 
@@ -324,7 +324,7 @@ impl Experiment for Fig1bExperiment {
         Ok(ExperimentOutput::single(fig1b_workset_variance(
             ctx.profile_samples(),
             ctx.seed_or(0xF1B),
-        )))
+        )?))
     }
 }
 
@@ -361,7 +361,7 @@ impl Experiment for Fig2Experiment {
         Ok(ExperimentOutput::single(fig2_binding_comparison(
             ctx.scale.fig2_requests(),
             ctx.seed_or(0xF2),
-        )))
+        )?))
     }
 }
 
@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn fig1a_reproduces_the_slack_claims() {
-        let r = fig1a_slack_cdf(20_000, 3);
+        let r = fig1a_slack_cdf(20_000, 3).unwrap();
         assert!(r.frac_all_above_60 > 0.6);
         assert!(r.frac_popular_below_40 < 0.35);
         assert!(r.popular_fraction > 0.6);
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn fig1b_shows_multi_x_variance_for_ia_functions() {
-        let r = fig1b_workset_variance(400, 5);
+        let r = fig1b_workset_variance(400, 5).unwrap();
         assert_eq!(r.rows.len(), 3);
         for (name, p1, p99, ratio) in &r.rows {
             assert!(p99 > p1, "{name} p99 {p99} > p1 {p1}");
@@ -406,7 +406,7 @@ mod tests {
 
     #[test]
     fn fig2_late_binding_reduces_cpu_within_slo() {
-        let r = fig2_binding_comparison(40, 11);
+        let r = fig2_binding_comparison(40, 11).unwrap();
         assert_eq!(r.rows.len(), 40);
         assert!(
             r.mean_cpu_reduction > 0.1,

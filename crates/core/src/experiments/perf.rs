@@ -15,8 +15,9 @@
 //! recording), not policy construction.
 
 use janus_observe::{FlightRecorder, ObserverContext};
+use janus_platform::executor::ExecutorConfig;
 use janus_platform::metrics::ServingMetrics;
-use janus_platform::openloop::{OpenLoopArena, OpenLoopConfig, OpenLoopSimulation};
+use janus_platform::openloop::{OpenLoopArena, OpenLoopSimulation};
 use janus_platform::policy::FixedSizingPolicy;
 use janus_scenarios::{ScenarioContext, ScenarioRegistry};
 use janus_simcore::metrics::{MetricsRegistry, MetricsSnapshot};
@@ -325,7 +326,7 @@ pub fn perf_trajectory(config: &PerfConfig) -> Result<PerfResult, String> {
     let metrics_registry = MetricsRegistry::new();
     let metrics = ServingMetrics::intern(&metrics_registry);
     let mut arena = OpenLoopArena::new();
-    let sim = OpenLoopSimulation::new(workflow.clone(), OpenLoopConfig::new(slo));
+    let sim = OpenLoopSimulation::new(workflow.clone(), ExecutorConfig::paper_serving(slo, 1));
 
     let mut cells = Vec::with_capacity(config.scenarios.len());
     let mut events_per_sec_summary = StreamingSummary::new();

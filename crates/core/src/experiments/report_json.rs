@@ -565,7 +565,7 @@ mod tests {
 
     #[test]
     fn encoded_results_parse_back_and_carry_the_headline_numbers() {
-        let fig1a = experiments::fig1a_slack_cdf(5000, 3);
+        let fig1a = experiments::fig1a_slack_cdf(5000, 3).unwrap();
         let doc = json::parse(&fig1a.to_json().to_pretty()).unwrap();
         assert_eq!(doc.require("experiment").unwrap().as_str(), Some("fig1a"));
         let frac = doc.require("popular_fraction").unwrap().as_f64().unwrap();

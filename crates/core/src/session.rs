@@ -44,9 +44,7 @@ use janus_observe::{Observer, ObserverContext, ObserverRegistry, ObserverReport}
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
 use janus_platform::executor::{ClosedLoopExecutor, ExecutorConfig};
 use janus_platform::metrics::ServingMetrics;
-use janus_platform::openloop::{
-    CapacityControls, OpenLoopArena, OpenLoopConfig, OpenLoopSimulation,
-};
+use janus_platform::openloop::{CapacityControls, OpenLoopArena, OpenLoopSimulation};
 use janus_platform::outcome::ServingReport;
 use janus_profiler::profile::WorkflowProfile;
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
@@ -869,15 +867,7 @@ impl ServingSession {
                     )
                 }
                 Load::Open { rps, .. } => {
-                    let open_config = OpenLoopConfig {
-                        slo: self.slo,
-                        concurrency: inputs.concurrency,
-                        cluster: exec_config.cluster.clone(),
-                        pool: exec_config.pool.clone(),
-                        interference: exec_config.interference.clone(),
-                        count_startup_delays: exec_config.count_startup_delays,
-                    };
-                    let sim = OpenLoopSimulation::new(self.workflow.clone(), open_config);
+                    let sim = OpenLoopSimulation::new(self.workflow.clone(), exec_config.clone());
                     // Fresh capacity policies per policy run: every column
                     // of the paired comparison faces identical control
                     // loops with identical initial state. Uncontrolled runs

@@ -77,6 +77,11 @@ impl LintConfig {
                 .map(|s| s.to_string())
                 .collect(),
             hot_paths: vec![
+                // The per-function step both serving loops share: start and
+                // finish one function, and close a served request.
+                hot("platform/src/fleet.rs", "start"),
+                hot("platform/src/fleet.rs", "finish"),
+                hot("platform/src/fleet.rs", "served"),
                 // The open-loop event loop and its per-event helpers (the
                 // slice-backed `run_traced` wrapper stays listed so an
                 // allocation sneaking back into it is caught).
@@ -84,10 +89,9 @@ impl LintConfig {
                 hot("platform/src/openloop.rs", "run_traced"),
                 hot("platform/src/openloop.rs", "start_function"),
                 hot("platform/src/openloop.rs", "deliver_faults"),
-                // The closed-loop serving path: the run and its per-request
-                // body.
+                // The closed-loop serving path: the run, whose per-request
+                // body drives the shared step.
                 hot("platform/src/executor.rs", "run_traced"),
-                hot("platform/src/executor.rs", "serve_one"),
                 // The zero-cost-when-off observer hook.
                 hot("platform/src/lib.rs", "emit"),
                 // Pre-interned metric handles: every event records through

@@ -13,23 +13,29 @@
 //! 4. the observed time is fed back to the policy and the remaining budget is
 //!    updated.
 //!
+//! Steps 1–3 and the feedback of step 4 are the per-function step the open
+//! loop runs too, implemented once in the crate-private `fleet` module. The
+//! executor keeps only what is its own: the clock, which advances by each
+//! function's elapsed time, and the running budget, which shrinks by it.
+//!
 //! Because the random factors are part of the request, two policies replaying
 //! the same request set face exactly the same inputs — the comparison is
 //! paired, like the paper's.
 
-use crate::metrics::{ServingMetrics, ServingTally};
-use crate::outcome::{RequestDisposition, RequestOutcome, ServingReport};
-use crate::policy::{RequestContext, SizingPolicy};
+use crate::fleet::{self, Fleet};
+use crate::metrics::ServingMetrics;
+use crate::outcome::ServingReport;
+use crate::policy::SizingPolicy;
 use janus_observe::{Observer, Record, RecordKind};
-use janus_simcore::cluster::{Cluster, ClusterConfig};
+use janus_simcore::cluster::ClusterConfig;
 use janus_simcore::interference::InterferenceModel;
-use janus_simcore::pool::{PoolConfig, PoolManager};
+use janus_simcore::pool::PoolConfig;
 use janus_simcore::time::{SimDuration, SimTime};
-use janus_simcore::FunctionId;
 use janus_workloads::request::RequestInput;
 use janus_workloads::workflow::Workflow;
 
-/// Executor configuration.
+/// Configuration of a serving run, closed loop or open loop
+/// ([`OpenLoopConfig`](crate::openloop::OpenLoopConfig) is this type).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorConfig {
     /// End-to-end latency SLO.
@@ -86,151 +92,6 @@ impl ClosedLoopExecutor {
         &self.config
     }
 
-    /// Serve one request under `policy`, starting at simulated time `now`,
-    /// using the shared `pool` and `cluster`, whose ids for the workflow's
-    /// functions are `functions` (in workflow order).
-    #[allow(clippy::too_many_arguments)]
-    fn serve_one(
-        &self,
-        policy: &mut dyn SizingPolicy,
-        request: &RequestInput,
-        functions: &[FunctionId],
-        pool: &mut PoolManager,
-        cluster: &mut Cluster,
-        now: &mut SimTime,
-        tally: &mut ServingTally<'_>,
-        observer: &mut Option<&mut dyn Observer>,
-    ) -> RequestOutcome {
-        let ctx = RequestContext {
-            request_id: request.id,
-            slo: self.config.slo,
-            concurrency: self.config.concurrency,
-            workflow_len: self.workflow.len(),
-        };
-        policy.on_admit(&ctx);
-        tally.requests += 1;
-        emit!(
-            observer,
-            *now,
-            RecordKind::Arrival {
-                request: request.id,
-            }
-        );
-
-        let mut remaining = self.config.slo;
-        let mut e2e = SimDuration::ZERO;
-        let mut allocations = Vec::with_capacity(self.workflow.len());
-        let mut function_latencies = Vec::with_capacity(self.workflow.len());
-
-        let stages = self.workflow.functions().iter().zip(functions);
-        for (index, (function, &id)) in stages.enumerate() {
-            let size = policy.size_next(&ctx, index, remaining);
-            let size = size.clamp_to(
-                janus_simcore::resources::Millicores::new(1),
-                self.config.cluster.node_capacity,
-            );
-
-            let acquisition = pool.acquire_id(id, size, *now);
-            // Place the pod on the cluster for this execution so co-location
-            // accounting reflects concurrently running instances. The pod is
-            // never already placed: completion below always un-places it.
-            let node = cluster
-                .place_id(acquisition.pod, id, size)
-                .expect("paper-scale cluster always fits one pod per function");
-            // The co-location degree, read off the node the pod just landed
-            // on (the pod counts itself).
-            let colocated = cluster.function_count_id(node, id).max(1);
-            emit!(
-                observer,
-                *now,
-                RecordKind::Placement {
-                    request: request.id,
-                    function: index,
-                    overcommitted: false,
-                }
-            );
-
-            let exec = function.execution_time(
-                size,
-                self.config.concurrency,
-                request.factor(index),
-                colocated,
-                &self.config.interference,
-            );
-            let startup = if self.config.count_startup_delays {
-                acquisition.startup_delay
-            } else {
-                SimDuration::ZERO
-            };
-            let elapsed = exec + startup;
-            if acquisition.startup_delay > SimDuration::ZERO {
-                emit!(
-                    observer,
-                    *now,
-                    RecordKind::ColdStart {
-                        request: request.id,
-                        function: index,
-                        delay: startup,
-                    }
-                );
-            }
-            emit!(
-                observer,
-                *now,
-                RecordKind::ExecStart {
-                    request: request.id,
-                    function: index,
-                }
-            );
-
-            *now += elapsed;
-            pool.release(acquisition.pod, *now);
-            // Interference comes from concurrently *running* instances;
-            // un-place the pod so idle warm pods do not count as co-located.
-            let _ = cluster.remove(acquisition.pod);
-
-            e2e += elapsed;
-            remaining = (remaining - elapsed).saturate();
-            allocations.push(size);
-            function_latencies.push(exec);
-            policy.on_complete(&ctx, index, exec);
-            tally.function(exec);
-            if acquisition.startup_delay > SimDuration::ZERO {
-                tally.cold_starts += 1;
-            }
-            emit!(
-                observer,
-                *now,
-                RecordKind::ExecEnd {
-                    request: request.id,
-                    function: index,
-                    exec,
-                }
-            );
-        }
-
-        let outcome = RequestOutcome {
-            request_id: request.id,
-            disposition: RequestDisposition::Served,
-            e2e,
-            allocations,
-            function_latencies,
-            slo_met: e2e <= self.config.slo,
-            adaptation_misses: 0,
-        };
-        tally.served(&outcome);
-        emit!(
-            observer,
-            *now,
-            RecordKind::Completion {
-                request: request.id,
-                e2e: outcome.e2e,
-                slo_met: outcome.slo_met,
-            }
-        );
-        outcome
-    }
-
     /// Replay `requests` under `policy` and aggregate the outcomes.
     pub fn run(&self, policy: &mut dyn SizingPolicy, requests: &[RequestInput]) -> ServingReport {
         self.run_traced(policy, requests, None, None)
@@ -250,35 +111,40 @@ impl ClosedLoopExecutor {
         metrics: Option<&ServingMetrics>,
         observer: Option<&mut dyn Observer>,
     ) -> ServingReport {
-        let mut observer = observer;
-        let mut pool = PoolManager::new(self.config.pool.clone());
-        let mut cluster = Cluster::new(&self.config.cluster).expect("validated cluster config");
-        let functions = crate::resolve_functions(&self.workflow, &mut pool, &mut cluster);
+        let mut fleet = Fleet::new(&self.workflow, &self.config, metrics, observer);
         let mut now = SimTime::ZERO;
-        let mut tally = ServingTally::new(metrics);
         let outcomes = requests
             .iter()
-            .map(|r| {
-                self.serve_one(
-                    policy,
-                    r,
-                    &functions,
-                    &mut pool,
-                    &mut cluster,
-                    &mut now,
-                    &mut tally,
-                    &mut observer,
-                )
+            .map(|request| {
+                policy.on_admit(&fleet.context(request.id));
+                fleet.tally.requests += 1;
+                emit!(
+                    fleet.observer,
+                    now,
+                    RecordKind::Arrival {
+                        request: request.id,
+                    }
+                );
+                // The budget left shrinks by each function's elapsed time
+                // as the request runs its functions back to back.
+                let mut remaining = self.config.slo;
+                let mut e2e = SimDuration::ZERO;
+                let mut allocations = Vec::with_capacity(self.workflow.len());
+                let mut function_latencies = Vec::with_capacity(self.workflow.len());
+                for index in 0..self.workflow.len() {
+                    let started = fleet.start(policy, request, index, remaining, now);
+                    let elapsed = started.exec + started.startup;
+                    now += elapsed;
+                    fleet.finish(policy, request.id, index, started.pod, started.exec, now);
+                    e2e += elapsed;
+                    remaining = (remaining - elapsed).saturate();
+                    allocations.push(started.size);
+                    function_latencies.push(started.exec);
+                }
+                fleet.served(request.id, e2e, allocations, function_latencies, now)
             })
             .collect();
-        ServingReport {
-            policy: policy.name().to_string(),
-            workflow: self.workflow.name().to_string(),
-            concurrency: self.config.concurrency,
-            slo: self.config.slo,
-            outcomes,
-            capacity: None,
-        }
+        fleet::report(policy, &self.workflow, &self.config, outcomes, None)
     }
 }
 

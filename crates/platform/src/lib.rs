@@ -27,6 +27,14 @@
 //! * [`capacity`] — elastic capacity: the [`capacity::AutoscalerPolicy`] and
 //!   [`capacity::AdmissionPolicy`] traits, their built-ins and the
 //!   name-addressable registries the open loop's capacity tick drives.
+//!
+//! Both loops take one config type ([`ExecutorConfig`]; [`OpenLoopConfig`]
+//! is an alias of it) and size, place and run every function through one
+//! crate-private per-function step (`fleet.rs`): sizing, pod acquisition,
+//! placement with the overcommit fallback, execution time, release and
+//! policy feedback are implemented once. Each loop keeps only its own
+//! driver: the closed loop its clock and running budget, the open loop its
+//! events, in-flight table, admission, faults and capacity tick.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -48,33 +56,9 @@ macro_rules! emit {
     };
 }
 
-/// Resolve `workflow`'s functions once per run, in workflow order, to the
-/// ids the per-invocation path indexes `pool` and `cluster` by: entry `i`
-/// is the id of function `i`. Both serving loops call it right after
-/// building their fresh pool and cluster, so the two tables see the same
-/// names in the same order and issue the same dense ids.
-fn resolve_functions(
-    workflow: &janus_workloads::workflow::Workflow,
-    pool: &mut janus_simcore::pool::PoolManager,
-    cluster: &mut janus_simcore::cluster::Cluster,
-) -> Vec<janus_simcore::FunctionId> {
-    workflow
-        .functions()
-        .iter()
-        .map(|function| {
-            let id = pool.function_id(function.name());
-            assert_eq!(
-                cluster.function_id(function.name()),
-                id,
-                "a fresh pool and cluster resolve one workflow alike"
-            );
-            id
-        })
-        .collect()
-}
-
 pub mod capacity;
 pub mod executor;
+mod fleet;
 pub mod metrics;
 pub mod openloop;
 pub mod outcome;

@@ -35,57 +35,27 @@
 //! [`run`]: OpenLoopSimulation::run
 
 use crate::capacity::{AdmissionPolicy, AutoscalerPolicy, ScalingAction, ScalingObservation};
-use crate::metrics::{ServingMetrics, ServingTally};
-use crate::outcome::{
-    CapacityReport, RequestDisposition, RequestOutcome, ScalingEvent, ServingReport,
-};
-use crate::policy::{RequestContext, SizingPolicy};
+use crate::executor::ExecutorConfig;
+use crate::fleet::{self, Fleet};
+use crate::metrics::ServingMetrics;
+use crate::outcome::{CapacityReport, RequestOutcome, ScalingEvent, ServingReport};
+use crate::policy::SizingPolicy;
 use janus_chaos::{FaultAction, FaultEvent, FaultSchedule};
 use janus_observe::{Observer, Record, RecordKind, TickSample};
-use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState};
+use janus_simcore::cluster::{Cluster, NodeState};
 use janus_simcore::engine::{Engine, EngineConfig};
 use janus_simcore::idmap::{IdMap, IdSet};
-use janus_simcore::interference::InterferenceModel;
 use janus_simcore::node::NodeId;
 use janus_simcore::pod::PodId;
-use janus_simcore::pool::{PoolConfig, PoolManager};
 use janus_simcore::resources::Millicores;
 use janus_simcore::rng::SimRng;
 use janus_simcore::time::{SimDuration, SimTime};
-use janus_simcore::FunctionId;
 use janus_workloads::request::{RequestInput, RequestSource, SliceSource};
 use janus_workloads::workflow::Workflow;
 
-/// Open-loop simulation configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopConfig {
-    /// End-to-end latency SLO.
-    pub slo: SimDuration,
-    /// Batch size (concurrency) requests are served at.
-    pub concurrency: u32,
-    /// Cluster layout.
-    pub cluster: ClusterConfig,
-    /// Warm-pool configuration.
-    pub pool: PoolConfig,
-    /// Interference model.
-    pub interference: InterferenceModel,
-    /// Whether startup delays count against latency.
-    pub count_startup_delays: bool,
-}
-
-impl OpenLoopConfig {
-    /// Default open-loop setup for a given SLO.
-    pub fn new(slo: SimDuration) -> Self {
-        OpenLoopConfig {
-            slo,
-            concurrency: 1,
-            cluster: ClusterConfig::default(),
-            pool: PoolConfig::default(),
-            interference: InterferenceModel::paper_calibrated(),
-            count_startup_delays: true,
-        }
-    }
-}
+/// Open-loop simulation configuration: the closed loop's, since both loops
+/// size, place and run a function through the same step.
+pub type OpenLoopConfig = ExecutorConfig;
 
 /// Tie-break class of arrival events: a same-timestamp arrival pops before
 /// any completion or tick, exactly as in the pre-seeded queue where
@@ -314,12 +284,12 @@ impl OpenLoopArena {
 #[derive(Debug)]
 pub struct OpenLoopSimulation {
     workflow: Workflow,
-    config: OpenLoopConfig,
+    config: ExecutorConfig,
 }
 
 impl OpenLoopSimulation {
     /// Create a simulation for one workflow.
-    pub fn new(workflow: Workflow, config: OpenLoopConfig) -> Self {
+    pub fn new(workflow: Workflow, config: ExecutorConfig) -> Self {
         OpenLoopSimulation { workflow, config }
     }
 
@@ -350,7 +320,8 @@ impl OpenLoopSimulation {
     ///   by the loop and flushed into the pre-interned [`ServingMetrics`]
     ///   handles once, at the end of the run.
     /// - With [`CapacityControls`], every arrival is gated by the admission
-    ///   policy (shed requests are recorded as [`RequestDisposition::Shed`]
+    ///   policy (shed requests are recorded as
+    ///   [`RequestDisposition::Shed`](crate::outcome::RequestDisposition::Shed)
     ///   outcomes and counted through the `shed` metric), and a periodic
     ///   capacity tick recycles idle pods, retargets the warm pool to the
     ///   fleet size, and applies the autoscaler's decisions; the returned
@@ -414,14 +385,13 @@ impl OpenLoopSimulation {
         // Streamed outcomes surface in completion order; reports keep the
         // historical id order.
         order_by_request_id(&mut outcomes);
-        Ok(ServingReport {
-            policy: policy.name().to_string(),
-            workflow: self.workflow.name().to_string(),
-            concurrency: self.config.concurrency,
-            slo: self.config.slo,
+        Ok(fleet::report(
+            policy,
+            &self.workflow,
+            &self.config,
             outcomes,
             capacity,
-        })
+        ))
     }
 
     /// The streaming core behind every entry point: arrivals are drawn from
@@ -440,24 +410,15 @@ impl OpenLoopSimulation {
         arena: &mut OpenLoopArena,
         metrics: Option<&ServingMetrics>,
         mut controls: Option<CapacityControls<'_>>,
-        mut observer: Option<&mut dyn Observer>,
+        observer: Option<&mut dyn Observer>,
         on_outcome: &mut dyn FnMut(RequestOutcome),
     ) -> Result<Option<CapacityReport>, String> {
-        let OpenLoopArena {
-            engine,
-            inflight,
-            peak_resident,
-        } = arena;
-        engine.reset();
-        inflight.clear();
-        *peak_resident = 0;
-        // Flushed into `metrics` when dropped: when the run ends, or at an
-        // early error return.
-        let mut tally = ServingTally::new(metrics);
-        let mut pool = PoolManager::new(self.config.pool.clone());
-        // janus-lint: allow(unwrap-discipline) — the builder validated this exact config before the run started
-        let mut cluster = Cluster::new(&self.config.cluster).expect("validated cluster config");
-        let functions = crate::resolve_functions(&self.workflow, &mut pool, &mut cluster);
+        arena.engine.reset();
+        arena.inflight.clear();
+        arena.peak_resident = 0;
+        // The fleet's tally is flushed into `metrics` when the fleet is
+        // dropped: when the run ends, or at an early error return.
+        let mut fleet = Fleet::new(&self.workflow, &self.config, metrics, observer);
         // Detach the compiled fault schedule from the controls so delivery
         // can borrow the rest of the run state freely.
         let mut fault_rt = controls
@@ -466,7 +427,7 @@ impl OpenLoopSimulation {
             .map(FaultRuntime::new);
         let mut accounting = controls
             .as_ref()
-            .map(|_| CapacityAccounting::new(cluster.node_count()));
+            .map(|_| CapacityAccounting::new(fleet.cluster.node_count()));
         // A degenerate (zero / negative) cadence from a custom autoscaler
         // would reschedule the tick at the same instant forever, spinning
         // the event loop to its max-events cap; clamp to 1 ms.
@@ -487,8 +448,9 @@ impl OpenLoopSimulation {
         let mut drawn: usize = 0;
         if let Some(req) = source.next_request(&self.workflow) {
             drawn += 1;
-            *peak_resident = (*peak_resident).max(source.resident() + 1);
-            engine
+            arena.peak_resident = arena.peak_resident.max(source.resident() + 1);
+            arena
+                .engine
                 .schedule_at_class(
                     SimTime::ZERO + req.arrival_offset,
                     CLASS_ARRIVAL,
@@ -497,18 +459,20 @@ impl OpenLoopSimulation {
                 .map_err(arrival_order_error)?;
         }
         if let Some(tick) = tick {
-            engine.schedule_in_class(tick, CLASS_FOLLOWUP, Event::CapacityTick);
+            arena
+                .engine
+                .schedule_in_class(tick, CLASS_FOLLOWUP, Event::CapacityTick);
         }
 
         // The event loop is written iteratively (rather than via Engine::run)
         // because each event needs mutable access to the policy, pool and
         // cluster in addition to the engine.
-        while let Some(ev) = engine.next_event() {
-            let now = engine.now();
+        while let Some(ev) = arena.engine.next_event() {
+            let now = arena.engine.now();
             // Bill elapsed node-seconds at the pre-event fleet size; every
             // fleet change happens inside an event.
             if let Some(acct) = accounting.as_mut() {
-                acct.bill(now, cluster.node_count());
+                acct.bill(now, fleet.cluster.node_count());
             }
             match ev.payload {
                 Event::Arrival(input) => {
@@ -518,8 +482,9 @@ impl OpenLoopSimulation {
                     // the tick reschedule condition exact.
                     if let Some(next) = source.next_request(&self.workflow) {
                         drawn += 1;
-                        *peak_resident = (*peak_resident).max(source.resident() + 1);
-                        engine
+                        arena.peak_resident = arena.peak_resident.max(source.resident() + 1);
+                        arena
+                            .engine
                             .schedule_at_class(
                                 SimTime::ZERO + next.arrival_offset,
                                 CLASS_ARRIVAL,
@@ -527,11 +492,15 @@ impl OpenLoopSimulation {
                             )
                             .map_err(arrival_order_error)?;
                     }
-                    emit!(observer, now, RecordKind::Arrival { request: input.id });
+                    emit!(
+                        fleet.observer,
+                        now,
+                        RecordKind::Arrival { request: input.id }
+                    );
                     if let Some(c) = controls.as_mut() {
-                        let admitted = c.admission.admit(now, inflight.len());
+                        let admitted = c.admission.admit(now, arena.inflight.len());
                         emit!(
-                            observer,
+                            fleet.observer,
                             now,
                             RecordKind::Admission {
                                 request: input.id,
@@ -542,20 +511,20 @@ impl OpenLoopSimulation {
                             // janus-lint: allow(unwrap-discipline) — accounting is built whenever controls are (ten lines up)
                             let acct = accounting.as_mut().expect("controls imply accounting");
                             acct.shed += 1;
-                            tally.shed += 1;
-                            emit!(observer, now, RecordKind::Shed { request: input.id });
+                            fleet.tally.shed += 1;
+                            emit!(fleet.observer, now, RecordKind::Shed { request: input.id });
                             on_outcome(RequestOutcome::shed(input.id));
                             continue;
                         }
                     }
-                    if cluster.node_count() == 0 {
+                    if fleet.cluster.node_count() == 0 {
                         // The whole fleet is gone and nothing has scaled it
                         // back up: an admitted request has nowhere to run.
                         if let Some(rt) = fault_rt.as_mut() {
                             rt.failed += 1;
-                            tally.failed += 1;
+                            fleet.tally.failed += 1;
                             emit!(
-                                observer,
+                                fleet.observer,
                                 now,
                                 RecordKind::Failed {
                                     request: input.id,
@@ -571,9 +540,8 @@ impl OpenLoopSimulation {
                             continue;
                         }
                     }
-                    let ctx = self.ctx(input.id);
-                    policy.on_admit(&ctx);
-                    tally.requests += 1;
+                    policy.on_admit(&fleet.context(input.id));
+                    fleet.tally.requests += 1;
                     let state = InFlight {
                         input,
                         started_at: now,
@@ -586,24 +554,11 @@ impl OpenLoopSimulation {
                         current_started: now,
                     };
                     let request_id = state.input.id;
-                    inflight.insert(request_id, state);
+                    arena.inflight.insert(request_id, state);
                     if let Some(acct) = accounting.as_mut() {
-                        acct.peak_inflight = acct.peak_inflight.max(inflight.len());
+                        acct.peak_inflight = acct.peak_inflight.max(arena.inflight.len());
                     }
-                    self.start_function(
-                        policy,
-                        inflight,
-                        request_id,
-                        0,
-                        now,
-                        &functions,
-                        &mut pool,
-                        &mut cluster,
-                        engine,
-                        &mut tally,
-                        fault_rt.as_ref(),
-                        &mut observer,
-                    );
+                    arena.start_function(&mut fleet, policy, request_id, 0, now, fault_rt.as_ref());
                 }
                 Event::FunctionComplete {
                     request_id,
@@ -620,69 +575,39 @@ impl OpenLoopSimulation {
                             continue;
                         }
                     }
-                    pool.release(pod, now);
-                    // Idle warm pods must not count towards co-location
-                    // interference; only running instances contend. This also
-                    // releases the pod's cluster allocation, so a later
-                    // recycle of the idle pod cannot leak `total_allocated`
-                    // (and an eviction may retire a draining node).
-                    let _ = cluster.remove(pod);
+                    // Un-placing the pod may also retire a draining node.
+                    fleet.finish(policy, request_id, index, pod, exec, now);
                     let finished_len = {
-                        // janus-lint: allow(unwrap-discipline) — completions only fire for requests this loop inserted; fault loss is filtered above
-                        let state = inflight.get_mut(&request_id).expect("in-flight request");
+                        let state = arena
+                            .inflight
+                            .get_mut(&request_id)
+                            // janus-lint: allow(unwrap-discipline) — completions only fire for requests this loop inserted; fault loss is filtered above
+                            .expect("in-flight request");
                         state.e2e += elapsed;
                         state.latencies.push(exec);
                         state.latencies.len()
                     };
-                    let ctx = self.ctx(request_id);
-                    policy.on_complete(&ctx, index, exec);
-                    tally.function(exec);
-                    emit!(
-                        observer,
-                        now,
-                        RecordKind::ExecEnd {
-                            request: request_id,
-                            function: index,
-                            exec,
-                        }
-                    );
                     if finished_len == self.workflow.len() {
-                        // janus-lint: allow(unwrap-discipline) — present: get_mut on the same key succeeded just above
-                        let state = inflight.remove(&request_id).expect("in-flight request");
-                        let outcome = RequestOutcome {
+                        let state = arena
+                            .inflight
+                            .remove(&request_id)
+                            // janus-lint: allow(unwrap-discipline) — present: get_mut on the same key succeeded just above
+                            .expect("in-flight request");
+                        on_outcome(fleet.served(
                             request_id,
-                            disposition: RequestDisposition::Served,
-                            e2e: state.e2e,
-                            slo_met: state.e2e <= self.config.slo,
-                            allocations: state.allocations,
-                            function_latencies: state.latencies,
-                            adaptation_misses: 0,
-                        };
-                        tally.served(&outcome);
-                        emit!(
-                            observer,
+                            state.e2e,
+                            state.allocations,
+                            state.latencies,
                             now,
-                            RecordKind::Completion {
-                                request: request_id,
-                                e2e: outcome.e2e,
-                                slo_met: outcome.slo_met,
-                            }
-                        );
-                        on_outcome(outcome);
+                        ));
                     } else {
-                        self.start_function(
+                        arena.start_function(
+                            &mut fleet,
                             policy,
-                            inflight,
                             request_id,
                             index + 1,
                             now,
-                            &functions,
-                            &mut pool,
-                            &mut cluster,
-                            engine,
-                            &mut tally,
                             fault_rt.as_ref(),
-                            &mut observer,
                         );
                     }
                 }
@@ -692,36 +617,24 @@ impl OpenLoopSimulation {
                     // Faults land before the autoscaler observes, so the same
                     // tick can already react to the loss.
                     if let Some(rt) = fault_rt.as_mut() {
-                        self.deliver_faults(
-                            rt,
-                            policy,
-                            inflight,
-                            &mut *on_outcome,
-                            now,
-                            &functions,
-                            &mut pool,
-                            &mut cluster,
-                            engine,
-                            &mut tally,
-                            acct,
-                            &mut observer,
-                        );
+                        rt.deliver_faults(policy, &mut fleet, arena, acct, &mut *on_outcome, now);
                     }
                     // janus-lint: allow(unwrap-discipline) — same invariant: no controls, no CapacityTick ever scheduled
                     let c = controls.as_mut().expect("tick implies controls");
-                    acct.pods_recycled += pool.recycle_idle(now);
+                    acct.pods_recycled += fleet.pool.recycle_idle(now);
                     let observation = ScalingObservation {
                         now,
-                        active_nodes: cluster.active_node_count(),
-                        utilization: cluster.utilization(),
-                        inflight: inflight.len(),
+                        active_nodes: fleet.cluster.active_node_count(),
+                        utilization: fleet.cluster.utilization(),
+                        inflight: arena.inflight.len(),
                     };
-                    let before = cluster.node_count();
+                    let before = fleet.cluster.node_count();
                     match c.autoscaler.observe(&observation) {
                         ScalingAction::Hold => {}
                         ScalingAction::ScaleUp(nodes) => {
                             for _ in 0..nodes {
-                                cluster
+                                fleet
+                                    .cluster
                                     .add_node(self.config.cluster.node_capacity)
                                     // janus-lint: allow(unwrap-discipline) — capacity came from the validated config; add_node only rejects zero
                                     .expect("validated node capacity");
@@ -731,15 +644,15 @@ impl OpenLoopSimulation {
                                 acct.events.push(ScalingEvent {
                                     at: now,
                                     from_nodes: before,
-                                    to_nodes: cluster.node_count(),
+                                    to_nodes: fleet.cluster.node_count(),
                                 });
-                                tally.scale_ups += 1;
+                                fleet.tally.scale_ups += 1;
                                 emit!(
-                                    observer,
+                                    fleet.observer,
                                     now,
                                     RecordKind::Scaling {
                                         from_nodes: before,
-                                        to_nodes: cluster.node_count(),
+                                        to_nodes: fleet.cluster.node_count(),
                                     }
                                 );
                             }
@@ -748,62 +661,67 @@ impl OpenLoopSimulation {
                             // Allocation-aware: busy nodes drain and retire
                             // once their last pod leaves; the fleet never
                             // drops below one active node.
-                            let drained = cluster.drain_least_allocated(nodes, 1);
+                            let drained = fleet.cluster.drain_least_allocated(nodes, 1);
                             if !drained.is_empty() {
                                 acct.scale_downs += 1;
                                 acct.events.push(ScalingEvent {
                                     at: now,
                                     from_nodes: before,
-                                    to_nodes: cluster.node_count(),
+                                    to_nodes: fleet.cluster.node_count(),
                                 });
-                                tally.scale_downs += 1;
+                                fleet.tally.scale_downs += 1;
                                 emit!(
-                                    observer,
+                                    fleet.observer,
                                     now,
                                     RecordKind::Scaling {
                                         from_nodes: before,
-                                        to_nodes: cluster.node_count(),
+                                        to_nodes: fleet.cluster.node_count(),
                                     }
                                 );
                             }
                         }
                     }
-                    acct.peak_nodes = acct.peak_nodes.max(cluster.node_count());
+                    acct.peak_nodes = acct.peak_nodes.max(fleet.cluster.node_count());
                     // Warm-pool depth follows the fleet: the configured pool
                     // size is the per-initial-fleet baseline, scaled to the
                     // current active node count.
                     let base_pool = self.config.pool.pool_size;
                     let initial_nodes = self.config.cluster.nodes.max(1);
-                    let target = (base_pool * cluster.active_node_count()).div_ceil(initial_nodes);
-                    if target != pool.target_pool_size() {
-                        pool.set_target_pool_size(target, now);
+                    let target =
+                        (base_pool * fleet.cluster.active_node_count()).div_ceil(initial_nodes);
+                    if target != fleet.pool.target_pool_size() {
+                        fleet.pool.set_target_pool_size(target, now);
                     }
                     // One telemetry sample per tick, after faults and the
                     // autoscaler have acted — the flight recorder's
                     // time-series axis. Only built when an observer is
                     // attached (the per-zone breakdown allocates).
-                    if let Some(o) = observer.as_deref_mut() {
+                    if let Some(o) = fleet.observer.as_deref_mut() {
                         o.tick(&TickSample {
                             at: now,
                             // Arrivals the lazy discipline has not drawn yet
                             // still count as queued work, so streaming and
                             // pre-seeded runs report identical depths.
-                            queue_depth: engine.pending() + source.len_hint().unwrap_or(0),
-                            inflight: inflight.len(),
-                            active_nodes: cluster.active_node_count(),
-                            nodes_per_zone: cluster.active_nodes_per_zone(),
-                            utilization: cluster.utilization(),
-                            pool_size: pool.generic_available(),
+                            queue_depth: arena.engine.pending() + source.len_hint().unwrap_or(0),
+                            inflight: arena.inflight.len(),
+                            active_nodes: fleet.cluster.active_node_count(),
+                            nodes_per_zone: fleet.cluster.active_nodes_per_zone(),
+                            utilization: fleet.cluster.utilization(),
+                            pool_size: fleet.pool.generic_available(),
                             shed: acct.shed as u64,
                             failed: fault_rt.as_ref().map_or(0, |rt| rt.failed) as u64,
                             retried: fault_rt.as_ref().map_or(0, |rt| rt.retried) as u64,
                         });
                     }
                     // Keep ticking while anything can still happen.
-                    if engine.pending() > 0 || !inflight.is_empty() {
+                    if arena.engine.pending() > 0 || !arena.inflight.is_empty() {
                         // janus-lint: allow(unwrap-discipline) — a tick event implies the cadence was computed at startup
                         let cadence = tick.expect("tick cadence set");
-                        engine.schedule_in_class(cadence, CLASS_FOLLOWUP, Event::CapacityTick);
+                        arena.engine.schedule_in_class(
+                            cadence,
+                            CLASS_FOLLOWUP,
+                            Event::CapacityTick,
+                        );
                     }
                 }
             }
@@ -826,10 +744,10 @@ impl OpenLoopSimulation {
                 events: acct.events,
                 node_seconds: acct.node_seconds,
                 peak_nodes: acct.peak_nodes,
-                final_nodes: cluster.node_count(),
+                final_nodes: fleet.cluster.node_count(),
                 peak_inflight: acct.peak_inflight,
                 pods_recycled: acct.pods_recycled,
-                final_allocated_mc: u64::from(cluster.total_allocated().get()),
+                final_allocated_mc: u64::from(fleet.cluster.total_allocated().get()),
                 injector: rt.map(|rt| rt.injector.clone()),
                 faults_applied: rt.map_or(0, |rt| rt.applied),
                 nodes_lost: rt.map_or(0, |rt| rt.nodes_lost),
@@ -837,53 +755,40 @@ impl OpenLoopSimulation {
         });
         Ok(capacity)
     }
+}
 
-    fn ctx(&self, request_id: u64) -> RequestContext {
-        RequestContext {
-            request_id,
-            slo: self.config.slo,
-            concurrency: self.config.concurrency,
-            workflow_len: self.workflow.len(),
-        }
-    }
-
+impl FaultRuntime {
     /// Deliver every fault due at `now`: expire preemption notices, apply
     /// scheduled events, and retry or fail the requests whose pods were
     /// lost. Called at the top of each capacity tick, so fault effects and
     /// the control loops interleave on the same deterministic cadence.
-    #[allow(clippy::too_many_arguments)]
     fn deliver_faults(
-        &self,
-        rt: &mut FaultRuntime,
+        &mut self,
         policy: &mut dyn SizingPolicy,
-        inflight: &mut IdMap<u64, InFlight>,
+        fleet: &mut Fleet<'_, '_>,
+        arena: &mut OpenLoopArena,
+        acct: &mut CapacityAccounting,
         on_outcome: &mut dyn FnMut(RequestOutcome),
         now: SimTime,
-        functions: &[FunctionId],
-        pool: &mut PoolManager,
-        cluster: &mut Cluster,
-        engine: &mut Engine<Event>,
-        tally: &mut ServingTally<'_>,
-        acct: &mut CapacityAccounting,
-        observer: &mut Option<&mut dyn Observer>,
     ) {
         // Preemption deadlines first: a victim still alive when its notice
         // expires is force-killed; one that finished draining beat it.
-        let mut crashed: Vec<NodeId> = rt
+        let mut crashed: Vec<NodeId> = self
             .preempt_deadlines
             .iter()
             .filter(|(node, deadline)| {
-                *deadline <= now && cluster.node_state(*node) != Some(NodeState::Retired)
+                *deadline <= now && fleet.cluster.node_state(*node) != Some(NodeState::Retired)
             })
             .map(|(node, _)| *node)
             .collect();
-        rt.preempt_deadlines.retain(|(_, deadline)| *deadline > now);
-        while rt.cursor < rt.events.len() && rt.events[rt.cursor].at <= now {
-            let action = rt.events[rt.cursor].action.clone();
-            rt.cursor += 1;
-            rt.applied += 1;
+        self.preempt_deadlines
+            .retain(|(_, deadline)| *deadline > now);
+        while self.cursor < self.events.len() && self.events[self.cursor].at <= now {
+            let action = self.events[self.cursor].action.clone();
+            self.cursor += 1;
+            self.applied += 1;
             emit!(
-                observer,
+                fleet.observer,
                 now,
                 RecordKind::Fault {
                     kind: action.kind(),
@@ -891,58 +796,58 @@ impl OpenLoopSimulation {
             );
             match action {
                 FaultAction::Crash { count } => {
-                    crashed.extend(rt.pick_victims(cluster, count));
+                    crashed.extend(self.pick_victims(&fleet.cluster, count));
                 }
                 FaultAction::Preempt { count, notice } => {
-                    for node in rt.pick_victims(cluster, count) {
-                        let _ = cluster.drain_node(node);
-                        rt.preempt_deadlines.push((node, now + notice));
+                    for node in self.pick_victims(&fleet.cluster, count) {
+                        let _ = fleet.cluster.drain_node(node);
+                        self.preempt_deadlines.push((node, now + notice));
                     }
                 }
                 FaultAction::ZoneOutage { zone } => {
-                    crashed.extend(cluster.zone_nodes(zone));
+                    crashed.extend(fleet.cluster.zone_nodes(zone));
                 }
                 FaultAction::SlowNodes {
                     count,
                     factor,
                     duration,
                 } => {
-                    for node in rt.pick_victims(cluster, count) {
-                        rt.slow.push((node, factor, now + duration));
+                    for node in self.pick_victims(&fleet.cluster, count) {
+                        self.slow.push((node, factor, now + duration));
                     }
                 }
             }
         }
-        rt.slow.retain(|(_, _, until)| *until > now);
+        self.slow.retain(|(_, _, until)| *until > now);
         if crashed.is_empty() {
             return;
         }
 
-        let before = cluster.node_count();
+        let before = fleet.cluster.node_count();
         let mut lost: Vec<PodId> = Vec::new();
         for node in crashed {
             // Err means the node already retired (e.g. listed twice, or it
             // drained out just before its preemption deadline).
-            if let Ok(pods) = cluster.crash_node(node) {
-                rt.nodes_lost += 1;
+            if let Ok(pods) = fleet.cluster.crash_node(node) {
+                self.nodes_lost += 1;
                 lost.extend(pods.into_iter().map(|(pod, _)| pod));
             }
         }
-        if cluster.node_count() != before {
+        if fleet.cluster.node_count() != before {
             // Fault-induced fleet changes share the scaling event log (but
             // not the scale_ups/scale_downs action counters) so determinism
             // checks cover them.
             acct.events.push(ScalingEvent {
                 at: now,
                 from_nodes: before,
-                to_nodes: cluster.node_count(),
+                to_nodes: fleet.cluster.node_count(),
             });
             emit!(
-                observer,
+                fleet.observer,
                 now,
                 RecordKind::Scaling {
                     from_nodes: before,
-                    to_nodes: cluster.node_count(),
+                    to_nodes: fleet.cluster.node_count(),
                 }
             );
         }
@@ -950,19 +855,23 @@ impl OpenLoopSimulation {
             return;
         }
         lost.sort_unstable();
-        pool.drop_lost(&lost);
+        fleet.pool.drop_lost(&lost);
         let lost_set: IdSet<PodId> = lost.into_iter().collect();
-        let mut affected: Vec<u64> = inflight
+        let mut affected: Vec<u64> = arena
+            .inflight
             .iter()
             .filter(|(_, s)| s.current_pod.is_some_and(|p| lost_set.contains(&p)))
             .map(|(id, _)| *id)
             .collect();
         affected.sort_unstable();
-        rt.lost_pods.extend(lost_set);
+        self.lost_pods.extend(lost_set);
         for request_id in affected {
             let (retry, index, attempt, lost) = {
-                // janus-lint: allow(unwrap-discipline) — `affected` ids were collected from this very map a few lines up
-                let state = inflight.get_mut(&request_id).expect("in-flight request");
+                let state = arena
+                    .inflight
+                    .get_mut(&request_id)
+                    // janus-lint: allow(unwrap-discipline) — `affected` ids were collected from this very map a few lines up
+                    .expect("in-flight request");
                 // The in-progress attempt is void: its allocation entry goes
                 // (it never produced a latency sample), but the wall time it
                 // burned still counts against the request.
@@ -977,11 +886,11 @@ impl OpenLoopSimulation {
                     (false, 0, state.retries, lost)
                 }
             };
-            if retry && cluster.node_count() > 0 {
-                rt.retried += 1;
-                tally.retried += 1;
+            if retry && fleet.cluster.node_count() > 0 {
+                self.retried += 1;
+                fleet.tally.retried += 1;
                 emit!(
-                    observer,
+                    fleet.observer,
                     now,
                     RecordKind::Retry {
                         request: request_id,
@@ -989,27 +898,17 @@ impl OpenLoopSimulation {
                         lost,
                     }
                 );
-                self.start_function(
-                    policy,
-                    inflight,
-                    request_id,
-                    index,
-                    now,
-                    functions,
-                    pool,
-                    cluster,
-                    engine,
-                    tally,
-                    Some(&*rt),
-                    observer,
-                );
+                arena.start_function(fleet, policy, request_id, index, now, Some(&*self));
             } else {
-                // janus-lint: allow(unwrap-discipline) — present: get_mut on the same key succeeded in this iteration
-                let state = inflight.remove(&request_id).expect("in-flight request");
-                rt.failed += 1;
-                tally.failed += 1;
+                let state = arena
+                    .inflight
+                    .remove(&request_id)
+                    // janus-lint: allow(unwrap-discipline) — present: get_mut on the same key succeeded in this iteration
+                    .expect("in-flight request");
+                self.failed += 1;
+                fleet.tally.failed += 1;
                 emit!(
-                    observer,
+                    fleet.observer,
                     now,
                     RecordKind::Failed {
                         request: request_id,
@@ -1025,116 +924,47 @@ impl OpenLoopSimulation {
             }
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+impl OpenLoopArena {
+    /// Start function `index` of in-flight request `request_id` at `now`
+    /// through the shared step and schedule its completion. The budget
+    /// left is the SLO minus the wall time since the request arrived, and
+    /// a degraded (slow-node fault) host multiplies the service time.
     fn start_function(
-        &self,
+        &mut self,
+        fleet: &mut Fleet<'_, '_>,
         policy: &mut dyn SizingPolicy,
-        inflight: &mut IdMap<u64, InFlight>,
         request_id: u64,
         index: usize,
         now: SimTime,
-        functions: &[FunctionId],
-        pool: &mut PoolManager,
-        cluster: &mut Cluster,
-        engine: &mut Engine<Event>,
-        tally: &mut ServingTally<'_>,
         fault_rt: Option<&FaultRuntime>,
-        observer: &mut Option<&mut dyn Observer>,
     ) {
-        // janus-lint: allow(unwrap-discipline) — every caller inserts or verifies the entry before starting a function
-        let state = inflight.get_mut(&request_id).expect("in-flight request");
-        let ctx = self.ctx(request_id);
-        let elapsed_wall = now.saturating_since(state.started_at);
-        let remaining = (self.config.slo - elapsed_wall).saturate();
-        let size = policy
-            .size_next(&ctx, index, remaining)
-            .clamp_to(Millicores::new(1), self.config.cluster.node_capacity);
-
-        let function = self
-            .workflow
-            .function(index)
-            // janus-lint: allow(unwrap-discipline) — callers advance index only while < workflow.len()
-            .expect("index within workflow");
-        let id = functions[index];
-        let acquisition = pool.acquire_id(id, size, now);
-        // The acquired pod is never placed: completion always un-places it.
-        let (node, overcommitted) = match cluster.place_id(acquisition.pod, id, size) {
-            Ok(node) => (Some(node), false),
-            // Saturated cluster: overcommit the least-loaded node rather
-            // than dropping the request. The pod runs, but it contends —
-            // overload shows up as interference, not as free capacity.
-            Err(_) => (
-                cluster
-                    .place_overcommitted_id(acquisition.pod, id, size)
-                    .ok(),
-                true,
-            ),
-        };
-        emit!(
-            observer,
-            now,
-            RecordKind::Placement {
-                request: request_id,
-                function: index,
-                overcommitted,
-            }
-        );
-        // The pod's co-location degree, read off the node it just landed on
-        // (an unplaced pod runs alone).
-        let colocated = node.map_or(1, |node| cluster.function_count_id(node, id).max(1));
-        let mut exec = function.execution_time(
-            size,
-            self.config.concurrency,
-            state.input.factor(index),
-            colocated,
-            &self.config.interference,
-        );
+        let state = self
+            .inflight
+            .get_mut(&request_id)
+            // janus-lint: allow(unwrap-discipline) — every caller inserts or verifies the entry before starting a function
+            .expect("in-flight request");
+        let remaining = (fleet.config.slo - now.saturating_since(state.started_at)).saturate();
+        let started = fleet.start(policy, &state.input, index, remaining, now);
+        let mut exec = started.exec;
         if let Some(rt) = fault_rt {
-            // A degraded (slow-node fault) host multiplies the service time.
-            exec = exec * rt.slow_factor(node, now);
+            exec = exec * rt.slow_factor(started.node, now);
         }
-        let startup = if self.config.count_startup_delays {
-            acquisition.startup_delay
-        } else {
-            SimDuration::ZERO
-        };
-        if acquisition.startup_delay > SimDuration::ZERO {
-            tally.cold_starts += 1;
-            // `delay` is the startup time that counts against latency
-            // (zero when the config excludes startup delays), matching the
-            // span builder's phase accounting.
-            emit!(
-                observer,
-                now,
-                RecordKind::ColdStart {
-                    request: request_id,
-                    function: index,
-                    delay: startup,
-                }
-            );
-        }
-        emit!(
-            observer,
-            now,
-            RecordKind::ExecStart {
-                request: request_id,
-                function: index,
-            }
-        );
-        state.allocations.push(size);
-        state.current_pod = Some(acquisition.pod);
+        state.allocations.push(started.size);
+        state.current_pod = Some(started.pod);
         state.current_index = index;
         state.current_started = now;
-        engine.schedule_in_class(
-            exec + startup,
+        let elapsed = exec + started.startup;
+        self.engine.schedule_in_class(
+            elapsed,
             CLASS_FOLLOWUP,
             Event::FunctionComplete {
                 request_id,
                 index,
-                pod: acquisition.pod,
+                pod: started.pod,
                 exec,
-                elapsed: exec + startup,
+                elapsed,
             },
         );
     }
@@ -1190,8 +1020,10 @@ mod tests {
     #[test]
     fn open_loop_serves_every_request_exactly_once() {
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(9, SimDuration::from_millis(200.0)).generate(&ia, 80);
         let mut policy = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
         let report = sim.run(&mut policy, &reqs).unwrap();
@@ -1208,8 +1040,10 @@ mod tests {
     #[test]
     fn heavier_load_increases_latency_via_interference() {
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let light =
             RequestInputGenerator::new(5, SimDuration::from_millis(3000.0)).generate(&ia, 60);
         let heavy = RequestInputGenerator::new(5, SimDuration::from_millis(50.0)).generate(&ia, 60);
@@ -1231,8 +1065,10 @@ mod tests {
         // and the in-window requests suffer more interference than the
         // stragglers outside it.
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let mut reqs = RequestInputGenerator::new(17, SimDuration::ZERO).generate(&ia, 60);
         for (i, r) in reqs.iter_mut().enumerate() {
             r.arrival_offset = if (20..40).contains(&i) {
@@ -1267,8 +1103,10 @@ mod tests {
         use crate::metrics::ServingMetrics;
         use janus_simcore::metrics::MetricsRegistry;
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(9, SimDuration::from_millis(200.0)).generate(&ia, 80);
         let registry = MetricsRegistry::new();
         let metrics = ServingMetrics::intern(&registry);
@@ -1311,8 +1149,10 @@ mod tests {
     fn admission_control_sheds_and_conserves_requests() {
         use crate::capacity::{QueueLengthAdmission, StaticAutoscaler};
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         // 50 ms inter-arrival: far more than 2 requests overlap, so a
         // max-inflight bound of 2 must shed.
         let reqs = RequestInputGenerator::new(5, SimDuration::from_millis(50.0)).generate(&ia, 80);
@@ -1364,14 +1204,14 @@ mod tests {
         let ia = intelligent_assistant();
         // Small spread nodes so co-location (and thus interference) tracks
         // fleet size.
-        let config = OpenLoopConfig {
+        let config = ExecutorConfig {
             cluster: ClusterConfig {
                 nodes: 2,
                 node_capacity: Millicores::from_cores(8),
                 placement: PlacementPolicy::Spread,
                 zones: 1,
             },
-            ..OpenLoopConfig::new(SimDuration::from_secs(3.0))
+            ..ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1)
         };
         let sim = OpenLoopSimulation::new(ia.clone(), config);
         let reqs = RequestInputGenerator::new(7, SimDuration::from_millis(60.0)).generate(&ia, 120);
@@ -1431,7 +1271,7 @@ mod tests {
         // window.
         use crate::capacity::{AdmitAll, StaticAutoscaler};
         let ia = intelligent_assistant();
-        let mut config = OpenLoopConfig::new(SimDuration::from_secs(3.0));
+        let mut config = ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1);
         config.pool.idle_recycle_after = SimDuration::from_secs(30.0);
         let sim = OpenLoopSimulation::new(ia.clone(), config);
         // A burst up front, then one straggler two minutes later: the
@@ -1491,8 +1331,10 @@ mod tests {
             }
         }
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(1, SimDuration::from_millis(500.0)).generate(&ia, 10);
         let mut autoscaler = SpinScaler;
         let mut admission = AdmitAll;
@@ -1518,8 +1360,10 @@ mod tests {
     fn capacity_runs_are_deterministic() {
         use crate::capacity::{QueueLengthAdmission, UtilizationThresholdAutoscaler};
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(3, SimDuration::from_millis(80.0)).generate(&ia, 60);
         let run = || {
             let mut autoscaler =
@@ -1570,14 +1414,14 @@ mod tests {
         use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
         use janus_simcore::metrics::MetricsRegistry;
         let ia = intelligent_assistant();
-        let config = OpenLoopConfig {
+        let config = ExecutorConfig {
             cluster: ClusterConfig {
                 nodes: 3,
                 node_capacity: Millicores::from_cores(8),
                 placement: PlacementPolicy::Spread,
                 zones: 1,
             },
-            ..OpenLoopConfig::new(SimDuration::from_secs(3.0))
+            ..ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1)
         };
         let sim = OpenLoopSimulation::new(ia.clone(), config);
         let reqs = RequestInputGenerator::new(7, SimDuration::from_millis(50.0)).generate(&ia, 80);
@@ -1641,8 +1485,10 @@ mod tests {
     fn fault_runs_replay_bit_identically_per_seed() {
         use crate::capacity::{QueueLengthAdmission, UtilizationThresholdAutoscaler};
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(3, SimDuration::from_millis(60.0)).generate(&ia, 70);
         let run = || {
             let mut autoscaler =
@@ -1678,14 +1524,14 @@ mod tests {
         use crate::capacity::{AdmitAll, StaticAutoscaler};
         use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
         let ia = intelligent_assistant();
-        let config = OpenLoopConfig {
+        let config = ExecutorConfig {
             cluster: ClusterConfig {
                 nodes: 4,
                 node_capacity: Millicores::from_cores(8),
                 placement: PlacementPolicy::Spread,
                 zones: 2,
             },
-            ..OpenLoopConfig::new(SimDuration::from_secs(3.0))
+            ..ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1)
         };
         let sim = OpenLoopSimulation::new(ia.clone(), config);
         let reqs = RequestInputGenerator::new(11, SimDuration::from_millis(80.0)).generate(&ia, 60);
@@ -1749,14 +1595,14 @@ mod tests {
         let ia = intelligent_assistant();
         // Two spread nodes: the survivor picks up new work while the
         // preempted victim drains.
-        let config = OpenLoopConfig {
+        let config = ExecutorConfig {
             cluster: ClusterConfig {
                 nodes: 2,
                 node_capacity: Millicores::from_cores(8),
                 placement: PlacementPolicy::Spread,
                 zones: 1,
             },
-            ..OpenLoopConfig::new(SimDuration::from_secs(3.0))
+            ..ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1)
         };
         let sim = OpenLoopSimulation::new(ia.clone(), config);
         // Sparse arrivals: the preempted node drains long before a 30 s
@@ -1843,8 +1689,10 @@ mod tests {
             }
         }
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs =
             RequestInputGenerator::new(23, SimDuration::from_millis(100.0)).generate(&ia, 40);
         let registry = MetricsRegistry::new();
@@ -1895,8 +1743,10 @@ mod tests {
     fn slow_nodes_stretch_service_times_deterministically() {
         use crate::capacity::{AdmitAll, StaticAutoscaler};
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs =
             RequestInputGenerator::new(29, SimDuration::from_millis(400.0)).generate(&ia, 30);
         let slow_schedule = || FaultSchedule {
@@ -1947,8 +1797,10 @@ mod tests {
     fn streaming_source_is_bit_identical_to_materialized_requests() {
         use janus_workloads::request::GeneratorSource;
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         for seed in [1, 9, 42] {
             let reqs =
                 RequestInputGenerator::new(seed, SimDuration::from_millis(120.0)).generate(&ia, 80);
@@ -1985,8 +1837,10 @@ mod tests {
     #[test]
     fn streaming_outcomes_arrive_in_completion_order_and_aggregate() {
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(9, SimDuration::from_millis(200.0)).generate(&ia, 40);
         let mut arena = OpenLoopArena::new();
         let mut served = 0usize;
@@ -2076,8 +1930,10 @@ mod tests {
             }
         }
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let mut reqs =
             RequestInputGenerator::new(9, SimDuration::from_millis(200.0)).generate(&ia, 30);
         // The last arrival lies behind the clock when it is drawn.
@@ -2121,8 +1977,10 @@ mod tests {
     fn custom_engine_config_lifts_the_event_cap() {
         use janus_simcore::engine::EngineConfig;
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
         let reqs = RequestInputGenerator::new(2, SimDuration::from_millis(300.0)).generate(&ia, 10);
         // A pathologically low cap truncates the run …
         let mut capped = OpenLoopArena::with_engine_config(EngineConfig {
@@ -2150,26 +2008,39 @@ mod tests {
     fn closed_and_open_loop_agree_for_serial_arrivals() {
         // When arrivals are so sparse that requests never overlap, the open
         // loop degenerates to the closed loop's behaviour (modulo warm-pool
-        // state differences in startup delays).
+        // state differences in startup delays): the same allocations, the
+        // same execution times and the same lifecycle records, cold starts
+        // aside.
+        use janus_observe::RingObserver;
         let ia = intelligent_assistant();
-        let sim =
-            OpenLoopSimulation::new(ia.clone(), OpenLoopConfig::new(SimDuration::from_secs(3.0)));
+        let config = ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1);
+        let sim = OpenLoopSimulation::new(ia.clone(), config.clone());
         let mut reqs = RequestInputGenerator::new(11, SimDuration::ZERO).generate(&ia, 20);
         for (i, r) in reqs.iter_mut().enumerate() {
             // Deterministically spaced far apart so executions never overlap.
             r.arrival_offset = SimDuration::from_secs(100.0 * i as f64);
         }
         let mut policy = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2500)).unwrap();
-        let open = sim.run(&mut policy, &reqs).unwrap();
-        let exec = crate::executor::ClosedLoopExecutor::new(
-            ia.clone(),
-            crate::executor::ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
-        );
+        let mut open_ring = RingObserver::default();
+        let open = sim
+            .run_traced(
+                &mut policy,
+                &reqs,
+                &mut OpenLoopArena::new(),
+                None,
+                None,
+                Some(&mut open_ring),
+            )
+            .unwrap();
+        let exec = crate::executor::ClosedLoopExecutor::new(ia.clone(), config);
         let mut policy = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2500)).unwrap();
-        let closed = exec.run(&mut policy, &reqs);
+        let mut closed_ring = RingObserver::default();
+        let closed = exec.run_traced(&mut policy, &reqs, None, Some(&mut closed_ring));
+        assert_eq!(open.len(), closed.len());
         // Same inputs, same allocations: execution times must match exactly.
         for (o, c) in open.outcomes.iter().zip(closed.outcomes.iter()) {
             assert_eq!(o.request_id, c.request_id);
+            assert_eq!(o.allocations, c.allocations, "req {}", o.request_id);
             for (i, (a, b)) in o
                 .function_latencies
                 .iter()
@@ -2186,5 +2057,24 @@ mod tests {
                 );
             }
         }
+        // Both loops offer the same lifecycle, record for record. Cold
+        // starts are left out: they depend on the warm pool's state.
+        let lifecycle = |ring: &RingObserver| -> Vec<(&'static str, Option<u64>, Option<usize>)> {
+            ring.records()
+                .filter(|r| !matches!(r.kind, RecordKind::ColdStart { .. }))
+                .map(|r| {
+                    let function = match r.kind {
+                        RecordKind::Placement { function, .. }
+                        | RecordKind::ExecStart { function, .. }
+                        | RecordKind::ExecEnd { function, .. } => Some(function),
+                        _ => None,
+                    };
+                    (r.kind.kind_name(), r.kind.request(), function)
+                })
+                .collect()
+        };
+        let open_records = lifecycle(&open_ring);
+        assert_eq!(open_records.len(), 20 * (2 + 3 * 3));
+        assert_eq!(open_records, lifecycle(&closed_ring));
     }
 }

@@ -94,13 +94,20 @@ pub struct CoreGrid {
 }
 
 impl CoreGrid {
-    /// Build a grid, validating the invariants `min <= max` and `step > 0`.
+    /// Build a grid, validating the invariants `min <= max`, `step > 0` and
+    /// that `max` lies on the grid (the span is a whole number of steps), so
+    /// [`iter`](Self::iter) ends where [`snap_up`](Self::snap_up) clamps.
     pub fn new(min: Millicores, max: Millicores, step: u32) -> Result<Self, String> {
         if step == 0 {
             return Err("core grid step must be positive".to_string());
         }
         if min > max {
             return Err(format!("core grid min {min} exceeds max {max}"));
+        }
+        if !(max.get() - min.get()).is_multiple_of(step) {
+            return Err(format!(
+                "core grid span {min}..={max} is not a whole number of {step}mc steps"
+            ));
         }
         if min.get() == 0 {
             return Err("core grid minimum must be at least 1 millicore".to_string());
@@ -211,6 +218,11 @@ mod tests {
         assert!(CoreGrid::new(Millicores::new(1000), Millicores::new(2000), 0).is_err());
         assert!(CoreGrid::new(Millicores::new(3000), Millicores::new(1000), 100).is_err());
         assert!(CoreGrid::new(Millicores::new(0), Millicores::new(1000), 100).is_err());
+        // A span that is not a whole number of steps: `iter` would stop at
+        // 3000 while `snap_up` clamps to 3050, off the grid.
+        let err = CoreGrid::new(Millicores::new(1000), Millicores::new(3050), 100).unwrap_err();
+        assert!(err.contains("whole number"), "{err}");
+        assert!(CoreGrid::new(Millicores::new(1000), Millicores::new(3000), 100).is_ok());
     }
 
     #[test]

@@ -180,11 +180,12 @@ pub fn image_compression() -> FunctionModel {
     constant(built, "static ICO parameters are valid")
 }
 
-/// A function model or workflow built from this module's constants.
-/// Fallible constructors validate inputs that here are compile-time
-/// constants, so an error is a bug in this file, not a runtime condition.
-fn constant<T, E: std::fmt::Debug>(built: Result<T, E>, what: &str) -> T {
-    // janus-lint: allow(unwrap-discipline) — the inputs are this module's constants, and `apps::tests` build every function and both workflows, so a bad constant fails there
+/// A function model or workflow built from constants (this module's and
+/// `microbench`'s). Fallible constructors validate inputs that here are
+/// compile-time constants, so an error is a bug in the calling file, not a
+/// runtime condition.
+pub(crate) fn constant<T, E: std::fmt::Debug>(built: Result<T, E>, what: &str) -> T {
+    // janus-lint: allow(unwrap-discipline) — the inputs are constants, and `apps::tests` and `microbench::tests` build every function and both workflows, so a bad constant fails there
     built.expect(what)
 }
 

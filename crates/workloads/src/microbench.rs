@@ -5,6 +5,7 @@
 //! prolongs execution (up to 8.1× for the network-bound function at six
 //! co-located instances).
 
+use crate::apps::constant;
 use crate::function::FunctionModel;
 use crate::latency::LatencyParams;
 use crate::workingset::WorksetDistribution;
@@ -13,7 +14,7 @@ use janus_simcore::interference::ResourceDimension;
 /// AES encryption: CPU-bound. CPU is partitioned per-pod so contention is the
 /// mildest of the four.
 pub fn cpu_intensive() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "aes-encrypt",
         ResourceDimension::Cpu,
         true,
@@ -24,13 +25,13 @@ pub fn cpu_intensive() -> FunctionModel {
         },
         WorksetDistribution::Uniform { min: 0.9, max: 1.1 },
         0.08,
-    )
-    .expect("static parameters are valid")
+    );
+    constant(built, "static parameters are valid")
 }
 
 /// Reads from an in-memory (Redis-like) database: memory-bandwidth bound.
 pub fn memory_intensive() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "redis-read",
         ResourceDimension::Memory,
         true,
@@ -41,13 +42,13 @@ pub fn memory_intensive() -> FunctionModel {
         },
         WorksetDistribution::Uniform { min: 0.9, max: 1.1 },
         0.10,
-    )
-    .expect("static parameters are valid")
+    );
+    constant(built, "static parameters are valid")
 }
 
 /// Writes to local disk: IO bound.
 pub fn io_intensive() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "disk-write",
         ResourceDimension::Io,
         true,
@@ -58,13 +59,13 @@ pub fn io_intensive() -> FunctionModel {
         },
         WorksetDistribution::Uniform { min: 0.9, max: 1.1 },
         0.12,
-    )
-    .expect("static parameters are valid")
+    );
+    constant(built, "static parameters are valid")
 }
 
 /// Socket communication: network-bandwidth bound — the worst contention.
 pub fn network_intensive() -> FunctionModel {
-    FunctionModel::new(
+    let built = FunctionModel::new(
         "socket-comm",
         ResourceDimension::Network,
         true,
@@ -75,8 +76,8 @@ pub fn network_intensive() -> FunctionModel {
         },
         WorksetDistribution::Uniform { min: 0.9, max: 1.1 },
         0.10,
-    )
-    .expect("static parameters are valid")
+    );
+    constant(built, "static parameters are valid")
 }
 
 /// All four microbenchmark functions in the order Figure 1c plots them

@@ -16,9 +16,8 @@
 use janus_chaos::{FaultContext, FaultRegistry};
 use janus_observe::{FlightRecorder, Observer, ObserverContext};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
-use janus_platform::openloop::{
-    CapacityControls, OpenLoopArena, OpenLoopConfig, OpenLoopSimulation,
-};
+use janus_platform::executor::ExecutorConfig;
+use janus_platform::openloop::{CapacityControls, OpenLoopArena, OpenLoopSimulation};
 use janus_platform::outcome::ServingReport;
 use janus_platform::policy::FixedSizingPolicy;
 use janus_scenarios::{tenant_stream_seed, MergedRequestSource, ScenarioContext, ScenarioRegistry};
@@ -35,7 +34,10 @@ const RPS: f64 = 20.0;
 fn harness() -> (Workflow, OpenLoopSimulation) {
     let app = PaperApp::IntelligentAssistant;
     let workflow = app.workflow();
-    let sim = OpenLoopSimulation::new(workflow.clone(), OpenLoopConfig::new(app.default_slo(1)));
+    let sim = OpenLoopSimulation::new(
+        workflow.clone(),
+        ExecutorConfig::paper_serving(app.default_slo(1), 1),
+    );
     (workflow, sim)
 }
 
