@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p janus-bench --bin janus -- list
-//! cargo run --release -p janus-bench --bin janus -- run perf --quick --out BENCH_perf.json
+//! cargo run --release -p janus-bench --bin janus -- run table1 --quick --out table1.json
 //! cargo run --release -p janus-bench --bin janus -- sweep specs/smoke.json --quick
 //! cargo run --release -p janus-bench --bin janus -- all --quick
 //! ```

@@ -9,7 +9,6 @@
 //! janus all [flags]               # every registered experiment
 //! janus report <trace.jsonl>      # summarise a flight trace (--out writes CSV)
 //! janus report <results-dir>      # aggregate a results store (--out writes CSV)
-//! janus perf-check [path]         # gate a fresh perf run against the history
 //! janus lint [--json]             # static analysis against the repo invariants
 //! ```
 //!
@@ -20,8 +19,7 @@
 use crate::BenchFlags;
 use janus_chaos::FaultRegistry;
 use janus_core::experiments::{
-    check_against, comparable_mean, history_with_entry, latest_baseline, run_sweep_stored,
-    today_utc, ExperimentRegistry, ResultsReport, Scale, StoreMode, SweepSpec, TraceSink,
+    run_sweep_stored, ExperimentRegistry, ResultsReport, Scale, StoreMode, SweepSpec, TraceSink,
 };
 use janus_core::registry::PolicyRegistry;
 use janus_json::Value;
@@ -29,6 +27,7 @@ use janus_observe::{ObserverRegistry, TraceReport};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry};
 use janus_scenarios::ScenarioRegistry;
 use std::str::FromStr as _;
+use std::time::Instant;
 
 /// Usage string of the `janus` binary.
 pub const USAGE: &str = "usage: janus <command> [flags]\n\
@@ -46,8 +45,6 @@ pub const USAGE: &str = "usage: janus <command> [flags]\n\
     \x20 report <path>        summarise a JSONL flight trace, or aggregate a\n\
     \x20                      --results directory into per-axis tables (--out\n\
     \x20                      writes CSV either way)\n\
-    \x20 perf-check [path]    rerun perf and fail on regression against the history\n\
-    \x20                      at path (default BENCH_perf.json)\n\
     \x20 lint [--json]        scan crates/*/src against the workspace lint rules and\n\
     \x20                      the committed specs/lint_baseline.json; --json prints\n\
     \x20                      the machine-readable artefact, --out writes and\n\
@@ -84,8 +81,6 @@ pub enum Command {
     All,
     /// `janus report <trace.jsonl>`
     Report(String),
-    /// `janus perf-check [path]`
-    PerfCheck(Option<String>),
     /// `janus lint [--json]`
     Lint {
         /// Print the machine-readable artefact instead of rendered findings.
@@ -100,7 +95,7 @@ pub fn parse<I>(args: I) -> Result<(Command, BenchFlags), String>
 where
     I: IntoIterator<Item = String>,
 {
-    let mut args = args.into_iter().peekable();
+    let mut args = args.into_iter();
     let word = args.next();
     let mut command = match word.as_deref() {
         None => return Err("missing command".into()),
@@ -123,20 +118,10 @@ where
             let path = next_operand(&mut args, "report", "a trace artefact path")?;
             Command::Report(path)
         }
-        Some("perf-check") => {
-            // The history path is optional: bare `janus perf-check` gates
-            // against the committed BENCH_perf.json.
-            let path = match args.peek() {
-                Some(value) if !value.starts_with("--") => args.next(),
-                _ => None,
-            };
-            Command::PerfCheck(path)
-        }
         Some("lint") => Command::Lint { json: false },
         Some(other) => {
             return Err(format!(
-                "unknown command `{other}`; expected list, run, sweep, all, report, \
-                 perf-check or lint"
+                "unknown command `{other}`; expected list, run, sweep, all, report or lint"
             ))
         }
     };
@@ -233,14 +218,11 @@ where
     Ok((command, flags))
 }
 
-fn next_operand<I>(
-    args: &mut std::iter::Peekable<I>,
+fn next_operand(
+    args: &mut impl Iterator<Item = String>,
     command: &str,
     what: &str,
-) -> Result<String, String>
-where
-    I: Iterator<Item = String>,
-{
+) -> Result<String, String> {
     match args.next() {
         Some(value) if !value.starts_with("--") => Ok(value),
         Some(flag) => Err(format!("`janus {command}` needs {what}, got flag `{flag}`")),
@@ -265,7 +247,6 @@ pub fn execute(command: &Command, flags: &BenchFlags) -> Result<(), String> {
         } => run_sweep_file(spec, results.as_deref(), *resume, *force, flags),
         Command::All => run_all(flags),
         Command::Report(path) => run_report(path, flags),
-        Command::PerfCheck(path) => run_perf_check(path.as_deref(), flags),
         Command::Lint { json } => run_lint(*json, flags),
     }
 }
@@ -346,12 +327,7 @@ fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
     if let (Some(path), Some(sink)) = (&flags.trace, &sink) {
         write_trace(path, name, sink)?;
     }
-    // `janus run perf --out` appends a dated entry to the perf history
-    // rather than overwriting the committed baseline.
-    let written = match (name, flags.out.as_deref()) {
-        ("perf", Some(path)) => perf_history_doc(path, flags, output.to_json())?,
-        _ => output.to_json(),
-    };
+    let written = output.to_json();
     flags.write_out_value(&written);
     flags.verify_out(&written);
     Ok(())
@@ -371,20 +347,6 @@ fn write_trace(path: &str, name: &str, sink: &TraceSink) -> Result<(), String> {
         .map_err(|e| format!("failed to write trace {path}: {e}"))?;
     eprintln!("traced {path} ({} lines)", lines.lines().count());
     Ok(())
-}
-
-/// The document `janus run perf --out PATH` writes: the existing artefact
-/// at PATH (a history, or the pre-history flat baseline) with the fresh
-/// result appended as a dated entry of the current scale.
-fn perf_history_doc(path: &str, flags: &BenchFlags, result: Value) -> Result<Value, String> {
-    let existing = match std::fs::read_to_string(path) {
-        Ok(text) => Some(
-            janus_json::parse(&text)
-                .map_err(|e| format!("existing {path} is not valid JSON: {e}"))?,
-        ),
-        Err(_) => None,
-    };
-    history_with_entry(existing.as_ref(), &result, flags.scale.name(), &today_utc())
 }
 
 fn run_report(path: &str, flags: &BenchFlags) -> Result<(), String> {
@@ -414,36 +376,6 @@ fn write_csv_out(flags: &BenchFlags, csv: &str) -> Result<(), String> {
         "wrote {out} (CSV, {} data rows)",
         csv.lines().count().saturating_sub(1)
     );
-    Ok(())
-}
-
-fn run_perf_check(path: Option<&str>, flags: &BenchFlags) -> Result<(), String> {
-    let path = path.unwrap_or("BENCH_perf.json");
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read perf history `{path}`: {e}"))?;
-    let history = janus_json::parse(&text)
-        .map_err(|e| format!("perf history `{path}` is not valid JSON: {e}"))?;
-    let scale = flags.scale.name();
-    let baseline = latest_baseline(&history, scale)?.ok_or_else(|| {
-        format!(
-            "perf history `{path}` has no {scale}-scale entry; record one with \
-             `janus run perf{} --out {path}`",
-            if flags.scale == Scale::Quick {
-                " --quick"
-            } else {
-                ""
-            }
-        )
-    })?;
-    let output = ExperimentRegistry::with_builtins()
-        .lookup("perf")?
-        .run(&flags.ctx())?;
-    print!("{}", output.summary());
-    // Same-shape comparison on both sides: slice-backed cells only, so the
-    // streaming cell never gates (or excuses) a slice-path regression.
-    let fresh = comparable_mean(&output.to_json()).map_err(|e| format!("fresh perf run: {e}"))?;
-    let verdict = check_against(&baseline, fresh)?;
-    println!("{verdict}");
     Ok(())
 }
 
@@ -617,9 +549,12 @@ fn run_all(flags: &BenchFlags) -> Result<(), String> {
     let ctx = flags.ctx();
     let mut out: Vec<(String, Value)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
+    let mut total_s = 0.0;
     for entry in registry.iter() {
         let experiment = entry.name();
         println!("===== {experiment} =====");
+        // janus-lint: allow(nondeterminism) — per-experiment wall time, printed to stderr only; stdout and --out stay seed-pure
+        let started = Instant::now();
         match entry.run(&ctx) {
             Ok(output) => {
                 print!("{}", output.summary());
@@ -634,8 +569,12 @@ fn run_all(flags: &BenchFlags) -> Result<(), String> {
                 failures.push(format!("{experiment}: {e}"));
             }
         }
+        let wall_s = started.elapsed().as_secs_f64();
+        total_s += wall_s;
+        eprintln!("{experiment}: {wall_s:.3} s");
         println!();
     }
+    eprintln!("total: {total_s:.3} s");
     // Write whatever completed even when something failed: a paper-scale
     // run is hours of compute, and the old `run_all` always wrote the
     // collected document.
@@ -666,8 +605,8 @@ mod tests {
     fn commands_parse_with_flags() {
         assert_eq!(parse_cli(&["list"]).unwrap().0, Command::List);
         assert_eq!(parse_cli(&["all"]).unwrap().0, Command::All);
-        let (cmd, flags) = parse_cli(&["run", "perf", "--quick", "--seed", "3"]).unwrap();
-        assert_eq!(cmd, Command::Run("perf".into()));
+        let (cmd, flags) = parse_cli(&["run", "table1", "--quick", "--seed", "3"]).unwrap();
+        assert_eq!(cmd, Command::Run("table1".into()));
         assert_eq!(flags.scale, Scale::Quick);
         assert_eq!(flags.seed, Some(3));
         let (cmd, _) = parse_cli(&["sweep", "specs/smoke.json"]).unwrap();
@@ -710,15 +649,6 @@ mod tests {
         assert_eq!(flags.trace.as_deref(), Some("out.jsonl"));
         let (cmd, _) = parse_cli(&["report", "out.jsonl"]).unwrap();
         assert_eq!(cmd, Command::Report("out.jsonl".into()));
-        // perf-check's history path is optional; flags still parse after it.
-        let (cmd, _) = parse_cli(&["perf-check"]).unwrap();
-        assert_eq!(cmd, Command::PerfCheck(None));
-        let (cmd, flags) = parse_cli(&["perf-check", "h.json", "--quick"]).unwrap();
-        assert_eq!(cmd, Command::PerfCheck(Some("h.json".into())));
-        assert_eq!(flags.scale, Scale::Quick);
-        let (cmd, flags) = parse_cli(&["perf-check", "--quick"]).unwrap();
-        assert_eq!(cmd, Command::PerfCheck(None));
-        assert_eq!(flags.scale, Scale::Quick);
         // lint: bare, --json, and --out all parse; --json is its own flag.
         let (cmd, flags) = parse_cli(&["lint"]).unwrap();
         assert_eq!(cmd, Command::Lint { json: false });
@@ -754,13 +684,13 @@ mod tests {
         let err = parse_cli(&["sweep", "s.json", "--results", "r", "--results", "r"]).unwrap_err();
         assert!(err.contains("--results given twice"), "{err}");
         // Run/report do not accept the sweep-only store flags.
-        let err = parse_cli(&["run", "perf", "--results", "r"]).unwrap_err();
+        let err = parse_cli(&["run", "table1", "--results", "r"]).unwrap_err();
         assert!(err.contains("unknown flag `--results`"), "{err}");
         let err = parse_cli(&["report"]).unwrap_err();
         assert!(err.contains("needs a trace artefact path"), "{err}");
         let err = parse_cli(&["report", "--quick"]).unwrap_err();
         assert!(err.contains("got flag `--quick`"), "{err}");
-        let err = parse_cli(&["run", "perf", "--warp"]).unwrap_err();
+        let err = parse_cli(&["run", "table1", "--warp"]).unwrap_err();
         assert!(err.contains("unknown flag `--warp`"), "{err}");
         let err = parse_cli(&["list", "--quick"]).unwrap_err();
         assert!(err.contains("takes no flags"), "{err}");
@@ -781,7 +711,7 @@ mod tests {
             &["all", "--quick", "--trace", "t.jsonl"][..],
             &["sweep", "s.json", "--trace", "t.jsonl"][..],
             &["report", "t.jsonl", "--trace", "u.jsonl"][..],
-            &["perf-check", "--trace", "t.jsonl"][..],
+            &["sweep", "s.json", "--results", "r", "--trace", "t.jsonl"][..],
         ] {
             let err = parse_cli(args).unwrap_err();
             assert!(err.contains("writes no trace"), "{err}");
@@ -793,7 +723,7 @@ mod tests {
     fn unknown_experiments_fail_with_the_registered_list() {
         let err = execute(&Command::Run("fig99".into()), &BenchFlags::default()).unwrap_err();
         assert!(err.contains("unknown experiment `fig99`"), "{err}");
-        assert!(err.contains("perf"), "{err}");
+        assert!(err.contains("flash_scale"), "{err}");
         let err = execute(
             &Command::Sweep {
                 spec: "specs/no_such_spec.json".into(),
@@ -826,7 +756,7 @@ mod tests {
         for needle in [
             "experiments (janus run <name>):",
             "fig1a",
-            "perf",
+            "flash_scale",
             "policies: Optimal, ORION, GrandSLAM+, GrandSLAM, Janus-, Janus, Janus+\n",
             "scenarios: poisson, diurnal, bursty, flash-crowd, trace-replay\n",
             "autoscalers: static, utilization, queue-depth",
@@ -1034,83 +964,5 @@ mod tests {
         // The typed decode accepts the artefact it just wrote.
         janus_lint::diagnostics_from_json(&doc).expect("artefact decodes to diagnostics");
         let _ = std::fs::remove_file(&out);
-    }
-
-    #[test]
-    fn perf_out_appends_dated_entries_to_the_history() {
-        let path = temp_path("janus_cli_perf_history_append_test.json");
-        let _ = std::fs::remove_file(&path);
-        let flags = BenchFlags {
-            scale: Scale::Quick,
-            seed: Some(11),
-            out: Some(path.clone()),
-            ..BenchFlags::default()
-        };
-        execute(&Command::Run("perf".into()), &flags).unwrap();
-        execute(&Command::Run("perf".into()), &flags).unwrap();
-        let doc = janus_json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(
-            doc.require("experiment").unwrap().as_str(),
-            Some("perf-history")
-        );
-        let entries = doc.require("entries").unwrap().as_array().unwrap().to_vec();
-        assert_eq!(entries.len(), 2, "second run appends, not overwrites");
-        for entry in &entries {
-            assert_eq!(entry.require("scale").unwrap().as_str(), Some("quick"));
-            assert!(entry
-                .require("result")
-                .and_then(|r| r.require("mean_events_per_sec"))
-                .unwrap()
-                .as_f64()
-                .unwrap()
-                .is_finite());
-        }
-        // The gate finds the appended entry as its quick baseline.
-        let baseline = latest_baseline(&doc, "quick").unwrap().unwrap();
-        assert!(baseline.mean_events_per_sec > 0.0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn perf_check_gates_against_the_history_at_the_given_path() {
-        let quick = BenchFlags {
-            scale: Scale::Quick,
-            seed: Some(3),
-            ..BenchFlags::default()
-        };
-        // Missing file and missing matching-scale entry fail with guidance
-        // before any perf run is spent.
-        let err = execute(
-            &Command::PerfCheck(Some(temp_path("janus_no_such_history.json"))),
-            &quick,
-        )
-        .unwrap_err();
-        assert!(err.contains("cannot read perf history"), "{err}");
-        let paper_only = temp_path("janus_cli_perf_check_paper_only.json");
-        let flat = Value::Obj(vec![
-            ("experiment".to_string(), Value::Str("perf".to_string())),
-            ("mean_events_per_sec".to_string(), Value::Num(1e6)),
-        ]);
-        std::fs::write(&paper_only, flat.to_pretty()).unwrap();
-        let err = execute(&Command::PerfCheck(Some(paper_only.clone())), &quick).unwrap_err();
-        assert!(err.contains("no quick-scale entry"), "{err}");
-        assert!(err.contains("janus run perf --quick"), "{err}");
-
-        // An absurdly fast committed baseline makes any fresh run a
-        // regression — the failure carries both figures.
-        let impossible = temp_path("janus_cli_perf_check_impossible.json");
-        let history = history_with_entry(
-            None,
-            &Value::Obj(vec![("mean_events_per_sec".to_string(), Value::Num(1e18))]),
-            "quick",
-            "2026-08-07",
-        )
-        .unwrap();
-        std::fs::write(&impossible, history.to_pretty()).unwrap();
-        let err = execute(&Command::PerfCheck(Some(impossible.clone())), &quick).unwrap_err();
-        assert!(err.contains("perf regression"), "{err}");
-        assert!(err.contains("2026-08-07"), "{err}");
-        let _ = std::fs::remove_file(&paper_only);
-        let _ = std::fs::remove_file(&impossible);
     }
 }

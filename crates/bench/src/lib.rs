@@ -194,8 +194,8 @@ impl BenchFlags {
         let mut doc = value.to_pretty();
         doc.push('\n');
         // Atomic (temp-file + rename): an interrupted run never truncates an
-        // existing artefact — in particular the appended BENCH_perf.json
-        // history keeps either the old entries or old + new, never neither.
+        // existing artefact; the path holds either the old document or the
+        // new one, never a torn mix.
         match janus_results::write_atomic(std::path::Path::new(path), &doc) {
             Ok(()) => eprintln!("wrote {path}"),
             Err(e) => {

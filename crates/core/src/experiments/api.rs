@@ -6,8 +6,8 @@
 //! that can turn an [`ExperimentCtx`] (the scale and seed knobs every runner
 //! shares) into an [`ExperimentOutput`] — a bundle of result structs that
 //! are simultaneously human-readable (`Display`) and machine-readable
-//! ([`ToJson`]). The paper's figures and tables, the scenario/capacity
-//! sweeps and the perf trajectory are pre-registered built-ins; downstream
+//! ([`ToJson`]). The paper's figures and tables and the scenario, capacity,
+//! chaos and flash-crowd sweeps are pre-registered built-ins; downstream
 //! crates implement [`Experiment`] for their own and register them with
 //! `ExperimentRegistry::register`, then run them through the same `janus`
 //! CLI without touching any `janus-*` crate.
@@ -25,7 +25,7 @@
 //! assert!(output.to_json().get("experiment").is_some());
 //! ```
 
-use crate::experiments::{PerfConfig, SessionSpec, SweepResult, SweepSpec, ToJson};
+use crate::experiments::{SessionSpec, SweepResult, SweepSpec, ToJson};
 use crate::session::{Load, ServingSession, ServingSessionBuilder};
 use janus_json::Value;
 use janus_simcore::registry::{Entry, Registry};
@@ -45,15 +45,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// The scale's canonical name — what perf-history entries are tagged
-    /// with, so baselines only ever gate runs of the same scale.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Paper => "paper",
-            Scale::Quick => "quick",
-        }
-    }
-
     /// Profile samples per grid point at this scale.
     pub fn profile_samples(self) -> usize {
         match self {
@@ -75,14 +66,6 @@ impl Scale {
         match self {
             Scale::Paper => 50,
             Scale::Quick => 25,
-        }
-    }
-
-    /// Perf-trajectory configuration at this scale.
-    pub fn perf(self) -> PerfConfig {
-        match self {
-            Scale::Paper => PerfConfig::paper_default(),
-            Scale::Quick => PerfConfig::quick(),
         }
     }
 }
@@ -278,15 +261,6 @@ impl ExperimentCtx {
         Ok(())
     }
 
-    /// Perf-trajectory configuration at this scale, seed override applied.
-    pub fn perf_config(&self) -> PerfConfig {
-        let mut config = self.scale.perf();
-        if let Some(seed) = self.seed {
-            config.seed = seed;
-        }
-        config
-    }
-
     /// Profile samples per grid point at this scale.
     pub fn profile_samples(&self) -> usize {
         self.scale.profile_samples()
@@ -357,9 +331,8 @@ impl ExperimentOutput {
         out
     }
 
-    /// The machine view: a single part's document verbatim (so e.g. the
-    /// perf artefact keeps its historical schema), or an array of part
-    /// documents for multi-part experiments.
+    /// The machine view: a single part's document verbatim, or an array of
+    /// part documents for multi-part experiments.
     pub fn to_json(&self) -> Value {
         match self.parts.as_slice() {
             [(_, only)] => only.to_json(),
@@ -419,10 +392,10 @@ impl Entry for dyn Experiment {
 
     /// Every experiment of the evaluation, in paper order: the motivation
     /// figures, the overall comparison tables/figures, the synthesis
-    /// studies, the scenario/capacity sweeps and the perf trajectory.
+    /// studies and the scenario, capacity, chaos and flash-crowd sweeps.
     fn builtins(registry: &mut ExperimentRegistry) {
         use crate::experiments::{capacity_sweep, chaos_resilience, flash_scale, metrics};
-        use crate::experiments::{motivation, overall, perf, scenario_sweep, slo_sweep, synthesis};
+        use crate::experiments::{motivation, overall, scenario_sweep, slo_sweep, synthesis};
         registry.register(Arc::new(motivation::Fig1aExperiment));
         registry.register(Arc::new(motivation::Fig1bExperiment));
         registry.register(Arc::new(motivation::Fig1cExperiment));
@@ -439,7 +412,6 @@ impl Entry for dyn Experiment {
         registry.register(Arc::new(scenario_sweep::ScenarioSweepExperiment));
         registry.register(Arc::new(capacity_sweep::CapacitySweepExperiment));
         registry.register(Arc::new(chaos_resilience::ChaosResilienceExperiment));
-        registry.register(Arc::new(perf::PerfExperiment));
         registry.register(Arc::new(flash_scale::FlashScaleExperiment));
     }
 }
@@ -468,7 +440,6 @@ mod tests {
             "scenarios",
             "capacity",
             "chaos_resilience",
-            "perf",
             "flash_scale",
         ] {
             assert!(
@@ -477,7 +448,7 @@ mod tests {
             );
             registry.ensure_known(name).unwrap();
         }
-        assert_eq!(registry.len(), 18);
+        assert_eq!(registry.len(), 17);
         for experiment in registry.iter() {
             let name = experiment.name();
             assert!(
@@ -575,7 +546,6 @@ mod tests {
             };
             assert_eq!(ctx.sweep_spec(app, paper, quick), expected);
         }
-        assert_eq!(ctx.perf_config().seed, 99);
         let plain = ExperimentCtx::new(Scale::Paper);
         assert_eq!(plain.seed_or(5), 5);
         assert!(plain.profile_samples() > ctx.profile_samples());

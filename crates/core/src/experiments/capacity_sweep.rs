@@ -18,10 +18,9 @@
 //! Every session validates request conservation (`admitted + shed ==
 //! generated`) before the view reads it.
 
-use crate::experiments::perf::rate_per_sec;
 use crate::experiments::scenario_sweep::served_report;
 use crate::experiments::spec::SweepSpec;
-use crate::experiments::sweep::{run_sweep, SweepPoint, SweepResult};
+use crate::experiments::sweep::{rate_per_sec, run_sweep, SweepPoint, SweepResult};
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
 use janus_workloads::apps::PaperApp;

@@ -30,7 +30,7 @@ use janus_workloads::request::RequestInputGenerator;
 use std::fmt;
 use std::time::Instant;
 
-use super::perf::{rate_per_sec, MIN_WALL_MS};
+use super::sweep::{rate_per_sec, MIN_WALL_MS};
 
 /// Configuration of one flash-scale run.
 #[derive(Debug, Clone, PartialEq)]

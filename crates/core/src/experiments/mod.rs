@@ -23,8 +23,6 @@ pub mod flash_scale;
 pub mod metrics;
 pub mod motivation;
 pub mod overall;
-pub mod perf;
-pub mod perf_history;
 pub mod report_json;
 pub mod results_report;
 pub mod scenario_sweep;
@@ -46,19 +44,14 @@ pub use motivation::{
     Fig1aResult, Fig1bResult, Fig1cResult, Fig2Result,
 };
 pub use overall::{OverallResult, TABLE1_POLICIES};
-pub use perf::{perf_trajectory, rate_per_sec, PerfCell, PerfConfig, PerfResult};
-pub use perf_history::{
-    check_against, comparable_mean, history_with_entry, latest_baseline, today_utc, PerfBaseline,
-    HISTORY_EXPERIMENT, REGRESSION_TOLERANCE,
-};
 pub use report_json::ToJson;
 pub use results_report::{ResultsReport, ResultsRow};
 pub use scenario_sweep::{scenario_sweep, ScenarioSweepResult};
 pub use slo_sweep::{fig9_slo_sweep, Fig9Result};
 pub use spec::{SessionSpec, SweepSpec};
 pub use sweep::{
-    run_sweep, run_sweep_stored, run_sweep_streaming, PolicyCell, StoreMode, SweepPoint,
-    SweepResult, RESULTS_EPOCH,
+    rate_per_sec, run_sweep, run_sweep_stored, run_sweep_streaming, PolicyCell, StoreMode,
+    SweepPoint, SweepResult, RESULTS_EPOCH,
 };
 pub use synthesis::{
     fig6_exploration_cost, fig8_hint_counts, overhead_report, table2_weight_impact, Fig6Result,

@@ -5,13 +5,12 @@
 //! framework, see `DESIGN.md` §4). Every experiment
 //! result struct implements [`ToJson`]; the `janus-bench` binaries write the
 //! document next to their stdout tables when `--out <path>` is given, which
-//! makes performance trajectories diffable and plottable without scraping
-//! the tables.
+//! makes results diffable and plottable without scraping the tables.
 
 use super::{
     rate_per_sec, CapacitySweepResult, ChaosResilienceResult, Fig1aResult, Fig1bResult,
     Fig1cResult, Fig2Result, Fig6Result, Fig7Result, Fig8Result, Fig9Result, FlashScaleResult,
-    OverallResult, OverheadResult, PerfResult, ScenarioSweepResult, Table2Result,
+    OverallResult, OverheadResult, ScenarioSweepResult, Table2Result,
 };
 use janus_json::Value;
 
@@ -468,63 +467,6 @@ impl ToJson for ChaosResilienceResult {
     }
 }
 
-impl ToJson for PerfResult {
-    fn to_json(&self) -> Value {
-        let cells = self
-            .cells
-            .iter()
-            .map(|cell| {
-                obj(vec![
-                    ("scenario", text(&cell.scenario)),
-                    ("requests", count(cell.requests)),
-                    ("events", count(cell.events as usize)),
-                    ("wall_ms", num(cell.wall_ms)),
-                    ("events_per_sec", num(cell.events_per_sec)),
-                    ("peak_queue_depth", count(cell.peak_queue_depth)),
-                    ("peak_resident_arrivals", count(cell.peak_resident_arrivals)),
-                    ("streaming", Value::Bool(cell.streaming)),
-                    ("observed_wall_ms", num(cell.observed_wall_ms)),
-                    ("observed_events_per_sec", num(cell.observed_events_per_sec)),
-                    ("observer_overhead_pct", num(cell.observer_overhead_pct)),
-                ])
-            })
-            .collect();
-        let counters = self
-            .metrics
-            .counters
-            .iter()
-            .map(|(name, value)| {
-                obj(vec![
-                    ("name", text(name)),
-                    ("value", count(*value as usize)),
-                ])
-            })
-            .collect();
-        obj(vec![
-            ("experiment", text("perf")),
-            ("app", text(self.config.app.short_name())),
-            ("requests_per_scenario", count(self.config.requests)),
-            ("base_rps", num(self.config.rps)),
-            ("allocation_mc", count(self.config.allocation_mc as usize)),
-            ("repetitions", count(self.config.repetitions)),
-            ("seed", count(self.config.seed as usize)),
-            ("cells", Value::Arr(cells)),
-            ("total_wall_ms", num(self.total_wall_ms)),
-            ("total_events", count(self.total_events as usize)),
-            ("samples_recorded", count(self.samples_recorded as usize)),
-            ("counters", Value::Arr(counters)),
-            (
-                "mean_events_per_sec",
-                num(self.events_per_sec_summary.mean()),
-            ),
-            (
-                "mean_observer_overhead_pct",
-                num(self.mean_observer_overhead_pct),
-            ),
-        ])
-    }
-}
-
 impl ToJson for FlashScaleResult {
     fn to_json(&self) -> Value {
         obj(vec![
@@ -614,46 +556,5 @@ mod tests {
             .as_f64()
             .unwrap();
         assert!((0.0..=1.0).contains(&attainment));
-    }
-
-    #[test]
-    fn perf_results_round_trip_through_the_decoder() {
-        let config = experiments::PerfConfig {
-            scenarios: vec!["poisson".into(), "bursty".into()],
-            requests: 40,
-            repetitions: 1,
-            ..experiments::PerfConfig::quick()
-        };
-        let result = experiments::perf_trajectory(&config).unwrap();
-        let doc = json::parse(&result.to_json().to_pretty()).unwrap();
-        assert_eq!(doc.require("experiment").unwrap().as_str(), Some("perf"));
-        let cells = doc.require("cells").unwrap().as_array().unwrap();
-        // Two slice-backed scenario cells plus the streaming-shape cell.
-        assert_eq!(cells.len(), 3);
-        assert_eq!(
-            cells[0].require("streaming").unwrap().as_bool(),
-            Some(false)
-        );
-        assert_eq!(cells[2].require("streaming").unwrap().as_bool(), Some(true));
-        assert_eq!(
-            cells[2].require("peak_resident_arrivals").unwrap().as_f64(),
-            Some(1.0)
-        );
-        for (cell, expected) in cells.iter().zip(&result.cells) {
-            assert_eq!(
-                cell.require("scenario").unwrap().as_str(),
-                Some(expected.scenario.as_str())
-            );
-            assert!(cell.require("events_per_sec").unwrap().as_f64().unwrap() > 0.0);
-            assert_eq!(
-                cell.require("events").unwrap().as_f64(),
-                Some(expected.events as f64)
-            );
-        }
-        assert_eq!(
-            doc.require("samples_recorded").unwrap().as_f64(),
-            Some(result.samples_recorded as f64)
-        );
-        assert!(doc.require("total_wall_ms").unwrap().as_f64().unwrap() > 0.0);
     }
 }

@@ -132,8 +132,17 @@ impl ResultsReport {
     /// Aggregate every valid cell in `store`. Rows come back sorted by
     /// (scenario, rps, seed, autoscaler, admission, fault, policy), so the
     /// report is deterministic regardless of directory enumeration order.
+    /// A directory with no cells is an error: it is almost always a
+    /// mistyped store path, and an empty report would read as a clean one.
     pub fn from_store(store: &ResultsStore) -> Result<Self, String> {
         let cells = store.load_all()?;
+        if cells.is_empty() {
+            return Err(format!(
+                "results store {} holds no cells; fill one with \
+                 `janus sweep <spec> --results DIR`",
+                store.dir().display()
+            ));
+        }
         let mut rows = Vec::new();
         for stored in &cells {
             rows.extend(decode_rows(stored).map_err(|e| format!("cell `{}`: {e}", stored.key))?);
@@ -421,6 +430,11 @@ mod tests {
             std::env::temp_dir().join(format!("janus-results-report-bad-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ResultsStore::open(&dir).unwrap();
+        // A directory with no cells at all.
+        let err = ResultsReport::from_store(&store).unwrap_err();
+        assert!(err.contains(&dir.display().to_string()), "{err}");
+        assert!(err.contains("holds no cells"), "{err}");
+        assert!(err.contains("janus sweep <spec> --results DIR"), "{err}");
         // A result document with no `policies` member.
         store
             .save(

@@ -7,8 +7,8 @@
 //! scenario, cluster, autoscaler, admission, seed, profiling knobs — can be
 //! written down as JSON, checked into `specs/`, and executed with
 //! `janus sweep <spec.json>` without writing a line of Rust. Encoding and
-//! decoding are hand-rolled over [`janus_json::Value`] (the workspace is
-//! shims-only; see `DESIGN.md` §4): [`SweepSpec::to_json`] and
+//! decoding are hand-rolled over [`janus_json::Value`] (the workspace has
+//! no external dependency; see `DESIGN.md` §4): [`SweepSpec::to_json`] and
 //! [`SweepSpec::from_json`] round-trip byte-identically, and the decoder is
 //! *strict* — unknown keys, wrong types and missing required fields all name
 //! the offending key, so a typo in a spec file fails loudly instead of

@@ -47,7 +47,6 @@
 //!
 //! [`ServingSession`]: crate::session::ServingSession
 
-use crate::experiments::perf::{rate_per_sec, MIN_WALL_MS};
 use crate::experiments::spec::{SessionSpec, SetupKey, SweepSpec};
 use crate::experiments::ToJson;
 use crate::session::{PolicyReport, SessionReport, SetupMemo};
@@ -67,6 +66,23 @@ use std::time::Instant;
 /// are unreachable rather than invalid: the epoch is inside the hash, so a
 /// stale file is simply never looked up again.
 pub const RESULTS_EPOCH: u32 = 1;
+
+/// Smallest wall-clock interval a cell is billed for, in ms (1 µs). Clamping
+/// keeps throughput figures finite on `--quick` runs whose measured wall
+/// time can round to ~0.
+pub const MIN_WALL_MS: f64 = 1e-3;
+
+/// `count` events over `wall_ms` as a per-second rate, guarded against
+/// degenerate timings: a ~0 wall time would produce `inf` (and a NaN input
+/// NaN), which the hand-rolled JSON writer encodes as `null` — breaking
+/// every typed reader of the emitted artefact. Wall time is clamped to
+/// [`MIN_WALL_MS`]; non-finite wall times yield a rate of 0.
+pub fn rate_per_sec(count: u64, wall_ms: f64) -> f64 {
+    if !wall_ms.is_finite() {
+        return 0.0;
+    }
+    count as f64 / (wall_ms.max(MIN_WALL_MS) / 1000.0)
+}
 
 /// How a results store participates in a sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -674,6 +690,31 @@ mod tests {
         let doc = janus_json::parse(&result.to_json().to_pretty()).unwrap();
         assert_eq!(doc.require("points").unwrap().as_array().unwrap().len(), 4);
         assert_eq!(doc.require("experiment").unwrap().as_str(), Some("sweep"));
+    }
+
+    #[test]
+    fn zero_duration_rates_stay_finite_and_json_safe() {
+        // The guard itself: zero, sub-clamp, non-finite.
+        assert!(rate_per_sec(1000, 0.0).is_finite());
+        assert_eq!(rate_per_sec(1000, 0.0), 1000.0 / (MIN_WALL_MS / 1000.0));
+        assert_eq!(rate_per_sec(0, 0.0), 0.0);
+        assert!(rate_per_sec(1000, 1e-9).is_finite());
+        assert_eq!(rate_per_sec(1000, f64::NAN), 0.0);
+        assert_eq!(rate_per_sec(1000, f64::INFINITY), 0.0);
+        // A point whose wall time reads 0 still round-trips through the
+        // hand-rolled JSON with a numeric (non-null) rate field.
+        let mut result = run_sweep(&SweepSpec {
+            scenarios: vec!["poisson".into()],
+            seeds: vec![7],
+            ..tiny_spec()
+        })
+        .unwrap();
+        result.points[0].wall_ms = 0.0;
+        let doc = janus_json::parse(&result.to_json().to_pretty()).unwrap();
+        let point = &doc.require("points").unwrap().as_array().unwrap()[0];
+        let rate = point.require("points_per_sec").unwrap().as_f64();
+        assert!(rate.is_some(), "rate must decode as a number, not null");
+        assert!(rate.unwrap().is_finite() && rate.unwrap() > 0.0);
     }
 
     /// A cold sweep builds each distinct set-up at least once, and at most

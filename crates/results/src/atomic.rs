@@ -1,8 +1,8 @@
 //! Atomic file writes: write to a temp file in the target directory, then
 //! rename over the destination. A kill at any point leaves either the old
 //! contents or the new contents — never a truncated file. Used for every
-//! artefact the workspace persists (results cells, `--out` reports,
-//! `BENCH_perf.json` history appends).
+//! artefact the workspace persists (results cells, `--out` reports, flight
+//! traces).
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
