@@ -8,6 +8,7 @@ use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_simcore::interference::InterferenceModel;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::time::SimDuration;
+use janus_synthesizer::synthesizer::ExplorationDepth;
 use janus_trace::slack::SlackAnalysis;
 use janus_trace::synth::{Trace, TraceConfig};
 use janus_workloads::apps::{intelligent_assistant, PaperApp};
@@ -15,7 +16,7 @@ use janus_workloads::microbench;
 use janus_workloads::request::RequestInputGenerator;
 use std::fmt;
 
-use crate::deployment::{DeploymentConfig, JanusDeployment};
+use crate::registry::{JanusFactory, SynthesisSettings};
 
 /// Figure 1a: slack CDFs of function invocations under P99 SLOs.
 #[derive(Debug, Clone)]
@@ -217,16 +218,8 @@ pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Result<Fig2Result,
     let mut early = grandslam(&profile, slo)?;
     let early_report = executor.run(&mut early, &reqs);
 
-    let deployment = JanusDeployment::from_profile(
-        &DeploymentConfig {
-            samples_per_point: 600,
-            seed,
-            ..DeploymentConfig::paper_default(app, 1)
-        },
-        workflow.clone(),
-        profile,
-    )?;
-    let mut late = deployment.policy();
+    let (mut late, _) = JanusFactory::new(ExplorationDepth::HeadOnly)
+        .synthesize(&profile, SynthesisSettings::default())?;
     let late_report = executor.run(&mut late, &reqs);
 
     let mut oracle = OptimalOracle::new(

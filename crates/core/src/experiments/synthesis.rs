@@ -1,11 +1,11 @@
 //! Synthesizer-centric experiments: Figures 6 and 8, Table II and the system
 //! overhead report (§V-C, §V-E, §V-F, §V-H).
 
-use crate::deployment::{DeploymentConfig, JanusDeployment};
+use crate::registry::{JanusFactory, SynthesisSettings};
 use crate::session::ServingSessionBuilder;
 use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_simcore::time::SimDuration;
-use janus_synthesizer::synthesizer::{Synthesizer, SynthesizerConfig};
+use janus_synthesizer::synthesizer::{ExplorationDepth, Synthesizer, SynthesizerConfig};
 use janus_workloads::apps::PaperApp;
 use std::fmt;
 use std::time::Instant;
@@ -291,7 +291,7 @@ pub struct OverheadResult {
     pub rows: Vec<(String, f64, f64, usize, usize, f64)>,
 }
 
-/// Measure the online overhead for IA and VA: build each deployment, drive
+/// Measure the online overhead for IA and VA: build each Janus policy, drive
 /// `decisions_per_workflow` adapter decisions across the budget range, and
 /// report decision latency plus the hints-table footprint.
 ///
@@ -304,28 +304,35 @@ pub fn overhead_report(
     seed: u64,
 ) -> Result<OverheadResult, String> {
     let mut rows = Vec::new();
+    let profiler = Profiler::new(ProfilerConfig {
+        samples_per_point,
+        seed,
+        ..ProfilerConfig::default()
+    })?;
+    let janus = JanusFactory::new(ExplorationDepth::HeadOnly);
     for app in PaperApp::ALL {
-        let deployment = JanusDeployment::build(&DeploymentConfig {
-            samples_per_point,
-            seed,
-            budget_step_ms: 2.0,
-            ..DeploymentConfig::paper_default(app, 1)
-        })?;
-        let mut policy = deployment.policy();
+        let workflow = app.workflow();
+        let (mut policy, report) = janus.synthesize(
+            &profiler.profile_workflow(&workflow, 1),
+            SynthesisSettings {
+                budget_step_ms: 2.0,
+                ..SynthesisSettings::default()
+            },
+        )?;
         let slo_ms = app.default_slo(1).as_millis();
         use janus_platform::policy::{RequestContext, SizingPolicy};
         let ctx = RequestContext {
             request_id: 0,
             slo: app.default_slo(1),
             concurrency: 1,
-            workflow_len: deployment.workflow().len(),
+            workflow_len: workflow.len(),
         };
         let (mut total_us, mut max_us) = (0.0_f64, 0.0_f64);
         for i in 0..decisions_per_workflow {
             let budget = SimDuration::from_millis(
                 slo_ms * (0.3 + 0.7 * (i as f64 / decisions_per_workflow as f64)),
             );
-            let index = i % deployment.workflow().len();
+            let index = i % workflow.len();
             // janus-lint: allow(nondeterminism) — the decision latency IS the §V-H measurement; the chosen size never depends on it
             let started = Instant::now();
             let _ = policy.size_next(&ctx, index, budget);
@@ -337,9 +344,9 @@ pub fn overhead_report(
             app.short_name().to_string(),
             total_us / decisions_per_workflow.max(1) as f64,
             max_us,
-            deployment.bundle().approx_size_bytes(),
-            deployment.bundle().total_hints(),
-            deployment.report().synthesis_time_ms,
+            policy.adapter().bundle().approx_size_bytes(),
+            policy.adapter().bundle().total_hints(),
+            report.synthesis_time_ms,
         ));
     }
     Ok(OverheadResult { rows })

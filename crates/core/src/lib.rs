@@ -31,8 +31,9 @@
 //!   `flash-crowd`, `trace-replay`) behind an open `ScenarioRegistry`,
 //!   selected per session with `.scenario(..)` / `.arrivals(..)` and swept
 //!   against the policy grid by [`fn@experiments::scenario_sweep`].
-//! * [`JanusDeployment`] — the end-to-end pipeline (profile → synthesize →
-//!   deploy adapter) for one workflow, concurrency and SLO.
+//! * [`JanusFactory::synthesize`](registry::JanusFactory::synthesize) — the
+//!   developer-to-provider handoff (synthesize → deploy adapter) for one
+//!   workflow profile; every Janus policy is built through it.
 //! * [`JanusPolicy`] — the resulting late-binding
 //!   [`SizingPolicy`](janus_platform::policy::SizingPolicy), runnable on the
 //!   same platform executor as every baseline.
@@ -69,13 +70,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod deployment;
 pub mod experiments;
 pub mod policy;
 pub mod registry;
 pub mod session;
 
-pub use deployment::{DeploymentConfig, JanusDeployment, JanusVariant};
 pub use policy::JanusPolicy;
 pub use registry::{BuiltPolicy, PolicyContext, PolicyFactory, PolicyRegistry};
 pub use session::{Load, PolicyReport, ServingSession, SessionReport};

@@ -288,6 +288,29 @@ impl JanusFactory {
     pub fn new(exploration: ExplorationDepth) -> Self {
         JanusFactory { exploration }
     }
+
+    /// The developer-to-provider handoff of §III-A for one profile:
+    /// synthesize and condense the hints, then hand the bundle to a fresh
+    /// adapter. Fails when `synthesis` is not a valid synthesizer
+    /// configuration (for example a weight below 1).
+    pub fn synthesize(
+        &self,
+        profile: &WorkflowProfile,
+        synthesis: SynthesisSettings,
+    ) -> Result<(JanusPolicy, SynthesisReport), String> {
+        let synthesizer = Synthesizer::new(SynthesizerConfig {
+            weight: synthesis.weight,
+            exploration: self.exploration,
+            budget_step_ms: synthesis.budget_step_ms,
+            ..SynthesizerConfig::default()
+        })?;
+        let (bundle, report) = synthesizer.synthesize(profile);
+        let policy = JanusPolicy::new(
+            self.exploration.variant_name(),
+            Adapter::new(bundle, AdapterConfig::default()),
+        );
+        Ok((policy, report))
+    }
 }
 
 impl PolicyFactory for JanusFactory {
@@ -296,17 +319,7 @@ impl PolicyFactory for JanusFactory {
     }
 
     fn build(&self, ctx: &PolicyContext<'_>) -> Result<BuiltPolicy, String> {
-        let synthesizer = Synthesizer::new(SynthesizerConfig {
-            weight: ctx.synthesis.weight,
-            exploration: self.exploration,
-            budget_step_ms: ctx.synthesis.budget_step_ms,
-            ..SynthesizerConfig::default()
-        })?;
-        let (bundle, report) = synthesizer.synthesize(ctx.profile);
-        let policy = JanusPolicy::new(
-            self.exploration.variant_name(),
-            Adapter::new(bundle, AdapterConfig::default()),
-        );
+        let (policy, report) = self.synthesize(ctx.profile, ctx.synthesis)?;
         Ok(BuiltPolicy::with_synthesis(policy, report))
     }
 
@@ -389,6 +402,53 @@ mod tests {
                 let fresh = built.fresh().expect("fresh instance");
                 assert_eq!(fresh.policy.name(), name);
                 assert_eq!(fresh.synthesis.is_some(), is_janus, "{name}");
+            }
+        });
+    }
+
+    #[test]
+    fn janus_synthesize_covers_every_suffix_and_matches_the_registry_build() {
+        with_ctx(|ctx| {
+            let registry = PolicyRegistry::with_builtins();
+            for exploration in [
+                ExplorationDepth::None,
+                ExplorationDepth::HeadOnly,
+                ExplorationDepth::HeadAndNext,
+            ] {
+                let name = exploration.variant_name();
+                let (mut policy, report) = JanusFactory::new(exploration)
+                    .synthesize(ctx.profile, ctx.synthesis)
+                    .unwrap();
+                let bundle = policy.adapter().bundle();
+                assert_eq!(policy.name(), name);
+                assert_eq!(report.variant, name);
+                assert_eq!(bundle.tables.len(), ctx.workflow.len(), "{name}");
+                assert_eq!(bundle.total_hints(), report.condensed_hints, "{name}");
+                assert!(bundle.total_hints() > 0, "{name}");
+
+                // The registry's build is the same handoff: its report counts
+                // the same hints, and its policy sizes every function at
+                // every budget exactly as the synthesized one does.
+                let mut built = registry.build(name, ctx).unwrap();
+                let built_report = built.synthesis.as_ref().unwrap();
+                assert_eq!(built_report.raw_hints, report.raw_hints, "{name}");
+                assert_eq!(built_report.condensed_hints, report.condensed_hints);
+                let request = janus_platform::policy::RequestContext {
+                    request_id: 0,
+                    slo: ctx.slo,
+                    concurrency: ctx.concurrency,
+                    workflow_len: ctx.workflow.len(),
+                };
+                for index in 0..ctx.workflow.len() {
+                    for budget_ms in (0..=3000).step_by(10) {
+                        let budget = SimDuration::from_millis(f64::from(budget_ms));
+                        assert_eq!(
+                            built.policy.size_next(&request, index, budget),
+                            policy.size_next(&request, index, budget),
+                            "{name}: function {index} at {budget_ms} ms"
+                        );
+                    }
+                }
             }
         });
     }

@@ -76,9 +76,9 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 }
 
 /// Enumerate the lintable sources under `root`: every `.rs` file in
-/// `crates/*/src`, recursively, in sorted (deterministic) order. `shims/`
-/// is excluded by construction — shim crates imitate external APIs and do
-/// not carry the workspace's invariants.
+/// `crates/*/src`, recursively, in sorted (deterministic) order. Only
+/// library and binary sources are in scope: the workspace's `tests/` and
+/// `examples/` and the separate `perfbench/` package are not scanned.
 pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
     let mut crates: Vec<PathBuf> = Vec::new();
@@ -238,7 +238,26 @@ fn g(v: Option<u32>) -> u32 {
         let mut sorted = files.clone();
         sorted.sort();
         assert_eq!(files, sorted, "deterministic scan order");
-        assert!(files.iter().all(|p| !p.to_string_lossy().contains("shims")));
+        // Every file is a `.rs` file in some `<root>/crates/<name>/src/`.
+        let crates = root.join("crates");
+        for path in &files {
+            let mut parts = path
+                .strip_prefix(&crates)
+                .unwrap_or_else(|_| panic!("{} is outside crates/", path.display()))
+                .components();
+            assert!(parts.next().is_some(), "{}", path.display());
+            assert_eq!(
+                parts.next().map(|c| c.as_os_str()),
+                Some(std::ffi::OsStr::new("src")),
+                "{}",
+                path.display()
+            );
+            assert!(
+                path.extension().is_some_and(|e| e == "rs"),
+                "{}",
+                path.display()
+            );
+        }
         assert!(files
             .iter()
             .any(|p| p.ends_with("crates/lint/src/lexer.rs")));

@@ -67,7 +67,7 @@ pub use event::{EventQueue, ScheduledEvent};
 pub use function::FunctionId;
 pub use idmap::{IdMap, IdSet};
 pub use interference::{InterferenceModel, ResourceDimension};
-pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, SeriesHandle, StreamingHandle};
+pub use metrics::{CounterHandle, MetricsRegistry, MetricsSnapshot, StreamingHandle};
 pub use node::{Node, NodeId};
 pub use pod::{Pod, PodId, PodState};
 pub use pool::{PoolConfig, PoolManager};

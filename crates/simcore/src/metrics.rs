@@ -3,14 +3,15 @@
 //! The evaluation harness records many named counters (SLO violations, hint
 //! misses, cold starts) and sample streams (E2E latency, per-request CPU).
 //! The registry is thread-safe: handles are `Arc`s to atomic counters and
-//! locked series, so threads may share one instance.
+//! locked streams, so threads may share one instance.
 //!
 //! # Hot-path contract
 //!
-//! Name-based lookups (`incr`, `record`, …) hash the metric name and take the
-//! registry's map lock on **every** call — fine for setup and reporting, too
-//! slow for the per-event path of a simulation serving millions of requests.
-//! Setup code interns a handle **once** and records through it:
+//! The name-based reads (`counter`, `streaming`) hash the metric name and
+//! take the registry's map lock on **every** call — fine for setup and
+//! reporting, too slow for the per-event path of a simulation serving
+//! millions of requests. Setup code interns a handle **once** and records
+//! through it:
 //!
 //! ```
 //! use janus_simcore::metrics::MetricsRegistry;
@@ -25,14 +26,14 @@
 //! assert_eq!(registry.counter("slo_violations"), 1);
 //! ```
 //!
-//! Three kinds of metric exist:
+//! Two kinds of metric exist:
 //!
 //! * **counters** ([`CounterHandle`]) — lock-free atomic adds;
-//! * **buffered series** ([`SeriesHandle`]) — every sample kept, exact
-//!   percentiles; used by paper-figure paths that need full CDFs;
 //! * **streaming series** ([`StreamingHandle`]) — O(1) memory
-//!   [`StreamingSummary`] folding; used by sweep-style experiments and the
-//!   serving loops, where buffering every sample would be wasteful.
+//!   [`StreamingSummary`] folding; used by the serving loops and sweeps,
+//!   where buffering every sample would be wasteful. Experiments that need
+//!   exact percentiles keep their own samples and summarise them with
+//!   [`Summary`](crate::stats::Summary).
 //!
 //! Even a handle's atomic add or lock is too much per event for the
 //! serving loops, which nothing reads until a run ends. They touch the
@@ -41,7 +42,7 @@
 //! [`StreamingHandle::take`], folded into without a lock, and handed back
 //! with [`StreamingHandle::restore`].
 
-use crate::stats::{StreamingSummary, Summary};
+use crate::stats::StreamingSummary;
 // janus-lint: allow(nondeterminism) — name→series registry for keyed lookup; snapshots sort names before rendering
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +50,7 @@ use std::sync::Arc;
 use std::sync::{LockResult, Mutex, PoisonError, RwLock};
 
 /// The guard of a metrics lock, poisoned or not. Every critical section in
-/// this module is a push, a fold, a swap or a clone, so a panic elsewhere
+/// this module is an intern, a fold, a swap or a clone, so a panic elsewhere
 /// while one was held leaves no half-updated metric behind.
 fn held<G>(lock: LockResult<G>) -> G {
     lock.unwrap_or_else(PoisonError::into_inner)
@@ -80,48 +81,6 @@ impl CounterHandle {
     /// they were interned under the same name on the same registry).
     pub fn shares_storage(&self, other: &CounterHandle) -> bool {
         Arc::ptr_eq(&self.cell, &other.cell)
-    }
-}
-
-/// A pre-resolved handle to one named buffered sample series.
-///
-/// Every recorded sample is kept, so queries are exact; memory grows with
-/// the sample count. For unbounded streams prefer [`StreamingHandle`].
-#[derive(Debug, Clone)]
-pub struct SeriesHandle {
-    samples: Arc<RwLock<Vec<f64>>>,
-}
-
-impl SeriesHandle {
-    /// Append one observation.
-    #[inline]
-    pub fn record(&self, value: f64) {
-        held(self.samples.write()).push(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn len(&self) -> usize {
-        held(self.samples.read()).len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copy of the recorded samples.
-    pub fn snapshot(&self) -> Vec<f64> {
-        held(self.samples.read()).clone()
-    }
-
-    /// Exact summary statistics (None when empty).
-    pub fn summary(&self) -> Option<Summary> {
-        Summary::from_samples(&self.snapshot())
-    }
-
-    /// True when both handles point at the same underlying series.
-    pub fn shares_storage(&self, other: &SeriesHandle) -> bool {
-        Arc::ptr_eq(&self.samples, &other.samples)
     }
 }
 
@@ -179,13 +138,11 @@ impl StreamingHandle {
     }
 }
 
-/// A named, thread-safe metrics registry of counters, buffered sample series
-/// and streaming summaries. See the [module docs](self) for the hot-path
-/// handle contract.
+/// A named, thread-safe metrics registry of counters and streaming
+/// summaries. See the [module docs](self) for the hot-path handle contract.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<HashMap<String, Arc<AtomicU64>>>,
-    samples: RwLock<HashMap<String, Arc<RwLock<Vec<f64>>>>>,
     streams: RwLock<HashMap<String, Arc<Mutex<StreamingSummary>>>>,
 }
 
@@ -221,23 +178,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Intern `name` and return a pre-resolved buffered-series handle.
-    pub fn series_handle(&self, name: &str) -> SeriesHandle {
-        SeriesHandle {
-            samples: intern(&self.samples, name, || RwLock::new(Vec::new())),
-        }
-    }
-
     /// Intern `name` and return a pre-resolved streaming-series handle.
     pub fn streaming_handle(&self, name: &str) -> StreamingHandle {
         StreamingHandle {
             inner: intern(&self.streams, name, || Mutex::new(StreamingSummary::new())),
         }
-    }
-
-    /// Increment a counter by `delta` (name-based; interns on first use).
-    pub fn incr(&self, name: &str, delta: u64) {
-        self.counter_handle(name).incr(delta);
     }
 
     /// Read a counter (0 if it was never incremented).
@@ -248,31 +193,6 @@ impl MetricsRegistry {
             .unwrap_or(0)
     }
 
-    /// Append an observation to a buffered sample series (name-based).
-    pub fn record(&self, name: &str, value: f64) {
-        self.series_handle(name).record(value);
-    }
-
-    /// Snapshot of a buffered sample series (empty if never recorded).
-    pub fn series(&self, name: &str) -> Vec<f64> {
-        held(self.samples.read())
-            .get(name)
-            .map(|s| held(s.read()).clone())
-            .unwrap_or_default()
-    }
-
-    /// Exact summary statistics for a buffered series, if it has any
-    /// observations.
-    pub fn summary(&self, name: &str) -> Option<Summary> {
-        let series = self.series(name);
-        Summary::from_samples(&series)
-    }
-
-    /// Fold an observation into a streaming series (name-based).
-    pub fn record_streaming(&self, name: &str, value: f64) {
-        self.streaming_handle(name).record(value);
-    }
-
     /// Copy of a streaming series' accumulated summary (None if never
     /// recorded).
     pub fn streaming(&self, name: &str) -> Option<StreamingSummary> {
@@ -281,37 +201,13 @@ impl MetricsRegistry {
             .map(|s| held(s.lock()).clone())
     }
 
-    /// Names of all counters.
-    pub fn counter_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = held(self.counters.read()).keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Names of all buffered sample series.
-    pub fn series_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = held(self.samples.read()).keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    /// Names of all streaming series.
-    pub fn streaming_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = held(self.streams.read()).keys().cloned().collect();
-        names.sort();
-        names
-    }
-
     /// Reset every metric **in place** (used between experiment
-    /// repetitions): counters drop to zero, series and streams empty, and —
+    /// repetitions): counters drop to zero, streams empty, and —
     /// crucially — previously interned handles stay attached, so hot paths
     /// never re-intern after a reset.
     pub fn reset(&self) {
         for cell in held(self.counters.read()).values() {
             cell.store(0, Ordering::Relaxed);
-        }
-        for series in held(self.samples.read()).values() {
-            held(series.write()).clear();
         }
         for stream in held(self.streams.read()).values() {
             *held(stream.lock()) = StreamingSummary::new();
@@ -319,26 +215,19 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time view of every metric, for reports: counter values plus
-    /// per-series sample counts, sorted by name. A name interned both as a
-    /// buffered and as a streaming series contributes one entry with the
-    /// summed sample count.
+    /// per-stream sample counts, sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut counters: Vec<(String, u64)> = held(self.counters.read())
             .iter()
             .map(|(name, cell)| (name.clone(), cell.load(Ordering::Relaxed)))
             .collect();
         counters.sort();
-        let mut series: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for (name, s) in held(self.samples.read()).iter() {
-            *series.entry(name.clone()).or_default() += held(s.read()).len() as u64;
-        }
-        for (name, s) in held(self.streams.read()).iter() {
-            *series.entry(name.clone()).or_default() += held(s.lock()).count();
-        }
-        MetricsSnapshot {
-            counters,
-            series: series.into_iter().collect(),
-        }
+        let mut series: Vec<(String, u64)> = held(self.streams.read())
+            .iter()
+            .map(|(name, s)| (name.clone(), held(s.lock()).count()))
+            .collect();
+        series.sort();
+        MetricsSnapshot { counters, series }
     }
 }
 
@@ -347,8 +236,7 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// `(name, sample count)` for every buffered and streaming series,
-    /// sorted by name.
+    /// `(name, sample count)` for every streaming series, sorted by name.
     pub series: Vec<(String, u64)>,
 }
 
@@ -386,23 +274,24 @@ mod tests {
     fn counters_accumulate() {
         let m = MetricsRegistry::new();
         assert_eq!(m.counter("slo_violations"), 0);
-        m.incr("slo_violations", 1);
-        m.incr("slo_violations", 2);
+        let c = m.counter_handle("slo_violations");
+        c.incr(1);
+        c.incr(2);
         assert_eq!(m.counter("slo_violations"), 3);
-        assert_eq!(m.counter_names(), vec!["slo_violations".to_string()]);
+        assert_eq!(c.get(), 3);
     }
 
     #[test]
     fn series_summarise() {
         let m = MetricsRegistry::new();
+        let h = m.streaming_handle("e2e");
         for v in [1.0, 2.0, 3.0, 4.0] {
-            m.record("e2e", v);
+            h.record(v);
         }
-        let s = m.summary("e2e").unwrap();
+        let s = m.streaming("e2e").unwrap().summary().unwrap();
         assert_eq!(s.count, 4);
         assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!(m.summary("missing").is_none());
-        assert_eq!(m.series("e2e").len(), 4);
+        assert!(m.streaming_handle("empty").snapshot().summary().is_none());
     }
 
     #[test]
@@ -416,51 +305,44 @@ mod tests {
         let s = m.streaming("lat").unwrap();
         assert_eq!(s.count(), 100);
         assert!((s.mean() - 50.5).abs() < 1e-12);
-        assert_eq!(m.streaming_names(), vec!["lat".to_string()]);
-        // Streaming series do not show up in the buffered series map.
-        assert!(m.series_names().is_empty());
+        assert!(m.streaming("missing").is_none());
     }
 
     #[test]
     fn handles_bypass_the_name_maps() {
         let m = MetricsRegistry::new();
         let c = m.counter_handle("hits");
-        let s = m.series_handle("lat");
+        let st = m.streaming_handle("lat");
         c.incr(5);
-        s.record(1.5);
+        st.record(1.5);
         assert_eq!(c.get(), 5);
         assert_eq!(m.counter("hits"), 5);
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.snapshot(), vec![1.5]);
-        assert_eq!(m.series("lat"), vec![1.5]);
+        assert_eq!(st.count(), 1);
+        assert_eq!(st.snapshot(), m.streaming("lat").unwrap());
         // Re-interning the same name yields the same underlying storage …
         assert!(c.shares_storage(&m.counter_handle("hits")));
-        assert!(s.shares_storage(&m.series_handle("lat")));
+        assert!(st.shares_storage(&m.streaming_handle("lat")));
         // … and a different name does not.
         assert!(!c.shares_storage(&m.counter_handle("misses")));
-        assert!(!s.shares_storage(&m.series_handle("cpu")));
+        assert!(!st.shares_storage(&m.streaming_handle("cpu")));
     }
 
     #[test]
     fn reset_clears_everything_but_keeps_handles_attached() {
         let m = MetricsRegistry::new();
         let c = m.counter_handle("a");
-        let s = m.series_handle("b");
         let st = m.streaming_handle("c");
         c.incr(1);
-        s.record(1.0);
         st.record(2.0);
         m.reset();
         assert_eq!(m.counter("a"), 0);
-        assert!(m.series("b").is_empty());
         assert_eq!(m.streaming("c").unwrap().count(), 0);
+        assert_eq!(m.snapshot().total_samples(), 0);
         // The pre-reset handles still feed the registry: no re-interning
         // needed between experiment repetitions.
         c.incr(7);
-        s.record(3.0);
         st.record(4.0);
         assert_eq!(m.counter("a"), 7);
-        assert_eq!(m.series("b"), vec![3.0]);
         assert_eq!(m.streaming("c").unwrap().count(), 1);
     }
 
@@ -493,70 +375,73 @@ mod tests {
     #[test]
     fn a_poisoned_lock_does_not_take_the_registry_down() {
         let m = Arc::new(MetricsRegistry::new());
-        let s = m.series_handle("lat");
+        let c = m.counter_handle("hits");
         let st = m.streaming_handle("stream");
         let poisoner = {
-            let (s, st) = (s.clone(), st.clone());
+            let (m, st) = (Arc::clone(&m), st.clone());
             thread::spawn(move || {
-                let _series = s.samples.write();
+                let _counters = m.counters.write();
+                let _streams = m.streams.write();
                 let _stream = st.inner.lock();
-                panic!("poison both locks");
+                panic!("poison every lock");
             })
         };
         assert!(poisoner.join().is_err());
-        assert!(s.samples.is_poisoned() && st.inner.is_poisoned());
-        s.record(1.0);
+        assert!(m.counters.is_poisoned() && m.streams.is_poisoned());
+        assert!(st.inner.is_poisoned());
+        c.incr(3);
         st.record(2.0);
-        assert_eq!(m.series("lat"), vec![1.0]);
+        m.streaming_handle("other").record(1.0);
+        assert_eq!(m.counter("hits"), 3);
         assert_eq!(m.streaming("stream").unwrap().count(), 1);
         assert_eq!(m.snapshot().total_samples(), 2);
         m.reset();
+        assert_eq!(m.counter("hits"), 0);
         assert_eq!(m.snapshot().total_samples(), 0);
     }
 
     #[test]
     fn concurrent_interning_yields_one_shared_metric() {
-        // Two threads racing to intern the same names must converge on the
-        // same underlying counter / series — nothing recorded may be lost
-        // to a shadowed duplicate.
+        // Threads racing to intern the same names must converge on the same
+        // underlying counter / stream — nothing recorded may be lost to a
+        // shadowed duplicate.
         let m = Arc::new(MetricsRegistry::new());
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let m = Arc::clone(&m);
                 thread::spawn(move || {
                     let c = m.counter_handle("hits");
-                    let s = m.series_handle("lat");
                     let st = m.streaming_handle("stream");
                     for i in 0..1000 {
                         c.incr(1);
-                        s.record(f64::from(i));
                         st.record(f64::from(i) + 1.0);
                     }
-                    (c, s, st)
+                    (c, st)
                 })
             })
             .collect();
         let handles: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(m.counter("hits"), 4000);
-        assert_eq!(m.series("lat").len(), 4000);
         assert_eq!(m.streaming("stream").unwrap().count(), 4000);
-        for (c, s, st) in &handles[1..] {
+        for (c, st) in &handles[1..] {
             assert!(c.shares_storage(&handles[0].0));
-            assert!(s.shares_storage(&handles[0].1));
-            assert!(st.shares_storage(&handles[0].2));
+            assert!(st.shares_storage(&handles[0].1));
         }
     }
 
     #[test]
     fn concurrent_updates_are_not_lost() {
-        let m = Arc::new(MetricsRegistry::new());
+        // One pair of handles, interned once and cloned into every thread.
+        let m = MetricsRegistry::new();
+        let c = m.counter_handle("hits");
+        let st = m.streaming_handle("lat");
         let threads: Vec<_> = (0..4)
             .map(|_| {
-                let m = Arc::clone(&m);
+                let (c, st) = (c.clone(), st.clone());
                 thread::spawn(move || {
                     for i in 0..1000 {
-                        m.incr("hits", 1);
-                        m.record("lat", i as f64);
+                        c.incr(1);
+                        st.record(f64::from(i));
                     }
                 })
             })
@@ -565,42 +450,31 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(m.counter("hits"), 4000);
-        assert_eq!(m.series("lat").len(), 4000);
+        assert_eq!(m.streaming("lat").unwrap().count(), 4000);
     }
 
     #[test]
     fn snapshot_captures_counters_and_sample_counts() {
         let m = MetricsRegistry::new();
-        m.incr("requests", 10);
-        m.incr("violations", 2);
+        m.counter_handle("violations").incr(2);
+        m.counter_handle("requests").incr(10);
+        let exact = m.streaming_handle("exact");
         for v in 0..5 {
-            m.record("exact", f64::from(v));
+            exact.record(f64::from(v));
         }
-        m.record_streaming("stream", 1.0);
-        m.record_streaming("stream", 2.0);
+        let stream = m.streaming_handle("stream");
+        stream.record(1.0);
+        stream.record(2.0);
         let snap = m.snapshot();
         assert_eq!(snap.counter("requests"), 10);
         assert_eq!(snap.counter("violations"), 2);
         assert_eq!(snap.counter("absent"), 0);
         assert_eq!(snap.series_count("exact"), 5);
         assert_eq!(snap.series_count("stream"), 2);
+        assert_eq!(snap.series_count("absent"), 0);
         assert_eq!(snap.total_samples(), 7);
         // Deterministically ordered for report diffing.
         assert!(snap.counters.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(snap.series.windows(2).all(|w| w[0].0 < w[1].0));
-        // A name interned as both a buffered and a streaming series folds
-        // into one entry with the summed count — series_count and
-        // total_samples agree.
-        m.record("both", 1.0);
-        m.record_streaming("both", 2.0);
-        m.record_streaming("both", 3.0);
-        let snap = m.snapshot();
-        assert_eq!(
-            snap.series.iter().filter(|(n, _)| n == "both").count(),
-            1,
-            "no duplicate name entries"
-        );
-        assert_eq!(snap.series_count("both"), 3);
-        assert_eq!(snap.total_samples(), 10);
     }
 }

@@ -263,7 +263,9 @@ mod tests {
             ..SynthesizerConfig::default()
         })
         .is_err());
+        assert_eq!(ExplorationDepth::None.variant_name(), "Janus-");
         assert_eq!(ExplorationDepth::HeadOnly.variant_name(), "Janus");
+        assert_eq!(ExplorationDepth::HeadAndNext.variant_name(), "Janus+");
         assert_eq!(ExplorationDepth::None.depth(), 0);
     }
 

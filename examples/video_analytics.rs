@@ -7,9 +7,11 @@
 //! ```
 
 use janus_core::adapter::feedback::{FeedbackChannel, FeedbackEvent};
-use janus_core::deployment::{DeploymentConfig, JanusDeployment};
 use janus_core::platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_core::profiler::profiler::{Profiler, ProfilerConfig};
+use janus_core::registry::{JanusFactory, SynthesisSettings};
 use janus_core::session::{Load, ServingSession};
+use janus_core::synthesizer::synthesizer::ExplorationDepth;
 use janus_core::workloads::apps::PaperApp;
 use janus_core::workloads::request::RequestInputGenerator;
 use janus_simcore::time::SimDuration;
@@ -40,14 +42,23 @@ fn main() -> Result<(), String> {
     );
 
     // The supervision demo below needs direct access to the adapter's
-    // hit/miss statistics and a hand-mutated request set, so it drives the
-    // deployment and executor underneath the session abstraction.
-    let deployment = JanusDeployment::build(&DeploymentConfig {
+    // hit/miss statistics and a hand-mutated request set, so it profiles,
+    // synthesizes and drives the executor underneath the session
+    // abstraction.
+    let workflow = app.workflow();
+    let profile = Profiler::new(ProfilerConfig {
         samples_per_point: 400,
-        budget_step_ms: 2.0,
-        ..DeploymentConfig::paper_default(app, 1)
-    })?;
-    let workflow = deployment.workflow().clone();
+        seed: 0xC0FFEE,
+        ..ProfilerConfig::default()
+    })?
+    .profile_workflow(&workflow, 1);
+    let (mut policy, _) = JanusFactory::new(ExplorationDepth::HeadOnly).synthesize(
+        &profile,
+        SynthesisSettings {
+            budget_step_ms: 2.0,
+            ..SynthesisSettings::default()
+        },
+    )?;
     let slo = app.default_slo(1);
     let executor = ClosedLoopExecutor::new(workflow.clone(), ExecutorConfig::paper_serving(slo, 1));
 
@@ -61,7 +72,6 @@ fn main() -> Result<(), String> {
         }
     }
     let feedback = FeedbackChannel::new();
-    let mut policy = deployment.policy();
     let report = executor.run(&mut policy, &shifted);
     println!(
         "VA after workload shift: P99 E2E {:.2} s, miss rate {:.2}%, violations {:.1}%",

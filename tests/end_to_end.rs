@@ -6,18 +6,48 @@
 //! checks the headline evaluation claims against the baselines
 //! (janus-baselines).
 
-use janus_core::deployment::{DeploymentConfig, JanusDeployment, JanusVariant};
 use janus_core::experiments::{ExperimentCtx, Scale, TABLE1_POLICIES};
 use janus_core::platform::executor::{ClosedLoopExecutor, ExecutorConfig};
+use janus_core::profiler::profile::WorkflowProfile;
+use janus_core::profiler::profiler::{Profiler, ProfilerConfig};
+use janus_core::registry::{JanusFactory, SynthesisSettings};
 use janus_core::session::{ServingSessionBuilder, SessionReport};
+use janus_core::synthesizer::synthesizer::ExplorationDepth;
 use janus_core::workloads::apps::PaperApp;
 use janus_core::workloads::request::RequestInputGenerator;
+use janus_core::JanusPolicy;
 use janus_simcore::time::SimDuration;
 
 /// The quick-scale paired comparison: 200 requests, 300 profile samples, a
 /// 5 ms budget step, seed 7.
 fn quick(app: PaperApp, concurrency: u32) -> ServingSessionBuilder {
     ExperimentCtx::new(Scale::Quick).session(app, concurrency)
+}
+
+/// Test-scale profile of `app` at concurrency 1: 300 samples per grid point.
+fn profile(app: PaperApp) -> WorkflowProfile {
+    Profiler::new(ProfilerConfig {
+        samples_per_point: 300,
+        seed: 0xC0FFEE,
+        ..ProfilerConfig::default()
+    })
+    .unwrap()
+    .profile_workflow(&app.workflow(), 1)
+}
+
+/// The Janus variant of the given exploration depth, synthesized from
+/// `profile` on a 5 ms budget step.
+fn janus(exploration: ExplorationDepth, profile: &WorkflowProfile) -> JanusPolicy {
+    JanusFactory::new(exploration)
+        .synthesize(
+            profile,
+            SynthesisSettings {
+                budget_step_ms: 5.0,
+                ..SynthesisSettings::default()
+            },
+        )
+        .unwrap()
+        .0
 }
 
 fn table1(app: PaperApp) -> SessionReport {
@@ -103,24 +133,13 @@ fn higher_concurrency_magnifies_early_binding_overprovisioning() {
 #[test]
 fn janus_variants_differ_only_in_percentile_exploration() {
     let app = PaperApp::IntelligentAssistant;
-    let base = DeploymentConfig {
-        samples_per_point: 300,
-        budget_step_ms: 5.0,
-        ..DeploymentConfig::paper_default(app, 1)
-    };
-    let standard = JanusDeployment::build(&base).unwrap();
-    let minus = JanusDeployment::from_profile(
-        &DeploymentConfig {
-            variant: JanusVariant::Minus,
-            ..base.clone()
-        },
-        standard.workflow().clone(),
-        standard.profile().clone(),
-    )
-    .unwrap();
+    let profile = profile(app);
+    let mut standard = janus(ExplorationDepth::HeadOnly, &profile);
+    let mut minus = janus(ExplorationDepth::None, &profile);
 
     // Janus- plans every row at the tail percentile; Janus uses lower ones too.
     let minus_all_tail = minus
+        .adapter()
         .bundle()
         .tables
         .iter()
@@ -128,6 +147,7 @@ fn janus_variants_differ_only_in_percentile_exploration() {
         .all(|r| r.head_percentile.value() >= 99.0);
     assert!(minus_all_tail);
     let standard_explores = standard
+        .adapter()
         .bundle()
         .tables
         .iter()
@@ -136,14 +156,12 @@ fn janus_variants_differ_only_in_percentile_exploration() {
     assert!(standard_explores);
 
     // Serving with either variant keeps the SLO; Janus is at least as cheap.
-    let workflow = standard.workflow().clone();
+    let workflow = app.workflow();
     let slo = app.default_slo(1);
     let executor = ClosedLoopExecutor::new(workflow.clone(), ExecutorConfig::paper_serving(slo, 1));
     let requests = RequestInputGenerator::new(5, SimDuration::ZERO).generate(&workflow, 200);
-    let mut standard_policy = standard.policy();
-    let mut minus_policy = minus.policy();
-    let standard_report = executor.run(&mut standard_policy, &requests);
-    let minus_report = executor.run(&mut minus_policy, &requests);
+    let standard_report = executor.run(&mut standard, &requests);
+    let minus_report = executor.run(&mut minus, &requests);
     assert!(standard_report.mean_cpu_millicores() <= minus_report.mean_cpu_millicores() + 1e-9);
     assert!(standard_report.slo_violation_rate() <= 0.03);
     assert!(minus_report.slo_violation_rate() <= 0.03);
@@ -153,19 +171,14 @@ fn janus_variants_differ_only_in_percentile_exploration() {
 fn adapter_decisions_stay_fast_at_serving_scale() {
     // §V-H: the online decision path must stay far below 3 ms even after
     // thousands of decisions.
-    let deployment = JanusDeployment::build(&DeploymentConfig {
-        samples_per_point: 300,
-        budget_step_ms: 5.0,
-        ..DeploymentConfig::paper_default(PaperApp::IntelligentAssistant, 1)
-    })
-    .unwrap();
-    let workflow = deployment.workflow().clone();
+    let app = PaperApp::IntelligentAssistant;
+    let mut policy = janus(ExplorationDepth::HeadOnly, &profile(app));
+    let workflow = app.workflow();
     let executor = ClosedLoopExecutor::new(
         workflow.clone(),
         ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
     );
     let requests = RequestInputGenerator::new(11, SimDuration::ZERO).generate(&workflow, 500);
-    let mut policy = deployment.policy();
     let _report = executor.run(&mut policy, &requests);
     assert_eq!(
         policy.adapter().decisions(),
