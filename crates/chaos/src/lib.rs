@@ -88,7 +88,7 @@ impl FaultContext {
 /// schedule; the concrete victim nodes are chosen at delivery time against
 /// the live fleet using the schedule's [`victim_seed`](FaultSchedule) so the
 /// choice stays valid under autoscaling and remains seed-deterministic.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultAction {
     /// Abruptly kill `count` nodes. Pods on them are lost; their in-flight
     /// requests are retried once, then fail.
@@ -135,7 +135,7 @@ impl FaultAction {
 }
 
 /// One scheduled fault: an action and the simulated instant it fires.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires (delivered at the first capacity tick at or
     /// after this instant).

@@ -82,12 +82,14 @@ impl LintConfig {
                 hot("platform/src/fleet.rs", "start"),
                 hot("platform/src/fleet.rs", "finish"),
                 hot("platform/src/fleet.rs", "served"),
-                // The open-loop event loop and its per-event helpers (the
-                // slice-backed `run_traced` wrapper stays listed so an
-                // allocation sneaking back into it is caught).
+                // The open-loop event loop and its per-event helpers, the
+                // capacity tick among them (the slice-backed `run_traced`
+                // wrapper stays listed so an allocation sneaking back into
+                // it is caught).
                 hot("platform/src/openloop.rs", "run_streaming"),
                 hot("platform/src/openloop.rs", "run_traced"),
                 hot("platform/src/openloop.rs", "start_function"),
+                hot("platform/src/openloop.rs", "capacity_tick"),
                 hot("platform/src/openloop.rs", "deliver_faults"),
                 // The closed-loop serving path: the run, whose per-request
                 // body drives the shared step.

@@ -11,20 +11,18 @@
 //! `specs/golden_trace.jsonl`. The session is fully seeded: rerunning it
 //! reproduces the artefact byte for byte, which
 //! `tests/specs.rs::golden_trace_artefact_is_reproducible_and_reportable`
-//! enforces.
-//!
-//! NOTE: the session parameters below are mirrored by that test — change
-//! them together, then regenerate the golden file.
+//! enforces by calling [`flight_recorder`] from this file.
 
-use janus_core::session::{Load, ServingSession};
+use janus_core::session::{Load, ServingSession, SessionReport};
 use janus_core::workloads::apps::PaperApp;
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
 
-fn main() -> Result<(), String> {
+/// Run the traced session behind the golden artefact.
+pub fn flight_recorder() -> Result<SessionReport, String> {
     // Four spread 8-core nodes across two zones: the zone outage halves
     // capacity in one event, right as the flash crowd peaks.
-    let report = ServingSession::builder()
+    ServingSession::builder()
         .app(PaperApp::IntelligentAssistant)
         .concurrency(1)
         .policy("GrandSLAM")
@@ -46,8 +44,12 @@ fn main() -> Result<(), String> {
         .seed(7)
         .samples_per_point(300)
         .budget_step_ms(5.0)
-        .run()?;
+        .run()
+}
 
+#[allow(dead_code)] // `tests/specs.rs` includes this file for `flight_recorder` only.
+fn main() -> Result<(), String> {
+    let report = flight_recorder()?;
     let trace = report
         .trace()
         .ok_or("flight-recorder attached but no trace was recorded")?;

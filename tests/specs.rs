@@ -5,11 +5,10 @@
 use janus_core::experiments::{run_sweep, SweepSpec, ToJson};
 use janus_core::session::{Load, ServingSession, SessionReport};
 use janus_observe::TraceReport;
-use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
-use janus_simcore::resources::Millicores;
-use janus_workloads::apps::PaperApp;
 use std::str::FromStr as _;
 
+#[path = "../examples/flight_recorder.rs"]
+mod flight_recorder;
 #[path = "../examples/golden_policies.rs"]
 mod golden_policies;
 
@@ -412,9 +411,8 @@ fn observe_grid_spec_sweeps_the_observer_axis_without_perturbing_serving() {
 fn golden_trace_artefact_is_reproducible_and_reportable() {
     // The committed artefact is what `examples/flight_recorder.rs` prints:
     // a flash crowd on a two-zone fleet losing a zone mid-spike, observed
-    // by the flight recorder. The session below mirrors the example's
-    // parameters — change them together, then regenerate the golden file
-    // with `cargo run --example flight_recorder > specs/golden_trace.jsonl`.
+    // by the flight recorder. Regenerate it with
+    // `cargo run --example flight_recorder > specs/golden_trace.jsonl`.
     let path = format!(
         "{}/../../specs/golden_trace.jsonl",
         env!("CARGO_MANIFEST_DIR")
@@ -423,29 +421,7 @@ fn golden_trace_artefact_is_reproducible_and_reportable() {
         .unwrap_or_else(|e| panic!("cannot read committed trace {path}: {e}"));
 
     let run = || {
-        ServingSession::builder()
-            .app(PaperApp::IntelligentAssistant)
-            .concurrency(1)
-            .policy("GrandSLAM")
-            .load(Load::Open {
-                requests: 48,
-                rps: 6.0,
-            })
-            .cluster(ClusterConfig {
-                nodes: 4,
-                node_capacity: Millicores::from_cores(8),
-                placement: PlacementPolicy::Spread,
-                zones: 2,
-            })
-            .scenario("flash-crowd")
-            .autoscaler("static")
-            .admission("admit-all")
-            .fault("zone-outage")
-            .observe("flight-recorder")
-            .seed(7)
-            .samples_per_point(300)
-            .budget_step_ms(5.0)
-            .run()
+        flight_recorder::flight_recorder()
             .unwrap()
             .trace()
             .expect("flight recorder records a trace")
