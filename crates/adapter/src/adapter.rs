@@ -57,11 +57,11 @@ impl Default for AdapterConfig {
 /// The provider-side adapter for one workflow deployment.
 ///
 /// One adapter instance serves every request of a (workflow, concurrency,
-/// weight) deployment; per-request state lives in
-/// [`crate::budget::BudgetTracker`]s owned by the platform.
+/// weight) deployment; per-request state, the remaining budget among it,
+/// is owned by the platform.
 ///
 /// Decision latency is sampled: the 1st, 65th, 129th, … decisions are timed
-/// and the rest are not (see [`Adapter::timed_decisions`]).
+/// and the rest are not.
 #[derive(Debug)]
 pub struct Adapter {
     bundle: HintsBundle,
@@ -70,7 +70,6 @@ pub struct Adapter {
     decisions: u64,
     timed_decisions: u64,
     total_decision_time_us: f64,
-    max_decision_time_us: f64,
 }
 
 impl Adapter {
@@ -84,7 +83,6 @@ impl Adapter {
             decisions: 0,
             timed_decisions: 0,
             total_decision_time_us: 0.0,
-            max_decision_time_us: 0.0,
         }
     }
 
@@ -153,20 +151,11 @@ impl Adapter {
     fn record_time(&mut self, us: f64) {
         self.timed_decisions += 1;
         self.total_decision_time_us += us;
-        if us > self.max_decision_time_us {
-            self.max_decision_time_us = us;
-        }
     }
 
     /// Number of decisions made.
     pub fn decisions(&self) -> u64 {
         self.decisions
-    }
-
-    /// Number of decisions whose latency was measured: one in 64, counting
-    /// from the first.
-    pub fn timed_decisions(&self) -> u64 {
-        self.timed_decisions
     }
 
     /// Mean latency of the timed decisions, in microseconds (0 before the
@@ -177,12 +166,6 @@ impl Adapter {
         } else {
             self.total_decision_time_us / self.timed_decisions as f64
         }
-    }
-
-    /// Worst latency among the timed decisions, in microseconds (0 before
-    /// the first decision).
-    pub fn max_decision_time_us(&self) -> f64 {
-        self.max_decision_time_us
     }
 
     /// Observed hit rate of the hints tables.
@@ -284,17 +267,15 @@ mod tests {
     fn decision_latency_is_tracked_and_small() {
         let mut adapter = Adapter::with_defaults(bundle());
         assert_eq!(adapter.mean_decision_time_us(), 0.0);
-        assert_eq!(adapter.max_decision_time_us(), 0.0);
         for i in 0..1000 {
             adapter.decide(0, SimDuration::from_millis(2000.0 + f64::from(i)));
         }
         assert_eq!(adapter.decisions(), 1000);
-        assert_eq!(adapter.timed_decisions(), 16, "decisions 1, 65, …, 961");
+        assert_eq!(adapter.timed_decisions, 16, "decisions 1, 65, …, 961");
         assert!(
             adapter.mean_decision_time_us() < 3000.0,
             "mean under 3 ms (§V-H)"
         );
-        assert!(adapter.max_decision_time_us() >= adapter.mean_decision_time_us());
         assert!(adapter.mean_decision_time_us() >= 0.0);
     }
 
@@ -329,7 +310,7 @@ mod tests {
         assert_eq!(adapter.supervisor().hits(), hits);
         assert_eq!(adapter.supervisor().misses(), misses);
         assert_eq!(adapter.decisions(), 1000);
-        assert_eq!(adapter.timed_decisions(), 16);
+        assert_eq!(adapter.timed_decisions, 16);
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl Convolution {
 
 /// Minimum-total-allocation plan such that `Σ_i L_i(p, k_i) ≤ budget`,
 /// or `None` if infeasible even at `Kmax`. Exact DP over 1 ms budgets.
-pub fn min_total_cores_for_budget(
+fn min_total_cores_for_budget(
     profile: &WorkflowProfile,
     budget: SimDuration,
     p: Percentile,

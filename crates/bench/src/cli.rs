@@ -253,7 +253,7 @@ pub fn execute(command: &Command, flags: &BenchFlags) -> Result<(), String> {
 
 /// The `janus list` text: every runnable name, straight from the registries
 /// (so discoverability cannot drift from the code).
-pub fn listing() -> String {
+fn listing() -> String {
     let mut out = String::new();
     out.push_str("experiments (janus run <name>):\n");
     for experiment in ExperimentRegistry::with_builtins().iter() {
@@ -469,7 +469,7 @@ fn run_lint(json: bool, flags: &BenchFlags) -> Result<(), String> {
 /// (one-off reproduction runs), `--quick` clamps the profiling cost knobs
 /// (`samples_per_point` ≤ 300, `budget_step_ms` ≥ 5) while leaving the grid
 /// axes exactly as written.
-pub fn apply_flags_to_spec(spec: &mut SweepSpec, flags: &BenchFlags) {
+fn apply_flags_to_spec(spec: &mut SweepSpec, flags: &BenchFlags) {
     if let Some(seed) = flags.seed {
         spec.seeds = vec![seed];
     }
@@ -768,6 +768,7 @@ mod tests {
             "nondeterminism",
             "unwrap-discipline",
             "emit-discipline",
+            "unused-pub",
         ] {
             assert!(
                 listing.contains(needle),
@@ -959,7 +960,7 @@ mod tests {
         assert_eq!(doc.require("tool").unwrap().as_str(), Some("janus-lint"));
         assert_eq!(
             doc.require("rules").unwrap().as_array().map(<[_]>::len),
-            Some(5)
+            Some(6)
         );
         // The typed decode accepts the artefact it just wrote.
         janus_lint::diagnostics_from_json(&doc).expect("artefact decodes to diagnostics");

@@ -12,10 +12,6 @@
 //!   (`fig1a` … `table2`, `scenarios`, `capacity`, `perf`, `overhead`) are
 //!   gone — each one is now `janus run <same-name>`; `run_all` survives as a
 //!   thin alias for `janus all`.
-//! * **Criterion benches** (`benches/*.rs`) — micro-benchmarks of the system
-//!   costs the paper reports: online adaptation latency (§V-H), hint
-//!   synthesis time (Figure 6b), condensing, profiling throughput and
-//!   end-to-end serving under each policy.
 //!
 //! Every invocation accepts the shared [`BenchFlags`]: `--quick` (reduced
 //! scale for smoke runs), `--paper` (the default), `--seed N` (override the
@@ -28,17 +24,17 @@
 
 pub mod cli;
 
-use janus_core::experiments::{ExperimentCtx, ToJson};
+use janus_core::experiments::ExperimentCtx;
 use janus_json::Value;
 
 pub use janus_core::experiments::Scale;
 
-/// The one flag parser every invocation shares.
+/// The flags every invocation shares, parsed by [`cli::parse`].
 ///
 /// Recognised flags: `--quick`, `--paper` (default), `--seed <u64>`,
-/// `--out <path>`, `--help`/`-h`. Unknown or duplicated flags abort with a
-/// usage message so typos cannot silently run a multi-minute experiment at
-/// the wrong scale.
+/// `--out <path>`, `--trace <path>`. Unknown or duplicated flags abort with
+/// a usage message so typos cannot silently run a multi-minute experiment
+/// at the wrong scale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchFlags {
     /// Experiment scale (`--quick` selects [`Scale::Quick`]).
@@ -65,39 +61,10 @@ impl Default for BenchFlags {
 }
 
 impl BenchFlags {
-    /// Usage string shared by every invocation.
-    pub const USAGE: &'static str =
-        "flags: [--quick | --paper] [--seed N] [--out PATH] [--trace PATH] [--help]\n\
-        \x20 --quick      reduced scale (fewer requests / profile samples) for smoke runs\n\
-        \x20 --paper      paper scale (default)\n\
-        \x20 --seed N     override the serving/profiling seed\n\
-        \x20 --out PATH   write the result as JSON to PATH (in addition to stdout)\n\
-        \x20 --trace PATH write a JSONL flight trace to PATH (trace-capable experiments)\n\
-        \x20 --help       print this message";
-
-    /// Parse the process arguments; prints usage and exits on `--help` or on
-    /// an invalid invocation.
-    pub fn parse() -> BenchFlags {
-        // janus-lint: allow(nondeterminism) — CLI argument intake; the seed the args carry is what determinism is defined over
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        if args.iter().any(|a| a == "--help" || a == "-h") {
-            println!("{}", Self::USAGE);
-            std::process::exit(0);
-        }
-        match Self::from_args(args) {
-            Ok(flags) => flags,
-            Err(e) => {
-                eprintln!("{e}\n{}", Self::USAGE);
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse from an explicit argument list (testable core of
-    /// [`parse`](Self::parse)). Every flag may appear at most once —
-    /// a repeated or contradictory flag is an error, not a silent
+    /// Parse from an explicit argument list. Every flag may appear at most
+    /// once — a repeated or contradictory flag is an error, not a silent
     /// last-one-wins.
-    pub fn from_args<I>(args: I) -> Result<BenchFlags, String>
+    pub(crate) fn from_args<I>(args: I) -> Result<BenchFlags, String>
     where
         I: IntoIterator<Item = String>,
     {
@@ -175,21 +142,12 @@ impl BenchFlags {
         self.seed.unwrap_or(default)
     }
 
-    /// Write one experiment result as pretty-printed JSON to the `--out`
-    /// path. Without `--out` this is a no-op (the result is not even
-    /// encoded). Reports the written path on stderr so the stdout tables
-    /// stay machine-clean; a failed write aborts the process with a
-    /// non-zero exit code — an explicitly requested artefact must not be
-    /// silently missing.
-    pub fn write_out(&self, result: &dyn ToJson) {
-        if self.out.is_some() {
-            self.write_out_value(&result.to_json());
-        }
-    }
-
-    /// [`write_out`](Self::write_out) for an already-assembled document —
-    /// used by invocations that aggregate several results into one file.
-    pub fn write_out_value(&self, value: &Value) {
+    /// Write a result document as pretty-printed JSON to the `--out` path;
+    /// a no-op without `--out`. Reports the written path on stderr so the
+    /// stdout tables stay machine-clean; a failed write aborts the process
+    /// with a non-zero exit code — an explicitly requested artefact must
+    /// not be silently missing.
+    pub(crate) fn write_out_value(&self, value: &Value) {
         let Some(path) = &self.out else { return };
         let mut doc = value.to_pretty();
         doc.push('\n');
@@ -210,7 +168,7 @@ impl BenchFlags {
     /// written. An artefact the caller explicitly requested must not be
     /// silently unparseable, so any mismatch aborts the process with a
     /// non-zero exit code. No-op without `--out`.
-    pub fn verify_out(&self, written: &Value) {
+    pub(crate) fn verify_out(&self, written: &Value) {
         let Some(path) = &self.out else { return };
         match self.verify_out_inner(path, written) {
             Ok(()) => eprintln!("validated {path}: decodes back to the written document"),
@@ -238,7 +196,7 @@ impl BenchFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_core::experiments::TABLE1_POLICIES;
+    use janus_core::experiments::{ToJson, TABLE1_POLICIES};
     use janus_core::session::Load;
     use janus_workloads::apps::PaperApp;
 
@@ -305,7 +263,7 @@ mod tests {
 
         let result = janus_core::experiments::fig1c_interference();
         let written = result.to_json();
-        flags.write_out(&result);
+        flags.write_out_value(&written);
         let doc = janus_json::parse(&std::fs::read_to_string(&path).expect("file written"))
             .expect("valid JSON");
         assert_eq!(doc.require("experiment").unwrap().as_str(), Some("fig1c"));
@@ -321,7 +279,7 @@ mod tests {
         assert!(err.contains("failed to read back"), "{err}");
 
         // No --out: write and verify are no-ops.
-        BenchFlags::default().write_out(&result);
+        BenchFlags::default().write_out_value(&written);
         BenchFlags::default().verify_out(&written);
     }
 

@@ -79,7 +79,7 @@ impl FaultContext {
 
     /// Expected span of the arrival process in seconds — the window faults
     /// are scheduled inside so they actually land mid-run.
-    pub fn expected_span_secs(&self) -> f64 {
+    fn expected_span_secs(&self) -> f64 {
         self.requests as f64 / self.base_rps
     }
 }

@@ -46,7 +46,7 @@ pub enum Scale {
 
 impl Scale {
     /// Profile samples per grid point at this scale.
-    pub fn profile_samples(self) -> usize {
+    pub(crate) fn profile_samples(self) -> usize {
         match self {
             Scale::Paper => 1000,
             Scale::Quick => 300,
@@ -54,7 +54,7 @@ impl Scale {
     }
 
     /// Trace invocations for the Figure 1a analysis at this scale.
-    pub fn trace_invocations(self) -> usize {
+    pub(crate) fn trace_invocations(self) -> usize {
         match self {
             Scale::Paper => 50_000,
             Scale::Quick => 15_000,
@@ -62,7 +62,7 @@ impl Scale {
     }
 
     /// Figure 2 request-sample size at this scale.
-    pub fn fig2_requests(self) -> usize {
+    pub(crate) fn fig2_requests(self) -> usize {
         match self {
             Scale::Paper => 50,
             Scale::Quick => 25,
@@ -139,7 +139,7 @@ pub struct ExperimentCtx {
     pub observer: Option<String>,
     /// Where trace-capable experiments append their JSONL trace lines
     /// (`--trace PATH`). Setting a sink without an observer implies the
-    /// `flight-recorder` built-in — see [`observer_name`](Self::observer_name).
+    /// `flight-recorder` built-in.
     pub trace: Option<TraceSink>,
 }
 
@@ -167,16 +167,10 @@ impl ExperimentCtx {
         self
     }
 
-    /// Name an observer for trace-capable experiments to attach.
-    pub fn with_observer(mut self, observer: Option<String>) -> Self {
-        self.observer = observer;
-        self
-    }
-
     /// The observer trace-capable experiments should attach: the explicit
     /// choice when named, otherwise `flight-recorder` when a trace sink is
     /// present (a trace needs an observer to produce lines), otherwise none.
-    pub fn observer_name(&self) -> Option<&str> {
+    pub(crate) fn observer_name(&self) -> Option<&str> {
         match (&self.observer, &self.trace) {
             (Some(name), _) => Some(name),
             (None, Some(_)) => Some("flight-recorder"),
@@ -188,7 +182,7 @@ impl ExperimentCtx {
     /// distinguishes grid cells that serve the same policies (the trace's
     /// `policy` field becomes `<policy>@<qualifier>`); pass `None` for
     /// single-session experiments.
-    pub fn append_trace(&self, trace: &str, qualifier: Option<&str>) -> Result<(), String> {
+    fn append_trace(&self, trace: &str, qualifier: Option<&str>) -> Result<(), String> {
         let Some(sink) = &self.trace else {
             return Ok(());
         };
@@ -229,7 +223,7 @@ impl ExperimentCtx {
     /// A grid experiment's [`SweepSpec`] at this scale, built by its
     /// `paper` or `quick` constructor, with the seed override (when given)
     /// as its whole `seeds` axis.
-    pub fn sweep_spec(
+    pub(crate) fn sweep_spec(
         &self,
         app: PaperApp,
         paper: fn(PaperApp) -> SweepSpec,
@@ -248,7 +242,7 @@ impl ExperimentCtx {
     /// Append every live point's trace to the sink, in grid order, each
     /// qualified with the grid coordinates `qualifier` names for its point
     /// (the points of one grid serve the same policies).
-    pub fn append_sweep_traces(
+    pub(crate) fn append_sweep_traces(
         &self,
         sweep: &SweepResult,
         qualifier: impl Fn(&SessionSpec) -> String,
@@ -262,12 +256,12 @@ impl ExperimentCtx {
     }
 
     /// Profile samples per grid point at this scale.
-    pub fn profile_samples(&self) -> usize {
+    pub(crate) fn profile_samples(&self) -> usize {
         self.scale.profile_samples()
     }
 
     /// Trace invocations for Figure 1a at this scale.
-    pub fn trace_invocations(&self) -> usize {
+    pub(crate) fn trace_invocations(&self) -> usize {
         self.scale.trace_invocations()
     }
 }

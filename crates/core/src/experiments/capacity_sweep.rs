@@ -30,7 +30,7 @@ use std::fmt;
 /// {admit-all, queue-shed} at a load that overloads the starting fleet of
 /// two spread 8-core nodes (the paper's single 52-core box would never need
 /// to scale at these loads).
-pub fn paper_spec(app: PaperApp) -> SweepSpec {
+pub(crate) fn paper_spec(app: PaperApp) -> SweepSpec {
     SweepSpec {
         name: "capacity".into(),
         app,
@@ -64,7 +64,7 @@ pub fn paper_spec(app: PaperApp) -> SweepSpec {
 
 /// Reduced scale for smoke runs and CI (`--quick`): same regimes, fewer
 /// scenarios, requests and profile samples.
-pub fn quick_spec(app: PaperApp) -> SweepSpec {
+pub(crate) fn quick_spec(app: PaperApp) -> SweepSpec {
     SweepSpec {
         scenarios: vec!["poisson".into(), "flash-crowd".into()],
         requests: 120,
@@ -173,12 +173,6 @@ impl CapacitySweepResult {
         })
     }
 
-    /// SLO violation rate of one cell, in `[0, 1]`.
-    pub fn violation_rate(&self, scenario: &str, autoscaler: &str, admission: &str) -> Option<f64> {
-        self.cell(scenario, autoscaler, admission)
-            .map(|c| c.slo_violation_rate)
-    }
-
     /// Shed rate of one cell, in `[0, 1]`.
     pub fn shed_rate(&self, scenario: &str, autoscaler: &str, admission: &str) -> Option<f64> {
         self.cell(scenario, autoscaler, admission)
@@ -253,7 +247,7 @@ impl fmt::Display for CapacitySweepResult {
 /// Run a capacity-sweep spec through [`run_sweep`] and view the result.
 /// With an `observers` axis every cell's session carries a flight report,
 /// and its trace is reachable through the point's live report.
-pub fn capacity_sweep(spec: &SweepSpec) -> Result<CapacitySweepResult, String> {
+pub(crate) fn capacity_sweep(spec: &SweepSpec) -> Result<CapacitySweepResult, String> {
     CapacitySweepResult::from_sweep(run_sweep(spec)?)
 }
 
@@ -314,12 +308,12 @@ mod tests {
         let result = capacity_sweep(&tiny_spec()).unwrap();
         result.validate().unwrap();
         assert_eq!(result.cells.len(), 4);
-        let static_rate = result
-            .violation_rate("flash-crowd", "static", "admit-all")
-            .unwrap();
-        let scaled_rate = result
-            .violation_rate("flash-crowd", "utilization", "admit-all")
-            .unwrap();
+        let violation_rate = |autoscaler| {
+            let cell = result.cell("flash-crowd", autoscaler, "admit-all");
+            cell.unwrap().slo_violation_rate
+        };
+        let static_rate = violation_rate("static");
+        let scaled_rate = violation_rate("utilization");
         assert!(
             scaled_rate < static_rate,
             "autoscaled violation rate {scaled_rate} must beat static {static_rate}"

@@ -31,7 +31,7 @@ use std::fmt;
 /// The paper-scale grid: {static, utilization} × {admit-all, queue-shed}
 /// under a flash crowd with a mid-run zone outage, on four spread 8-core
 /// nodes across two zones, so the outage halves capacity in one event.
-pub fn paper_spec(app: PaperApp) -> SweepSpec {
+pub(crate) fn paper_spec(app: PaperApp) -> SweepSpec {
     SweepSpec {
         name: "chaos_resilience".into(),
         app,
@@ -58,7 +58,7 @@ pub fn paper_spec(app: PaperApp) -> SweepSpec {
 }
 
 /// Reduced scale for smoke runs and CI (`--quick`).
-pub fn quick_spec(app: PaperApp) -> SweepSpec {
+pub(crate) fn quick_spec(app: PaperApp) -> SweepSpec {
     SweepSpec {
         requests: 90,
         samples_per_point: 300,
@@ -162,7 +162,7 @@ impl ChaosResilienceResult {
 
     /// Rows ranked most-graceful first: highest SLO attainment over what was
     /// served, fewest failed requests breaking ties.
-    pub fn ranked(&self) -> Vec<&ChaosCell> {
+    fn ranked(&self) -> Vec<&ChaosCell> {
         let mut rows: Vec<&ChaosCell> = self.cells.iter().collect();
         rows.sort_by(|a, b| {
             b.slo_attainment
@@ -260,7 +260,7 @@ impl fmt::Display for ChaosResilienceResult {
 /// Run a chaos-resilience spec through [`run_sweep`] and view the result.
 /// With an `observers` axis the fault deliveries show up as typed records in
 /// each point's flight report.
-pub fn chaos_resilience(spec: &SweepSpec) -> Result<ChaosResilienceResult, String> {
+pub(crate) fn chaos_resilience(spec: &SweepSpec) -> Result<ChaosResilienceResult, String> {
     ChaosResilienceResult::from_sweep(run_sweep(spec)?)
 }
 
@@ -355,10 +355,12 @@ mod tests {
         use janus_observe::TraceReport;
 
         let sink = TraceSink::new();
-        let ctx = ExperimentCtx::new(Scale::Quick)
-            .with_seed(Some(7))
-            .with_observer(Some("trace".into()))
-            .with_trace(sink.clone());
+        let ctx = ExperimentCtx {
+            observer: Some("trace".into()),
+            ..ExperimentCtx::new(Scale::Quick)
+                .with_seed(Some(7))
+                .with_trace(sink.clone())
+        };
         assert_eq!(ctx.observer_name(), Some("trace"));
         ChaosResilienceExperiment.run(&ctx).unwrap();
         let trace = sink.take();

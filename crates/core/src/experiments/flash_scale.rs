@@ -85,7 +85,7 @@ impl FlashScaleConfig {
     }
 
     /// The aggregate offered rate across all streams.
-    pub fn total_rps(&self) -> f64 {
+    fn total_rps(&self) -> f64 {
         self.rps_per_stream * self.streams as f64
     }
 }
@@ -231,7 +231,7 @@ impl fmt::Display for FlashScaleResult {
 /// Run the flash-scale trajectory: stream `config.requests` arrivals from
 /// the merged tenant streams through the capacity-controlled open loop,
 /// folding every outcome into running sums as it completes.
-pub fn flash_scale_run(config: &FlashScaleConfig) -> Result<FlashScaleResult, String> {
+fn flash_scale_run(config: &FlashScaleConfig) -> Result<FlashScaleResult, String> {
     if config.streams == 0 {
         return Err("flash_scale needs at least one stream".into());
     }

@@ -20,7 +20,7 @@ pub struct Fig7Result {
 /// Compute Figure 7 for the TS function: timeout `D(p, k)` for P25/P50/P75
 /// and resilience `R(99, k)` for concurrency 1–3. Fails on an invalid
 /// profiler configuration (`samples == 0`).
-pub fn fig7_timeout_resilience(samples: usize, seed: u64) -> Result<Fig7Result, String> {
+fn fig7_timeout_resilience(samples: usize, seed: u64) -> Result<Fig7Result, String> {
     let profiler = Profiler::new(ProfilerConfig {
         samples_per_point: samples,
         seed,

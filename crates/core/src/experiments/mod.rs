@@ -35,25 +35,19 @@ pub use api::{
     Experiment, ExperimentCtx, ExperimentOutput, ExperimentRegistry, ExperimentResult, Scale,
     TraceSink,
 };
-pub use capacity_sweep::{capacity_sweep, CapacityCell, CapacitySweepResult};
-pub use chaos_resilience::{chaos_resilience, ChaosCell, ChaosResilienceResult};
-pub use flash_scale::{flash_scale_run, FlashScaleConfig, FlashScaleResult};
-pub use metrics::{fig7_timeout_resilience, Fig7Result};
-pub use motivation::{
-    fig1a_slack_cdf, fig1b_workset_variance, fig1c_interference, fig2_binding_comparison,
-    Fig1aResult, Fig1bResult, Fig1cResult, Fig2Result,
-};
+pub use capacity_sweep::{CapacityCell, CapacitySweepResult};
+pub use chaos_resilience::{ChaosCell, ChaosResilienceResult};
+pub use flash_scale::{FlashScaleConfig, FlashScaleResult};
+pub use metrics::Fig7Result;
+pub use motivation::{fig1c_interference, Fig1aResult, Fig1bResult, Fig1cResult, Fig2Result};
 pub use overall::{OverallResult, TABLE1_POLICIES};
 pub use report_json::ToJson;
 pub use results_report::{ResultsReport, ResultsRow};
-pub use scenario_sweep::{scenario_sweep, ScenarioSweepResult};
-pub use slo_sweep::{fig9_slo_sweep, Fig9Result};
+pub use scenario_sweep::ScenarioSweepResult;
+pub use slo_sweep::Fig9Result;
 pub use spec::{SessionSpec, SweepSpec};
 pub use sweep::{
-    rate_per_sec, run_sweep, run_sweep_stored, run_sweep_streaming, PolicyCell, StoreMode,
-    SweepPoint, SweepResult, RESULTS_EPOCH,
+    rate_per_sec, run_sweep, run_sweep_stored, PolicyCell, StoreMode, SweepPoint, SweepResult,
+    RESULTS_EPOCH,
 };
-pub use synthesis::{
-    fig6_exploration_cost, fig8_hint_counts, overhead_report, table2_weight_impact, Fig6Result,
-    Fig8Result, OverheadResult, Table2Result,
-};
+pub use synthesis::{Fig6Result, Fig8Result, OverheadResult, Table2Result};

@@ -35,7 +35,7 @@ pub struct Fig1aResult {
 
 /// Run the Figure 1a analysis on a synthetic Azure-like trace. Fails if
 /// the trace configuration is invalid (for example zero invocations).
-pub fn fig1a_slack_cdf(invocations: usize, seed: u64) -> Result<Fig1aResult, String> {
+pub(crate) fn fig1a_slack_cdf(invocations: usize, seed: u64) -> Result<Fig1aResult, String> {
     let trace = Trace::generate(&TraceConfig {
         invocations,
         seed,
@@ -91,7 +91,7 @@ pub struct Fig1bResult {
 /// Profile OD / QA / TS at a fixed 2000 mc allocation and report P1 vs P99.
 /// Fails if the profiler configuration is invalid (for example zero
 /// samples).
-pub fn fig1b_workset_variance(samples: usize, seed: u64) -> Result<Fig1bResult, String> {
+fn fig1b_workset_variance(samples: usize, seed: u64) -> Result<Fig1bResult, String> {
     let profiler = Profiler::new(ProfilerConfig {
         samples_per_point: samples,
         seed,
@@ -201,7 +201,7 @@ pub struct Fig2Result {
 /// Compare early binding (GrandSLAM-style, P99-sized) against late binding
 /// (Janus) on a small request sample, normalising CPU by the Optimal oracle.
 /// Fails if a policy cannot be built from the profile.
-pub fn fig2_binding_comparison(requests: usize, seed: u64) -> Result<Fig2Result, String> {
+fn fig2_binding_comparison(requests: usize, seed: u64) -> Result<Fig2Result, String> {
     let app = PaperApp::IntelligentAssistant;
     let workflow = app.workflow();
     let slo = app.default_slo(1);

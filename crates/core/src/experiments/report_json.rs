@@ -507,7 +507,7 @@ mod tests {
 
     #[test]
     fn encoded_results_parse_back_and_carry_the_headline_numbers() {
-        let fig1a = experiments::fig1a_slack_cdf(5000, 3).unwrap();
+        let fig1a = experiments::motivation::fig1a_slack_cdf(5000, 3).unwrap();
         let doc = json::parse(&fig1a.to_json().to_pretty()).unwrap();
         assert_eq!(doc.require("experiment").unwrap().as_str(), Some("fig1a"));
         let frac = doc.require("popular_fraction").unwrap().as_f64().unwrap();
@@ -537,7 +537,7 @@ mod tests {
             budget_step_ms: 10.0,
             ..experiments::scenario_sweep::quick_spec(PaperApp::IntelligentAssistant)
         };
-        let result = experiments::scenario_sweep(&spec).unwrap();
+        let result = experiments::scenario_sweep::scenario_sweep(&spec).unwrap();
         let doc = json::parse(&result.to_json().to_pretty()).unwrap();
         let grid = doc.require("grid").unwrap().as_array().unwrap();
         assert_eq!(grid.len(), 1);

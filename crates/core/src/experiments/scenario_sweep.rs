@@ -24,7 +24,7 @@ use std::fmt;
 
 /// The paper-scale sweep: the five built-in scenarios × four representative
 /// policies at a load that produces real queueing.
-pub fn paper_spec(app: PaperApp) -> SweepSpec {
+pub(crate) fn paper_spec(app: PaperApp) -> SweepSpec {
     SweepSpec {
         name: "scenarios".into(),
         app,
@@ -56,7 +56,7 @@ pub fn paper_spec(app: PaperApp) -> SweepSpec {
 
 /// Reduced scale for smoke runs and CI (`--quick`): same grid, fewer
 /// requests and profile samples.
-pub fn quick_spec(app: PaperApp) -> SweepSpec {
+pub(crate) fn quick_spec(app: PaperApp) -> SweepSpec {
     SweepSpec {
         requests: 120,
         samples_per_point: 300,
@@ -127,16 +127,11 @@ impl ScenarioSweepResult {
         Some(self.policy_cell(scenario, policy)?.slo_attainment)
     }
 
-    /// Mean per-request CPU (millicores) of one (scenario, policy) cell.
-    pub fn mean_cpu(&self, scenario: &str, policy: &str) -> Option<f64> {
-        Some(self.policy_cell(scenario, policy)?.mean_cpu_millicores)
-    }
-
     /// Pooled end-to-end latency statistics of one policy across **every**
     /// scenario of the sweep, folded through [`StreamingSummary::merge`] —
     /// the whole-sweep tail without re-buffering or re-sorting the combined
     /// per-request sample set. `None` if the policy ran in no cell.
-    pub fn pooled_e2e_streaming(&self, policy: &str) -> Option<StreamingSummary> {
+    fn pooled_e2e_streaming(&self, policy: &str) -> Option<StreamingSummary> {
         let mut pooled = StreamingSummary::new();
         for point in &self.sweep.points {
             if let Some(serving) = point.live_report().and_then(|r| r.serving(policy)) {
@@ -230,7 +225,7 @@ impl fmt::Display for ScenarioSweepResult {
 /// Run a scenario-sweep spec through [`run_sweep`] and view the result.
 /// Custom scenarios stay reachable per session through
 /// [`ServingSessionBuilder::register_scenario_fn`](crate::session::ServingSessionBuilder::register_scenario_fn).
-pub fn scenario_sweep(spec: &SweepSpec) -> Result<ScenarioSweepResult, String> {
+pub(crate) fn scenario_sweep(spec: &SweepSpec) -> Result<ScenarioSweepResult, String> {
     ScenarioSweepResult::from_sweep(run_sweep(spec)?)
 }
 
@@ -280,7 +275,8 @@ mod tests {
             for policy in ["GrandSLAM", "Janus"] {
                 let attainment = result.attainment(scenario, policy).unwrap();
                 assert!((0.0..=1.0).contains(&attainment), "{scenario}/{policy}");
-                assert!(result.mean_cpu(scenario, policy).unwrap() > 0.0);
+                let cell = result.policy_cell(scenario, policy).unwrap();
+                assert!(cell.mean_cpu_millicores > 0.0);
             }
             assert_eq!(
                 result.cell(scenario).unwrap().scenario.as_deref(),

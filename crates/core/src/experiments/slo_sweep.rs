@@ -23,7 +23,7 @@ pub const SLO_SWEEP_POLICIES: &[&str] = &["Optimal", "ORION", "GrandSLAM", "Janu
 /// the paper; the SLO list is a parameter so tests can use fewer points.
 /// `base` supplies the scale and seed; the sweep sets the application, each
 /// SLO and [`SLO_SWEEP_POLICIES`], so `base` must name no policy itself.
-pub fn fig9_slo_sweep(
+fn fig9_slo_sweep(
     app: PaperApp,
     slos_s: &[f64],
     base: &ServingSessionBuilder,
@@ -52,17 +52,6 @@ pub fn fig9_slo_sweep(
     })
 }
 
-impl Fig9Result {
-    /// Mean advantage (in normalised-CPU points) of Janus over a baseline
-    /// across the sweep.
-    pub fn mean_advantage_over(&self, baseline: &str) -> Option<f64> {
-        let janus = &self.series.iter().find(|(n, _)| n == "Janus")?.1;
-        let base = &self.series.iter().find(|(n, _)| n == baseline)?.1;
-        let diffs: Vec<f64> = janus.iter().zip(base).map(|(j, b)| b - j).collect();
-        Some(diffs.iter().sum::<f64>() / diffs.len() as f64)
-    }
-}
-
 impl fmt::Display for Fig9Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -89,7 +78,7 @@ impl fmt::Display for Fig9Result {
 use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
 
 /// The SLO grids of the paper's Figure 9 at each scale.
-pub fn fig9_slos(app: PaperApp, scale: Scale) -> &'static [f64] {
+fn fig9_slos(app: PaperApp, scale: Scale) -> &'static [f64] {
     match (app, scale) {
         (PaperApp::IntelligentAssistant, Scale::Paper) => &[3.0, 4.0, 5.0, 6.0, 7.0],
         (PaperApp::IntelligentAssistant, Scale::Quick) => &[3.0, 5.0, 7.0],
@@ -154,9 +143,14 @@ mod tests {
             series("Janus")[0] < series("ORION")[0],
             "tight-SLO advantage"
         );
-        assert!(result.mean_advantage_over("ORION").unwrap() > -0.05);
-        assert!(result.mean_advantage_over("GrandSLAM").unwrap() > 0.0);
-        assert!(result.mean_advantage_over("nonexistent").is_none());
+        // Mean advantage, in normalised-CPU points, of Janus over a baseline.
+        let advantage = |baseline: &str| {
+            let janus = series("Janus");
+            let diffs = janus.iter().zip(series(baseline)).map(|(j, b)| b - j);
+            diffs.sum::<f64>() / janus.len() as f64
+        };
+        assert!(advantage("ORION") > -0.05);
+        assert!(advantage("GrandSLAM") > 0.0);
         // Every normalised value is >= 1 (nothing beats the oracle).
         for (_, series) in &result.series {
             assert!(series.iter().all(|&v| v >= 0.99), "series {series:?}");

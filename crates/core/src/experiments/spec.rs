@@ -14,7 +14,7 @@
 //! the offending key, so a typo in a spec file fails loudly instead of
 //! silently running the wrong grid.
 //!
-//! [`SweepSpec::expand`] turns the axes into the cartesian grid of
+//! `SweepSpec::expand` turns the axes into the cartesian grid of
 //! [`SessionSpec`] points (scenario-major, then load, seed, autoscaler,
 //! admission, fault, observer); the [`sweep`](crate::experiments::sweep)
 //! driver runs them in parallel.
@@ -398,7 +398,7 @@ impl SweepSpec {
     /// Expand the axes into the cartesian grid of session specs, in
     /// deterministic order: scenario-major, then load, seed, autoscaler,
     /// admission, fault, observer.
-    pub fn expand(&self) -> Vec<SessionSpec> {
+    pub(crate) fn expand(&self) -> Vec<SessionSpec> {
         let optionals = |axis: &Option<Vec<String>>| -> Vec<Option<String>> {
             match axis {
                 Some(names) => names.iter().cloned().map(Some).collect(),

@@ -26,11 +26,10 @@
 //! its points span — at most `threads - 1` duplicate builds in all — with
 //! no lock and no shared map.
 //!
-//! [`run_sweep_streaming`] additionally invokes a callback as each point
-//! completes (from the worker thread that ran it) — the `janus` CLI uses it
-//! to print progress lines while a long grid is still running.
-//!
-//! [`run_sweep_stored`] adds the content-addressed results store
+//! [`run_sweep_stored`] invokes a callback as each point completes (from
+//! the worker thread that ran it) — the `janus` CLI uses it to print
+//! progress lines while a long grid is still running — and adds the
+//! content-addressed results store
 //! (`janus-results`): before a point runs, the store is consulted under the
 //! hash of the point's fully-resolved [`SessionSpec`] document plus
 //! [`RESULTS_EPOCH`]; hits are replayed from disk without building a
@@ -600,19 +599,9 @@ pub fn run_sweep_stored(
     Ok(result)
 }
 
-/// Run a sweep with no results store, invoking `on_point` as each point
-/// completes (from the worker thread that ran it; points of one stripe
-/// complete in order, but stripes interleave).
-pub fn run_sweep_streaming(
-    spec: &SweepSpec,
-    on_point: &(dyn Fn(&SweepPoint) + Sync),
-) -> Result<SweepResult, String> {
-    run_sweep_stored(spec, None, on_point)
-}
-
 /// Run a sweep without progress streaming or a results store.
 pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, String> {
-    run_sweep_streaming(spec, &|_| {})
+    run_sweep_stored(spec, None, &|_| {})
 }
 
 #[cfg(test)]
@@ -646,7 +635,7 @@ mod tests {
     fn sweeps_cover_the_grid_in_order_and_stream_every_point() {
         let spec = tiny_spec();
         let streamed = AtomicUsize::new(0);
-        let result = run_sweep_streaming(&spec, &|point| {
+        let result = run_sweep_stored(&spec, None, &|point| {
             streamed.fetch_add(1, Ordering::SeqCst);
             assert!(point.progress_line(4).contains("rps"));
         })

@@ -28,7 +28,7 @@ pub struct Fig6Result {
 
 impl Fig6Result {
     /// Mean relative CPU saving of Janus⁺ over Janus (paper: ≈ 0.6 %).
-    pub fn mean_plus_saving(&self) -> f64 {
+    fn mean_plus_saving(&self) -> f64 {
         let diffs: Vec<f64> = self
             .janus_cpu
             .iter()
@@ -39,7 +39,7 @@ impl Fig6Result {
     }
 
     /// Mean synthesis-time blow-up of Janus⁺ over Janus (paper: up to ~107×).
-    pub fn mean_time_blowup(&self) -> f64 {
+    fn mean_time_blowup(&self) -> f64 {
         let ratios: Vec<f64> = self
             .janus_time_s
             .iter()
@@ -54,7 +54,7 @@ impl Fig6Result {
 /// synthesis time of each hints bundle. `base` supplies the application,
 /// scale and seed; the run sets each SLO and the two policies, so `base`
 /// must name no policy itself.
-pub fn fig6_exploration_cost(
+fn fig6_exploration_cost(
     slos_s: &[f64],
     base: &ServingSessionBuilder,
 ) -> Result<Fig6Result, String> {
@@ -136,7 +136,7 @@ pub struct Fig8Result {
 
 /// Run Figure 8: condensed-hint counts for IA (concurrency 1–3, budget ranges
 /// 2–7 s / 3–7 s / 4–10 s) and VA (1.5–2 s), for weights 1–3.
-pub fn fig8_hint_counts(
+fn fig8_hint_counts(
     weights: &[f64],
     samples_per_point: usize,
     seed: u64,
@@ -221,7 +221,7 @@ pub struct Table2Result {
 /// Compute Table II: the budget-weighted average head allocation and head
 /// percentile of the full-workflow hints table under each weight, over the
 /// 4–10 s budget window §V-E sweeps.
-pub fn table2_weight_impact(
+fn table2_weight_impact(
     weights: &[f64],
     samples_per_point: usize,
     seed: u64,
@@ -298,7 +298,7 @@ pub struct OverheadResult {
 /// Every decision is timed here, around the policy call, so the latency
 /// columns are a census of all decisions (the adapter itself times only a
 /// sample of its decisions).
-pub fn overhead_report(
+fn overhead_report(
     decisions_per_workflow: usize,
     samples_per_point: usize,
     seed: u64,

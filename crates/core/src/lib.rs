@@ -30,7 +30,7 @@
 //!   pluggable arrival processes (`poisson`, `diurnal`, `bursty`,
 //!   `flash-crowd`, `trace-replay`) behind an open `ScenarioRegistry`,
 //!   selected per session with `.scenario(..)` / `.arrivals(..)` and swept
-//!   against the policy grid by [`fn@experiments::scenario_sweep`].
+//!   against the policy grid by [`mod@experiments::scenario_sweep`].
 //! * [`JanusFactory::synthesize`](registry::JanusFactory::synthesize) — the
 //!   developer-to-provider handoff (synthesize → deploy adapter) for one
 //!   workflow profile; every Janus policy is built through it.

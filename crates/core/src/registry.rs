@@ -93,7 +93,7 @@ impl BuiltPolicy {
     }
 
     /// Wrap a policy together with its synthesis report.
-    pub fn with_synthesis(policy: impl SizingPolicy + 'static, report: SynthesisReport) -> Self {
+    fn with_synthesis(policy: impl SizingPolicy + 'static, report: SynthesisReport) -> Self {
         BuiltPolicy {
             policy: Box::new(policy),
             synthesis: Some(report),

@@ -39,7 +39,7 @@
 use crate::registry::{
     BuiltPolicy, PolicyContext, PolicyFactory, PolicyRegistry, SynthesisSettings,
 };
-use janus_chaos::{FaultContext, FaultRegistry, FaultSchedule};
+use janus_chaos::{FaultContext, FaultRegistry};
 use janus_observe::{Observer, ObserverContext, ObserverRegistry, ObserverReport};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
 use janus_platform::executor::{ClosedLoopExecutor, ExecutorConfig};
@@ -319,15 +319,6 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Register an additional fault injector on this session's registry.
-    pub fn register_fault_fn<F>(mut self, name: impl Into<String>, schedule: F) -> Self
-    where
-        F: Fn(&FaultContext) -> Result<FaultSchedule, String> + Send + Sync + 'static,
-    {
-        self.faults.register_fn(name, schedule);
-        self
-    }
-
     /// Attach a named observer from the session's [`ObserverRegistry`]
     /// (built-ins: `ring`, `trace`, `spans`, `time-series`,
     /// `flight-recorder`). A fresh observer is built per policy run and
@@ -338,29 +329,6 @@ impl ServingSessionBuilder {
     /// the serving loops never construct a record.
     pub fn observe(mut self, name: impl Into<String>) -> Self {
         self.observer = Some(name.into());
-        self
-    }
-
-    /// Register an additional observer factory on this session's registry.
-    pub fn register_observer_fn<F>(mut self, name: impl Into<String>, build: F) -> Self
-    where
-        F: Fn(&ObserverContext) -> Result<Box<dyn Observer>, String> + Send + Sync + 'static,
-    {
-        self.observers.register_fn(name, build);
-        self
-    }
-
-    /// Register an additional admission factory on this session's registry.
-    pub fn register_admission_fn<F>(mut self, name: impl Into<String>, build: F) -> Self
-    where
-        F: Fn(
-                &CapacityContext,
-            ) -> Result<Box<dyn janus_platform::capacity::AdmissionPolicy>, String>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.admissions.register_fn(name, build);
         self
     }
 
@@ -1413,18 +1381,17 @@ mod tests {
         for (builder, count_scaling) in sessions {
             let reference = MetricsRegistry::new();
             let per_event = ServingMetrics::intern(&reference);
-            let session = builder
-                .policies(["ORION", "GrandSLAM", "Janus"])
-                .register_observer_fn("per-event-metrics", move |_| {
+            let mut builder = builder.policies(["ORION", "GrandSLAM", "Janus"]);
+            builder
+                .observers
+                .register_fn("per-event-metrics", move |_| {
                     Ok(Box::new(PerEventMetrics {
                         metrics: per_event.clone(),
                         count_scaling,
                         admitted: Default::default(),
                     }) as Box<dyn Observer>)
-                })
-                .observe("per-event-metrics")
-                .build()
-                .unwrap();
+                });
+            let session = builder.observe("per-event-metrics").build().unwrap();
             let registry = MetricsRegistry::new();
             let metrics = ServingMetrics::intern(&registry);
             let report = session
@@ -1683,16 +1650,14 @@ mod tests {
     #[test]
     fn custom_capacity_policies_register_by_name() {
         use janus_platform::capacity::QueueLengthAdmission;
-        let report = quick_builder()
-            .policy("GrandSLAM")
-            .load(Load::Open {
-                requests: 30,
-                rps: 10.0,
-            })
-            .register_admission_fn("strict", |_ctx| Ok(Box::new(QueueLengthAdmission::new(1)?)))
-            .admission("strict")
-            .run()
-            .unwrap();
+        let mut builder = quick_builder().policy("GrandSLAM").load(Load::Open {
+            requests: 30,
+            rps: 10.0,
+        });
+        builder
+            .admissions
+            .register_fn("strict", |_ctx| Ok(Box::new(QueueLengthAdmission::new(1)?)));
+        let report = builder.admission("strict").run().unwrap();
         let cap = report
             .serving("GrandSLAM")
             .unwrap()
@@ -1791,29 +1756,25 @@ mod tests {
         // A custom injector registers by name and reports under it.
         use janus_chaos::{FaultAction, FaultEvent, FaultSchedule};
         use janus_simcore::time::SimTime;
-        let report = quick_builder()
-            .policy("GrandSLAM")
-            .load(Load::Open {
-                requests: 30,
-                rps: 4.0,
+        let mut builder = quick_builder().policy("GrandSLAM").load(Load::Open {
+            requests: 30,
+            rps: 4.0,
+        });
+        builder.faults.register_fn("calm", |_ctx| {
+            Ok(FaultSchedule {
+                injector: "calm".into(),
+                victim_seed: 1,
+                events: vec![FaultEvent {
+                    at: SimTime::ZERO + SimDuration::from_secs(1.0),
+                    action: FaultAction::SlowNodes {
+                        count: 1,
+                        factor: 1.0,
+                        duration: SimDuration::from_secs(1.0),
+                    },
+                }],
             })
-            .register_fault_fn("calm", |_ctx| {
-                Ok(FaultSchedule {
-                    injector: "calm".into(),
-                    victim_seed: 1,
-                    events: vec![FaultEvent {
-                        at: SimTime::ZERO + SimDuration::from_secs(1.0),
-                        action: FaultAction::SlowNodes {
-                            count: 1,
-                            factor: 1.0,
-                            duration: SimDuration::from_secs(1.0),
-                        },
-                    }],
-                })
-            })
-            .fault("calm")
-            .run()
-            .unwrap();
+        });
+        let report = builder.fault("calm").run().unwrap();
         let cap = report
             .serving("GrandSLAM")
             .unwrap()
@@ -1918,13 +1879,11 @@ mod tests {
         use std::sync::Arc;
         let builds = Arc::new(AtomicUsize::new(0));
         let counter = Arc::clone(&builds);
-        let builder =
-            quick_builder()
-                .policy("GrandSLAM")
-                .register_observer_fn("counting", move |_ctx| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    Ok(Box::new(janus_observe::RingObserver::with_capacity(8)))
-                });
+        let mut builder = quick_builder().policy("GrandSLAM");
+        builder.observers.register_fn("counting", move |_ctx| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Ok(Box::new(janus_observe::RingObserver::with_capacity(8)))
+        });
         let report = builder.run().unwrap();
         assert_eq!(
             builds.load(Ordering::SeqCst),

@@ -42,14 +42,6 @@ impl Value {
         }
     }
 
-    /// Boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// String contents, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -18,6 +18,12 @@
 //! | `unwrap-discipline` | no `.unwrap()` / `.expect()` in non-test library code |
 //! | `float-cmp` | no `==` / `!=` against float literals |
 //! | `emit-discipline` | observer `Record`s constructed only through `emit!` |
+//! | `unused-pub` | every `pub fn` is named by some other crate, test, example or perfbench |
+//!
+//! The first five rules read one file at a time. `unused-pub` is the one
+//! rule that also reads the workspace's `tests/` and `examples/` and
+//! `perfbench/src`: [`lint_workspace`] indexes the names in those files and
+//! in the linted sources once per run.
 //!
 //! Findings render rustc-style (`path:line:col: rule: message`). Two
 //! suppression channels exist: inline `// janus-lint: allow(rule)`
@@ -77,24 +83,39 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Enumerate the lintable sources under `root`: every `.rs` file in
 /// `crates/*/src`, recursively, in sorted (deterministic) order. Only
-/// library and binary sources are in scope: the workspace's `tests/` and
-/// `examples/` and the separate `perfbench/` package are not scanned.
-pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+/// library and binary sources are linted. The `unused-pub` rule also reads
+/// `crates/*/tests`, the workspace's `tests/` and `examples/`, and the
+/// separate `perfbench/` package's `src`, as callers only.
+fn workspace_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    rs_files(crate_subdirs(root, "src")?)
+}
+
+/// The files `unused-pub` reads as callers besides the linted sources, in
+/// sorted order; a missing directory contributes none.
+fn caller_files(root: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut dirs = crate_subdirs(root, "tests")?;
+    dirs.extend(["tests", "examples", "perfbench/src"].map(|d| root.join(d)));
+    rs_files(dirs)
+}
+
+/// `crates/<name>/<sub>` for every crate, whether or not it exists.
+fn crate_subdirs(root: &Path, sub: &str) -> Result<Vec<PathBuf>, String> {
     let crates_dir = root.join("crates");
-    let mut crates: Vec<PathBuf> = Vec::new();
     let entries = std::fs::read_dir(&crates_dir)
         .map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
+    let mut dirs = Vec::new();
     for entry in entries {
         let entry = entry.map_err(|e| format!("cannot list crates/: {e}"))?;
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            crates.push(src);
-        }
+        dirs.push(entry.path().join(sub));
     }
-    crates.sort();
+    Ok(dirs)
+}
+
+/// Every `.rs` file under the existing directories of `dirs`, sorted.
+fn rs_files(dirs: Vec<PathBuf>) -> Result<Vec<PathBuf>, String> {
     let mut files = Vec::new();
-    for src in crates {
-        collect_rs(&src, &mut files)?;
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut files)?;
     }
     files.sort();
     Ok(files)
@@ -118,7 +139,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// Lint one parsed file: run every registered rule, then apply the file's
 /// inline `allow` directives. Returns the surviving diagnostics and the
 /// suppressed count.
-pub fn lint_file(
+pub(crate) fn lint_file(
     file: &SourceFile,
     registry: &LintRegistry,
     config: &LintConfig,
@@ -137,8 +158,11 @@ pub fn lint_file(
 }
 
 /// Lint the whole workspace under `root` with the given registry and
-/// configuration. Paths in diagnostics are workspace-relative with forward
-/// slashes; diagnostics are sorted by path, line, column.
+/// configuration. The `unused-pub` caller index is built once per run,
+/// over the linted `crates/*/src` sources and the callers in
+/// `crates/*/tests`, `tests/`, `examples/` and `perfbench/src`. Paths in
+/// diagnostics are workspace-relative with forward slashes; diagnostics are
+/// sorted by path, line, column.
 pub fn lint_workspace(
     root: &Path,
     registry: &LintRegistry,
@@ -148,11 +172,7 @@ pub fn lint_workspace(
     if paths.is_empty() {
         return Err(format!("no sources under {}/crates/*/src", root.display()));
     }
-    let mut run = LintRun {
-        rules: registry.names().iter().map(|s| s.to_string()).collect(),
-        ..LintRun::default()
-    };
-    for path in &paths {
+    let parse = |path: &PathBuf| {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
@@ -160,8 +180,22 @@ pub fn lint_workspace(
             .replace('\\', "/");
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let file = SourceFile::parse(rel, text)?;
-        let (mut diagnostics, suppressed) = lint_file(&file, registry, config);
+        SourceFile::parse(rel, text)
+    };
+    let files = paths.iter().map(parse).collect::<Result<Vec<_>, _>>()?;
+    let mut config = config.clone();
+    for file in &files {
+        config.callers.add(file);
+    }
+    for path in caller_files(root)? {
+        config.callers.add(&parse(&path)?);
+    }
+    let mut run = LintRun {
+        rules: registry.names().iter().map(|s| s.to_string()).collect(),
+        ..LintRun::default()
+    };
+    for file in &files {
+        let (mut diagnostics, suppressed) = lint_file(file, registry, &config);
         run.diagnostics.append(&mut diagnostics);
         run.suppressed += suppressed;
         run.files_scanned += 1;
@@ -261,5 +295,25 @@ fn g(v: Option<u32>) -> u32 {
         assert!(files
             .iter()
             .any(|p| p.ends_with("crates/lint/src/lexer.rs")));
+    }
+
+    #[test]
+    fn every_pub_fn_in_the_workspace_has_an_outside_caller() {
+        let manifest_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        let root = find_workspace_root(&manifest_dir).unwrap();
+        let callers = caller_files(&root).unwrap();
+        assert!(callers.iter().any(|p| p.ends_with("tests/invariants.rs")));
+        assert!(callers
+            .iter()
+            .any(|p| p.ends_with("examples/quickstart.rs")));
+        let registry = LintRegistry::with_builtins();
+        let run = lint_workspace(&root, &registry, &LintConfig::workspace_default()).unwrap();
+        let unused: Vec<String> = run
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == "unused-pub")
+            .map(Diagnostic::render)
+            .collect();
+        assert!(unused.is_empty(), "{}", unused.join("\n"));
     }
 }

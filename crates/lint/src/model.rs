@@ -51,12 +51,12 @@ impl SourceFile {
     }
 
     /// The text of token `i`.
-    pub fn token_text(&self, i: usize) -> &str {
+    pub(crate) fn token_text(&self, i: usize) -> &str {
         self.tokens[i].text(&self.text)
     }
 
     /// Whether a line lies inside a `#[test]` fn or `#[cfg(test)]` item.
-    pub fn is_test_line(&self, line: u32) -> bool {
+    pub(crate) fn is_test_line(&self, line: u32) -> bool {
         self.test_ranges
             .iter()
             .any(|&(lo, hi)| (lo..=hi).contains(&line))
@@ -65,7 +65,7 @@ impl SourceFile {
     /// Whether a `janus-lint: allow(rule)` directive covers `line`: the
     /// directive's own line (trailing comment) or the line below it
     /// (annotation above the offending code).
-    pub fn allows(&self, rule: &str, line: u32) -> bool {
+    pub(crate) fn allows(&self, rule: &str, line: u32) -> bool {
         self.allows
             .iter()
             .any(|(r, l)| r == rule && (line == *l || line == l + 1))
@@ -73,7 +73,7 @@ impl SourceFile {
 
     /// Line ranges (inclusive) of every `fn` or `macro_rules!` item named
     /// `name` in this file.
-    pub fn item_ranges(&self, name: &str) -> Vec<(u32, u32)> {
+    pub(crate) fn item_ranges(&self, name: &str) -> Vec<(u32, u32)> {
         self.items
             .iter()
             .filter(|(n, _, _)| n == name)
@@ -82,12 +82,12 @@ impl SourceFile {
     }
 
     /// Index of the previous non-comment token before `i`.
-    pub fn prev_code(&self, i: usize) -> Option<usize> {
+    pub(crate) fn prev_code(&self, i: usize) -> Option<usize> {
         self.tokens[..i].iter().rposition(|t| !is_comment(t.kind))
     }
 
     /// Index of the next non-comment token after `i`.
-    pub fn next_code(&self, i: usize) -> Option<usize> {
+    pub(crate) fn next_code(&self, i: usize) -> Option<usize> {
         self.tokens[i + 1..]
             .iter()
             .position(|t| !is_comment(t.kind))

@@ -32,9 +32,9 @@ impl Entry for dyn LintRule {
         self.name()
     }
 
-    /// The five built-in rules, in reporting order.
+    /// The six built-in rules, in reporting order.
     fn builtins(registry: &mut LintRegistry) {
-        let builtins: [FnRule; 5] = [
+        let builtins: [FnRule; 6] = [
             FnRule {
                 name: "nondeterminism",
                 describe: "wall-clock/env reads, and HashMap/HashSet in simulation-state crates",
@@ -59,6 +59,11 @@ impl Entry for dyn LintRule {
                 name: "emit-discipline",
                 describe: "observer records constructed only through emit!",
                 check: rules::emit_discipline,
+            },
+            FnRule {
+                name: "unused-pub",
+                describe: "pub fns that no other crate, test, example or perfbench names",
+                check: rules::unused_pub,
             },
         ];
         for rule in builtins {
@@ -103,6 +108,7 @@ mod tests {
                 "unwrap-discipline",
                 "float-cmp",
                 "emit-discipline",
+                "unused-pub",
             ]
         );
         assert!(registry.ensure_known("float-cmp").is_ok());
@@ -133,8 +139,8 @@ mod tests {
                 }
             },
         }));
-        assert_eq!(registry.len(), 6);
-        assert_eq!(registry.names()[5], "no-todo");
+        assert_eq!(registry.len(), 7);
+        assert_eq!(registry.names()[6], "no-todo");
         let file = SourceFile::parse("crates/x/src/a.rs", "// TODO: later\nfn f() {}\n").unwrap();
         let (hits, suppressed) =
             crate::lint_file(&file, &registry, &LintConfig::workspace_default());
@@ -157,6 +163,6 @@ mod tests {
             registry.get("float-cmp").unwrap().describe(),
             "stricter float rule"
         );
-        assert_eq!(registry.len(), 6);
+        assert_eq!(registry.len(), 7);
     }
 }

@@ -9,6 +9,7 @@
 
 use crate::lexer::TokenKind;
 use crate::model::SourceFile;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One finding: which rule fired, where, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +58,10 @@ pub struct LintConfig {
     /// Path suffixes where observer `Record` construction is legitimate
     /// (the observe crate itself and the `emit!` macro definition).
     pub record_construction_allowed: Vec<String>,
+    /// Who names each identifier, for `unused-pub`. Built by
+    /// [`crate::lint_workspace`] for each run; empty (the rule is silent)
+    /// when a file is linted alone.
+    pub(crate) callers: CallerIndex,
 }
 
 impl LintConfig {
@@ -109,7 +114,6 @@ impl LintConfig {
                 // the id-taking methods (the name-taking ones wrap them).
                 hot("simcore/src/cluster.rs", "place"),
                 hot("simcore/src/cluster.rs", "place_id"),
-                hot("simcore/src/cluster.rs", "place_overcommitted"),
                 hot("simcore/src/cluster.rs", "place_overcommitted_id"),
                 hot("simcore/src/cluster.rs", "function_count_id"),
                 hot("simcore/src/cluster.rs", "remove"),
@@ -141,6 +145,7 @@ impl LintConfig {
                 "crates/observe/src".to_string(),
                 "crates/platform/src/lib.rs".to_string(),
             ],
+            callers: CallerIndex::default(),
         }
     }
 
@@ -152,6 +157,57 @@ impl LintConfig {
     fn is_sim_state(&self, path: &str) -> bool {
         self.crate_of(path)
             .is_some_and(|c| self.sim_state_crates.iter().any(|s| s == c))
+    }
+}
+
+/// Which compilation units name each identifier: the cross-file context of
+/// `unused-pub`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CallerIndex {
+    owners: BTreeMap<String, BTreeSet<String>>,
+}
+
+impl CallerIndex {
+    /// Record every name `file` mentions as named by the file's owner:
+    /// its identifier tokens, test code included, and the identifier-shaped
+    /// words of its comments (doc links and doctests).
+    pub(crate) fn add(&mut self, file: &SourceFile) {
+        let owner = owner_of(&file.path);
+        for (i, t) in file.tokens.iter().enumerate() {
+            if !matches!(
+                t.kind,
+                TokenKind::Ident | TokenKind::LineComment | TokenKind::BlockComment
+            ) {
+                continue;
+            }
+            let words = file
+                .token_text(i)
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'));
+            for word in words.filter(|w| !w.is_empty()) {
+                let owners = self.owners.entry(word.to_string());
+                owners.or_default().insert(owner.to_string());
+            }
+        }
+    }
+
+    fn named_outside(&self, name: &str, owner: &str) -> bool {
+        self.owners
+            .get(name)
+            .is_some_and(|owners| owners.iter().any(|o| o != owner))
+    }
+}
+
+/// The compilation unit a workspace-relative path belongs to: a library's
+/// `crates/<name>/src`, or else the file itself (a binary under `src/bin/`,
+/// an integration test, an example or a perfbench source, each of which
+/// reaches a library only through its `pub` items).
+fn owner_of(path: &str) -> &str {
+    match path
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.find("/src/"))
+    {
+        Some(end) if !path.contains("/src/bin/") => &path[.."crates/".len() + end + "/src".len()],
+        _ => path,
     }
 }
 
@@ -189,7 +245,7 @@ fn next_text(file: &SourceFile, i: usize) -> Option<&str> {
 /// `HashMap`/`HashSet` mentioned in a `use` declaration or qualified with
 /// `::` inside a simulation-state crate. Bare uses of an imported name are
 /// intentionally silent — the flagged import is the single audit point.
-pub fn nondeterminism(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(crate) fn nondeterminism(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     const RULE: &str = "nondeterminism";
     if file.path.contains("/bin/") {
         return;
@@ -248,7 +304,7 @@ pub fn nondeterminism(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diag
 /// Fires on `format!` / `vec!`, `.to_string()` / `.to_owned()` /
 /// `.to_vec()` / `.clone()`, and `Vec::new` / `String::new` / `Box::new`
 /// inside the body of any configured `fn`/`macro_rules!` item.
-pub fn hot_path_alloc(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(crate) fn hot_path_alloc(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     const RULE: &str = "hot-path-alloc";
     let mut ranges: Vec<(u32, u32, &str)> = Vec::new();
     for hot in &config.hot_paths {
@@ -302,7 +358,11 @@ pub fn hot_path_alloc(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diag
 /// `unwrap-discipline` — no `.unwrap()` / `.expect(..)` in non-test
 /// library code; propagate the error or prove infallibility with a
 /// documented allow directive.
-pub fn unwrap_discipline(file: &SourceFile, _config: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(crate) fn unwrap_discipline(
+    file: &SourceFile,
+    _config: &LintConfig,
+    out: &mut Vec<Diagnostic>,
+) {
     const RULE: &str = "unwrap-discipline";
     for i in 0..file.tokens.len() {
         let is_hit = (is_code_ident(file, i, "unwrap") || is_code_ident(file, i, "expect"))
@@ -328,7 +388,7 @@ pub fn unwrap_discipline(file: &SourceFile, _config: &LintConfig, out: &mut Vec<
 /// A literal-adjacency heuristic (no type inference): fires when either
 /// operand token next to the operator is a float literal. Exactness checks
 /// like `fract() == 0.0` are legitimate and carry allow directives.
-pub fn float_cmp(file: &SourceFile, _config: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(crate) fn float_cmp(file: &SourceFile, _config: &LintConfig, out: &mut Vec<Diagnostic>) {
     const RULE: &str = "float-cmp";
     for i in 0..file.tokens.len() {
         let t = &file.tokens[i];
@@ -361,7 +421,7 @@ pub fn float_cmp(file: &SourceFile, _config: &LintConfig, out: &mut Vec<Diagnost
 /// Serving loops must offer records through `emit!` so sessions without an
 /// observer pay nothing; a bare `Record {` elsewhere bypasses that
 /// zero-cost guarantee.
-pub fn emit_discipline(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+pub(crate) fn emit_discipline(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
     const RULE: &str = "emit-discipline";
     if config.record_construction_allowed.iter().any(|allowed| {
         file.path.starts_with(allowed.as_str()) || file.path.contains(allowed.as_str())
@@ -377,6 +437,55 @@ pub fn emit_discipline(file: &SourceFile, config: &LintConfig, out: &mut Vec<Dia
                 "observer records are constructed only through `emit!` (zero-cost when \
                  no observer is attached)"
                     .to_string(),
+            ));
+        }
+    }
+}
+
+/// `unused-pub` — a `pub fn` outside test code whose name appears in no
+/// file outside its own crate.
+///
+/// Fires on `pub fn name` (also `pub const fn`, `pub async fn`, `pub
+/// unsafe fn`; `pub(crate)` and narrower are not `pub`) when the run's
+/// caller index holds `name` only for the defining crate. Callers are the
+/// other crates' sources, their binaries and integration tests, the
+/// workspace's `tests/` and `examples/`, and `perfbench/src`; their code
+/// and comments both count, so a doc link or doctest there keeps an item
+/// public. A name match anywhere outside counts, so a common name (`new`,
+/// `len`) never fires. An item that only its own crate's doctests call
+/// needs a directive naming them.
+pub(crate) fn unused_pub(file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
+    const RULE: &str = "unused-pub";
+    if config.callers.owners.is_empty() {
+        return;
+    }
+    let owner = owner_of(&file.path);
+    for i in 0..file.tokens.len() {
+        if !is_code_ident(file, i, "pub") {
+            continue;
+        }
+        let mut next = file.next_code(i);
+        while let Some(q) =
+            next.filter(|&q| matches!(file.token_text(q), "const" | "async" | "unsafe"))
+        {
+            next = file.next_code(q);
+        }
+        let Some(name) = next
+            .filter(|&f| file.token_text(f) == "fn")
+            .and_then(|f| file.next_code(f))
+        else {
+            continue;
+        };
+        let text = file.token_text(name);
+        if !config.callers.named_outside(text, owner) {
+            out.push(diag(
+                file,
+                name,
+                RULE,
+                format!(
+                    "`pub fn {text}` is named nowhere outside its crate; narrow it to \
+                     `pub(crate)` or private, or delete it"
+                ),
             ));
         }
     }
@@ -559,5 +668,90 @@ mod tests {
         // Passing a RecordKind *to* emit! is the sanctioned path.
         let fine = "fn ok() { emit!(observer, now, RecordKind::Arrival { request_id }); }";
         assert!(run(emit_discipline, "crates/platform/src/openloop.rs", fine).is_empty());
+    }
+
+    /// Lint `crates/a/src/lib.rs` (`src`) with an index over it and
+    /// `others` (path, source).
+    fn run_unused_pub(src: &str, others: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let file = SourceFile::parse("crates/a/src/lib.rs", src).unwrap();
+        let mut config = LintConfig::workspace_default();
+        config.callers.add(&file);
+        for (path, text) in others {
+            config
+                .callers
+                .add(&SourceFile::parse(*path, *text).unwrap());
+        }
+        let registry = crate::LintRegistry::with_builtins();
+        let (mut hits, _) = crate::lint_file(&file, &registry, &config);
+        hits.retain(|h| h.rule == "unused-pub");
+        hits
+    }
+
+    #[test]
+    fn unused_pub_fires_on_names_only_their_own_crate_mentions() {
+        let src = "\
+pub fn lonely() {}
+pub const fn lonely_const() -> u32 { 0 }
+pub fn called_by_b() {}
+pub(crate) fn narrow() {}
+fn private() { lonely(); narrow(); }
+pub struct Lonely;
+";
+        let hits = run_unused_pub(
+            src,
+            &[("crates/b/src/lib.rs", "fn f() { a::called_by_b(); }")],
+        );
+        let lines: Vec<u32> = hits.iter().map(|h| h.line).collect();
+        assert_eq!(lines, [1, 2], "{hits:#?}");
+        assert!(hits[0].message.contains("`pub fn lonely`"), "{:?}", hits[0]);
+        // A file sharing the crate's `src` is no outside caller.
+        let same_crate = [("crates/a/src/other.rs", "fn f() { crate::lonely(); }")];
+        assert_eq!(run_unused_pub("pub fn lonely() {}", &same_crate).len(), 1);
+        // Linted alone, with no index, the rule cannot judge and stays silent.
+        let mut out = Vec::new();
+        let alone = SourceFile::parse("crates/a/src/lib.rs", "pub fn lonely() {}").unwrap();
+        unused_pub(&alone, &LintConfig::workspace_default(), &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn unused_pub_reads_tests_examples_binaries_and_perfbench_as_callers() {
+        let src = "pub fn used() {}";
+        for caller in [
+            "tests/api.rs",
+            "examples/quickstart.rs",
+            "perfbench/src/serve.rs",
+            "crates/a/tests/workspace.rs",
+            "crates/a/src/bin/tool.rs",
+            "crates/b/src/deep/mod.rs",
+        ] {
+            assert!(
+                run_unused_pub(src, &[(caller, "fn main() { used(); }")]).is_empty(),
+                "{caller}"
+            );
+        }
+        // A doc link or doctest in another crate is a caller too; a string
+        // literal is not.
+        let doc = "/// Follows [`a::used`] step for step.\nfn f() {}";
+        assert!(run_unused_pub(src, &[("crates/b/src/lib.rs", doc)]).is_empty());
+        let string = "fn f() -> &'static str { \"used\" }";
+        assert_eq!(
+            run_unused_pub(src, &[("crates/b/src/lib.rs", string)]).len(),
+            1
+        );
+    }
+
+    #[test]
+    fn unused_pub_ignores_test_regions_and_honours_directives() {
+        let src = "\
+// janus-lint: allow(unused-pub) — the crate doc's doctest calls it
+pub fn doctested() {}
+
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+        assert!(run_unused_pub(src, &[]).is_empty());
     }
 }

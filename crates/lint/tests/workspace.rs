@@ -24,7 +24,7 @@ fn the_workspace_is_clean_against_the_committed_baseline() {
     let config = LintConfig::workspace_default();
     let run = lint_workspace(&root, &registry, &config).expect("workspace lints");
     assert!(run.files_scanned > 30, "scanned {}", run.files_scanned);
-    assert_eq!(run.rules.len(), 5);
+    assert_eq!(run.rules.len(), 6);
     let baseline = load_baseline(&root).expect("baseline decodes");
     let verdict = compare_to_baseline(&run.diagnostics, &baseline);
     assert!(

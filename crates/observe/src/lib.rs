@@ -855,7 +855,7 @@ pub const TRACE_TARGET_REQUESTS: usize = 1024;
 /// The per-request sampling stride for a run of `requests` requests: a
 /// request is traced iff `id % stride == 0`. Pure and seed-independent so
 /// identical runs trace identical requests.
-pub fn sampling_stride(requests: usize) -> u64 {
+fn sampling_stride(requests: usize) -> u64 {
     (requests / TRACE_TARGET_REQUESTS).max(1) as u64
 }
 
@@ -932,7 +932,7 @@ impl ObserverFactory for RingFactory {
 
 /// JSONL trace sink: every kept record and every tick sample becomes one
 /// compact JSON document on its own line, labelled with the policy the run
-/// belongs to. Request-scoped records are sampled by [`sampling_stride`];
+/// belongs to. Request-scoped records are sampled by `sampling_stride`;
 /// fleet-scoped records and ticks are always kept.
 ///
 /// A record line is `{"policy":…,"at_ms":…,"type":…,<variant fields>}`

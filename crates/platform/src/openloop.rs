@@ -319,7 +319,7 @@ impl<'c> ControlLoop<'c> {
         let initial_nodes = fleet.config.cluster.nodes.max(1);
         let target = (base_pool * fleet.cluster.active_node_count()).div_ceil(initial_nodes);
         if target != fleet.pool.target_pool_size() {
-            fleet.pool.set_target_pool_size(target, now);
+            fleet.pool.set_target_pool_size(target);
         }
         // One telemetry sample per tick, after faults and the autoscaler
         // have acted — the flight recorder's time-series axis. Only built
@@ -359,9 +359,7 @@ impl<'c> ControlLoop<'c> {
             autoscaler: self.autoscaler.name().to_string(),
             admission: self.admission.name().to_string(),
             generated: drawn,
-            // Not `tally.requests`: that leaves out arrivals failed on an
-            // empty fleet.
-            admitted: drawn - tally.shed as usize,
+            admitted: tally.requests as usize,
             shed: tally.shed as usize,
             failed: tally.failed as usize,
             retried: tally.retried as usize,
@@ -672,6 +670,9 @@ impl OpenLoopSimulation {
                             on_outcome(RequestOutcome::shed(input.id));
                             continue;
                         }
+                    }
+                    fleet.tally.requests += 1;
+                    if let Some(c) = control.as_ref() {
                         if c.faults.is_some() && fleet.cluster.node_count() == 0 {
                             // The whole fleet is gone and nothing has scaled
                             // it back up: an admitted request has nowhere to
@@ -695,7 +696,6 @@ impl OpenLoopSimulation {
                         }
                     }
                     policy.on_admit(&fleet.context(input.id));
-                    fleet.tally.requests += 1;
                     let state = InFlight {
                         input,
                         started_at: now,
@@ -1745,6 +1745,10 @@ mod tests {
         assert_eq!(report.failed_len(), 40);
         assert_eq!(cap.failed, 40);
         assert_eq!(cap.admitted, 40, "admit-all sheds nothing");
+        assert_eq!(
+            registry.counter(ServingMetrics::REQUESTS),
+            cap.admitted as u64
+        );
         assert_eq!(cap.shed, 0);
         // Statistics degrade to empty/None, never NaN.
         assert!(report.e2e_summary().is_none());

@@ -81,7 +81,7 @@ impl RequestOutcome {
     }
 
     /// True when the request was served (not shed or failed).
-    pub fn is_served(&self) -> bool {
+    pub(crate) fn is_served(&self) -> bool {
         self.disposition == RequestDisposition::Served
     }
 
@@ -227,14 +227,6 @@ impl ServingReport {
             .count()
     }
 
-    /// Failed fraction of the offered load, in `[0, 1]`.
-    pub fn failed_rate(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.failed_len() as f64 / self.outcomes.len() as f64
-    }
-
     /// Shed fraction of the offered load, in `[0, 1]`.
     pub fn shed_rate(&self) -> f64 {
         if self.outcomes.is_empty() {
@@ -300,15 +292,6 @@ impl ServingReport {
     /// (e.g. 99.0 for the P99 SLO check). `None` when nothing was served.
     pub fn e2e_percentile(&self, p: f64) -> Option<SimDuration> {
         janus_simcore::stats::percentile(&self.served_e2e_ms(), p).map(SimDuration::from_millis)
-    }
-
-    /// Sum of the outcomes' `adaptation_misses`. Neither serving loop fills
-    /// that field yet, so this is 0 for every report, Janus's included.
-    pub fn total_misses(&self) -> u64 {
-        self.outcomes
-            .iter()
-            .map(|o| u64::from(o.adaptation_misses))
-            .sum()
     }
 
     /// Mean per-request CPU of this report divided by that of `baseline` —
@@ -385,7 +368,6 @@ mod tests {
         assert!(!r.is_empty());
         assert_eq!(r.mean_cpu_millicores(), 3000.0);
         assert!((r.slo_violation_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(r.total_misses(), 0);
         let cdf = r.e2e_cdf();
         assert_eq!(cdf.len(), 4);
         assert!(r.e2e_summary().unwrap().max >= 3500.0);
@@ -479,7 +461,6 @@ mod tests {
         assert_eq!(r.served_len(), 0);
         assert_eq!(r.failed_len(), 4);
         assert_eq!(r.shed_len(), 0);
-        assert_eq!(r.failed_rate(), 1.0);
         assert_eq!(r.shed_rate(), 0.0);
         assert!(r.e2e_cdf().is_empty());
         assert!(r.e2e_summary().is_none());

@@ -94,18 +94,6 @@ impl PercentileGrid {
         PercentileGrid { values }
     }
 
-    /// A grid for stricter SLO targets that replaces the P99 anchor with a
-    /// higher percentile such as 99.9.
-    pub fn with_tail(tail: Percentile) -> Result<Self, String> {
-        if tail.value() < 99.0 {
-            return Err(format!("tail percentile must be >= 99, got {tail}"));
-        }
-        let mut grid = Self::paper_default();
-        grid.values.retain(|p| p.value() < 99.0);
-        grid.values.push(tail);
-        Ok(grid)
-    }
-
     /// Build a grid from explicit values (deduplicated and sorted).
     pub fn from_values(values: Vec<Percentile>) -> Result<Self, String> {
         if values.is_empty() {
@@ -179,17 +167,6 @@ mod tests {
     fn display_formats_cleanly() {
         assert_eq!(Percentile::P99.to_string(), "P99");
         assert_eq!(Percentile::new(99.9).unwrap().to_string(), "P99.9");
-    }
-
-    #[test]
-    fn stricter_tail_grid() {
-        let g = PercentileGrid::with_tail(Percentile::new(99.9).unwrap()).unwrap();
-        assert_eq!(g.tail().value(), 99.9);
-        assert!(g
-            .values()
-            .iter()
-            .all(|p| p.value() < 99.0 || p.value() == 99.9));
-        assert!(PercentileGrid::with_tail(Percentile::P50).is_err());
     }
 
     #[test]

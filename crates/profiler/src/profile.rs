@@ -100,12 +100,6 @@ impl FunctionProfile {
         (self.latency(p, mc) - self.latency(p, self.grid.max)).saturate()
     }
 
-    /// The minimum allocation on the grid whose latency at percentile `p`
-    /// stays within `budget`, or `None` if even `Kmax` cannot meet it.
-    pub fn min_cores_for(&self, p: Percentile, budget: SimDuration) -> Option<Millicores> {
-        self.grid.iter().find(|&mc| self.latency(p, mc) <= budget)
-    }
-
     /// All raw (sorted) samples at one allocation; used by tests and the
     /// motivation figures.
     pub fn raw_samples(&self, mc: Millicores) -> &[f64] {
@@ -272,26 +266,6 @@ mod tests {
         assert!(p
             .resilience(Percentile::P99, Millicores::new(3000))
             .is_zero());
-    }
-
-    #[test]
-    fn min_cores_for_budget_picks_smallest_feasible_allocation() {
-        let p = synthetic("od", 100.0);
-        // At P99 latency(k) = 199 * 1000/k; budget 150ms needs k >= 1327 -> 1400 on grid.
-        let mc = p
-            .min_cores_for(Percentile::P99, SimDuration::from_millis(150.0))
-            .unwrap();
-        assert_eq!(mc, Millicores::new(1400));
-        // Impossible budget.
-        assert!(p
-            .min_cores_for(Percentile::P99, SimDuration::from_millis(1.0))
-            .is_none());
-        // Budget loose enough for Kmin.
-        assert_eq!(
-            p.min_cores_for(Percentile::P99, SimDuration::from_millis(500.0))
-                .unwrap(),
-            Millicores::new(1000)
-        );
     }
 
     #[test]

@@ -148,19 +148,6 @@ impl Profiler {
             // janus-lint: allow(unwrap-discipline) — a workflow has at least one function and every profile above shares this grid and concurrency, which is all `new` checks
             .expect("profiles share grid and concurrency by construction")
     }
-
-    /// Profile a workflow at several concurrency levels (the paper profiles
-    /// IA at concurrency 1, 2 and 3).
-    pub fn profile_concurrencies(
-        &self,
-        workflow: &Workflow,
-        concurrencies: &[u32],
-    ) -> Vec<WorkflowProfile> {
-        concurrencies
-            .iter()
-            .map(|&c| self.profile_workflow(workflow, c))
-            .collect()
-    }
 }
 
 fn hash_name(name: &str) -> u64 {
@@ -341,8 +328,7 @@ mod tests {
     fn workflow_profile_covers_all_functions_and_concurrencies() {
         let profiler = quick_profiler();
         let ia = intelligent_assistant();
-        let profiles = profiler.profile_concurrencies(&ia, &[1, 2]);
-        assert_eq!(profiles.len(), 2);
+        let profiles = [1, 2].map(|c| profiler.profile_workflow(&ia, c));
         assert_eq!(profiles[0].len(), 3);
         assert_eq!(profiles[0].concurrency(), 1);
         assert_eq!(profiles[1].concurrency(), 2);

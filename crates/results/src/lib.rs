@@ -23,4 +23,4 @@ pub mod store;
 
 pub use atomic::write_atomic;
 pub use sha256::sha256_hex;
-pub use store::{cell_key, ResultsStore, StoredCell, STORE_FORMAT};
+pub use store::{ResultsStore, StoredCell, STORE_FORMAT};

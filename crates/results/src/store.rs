@@ -51,7 +51,7 @@ pub struct ResultsStore {
 
 /// Content key for a cell spec under a given epoch: SHA-256 of the compact
 /// canonical encoding of `{"cell": <spec>, "epoch": N}`.
-pub fn cell_key(cell: &Value, epoch: u32) -> String {
+fn cell_key(cell: &Value, epoch: u32) -> String {
     let doc = Value::Obj(vec![
         ("cell".to_string(), cell.clone()),
         ("epoch".to_string(), Value::Num(f64::from(epoch))),

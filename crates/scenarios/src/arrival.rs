@@ -297,7 +297,7 @@ impl TraceReplay {
 
     /// Rescale every gap so the long-run mean rate becomes `rps`, preserving
     /// the burst *shape* while matching another scenario's offered load.
-    pub fn scaled_to_rate(mut self, rps: f64) -> Result<Self, String> {
+    pub(crate) fn scaled_to_rate(mut self, rps: f64) -> Result<Self, String> {
         let rps = positive_rate("trace replay rate", rps)?;
         let mean_gap = self.gaps_ms.iter().sum::<f64>() / self.gaps_ms.len() as f64;
         self.scale = (1000.0 / rps) / mean_gap;

@@ -37,7 +37,7 @@ pub struct ScenarioContext {
 
 impl ScenarioContext {
     /// Expected span of the run at the base rate.
-    pub fn expected_span(&self) -> SimDuration {
+    fn expected_span(&self) -> SimDuration {
         SimDuration::from_secs(self.requests as f64 / self.base_rps)
     }
 

@@ -73,11 +73,6 @@ impl MergedRequestSource {
             primed: false,
         })
     }
-
-    /// Number of tenant streams being merged.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 impl RequestSource for MergedRequestSource {
@@ -155,7 +150,7 @@ mod tests {
             200,
         )
         .unwrap();
-        assert_eq!(source.stream_count(), 3);
+        assert_eq!(source.streams.len(), 3);
         let mut prev = SimDuration::ZERO;
         let mut count = 0u64;
         while let Some(req) = source.next_request(&ia) {

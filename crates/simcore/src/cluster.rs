@@ -355,7 +355,7 @@ impl Cluster {
     }
 
     /// Total capacity across non-retired nodes.
-    pub fn total_capacity(&self) -> Millicores {
+    fn total_capacity(&self) -> Millicores {
         self.live_nodes().map(Node::capacity).sum()
     }
 
@@ -520,22 +520,12 @@ impl Cluster {
         }
     }
 
-    /// Place a pod on a saturated cluster by overcommitting the least-loaded
-    /// active node (overload must contend, not disappear: an unplaced pod
-    /// would run interference-free, making saturation *faster* than a busy
-    /// fleet). Errors when the pod is already placed or no node is active.
-    pub fn place_overcommitted(
-        &mut self,
-        pod: PodId,
-        function: &str,
-        allocation: Millicores,
-    ) -> SimResult<NodeId> {
-        let id = self.function_id(function);
-        self.place_overcommitted_id(pod, id, allocation)
-    }
-
-    /// [`place_overcommitted`](Self::place_overcommitted) for a function
-    /// already resolved by [`function_id`](Self::function_id).
+    /// Place a pod of `function`, already resolved by
+    /// [`function_id`](Self::function_id), on a saturated cluster by
+    /// overcommitting the least-loaded active node (overload must contend,
+    /// not disappear: an unplaced pod would run interference-free, making
+    /// saturation *faster* than a busy fleet). Errors when the pod is
+    /// already placed or no node is active.
     ///
     /// # Panics
     ///
@@ -563,26 +553,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// Resize a placed pod. Growth must fit its node's capacity; shrinking
-    /// always succeeds, also on an overcommitted node.
-    pub fn resize(&mut self, pod: PodId, allocation: Millicores) -> SimResult<()> {
-        let p = self.pods.get_mut(&pod).ok_or_else(|| unknown_pod(pod))?;
-        let node = &mut self.nodes[p.node];
-        let current = p.allocation;
-        if allocation > current
-            && node.allocated().saturating_sub(current) + allocation > node.capacity()
-        {
-            return Err(SimError::InsufficientCapacity {
-                requested: allocation,
-                available: node.free() + current,
-            });
-        }
-        node.detach(p.function, current);
-        node.attach(p.function, allocation);
-        p.allocation = allocation;
-        Ok(())
-    }
-
     /// The node currently hosting `pod`.
     pub fn node_of(&self, pod: PodId) -> Option<NodeId> {
         self.pods.get(&pod).map(|p| self.nodes[p.node].id())
@@ -591,14 +561,6 @@ impl Cluster {
     /// CPU allocation of a placed pod.
     pub fn pod_allocation(&self, pod: PodId) -> Option<Millicores> {
         self.pods.get(&pod).map(|p| p.allocation)
-    }
-
-    /// Pods of `function` hosted on node `id` (0 for an unknown node or a
-    /// function never placed).
-    pub fn function_count(&self, id: NodeId, function: &str) -> usize {
-        self.functions
-            .get(function)
-            .map_or(0, |function| self.function_count_id(id, function))
     }
 
     /// Pods of the function `function` hosted on node `id` (0 for an
@@ -645,6 +607,24 @@ fn already_placed(pod: PodId, node: NodeId) -> SimError {
 mod tests {
     use super::*;
 
+    /// Pods of `function` on node `id`, resolved through the name table.
+    fn count(c: &Cluster, id: NodeId, function: &str) -> usize {
+        c.functions
+            .get(function)
+            .map_or(0, |f| c.function_count_id(id, f))
+    }
+
+    /// Overcommit a pod of `function`, resolved through the name table.
+    fn overcommit(
+        c: &mut Cluster,
+        pod: PodId,
+        function: &str,
+        allocation: Millicores,
+    ) -> SimResult<NodeId> {
+        let id = c.function_id(function);
+        c.place_overcommitted_id(pod, id, allocation)
+    }
+
     fn cluster(nodes: usize, policy: PlacementPolicy) -> Cluster {
         Cluster::new(&ClusterConfig {
             nodes,
@@ -681,7 +661,7 @@ mod tests {
         let n3 = c.place(PodId(3), "od", Millicores::new(1000)).unwrap();
         assert_eq!(n1, n2);
         assert_eq!(n2, n3);
-        assert_eq!(c.function_count(n3, "od"), 3);
+        assert_eq!(count(&c, n3, "od"), 3);
     }
 
     #[test]
@@ -695,7 +675,7 @@ mod tests {
             .map(|p| c.node_of(*p).unwrap())
             .collect();
         assert_eq!(nodes.len(), 3, "spread places each pod on its own node");
-        assert!(nodes.iter().all(|n| c.function_count(*n, "od") == 1));
+        assert!(nodes.iter().all(|n| count(&c, *n, "od") == 1));
     }
 
     #[test]
@@ -715,13 +695,10 @@ mod tests {
         let mut c = cluster(1, PlacementPolicy::PackSameFunction);
         c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
         assert_eq!(c.total_allocated().get(), 2000);
-        c.resize(PodId(1), Millicores::new(3000)).unwrap();
-        assert_eq!(c.total_allocated().get(), 3000);
         c.remove(PodId(1)).unwrap();
         assert_eq!(c.total_allocated().get(), 0);
         assert!(c.remove(PodId(1)).is_err());
-        assert!(c.resize(PodId(1), Millicores::new(1000)).is_err());
-        assert_eq!(c.function_count(NodeId(0), "od"), 0);
+        assert_eq!(count(&c, NodeId(0), "od"), 0);
     }
 
     #[test]
@@ -735,11 +712,11 @@ mod tests {
         assert_eq!(node.free().get(), 4000);
         assert_eq!(node.pod_count(), 3);
         assert!((node.utilization() - 0.5).abs() < 1e-12);
-        assert_eq!(c.function_count(NodeId(0), "od"), 2);
-        assert_eq!(c.function_count(NodeId(0), "qa"), 1);
+        assert_eq!(count(&c, NodeId(0), "od"), 2);
+        assert_eq!(count(&c, NodeId(0), "qa"), 1);
         // A never-seen name counts none, and so does an unknown node.
-        assert_eq!(c.function_count(NodeId(0), "ts"), 0);
-        assert_eq!(c.function_count(NodeId(7), "od"), 0);
+        assert_eq!(count(&c, NodeId(0), "ts"), 0);
+        assert_eq!(count(&c, NodeId(7), "od"), 0);
     }
 
     #[test]
@@ -763,11 +740,9 @@ mod tests {
         let mut c = cluster(1, PlacementPolicy::PackSameFunction);
         c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
         assert!(c.place(PodId(1), "od", Millicores::new(1000)).is_err());
-        assert!(c
-            .place_overcommitted(PodId(1), "od", Millicores::new(1000))
-            .is_err());
+        assert!(overcommit(&mut c, PodId(1), "od", Millicores::new(1000)).is_err());
         assert_eq!(c.total_allocated().get(), 1000);
-        assert_eq!(c.function_count(NodeId(0), "od"), 1);
+        assert_eq!(count(&c, NodeId(0), "od"), 1);
     }
 
     #[test]
@@ -785,9 +760,7 @@ mod tests {
                 detail: format!("already placed on {first}"),
             }
         );
-        assert!(c
-            .place_overcommitted(PodId(1), "qa", Millicores::new(1000))
-            .is_err());
+        assert!(overcommit(&mut c, PodId(1), "qa", Millicores::new(1000)).is_err());
         assert_eq!(c.node_of(PodId(1)), Some(first));
         assert_eq!(c.total_allocated().get(), 2000);
         c.remove(PodId(1)).unwrap();
@@ -803,54 +776,12 @@ mod tests {
         c.place(PodId(2), "od", Millicores::new(1000)).unwrap();
         c.remove(PodId(1)).unwrap();
         assert_eq!(c.total_allocated().get(), 1000);
-        assert_eq!(c.function_count(NodeId(0), "od"), 1);
+        assert_eq!(count(&c, NodeId(0), "od"), 1);
         assert_eq!(c.node(NodeId(0)).unwrap().pod_count(), 1);
         assert_eq!(
             c.remove(PodId(1)).unwrap_err(),
             SimError::UnknownEntity("pod-1".into())
         );
-    }
-
-    #[test]
-    fn resize_respects_node_capacity() {
-        let mut c = cluster(1, PlacementPolicy::PackSameFunction);
-        c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
-        c.place(PodId(2), "qa", Millicores::new(6000)).unwrap();
-        c.resize(PodId(1), Millicores::new(2000)).unwrap();
-        assert_eq!(c.pod_allocation(PodId(1)), Some(Millicores::new(2000)));
-        assert_eq!(c.total_allocated().get(), 8000);
-        let err = c.resize(PodId(1), Millicores::new(3000)).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::InsufficientCapacity {
-                requested: Millicores::new(3000),
-                available: Millicores::new(2000),
-            }
-        );
-        // Shrinking always succeeds, and colocation is untouched.
-        c.resize(PodId(1), Millicores::new(1000)).unwrap();
-        assert_eq!(c.total_allocated().get(), 7000);
-        assert_eq!(c.function_count(NodeId(0), "od"), 1);
-        assert!(c.resize(PodId(9), Millicores::new(1000)).is_err());
-        assert_eq!(c.pod_allocation(PodId(9)), None);
-
-        // Shrinking succeeds on an overcommitted node too, while growth
-        // there is still refused.
-        let mut c = Cluster::new(&ClusterConfig {
-            nodes: 1,
-            node_capacity: Millicores::new(4000),
-            placement: PlacementPolicy::PackSameFunction,
-            zones: 1,
-        })
-        .unwrap();
-        c.place(PodId(1), "od", Millicores::new(3000)).unwrap();
-        c.place_overcommitted(PodId(2), "od", Millicores::new(3000))
-            .unwrap();
-        c.resize(PodId(1), Millicores::new(2000)).unwrap();
-        assert_eq!(c.pod_allocation(PodId(1)), Some(Millicores::new(2000)));
-        assert_eq!(c.total_allocated().get(), 5000);
-        assert!(c.resize(PodId(1), Millicores::new(2500)).is_err());
-        assert_eq!(c.total_allocated().get(), 5000);
     }
 
     #[test]
@@ -995,18 +926,14 @@ mod tests {
         // Saturated: regular placement fails, overcommit lands anyway and
         // the overloaded fleet reads as >100 % utilised.
         assert!(c.place(PodId(3), "od", Millicores::new(2000)).is_err());
-        let node = c
-            .place_overcommitted(PodId(3), "od", Millicores::new(2000))
-            .unwrap();
+        let node = overcommit(&mut c, PodId(3), "od", Millicores::new(2000)).unwrap();
         assert_eq!(c.node_of(PodId(3)), Some(node));
         assert!(c.utilization() > 1.0);
-        assert_eq!(c.function_count(node, "od"), 2);
+        assert_eq!(count(&c, node, "od"), 2);
         // Draining nodes are not overcommit targets either.
         c.drain_node(NodeId(0)).unwrap();
         c.drain_node(NodeId(1)).unwrap();
-        assert!(c
-            .place_overcommitted(PodId(4), "od", Millicores::new(1000))
-            .is_err());
+        assert!(overcommit(&mut c, PodId(4), "od", Millicores::new(1000)).is_err());
         // Eviction drains the overcommitted node back to retirement.
         c.remove(PodId(3)).unwrap();
         let host = c.node_of(PodId(1)).unwrap();
@@ -1098,7 +1025,7 @@ mod tests {
         }
         assert_eq!(c.total_allocated().get(), 200 * 100);
         assert_eq!(zone_count(&c, 0, "od") + zone_count(&c, 1, "od"), 100);
-        assert!(c.function_count(c.node_of(ids[0]).unwrap(), "od") >= 1);
+        assert!(count(&c, c.node_of(ids[0]).unwrap(), "od") >= 1);
         for pod in ids.iter().step_by(2) {
             c.remove(*pod).unwrap();
         }
@@ -1167,7 +1094,7 @@ mod tests {
                     45..=54 => {
                         next_pod += 1;
                         let pod = PodId(next_pod);
-                        let got = by_name.place_overcommitted(pod, FUNCTIONS[f], allocation);
+                        let got = overcommit(&mut by_name, pod, FUNCTIONS[f], allocation);
                         let want = by_id.place_overcommitted_id(pod, ids[f], allocation);
                         assert_eq!(got, want, "{at}");
                         if got.is_ok() {
@@ -1198,9 +1125,8 @@ mod tests {
                     let node = NodeId(i as u32);
                     assert_eq!(by_name.node_state(node), by_id.node_state(node), "{at}");
                     for (f, function) in FUNCTIONS.iter().enumerate() {
-                        let count = by_name.function_count(node, function);
-                        assert_eq!(count, by_id.function_count_id(node, ids[f]), "{at}");
-                        assert_eq!(count, by_id.function_count(node, function), "{at}");
+                        let n = by_id.function_count_id(node, ids[f]);
+                        assert_eq!(count(&by_name, node, function), n, "{at}");
                     }
                 }
                 for pod in &placed {

@@ -110,19 +110,10 @@ impl<E> Engine<E> {
             .schedule_class(self.now + delay.saturate(), class, payload)
     }
 
-    /// Schedule `payload` at an absolute instant. Scheduling in the past is a
-    /// logic error and returns [`SimError::TimeTravel`].
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> SimResult<u64> {
-        if at < self.now {
-            return Err(SimError::TimeTravel {
-                now_ms: self.now.as_millis(),
-                requested_ms: at.as_millis(),
-            });
-        }
-        Ok(self.queue.schedule(at, payload))
-    }
-
-    /// [`schedule_at`](Self::schedule_at) with an explicit tie-break class.
+    /// Schedule `payload` at an absolute instant with an explicit tie-break
+    /// class (see [`schedule_in_class`](Self::schedule_in_class)).
+    /// Scheduling in the past is a logic error and returns
+    /// [`SimError::TimeTravel`].
     pub fn schedule_at_class(&mut self, at: SimTime, class: u8, payload: E) -> SimResult<u64> {
         if at < self.now {
             return Err(SimError::TimeTravel {
@@ -231,7 +222,7 @@ mod tests {
         engine.next_event();
         assert_eq!(engine.now().as_millis(), 10.0);
         let err = engine
-            .schedule_at(SimTime::from_millis(5.0), 2)
+            .schedule_at_class(SimTime::from_millis(5.0), 0, 2)
             .unwrap_err();
         assert!(matches!(err, SimError::TimeTravel { .. }));
     }

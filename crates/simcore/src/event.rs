@@ -129,7 +129,7 @@ impl<E> EventQueue<E> {
     /// Schedule `payload` to fire at `at` in an explicit tie-break `class`
     /// (lower classes pop first among same-timestamp events). Returns the
     /// sequence number assigned to the event.
-    pub fn schedule_class(&mut self, at: SimTime, class: u8, payload: E) -> u64 {
+    pub(crate) fn schedule_class(&mut self, at: SimTime, class: u8, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -173,7 +173,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Firing time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(key)| key_time(key.time))
     }
 
@@ -190,7 +190,7 @@ impl<E> EventQueue<E> {
     /// High-water mark of pending events since creation (or the last
     /// [`clear`](Self::clear)) — the queue-depth statistic the perf
     /// trajectory bench reports.
-    pub fn peak_len(&self) -> usize {
+    pub(crate) fn peak_len(&self) -> usize {
         self.peak
     }
 

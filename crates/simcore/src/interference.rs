@@ -123,19 +123,8 @@ impl InterferenceModel {
         }
     }
 
-    /// Override the curve of one dimension.
-    pub fn with_curve(mut self, dim: ResourceDimension, curve: SlowdownCurve) -> Self {
-        match dim {
-            ResourceDimension::Cpu => self.cpu = curve,
-            ResourceDimension::Memory => self.memory = curve,
-            ResourceDimension::Io => self.io = curve,
-            ResourceDimension::Network => self.network = curve,
-        }
-        self
-    }
-
     /// Curve for a dimension.
-    pub fn curve(&self, dim: ResourceDimension) -> SlowdownCurve {
+    fn curve(&self, dim: ResourceDimension) -> SlowdownCurve {
         match dim {
             ResourceDimension::Cpu => self.cpu,
             ResourceDimension::Memory => self.memory,
@@ -204,13 +193,13 @@ mod tests {
 
     #[test]
     fn with_curve_overrides_one_dimension() {
-        let m = InterferenceModel::none().with_curve(
-            ResourceDimension::Cpu,
-            SlowdownCurve {
+        let m = InterferenceModel {
+            cpu: SlowdownCurve {
                 coeff: 1.0,
                 exp: 1.0,
             },
-        );
+            ..InterferenceModel::none()
+        };
         assert_eq!(m.slowdown(ResourceDimension::Cpu, 3), 3.0);
         assert_eq!(m.slowdown(ResourceDimension::Memory, 3), 1.0);
     }

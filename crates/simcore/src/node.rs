@@ -83,7 +83,7 @@ impl Node {
     }
 
     /// Whether the node can host an extra `allocation`.
-    pub fn can_fit(&self, allocation: Millicores) -> bool {
+    pub(crate) fn can_fit(&self, allocation: Millicores) -> bool {
         self.free() >= allocation
     }
 

@@ -6,7 +6,6 @@
 
 use crate::error::SimError;
 use crate::resources::Millicores;
-use crate::time::SimTime;
 use crate::SimResult;
 
 /// Identifier of a pod (function instance).
@@ -28,8 +27,6 @@ pub enum PodState {
     Warm,
     /// Currently executing a (batch of) request(s).
     Running,
-    /// Reclaimed; terminal state.
-    Terminated,
 }
 
 /// A function instance with a mutable CPU allocation.
@@ -39,22 +36,16 @@ pub struct Pod {
     function: Option<String>,
     state: PodState,
     allocation: Millicores,
-    created_at: SimTime,
-    executions: u64,
-    resizes: u64,
 }
 
 impl Pod {
     /// Create a generic (unspecialised) pod, as the pool manager does.
-    pub fn generic(id: PodId, allocation: Millicores, created_at: SimTime) -> Self {
+    pub(crate) fn generic(id: PodId, allocation: Millicores) -> Self {
         Pod {
             id,
             function: None,
             state: PodState::Generic,
             allocation,
-            created_at,
-            executions: 0,
-            resizes: 0,
         }
     }
 
@@ -78,24 +69,9 @@ impl Pod {
         self.allocation
     }
 
-    /// Creation time.
-    pub fn created_at(&self) -> SimTime {
-        self.created_at
-    }
-
-    /// Number of completed executions.
-    pub fn executions(&self) -> u64 {
-        self.executions
-    }
-
-    /// Number of resize operations applied.
-    pub fn resizes(&self) -> u64 {
-        self.resizes
-    }
-
     /// Specialise a generic pod to `function` (the Fission "specialisation"
     /// step that turns a warm generic pod into a function pod).
-    pub fn specialize(&mut self, function: &str) -> SimResult<()> {
+    pub(crate) fn specialize(&mut self, function: &str) -> SimResult<()> {
         match self.state {
             PodState::Generic => {
                 self.function = Some(function.to_string());
@@ -110,7 +86,7 @@ impl Pod {
     }
 
     /// Mark the pod as running a request.
-    pub fn start_execution(&mut self) -> SimResult<()> {
+    pub(crate) fn start_execution(&mut self) -> SimResult<()> {
         match self.state {
             PodState::Warm => {
                 self.state = PodState::Running;
@@ -124,11 +100,10 @@ impl Pod {
     }
 
     /// Mark the current execution as finished; the pod returns to warm.
-    pub fn finish_execution(&mut self) -> SimResult<()> {
+    pub(crate) fn finish_execution(&mut self) -> SimResult<()> {
         match self.state {
             PodState::Running => {
                 self.state = PodState::Warm;
-                self.executions += 1;
                 Ok(())
             }
             _ => Err(SimError::InvalidTransition {
@@ -138,34 +113,11 @@ impl Pod {
         }
     }
 
-    /// Apply a new CPU allocation (the adapter's resize action). Allowed in
-    /// any non-terminal state: the paper resizes downstream functions while
-    /// they are warm, and in-flight vertical scaling is also supported by
-    /// cgroup updates.
-    pub fn resize(&mut self, new_allocation: Millicores) -> SimResult<()> {
-        if self.state == PodState::Terminated {
-            return Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: "resize on terminated pod".to_string(),
-            });
-        }
-        if new_allocation != self.allocation {
-            self.allocation = new_allocation;
-            self.resizes += 1;
-        }
-        Ok(())
-    }
-
-    /// Reclaim the pod. Terminal.
-    pub fn terminate(&mut self) -> SimResult<()> {
-        if self.state == PodState::Running {
-            return Err(SimError::InvalidTransition {
-                entity: self.id.to_string(),
-                detail: "terminate while running".to_string(),
-            });
-        }
-        self.state = PodState::Terminated;
-        Ok(())
+    /// Apply a new CPU allocation (the adapter's resize action), in any
+    /// state: the paper resizes downstream functions while they are warm,
+    /// and in-flight vertical scaling is also supported by cgroup updates.
+    pub(crate) fn resize(&mut self, new_allocation: Millicores) {
+        self.allocation = new_allocation;
     }
 }
 
@@ -174,7 +126,7 @@ mod tests {
     use super::*;
 
     fn pod() -> Pod {
-        Pod::generic(PodId(1), Millicores::new(1000), SimTime::ZERO)
+        Pod::generic(PodId(1), Millicores::new(1000))
     }
 
     #[test]
@@ -188,9 +140,6 @@ mod tests {
         assert_eq!(p.state(), PodState::Running);
         p.finish_execution().unwrap();
         assert_eq!(p.state(), PodState::Warm);
-        assert_eq!(p.executions(), 1);
-        p.terminate().unwrap();
-        assert_eq!(p.state(), PodState::Terminated);
     }
 
     #[test]
@@ -201,19 +150,8 @@ mod tests {
         assert!(p.specialize("qa").is_err(), "cannot re-specialise");
         assert!(p.finish_execution().is_err(), "not running");
         p.start_execution().unwrap();
-        assert!(p.terminate().is_err(), "cannot terminate mid-run");
-        p.finish_execution().unwrap();
-        p.terminate().unwrap();
-        assert!(p.resize(Millicores::new(2000)).is_err(), "terminated pod");
-    }
-
-    #[test]
-    fn resize_counts_only_changes() {
-        let mut p = pod();
-        p.resize(Millicores::new(1000)).unwrap();
-        assert_eq!(p.resizes(), 0, "no-op resize not counted");
-        p.resize(Millicores::new(2500)).unwrap();
+        assert!(p.start_execution().is_err(), "already running");
+        p.resize(Millicores::new(2500));
         assert_eq!(p.allocation(), Millicores::new(2500));
-        assert_eq!(p.resizes(), 1);
     }
 }

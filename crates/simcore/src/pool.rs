@@ -108,7 +108,7 @@ impl PoolManager {
             warm_hits: 0,
             cold_starts: 0,
         };
-        mgr.refill(SimTime::ZERO);
+        mgr.refill();
         mgr
     }
 
@@ -133,19 +133,6 @@ impl PoolManager {
         id
     }
 
-    /// Number of idle specialised pods for `function`.
-    pub fn warm_available(&self, function: &str) -> usize {
-        self.functions
-            .get(function)
-            .map_or(0, |id| self.warm_available_id(id))
-    }
-
-    /// Number of idle specialised pods for the function `id` (0 for an id
-    /// this pool never issued).
-    pub fn warm_available_id(&self, id: FunctionId) -> usize {
-        self.warm.get(id.index()).map_or(0, VecDeque::len)
-    }
-
     /// Total warm-pool hits so far.
     pub fn warm_hits(&self) -> u64 {
         self.warm_hits
@@ -165,10 +152,10 @@ impl PoolManager {
         self.warm_hits as f64 / total as f64
     }
 
-    fn new_pod(&mut self, now: SimTime) -> PodId {
+    fn new_pod(&mut self) -> PodId {
         let id = PodId(self.next_pod);
         self.next_pod += 1;
-        let pod = Pod::generic(id, self.config.initial_allocation, now);
+        let pod = Pod::generic(id, self.config.initial_allocation);
         self.pods.insert(
             id,
             PodEntry {
@@ -181,9 +168,9 @@ impl PoolManager {
     }
 
     /// Top the generic pool back up to its configured size.
-    pub fn refill(&mut self, now: SimTime) {
+    fn refill(&mut self) {
         while self.generic.len() < self.config.pool_size {
-            let id = self.new_pod(now);
+            let id = self.new_pod();
             self.generic.push_back(id);
         }
     }
@@ -202,7 +189,7 @@ impl PoolManager {
     /// a generic pod was never specialised or handed out, so nothing can
     /// reference it again, and an oscillating autoscaler retargeting every
     /// tick must not grow the pod table with dead entries.
-    pub fn set_target_pool_size(&mut self, target: usize, now: SimTime) {
+    pub fn set_target_pool_size(&mut self, target: usize) {
         self.config.pool_size = target;
         while self.generic.len() > target {
             // Newest pods go first, keeping the oldest (warmest) provisioned.
@@ -211,10 +198,11 @@ impl PoolManager {
             };
             self.pods.remove(&pod_id);
         }
-        self.refill(now);
+        self.refill();
     }
 
-    /// Acquire a pod to run `function` with `allocation` CPU at time `now`.
+    /// Acquire a pod to run `function` with `allocation` CPU. `_now` is
+    /// ignored: acquiring reads no clock (releasing does).
     ///
     /// Preference order (mirroring Fission poolmgr):
     /// 1. an idle pod already specialised to the function → warm hit, no
@@ -224,9 +212,14 @@ impl PoolManager {
     ///
     /// A queued pod that can no longer start (untracked, or not idle) is a
     /// stale entry and is skipped.
-    pub fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
+    pub fn acquire(
+        &mut self,
+        function: &str,
+        allocation: Millicores,
+        _now: SimTime,
+    ) -> Acquisition {
         let id = self.function_id(function);
-        self.acquire_id(id, allocation, now)
+        self.acquire_id(id, allocation)
     }
 
     /// [`acquire`](Self::acquire) for a function already resolved by
@@ -235,12 +228,7 @@ impl PoolManager {
     /// # Panics
     ///
     /// If `function` was not issued by this pool.
-    pub fn acquire_id(
-        &mut self,
-        function: FunctionId,
-        allocation: Millicores,
-        now: SimTime,
-    ) -> Acquisition {
+    pub fn acquire_id(&mut self, function: FunctionId, allocation: Millicores) -> Acquisition {
         // 1. Reuse a specialised idle pod.
         while let Some(pod_id) = self.warm[function.index()].pop_front() {
             if self.start(pod_id, function, allocation) {
@@ -264,7 +252,7 @@ impl PoolManager {
             }
         }
         // 3. Cold start: a fresh generic pod always starts.
-        let pod_id = self.new_pod(now);
+        let pod_id = self.new_pod();
         let started = self.start(pod_id, function, allocation);
         debug_assert!(started, "a fresh generic pod starts");
         self.cold_starts += 1;
@@ -292,9 +280,12 @@ impl PoolManager {
                 pod.specialize(self.functions.name(function)).is_ok()
             }
             PodState::Warm => true,
-            PodState::Running | PodState::Terminated => false,
+            PodState::Running => false,
         };
-        ready && pod.resize(allocation).is_ok() && pod.start_execution().is_ok()
+        ready && {
+            pod.resize(allocation);
+            pod.start_execution().is_ok()
+        }
     }
 
     /// Return a pod after its execution finished; it becomes an idle
@@ -347,7 +338,7 @@ impl PoolManager {
             let pods = &self.pods;
             self.warm[function.index()].retain(|id| pods.contains_key(id));
         }
-        self.refill(now);
+        self.refill();
         recycled
     }
 
@@ -377,23 +368,18 @@ impl PoolManager {
     pub fn pod(&self, pod_id: PodId) -> Option<&Pod> {
         self.pods.get(&pod_id).map(|entry| &entry.pod)
     }
-
-    /// Total pods ever created (including surplus generic pods already
-    /// dropped by [`set_target_pool_size`](Self::set_target_pool_size)).
-    pub fn total_pods(&self) -> usize {
-        self.next_pod as usize
-    }
-
-    /// Pods currently tracked (generic, specialised, running or terminated
-    /// but not yet dropped).
-    pub fn tracked_pods(&self) -> usize {
-        self.pods.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Idle specialised pods queued for `function`.
+    fn warm_available(mgr: &PoolManager, function: &str) -> usize {
+        mgr.functions
+            .get(function)
+            .map_or(0, |id| mgr.warm[id.index()].len())
+    }
 
     fn pool(size: usize) -> PoolManager {
         PoolManager::new(PoolConfig {
@@ -406,7 +392,7 @@ mod tests {
     fn generic_pool_is_preprovisioned() {
         let mgr = pool(4);
         assert_eq!(mgr.generic_available(), 4);
-        assert_eq!(mgr.total_pods(), 4);
+        assert_eq!(mgr.next_pod as usize, 4);
     }
 
     #[test]
@@ -427,7 +413,7 @@ mod tests {
         let mut mgr = pool(2);
         let acq1 = mgr.acquire("od", Millicores::new(1500), SimTime::ZERO);
         mgr.release(acq1.pod, SimTime::from_millis(100.0));
-        assert_eq!(mgr.warm_available("od"), 1);
+        assert_eq!(warm_available(&mgr, "od"), 1);
         let acq2 = mgr.acquire("od", Millicores::new(2500), SimTime::from_millis(200.0));
         assert_eq!(acq2.pod, acq1.pod, "same pod reused");
         assert_eq!(acq2.startup_delay, SimDuration::ZERO);
@@ -456,12 +442,12 @@ mod tests {
         let mut mgr = pool(1);
         let acq = mgr.acquire("od", Millicores::new(1000), SimTime::ZERO);
         mgr.release(acq.pod, SimTime::from_millis(0.0));
-        assert_eq!(mgr.warm_available("od"), 1);
+        assert_eq!(warm_available(&mgr, "od"), 1);
         let not_yet = mgr.recycle_idle(SimTime::from_secs(1.0));
         assert_eq!(not_yet, 0);
         let recycled = mgr.recycle_idle(SimTime::from_secs(200.0));
         assert_eq!(recycled, 1);
-        assert_eq!(mgr.warm_available("od"), 0);
+        assert_eq!(warm_available(&mgr, "od"), 0);
         assert_eq!(
             mgr.generic_available(),
             1,
@@ -474,18 +460,18 @@ mod tests {
         let mut mgr = pool(2);
         let running = mgr.acquire("od", Millicores::new(1000), SimTime::ZERO);
         // One pod running, one generic; lose both plus an unknown id.
-        let generic_id = PodId(mgr.total_pods() as u64 - 1);
+        let generic_id = PodId(mgr.next_pod - 1);
         assert_ne!(running.pod, generic_id);
         let dropped = mgr.drop_lost(&[running.pod, generic_id, PodId(999)]);
         assert_eq!(dropped, 2, "unknown ids are ignored");
-        assert_eq!(mgr.tracked_pods(), 0);
+        assert_eq!(mgr.pods.len(), 0);
         assert_eq!(mgr.generic_available(), 0);
         // A release of a lost running pod is a safe no-op …
         mgr.release(running.pod, SimTime::from_millis(10.0));
-        assert_eq!(mgr.warm_available("od"), 0);
+        assert_eq!(warm_available(&mgr, "od"), 0);
         // … and recycling later never resurrects it.
         assert_eq!(mgr.recycle_idle(SimTime::from_secs(500.0)), 0);
-        assert_eq!(mgr.tracked_pods(), 2, "refill provisions fresh pods only");
+        assert_eq!(mgr.pods.len(), 2, "refill provisions fresh pods only");
     }
 
     #[test]
@@ -495,7 +481,7 @@ mod tests {
         // A second release of an idle pod queues it twice.
         mgr.release(first.pod, SimTime::from_millis(10.0));
         mgr.release(first.pod, SimTime::from_millis(20.0));
-        assert_eq!(mgr.warm_available("od"), 2);
+        assert_eq!(warm_available(&mgr, "od"), 2);
         let again = mgr.acquire("od", Millicores::new(1000), SimTime::from_millis(30.0));
         assert_eq!(again.pod, first.pod);
         // The duplicate entry names a running pod: it is dropped, the
@@ -504,7 +490,7 @@ mod tests {
         let next = mgr.acquire("od", Millicores::new(2000), SimTime::from_millis(40.0));
         assert_ne!(next.pod, first.pod);
         assert!(!next.warm_hit);
-        assert_eq!(mgr.warm_available("od"), 0);
+        assert_eq!(warm_available(&mgr, "od"), 0);
         let running = mgr.pod(first.pod).unwrap();
         assert_eq!(running.state(), PodState::Running);
         assert_eq!(running.allocation(), Millicores::new(1000));
@@ -521,25 +507,28 @@ mod tests {
         let mut mgr = pool(2);
         assert_eq!(mgr.target_pool_size(), 2);
         // Grow: new generic pods are provisioned immediately.
-        mgr.set_target_pool_size(5, SimTime::from_secs(1.0));
+        mgr.set_target_pool_size(5);
         assert_eq!(mgr.target_pool_size(), 5);
         assert_eq!(mgr.generic_available(), 5);
         // Shrink: surplus generic pods terminate, warm specialised pods stay.
         let acq = mgr.acquire("od", Millicores::new(1000), SimTime::from_secs(2.0));
         mgr.release(acq.pod, SimTime::from_secs(2.5));
-        mgr.set_target_pool_size(1, SimTime::from_secs(3.0));
+        mgr.set_target_pool_size(1);
         assert_eq!(mgr.generic_available(), 1);
-        assert_eq!(mgr.warm_available("od"), 1, "specialised pod untouched");
+        assert_eq!(warm_available(&mgr, "od"), 1, "specialised pod untouched");
         // Shrink-terminated generic pods are dropped from the tracking map:
         // retarget churn must not accumulate dead entries.
-        assert_eq!(mgr.tracked_pods(), 2, "1 generic + 1 warm specialised");
-        let before = mgr.tracked_pods();
-        for i in 0..10 {
-            mgr.set_target_pool_size(5, SimTime::from_secs(4.0 + i as f64));
-            mgr.set_target_pool_size(1, SimTime::from_secs(4.5 + i as f64));
+        assert_eq!(mgr.pods.len(), 2, "1 generic + 1 warm specialised");
+        let before = mgr.pods.len();
+        for _ in 0..10 {
+            mgr.set_target_pool_size(5);
+            mgr.set_target_pool_size(1);
         }
-        assert_eq!(mgr.tracked_pods(), before, "oscillation leaks no pods");
-        assert!(mgr.total_pods() > before, "creation count keeps history");
+        assert_eq!(mgr.pods.len(), before, "oscillation leaks no pods");
+        assert!(
+            mgr.next_pod as usize > before,
+            "creation count keeps history"
+        );
         // Subsequent recycling refills to the *new* target, not the old one.
         let recycled = mgr.recycle_idle(SimTime::from_secs(300.0));
         assert_eq!(recycled, 1);
@@ -572,7 +561,7 @@ mod tests {
                 warm_hits: 0,
                 cold_starts: 0,
             };
-            model.refill(SimTime::ZERO);
+            model.refill();
             model
         }
 
@@ -580,17 +569,17 @@ mod tests {
             self.pods.iter().find(|p| p.id() == id)
         }
 
-        fn new_pod(&mut self, now: SimTime) -> PodId {
+        fn new_pod(&mut self) -> PodId {
             let id = PodId(self.next_pod);
             self.next_pod += 1;
             self.pods
-                .push(Pod::generic(id, self.config.initial_allocation, now));
+                .push(Pod::generic(id, self.config.initial_allocation));
             id
         }
 
-        fn refill(&mut self, now: SimTime) {
+        fn refill(&mut self) {
             while self.generic.len() < self.config.pool_size {
-                let id = self.new_pod(now);
+                let id = self.new_pod();
                 self.generic.push(id);
             }
         }
@@ -610,12 +599,15 @@ mod tests {
             let ready = match pod.state() {
                 PodState::Generic => pod.specialize(function).is_ok(),
                 PodState::Warm => true,
-                PodState::Running | PodState::Terminated => false,
+                PodState::Running => false,
             };
-            ready && pod.resize(allocation).is_ok() && pod.start_execution().is_ok()
+            ready && {
+                pod.resize(allocation);
+                pod.start_execution().is_ok()
+            }
         }
 
-        fn acquire(&mut self, function: &str, allocation: Millicores, now: SimTime) -> Acquisition {
+        fn acquire(&mut self, function: &str, allocation: Millicores) -> Acquisition {
             if let Some(q) = self.warm.iter().position(|(f, _)| f == function) {
                 while !self.warm[q].1.is_empty() {
                     let id = self.warm[q].1.remove(0);
@@ -641,7 +633,7 @@ mod tests {
                     };
                 }
             }
-            let id = self.new_pod(now);
+            let id = self.new_pod();
             assert!(self.start(id, function, allocation));
             self.cold_starts += 1;
             Acquisition {
@@ -680,7 +672,7 @@ mod tests {
             for id in &expired {
                 self.forget(*id);
             }
-            self.refill(now);
+            self.refill();
             expired.len()
         }
 
@@ -696,13 +688,13 @@ mod tests {
             dropped
         }
 
-        fn set_target_pool_size(&mut self, target: usize, now: SimTime) {
+        fn set_target_pool_size(&mut self, target: usize) {
             self.config.pool_size = target;
             while self.generic.len() > target {
                 let id = self.generic.pop().unwrap();
                 self.pods.retain(|p| p.id() != id);
             }
-            self.refill(now);
+            self.refill();
         }
 
         fn warm_available(&self, function: &str) -> usize {
@@ -714,15 +706,8 @@ mod tests {
     }
 
     /// Everything observable about one pod.
-    fn view(pod: Option<&Pod>) -> Option<(PodState, Millicores, Option<String>, u64)> {
-        pod.map(|p| {
-            (
-                p.state(),
-                p.allocation(),
-                p.function().map(str::to_string),
-                p.executions(),
-            )
-        })
+    fn view(pod: Option<&Pod>) -> Option<(PodState, Millicores, Option<String>)> {
+        pod.map(|p| (p.state(), p.allocation(), p.function().map(str::to_string)))
     }
 
     #[test]
@@ -750,7 +735,7 @@ mod tests {
                     let function = FUNCTIONS[rng.int_range(0, 3) as usize];
                     let allocation = Millicores::new(1000 + 100 * rng.int_range(0, 20) as u32);
                     let got = mgr.acquire(function, allocation, now);
-                    let want = model.acquire(function, allocation, now);
+                    let want = model.acquire(function, allocation);
                     assert_eq!(got, want, "acquire at step {step}");
                     running.push(got.pod);
                     got.pod
@@ -789,8 +774,8 @@ mod tests {
                 }
                 _ => {
                     let target = rng.int_range(0, 6) as usize;
-                    mgr.set_target_pool_size(target, now);
-                    model.set_target_pool_size(target, now);
+                    mgr.set_target_pool_size(target);
+                    model.set_target_pool_size(target);
                     any_id(&mut rng)
                 }
             };
@@ -802,13 +787,13 @@ mod tests {
             assert_eq!(mgr.generic_available(), model.generic.len(), "step {step}");
             for function in FUNCTIONS {
                 assert_eq!(
-                    mgr.warm_available(function),
+                    warm_available(&mgr, function),
                     model.warm_available(function),
                     "warm {function} at step {step}"
                 );
             }
-            assert_eq!(mgr.tracked_pods(), model.pods.len(), "step {step}");
-            assert_eq!(mgr.total_pods() as u64, model.next_pod, "step {step}");
+            assert_eq!(mgr.pods.len(), model.pods.len(), "step {step}");
+            assert_eq!(mgr.next_pod, model.next_pod, "step {step}");
             assert_eq!(
                 (mgr.warm_hits(), mgr.cold_starts()),
                 (model.warm_hits, model.cold_starts),
@@ -848,7 +833,7 @@ mod tests {
         let mut running: Vec<PodId> = Vec::new();
         for step in 0..5_000 {
             now += SimDuration::from_millis(rng.uniform_range(0.0, 400.0));
-            let issued = by_name.total_pods() as u64;
+            let issued = by_name.next_pod;
             let touched = match rng.int_range(0, 99) {
                 0..=44 => {
                     let f = rng.int_range(0, 3) as usize;
@@ -856,7 +841,7 @@ mod tests {
                     let got = by_name.acquire(FUNCTIONS[f], allocation, now);
                     assert_eq!(
                         got,
-                        by_id.acquire_id(ids[f], allocation, now),
+                        by_id.acquire_id(ids[f], allocation),
                         "acquire at step {step}"
                     );
                     running.push(got.pod);
@@ -896,13 +881,15 @@ mod tests {
                 view(by_id.pod(touched)),
                 "pod {touched} at step {step}"
             );
-            for (f, function) in FUNCTIONS.iter().enumerate() {
-                let warm = by_name.warm_available(function);
-                assert_eq!(warm, by_id.warm_available_id(ids[f]), "step {step}");
-                assert_eq!(warm, by_id.warm_available(function), "step {step}");
+            for function in FUNCTIONS {
+                assert_eq!(
+                    warm_available(&by_name, function),
+                    warm_available(&by_id, function),
+                    "step {step}"
+                );
             }
             assert_eq!(by_name.generic_available(), by_id.generic_available());
-            assert_eq!(by_name.tracked_pods(), by_id.tracked_pods());
+            assert_eq!(by_name.pods.len(), by_id.pods.len());
             assert_eq!(
                 (by_name.warm_hits(), by_name.cold_starts()),
                 (by_id.warm_hits(), by_id.cold_starts()),
@@ -919,6 +906,5 @@ mod tests {
         seen.sort();
         assert_eq!(seen, (0..4).map(FunctionId).collect::<Vec<_>>());
         assert_eq!(by_name.function_id("new"), FunctionId(4));
-        assert_eq!(by_name.warm_available_id(FunctionId(9)), 0);
     }
 }

@@ -31,11 +31,6 @@ impl Millicores {
         self.0
     }
 
-    /// Allocation expressed in (fractional) cores.
-    pub fn as_cores(self) -> f64 {
-        f64::from(self.0) / 1000.0
-    }
-
     /// Saturating subtraction, never underflows below zero.
     pub fn saturating_sub(self, other: Millicores) -> Millicores {
         Millicores(self.0.saturating_sub(other.0))
@@ -232,7 +227,6 @@ mod tests {
         assert_eq!((a + b).get(), 2200);
         assert_eq!((b - a).get(), 0, "subtraction saturates");
         assert_eq!(a.saturating_sub(b).get(), 800);
-        assert!((Millicores::from_cores(2).as_cores() - 2.0).abs() < 1e-12);
         let total: Millicores = [a, b].into_iter().sum();
         assert_eq!(total.get(), 2200);
     }

@@ -88,7 +88,7 @@ impl SimRng {
     }
 
     /// Standard normal sample via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         // Avoid u1 == 0 which would yield ln(0).
         let u1: f64 = loop {
             let v = self.uniform();
@@ -98,11 +98,6 @@ impl SimRng {
         };
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Normal sample with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.standard_normal()
     }
 
     /// Log-normal sample parameterised by the *underlying* normal's `mu` and
@@ -196,7 +191,7 @@ mod tests {
     fn normal_moments_are_roughly_right() {
         let mut rng = SimRng::seed_from_u64(7);
         let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(5.0, 2.0)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| 5.0 + 2.0 * rng.standard_normal()).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.1, "mean {mean}");

@@ -173,14 +173,6 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Value at quantile `q` in `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        Some(percentile_of_sorted(&self.sorted, q * 100.0))
-    }
-
     /// Evenly spaced `(value, cumulative fraction)` points suitable for
     /// plotting or printing a figure series.
     pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
@@ -249,7 +241,7 @@ impl RunningStats {
     }
 
     /// Sample variance.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -258,7 +250,7 @@ impl RunningStats {
     }
 
     /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 
@@ -402,9 +394,9 @@ impl BucketTable {
 /// the right tool for paper figures, but O(n) memory and O(n log n) per
 /// query. `StreamingSummary` is the hot-path alternative: O(1) per
 /// [`record`](StreamingSummary::record), fixed memory (one bucket array),
-/// and approximate quantiles (see
-/// [`quantile`](StreamingSummary::quantile) for the error model — on large
-/// streams about half a log bucket, `≈ 0.9 %` at 128 buckets/decade),
+/// and approximate quantiles in its [`summary`](StreamingSummary::summary)
+/// (on large streams about half a log bucket, `≈ 0.9 %` at 128
+/// buckets/decade),
 /// suitable for sweep-style experiments and long-running serving loops.
 /// Mean, variance, min, max and count are exact (Welford); only the
 /// percentiles are approximate.
@@ -500,7 +492,7 @@ impl StreamingSummary {
     }
 
     /// Exact sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.moments.std_dev()
     }
 
@@ -530,7 +522,7 @@ impl StreamingSummary {
     /// when the sample count is small enough to buffer anyway. The result
     /// is clamped into the exact observed `[min, max]`. Returns `None` for
     /// an empty accumulator or an invalid `p`.
-    pub fn quantile(&self, p: f64) -> Option<f64> {
+    fn quantile(&self, p: f64) -> Option<f64> {
         let n = self.count();
         if n == 0 || !(0.0..=100.0).contains(&p) || p.is_nan() {
             return None;
@@ -625,7 +617,7 @@ mod tests {
         let cdf = Cdf::from_samples(&samples);
         assert_eq!(cdf.len(), 100);
         assert!((cdf.fraction_below(50.0) - 0.5).abs() < 0.01);
-        assert!((cdf.quantile(0.5).unwrap() - 50.5).abs() < 0.01);
+        assert!((cdf.points(3)[1].0 - 50.5).abs() < 0.01);
         assert_eq!(cdf.fraction_below(0.0), 0.0);
         assert_eq!(cdf.fraction_below(1000.0), 1.0);
         let pts = cdf.points(11);

@@ -26,7 +26,7 @@ pub struct CondensedHint {
 
 impl CondensedHint {
     /// Whether `budget` falls inside this row's range.
-    pub fn covers(&self, budget: SimDuration) -> bool {
+    pub(crate) fn covers(&self, budget: SimDuration) -> bool {
         let b = budget.as_millis();
         b >= self.start_ms && b <= self.end_ms
     }
@@ -189,7 +189,7 @@ impl HintsBundle {
     }
 
     /// Total number of raw hints before condensing.
-    pub fn total_raw_hints(&self) -> usize {
+    fn total_raw_hints(&self) -> usize {
         self.tables.iter().map(|t| t.raw_hint_count).sum()
     }
 

@@ -200,23 +200,6 @@ impl Synthesizer {
         };
         (bundle, report)
     }
-
-    /// Synthesize bundles for several weights; the paper keeps "individual
-    /// hint tables for different weights" (§IV-B). Fails on a weight below 1.
-    pub fn synthesize_weights(
-        &self,
-        profile: &WorkflowProfile,
-        weights: &[f64],
-    ) -> Result<Vec<(HintsBundle, SynthesisReport)>, String> {
-        weights
-            .iter()
-            .map(|&w| {
-                let mut cfg = self.config.clone();
-                cfg.weight = w;
-                Ok(Synthesizer::new(cfg)?.synthesize(profile))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -424,12 +407,14 @@ mod tests {
     fn higher_weight_shrinks_or_keeps_head_allocation() {
         // Table II: higher weights decrease the head allocation and percentile.
         let profile = ia_profile();
-        let synthesizer = Synthesizer::with_defaults();
-        let results = synthesizer
-            .synthesize_weights(&profile, &[1.0, 3.0])
-            .unwrap();
-        assert!(synthesizer.synthesize_weights(&profile, &[0.5]).is_err());
-        assert_eq!(results.len(), 2);
+        let at_weight = |weight| {
+            let config = SynthesizerConfig {
+                weight,
+                ..SynthesizerConfig::default()
+            };
+            Synthesizer::new(config).map(|s| s.synthesize(&profile).0)
+        };
+        assert!(at_weight(0.5).is_err());
         let head_at = |bundle: &HintsBundle, budget_ms: f64| match bundle
             .table_after(0)
             .unwrap()
@@ -449,8 +434,8 @@ mod tests {
                 .sum::<f64>()
                 / budgets.len() as f64
         };
-        let w1 = avg(&results[0].0);
-        let w3 = avg(&results[1].0);
+        let w1 = avg(&at_weight(1.0).unwrap());
+        let w3 = avg(&at_weight(3.0).unwrap());
         assert!(w3 <= w1 + 1e-9, "weight 3 head avg {w3} vs weight 1 {w1}");
     }
 

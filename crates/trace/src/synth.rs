@@ -157,16 +157,6 @@ impl Trace {
             .collect()
     }
 
-    /// Realized mean arrival rate (invocations per second) over the trace
-    /// span; `None` for traces shorter than two invocations.
-    pub fn mean_rate_per_s(&self) -> Option<f64> {
-        if self.invocations.len() < 2 {
-            return None;
-        }
-        let span_ms = self.invocations.last()?.arrival_ms;
-        (span_ms > 0.0).then(|| self.invocations.len() as f64 / span_ms * 1000.0)
-    }
-
     /// Number of invocations.
     pub fn len(&self) -> usize {
         self.invocations.len()
@@ -178,7 +168,7 @@ impl Trace {
     }
 
     /// Invocation counts per function id.
-    pub fn invocation_counts(&self) -> Vec<usize> {
+    fn invocation_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.functions];
         for inv in &self.invocations {
             counts[inv.function_id] += 1;
@@ -187,7 +177,7 @@ impl Trace {
     }
 
     /// The `n` most frequently invoked function ids, most popular first.
-    pub fn top_functions(&self, n: usize) -> Vec<usize> {
+    pub(crate) fn top_functions(&self, n: usize) -> Vec<usize> {
         let counts = self.invocation_counts();
         let mut ids: Vec<usize> = (0..self.functions).collect();
         ids.sort_by_key(|&id| std::cmp::Reverse(counts[id]));
@@ -278,7 +268,7 @@ mod tests {
             assert!(inv.arrival_ms >= prev, "arrivals must be nondecreasing");
             prev = inv.arrival_ms;
         }
-        let rate = trace.mean_rate_per_s().unwrap();
+        let rate = trace.len() as f64 / prev * 1000.0;
         assert!(
             (rate - 50.0).abs() / 50.0 < 0.15,
             "realized rate {rate} vs configured 50"

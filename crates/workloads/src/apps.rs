@@ -63,14 +63,6 @@ impl PaperApp {
         }
     }
 
-    /// Concurrency levels the paper evaluates for this application.
-    pub fn concurrency_levels(self) -> &'static [u32] {
-        match self {
-            PaperApp::IntelligentAssistant => &[1, 2, 3],
-            PaperApp::VideoAnalyze => &[1],
-        }
-    }
-
     /// Both paper applications.
     pub const ALL: [PaperApp; 2] = [PaperApp::IntelligentAssistant, PaperApp::VideoAnalyze];
 }
@@ -96,7 +88,7 @@ pub fn object_detection() -> FunctionModel {
 /// Question answering (DistilBERT on SQuAD): compute/memory bound, latency
 /// grows with context length. The paper reports its P99/P50 ratio rising from
 /// 2.17× (conc 1) to 2.32× (conc 2).
-pub fn question_answering() -> FunctionModel {
+fn question_answering() -> FunctionModel {
     let built = FunctionModel::new(
         "qa",
         ResourceDimension::Memory,
@@ -130,7 +122,7 @@ pub fn text_to_speech() -> FunctionModel {
 }
 
 /// Frame extraction (ffmpeg): IO bound, not batchable, mild variance.
-pub fn frame_extraction() -> FunctionModel {
+fn frame_extraction() -> FunctionModel {
     let built = FunctionModel::new(
         "fe",
         ResourceDimension::Io,
@@ -147,7 +139,7 @@ pub fn frame_extraction() -> FunctionModel {
 }
 
 /// Image classification (SqueezeNet): compute bound, batchable.
-pub fn image_classification() -> FunctionModel {
+fn image_classification() -> FunctionModel {
     let built = FunctionModel::new(
         "icl",
         ResourceDimension::Cpu,
@@ -164,7 +156,7 @@ pub fn image_classification() -> FunctionModel {
 }
 
 /// Image compression (shutil archive): IO bound, not batchable.
-pub fn image_compression() -> FunctionModel {
+fn image_compression() -> FunctionModel {
     let built = FunctionModel::new(
         "ico",
         ResourceDimension::Io,
@@ -238,13 +230,25 @@ mod tests {
 
     #[test]
     fn ia_and_va_are_three_function_chains() {
+        let names = |w: &Workflow| -> Vec<String> {
+            w.functions().iter().map(|f| f.name().to_string()).collect()
+        };
+        // A batchable function takes longer for a batch of 3 than for one
+        // request; FE and ICO cannot batch.
+        let mc = Millicores::from_cores(2);
+        let batches = |w: &Workflow| -> Vec<bool> {
+            w.functions()
+                .iter()
+                .map(|f| f.deterministic_ms(mc, 3) > f.deterministic_ms(mc, 1))
+                .collect()
+        };
         let ia = intelligent_assistant();
-        assert_eq!(ia.function_names(), vec!["od", "qa", "ts"]);
-        assert!(ia.is_chain());
-        assert!(ia.fully_batchable());
+        assert_eq!(names(&ia), ["od", "qa", "ts"]);
+        assert!(ia.stages().iter().all(|stage| stage.len() == 1));
+        assert_eq!(batches(&ia), [true, true, true]);
         let va = video_analyze();
-        assert_eq!(va.function_names(), vec!["fe", "icl", "ico"]);
-        assert!(!va.fully_batchable(), "FE and ICO cannot batch");
+        assert_eq!(names(&va), ["fe", "icl", "ico"]);
+        assert_eq!(batches(&va), [false, true, false]);
     }
 
     #[test]
@@ -255,7 +259,6 @@ mod tests {
         assert_eq!(ia.default_slo(3).as_secs(), 5.0);
         assert_eq!(PaperApp::VideoAnalyze.default_slo(1).as_secs(), 1.5);
         assert_eq!(ia.short_name(), "IA");
-        assert_eq!(PaperApp::VideoAnalyze.concurrency_levels(), &[1]);
     }
 
     #[test]

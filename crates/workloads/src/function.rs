@@ -63,29 +63,9 @@ impl FunctionModel {
         self.dominant
     }
 
-    /// Whether the function supports request batching.
-    pub fn batchable(&self) -> bool {
-        self.batchable
-    }
-
-    /// Deterministic latency parameters.
-    pub fn params(&self) -> &LatencyParams {
-        &self.params
-    }
-
-    /// Working-set distribution.
-    pub fn workset(&self) -> &WorksetDistribution {
-        &self.workset
-    }
-
-    /// Residual noise sigma.
-    pub fn noise_sigma(&self) -> f64 {
-        self.noise_sigma
-    }
-
     /// Effective batch size: non-batchable functions always execute with
     /// batch 1 regardless of the requested concurrency.
-    pub fn effective_batch(&self, requested: u32) -> u32 {
+    fn effective_batch(&self, requested: u32) -> u32 {
         if self.batchable {
             requested.max(1)
         } else {
@@ -95,7 +75,7 @@ impl FunctionModel {
 
     /// Deterministic execution time at allocation `mc` and requested batch
     /// size `batch` (nominal working set, no interference, no noise).
-    pub fn deterministic_ms(&self, mc: Millicores, batch: u32) -> f64 {
+    pub(crate) fn deterministic_ms(&self, mc: Millicores, batch: u32) -> f64 {
         self.params
             .deterministic_ms(mc, self.effective_batch(batch))
     }

@@ -50,7 +50,7 @@ impl LatencyParams {
 
     /// Deterministic execution time (ms) at allocation `mc` and batch size
     /// `batch` for the nominal working set.
-    pub fn deterministic_ms(&self, mc: Millicores, batch: u32) -> f64 {
+    pub(crate) fn deterministic_ms(&self, mc: Millicores, batch: u32) -> f64 {
         self.base_ms
             * amdahl_speedup(self.serial_fraction, mc)
             * batch_factor(self.batch_overhead, batch)
@@ -60,13 +60,13 @@ impl LatencyParams {
 /// Amdahl-style slowdown factor relative to the 1000 mc reference: at the
 /// reference it is 1.0; with more cores it approaches `serial_fraction`
 /// asymptotically; with fewer cores it grows beyond 1.0.
-pub fn amdahl_speedup(serial_fraction: f64, mc: Millicores) -> f64 {
+fn amdahl_speedup(serial_fraction: f64, mc: Millicores) -> f64 {
     let k = f64::from(mc.get()).max(1.0);
     serial_fraction + (1.0 - serial_fraction) * (REFERENCE_MILLICORES / k)
 }
 
 /// Batch processing time factor: `1 + overhead * (batch - 1)`.
-pub fn batch_factor(batch_overhead: f64, batch: u32) -> f64 {
+fn batch_factor(batch_overhead: f64, batch: u32) -> f64 {
     1.0 + batch_overhead * (batch.max(1) - 1) as f64
 }
 

@@ -53,7 +53,7 @@ pub mod workingset;
 
 pub use apps::{intelligent_assistant, video_analyze, PaperApp};
 pub use function::FunctionModel;
-pub use latency::{amdahl_speedup, batch_factor, LatencyParams};
+pub use latency::LatencyParams;
 pub use request::{RequestInput, RequestInputGenerator};
 pub use workflow::{Workflow, WorkflowError};
 pub use workingset::WorksetDistribution;

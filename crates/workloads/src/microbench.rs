@@ -13,7 +13,7 @@ use janus_simcore::interference::ResourceDimension;
 
 /// AES encryption: CPU-bound. CPU is partitioned per-pod so contention is the
 /// mildest of the four.
-pub fn cpu_intensive() -> FunctionModel {
+fn cpu_intensive() -> FunctionModel {
     let built = FunctionModel::new(
         "aes-encrypt",
         ResourceDimension::Cpu,
@@ -30,7 +30,7 @@ pub fn cpu_intensive() -> FunctionModel {
 }
 
 /// Reads from an in-memory (Redis-like) database: memory-bandwidth bound.
-pub fn memory_intensive() -> FunctionModel {
+fn memory_intensive() -> FunctionModel {
     let built = FunctionModel::new(
         "redis-read",
         ResourceDimension::Memory,
@@ -47,7 +47,7 @@ pub fn memory_intensive() -> FunctionModel {
 }
 
 /// Writes to local disk: IO bound.
-pub fn io_intensive() -> FunctionModel {
+fn io_intensive() -> FunctionModel {
     let built = FunctionModel::new(
         "disk-write",
         ResourceDimension::Io,
@@ -64,7 +64,7 @@ pub fn io_intensive() -> FunctionModel {
 }
 
 /// Socket communication: network-bandwidth bound — the worst contention.
-pub fn network_intensive() -> FunctionModel {
+fn network_intensive() -> FunctionModel {
     let built = FunctionModel::new(
         "socket-comm",
         ResourceDimension::Network,

@@ -60,7 +60,7 @@ impl Workflow {
     }
 
     /// Build a staged (DAG) workflow from explicit stages.
-    pub fn staged(
+    fn staged(
         name: impl Into<String>,
         functions: Vec<FunctionModel>,
         stages: Vec<Vec<usize>>,
@@ -116,33 +116,9 @@ impl Workflow {
         &self.stages
     }
 
-    /// Number of stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Whether this workflow is a simple chain (one function per stage).
-    pub fn is_chain(&self) -> bool {
-        self.stages.iter().all(|s| s.len() == 1)
-    }
-
     /// Function at `index`.
     pub fn function(&self, index: usize) -> Option<&FunctionModel> {
         self.functions.get(index)
-    }
-
-    /// Function by name.
-    pub fn function_by_name(&self, name: &str) -> Option<(usize, &FunctionModel)> {
-        self.functions
-            .iter()
-            .enumerate()
-            .find(|(_, f)| f.name() == name)
-    }
-
-    /// Whether every function in the workflow supports batching (determines
-    /// whether the workflow can be served at concurrency > 1; VA cannot).
-    pub fn fully_batchable(&self) -> bool {
-        self.functions.iter().all(FunctionModel::batchable)
     }
 
     /// The sub-workflow consisting of the functions from stage
@@ -174,11 +150,6 @@ impl Workflow {
             stages,
         })
     }
-
-    /// Names of the functions in order.
-    pub fn function_names(&self) -> Vec<&str> {
-        self.functions.iter().map(FunctionModel::name).collect()
-    }
 }
 
 #[cfg(test)]
@@ -187,6 +158,10 @@ mod tests {
     use crate::latency::LatencyParams;
     use crate::workingset::WorksetDistribution;
     use janus_simcore::interference::ResourceDimension;
+
+    fn names(w: &Workflow) -> Vec<&str> {
+        w.functions().iter().map(FunctionModel::name).collect()
+    }
 
     fn f(name: &str) -> FunctionModel {
         FunctionModel::new(
@@ -208,12 +183,9 @@ mod tests {
     fn chain_builds_one_stage_per_function() {
         let w = Workflow::chain("ia", vec![f("od"), f("qa"), f("ts")]).unwrap();
         assert_eq!(w.len(), 3);
-        assert_eq!(w.stage_count(), 3);
-        assert!(w.is_chain());
+        assert_eq!(w.stages(), [[0], [1], [2]]);
         assert!(!w.is_empty());
-        assert_eq!(w.function_names(), vec!["od", "qa", "ts"]);
-        assert_eq!(w.function_by_name("qa").unwrap().0, 1);
-        assert!(w.function_by_name("nope").is_none());
+        assert_eq!(names(&w), ["od", "qa", "ts"]);
     }
 
     #[test]
@@ -238,10 +210,10 @@ mod tests {
     fn suffix_preserves_remaining_stages() {
         let w = Workflow::chain("ia", vec![f("od"), f("qa"), f("ts")]).unwrap();
         let tail = w.suffix(1).unwrap();
-        assert_eq!(tail.function_names(), vec!["qa", "ts"]);
-        assert_eq!(tail.stage_count(), 2);
+        assert_eq!(names(&tail), ["qa", "ts"]);
+        assert_eq!(tail.stages().len(), 2);
         let last = w.suffix(2).unwrap();
-        assert_eq!(last.function_names(), vec!["ts"]);
+        assert_eq!(names(&last), ["ts"]);
         assert!(w.suffix(3).is_none());
     }
 
@@ -253,31 +225,9 @@ mod tests {
             vec![vec![0], vec![1, 2], vec![3]],
         )
         .unwrap();
-        assert!(!w.is_chain());
-        assert_eq!(w.stage_count(), 3);
+        assert_eq!(w.stages().len(), 3);
         let tail = w.suffix(1).unwrap();
-        assert_eq!(tail.function_names(), vec!["classify", "caption", "merge"]);
+        assert_eq!(names(&tail), ["classify", "caption", "merge"]);
         assert_eq!(tail.stages()[0], vec![0, 1]);
-    }
-
-    #[test]
-    fn batchability_is_the_conjunction_of_functions() {
-        let batchable = Workflow::chain("a", vec![f("x"), f("y")]).unwrap();
-        assert!(batchable.fully_batchable());
-        let nb = FunctionModel::new(
-            "fe",
-            ResourceDimension::Io,
-            false,
-            LatencyParams {
-                base_ms: 100.0,
-                serial_fraction: 0.2,
-                batch_overhead: 0.3,
-            },
-            WorksetDistribution::Constant,
-            0.1,
-        )
-        .unwrap();
-        let mixed = Workflow::chain("b", vec![f("x"), nb]).unwrap();
-        assert!(!mixed.fully_batchable());
     }
 }

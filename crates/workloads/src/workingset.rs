@@ -54,7 +54,7 @@ pub enum WorksetDistribution {
 impl WorksetDistribution {
     /// The COCO2014 object-count distribution used for OD and carried through
     /// the IA chain: 1–15 objects/image.
-    pub fn coco_objects() -> Self {
+    pub(crate) fn coco_objects() -> Self {
         WorksetDistribution::ItemCount {
             min_items: 1,
             max_items: 15,
@@ -64,7 +64,7 @@ impl WorksetDistribution {
     }
 
     /// SQuAD2.0 context length distribution (35–641 words) for QA.
-    pub fn squad_words() -> Self {
+    pub(crate) fn squad_words() -> Self {
         WorksetDistribution::LogNormal {
             sigma: 0.30,
             min: 0.50,
@@ -73,7 +73,7 @@ impl WorksetDistribution {
     }
 
     /// Text-to-speech output length (answers are short; moderate variation).
-    pub fn tts_answer() -> Self {
+    pub(crate) fn tts_answer() -> Self {
         WorksetDistribution::LogNormal {
             sigma: 0.25,
             min: 0.55,
@@ -82,7 +82,7 @@ impl WorksetDistribution {
     }
 
     /// VA inputs: videos with identical duration/resolution → mild variation.
-    pub fn fixed_video() -> Self {
+    pub(crate) fn fixed_video() -> Self {
         WorksetDistribution::Uniform {
             min: 0.9,
             max: 1.15,
@@ -106,22 +106,6 @@ impl WorksetDistribution {
                 rng.lognormal_noise(sigma).clamp(min, max)
             }
             WorksetDistribution::Uniform { min, max } => rng.uniform_range(min, max),
-        }
-    }
-
-    /// The ratio between the largest and smallest possible scale factor — an
-    /// upper bound on the working-set-induced latency variance (Figure 1b).
-    pub fn max_variation(&self) -> f64 {
-        match *self {
-            WorksetDistribution::Constant => 1.0,
-            WorksetDistribution::ItemCount {
-                min_items,
-                max_items,
-                base,
-                per_item,
-            } => (base + per_item * max_items as f64) / (base + per_item * min_items as f64),
-            WorksetDistribution::LogNormal { min, max, .. } => max / min,
-            WorksetDistribution::Uniform { min, max } => max / min,
         }
     }
 
@@ -173,7 +157,6 @@ mod tests {
         assert!(samples(&WorksetDistribution::Constant, 100, 1)
             .iter()
             .all(|&s| s == 1.0));
-        assert_eq!(WorksetDistribution::Constant.max_variation(), 1.0);
     }
 
     #[test]
@@ -187,7 +170,6 @@ mod tests {
         // working set alone (noise pushes the observed Fig 1b ratio to ~3.8x).
         assert!((0.6..0.7).contains(&min), "min {min}");
         assert!(max > 1.6 && max <= 1.7, "max {max}");
-        assert!(d.max_variation() > 2.5 && d.max_variation() < 3.0);
     }
 
     #[test]
@@ -203,7 +185,6 @@ mod tests {
     #[test]
     fn fixed_video_has_mild_variation() {
         let d = WorksetDistribution::fixed_video();
-        assert!(d.max_variation() < 1.3);
         let s = samples(&d, 1000, 4);
         assert!(s.iter().all(|&v| (0.9..1.15).contains(&v)));
     }

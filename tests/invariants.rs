@@ -21,6 +21,7 @@ use janus_observe::{
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
 use janus_simcore::error::SimError;
+use janus_simcore::function::FunctionId;
 use janus_simcore::node::NodeId;
 use janus_simcore::pod::PodId;
 use janus_simcore::resources::{CoreGrid, Millicores};
@@ -662,8 +663,15 @@ impl RefCluster {
 }
 
 /// After every operation the cluster's per-node, per-zone and fleet-wide
-/// accounting equals a from-scratch recount of the reference.
-fn assert_matches_recount(c: &Cluster, r: &RefCluster, case: usize, step: usize) {
+/// accounting equals a from-scratch recount of the reference. `ids` are the
+/// cluster's ids of [`FUNCTIONS`], in order.
+fn assert_matches_recount(
+    c: &Cluster,
+    ids: &[FunctionId],
+    r: &RefCluster,
+    case: usize,
+    step: usize,
+) {
     let at = format!("case {case} step {step}");
     for (i, n) in r.nodes.iter().enumerate() {
         let id = NodeId(i as u32);
@@ -675,8 +683,8 @@ fn assert_matches_recount(c: &Cluster, r: &RefCluster, case: usize, step: usize)
             "{at}: {id} allocated"
         );
         assert_eq!(node.pod_count(), n.pods.len(), "{at}: {id} pods");
-        for f in FUNCTIONS {
-            assert_eq!(c.function_count(id, f), n.count(f), "{at}: {id} {f}");
+        for (f, &fid) in FUNCTIONS.iter().zip(ids) {
+            assert_eq!(c.function_count_id(id, fid), n.count(f), "{at}: {id} {f}");
         }
         for (pod, (_, mc)) in &n.pods {
             assert_eq!(c.node_of(PodId(*pod)), Some(id), "{at}: host of pod {pod}");
@@ -687,12 +695,12 @@ fn assert_matches_recount(c: &Cluster, r: &RefCluster, case: usize, step: usize)
     // placement above checks their effect. Here a zone's pods must be the
     // pods of its live nodes, which checks the node-to-zone map.
     for zone in 0..r.zones {
-        for f in FUNCTIONS {
+        for (f, &fid) in FUNCTIONS.iter().zip(ids) {
             let counted: usize = (0..r.nodes.len())
                 .map(|i| NodeId(i as u32))
                 .filter(|id| c.zone_of(*id) == Some(zone))
                 .filter(|id| c.node_state(*id) != Some(NodeState::Retired))
-                .map(|id| c.function_count(id, f))
+                .map(|id| c.function_count_id(id, fid))
                 .sum();
             assert_eq!(counted, r.zone_count(zone, f), "{at}: zone {zone} {f}");
         }
@@ -730,6 +738,7 @@ fn placement_matches_a_brute_force_recount() {
             zones,
         })
         .unwrap();
+        let ids = FUNCTIONS.map(|f| c.function_id(f));
         let mut r = RefCluster {
             nodes: Vec::new(),
             zones,
@@ -793,7 +802,8 @@ fn placement_matches_a_brute_force_recount() {
                         next_pod += 1;
                         next_pod
                     };
-                    let got = c.place_overcommitted(PodId(pod), f, Millicores::new(mc));
+                    let id = c.function_id(f);
+                    let got = c.place_overcommitted_id(PodId(pod), id, Millicores::new(mc));
                     match (duplicate, r.least_allocated()) {
                         (true, _) | (false, None) => {
                             assert!(got.is_err(), "case {case} step {step}")
@@ -871,7 +881,7 @@ fn placement_matches_a_brute_force_recount() {
                     }
                 }
             }
-            assert_matches_recount(&c, &r, case, step);
+            assert_matches_recount(&c, &ids, &r, case, step);
         }
     }
 }
