@@ -14,7 +14,7 @@
 //!
 //! Parsing and execution are separated ([`parse`] / [`execute`]) so the
 //! command surface is unit-testable without spawning processes; the `janus`
-//! and `run_all` binaries are thin `main`s over this module.
+//! binary is a thin `main` over this module.
 
 use crate::BenchFlags;
 use janus_chaos::FaultRegistry;
@@ -257,7 +257,7 @@ fn listing() -> String {
     let mut out = String::new();
     out.push_str("experiments (janus run <name>):\n");
     for experiment in ExperimentRegistry::with_builtins().iter() {
-        let (name, describe) = (experiment.name(), experiment.describe());
+        let (name, describe) = (experiment.name, experiment.describe);
         out.push_str(&format!("  {name:<10} {describe}\n"));
     }
     let section = |out: &mut String, title: &str, names: Vec<&str>| {
@@ -295,7 +295,7 @@ fn listing() -> String {
     );
     out.push_str("lint rules (janus lint):\n");
     for rule in janus_lint::LintRegistry::with_builtins().iter() {
-        let (name, describe) = (rule.name(), rule.describe());
+        let (name, describe) = (rule.name, rule.describe);
         out.push_str(&format!("  {name:<17} {describe}\n"));
     }
     out
@@ -304,11 +304,11 @@ fn listing() -> String {
 fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
     let registry = ExperimentRegistry::with_builtins();
     let experiment = registry.lookup(name)?;
-    if flags.trace.is_some() && !experiment.traces() {
+    if flags.trace.is_some() && !experiment.traces {
         let capable: Vec<&str> = registry
             .iter()
-            .filter(|e| e.traces())
-            .map(|e| e.name())
+            .filter(|e| e.traces)
+            .map(|e| e.name)
             .collect();
         return Err(format!(
             "--trace: experiment `{name}` emits no trace (trace-capable experiments: {})",
@@ -322,7 +322,7 @@ fn run_experiment(name: &str, flags: &BenchFlags) -> Result<(), String> {
     if let Some(sink) = &sink {
         ctx = ctx.with_trace(sink.clone());
     }
-    let output = experiment.run(&ctx)?;
+    let output = (experiment.run)(&ctx)?;
     print!("{}", output.summary());
     if let (Some(path), Some(sink)) = (&flags.trace, &sink) {
         write_trace(path, name, sink)?;
@@ -551,11 +551,11 @@ fn run_all(flags: &BenchFlags) -> Result<(), String> {
     let mut failures: Vec<String> = Vec::new();
     let mut total_s = 0.0;
     for entry in registry.iter() {
-        let experiment = entry.name();
+        let experiment = entry.name;
         println!("===== {experiment} =====");
         // janus-lint: allow(nondeterminism) — per-experiment wall time, printed to stderr only; stdout and --out stay seed-pure
         let started = Instant::now();
-        match entry.run(&ctx) {
+        match (entry.run)(&ctx) {
             Ok(output) => {
                 print!("{}", output.summary());
                 if flags.out.is_some() {

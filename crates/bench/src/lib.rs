@@ -10,8 +10,7 @@
 //!   executes a declarative grid from a spec file; `janus all` regenerates
 //!   the full evaluation. The seventeen per-figure binaries this replaced
 //!   (`fig1a` … `table2`, `scenarios`, `capacity`, `perf`, `overhead`) are
-//!   gone — each one is now `janus run <same-name>`; `run_all` survives as a
-//!   thin alias for `janus all`.
+//!   gone — each one is now `janus run <same-name>`.
 //!
 //! Every invocation accepts the shared [`BenchFlags`]: `--quick` (reduced
 //! scale for smoke runs), `--paper` (the default), `--seed N` (override the
@@ -133,13 +132,6 @@ impl BenchFlags {
     /// The experiment context these flags describe (scale + seed override).
     pub fn ctx(&self) -> ExperimentCtx {
         ExperimentCtx::new(self.scale).with_seed(self.seed)
-    }
-
-    /// The experiment seed: the `--seed` override when given, otherwise the
-    /// caller's default (each figure has its own, so figures stay
-    /// independent).
-    pub fn seed_or(&self, default: u64) -> u64 {
-        self.seed.unwrap_or(default)
     }
 
     /// Write a result document as pretty-printed JSON to the `--out` path;

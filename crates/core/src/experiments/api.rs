@@ -2,15 +2,15 @@
 //! [`ExperimentOutput`] and the open [`ExperimentRegistry`].
 //!
 //! Experiments sit behind the same generic [`Registry`] as policies,
-//! scenarios, capacity controllers, faults and observers. An experiment is anything
-//! that can turn an [`ExperimentCtx`] (the scale and seed knobs every runner
-//! shares) into an [`ExperimentOutput`] — a bundle of result structs that
-//! are simultaneously human-readable (`Display`) and machine-readable
+//! scenarios, capacity controllers, faults and observers. An experiment is a
+//! row: a name, a one-line description, whether it writes a trace, and a
+//! runner that turns an [`ExperimentCtx`] (the scale and seed knobs every
+//! runner shares) into an [`ExperimentOutput`] — a bundle of result structs
+//! that are simultaneously human-readable (`Display`) and machine-readable
 //! ([`ToJson`]). The paper's figures and tables and the scenario, capacity,
-//! chaos and flash-crowd sweeps are pre-registered built-ins; downstream
-//! crates implement [`Experiment`] for their own and register them with
-//! `ExperimentRegistry::register`, then run them through the same `janus`
-//! CLI without touching any `janus-*` crate.
+//! chaos and flash-crowd sweeps are the pre-registered built-ins; downstream
+//! crates add their own rows with `ExperimentRegistry::register` and run
+//! them through the registry without touching any `janus-*` crate.
 //!
 //! ```
 //! use janus_core::experiments::{ExperimentCtx, ExperimentRegistry, Scale};
@@ -19,7 +19,7 @@
 //! assert!(registry.names().contains(&"fig1c"));
 //! let output = registry
 //!     .lookup("fig1c")
-//!     .and_then(|fig1c| fig1c.run(&ExperimentCtx::new(Scale::Quick)))
+//!     .and_then(|fig1c| (fig1c.run)(&ExperimentCtx::new(Scale::Quick)))
 //!     .expect("fig1c runs");
 //! assert!(output.summary().contains("Figure 1c"));
 //! assert!(output.to_json().get("experiment").is_some());
@@ -124,22 +124,18 @@ impl fmt::Debug for TraceSink {
 }
 
 /// Everything an experiment may consult when running: the scale, an
-/// optional seed override, and the optional observability hookup (observer
-/// name + trace sink). The per-config helpers mirror the ones the bench
-/// flags used to provide, with the override already applied, so experiments
-/// stay one-liners.
+/// optional seed override, and the optional trace sink. The per-config
+/// helpers mirror the ones the bench flags used to provide, with the
+/// override already applied, so experiments stay one-liners.
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx {
     /// Experiment scale.
     pub scale: Scale,
     /// Seed override (`--seed N`); `None` keeps each experiment's default.
     pub seed: Option<u64>,
-    /// Observer to attach to trace-capable experiments' sessions; `None`
-    /// leaves observation off (the zero-cost default).
-    pub observer: Option<String>,
     /// Where trace-capable experiments append their JSONL trace lines
-    /// (`--trace PATH`). Setting a sink without an observer implies the
-    /// `flight-recorder` built-in.
+    /// (`--trace PATH`). A sink attaches the `flight-recorder` observer;
+    /// `None` leaves observation off (the zero-cost default).
     pub trace: Option<TraceSink>,
 }
 
@@ -149,7 +145,6 @@ impl ExperimentCtx {
         ExperimentCtx {
             scale,
             seed: None,
-            observer: None,
             trace: None,
         }
     }
@@ -160,22 +155,17 @@ impl ExperimentCtx {
         self
     }
 
-    /// Attach a trace sink (implies the `flight-recorder` observer unless
-    /// one was named explicitly).
+    /// Attach a trace sink (implies the `flight-recorder` observer).
     pub fn with_trace(mut self, trace: TraceSink) -> Self {
         self.trace = Some(trace);
         self
     }
 
-    /// The observer trace-capable experiments should attach: the explicit
-    /// choice when named, otherwise `flight-recorder` when a trace sink is
-    /// present (a trace needs an observer to produce lines), otherwise none.
+    /// The observer trace-capable experiments should attach:
+    /// `flight-recorder` when a trace sink is present (a trace needs an
+    /// observer to produce lines), otherwise none.
     pub(crate) fn observer_name(&self) -> Option<&str> {
-        match (&self.observer, &self.trace) {
-            (Some(name), _) => Some(name),
-            (None, Some(_)) => Some("flight-recorder"),
-            (None, None) => None,
-        }
+        self.trace.as_ref().map(|_| "flight-recorder")
     }
 
     /// Append a session trace to the sink, if one is attached. `qualifier`
@@ -253,16 +243,6 @@ impl ExperimentCtx {
             }
         }
         Ok(())
-    }
-
-    /// Profile samples per grid point at this scale.
-    pub(crate) fn profile_samples(&self) -> usize {
-        self.scale.profile_samples()
-    }
-
-    /// Trace invocations for Figure 1a at this scale.
-    pub(crate) fn trace_invocations(&self) -> usize {
-        self.scale.trace_invocations()
     }
 }
 
@@ -349,39 +329,35 @@ impl fmt::Debug for ExperimentOutput {
     }
 }
 
-/// An object-safe, runnable experiment: a name to address it by, a one-line
-/// description for discoverability, and a run function from context to
-/// output. Implementations live anywhere; the built-ins wrap the paper's
-/// figure/table runners and the sweep drivers.
-pub trait Experiment: Send + Sync {
+/// A runnable experiment: a name to address it by, a one-line description
+/// for discoverability, whether it writes a trace, and a runner from context
+/// to output. The built-ins wrap the paper's figure/table runners and the
+/// sweep drivers.
+#[derive(Debug)]
+pub struct Experiment {
     /// The name the experiment is registered and invoked under
     /// (`janus run <name>`).
-    fn name(&self) -> &str;
-
+    pub name: &'static str,
     /// One-line human description, surfaced by `janus list`.
-    fn describe(&self) -> &str;
-
-    /// Run the experiment.
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String>;
-
+    pub describe: &'static str,
     /// Whether the experiment appends session traces to the context's
     /// [`TraceSink`] (`janus run <name> --trace PATH`). The CLI refuses
     /// `--trace` up front for experiments that do not.
-    fn traces(&self) -> bool {
-        false
-    }
+    pub traces: bool,
+    /// Run the experiment.
+    pub run: fn(&ExperimentCtx) -> Result<ExperimentOutput, String>,
 }
 
 /// The open experiment registry (see [`janus_simcore::registry`]): ordered,
 /// open for registration, resolved by name. `janus run <name>` is
-/// `registry.lookup(name)?.run(&ctx)`.
-pub type ExperimentRegistry = Registry<dyn Experiment>;
+/// `(registry.lookup(name)?.run)(&ctx)`.
+pub type ExperimentRegistry = Registry<Experiment>;
 
-impl Entry for dyn Experiment {
+impl Entry for Experiment {
     const NOUN: &'static str = "experiment";
 
     fn key(&self) -> &str {
-        self.name()
+        self.name
     }
 
     /// Every experiment of the evaluation, in paper order: the motivation
@@ -390,23 +366,117 @@ impl Entry for dyn Experiment {
     fn builtins(registry: &mut ExperimentRegistry) {
         use crate::experiments::{capacity_sweep, chaos_resilience, flash_scale, metrics};
         use crate::experiments::{motivation, overall, scenario_sweep, slo_sweep, synthesis};
-        registry.register(Arc::new(motivation::Fig1aExperiment));
-        registry.register(Arc::new(motivation::Fig1bExperiment));
-        registry.register(Arc::new(motivation::Fig1cExperiment));
-        registry.register(Arc::new(motivation::Fig2Experiment));
-        registry.register(Arc::new(overall::Table1Experiment));
-        registry.register(Arc::new(overall::Fig4Experiment));
-        registry.register(Arc::new(overall::Fig5Experiment));
-        registry.register(Arc::new(synthesis::Fig6Experiment));
-        registry.register(Arc::new(metrics::Fig7Experiment));
-        registry.register(Arc::new(synthesis::Fig8Experiment));
-        registry.register(Arc::new(slo_sweep::Fig9Experiment));
-        registry.register(Arc::new(synthesis::Table2Experiment));
-        registry.register(Arc::new(synthesis::OverheadExperiment));
-        registry.register(Arc::new(scenario_sweep::ScenarioSweepExperiment));
-        registry.register(Arc::new(capacity_sweep::CapacitySweepExperiment));
-        registry.register(Arc::new(chaos_resilience::ChaosResilienceExperiment));
-        registry.register(Arc::new(flash_scale::FlashScaleExperiment));
+        let builtins: [Experiment; 17] = [
+            Experiment {
+                name: "fig1a",
+                describe: "Figure 1a: slack CDF of function invocations in an Azure-like trace",
+                traces: false,
+                run: motivation::run_fig1a,
+            },
+            Experiment {
+                name: "fig1b",
+                describe: "Figure 1b: function latency variance caused by varying working sets",
+                traces: false,
+                run: motivation::run_fig1b,
+            },
+            Experiment {
+                name: "fig1c",
+                describe:
+                    "Figure 1c: performance interference from co-locating homogeneous functions",
+                traces: false,
+                run: motivation::run_fig1c,
+            },
+            Experiment {
+                name: "fig2",
+                describe: "Figure 2: per-request early-binding vs late-binding comparison",
+                traces: false,
+                run: motivation::run_fig2,
+            },
+            Experiment {
+                name: "table1",
+                describe: "Table I: overall resource reduction of Janus vs baselines for IA and VA",
+                traces: false,
+                run: overall::run_table1,
+            },
+            Experiment {
+                name: "fig4",
+                describe: "Figure 4: end-to-end latency CDFs of IA (concurrency 1-3) and VA",
+                traces: false,
+                run: overall::run_fig4,
+            },
+            Experiment {
+                name: "fig5",
+                describe:
+                    "Figure 5: resource consumption per policy, absolute and normalised by Optimal",
+                traces: false,
+                run: overall::run_fig5,
+            },
+            Experiment {
+                name: "fig6",
+                describe:
+                    "Figure 6: resource and synthesis-time cost of Janus vs Janus+ across SLOs",
+                traces: false,
+                run: synthesis::run_fig6,
+            },
+            Experiment {
+                name: "fig7",
+                describe: "Figure 7: timeout and resilience of the TS function",
+                traces: false,
+                run: metrics::run_fig7,
+            },
+            Experiment {
+                name: "fig8",
+                describe: "Figure 8: number of condensed hints for IA and VA under different weights",
+                traces: false,
+                run: synthesis::run_fig8,
+            },
+            Experiment {
+                name: "fig9",
+                describe: "Figure 9: resource consumption (normalised by Optimal) under varying SLOs",
+                traces: false,
+                run: slo_sweep::run_fig9,
+            },
+            Experiment {
+                name: "table2",
+                describe: "Table II: head-function allocation and percentile under weights 1 and 3",
+                traces: false,
+                run: synthesis::run_table2,
+            },
+            Experiment {
+                name: "overhead",
+                describe:
+                    "System overhead (§V-H): online adaptation latency and hints memory footprint",
+                traces: false,
+                run: synthesis::run_overhead,
+            },
+            Experiment {
+                name: "scenarios",
+                describe: "Scenario sweep: every policy under every built-in load shape",
+                traces: false,
+                run: scenario_sweep::run_scenarios,
+            },
+            Experiment {
+                name: "capacity",
+                describe: "Capacity sweep: every arrival scenario under every capacity regime",
+                traces: true,
+                run: capacity_sweep::run_capacity,
+            },
+            Experiment {
+                name: "chaos_resilience",
+                describe: "Chaos resilience: capacity regimes under a mid-flash-crowd zone outage",
+                traces: true,
+                run: chaos_resilience::run_chaos_resilience,
+            },
+            Experiment {
+                name: "flash_scale",
+                describe: "Flash crowd at 100M requests: bounded-memory streaming arrivals through capacity control",
+                traces: false,
+                run: flash_scale::run_flash_scale,
+            },
+        ];
+        for experiment in builtins {
+            registry.register(Arc::new(experiment));
+        }
     }
 }
 
@@ -417,7 +487,8 @@ mod tests {
     #[test]
     fn builtins_cover_every_retired_binary() {
         let registry = ExperimentRegistry::with_builtins();
-        for name in [
+        // Registration order is the `janus all` order.
+        let names = [
             "fig1a",
             "fig1b",
             "fig1c",
@@ -435,7 +506,9 @@ mod tests {
             "capacity",
             "chaos_resilience",
             "flash_scale",
-        ] {
+        ];
+        assert_eq!(registry.names(), names);
+        for name in names {
             assert!(
                 registry.get(name).is_some(),
                 "experiment `{name}` is not registered"
@@ -444,12 +517,18 @@ mod tests {
         }
         assert_eq!(registry.len(), 17);
         for experiment in registry.iter() {
-            let name = experiment.name();
+            let name = experiment.name;
             assert!(
-                !experiment.describe().is_empty(),
+                !experiment.describe.is_empty(),
                 "`{name}` has no description"
             );
         }
+        let traced: Vec<&str> = registry
+            .iter()
+            .filter(|e| e.traces)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(traced, ["capacity", "chaos_resilience"]);
     }
 
     #[test]
@@ -462,38 +541,45 @@ mod tests {
 
     #[test]
     fn custom_experiments_register_and_replace_by_name() {
-        struct Noop(Option<&'static str>);
-        impl Experiment for Noop {
-            fn name(&self) -> &str {
-                "noop"
-            }
-            fn describe(&self) -> &str {
-                "does nothing"
-            }
-            fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-                match self.0 {
-                    None => Ok(ExperimentOutput::single(
-                        crate::experiments::fig1c_interference(),
-                    )),
-                    Some(err) => Err(err.into()),
-                }
-            }
-        }
         let run = |registry: &ExperimentRegistry| {
-            registry
-                .lookup("noop")?
-                .run(&ExperimentCtx::new(Scale::Quick))
+            (registry.lookup("noop")?.run)(&ExperimentCtx::new(Scale::Quick))
         };
         let mut registry = ExperimentRegistry::new();
-        registry.register(Arc::new(Noop(None)));
+        registry.register(Arc::new(Experiment {
+            name: "noop",
+            describe: "does nothing",
+            traces: false,
+            run: |_ctx| {
+                Ok(ExperimentOutput::single(
+                    crate::experiments::fig1c_interference(),
+                ))
+            },
+        }));
         assert_eq!(registry.names(), vec!["noop"]);
         let out = run(&registry).unwrap();
         assert_eq!(out.len(), 1);
         assert!(!out.is_empty());
         // Same-name registration replaces in place.
-        registry.register(Arc::new(Noop(Some("boom"))));
+        registry.register(Arc::new(Experiment {
+            name: "noop",
+            describe: "fails",
+            traces: false,
+            run: |_ctx| Err("boom".into()),
+        }));
         assert_eq!(registry.len(), 1);
+        assert_eq!(registry.get("noop").unwrap().describe, "fails");
         assert_eq!(run(&registry).unwrap_err(), "boom");
+    }
+
+    #[test]
+    fn a_trace_sink_attaches_the_flight_recorder() {
+        let ctx = ExperimentCtx::new(Scale::Quick).with_seed(Some(3));
+        assert_eq!(ctx.observer_name(), None);
+        let traced = ctx.with_trace(TraceSink::new());
+        assert_eq!(traced.observer_name(), Some("flight-recorder"));
+        assert!(janus_observe::ObserverRegistry::with_builtins()
+            .ensure_known("flight-recorder")
+            .is_ok());
     }
 
     #[test]
@@ -542,7 +628,7 @@ mod tests {
         }
         let plain = ExperimentCtx::new(Scale::Paper);
         assert_eq!(plain.seed_or(5), 5);
-        assert!(plain.profile_samples() > ctx.profile_samples());
-        assert!(plain.trace_invocations() > ctx.trace_invocations());
+        assert!(plain.scale.profile_samples() > ctx.scale.profile_samples());
+        assert!(plain.scale.trace_invocations() > ctx.scale.trace_invocations());
     }
 }

@@ -251,38 +251,22 @@ pub(crate) fn capacity_sweep(spec: &SweepSpec) -> Result<CapacitySweepResult, St
     CapacitySweepResult::from_sweep(run_sweep(spec)?)
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput};
 
-/// `capacity` as a registered [`Experiment`]: the IA scenario × autoscaler ×
-/// admission grid at the configured scale.
-pub struct CapacitySweepExperiment;
-
-impl Experiment for CapacitySweepExperiment {
-    fn name(&self) -> &str {
-        "capacity"
-    }
-
-    fn describe(&self) -> &str {
-        "Capacity sweep: every arrival scenario under every capacity regime"
-    }
-
-    fn traces(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
-        spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);
-        let result = capacity_sweep(&spec)?;
-        // Cells all serve the same policy, so cell traces are qualified with
-        // their grid coordinates before they share one artefact.
-        ctx.append_sweep_traces(&result.sweep, |s| {
-            [&s.scenario, &s.autoscaler, &s.admission]
-                .map(|axis| axis.as_deref().unwrap_or_default())
-                .join("/")
-        })?;
-        Ok(ExperimentOutput::single(result))
-    }
+/// The `capacity` experiment: the IA scenario × autoscaler × admission grid
+/// at the configured scale.
+pub(crate) fn run_capacity(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
+    spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);
+    let result = capacity_sweep(&spec)?;
+    // Cells all serve the same policy, so cell traces are qualified with
+    // their grid coordinates before they share one artefact.
+    ctx.append_sweep_traces(&result.sweep, |s| {
+        [&s.scenario, &s.autoscaler, &s.admission]
+            .map(|axis| axis.as_deref().unwrap_or_default())
+            .join("/")
+    })?;
+    Ok(ExperimentOutput::single(result))
 }
 
 #[cfg(test)]
@@ -347,7 +331,7 @@ mod tests {
 
     #[test]
     fn traced_capacity_runs_fill_the_sink_with_qualified_cells() {
-        use crate::experiments::api::{Experiment, Scale, TraceSink};
+        use crate::experiments::api::{Scale, TraceSink};
         use janus_observe::TraceReport;
 
         let sink = TraceSink::new();
@@ -356,7 +340,7 @@ mod tests {
             .with_seed(Some(7))
             .with_trace(sink.clone());
         assert_eq!(ctx.observer_name(), Some("flight-recorder"));
-        CapacitySweepExperiment.run(&ctx).unwrap();
+        run_capacity(&ctx).unwrap();
         let trace = sink.take();
         assert!(sink.is_empty(), "take drains the sink");
         let report = TraceReport::from_jsonl(&trace).unwrap();
@@ -381,9 +365,7 @@ mod tests {
         }
         // Same seed, same sink contents, byte for byte.
         let again = TraceSink::new();
-        CapacitySweepExperiment
-            .run(&ctx.clone().with_trace(again.clone()))
-            .unwrap();
+        run_capacity(&ctx.clone().with_trace(again.clone())).unwrap();
         assert_eq!(again.take(), trace);
     }
 

@@ -264,37 +264,21 @@ pub(crate) fn chaos_resilience(spec: &SweepSpec) -> Result<ChaosResilienceResult
     ChaosResilienceResult::from_sweep(run_sweep(spec)?)
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput};
 
-/// `chaos_resilience` as a registered [`Experiment`]: the IA flash-crowd
-/// zone-outage grid at the configured scale.
-pub struct ChaosResilienceExperiment;
-
-impl Experiment for ChaosResilienceExperiment {
-    fn name(&self) -> &str {
-        "chaos_resilience"
-    }
-
-    fn describe(&self) -> &str {
-        "Chaos resilience: capacity regimes under a mid-flash-crowd zone outage"
-    }
-
-    fn traces(&self) -> bool {
-        true
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
-        spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);
-        let result = chaos_resilience(&spec)?;
-        // Both policies of one point share its qualifier.
-        ctx.append_sweep_traces(&result.sweep, |s| {
-            [&s.autoscaler, &s.admission]
-                .map(|axis| axis.as_deref().unwrap_or_default())
-                .join("/")
-        })?;
-        Ok(ExperimentOutput::single(result))
-    }
+/// The `chaos_resilience` experiment: the IA flash-crowd zone-outage grid
+/// at the configured scale.
+pub(crate) fn run_chaos_resilience(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let mut spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
+    spec.observers = ctx.observer_name().map(|name| vec![name.to_string()]);
+    let result = chaos_resilience(&spec)?;
+    // Both policies of one point share its qualifier.
+    ctx.append_sweep_traces(&result.sweep, |s| {
+        [&s.autoscaler, &s.admission]
+            .map(|axis| axis.as_deref().unwrap_or_default())
+            .join("/")
+    })?;
+    Ok(ExperimentOutput::single(result))
 }
 
 #[cfg(test)]
@@ -355,14 +339,11 @@ mod tests {
         use janus_observe::TraceReport;
 
         let sink = TraceSink::new();
-        let ctx = ExperimentCtx {
-            observer: Some("trace".into()),
-            ..ExperimentCtx::new(Scale::Quick)
-                .with_seed(Some(7))
-                .with_trace(sink.clone())
-        };
-        assert_eq!(ctx.observer_name(), Some("trace"));
-        ChaosResilienceExperiment.run(&ctx).unwrap();
+        let ctx = ExperimentCtx::new(Scale::Quick)
+            .with_seed(Some(7))
+            .with_trace(sink.clone());
+        assert_eq!(ctx.observer_name(), Some("flight-recorder"));
+        run_chaos_resilience(&ctx).unwrap();
         let trace = sink.take();
         assert!(
             trace.contains("\"type\":\"fault\"") && trace.contains("zone-outage"),

@@ -15,7 +15,7 @@
 //! materializes more than `streams + 1` arrivals fails, which is what the
 //! CI smoke step (`janus run flash_scale --quick`) asserts.
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput, Scale};
 use janus_platform::capacity::{AdmissionRegistry, AutoscalerRegistry, CapacityContext};
 use janus_platform::executor::ExecutorConfig;
 use janus_platform::openloop::{CapacityControls, OpenLoopArena, OpenLoopSimulation};
@@ -338,29 +338,17 @@ fn flash_scale_run(config: &FlashScaleConfig) -> Result<FlashScaleResult, String
     Ok(result)
 }
 
-/// `flash_scale` as a registered [`Experiment`]: the 10⁸-request
-/// flash-crowd run that proves arrivals stream in bounded memory.
-pub struct FlashScaleExperiment;
-
-impl Experiment for FlashScaleExperiment {
-    fn name(&self) -> &str {
-        "flash_scale"
+/// The `flash_scale` experiment: the 10⁸-request flash-crowd run that
+/// proves arrivals stream in bounded memory.
+pub(crate) fn run_flash_scale(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let mut config = match ctx.scale {
+        Scale::Paper => FlashScaleConfig::paper_default(),
+        Scale::Quick => FlashScaleConfig::quick(),
+    };
+    if let Some(seed) = ctx.seed {
+        config.seed = seed;
     }
-
-    fn describe(&self) -> &str {
-        "Flash crowd at 100M requests: bounded-memory streaming arrivals through capacity control"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut config = match ctx.scale {
-            Scale::Paper => FlashScaleConfig::paper_default(),
-            Scale::Quick => FlashScaleConfig::quick(),
-        };
-        if let Some(seed) = ctx.seed {
-            config.seed = seed;
-        }
-        Ok(ExperimentOutput::single(flash_scale_run(&config)?))
-    }
+    Ok(ExperimentOutput::single(flash_scale_run(&config)?))
 }
 
 #[cfg(test)]

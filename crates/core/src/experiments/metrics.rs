@@ -103,26 +103,14 @@ impl fmt::Display for Fig7Result {
     }
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput};
 
-/// `fig7` as a registered [`Experiment`].
-pub struct Fig7Experiment;
-
-impl Experiment for Fig7Experiment {
-    fn name(&self) -> &str {
-        "fig7"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 7: timeout and resilience of the TS function"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(fig7_timeout_resilience(
-            ctx.profile_samples(),
-            ctx.seed_or(0xF7),
-        )?))
-    }
+/// The `fig7` experiment.
+pub(crate) fn run_fig7(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(fig7_timeout_resilience(
+        ctx.scale.profile_samples(),
+        ctx.seed_or(0xF7),
+    )?))
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! [`ToJson`] view writes the machine-readable artefact. Three surfaces sit
 //! on top:
 //!
-//! * [`api`] — the object-safe [`Experiment`] trait and the open
-//!   [`ExperimentRegistry`] (every runner below is a registered built-in,
-//!   runnable by name via `janus run <name>`);
+//! * [`api`] — the [`Experiment`] row and the open [`ExperimentRegistry`]
+//!   (every runner below is a registered built-in, runnable by name via
+//!   `janus run <name>`);
 //! * [`spec`] — the serializable [`SweepSpec`]/[`SessionSpec`] data model
 //!   (`janus sweep <spec.json>` describes a whole evaluation grid as JSON);
 //! * [`sweep`] — the parallel [`run_sweep`] driver executing those

@@ -279,83 +279,35 @@ impl fmt::Display for Fig2Result {
     }
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput};
 
-/// `fig1a` as a registered [`Experiment`].
-pub struct Fig1aExperiment;
-
-impl Experiment for Fig1aExperiment {
-    fn name(&self) -> &str {
-        "fig1a"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 1a: slack CDF of function invocations in an Azure-like trace"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(fig1a_slack_cdf(
-            ctx.trace_invocations(),
-            ctx.seed_or(0xA2C5E),
-        )?))
-    }
+/// The `fig1a` experiment.
+pub(crate) fn run_fig1a(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(fig1a_slack_cdf(
+        ctx.scale.trace_invocations(),
+        ctx.seed_or(0xA2C5E),
+    )?))
 }
 
-/// `fig1b` as a registered [`Experiment`].
-pub struct Fig1bExperiment;
-
-impl Experiment for Fig1bExperiment {
-    fn name(&self) -> &str {
-        "fig1b"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 1b: function latency variance caused by varying working sets"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(fig1b_workset_variance(
-            ctx.profile_samples(),
-            ctx.seed_or(0xF1B),
-        )?))
-    }
+/// The `fig1b` experiment.
+pub(crate) fn run_fig1b(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(fig1b_workset_variance(
+        ctx.scale.profile_samples(),
+        ctx.seed_or(0xF1B),
+    )?))
 }
 
-/// `fig1c` as a registered [`Experiment`].
-pub struct Fig1cExperiment;
-
-impl Experiment for Fig1cExperiment {
-    fn name(&self) -> &str {
-        "fig1c"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 1c: performance interference from co-locating homogeneous functions"
-    }
-
-    fn run(&self, _ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(fig1c_interference()))
-    }
+/// The `fig1c` experiment.
+pub(crate) fn run_fig1c(_ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(fig1c_interference()))
 }
 
-/// `fig2` as a registered [`Experiment`].
-pub struct Fig2Experiment;
-
-impl Experiment for Fig2Experiment {
-    fn name(&self) -> &str {
-        "fig2"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 2: per-request early-binding vs late-binding comparison"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(fig2_binding_comparison(
-            ctx.scale.fig2_requests(),
-            ctx.seed_or(0xF2),
-        )?))
-    }
+/// The `fig2` experiment.
+pub(crate) fn run_fig2(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(fig2_binding_comparison(
+        ctx.scale.fig2_requests(),
+        ctx.seed_or(0xF2),
+    )?))
 }
 
 #[cfg(test)]

@@ -112,32 +112,20 @@ impl fmt::Display for OverallResult {
     }
 }
 
-use crate::experiments::api::{Experiment, ExperimentOutput};
+use crate::experiments::api::ExperimentOutput;
 use crate::experiments::ToJson;
 use janus_json::Value;
 
-/// `table1` as a registered [`Experiment`]: the overall comparison for both
-/// paper applications at concurrency 1.
-pub struct Table1Experiment;
-
-impl Experiment for Table1Experiment {
-    fn name(&self) -> &str {
-        "table1"
+/// The `table1` experiment: the overall comparison for both paper
+/// applications at concurrency 1.
+pub(crate) fn run_table1(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let mut out = ExperimentOutput::new();
+    for app in PaperApp::ALL {
+        let result =
+            OverallResult::run(ctx, app, 1).map_err(|e| format!("{}: {e}", app.short_name()))?;
+        out.push(app.short_name(), result);
     }
-
-    fn describe(&self) -> &str {
-        "Table I: overall resource reduction of Janus vs baselines for IA and VA"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut out = ExperimentOutput::new();
-        for app in PaperApp::ALL {
-            let result = OverallResult::run(ctx, app, 1)
-                .map_err(|e| format!("{}: {e}", app.short_name()))?;
-            out.push(app.short_name(), result);
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// The Figure 4 presentation of an [`OverallResult`]: one latency-CDF series
@@ -172,36 +160,24 @@ impl ToJson for Fig4Cdf {
     }
 }
 
-/// `fig4` as a registered [`Experiment`]: IA at concurrency 1–3 plus VA.
-pub struct Fig4Experiment;
-
-impl Experiment for Fig4Experiment {
-    fn name(&self) -> &str {
-        "fig4"
+/// The `fig4` experiment: IA at concurrency 1–3 plus VA.
+pub(crate) fn run_fig4(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let setups = [
+        (PaperApp::IntelligentAssistant, 1u32),
+        (PaperApp::IntelligentAssistant, 2),
+        (PaperApp::IntelligentAssistant, 3),
+        (PaperApp::VideoAnalyze, 1),
+    ];
+    let mut out = ExperimentOutput::new();
+    for (app, conc) in setups {
+        let result = OverallResult::run(ctx, app, conc)
+            .map_err(|e| format!("{} conc {conc}: {e}", app.short_name()))?;
+        out.push(
+            format!("{} concurrency {conc}", app.short_name()),
+            Fig4Cdf(result),
+        );
     }
-
-    fn describe(&self) -> &str {
-        "Figure 4: end-to-end latency CDFs of IA (concurrency 1-3) and VA"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let setups = [
-            (PaperApp::IntelligentAssistant, 1u32),
-            (PaperApp::IntelligentAssistant, 2),
-            (PaperApp::IntelligentAssistant, 3),
-            (PaperApp::VideoAnalyze, 1),
-        ];
-        let mut out = ExperimentOutput::new();
-        for (app, conc) in setups {
-            let result = OverallResult::run(ctx, app, conc)
-                .map_err(|e| format!("{} conc {conc}: {e}", app.short_name()))?;
-            out.push(
-                format!("{} concurrency {conc}", app.short_name()),
-                Fig4Cdf(result),
-            );
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 /// The Figure 5 presentation of an [`OverallResult`]: per-policy CPU, either
@@ -244,49 +220,37 @@ impl ToJson for Fig5Consumption {
     }
 }
 
-/// `fig5` as a registered [`Experiment`]: absolute CPU for IA and VA at
-/// concurrency 1, normalised CPU for IA at concurrency 2 and 3.
-pub struct Fig5Experiment;
-
-impl Experiment for Fig5Experiment {
-    fn name(&self) -> &str {
-        "fig5"
+/// The `fig5` experiment: absolute CPU for IA and VA at concurrency 1,
+/// normalised CPU for IA at concurrency 2 and 3.
+pub(crate) fn run_fig5(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let mut out = ExperimentOutput::new();
+    for app in PaperApp::ALL {
+        let result =
+            OverallResult::run(ctx, app, 1).map_err(|e| format!("{}: {e}", app.short_name()))?;
+        out.push(
+            format!(
+                "{} absolute CPU (millicores), concurrency 1",
+                app.short_name()
+            ),
+            Fig5Consumption {
+                result,
+                normalized: false,
+            },
+        );
     }
-
-    fn describe(&self) -> &str {
-        "Figure 5: resource consumption per policy, absolute and normalised by Optimal"
+    for conc in [2u32, 3] {
+        let result = OverallResult::run(ctx, PaperApp::IntelligentAssistant, conc)
+            .map_err(|e| format!("IA conc {conc}: {e}"))?;
+        let slo_s = result.report.slo.as_secs();
+        out.push(
+            format!("IA normalised CPU, concurrency {conc} (SLO {slo_s:.1} s)"),
+            Fig5Consumption {
+                result,
+                normalized: true,
+            },
+        );
     }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut out = ExperimentOutput::new();
-        for app in PaperApp::ALL {
-            let result = OverallResult::run(ctx, app, 1)
-                .map_err(|e| format!("{}: {e}", app.short_name()))?;
-            out.push(
-                format!(
-                    "{} absolute CPU (millicores), concurrency 1",
-                    app.short_name()
-                ),
-                Fig5Consumption {
-                    result,
-                    normalized: false,
-                },
-            );
-        }
-        for conc in [2u32, 3] {
-            let result = OverallResult::run(ctx, PaperApp::IntelligentAssistant, conc)
-                .map_err(|e| format!("IA conc {conc}: {e}"))?;
-            let slo_s = result.report.slo.as_secs();
-            out.push(
-                format!("IA normalised CPU, concurrency {conc} (SLO {slo_s:.1} s)"),
-                Fig5Consumption {
-                    result,
-                    normalized: true,
-                },
-            );
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -229,25 +229,13 @@ pub(crate) fn scenario_sweep(spec: &SweepSpec) -> Result<ScenarioSweepResult, St
     ScenarioSweepResult::from_sweep(run_sweep(spec)?)
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput};
 
-/// `scenarios` as a registered [`Experiment`]: the IA scenario × policy
-/// sweep at the configured scale.
-pub struct ScenarioSweepExperiment;
-
-impl Experiment for ScenarioSweepExperiment {
-    fn name(&self) -> &str {
-        "scenarios"
-    }
-
-    fn describe(&self) -> &str {
-        "Scenario sweep: every policy under every built-in load shape"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
-        Ok(ExperimentOutput::single(scenario_sweep(&spec)?))
-    }
+/// The `scenarios` experiment: the IA scenario × policy sweep at the
+/// configured scale.
+pub(crate) fn run_scenarios(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let spec = ctx.sweep_spec(PaperApp::IntelligentAssistant, paper_spec, quick_spec);
+    Ok(ExperimentOutput::single(scenario_sweep(&spec)?))
 }
 
 #[cfg(test)]

@@ -75,7 +75,7 @@ impl fmt::Display for Fig9Result {
     }
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput, Scale};
 
 /// The SLO grids of the paper's Figure 9 at each scale.
 fn fig9_slos(app: PaperApp, scale: Scale) -> &'static [f64] {
@@ -87,27 +87,15 @@ fn fig9_slos(app: PaperApp, scale: Scale) -> &'static [f64] {
     }
 }
 
-/// `fig9` as a registered [`Experiment`]: the IA and VA sweeps.
-pub struct Fig9Experiment;
-
-impl Experiment for Fig9Experiment {
-    fn name(&self) -> &str {
-        "fig9"
+/// The `fig9` experiment: the IA and VA sweeps.
+pub(crate) fn run_fig9(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let mut out = ExperimentOutput::new();
+    for app in PaperApp::ALL {
+        let result = fig9_slo_sweep(app, fig9_slos(app, ctx.scale), &ctx.session(app, 1))
+            .map_err(|e| format!("{}: {e}", app.short_name()))?;
+        out.push(app.short_name(), result);
     }
-
-    fn describe(&self) -> &str {
-        "Figure 9: resource consumption (normalised by Optimal) under varying SLOs"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let mut out = ExperimentOutput::new();
-        for app in PaperApp::ALL {
-            let result = fig9_slo_sweep(app, fig9_slos(app, ctx.scale), &ctx.session(app, 1))
-                .map_err(|e| format!("{}: {e}", app.short_name()))?;
-            out.push(app.short_name(), result);
-        }
-        Ok(out)
-    }
+    Ok(out)
 }
 
 #[cfg(test)]

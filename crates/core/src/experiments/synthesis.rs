@@ -370,97 +370,49 @@ impl fmt::Display for OverheadResult {
     }
 }
 
-use crate::experiments::api::{Experiment, ExperimentCtx, ExperimentOutput, Scale};
+use crate::experiments::api::{ExperimentCtx, ExperimentOutput, Scale};
 
-/// `fig6` as a registered [`Experiment`].
-pub struct Fig6Experiment;
-
-impl Experiment for Fig6Experiment {
-    fn name(&self) -> &str {
-        "fig6"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 6: resource and synthesis-time cost of Janus vs Janus+ across SLOs"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let slos: &[f64] = match ctx.scale {
-            Scale::Paper => &[3.0, 4.0, 5.0, 6.0, 7.0],
-            Scale::Quick => &[3.0, 5.0, 7.0],
-        };
-        let base = ctx.session(PaperApp::IntelligentAssistant, 1);
-        Ok(ExperimentOutput::single(fig6_exploration_cost(
-            slos, &base,
-        )?))
-    }
+/// The `fig6` experiment.
+pub(crate) fn run_fig6(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let slos: &[f64] = match ctx.scale {
+        Scale::Paper => &[3.0, 4.0, 5.0, 6.0, 7.0],
+        Scale::Quick => &[3.0, 5.0, 7.0],
+    };
+    let base = ctx.session(PaperApp::IntelligentAssistant, 1);
+    Ok(ExperimentOutput::single(fig6_exploration_cost(
+        slos, &base,
+    )?))
 }
 
-/// `fig8` as a registered [`Experiment`].
-pub struct Fig8Experiment;
-
-impl Experiment for Fig8Experiment {
-    fn name(&self) -> &str {
-        "fig8"
-    }
-
-    fn describe(&self) -> &str {
-        "Figure 8: number of condensed hints for IA and VA under different weights"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(fig8_hint_counts(
-            &[1.0, 1.5, 2.0, 2.5, 3.0],
-            ctx.profile_samples(),
-            ctx.seed_or(0xF8),
-        )?))
-    }
+/// The `fig8` experiment.
+pub(crate) fn run_fig8(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(fig8_hint_counts(
+        &[1.0, 1.5, 2.0, 2.5, 3.0],
+        ctx.scale.profile_samples(),
+        ctx.seed_or(0xF8),
+    )?))
 }
 
-/// `table2` as a registered [`Experiment`].
-pub struct Table2Experiment;
-
-impl Experiment for Table2Experiment {
-    fn name(&self) -> &str {
-        "table2"
-    }
-
-    fn describe(&self) -> &str {
-        "Table II: head-function allocation and percentile under weights 1 and 3"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        Ok(ExperimentOutput::single(table2_weight_impact(
-            &[1.0, 3.0],
-            ctx.profile_samples(),
-            ctx.seed_or(0x72),
-        )?))
-    }
+/// The `table2` experiment.
+pub(crate) fn run_table2(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    Ok(ExperimentOutput::single(table2_weight_impact(
+        &[1.0, 3.0],
+        ctx.scale.profile_samples(),
+        ctx.seed_or(0x72),
+    )?))
 }
 
-/// `overhead` as a registered [`Experiment`].
-pub struct OverheadExperiment;
-
-impl Experiment for OverheadExperiment {
-    fn name(&self) -> &str {
-        "overhead"
-    }
-
-    fn describe(&self) -> &str {
-        "System overhead (§V-H): online adaptation latency and hints memory footprint"
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
-        let decisions = match ctx.scale {
-            Scale::Paper => 20_000,
-            Scale::Quick => 2_000,
-        };
-        Ok(ExperimentOutput::single(overhead_report(
-            decisions,
-            ctx.profile_samples(),
-            ctx.seed_or(0x0B),
-        )?))
-    }
+/// The `overhead` experiment.
+pub(crate) fn run_overhead(ctx: &ExperimentCtx) -> Result<ExperimentOutput, String> {
+    let decisions = match ctx.scale {
+        Scale::Paper => 20_000,
+        Scale::Quick => 2_000,
+    };
+    Ok(ExperimentOutput::single(overhead_report(
+        decisions,
+        ctx.scale.profile_samples(),
+        ctx.seed_or(0x0B),
+    )?))
 }
 
 #[cfg(test)]

@@ -37,8 +37,8 @@
 //! * [`JanusPolicy`] — the resulting late-binding
 //!   [`SizingPolicy`](janus_platform::policy::SizingPolicy), runnable on the
 //!   same platform executor as every baseline.
-//! * [`experiments`] — the declarative experiment layer: an object-safe
-//!   [`Experiment`](experiments::Experiment) trait behind an open
+//! * [`experiments`] — the declarative experiment layer: plain
+//!   [`Experiment`](experiments::Experiment) rows in an open
 //!   [`ExperimentRegistry`](experiments::ExperimentRegistry) (one built-in
 //!   per table/figure of the paper's evaluation, run by name through the
 //!   `janus` CLI), plus [`SweepSpec`](experiments::SweepSpec) — a

@@ -146,7 +146,7 @@ pub(crate) fn lint_file(
 ) -> (Vec<Diagnostic>, usize) {
     let mut all = Vec::new();
     for rule in registry.iter() {
-        rule.check(file, config, &mut all);
+        (rule.check)(file, config, &mut all);
     }
     let total = all.len();
     let kept: Vec<Diagnostic> = all

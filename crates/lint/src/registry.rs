@@ -1,5 +1,5 @@
 //! The open lint-rule registry: the generic [`Registry`] over
-//! [`LintRule`]s, so downstream crates add or override rules without
+//! [`LintRule`] rows, so downstream crates add or override rules without
 //! touching `janus-lint`.
 
 use crate::rules::{self, Diagnostic, LintConfig};
@@ -7,15 +7,16 @@ use crate::SourceFile;
 use janus_simcore::registry::{Entry, Registry};
 use std::sync::Arc;
 
-/// An object-safe lint rule: a named single-pass check over one file.
-pub trait LintRule: Send + Sync {
+/// A lint rule: a named single-pass check over one file.
+#[derive(Debug)]
+pub struct LintRule {
     /// Registry key (`janus list` name, directive name, baseline key).
-    fn name(&self) -> &str;
+    pub name: &'static str,
     /// One-line description for `janus list`.
-    fn describe(&self) -> &str;
+    pub describe: &'static str,
     /// Append findings for one file. Suppression (directives, baseline) is
     /// the driver's job; rules report every syntactic hit.
-    fn check(&self, file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>);
+    pub check: fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>),
 }
 
 /// Ordered, open registry of lint rules.
@@ -23,44 +24,44 @@ pub trait LintRule: Send + Sync {
 /// Order is respected everywhere rules are enumerated (`janus list`,
 /// diagnostics of one line), and `register` replaces an existing rule *in
 /// place* so overriding a built-in keeps its position.
-pub type LintRegistry = Registry<dyn LintRule>;
+pub type LintRegistry = Registry<LintRule>;
 
-impl Entry for dyn LintRule {
+impl Entry for LintRule {
     const NOUN: &'static str = "lint rule";
 
     fn key(&self) -> &str {
-        self.name()
+        self.name
     }
 
     /// The six built-in rules, in reporting order.
     fn builtins(registry: &mut LintRegistry) {
-        let builtins: [FnRule; 6] = [
-            FnRule {
+        let builtins: [LintRule; 6] = [
+            LintRule {
                 name: "nondeterminism",
                 describe: "wall-clock/env reads, and HashMap/HashSet in simulation-state crates",
                 check: rules::nondeterminism,
             },
-            FnRule {
+            LintRule {
                 name: "hot-path-alloc",
                 describe: "allocation-shaped calls inside the configured hot-path functions",
                 check: rules::hot_path_alloc,
             },
-            FnRule {
+            LintRule {
                 name: "unwrap-discipline",
                 describe: "no .unwrap()/.expect() in non-test library code",
                 check: rules::unwrap_discipline,
             },
-            FnRule {
+            LintRule {
                 name: "float-cmp",
                 describe: "no ==/!= against float literals",
                 check: rules::float_cmp,
             },
-            FnRule {
+            LintRule {
                 name: "emit-discipline",
                 describe: "observer records constructed only through emit!",
                 check: rules::emit_discipline,
             },
-            FnRule {
+            LintRule {
                 name: "unused-pub",
                 describe: "pub fns that no other crate, test, example or perfbench names",
                 check: rules::unused_pub,
@@ -69,27 +70,6 @@ impl Entry for dyn LintRule {
         for rule in builtins {
             registry.register(Arc::new(rule));
         }
-    }
-}
-
-/// A rule that is a plain check function.
-struct FnRule {
-    name: &'static str,
-    describe: &'static str,
-    check: fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>),
-}
-
-impl LintRule for FnRule {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn describe(&self) -> &str {
-        self.describe
-    }
-
-    fn check(&self, file: &SourceFile, config: &LintConfig, out: &mut Vec<Diagnostic>) {
-        (self.check)(file, config, out);
     }
 }
 
@@ -120,9 +100,43 @@ mod tests {
     }
 
     #[test]
+    fn builtin_rows_report_under_their_own_names() {
+        // One file that trips four of the six rules: every row's check fn
+        // must label its findings with the row's name, since directives and
+        // the baseline match on that label.
+        let src = "\
+fn f(x: Option<f64>, at: u64, kind: u8) -> bool {
+    let _t = Instant::now();
+    let _r = Record { at, kind };
+    x.unwrap() == 0.5
+}
+";
+        let file = SourceFile::parse("crates/core/src/a.rs", src).unwrap();
+        let config = LintConfig::workspace_default();
+        let mut fired = Vec::new();
+        for rule in LintRegistry::with_builtins().iter() {
+            let mut out = Vec::new();
+            (rule.check)(&file, &config, &mut out);
+            assert!(out.iter().all(|d| d.rule == rule.name), "{out:?}");
+            if !out.is_empty() {
+                fired.push(rule.name);
+            }
+        }
+        assert_eq!(
+            fired,
+            [
+                "nondeterminism",
+                "unwrap-discipline",
+                "float-cmp",
+                "emit-discipline"
+            ]
+        );
+    }
+
+    #[test]
     fn custom_rules_append_and_overrides_keep_position() {
         let mut registry = LintRegistry::with_builtins();
-        registry.register(Arc::new(FnRule {
+        registry.register(Arc::new(LintRule {
             name: "no-todo",
             describe: "flags TODO comments",
             check: |file, _config, out| {
@@ -153,14 +167,14 @@ mod tests {
         );
 
         // Replacing a built-in keeps its slot.
-        registry.register(Arc::new(FnRule {
+        registry.register(Arc::new(LintRule {
             name: "float-cmp",
             describe: "stricter float rule",
             check: |_f, _c, _o| {},
         }));
         assert_eq!(registry.names()[3], "float-cmp");
         assert_eq!(
-            registry.get("float-cmp").unwrap().describe(),
+            registry.get("float-cmp").unwrap().describe,
             "stricter float rule"
         );
         assert_eq!(registry.len(), 7);

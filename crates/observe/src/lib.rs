@@ -803,11 +803,15 @@ impl Entry for dyn ObserverFactory {
     /// The built-in observers, cheapest first: `ring`, `trace`, `spans`,
     /// `time-series`, `flight-recorder`.
     fn builtins(registry: &mut ObserverRegistry) {
-        registry.register(Arc::new(RingFactory));
-        registry.register(Arc::new(TraceFactory));
-        registry.register(Arc::new(SpanFactory));
-        registry.register(Arc::new(TimeSeriesFactory));
-        registry.register(Arc::new(FlightRecorderFactory));
+        registry.register_fn("ring", |_ctx| Ok(Box::new(RingObserver::default())));
+        registry.register_fn("trace", |ctx| Ok(Box::new(TraceObserver::new(ctx))));
+        registry.register_fn("spans", |_ctx| Ok(Box::new(SpanObserver::default())));
+        registry.register_fn("time-series", |_ctx| {
+            Ok(Box::new(TimeSeriesObserver::default()))
+        });
+        registry.register_fn("flight-recorder", |ctx| {
+            Ok(Box::new(FlightRecorder::new(ctx)))
+        });
     }
 }
 
@@ -915,18 +919,6 @@ impl Observer for RingObserver {
             records_kept: self.buffer.len() as u64,
             ..ObserverReport::default()
         }
-    }
-}
-
-#[derive(Debug)]
-struct RingFactory;
-
-impl ObserverFactory for RingFactory {
-    fn name(&self) -> &str {
-        "ring"
-    }
-    fn build(&self, _ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        Ok(Box::new(RingObserver::default()))
     }
 }
 
@@ -1144,18 +1136,6 @@ impl Observer for TraceObserver {
     }
 }
 
-#[derive(Debug)]
-struct TraceFactory;
-
-impl ObserverFactory for TraceFactory {
-    fn name(&self) -> &str {
-        "trace"
-    }
-    fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        Ok(Box::new(TraceObserver::new(ctx)))
-    }
-}
-
 /// Span-building observer: derives per-request phase breakdowns.
 #[derive(Debug, Clone, Default)]
 pub struct SpanObserver {
@@ -1181,18 +1161,6 @@ impl Observer for SpanObserver {
             spans: Some(self.builder.summary()),
             ..ObserverReport::default()
         }
-    }
-}
-
-#[derive(Debug)]
-struct SpanFactory;
-
-impl ObserverFactory for SpanFactory {
-    fn name(&self) -> &str {
-        "spans"
-    }
-    fn build(&self, _ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        Ok(Box::new(SpanObserver::default()))
     }
 }
 
@@ -1225,18 +1193,6 @@ impl Observer for TimeSeriesObserver {
             time_series: Some(std::mem::take(&mut self.series)),
             ..ObserverReport::default()
         }
-    }
-}
-
-#[derive(Debug)]
-struct TimeSeriesFactory;
-
-impl ObserverFactory for TimeSeriesFactory {
-    fn name(&self) -> &str {
-        "time-series"
-    }
-    fn build(&self, _ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        Ok(Box::new(TimeSeriesObserver::default()))
     }
 }
 
@@ -1289,18 +1245,6 @@ impl Observer for FlightRecorder {
             spans: Some(self.builder.summary()),
             time_series: Some(std::mem::take(&mut self.series)),
         }
-    }
-}
-
-#[derive(Debug)]
-struct FlightRecorderFactory;
-
-impl ObserverFactory for FlightRecorderFactory {
-    fn name(&self) -> &str {
-        "flight-recorder"
-    }
-    fn build(&self, ctx: &ObserverContext) -> Result<Box<dyn Observer>, String> {
-        Ok(Box::new(FlightRecorder::new(ctx)))
     }
 }
 
@@ -1364,6 +1308,33 @@ mod tests {
         };
         let err = registry.build("ring", &bad).map(|_| ()).unwrap_err();
         assert!(err.contains("at least one request"), "got: {err}");
+    }
+
+    #[test]
+    fn builtin_rows_build_observers_that_report_under_their_row_name() {
+        let registry = ObserverRegistry::with_builtins();
+        for name in registry.names() {
+            let mut observer = registry.build(name, &ctx()).unwrap();
+            assert_eq!(observer.name(), name);
+            assert_eq!(observer.finish().observer, name);
+        }
+    }
+
+    #[test]
+    fn every_build_is_a_fresh_observer() {
+        // Paired comparisons build one observer per policy run: state
+        // recorded by one build must not show up in the next.
+        let registry = ObserverRegistry::with_builtins();
+        for name in registry.names() {
+            let mut first = registry.build(name, &ctx()).unwrap();
+            first.record(&Record {
+                at: at(1.0),
+                kind: RecordKind::Arrival { request: 0 },
+            });
+            let mut second = registry.build(name, &ctx()).unwrap();
+            assert_eq!(second.finish().records_seen, 0, "{name}");
+            assert_eq!(first.finish().records_seen, 1, "{name}");
+        }
     }
 
     #[test]

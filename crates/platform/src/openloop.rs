@@ -853,7 +853,7 @@ impl FaultRuntime {
             // drained out just before its preemption deadline).
             if let Ok(pods) = fleet.cluster.crash_node(node) {
                 self.nodes_lost += 1;
-                lost.extend(pods.into_iter().map(|(pod, _)| pod));
+                lost.extend(pods);
             }
         }
         if fleet.cluster.node_count() != before {

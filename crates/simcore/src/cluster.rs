@@ -256,11 +256,11 @@ impl Cluster {
 
     /// Abruptly kill a node: every hosted pod is lost on the spot (no
     /// draining), the node retires immediately and its [`NodeId`] is never
-    /// reused. Returns the `(pod, function)` pairs that were lost, sorted by
-    /// pod, so the caller can fail or retry the in-flight work and drop the
-    /// pods from any warm-pool tracking. Crashing a draining node is
+    /// reused. Returns the pods that were lost, sorted, so the caller can
+    /// fail or retry the in-flight work and drop the pods from any warm-pool
+    /// tracking. Crashing a draining node is
     /// allowed; retired or unknown nodes are an error.
-    pub fn crash_node(&mut self, id: NodeId) -> SimResult<Vec<(PodId, String)>> {
+    pub fn crash_node(&mut self, id: NodeId) -> SimResult<Vec<PodId>> {
         let idx = id.0 as usize;
         match self.states.get(idx) {
             None => return Err(SimError::UnknownEntity(format!("{id}"))),
@@ -272,21 +272,18 @@ impl Cluster {
             }
             Some(NodeState::Active) | Some(NodeState::Draining) => {}
         }
-        let mut lost: Vec<(PodId, FunctionId)> = self
+        let mut lost: Vec<PodId> = self
             .pods
             .iter()
             .filter(|(_, p)| p.node == idx)
-            .map(|(pod, p)| (*pod, p.function))
+            .map(|(pod, _)| *pod)
             .collect();
-        lost.sort_by_key(|(pod, _)| *pod);
-        for (pod, _) in &lost {
+        lost.sort_unstable();
+        for pod in &lost {
             self.detach(*pod);
         }
         self.states[idx] = NodeState::Retired;
-        Ok(lost
-            .into_iter()
-            .map(|(pod, function)| (pod, self.functions.name(function).to_string()))
-            .collect())
+        Ok(lost)
     }
 
     /// Start draining a node: it accepts no new placements and retires as
@@ -855,11 +852,8 @@ mod tests {
         c.place(PodId(1), "od", Millicores::new(2000)).unwrap();
         c.place(PodId(2), "qa", Millicores::new(1000)).unwrap();
         let victim = c.node_of(PodId(1)).unwrap();
-        let mut lost = c.crash_node(victim).unwrap();
-        lost.sort_by_key(|(pod, _)| *pod);
-        assert_eq!(lost.len(), 1);
-        assert_eq!(lost[0].0, PodId(1));
-        assert_eq!(lost[0].1, "od");
+        let lost = c.crash_node(victim).unwrap();
+        assert_eq!(lost, vec![PodId(1)]);
         // The pod is gone, the node is retired, its allocation released.
         assert_eq!(c.node_of(PodId(1)), None);
         assert_eq!(c.node_state(victim), Some(NodeState::Retired));
@@ -877,6 +871,17 @@ mod tests {
         let lost = c.crash_node(survivor).unwrap();
         assert_eq!(lost.len(), 1);
         assert_eq!(c.total_allocated().get(), 0);
+    }
+
+    #[test]
+    fn crashing_an_empty_node_retires_it_and_loses_nothing() {
+        let mut c = zoned(2, 2);
+        assert_eq!(c.crash_node(NodeId(0)), Ok(Vec::new()));
+        assert_eq!(c.node_state(NodeId(0)), Some(NodeState::Retired));
+        assert_eq!(c.active_node_count(), 1);
+        // Placement now lands on the survivor only.
+        c.place(PodId(1), "od", Millicores::new(1000)).unwrap();
+        assert_eq!(c.node_of(PodId(1)), Some(NodeId(1)));
     }
 
     #[test]
@@ -1037,8 +1042,10 @@ mod tests {
         let victim = c.node_of(ids[1]).unwrap();
         let lost = c.crash_node(victim).unwrap();
         assert!(!lost.is_empty());
-        assert!(lost.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(lost.iter().all(|(pod, f)| ids.contains(pod) && f == "qa"));
+        assert!(lost.windows(2).all(|w| w[0] < w[1]));
+        assert!(lost
+            .iter()
+            .all(|pod| ids.contains(pod) && c.node_of(*pod).is_none()));
     }
 
     #[test]
@@ -1110,7 +1117,7 @@ mod tests {
                         let node = NodeId(rng.int_range(0, by_name.nodes.len() as u64) as u32);
                         let lost = by_name.crash_node(node);
                         assert_eq!(lost, by_id.crash_node(node), "{at}");
-                        for (pod, _) in lost.unwrap_or_default() {
+                        for pod in lost.unwrap_or_default() {
                             placed.retain(|p| *p != pod);
                             crashed += 1;
                         }

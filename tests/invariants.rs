@@ -871,9 +871,9 @@ fn placement_matches_a_brute_force_recount() {
                         None | Some(NodeState::Retired) => assert!(got.is_err()),
                         Some(_) => {
                             let node = &mut r.nodes[idx];
-                            let lost: Vec<(PodId, String)> = std::mem::take(&mut node.pods)
-                                .into_iter()
-                                .map(|(pod, (f, _))| (PodId(pod), f.to_string()))
+                            let lost: Vec<PodId> = std::mem::take(&mut node.pods)
+                                .into_keys()
+                                .map(PodId)
                                 .collect();
                             node.state = NodeState::Retired;
                             assert_eq!(got, Ok(lost), "case {case} step {step}");
