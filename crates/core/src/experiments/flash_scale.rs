@@ -3,7 +3,7 @@
 //!
 //! Every arrival is drawn lazily from a merged set of per-tenant
 //! flash-crowd streams as simulated time advances — one buffered head per
-//! stream, one pending arrival in the event queue, nothing else resident.
+//! stream, one arrival held beside the event queue, nothing else resident.
 //! Outcomes are folded into running sums the moment they complete and then
 //! dropped, so the paper-scale run serves 100 million requests while the
 //! peak number of materialized arrivals stays at `streams + 1`. The run
@@ -110,7 +110,7 @@ pub struct FlashScaleResult {
     /// Mean end-to-end latency of served requests, in ms.
     pub mean_served_e2e_ms: f64,
     /// Peak number of arrivals materialized at once: the buffered stream
-    /// heads plus the one pending arrival in the event queue. Bounded by
+    /// heads plus the one arrival held beside the event queue. Bounded by
     /// `streams + 1` regardless of `requests` — the invariant under test.
     pub peak_resident_arrivals: usize,
     /// Peak event-queue depth of the run.

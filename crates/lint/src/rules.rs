@@ -68,7 +68,7 @@ impl LintConfig {
     /// The workspace's own configuration: the five simulation-state crates,
     /// the per-event serving loops + `emit!` + metrics handles + the
     /// streaming-summary fold + placement, warm-pool, adapter-decision and
-    /// event-queue calls + the flight
+    /// event-queue calls + the in-place arrival draws + the flight
     /// recorder's per-record path as hot paths, and `Record` construction
     /// confined to observe and the macro.
     pub fn workspace_default() -> Self {
@@ -94,6 +94,7 @@ impl LintConfig {
                 hot("platform/src/openloop.rs", "run_streaming"),
                 hot("platform/src/openloop.rs", "run_traced"),
                 hot("platform/src/openloop.rs", "start_function"),
+                hot("platform/src/openloop.rs", "draw_arrival"),
                 hot("platform/src/openloop.rs", "capacity_tick"),
                 hot("platform/src/openloop.rs", "deliver_faults"),
                 // The closed-loop serving path: the run, whose per-request
@@ -131,9 +132,13 @@ impl LintConfig {
                 hot("synthesizer/src/hints.rs", "lookup"),
                 hot("synthesizer/src/hints.rs", "table_after"),
                 // The event queue: every event is scheduled and popped once.
-                hot("simcore/src/event.rs", "schedule_class"),
+                hot("simcore/src/event.rs", "schedule"),
                 hot("simcore/src/event.rs", "pop"),
                 hot("simcore/src/engine.rs", "next_event"),
+                hot("simcore/src/engine.rs", "step"),
+                // Arrival draws: every arrival refills a recycled input in
+                // place (the generator's draw and the slice's copy).
+                hot("workloads/src/request.rs", "next_request_into"),
                 // The flight recorder's per-record path: every observer's
                 // `record`, the trace line writers and the span table.
                 hot("observe/src/lib.rs", "record"),

@@ -18,19 +18,24 @@
 //!
 //! ## Streaming arrivals
 //!
-//! Arrivals are pulled lazily from a [`RequestSource`]: the event queue
-//! holds **one pending arrival per source** (plus in-flight completions and
-//! the capacity tick), not the whole request set. Popping an arrival
-//! immediately draws and schedules the source's next one, so a run over a
-//! lazy generator completes in memory bounded by in-flight work regardless
-//! of the request count — the regime the `flash_scale` experiment proves at
-//! 10⁸ requests. Arrivals are scheduled in a lower tie-break class than
-//! completions and ticks, which provably reproduces the pop order of the
-//! historical pre-seeded queue (where arrivals always carried the globally
-//! smallest sequence numbers), so streaming and materialized runs are
-//! bit-identical. The slice-backed entry points ([`run`] and friends) wrap
-//! their requests in a [`SliceSource`] and serve them through the same lazy
-//! core.
+//! Arrivals are pulled lazily from a [`RequestSource`], one at a time: the
+//! source's next arrival is held **beside** the event queue, which holds
+//! only in-flight completions and the capacity tick. Serving an arrival
+//! first draws the source's next one, so a run over a lazy generator
+//! completes in memory bounded by in-flight work regardless of the request
+//! count — the regime the `flash_scale` experiment proves at 10⁸ requests.
+//! The engine delivers the held arrival ahead of every queued event at or
+//! after its instant ([`Engine::hold`]), which provably reproduces the pop
+//! order of the historical pre-seeded queue (where arrivals always carried
+//! the globally smallest sequence numbers), so streaming and materialized
+//! runs are bit-identical. The held arrival still counts as one processed
+//! event and as one pending event in the queue-depth statistics.
+//!
+//! Each draw refills a recycled [`RequestInput`]: served, shed and failed
+//! requests return theirs to the arena's spare list, so a steady-state
+//! arrival neither cycles through the heap nor allocates. The slice-backed
+//! entry points ([`run`] and friends) wrap their requests in a
+//! [`SliceSource`] and serve them through the same lazy core.
 //!
 //! ## Capacity control
 //!
@@ -51,7 +56,7 @@ use crate::policy::SizingPolicy;
 use janus_chaos::{FaultAction, FaultEvent, FaultSchedule};
 use janus_observe::{Observer, Record, RecordKind, TickSample};
 use janus_simcore::cluster::{Cluster, NodeState};
-use janus_simcore::engine::{Engine, EngineConfig};
+use janus_simcore::engine::{Engine, EngineConfig, Step};
 use janus_simcore::idmap::{IdMap, IdSet};
 use janus_simcore::node::NodeId;
 use janus_simcore::pod::PodId;
@@ -65,24 +70,14 @@ use janus_workloads::workflow::Workflow;
 /// size, place and run a function through the same step.
 pub type OpenLoopConfig = ExecutorConfig;
 
-/// Tie-break class of arrival events: a same-timestamp arrival pops before
-/// any completion or tick, exactly as in the pre-seeded queue where
-/// arrivals carried the globally smallest sequence numbers.
-const CLASS_ARRIVAL: u8 = 0;
-/// Tie-break class of follow-up work scheduled from inside the run
-/// (function completions, capacity ticks).
-const CLASS_FOLLOWUP: u8 = 1;
-
+/// A queued event. Arrivals are held beside the queue, not in it, so every
+/// queued event is follow-up work scheduled from inside the run.
 #[derive(Debug, Clone)]
 enum Event {
-    Arrival(RequestInput),
-    FunctionComplete {
-        request_id: u64,
-        index: usize,
-        pod: PodId,
-        exec: SimDuration,
-        elapsed: SimDuration,
-    },
+    /// The in-progress function of `request_id` finished on `pod`; the rest
+    /// of the attempt's state lives in the request's [`InFlight`] entry. The
+    /// pod filters out completions from pods lost to a fault.
+    FunctionComplete { request_id: u64, pod: PodId },
     /// Periodic capacity evaluation: recycle idle pods, retarget the warm
     /// pool, and let the autoscaler act. Only scheduled when the run has
     /// [`CapacityControls`].
@@ -343,9 +338,7 @@ impl<'c> ControlLoop<'c> {
         }
         // Keep ticking while anything can still happen.
         if arena.engine.pending() > 0 || !arena.inflight.is_empty() {
-            arena
-                .engine
-                .schedule_in_class(self.cadence, CLASS_FOLLOWUP, Event::CapacityTick);
+            arena.engine.schedule_in(self.cadence, Event::CapacityTick);
         }
     }
 
@@ -395,6 +388,11 @@ struct InFlight {
     /// When the in-progress function attempt started (its wall time still
     /// counts against the request if a fault voids the attempt).
     current_started: SimTime,
+    /// Execution time of the in-progress attempt.
+    current_exec: SimDuration,
+    /// Execution plus startup delay of the in-progress attempt: what its
+    /// completion adds to `e2e`.
+    current_elapsed: SimDuration,
 }
 
 /// Reusable simulation state for paired open-loop runs.
@@ -402,15 +400,21 @@ struct InFlight {
 /// A paired session replays the same request set under several policies;
 /// each run used to build a fresh engine heap and in-flight table. The
 /// arena keeps those allocations alive across runs (the engine's
-/// [`reset`](Engine::reset) retains its heap capacity) and exposes the
-/// run statistics — events processed, peak queue depth — that perfbench
-/// reports.
+/// [`reset`](Engine::reset) retains its heap capacity), holds the source's
+/// next arrival beside the event queue together with the spare inputs
+/// later draws refill, and exposes the run statistics — events processed,
+/// peak queue depth — that perfbench reports.
 #[derive(Debug)]
 pub struct OpenLoopArena {
     engine: Engine<Event>,
     /// Keyed by request id; only probed, counted, or collected and sorted
     /// (`deliver_faults`), so its order never reaches an output.
     inflight: IdMap<u64, InFlight>,
+    /// The source's next arrival; the engine holds its firing time.
+    arrival: Option<RequestInput>,
+    /// Inputs of finished, shed and failed requests, refilled in place by
+    /// later draws.
+    spare: Vec<RequestInput>,
     peak_resident: usize,
 }
 
@@ -433,23 +437,27 @@ impl OpenLoopArena {
         OpenLoopArena {
             engine: Engine::new(config),
             inflight: IdMap::default(),
+            arrival: None,
+            spare: Vec::new(),
             peak_resident: 0,
         }
     }
 
-    /// Events processed by the most recent run.
+    /// Events processed by the most recent run, each served arrival among
+    /// them.
     pub fn events_processed(&self) -> u64 {
         self.engine.processed()
     }
 
-    /// Peak event-queue depth of the most recent run.
+    /// Peak event-queue depth of the most recent run, counting the arrival
+    /// held beside the queue.
     pub fn peak_queue_depth(&self) -> usize {
         self.engine.peak_pending()
     }
 
     /// Peak number of arrivals held materialized at once during the most
     /// recent run: the requests resident inside the source plus the one
-    /// pending arrival in the event queue. Slice-backed runs report ≈ the
+    /// arrival held beside the event queue. Slice-backed runs report ≈ the
     /// request count (the slice is already in memory); streaming runs
     /// report ≈ the stream count — the bounded-memory invariant.
     pub fn peak_resident_arrivals(&self) -> usize {
@@ -572,8 +580,8 @@ impl OpenLoopSimulation {
     }
 
     /// The streaming core behind every entry point: arrivals are drawn from
-    /// `source` one at a time as simulated time advances (one pending
-    /// arrival in the queue while the source has more), and every finished
+    /// `source` one at a time as simulated time advances (one arrival held
+    /// beside the queue while the source has more), and every finished
     /// request is handed to `on_outcome` in completion order and then
     /// dropped — nothing is retained per request, so aggregating callers
     /// run 10⁸-request workloads in memory bounded by in-flight work. The
@@ -592,63 +600,43 @@ impl OpenLoopSimulation {
     ) -> Result<Option<CapacityReport>, String> {
         arena.engine.reset();
         arena.inflight.clear();
+        // A truncated run (event cap, horizon) can end with an arrival held.
+        arena.spare.extend(arena.arrival.take());
         arena.peak_resident = 0;
         // The fleet's tally is flushed into `metrics` when the fleet is
         // dropped: when the run ends, or at an early error return.
         let mut fleet = Fleet::new(&self.workflow, &self.config, metrics, observer);
         let mut control = controls.map(|c| ControlLoop::new(c, fleet.cluster.node_count()));
 
-        // Lazy arrival discipline: exactly one pending arrival sits in the
-        // queue while the source has more to give. CLASS_ARRIVAL keeps a
-        // same-timestamp arrival ahead of completions and ticks scheduled
-        // before it, reproducing the pre-seeded pop order bit-for-bit.
-        let mut drawn: usize = 0;
-        if let Some(req) = source.next_request(&self.workflow) {
-            drawn += 1;
-            arena.peak_resident = arena.peak_resident.max(source.resident() + 1);
-            arena
-                .engine
-                .schedule_at_class(
-                    SimTime::ZERO + req.arrival_offset,
-                    CLASS_ARRIVAL,
-                    Event::Arrival(req),
-                )
-                .map_err(arrival_order_error)?;
-        }
+        // Lazy arrival discipline: the source's next arrival is held beside
+        // the queue while the source has more, and the engine delivers it
+        // ahead of same-timestamp completions and ticks, reproducing the
+        // pre-seeded pop order bit-for-bit.
+        let mut drawn = usize::from(arena.draw_arrival(source, &self.workflow)?);
         if let Some(c) = &control {
-            arena
-                .engine
-                .schedule_in_class(c.cadence, CLASS_FOLLOWUP, Event::CapacityTick);
+            arena.engine.schedule_in(c.cadence, Event::CapacityTick);
         }
 
         // The event loop is written iteratively (rather than via Engine::run)
         // because each event needs mutable access to the policy, pool and
         // cluster in addition to the engine.
-        while let Some(ev) = arena.engine.next_event() {
+        while let Some(step) = arena.engine.step() {
             let now = arena.engine.now();
             // Bill elapsed node-seconds at the pre-event fleet size; every
             // fleet change happens inside an event.
             if let Some(c) = control.as_mut() {
                 c.accounting.bill(now, fleet.cluster.node_count());
             }
-            match ev.payload {
-                Event::Arrival(input) => {
+            match step {
+                Step::Held => {
+                    let Some(input) = arena.arrival.take() else {
+                        unreachable!("the engine holds an event only while an arrival is held");
+                    };
                     // Refill before serving: the source's next arrival (if
-                    // any) must be pending before anything can observe the
-                    // queue, keeping the one-pending-arrival invariant and
+                    // any) must be held before anything can observe the
+                    // queue, keeping the one-held-arrival invariant and
                     // the tick reschedule condition exact.
-                    if let Some(next) = source.next_request(&self.workflow) {
-                        drawn += 1;
-                        arena.peak_resident = arena.peak_resident.max(source.resident() + 1);
-                        arena
-                            .engine
-                            .schedule_at_class(
-                                SimTime::ZERO + next.arrival_offset,
-                                CLASS_ARRIVAL,
-                                Event::Arrival(next),
-                            )
-                            .map_err(arrival_order_error)?;
-                    }
+                    drawn += usize::from(arena.draw_arrival(source, &self.workflow)?);
                     emit!(
                         fleet.observer,
                         now,
@@ -668,6 +656,7 @@ impl OpenLoopSimulation {
                             fleet.tally.shed += 1;
                             emit!(fleet.observer, now, RecordKind::Shed { request: input.id });
                             on_outcome(RequestOutcome::shed(input.id));
+                            arena.spare.push(input);
                             continue;
                         }
                     }
@@ -692,10 +681,12 @@ impl OpenLoopSimulation {
                                 Vec::new(),
                                 Vec::new(),
                             ));
+                            arena.spare.push(input);
                             continue;
                         }
                     }
                     policy.on_admit(&fleet.context(input.id));
+                    let request_id = input.id;
                     let state = InFlight {
                         input,
                         started_at: now,
@@ -706,8 +697,9 @@ impl OpenLoopSimulation {
                         current_pod: None,
                         current_index: 0,
                         current_started: now,
+                        current_exec: SimDuration::ZERO,
+                        current_elapsed: SimDuration::ZERO,
                     };
-                    let request_id = state.input.id;
                     arena.inflight.insert(request_id, state);
                     if let Some(c) = control.as_mut() {
                         c.accounting.peak_inflight =
@@ -716,13 +708,7 @@ impl OpenLoopSimulation {
                     let faults = control.as_ref().and_then(|c| c.faults.as_ref());
                     arena.start_function(&mut fleet, policy, request_id, 0, now, faults);
                 }
-                Event::FunctionComplete {
-                    request_id,
-                    index,
-                    pod,
-                    exec,
-                    elapsed,
-                } => {
+                Step::Queued(Event::FunctionComplete { request_id, pod }) => {
                     if let Some(rt) = control.as_mut().and_then(|c| c.faults.as_mut()) {
                         if rt.lost_pods.remove(&pod) {
                             // Stale completion of a pod lost to a fault; the
@@ -731,19 +717,18 @@ impl OpenLoopSimulation {
                             continue;
                         }
                     }
+                    let state = arena
+                        .inflight
+                        .get_mut(&request_id)
+                        // janus-lint: allow(unwrap-discipline) — completions only fire for requests this loop inserted; fault loss is filtered above
+                        .expect("in-flight request");
+                    let (index, exec) = (state.current_index, state.current_exec);
+                    state.e2e += state.current_elapsed;
+                    state.latencies.push(exec);
+                    let finished = state.latencies.len() == self.workflow.len();
                     // Un-placing the pod may also retire a draining node.
                     fleet.finish(policy, request_id, index, pod, exec, now);
-                    let finished_len = {
-                        let state = arena
-                            .inflight
-                            .get_mut(&request_id)
-                            // janus-lint: allow(unwrap-discipline) — completions only fire for requests this loop inserted; fault loss is filtered above
-                            .expect("in-flight request");
-                        state.e2e += elapsed;
-                        state.latencies.push(exec);
-                        state.latencies.len()
-                    };
-                    if finished_len == self.workflow.len() {
+                    if finished {
                         let state = arena
                             .inflight
                             .remove(&request_id)
@@ -756,6 +741,7 @@ impl OpenLoopSimulation {
                             state.latencies,
                             now,
                         ));
+                        arena.spare.push(state.input);
                     } else {
                         let faults = control.as_ref().and_then(|c| c.faults.as_ref());
                         arena.start_function(
@@ -768,7 +754,7 @@ impl OpenLoopSimulation {
                         );
                     }
                 }
-                Event::CapacityTick => {
+                Step::Queued(Event::CapacityTick) => {
                     // Only ever scheduled by a run with controls.
                     if let Some(c) = control.as_mut() {
                         c.capacity_tick(policy, &mut fleet, arena, &*source, &mut *on_outcome, now);
@@ -928,6 +914,7 @@ impl FaultRuntime {
                     state.allocations,
                     state.latencies,
                 ));
+                arena.spare.push(state.input);
             }
         }
     }
@@ -958,22 +945,41 @@ impl OpenLoopArena {
         if let Some(rt) = fault_rt {
             exec = exec * rt.slow_factor(started.node, now);
         }
+        let elapsed = exec + started.startup;
         state.allocations.push(started.size);
         state.current_pod = Some(started.pod);
         state.current_index = index;
         state.current_started = now;
-        let elapsed = exec + started.startup;
-        self.engine.schedule_in_class(
+        state.current_exec = exec;
+        state.current_elapsed = elapsed;
+        self.engine.schedule_in(
             elapsed,
-            CLASS_FOLLOWUP,
             Event::FunctionComplete {
                 request_id,
-                index,
                 pod: started.pod,
-                exec,
-                elapsed,
             },
         );
+    }
+
+    /// Draw `source`'s next arrival into a recycled input and hold it
+    /// beside the event queue. Returns whether the source had one; fails if
+    /// it lies behind the clock (sources yield non-decreasing offsets).
+    fn draw_arrival(
+        &mut self,
+        source: &mut dyn RequestSource,
+        workflow: &Workflow,
+    ) -> Result<bool, String> {
+        let mut input = self.spare.pop().unwrap_or_default();
+        if !source.next_request_into(workflow, &mut input) {
+            self.spare.push(input);
+            return Ok(false);
+        }
+        self.peak_resident = self.peak_resident.max(source.resident() + 1);
+        self.engine
+            .hold(SimTime::ZERO + input.arrival_offset)
+            .map_err(arrival_order_error)?;
+        self.arrival = Some(input);
+        Ok(true)
     }
 }
 
@@ -1845,7 +1851,7 @@ mod tests {
                 .unwrap();
             assert_eq!(materialized, streamed, "seed {seed}: streams must replay");
             assert_eq!(arena.events_processed(), slice_events);
-            // Bounded memory: one pending arrival, nothing resident in the
+            // Bounded memory: one held arrival, nothing resident in the
             // generator — and the queue never holds the whole request set.
             assert_eq!(arena.peak_resident_arrivals(), 1);
             assert!(
@@ -1944,8 +1950,8 @@ mod tests {
         #[derive(Debug)]
         struct Unsorted(std::vec::IntoIter<RequestInput>);
         impl RequestSource for Unsorted {
-            fn next_request(&mut self, _: &Workflow) -> Option<RequestInput> {
-                self.0.next()
+            fn next_request_into(&mut self, _: &Workflow, slot: &mut RequestInput) -> bool {
+                self.0.next().map(|request| *slot = request).is_some()
             }
             fn resident(&self) -> usize {
                 self.0.len()
@@ -1975,7 +1981,10 @@ mod tests {
                 &mut |_| completions += 1,
             )
             .unwrap_err();
-        assert!(err.contains("out-of-order"), "{err}");
+        assert!(
+            err.starts_with("request source yielded an out-of-order arrival: "),
+            "{err}"
+        );
         // Everything tallied before the error reached the registry:
         // request 29 was never admitted, the ones before it were.
         assert!(completions > 0);
@@ -1993,6 +2002,32 @@ mod tests {
                 .count(),
             functions
         );
+    }
+
+    #[test]
+    fn held_arrivals_count_as_events_and_as_queue_depth() {
+        let ia = intelligent_assistant();
+        let sim = OpenLoopSimulation::new(
+            ia.clone(),
+            ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1),
+        );
+        let n = 25;
+        let mut reqs = RequestInputGenerator::new(4, SimDuration::ZERO).generate(&ia, n);
+        for (i, r) in reqs.iter_mut().enumerate() {
+            // Serial: each request finishes long before the next arrives.
+            r.arrival_offset = SimDuration::from_secs(100.0 * i as f64);
+        }
+        let mut arena = OpenLoopArena::new();
+        let mut p = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
+        let report = sim
+            .run_traced(&mut p, &reqs, &mut arena, None, None, None)
+            .unwrap();
+        assert_eq!(report.served_len(), n);
+        // One arrival and three completions per request.
+        assert_eq!(arena.events_processed(), 4 * n as u64);
+        // At most one completion is queued at a time; the held next arrival
+        // makes the depth two.
+        assert_eq!(arena.peak_queue_depth(), 2);
     }
 
     #[test]
@@ -2014,6 +2049,14 @@ mod tests {
             .run_traced(&mut p, &reqs, &mut capped, None, None, None)
             .unwrap();
         assert!(truncated.len() < 10);
+        assert_eq!(capped.events_processed(), 5, "held arrivals count too");
+        // A capped arena that ends with an arrival held replays the same
+        // truncated run.
+        let mut p = FixedSizingPolicy::uniform("fixed", &ia, Millicores::new(2000)).unwrap();
+        let again = sim
+            .run_traced(&mut p, &reqs, &mut capped, None, None, None)
+            .unwrap();
+        assert_eq!(again, truncated);
         // … and an uncapped arena serves everything.
         let mut uncapped = OpenLoopArena::with_engine_config(EngineConfig {
             max_events: None,

@@ -76,9 +76,9 @@ impl MergedRequestSource {
 }
 
 impl RequestSource for MergedRequestSource {
-    fn next_request(&mut self, workflow: &Workflow) -> Option<RequestInput> {
+    fn next_request_into(&mut self, workflow: &Workflow, slot: &mut RequestInput) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         if !self.primed {
             for stream in &mut self.streams {
@@ -98,12 +98,17 @@ impl RequestSource for MergedRequestSource {
             }
         }
         let stream = &mut self.streams[best];
-        let mut req = stream.head.take()?;
-        stream.head = Some(stream.generator.next_request(workflow));
-        req.id = self.next_id;
+        let Some(head) = stream.head.as_mut() else {
+            return false;
+        };
+        // The head moves into the slot, and the slot's buffer takes the
+        // stream's next draw.
+        std::mem::swap(head, slot);
+        stream.generator.next_request_into(workflow, head);
+        slot.id = self.next_id;
         self.next_id += 1;
         self.remaining -= 1;
-        Some(req)
+        true
     }
 
     fn resident(&self) -> usize {

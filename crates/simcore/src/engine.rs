@@ -5,9 +5,17 @@
 //! events. The platform crate builds the serverless request lifecycle
 //! (arrival → function start → function completion → adaptation → next
 //! function) on top of this loop.
+//!
+//! Besides its queue, the engine can hold **one** event outside it: a lazily
+//! drawn arrival stream keeps only its next arrival's firing time here
+//! ([`Engine::hold`]) and its payload on its own side, so an arrival never
+//! cycles through the heap. [`Engine::step`] delivers the held event ahead
+//! of every queued event at or after its instant; it counts in
+//! [`Engine::processed`], [`Engine::pending`] and [`Engine::peak_pending`]
+//! and against the event cap and the horizon like a queued one.
 
 use crate::error::SimError;
-use crate::event::{EventQueue, ScheduledEvent};
+use crate::event::{key_time, time_key, EventQueue, ScheduledEvent};
 use crate::time::{SimDuration, SimTime};
 use crate::SimResult;
 
@@ -40,6 +48,21 @@ pub struct Engine<E> {
     queue: EventQueue<E>,
     config: EngineConfig,
     processed: u64,
+    /// Time key of the event held outside the queue, if any.
+    held: Option<u64>,
+    /// Peak pending depth (held event included) over the moments an event
+    /// was held; the queue tracks the peak of the others.
+    held_peak: usize,
+}
+
+/// What [`Engine::step`] delivered.
+#[derive(Debug)]
+pub enum Step<E> {
+    /// The event held outside the queue (see [`Engine::hold`]) fired; the
+    /// caller serves the payload it kept.
+    Held,
+    /// A queued event fired.
+    Queued(E),
 }
 
 impl<E> Engine<E> {
@@ -50,6 +73,8 @@ impl<E> Engine<E> {
             queue: EventQueue::new(),
             config,
             processed: 0,
+            held: None,
+            held_peak: 0,
         }
     }
 
@@ -66,6 +91,8 @@ impl<E> Engine<E> {
             queue: EventQueue::with_capacity(capacity),
             config,
             processed: 0,
+            held: None,
+            held_peak: 0,
         }
     }
 
@@ -86,52 +113,79 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of events still pending.
+    /// Number of events still pending, the held one included.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + usize::from(self.held.is_some())
     }
 
-    /// High-water mark of pending events since creation or the last
-    /// [`reset`](Self::reset) — the peak queue depth of the run.
+    /// High-water mark of [`pending`](Self::pending) since creation or the
+    /// last [`reset`](Self::reset) — the peak queue depth of the run.
     pub fn peak_pending(&self) -> usize {
-        self.queue.peak_len()
+        self.queue.peak_len().max(self.held_peak)
     }
 
     /// Schedule `payload` to fire `delay` after the current time.
     pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> u64 {
-        self.queue.schedule(self.now + delay.saturate(), payload)
+        let seq = self.queue.schedule(self.now + delay.saturate(), payload);
+        if self.held.is_some() {
+            self.held_peak = self.held_peak.max(self.queue.len() + 1);
+        }
+        seq
     }
 
-    /// [`schedule_in`](Self::schedule_in) with an explicit tie-break class:
-    /// among same-timestamp events, lower classes pop first regardless of
-    /// insertion order (see [`crate::event`] for when this matters).
-    pub fn schedule_in_class(&mut self, delay: SimDuration, class: u8, payload: E) -> u64 {
-        self.queue
-            .schedule_class(self.now + delay.saturate(), class, payload)
-    }
-
-    /// Schedule `payload` at an absolute instant with an explicit tie-break
-    /// class (see [`schedule_in_class`](Self::schedule_in_class)).
-    /// Scheduling in the past is a logic error and returns
+    /// Hold an event firing at `at` outside the queue; the caller keeps its
+    /// payload. [`step`](Self::step) delivers it ahead of every queued event
+    /// at or after `at` (in `total_cmp` order), which is where an event
+    /// scheduled before all of them would pop. At most one event is held at
+    /// a time. Holding an event in the past is a logic error and returns
     /// [`SimError::TimeTravel`].
-    pub fn schedule_at_class(&mut self, at: SimTime, class: u8, payload: E) -> SimResult<u64> {
+    pub fn hold(&mut self, at: SimTime) -> SimResult<()> {
         if at < self.now {
             return Err(SimError::TimeTravel {
                 now_ms: self.now.as_millis(),
                 requested_ms: at.as_millis(),
             });
         }
-        Ok(self.queue.schedule_class(at, class, payload))
+        debug_assert!(self.held.is_none(), "one event is held at a time");
+        self.held = Some(time_key(at));
+        self.held_peak = self.held_peak.max(self.queue.len() + 1);
+        Ok(())
     }
 
-    /// Pop the next event, advancing the clock to its firing time. Returns
-    /// `None` when the queue is empty, the horizon is reached, or the event
-    /// cap is hit.
-    pub fn next_event(&mut self) -> Option<ScheduledEvent<E>> {
-        if let Some(max) = self.config.max_events {
-            if self.processed >= max {
-                return None;
+    /// Deliver the next event, advancing the clock to its firing time: the
+    /// held event when it fires no later than the queue head, else the
+    /// queue head. Returns `None` when nothing is pending, the horizon is
+    /// reached, or the event cap is hit; the held event then stays held.
+    pub fn step(&mut self) -> Option<Step<E>> {
+        match self.held {
+            Some(held) if self.queue.peek_key().is_none_or(|head| held <= head) => {
+                let at = key_time(held);
+                if self.capped() || self.config.horizon.is_some_and(|horizon| at > horizon) {
+                    return None;
+                }
+                self.held = None;
+                self.now = at;
+                self.processed += 1;
+                Some(Step::Held)
             }
+            _ => self.next_event().map(|ev| Step::Queued(ev.payload)),
+        }
+    }
+
+    /// True once the event cap is reached.
+    fn capped(&self) -> bool {
+        self.config
+            .max_events
+            .is_some_and(|max| self.processed >= max)
+    }
+
+    /// Pop the next queued event, advancing the clock to its firing time.
+    /// Returns `None` when the queue is empty, the horizon is reached, or
+    /// the event cap is hit. A held event is delivered by
+    /// [`step`](Self::step), never here.
+    pub fn next_event(&mut self) -> Option<ScheduledEvent<E>> {
+        if self.capped() {
+            return None;
         }
         if let Some(horizon) = self.config.horizon {
             // Peek before popping: a post-horizon event terminates the run
@@ -163,11 +217,14 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Drop all pending events and reset the clock; reuses the allocation.
+    /// Drop all pending events, the held one included, and reset the clock;
+    /// reuses the allocation.
     pub fn reset(&mut self) {
         self.queue.clear();
         self.now = SimTime::ZERO;
         self.processed = 0;
+        self.held = None;
+        self.held_peak = 0;
     }
 }
 
@@ -221,10 +278,9 @@ mod tests {
         engine.schedule_in(SimDuration::from_millis(10.0), 1);
         engine.next_event();
         assert_eq!(engine.now().as_millis(), 10.0);
-        let err = engine
-            .schedule_at_class(SimTime::from_millis(5.0), 0, 2)
-            .unwrap_err();
+        let err = engine.hold(SimTime::from_millis(5.0)).unwrap_err();
         assert!(matches!(err, SimError::TimeTravel { .. }));
+        assert_eq!(engine.pending(), 0, "a rejected event is not held");
     }
 
     #[test]
@@ -296,15 +352,101 @@ mod tests {
         assert_eq!(engine.peak_pending(), 1);
     }
 
+    /// Drain `engine` through [`Engine::step`], naming held deliveries `H`.
+    fn drain_steps(engine: &mut Engine<u32>) -> Vec<String> {
+        std::iter::from_fn(|| engine.step())
+            .map(|step| match step {
+                Step::Held => "H".to_string(),
+                Step::Queued(n) => n.to_string(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn held_event_fires_before_same_time_queued_events() {
+        // The lazy-arrival discipline: an event held outside the queue pops
+        // ahead of queued events at its instant, even ones scheduled before
+        // it was held, and behind every earlier one.
+        let mut engine: Engine<u32> = Engine::with_defaults();
+        engine.schedule_in(SimDuration::from_millis(5.0), 1);
+        engine.schedule_in(SimDuration::from_millis(5.0), 2);
+        engine.schedule_in(SimDuration::from_millis(1.0), 0);
+        engine.hold(SimTime::from_millis(5.0)).unwrap();
+        assert_eq!(engine.pending(), 4, "the held event is pending");
+        assert_eq!(engine.peak_pending(), 4);
+        let mut order = Vec::new();
+        let mut times = Vec::new();
+        while let Some(step) = engine.step() {
+            order.push(match step {
+                Step::Held => "H".to_string(),
+                Step::Queued(n) => n.to_string(),
+            });
+            times.push(engine.now().as_millis());
+        }
+        assert_eq!(order, ["0", "H", "1", "2"]);
+        assert_eq!(times, [1.0, 5.0, 5.0, 5.0]);
+        assert_eq!(engine.processed(), 4, "a held delivery counts");
+        assert_eq!(engine.pending(), 0);
+    }
+
+    #[test]
+    fn peak_depth_counts_the_held_event() {
+        let mut engine: Engine<u32> = Engine::with_defaults();
+        engine.hold(SimTime::from_millis(10.0)).unwrap();
+        engine.schedule_in(SimDuration::from_millis(1.0), 1);
+        engine.schedule_in(SimDuration::from_millis(2.0), 2);
+        assert_eq!(engine.peak_pending(), 3, "two queued plus the held one");
+        assert_eq!(drain_steps(&mut engine), ["1", "2", "H"]);
+        // With nothing held, the queue's own peak decides.
+        for i in 0..5 {
+            engine.schedule_in(SimDuration::from_millis(f64::from(i)), i);
+        }
+        assert_eq!(engine.peak_pending(), 5);
+    }
+
+    #[test]
+    fn held_steps_honour_the_event_cap_and_the_horizon() {
+        let mut engine: Engine<u32> = Engine::new(EngineConfig {
+            max_events: Some(2),
+            horizon: None,
+        });
+        engine.schedule_in(SimDuration::from_millis(1.0), 1);
+        engine.hold(SimTime::from_millis(2.0)).unwrap();
+        engine.step();
+        engine.schedule_in(SimDuration::from_millis(5.0), 5);
+        engine.step();
+        assert_eq!(engine.processed(), 2);
+        engine.hold(SimTime::from_millis(3.0)).unwrap();
+        assert!(engine.step().is_none(), "the cap stops a held delivery");
+        assert_eq!(engine.pending(), 2, "and leaves it held");
+        assert_eq!(engine.now().as_millis(), 2.0);
+
+        let mut engine: Engine<u32> = Engine::new(EngineConfig {
+            max_events: None,
+            horizon: Some(SimTime::from_millis(3.5)),
+        });
+        engine.schedule_in(SimDuration::from_millis(1.0), 1);
+        engine.hold(SimTime::from_millis(3.5)).unwrap();
+        assert_eq!(drain_steps(&mut engine), ["1", "H"], "at the horizon fires");
+        engine.hold(SimTime::from_millis(4.0)).unwrap();
+        engine.schedule_in(SimDuration::ZERO, 2);
+        assert_eq!(drain_steps(&mut engine), ["2"]);
+        assert!(engine.step().is_none(), "past the horizon stays held");
+        assert_eq!(engine.pending(), 1);
+        assert_eq!(engine.now().as_millis(), 3.5);
+    }
+
     #[test]
     fn reset_clears_state() {
         let mut engine: Engine<u32> = Engine::with_defaults();
         engine.schedule_in(SimDuration::from_millis(1.0), 7);
         engine.next_event();
         engine.schedule_in(SimDuration::from_millis(1.0), 8);
+        engine.hold(SimTime::from_millis(3.0)).unwrap();
         engine.reset();
         assert_eq!(engine.now(), SimTime::ZERO);
         assert_eq!(engine.pending(), 0);
+        assert_eq!(engine.peak_pending(), 0);
         assert_eq!(engine.processed(), 0);
     }
 }

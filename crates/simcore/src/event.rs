@@ -1,26 +1,21 @@
 //! Event queue for the discrete-event engine.
 //!
-//! Events are ordered by firing time; ties are broken first by an explicit
-//! scheduling *class* and then by insertion sequence, so the simulation is
-//! fully deterministic regardless of floating-point equal timestamps.
+//! Events are ordered by firing time; ties are broken by insertion
+//! sequence, so the simulation is fully deterministic regardless of
+//! floating-point equal timestamps.
 //!
-//! Classes exist for one reason: lazily scheduled event streams. A replay
-//! that seeds every arrival up front gives arrivals the globally smallest
-//! sequence numbers, so a same-timestamp arrival always pops before a
-//! completion scheduled later from inside the run. A streaming run that
-//! draws arrivals on demand schedules them *after* in-flight completions,
-//! which would flip those ties. Scheduling arrivals in a lower class than
-//! follow-up work reproduces the seeded pop order exactly; callers that
-//! never mix scheduling disciplines can ignore classes entirely (everything
-//! defaults to class 0, where ordering degenerates to the historical
-//! time-then-sequence rule).
+//! A lazily drawn arrival stream does not go through this queue: the
+//! [`Engine`](crate::engine::Engine) holds the stream's next event beside
+//! it and delivers that event ahead of every queued event at or after its
+//! instant (see [`Engine::hold`](crate::engine::Engine::hold)), which is the
+//! order a queue pre-seeded with every arrival would pop them in.
 //!
 //! Payloads never move while the heap sifts: each pending payload sits in a
 //! slab slot (`Vec<Option<E>>` plus a free-slot list, both kept across
 //! [`EventQueue::clear`]), and the heap orders small `Copy` keys — the firing
-//! time as a `u64` that orders exactly like `f64::total_cmp`, the class, the
-//! sequence number and the slot. A key is 24 bytes whatever the payload, so
-//! a push or pop moves a few words per level instead of a whole event.
+//! time as a `u64` that orders exactly like `f64::total_cmp`, the sequence
+//! number and the slot. A key is 24 bytes whatever the payload, so a push or
+//! pop moves a few words per level instead of a whole event.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -32,21 +27,17 @@ use std::collections::BinaryHeap;
 pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub at: SimTime,
-    /// Same-timestamp tie-break class: lower classes pop first. Defaults to
-    /// 0; see the module docs for when a non-zero class matters.
-    pub class: u8,
     /// Monotone sequence number used as the final deterministic tie-breaker.
     pub seq: u64,
     /// Caller-defined payload.
     pub payload: E,
 }
 
-/// What the heap sifts: the event's order (time, class, seq) plus the slab
-/// slot holding its payload. `seq` is unique, so `slot` never decides.
+/// What the heap sifts: the event's order (time, seq) plus the slab slot
+/// holding its payload. `seq` is unique, so `slot` never decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     time: u64,
-    class: u8,
     seq: u64,
     slot: u32,
 }
@@ -57,7 +48,7 @@ const _: () = assert!(std::mem::size_of::<Key>() == 24);
 /// negative values (sign bit set) have every bit flipped, so larger
 /// magnitudes sort lower, and non-negative values get the sign bit set, so
 /// they sort above every negative value (`-0.0` just below `0.0`).
-fn time_key(at: SimTime) -> u64 {
+pub(crate) fn time_key(at: SimTime) -> u64 {
     let bits = at.to_bits();
     if bits >> 63 == 1 {
         !bits
@@ -67,7 +58,7 @@ fn time_key(at: SimTime) -> u64 {
 }
 
 /// Inverse of [`time_key`]: the exact instant the key was made from.
-fn key_time(key: u64) -> SimTime {
+pub(crate) fn key_time(key: u64) -> SimTime {
     SimTime::from_bits(if key >> 63 == 1 {
         key & !(1 << 63)
     } else {
@@ -100,8 +91,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Empty queue pre-sized for `capacity` pending events, so simulations
-    /// that know their arrival count up front (open-loop replays schedule
-    /// every arrival before the first pop) skip the heap's and the slab's
+    /// that know their peak depth up front skip the heap's and the slab's
     /// growth reallocations.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
@@ -120,16 +110,9 @@ impl<E> EventQueue<E> {
             .reserve(additional.saturating_sub(self.free.len()));
     }
 
-    /// Schedule `payload` to fire at `at` in the default class 0. Returns
-    /// the sequence number assigned to the event.
+    /// Schedule `payload` to fire at `at`. Returns the sequence number
+    /// assigned to the event.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
-        self.schedule_class(at, 0, payload)
-    }
-
-    /// Schedule `payload` to fire at `at` in an explicit tie-break `class`
-    /// (lower classes pop first among same-timestamp events). Returns the
-    /// sequence number assigned to the event.
-    pub(crate) fn schedule_class(&mut self, at: SimTime, class: u8, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -141,7 +124,6 @@ impl<E> EventQueue<E> {
         };
         self.heap.push(Reverse(Key {
             time: time_key(at),
-            class,
             seq,
             slot,
         }));
@@ -166,7 +148,6 @@ impl<E> EventQueue<E> {
         self.free.push(key.slot);
         Some(ScheduledEvent {
             at: key_time(key.time),
-            class: key.class,
             seq: key.seq,
             payload,
         })
@@ -174,7 +155,12 @@ impl<E> EventQueue<E> {
 
     /// Firing time of the earliest pending event.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(key)| key_time(key.time))
+        self.peek_key().map(key_time)
+    }
+
+    /// [`time_key`] of the earliest pending event's firing time.
+    pub(crate) fn peek_key(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(key)| key.time)
     }
 
     /// Number of pending events.
@@ -230,20 +216,6 @@ mod tests {
         q.schedule(t, 3);
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn classes_break_ties_before_insertion_order() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(5.0);
-        // A later-inserted class-0 event beats earlier class-1 events at the
-        // same timestamp — the lazy-arrival discipline.
-        q.schedule_class(t, 1, "completion");
-        q.schedule_class(t, 1, "tick");
-        q.schedule_class(t, 0, "arrival");
-        q.schedule(SimTime::from_millis(1.0), "early");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
-        assert_eq!(order, vec!["early", "arrival", "completion", "tick"]);
     }
 
     #[test]
@@ -312,19 +284,19 @@ mod tests {
     }
 
     /// Reference model: every pending event in a `Vec`, the earliest found
-    /// by a scan over (`total_cmp` time, class, seq).
+    /// by a scan over (`total_cmp` time, seq).
     #[derive(Default)]
     struct Model {
-        pending: Vec<(SimTime, u8, u64, u64)>,
+        pending: Vec<(SimTime, u64, u64)>,
         next_seq: u64,
         peak: usize,
     }
 
     impl Model {
-        fn schedule(&mut self, at: SimTime, class: u8, payload: u64) -> u64 {
+        fn schedule(&mut self, at: SimTime, payload: u64) -> u64 {
             let seq = self.next_seq;
             self.next_seq += 1;
-            self.pending.push((at, class, seq, payload));
+            self.pending.push((at, seq, payload));
             self.peak = self.peak.max(self.pending.len());
             seq
         }
@@ -332,11 +304,11 @@ mod tests {
         fn earliest(&self) -> Option<usize> {
             (0..self.pending.len()).min_by(|&i, &j| {
                 let (a, b) = (&self.pending[i], &self.pending[j]);
-                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
+                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
             })
         }
 
-        fn pop(&mut self) -> Option<(SimTime, u8, u64, u64)> {
+        fn pop(&mut self) -> Option<(SimTime, u64, u64)> {
             self.earliest().map(|i| self.pending.swap_remove(i))
         }
 
@@ -348,9 +320,8 @@ mod tests {
 
     #[test]
     fn random_operations_match_a_sorted_reference_model() {
-        // Few distinct timestamps force ties on time (and, with three
-        // classes, on class), so seq decides often; -0.0 and 0.0 must stay
-        // distinct, ordered as total_cmp orders them.
+        // Few distinct timestamps force ties on time, so seq decides often;
+        // -0.0 and 0.0 must stay distinct, ordered as total_cmp orders them.
         const TIMES: [f64; 7] = [0.0, -0.0, 1.0, 2.5, -4.0, 1e9, 2.5e-7];
         let mut rng = SimRng::seed_from_u64(0xE7E47);
         let mut queue: EventQueue<u64> = EventQueue::with_capacity(4);
@@ -359,19 +330,12 @@ mod tests {
         for step in 0..10_000u64 {
             let at = SimTime::from_millis(TIMES[rng.int_range(0, 6) as usize]);
             match rng.int_range(0, 99) {
-                0..=34 => {
-                    assert_eq!(queue.schedule(at, step), model.schedule(at, 0, step));
-                }
-                35..=59 => {
-                    let class = rng.int_range(0, 2) as u8;
-                    assert_eq!(
-                        queue.schedule_class(at, class, step),
-                        model.schedule(at, class, step)
-                    );
+                0..=59 => {
+                    assert_eq!(queue.schedule(at, step), model.schedule(at, step));
                 }
                 60..=89 => {
                     let expected = model.pop();
-                    let got = queue.pop().map(|e| (e.at, e.class, e.seq, e.payload));
+                    let got = queue.pop().map(|e| (e.at, e.seq, e.payload));
                     match (got, expected) {
                         (Some(g), Some(e)) => {
                             assert_eq!(
@@ -379,7 +343,7 @@ mod tests {
                                 e.0.as_millis().to_bits(),
                                 "step {step}: time"
                             );
-                            assert_eq!((g.1, g.2, g.3), (e.1, e.2, e.3), "step {step}");
+                            assert_eq!((g.1, g.2), (e.1, e.2), "step {step}");
                             pops += 1;
                             if model
                                 .pending
@@ -411,11 +375,11 @@ mod tests {
         // The run must exercise what it is meant to: many pops, many of
         // them among equal timestamps.
         assert!(pops > 2_000 && ties > 500, "pops {pops}, ties {ties}");
-        while let Some((at, class, seq, payload)) = model.pop() {
+        while let Some((at, seq, payload)) = model.pop() {
             let e = queue.pop().expect("queue drains with the model");
             assert_eq!(
-                (e.at.as_millis().to_bits(), e.class, e.seq, e.payload),
-                (at.as_millis().to_bits(), class, seq, payload)
+                (e.at.as_millis().to_bits(), e.seq, e.payload),
+                (at.as_millis().to_bits(), seq, payload)
             );
         }
         assert!(queue.pop().is_none());

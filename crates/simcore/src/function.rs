@@ -47,11 +47,13 @@ impl FunctionNames {
         }
     }
 
-    /// The name interned as `id`.
+    /// The name interned as `id`. Only tests map ids back to names: the
+    /// simulator itself compares ids.
     ///
     /// # Panics
     ///
     /// If `id` was not issued by this table.
+    #[cfg(test)]
     pub(crate) fn name(&self, id: FunctionId) -> &str {
         &self.names[id.index()]
     }

@@ -5,6 +5,7 @@
 //! (possibly batched), and is eventually reclaimed.
 
 use crate::error::SimError;
+use crate::function::FunctionId;
 use crate::resources::Millicores;
 use crate::SimResult;
 
@@ -33,7 +34,8 @@ pub enum PodState {
 #[derive(Debug, Clone)]
 pub struct Pod {
     id: PodId,
-    function: Option<String>,
+    /// The function the pod is specialised to, as its pool's id for it.
+    function: Option<FunctionId>,
     state: PodState,
     allocation: Millicores,
 }
@@ -54,9 +56,10 @@ impl Pod {
         self.id
     }
 
-    /// Function the pod is specialised to, if any.
-    pub fn function(&self) -> Option<&str> {
-        self.function.as_deref()
+    /// Function the pod is specialised to, if any: an id issued by the
+    /// pool that tracks the pod.
+    pub fn function(&self) -> Option<FunctionId> {
+        self.function
     }
 
     /// Current lifecycle state.
@@ -71,10 +74,10 @@ impl Pod {
 
     /// Specialise a generic pod to `function` (the Fission "specialisation"
     /// step that turns a warm generic pod into a function pod).
-    pub(crate) fn specialize(&mut self, function: &str) -> SimResult<()> {
+    pub(crate) fn specialize(&mut self, function: FunctionId) -> SimResult<()> {
         match self.state {
             PodState::Generic => {
-                self.function = Some(function.to_string());
+                self.function = Some(function);
                 self.state = PodState::Warm;
                 Ok(())
             }
@@ -133,9 +136,9 @@ mod tests {
     fn lifecycle_happy_path() {
         let mut p = pod();
         assert_eq!(p.state(), PodState::Generic);
-        p.specialize("od").unwrap();
+        p.specialize(FunctionId(0)).unwrap();
         assert_eq!(p.state(), PodState::Warm);
-        assert_eq!(p.function(), Some("od"));
+        assert_eq!(p.function(), Some(FunctionId(0)));
         p.start_execution().unwrap();
         assert_eq!(p.state(), PodState::Running);
         p.finish_execution().unwrap();
@@ -146,8 +149,8 @@ mod tests {
     fn invalid_transitions_are_rejected() {
         let mut p = pod();
         assert!(p.start_execution().is_err(), "generic pod cannot run");
-        p.specialize("od").unwrap();
-        assert!(p.specialize("qa").is_err(), "cannot re-specialise");
+        p.specialize(FunctionId(0)).unwrap();
+        assert!(p.specialize(FunctionId(1)).is_err(), "cannot re-specialise");
         assert!(p.finish_execution().is_err(), "not running");
         p.start_execution().unwrap();
         assert!(p.start_execution().is_err(), "already running");

@@ -8,7 +8,8 @@
 //! Function names are resolved once per run to dense [`FunctionId`]s
 //! ([`PoolManager::function_id`]); the warm queues are indexed by id and
 //! every pod remembers the id it was specialised to, so acquire and release
-//! touch no string.
+//! touch no string. The pool's name table is the one place a pod's function
+//! id maps back to a name.
 
 use crate::function::{FunctionId, FunctionNames};
 use crate::idmap::IdMap;
@@ -59,13 +60,10 @@ pub struct Acquisition {
     pub warm_hit: bool,
 }
 
-/// One tracked pod, the function it is specialised to and, while it waits
-/// in a warm queue, when it went idle.
+/// One tracked pod and, while it waits in a warm queue, when it went idle.
 #[derive(Debug)]
 struct PodEntry {
     pod: Pod,
-    /// The function the pool specialised the pod to; `None` while generic.
-    function: Option<FunctionId>,
     /// Last time the pod went idle (for recycling); `None` once it leaves
     /// its warm queue, and for generic pods.
     idle_since: Option<SimTime>,
@@ -160,7 +158,6 @@ impl PoolManager {
             id,
             PodEntry {
                 pod,
-                function: None,
                 idle_since: None,
             },
         );
@@ -275,10 +272,7 @@ impl PoolManager {
         entry.idle_since = None;
         let pod = &mut entry.pod;
         let ready = match pod.state() {
-            PodState::Generic => {
-                entry.function = Some(function);
-                pod.specialize(self.functions.name(function)).is_ok()
-            }
+            PodState::Generic => pod.specialize(function).is_ok(),
             PodState::Warm => true,
             PodState::Running => false,
         };
@@ -298,7 +292,7 @@ impl PoolManager {
             // Cannot fail: only a non-running pod is rejected.
             let _ = entry.pod.finish_execution();
         }
-        if let Some(function) = entry.function {
+        if let Some(function) = entry.pod.function() {
             self.warm[function.index()].push_back(pod_id);
             entry.idle_since = Some(now);
         }
@@ -325,7 +319,7 @@ impl PoolManager {
                 .is_some_and(|since| now.saturating_since(since) >= cutoff);
             if expired {
                 // An idle pod is specialised and queued under its function.
-                if let Some(function) = entry.function {
+                if let Some(function) = entry.pod.function() {
                     if !swept.contains(&function) {
                         swept.push(function);
                     }
@@ -403,7 +397,7 @@ mod tests {
         assert_eq!(acq.startup_delay, mgr.config().specialization_delay);
         assert_eq!(mgr.generic_available(), 1);
         let pod = mgr.pod(acq.pod).unwrap();
-        assert_eq!(pod.function(), Some("od"));
+        assert_eq!(pod.function().map(|id| mgr.functions.name(id)), Some("od"));
         assert_eq!(pod.allocation(), Millicores::new(2000));
         assert_eq!(pod.state(), PodState::Running);
     }
@@ -543,6 +537,8 @@ mod tests {
         next_pod: u64,
         generic: Vec<PodId>,
         warm: Vec<(String, Vec<PodId>)>,
+        /// The model's own ids for the names its pods specialise to.
+        names: FunctionNames,
         pods: Vec<Pod>,
         idle_since: Vec<(PodId, SimTime)>,
         warm_hits: u64,
@@ -556,6 +552,7 @@ mod tests {
                 next_pod: 0,
                 generic: Vec::new(),
                 warm: Vec::new(),
+                names: FunctionNames::default(),
                 pods: Vec::new(),
                 idle_since: Vec::new(),
                 warm_hits: 0,
@@ -597,7 +594,7 @@ mod tests {
                 return false;
             };
             let ready = match pod.state() {
-                PodState::Generic => pod.specialize(function).is_ok(),
+                PodState::Generic => pod.specialize(self.names.intern(function)).is_ok(),
                 PodState::Warm => true,
                 PodState::Running => false,
             };
@@ -650,7 +647,7 @@ mod tests {
             if pod.state() == PodState::Running {
                 pod.finish_execution().unwrap();
             }
-            let Some(function) = pod.function().map(str::to_string) else {
+            let Some(function) = pod.function().map(|id| self.names.name(id).to_string()) else {
                 return;
             };
             match self.warm.iter_mut().find(|(f, _)| *f == function) {
@@ -705,9 +702,16 @@ mod tests {
         }
     }
 
-    /// Everything observable about one pod.
-    fn view(pod: Option<&Pod>) -> Option<(PodState, Millicores, Option<String>)> {
-        pod.map(|p| (p.state(), p.allocation(), p.function().map(str::to_string)))
+    /// Everything observable about one pod, its function resolved to a
+    /// name through the `names` of the pool that tracks it.
+    fn view(
+        names: &FunctionNames,
+        pod: Option<&Pod>,
+    ) -> Option<(PodState, Millicores, Option<String>)> {
+        pod.map(|p| {
+            let function = p.function().map(|id| names.name(id).to_string());
+            (p.state(), p.allocation(), function)
+        })
     }
 
     #[test]
@@ -780,8 +784,8 @@ mod tests {
                 }
             };
             assert_eq!(
-                view(mgr.pod(touched)),
-                view(model.pod(touched)),
+                view(&mgr.functions, mgr.pod(touched)),
+                view(&model.names, model.pod(touched)),
                 "pod {touched} at step {step}"
             );
             assert_eq!(mgr.generic_available(), model.generic.len(), "step {step}");
@@ -877,8 +881,8 @@ mod tests {
                 }
             };
             assert_eq!(
-                view(by_name.pod(touched)),
-                view(by_id.pod(touched)),
+                view(&by_name.functions, by_name.pod(touched)),
+                view(&by_id.functions, by_id.pod(touched)),
                 "pod {touched} at step {step}"
             );
             for function in FUNCTIONS {

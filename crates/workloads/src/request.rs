@@ -59,7 +59,7 @@ impl InterArrivalSampler for PoissonGaps {
 }
 
 /// The immutable, policy-independent part of one workflow request.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct RequestInput {
     /// Request identifier (sequence number within the experiment).
     pub id: u64,
@@ -68,6 +68,24 @@ pub struct RequestInput {
     /// Random latency factor per function (same order as the workflow's
     /// function list): working-set scale × residual noise.
     pub factors: Vec<f64>,
+}
+
+impl Clone for RequestInput {
+    fn clone(&self) -> Self {
+        RequestInput {
+            id: self.id,
+            arrival_offset: self.arrival_offset,
+            factors: self.factors.clone(),
+        }
+    }
+
+    /// Field by field, so `factors` keeps its buffer when it is big enough:
+    /// a recycled input is refilled without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.arrival_offset = source.arrival_offset;
+        self.factors.clone_from(&source.factors);
+    }
 }
 
 impl RequestInput {
@@ -110,20 +128,29 @@ impl RequestInputGenerator {
 
     /// Generate the next request for `workflow`.
     pub fn next_request(&mut self, workflow: &Workflow) -> RequestInput {
+        let mut request = RequestInput::default();
+        self.next_request_into(workflow, &mut request);
+        request
+    }
+
+    /// Generate the next request for `workflow` into `slot`, overwriting
+    /// every field and refilling `slot.factors` in place: the same draws as
+    /// [`next_request`](Self::next_request), without a fresh allocation
+    /// once the slot's buffer is big enough.
+    pub fn next_request_into(&mut self, workflow: &Workflow, slot: &mut RequestInput) {
         let id = self.next_id;
         self.next_id += 1;
         self.clock += self.sampler.next_gap(&mut self.rng).saturate();
         let mut fn_rng = self.rng.fork(id);
-        let factors = workflow
-            .functions()
-            .iter()
-            .map(|f| f.sample_random_factor(&mut fn_rng))
-            .collect();
-        RequestInput {
-            id,
-            arrival_offset: self.clock,
-            factors,
-        }
+        slot.id = id;
+        slot.arrival_offset = self.clock;
+        slot.factors.clear();
+        slot.factors.extend(
+            workflow
+                .functions()
+                .iter()
+                .map(|f| f.sample_random_factor(&mut fn_rng)),
+        );
     }
 
     /// Generate a batch of `n` requests.
@@ -142,10 +169,26 @@ impl RequestInputGenerator {
 /// that footprint observable: it reports how many arrivals the source holds
 /// materialized *right now*, which the platform folds into its
 /// `peak_resident_arrivals` statistic.
+///
+/// Draws are in place: the open loop hands [`next_request_into`] a recycled
+/// input whose `factors` buffer a finished request left behind, so a
+/// steady-state draw allocates nothing.
+///
+/// [`next_request_into`]: Self::next_request_into
 pub trait RequestSource: fmt::Debug + Send {
-    /// Draw the next request, or `None` when the stream is exhausted.
-    /// Successive requests must have non-decreasing `arrival_offset`s.
-    fn next_request(&mut self, workflow: &Workflow) -> Option<RequestInput>;
+    /// Draw the next request into `slot`, overwriting every field and
+    /// reusing `slot.factors`' buffer; `false` (with `slot` unspecified)
+    /// when the stream is exhausted. Successive requests must have
+    /// non-decreasing `arrival_offset`s.
+    fn next_request_into(&mut self, workflow: &Workflow, slot: &mut RequestInput) -> bool;
+
+    /// Draw the next request into a fresh input, or `None` when the stream
+    /// is exhausted.
+    fn next_request(&mut self, workflow: &Workflow) -> Option<RequestInput> {
+        let mut request = RequestInput::default();
+        self.next_request_into(workflow, &mut request)
+            .then_some(request)
+    }
 
     /// Number of requests currently held materialized by the source (heads
     /// of merged streams, remaining slice entries, …). A lazy generator
@@ -180,12 +223,13 @@ impl GeneratorSource {
 }
 
 impl RequestSource for GeneratorSource {
-    fn next_request(&mut self, workflow: &Workflow) -> Option<RequestInput> {
+    fn next_request_into(&mut self, workflow: &Workflow, slot: &mut RequestInput) -> bool {
         if self.remaining == 0 {
-            return None;
+            return false;
         }
         self.remaining -= 1;
-        Some(self.generator.next_request(workflow))
+        self.generator.next_request_into(workflow, slot);
+        true
     }
 
     fn resident(&self) -> usize {
@@ -238,10 +282,13 @@ impl<'a> SliceSource<'a> {
 }
 
 impl RequestSource for SliceSource<'_> {
-    fn next_request(&mut self, _workflow: &Workflow) -> Option<RequestInput> {
-        let &index = self.order.get(self.pos)?;
+    fn next_request_into(&mut self, _workflow: &Workflow, slot: &mut RequestInput) -> bool {
+        let Some(&index) = self.order.get(self.pos) else {
+            return false;
+        };
         self.pos += 1;
-        Some(self.requests[index].clone())
+        slot.clone_from(&self.requests[index]);
+        true
     }
 
     fn resident(&self) -> usize {
@@ -362,6 +409,31 @@ mod tests {
         let ids: Vec<u64> = std::iter::from_fn(|| source.next_request(&ia).map(|r| r.id)).collect();
         assert_eq!(ids, vec![3, 1, 0, 2]);
         assert_eq!(source.resident(), 0);
+    }
+
+    #[test]
+    fn in_place_draws_match_fresh_draws_and_keep_the_buffer() {
+        let ia = intelligent_assistant();
+        let mean = SimDuration::from_millis(40.0);
+        let materialized = RequestInputGenerator::new(5, mean).generate(&ia, 30);
+        let mut generated = GeneratorSource::new(RequestInputGenerator::new(5, mean), 30);
+        let mut sliced = SliceSource::new(&materialized);
+        // A recycled slot: stale contents, a buffer big enough to reuse.
+        let mut slot = RequestInput {
+            id: 99,
+            arrival_offset: SimDuration::from_secs(9.0),
+            factors: vec![0.0; 8],
+        };
+        let buffer = slot.factors.as_ptr();
+        for expected in &materialized {
+            assert!(generated.next_request_into(&ia, &mut slot));
+            assert_eq!(&slot, expected);
+            assert!(sliced.next_request_into(&ia, &mut slot));
+            assert_eq!(&slot, expected);
+            assert_eq!(slot.factors.as_ptr(), buffer, "refilled in place");
+        }
+        assert!(!generated.next_request_into(&ia, &mut slot));
+        assert!(!sliced.next_request_into(&ia, &mut slot));
     }
 
     #[test]
