@@ -4,13 +4,24 @@
 //! for Janus and produce a [`FixedSizingPolicy`] — the sizes never change at
 //! runtime, which is exactly the early-binding behaviour whose inefficiency
 //! the paper quantifies.
+//!
+//! ORION's greedy search scores every one-step shrink of the current sizes
+//! by the tail of a Monte-Carlo convolution over fixed draws. Its cost is
+//! kept to what the scores depend on: each function's samples are gathered
+//! once per size it reaches (a candidate only ever reads the current size
+//! and the next smaller one), a candidate's sums add those columns in
+//! function order (the same left fold as a per-sample sum, so the same
+//! bits), and the tail is selected among the sums at or above a floor set
+//! just under the tail at the current sizes, with a full selection when too
+//! few clear it. Sizes are identical to re-gathering and fully selecting
+//! every candidate, which a unit test checks against exactly that.
 
 use janus_platform::policy::FixedSizingPolicy;
 use janus_profiler::percentiles::Percentile;
 use janus_profiler::profile::WorkflowProfile;
-use janus_simcore::resources::Millicores;
+use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::rng::SimRng;
-use janus_simcore::stats::select_percentile;
+use janus_simcore::stats::{select_percentile, select_percentile_above};
 use janus_simcore::time::SimDuration;
 
 /// GrandSLAM \[41\]: identical sizes for all functions. Returns the smallest
@@ -83,39 +94,53 @@ pub fn orion(
 ) -> Result<FixedSizingPolicy, String> {
     let grid = profile.grid();
     let target_ms = slo.as_millis() * config.safety_margin;
-    let mut convolution = Convolution::draw(profile.len(), config);
     let mut sizes: Vec<Millicores> = vec![grid.max; profile.len()];
+    let mut convolution = Convolution::draw(profile, config);
     // Even all-Kmax may violate the SLO; ORION then deploys Kmax everywhere.
-    if convolution.e2e_percentile(profile, &sizes) > target_ms {
+    // No tail is known yet to set a floor under, so this one selects among
+    // every sum.
+    let mut at_sizes = convolution.e2e_percentile(None, f64::INFINITY);
+    if at_sizes > target_ms {
         return FixedSizingPolicy::new("ORION", sizes);
     }
     loop {
+        // Every candidate shrinks one function of `sizes`, which raises its
+        // tail, so it rarely falls far below the tail at `sizes`.
+        let floor = at_sizes * FLOOR_MARGIN;
         let mut best: Option<(usize, Millicores, f64)> = None;
-        for i in 0..sizes.len() {
-            let smaller = grid
-                .index_of(sizes[i])
-                .and_then(|idx| idx.checked_sub(1))
-                .and_then(|idx| grid.at(idx));
-            let Some(smaller) = smaller else {
+        for (i, &k) in sizes.iter().enumerate() {
+            let Some(shrunk) = one_step_smaller(grid, k) else {
                 continue;
             };
-            let current = std::mem::replace(&mut sizes[i], smaller);
-            let p99 = convolution.e2e_percentile(profile, &sizes);
-            sizes[i] = current;
+            let p99 = convolution.e2e_percentile(Some(i), floor);
             if p99 <= target_ms {
                 // Prefer the reduction that leaves the most headroom.
                 if best.map(|(_, _, b)| p99 < b).unwrap_or(true) {
-                    best = Some((i, smaller, p99));
+                    best = Some((i, shrunk, p99));
                 }
             }
         }
-        match best {
-            Some((i, smaller, _)) => sizes[i] = smaller,
-            None => break,
-        }
+        let Some((i, shrunk, p99)) = best else {
+            break;
+        };
+        sizes[i] = shrunk;
+        convolution.move_to(i, shrunk);
+        at_sizes = p99;
     }
     FixedSizingPolicy::new("ORION", sizes)
 }
+
+/// The grid point one step below `k`, if `k` is above `Kmin`.
+fn one_step_smaller(grid: CoreGrid, k: Millicores) -> Option<Millicores> {
+    grid.index_of(k)
+        .and_then(|idx| idx.checked_sub(1))
+        .and_then(|idx| grid.at(idx))
+}
+
+/// The share of the tail at the current sizes below which a candidate's
+/// tail is not looked for (see [`Convolution::e2e_percentile`]). It moves
+/// only the speed of the selection, never its result.
+const FLOOR_MARGIN: f64 = 0.97;
 
 /// ORION's Monte-Carlo convolution of the per-function profiled
 /// distributions (functions are profiled independently, matching ORION's
@@ -125,49 +150,105 @@ pub fn orion(
 /// functions` raw outputs of an RNG seeded with `config.seed` — and every
 /// candidate allocation maps the same raw values onto its own sample sets,
 /// so candidates differ by their allocations only, never by sampling noise.
-struct Convolution {
-    /// Raw draws, sample-major: `draws[s * functions + f]`.
+///
+/// The two columns kept per function (see the module docs) live in buffers
+/// allocated up front, so a sizing run allocates the same however many
+/// greedy steps it takes.
+struct Convolution<'a> {
+    profile: &'a WorkflowProfile,
+    /// Raw draws, function-major: `draws[f * samples + s]`.
     draws: Vec<u64>,
-    functions: usize,
     target_percentile: f64,
+    /// Per function, the drawn samples at its current size.
+    current: Vec<Vec<f64>>,
+    /// Per function, the drawn samples one grid step smaller (empty at
+    /// `Kmin`).
+    smaller: Vec<Vec<f64>>,
     /// End-to-end latency of every sample, reused across candidates.
     sums: Vec<f64>,
+    /// The sums at or above the selection's floor.
+    kept: Vec<f64>,
 }
 
-impl Convolution {
-    fn draw(functions: usize, config: &OrionConfig) -> Self {
+impl<'a> Convolution<'a> {
+    /// Draw the samples, with every function at `Kmax`.
+    fn draw(profile: &'a WorkflowProfile, config: &OrionConfig) -> Self {
+        let (samples, functions) = (config.convolution_samples, profile.len());
+        // The RNG is read sample-major, so every sample draws the values it
+        // always has; only the storage is function-major.
         let mut rng = SimRng::seed_from_u64(config.seed);
-        Convolution {
-            draws: (0..config.convolution_samples * functions)
-                .map(|_| rng.next_u64())
-                .collect(),
-            functions,
+        let mut draws = vec![0; samples * functions];
+        for s in 0..samples {
+            for f in 0..functions {
+                draws[f * samples + s] = rng.next_u64();
+            }
+        }
+        let column = || Vec::with_capacity(samples);
+        let mut convolution = Convolution {
+            profile,
+            draws,
             target_percentile: config.target_percentile,
-            sums: Vec::with_capacity(config.convolution_samples),
+            current: (0..functions).map(|_| column()).collect(),
+            smaller: (0..functions).map(|_| column()).collect(),
+            sums: column(),
+            kept: column(),
+        };
+        let kmax = profile.grid().max;
+        for f in 0..functions {
+            convolution.gather_smaller(f, Some(kmax));
+            convolution.move_to(f, kmax);
+        }
+        convolution
+    }
+
+    /// Function `f` moves to size `k`, whose samples its smaller column
+    /// holds; that column then gathers the samples one step below `k`.
+    fn move_to(&mut self, f: usize, k: Millicores) {
+        std::mem::swap(&mut self.current[f], &mut self.smaller[f]);
+        self.gather_smaller(f, one_step_smaller(self.profile.grid(), k));
+    }
+
+    /// Fill function `f`'s smaller column with its drawn samples at size
+    /// `k` (none for `None`), reusing the buffer.
+    fn gather_smaller(&mut self, f: usize, k: Option<Millicores>) {
+        let samples = self.draws.len() / self.profile.len();
+        let draws = &self.draws[f * samples..(f + 1) * samples];
+        let column = &mut self.smaller[f];
+        column.clear();
+        if let Some(k) = k {
+            let at_k = self.profile.functions()[f].raw_samples(k);
+            column.extend(
+                draws
+                    .iter()
+                    .map(|&draw| at_k[SimRng::map_to_range(draw, at_k.len() as u64) as usize]),
+            );
         }
     }
 
-    /// Estimate the `target_percentile` of the end-to-end latency for a
-    /// candidate allocation.
-    fn e2e_percentile(&mut self, profile: &WorkflowProfile, sizes: &[Millicores]) -> f64 {
-        let per_function: Vec<&[f64]> = profile
-            .functions()
-            .iter()
-            .zip(sizes)
-            .map(|(f, &k)| f.raw_samples(k))
-            .collect();
+    /// Estimate the `target_percentile` of the end-to-end latency at the
+    /// current sizes, with function `shrunk` (if any) one step smaller.
+    ///
+    /// The percentile is selected among the sums at or above `floor` when
+    /// enough of them clear it, else among all sums; either way the result
+    /// is the one a full selection gives, and `floor` moves only its cost.
+    fn e2e_percentile(&mut self, shrunk: Option<usize>, floor: f64) -> f64 {
+        let column = |f: usize| {
+            if shrunk == Some(f) {
+                &self.smaller[f]
+            } else {
+                &self.current[f]
+            }
+        };
         self.sums.clear();
-        self.sums
-            .extend(self.draws.chunks_exact(self.functions).map(|draws| {
-                draws
-                    .iter()
-                    .zip(&per_function)
-                    .map(|(&draw, samples)| {
-                        samples[SimRng::map_to_range(draw, samples.len() as u64) as usize]
-                    })
-                    .sum::<f64>()
-            }));
-        select_percentile(&mut self.sums, self.target_percentile)
+        self.sums.extend_from_slice(column(0));
+        for f in 1..self.current.len() {
+            for (sum, &latency) in self.sums.iter_mut().zip(column(f)) {
+                *sum += latency;
+            }
+        }
+        let p = self.target_percentile;
+        select_percentile_above(&self.sums, floor, &mut self.kept, p)
+            .unwrap_or_else(|| select_percentile(&mut self.sums, p))
     }
 }
 
@@ -234,8 +315,10 @@ fn min_total_cores_for_budget(
 mod tests {
     use super::*;
     use janus_platform::policy::SizingPolicy;
+    use janus_profiler::profile::FunctionProfile;
     use janus_profiler::profiler::{Profiler, ProfilerConfig};
     use janus_workloads::apps::intelligent_assistant;
+    use std::collections::BTreeMap;
 
     fn ia_profile() -> WorkflowProfile {
         Profiler::new(ProfilerConfig {
@@ -375,5 +458,163 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// ORION as first written, the oracle the two-column convolution must
+    /// reproduce: every candidate gathers every function's samples at its
+    /// sizes afresh and selects the percentile over all the sums.
+    fn naive_orion(
+        profile: &WorkflowProfile,
+        slo: SimDuration,
+        config: &OrionConfig,
+    ) -> Vec<Millicores> {
+        let grid = profile.grid();
+        let target_ms = slo.as_millis() * config.safety_margin;
+        let mut rng = SimRng::seed_from_u64(config.seed);
+        let draws: Vec<u64> = (0..config.convolution_samples * profile.len())
+            .map(|_| rng.next_u64())
+            .collect();
+        let e2e = |sizes: &[Millicores]| {
+            let mut sums: Vec<f64> = draws
+                .chunks_exact(profile.len())
+                .map(|draws| {
+                    draws
+                        .iter()
+                        .zip(profile.functions())
+                        .zip(sizes)
+                        .map(|((&draw, f), &k)| {
+                            let samples = f.raw_samples(k);
+                            samples[SimRng::map_to_range(draw, samples.len() as u64) as usize]
+                        })
+                        .sum::<f64>()
+                })
+                .collect();
+            select_percentile(&mut sums, config.target_percentile)
+        };
+        let mut sizes = vec![grid.max; profile.len()];
+        if e2e(&sizes) > target_ms {
+            return sizes;
+        }
+        loop {
+            let mut best: Option<(usize, Millicores, f64)> = None;
+            for i in 0..sizes.len() {
+                let Some(smaller) = grid
+                    .index_of(sizes[i])
+                    .and_then(|idx| idx.checked_sub(1))
+                    .and_then(|idx| grid.at(idx))
+                else {
+                    continue;
+                };
+                let mut candidate = sizes.clone();
+                candidate[i] = smaller;
+                let p = e2e(&candidate);
+                if p <= target_ms && best.is_none_or(|(_, _, b)| p < b) {
+                    best = Some((i, smaller, p));
+                }
+            }
+            match best {
+                Some((i, smaller, _)) => sizes[i] = smaller,
+                None => return sizes,
+            }
+        }
+    }
+
+    /// A random profile of 1–4 functions on a 2–6 point grid. Latency
+    /// mostly falls with cores but not always, and some functions draw
+    /// from a pool of two or three whole values, so sums tie at the
+    /// selected ranks.
+    fn random_profile(rng: &mut SimRng) -> WorkflowProfile {
+        let points = rng.int_range(2, 6) as u32;
+        let grid = CoreGrid::new(
+            Millicores::new(1000),
+            Millicores::new(1000 + 250 * (points - 1)),
+            250,
+        )
+        .unwrap();
+        let functions = (0..rng.int_range(1, 4))
+            .map(|f| {
+                let base = rng.uniform_range(10.0, 500.0);
+                let pooled = rng.uniform() < 0.3;
+                let samples = grid
+                    .iter()
+                    .map(|mc| {
+                        let scale =
+                            base * 1000.0 / f64::from(mc.get()) * rng.uniform_range(0.8, 1.2);
+                        let pool: Vec<f64> = (0..rng.int_range(2, 3))
+                            .map(|_| (scale * rng.uniform_range(0.5, 2.0)).round())
+                            .collect();
+                        let set = (0..rng.int_range(1, 40))
+                            .map(|_| {
+                                if pooled {
+                                    pool[rng.int_range(0, pool.len() as u64 - 1) as usize]
+                                } else {
+                                    scale * rng.uniform_range(0.5, 2.0)
+                                }
+                            })
+                            .collect();
+                        (mc.get(), set)
+                    })
+                    .collect::<BTreeMap<_, _>>();
+                FunctionProfile::from_samples(format!("f{f}"), 1, grid, samples).unwrap()
+            })
+            .collect();
+        WorkflowProfile::new("wf", 1, grid, functions).unwrap()
+    }
+
+    /// The two-column convolution with its floored selection sizes exactly
+    /// as the naive per-candidate convolution does, on random profiles at
+    /// SLOs from infeasible to loose and at every sample count from one to
+    /// the default 4000.
+    #[test]
+    fn orion_matches_the_naive_convolution() {
+        let mut rng = SimRng::seed_from_u64(0x0410_0001);
+        let (mut at_kmax, mut at_kmin, mut between) = (0, 0, 0);
+        for samples in [1, 2, 41, 400, 4000] {
+            for case in 0..24 {
+                let profile = random_profile(&mut rng);
+                // The least and the most any sample sum can be.
+                let grid = profile.grid();
+                let bound = |tail: bool| -> f64 {
+                    let functions = profile.functions().iter();
+                    functions
+                        .map(|f| {
+                            let at = grid.iter().map(|k| f.raw_samples(k));
+                            if tail {
+                                at.map(|s| s[s.len() - 1]).fold(f64::MIN, f64::max)
+                            } else {
+                                at.map(|s| s[0]).fold(f64::MAX, f64::min)
+                            }
+                        })
+                        .sum()
+                };
+                let config = OrionConfig {
+                    convolution_samples: samples,
+                    target_percentile: [99.0, 90.0, 50.0][case % 3],
+                    seed: rng.next_u64(),
+                    ..OrionConfig::default()
+                };
+                let slo_ms =
+                    rng.uniform_range(0.9 * bound(false), 1.1 * bound(true)) / config.safety_margin;
+                let slo = SimDuration::from_millis(slo_ms);
+                let want = naive_orion(&profile, slo, &config);
+                let got = orion(&profile, slo, &config).unwrap();
+                assert_eq!(
+                    got.sizes(),
+                    want,
+                    "{samples} samples, case {case}, SLO {slo_ms} ms"
+                );
+                if want.iter().all(|&k| k == grid.max) {
+                    at_kmax += 1;
+                } else if want.iter().all(|&k| k == grid.min) {
+                    at_kmin += 1;
+                } else {
+                    between += 1;
+                }
+            }
+        }
+        assert!(
+            at_kmax >= 16 && at_kmin >= 16 && between >= 16,
+            "SLOs cover too little: {at_kmax} at Kmax, {at_kmin} at Kmin, {between} between"
+        );
     }
 }

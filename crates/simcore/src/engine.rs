@@ -96,13 +96,6 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Reserve queue space for at least `additional` more pending events.
-    /// Callers that know their arrival count (replays, open-loop request
-    /// sets) reserve once up front instead of growing the heap on the fly.
-    pub fn reserve(&mut self, additional: usize) {
-        self.queue.reserve(additional);
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -337,7 +330,6 @@ mod tests {
     #[test]
     fn capacity_presizing_and_peak_depth_are_observable() {
         let mut engine: Engine<u32> = Engine::with_capacity(EngineConfig::default(), 64);
-        engine.reserve(64);
         for i in 0..10 {
             engine.schedule_in(SimDuration::from_millis(f64::from(i)), i);
         }

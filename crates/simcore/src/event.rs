@@ -103,13 +103,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserve space for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        self.slots
-            .reserve(additional.saturating_sub(self.free.len()));
-    }
-
     /// Schedule `payload` to fire at `at`. Returns the sequence number
     /// assigned to the event.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
@@ -247,7 +240,6 @@ mod tests {
         // … and resets with clear, while the allocation is reused.
         q.clear();
         assert_eq!(q.peak_len(), 0);
-        q.reserve(16);
         q.schedule(SimTime::from_millis(1.0), 1);
         assert_eq!(q.peak_len(), 1);
     }

@@ -51,21 +51,50 @@ pub fn select_percentile(values: &mut [f64], p: f64) -> f64 {
         return values[0];
     }
     let (lo, hi, frac) = percentile_rank(values.len(), p);
-    let (_, &mut at_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
-    if lo == hi {
-        at_lo
-    } else {
-        // Rank `hi = lo + 1` is the smallest value above the selected one.
-        let at_hi = above
-            .iter()
-            .copied()
-            .min_by(f64::total_cmp)
-            .unwrap_or(at_lo);
-        at_lo * (1.0 - frac) + at_hi * frac
-    }
+    select_ranks(values, lo, hi > lo, frac)
 }
 
-/// Where the `p`-th percentile of `len ≥ 2` ascending values falls: the two
+/// [`select_percentile`] of `values` that selects only among the values at
+/// or above `floor` (by `total_cmp`), copied into `kept`. Those are the
+/// largest values, so each keeps its rank counted from the top, and the
+/// result is bit-identical to [`select_percentile`] whenever the ranks the
+/// interpolation reads are among them. Returns `None` when they are not
+/// (fewer values clear the floor than those ranks need) or `values` is
+/// empty: the floor then says nothing about the answer.
+pub fn select_percentile_above(
+    values: &[f64],
+    floor: f64,
+    kept: &mut Vec<f64>,
+    p: f64,
+) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    let (lo, hi, frac) = percentile_rank(values.len(), p);
+    kept.clear();
+    kept.extend(values.iter().filter(|v| v.total_cmp(&floor).is_ge()));
+    let lo_in_kept = lo.checked_sub(values.len() - kept.len())?;
+    Some(select_ranks(kept, lo_in_kept, hi > lo, frac))
+}
+
+/// The interpolated percentile at rank `lo` of `values` (and at `lo + 1`
+/// when `interpolate`), selecting both ranks in O(n) and reordering
+/// `values` in place.
+fn select_ranks(values: &mut [f64], lo: usize, interpolate: bool, frac: f64) -> f64 {
+    let (_, &mut at_lo, above) = values.select_nth_unstable_by(lo, f64::total_cmp);
+    if !interpolate {
+        return at_lo;
+    }
+    // Rank `lo + 1` is the smallest value above the selected one.
+    let at_hi = above
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .unwrap_or(at_lo);
+    at_lo * (1.0 - frac) + at_hi * frac
+}
+
+/// Where the `p`-th percentile of `len ≥ 1` ascending values falls: the two
 /// neighbouring ranks and the interpolation weight of the upper one.
 fn percentile_rank(len: usize, p: f64) -> (usize, usize, f64) {
     let rank = p.clamp(0.0, 100.0) / 100.0 * (len - 1) as f64;

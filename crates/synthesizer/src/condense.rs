@@ -48,17 +48,21 @@ pub fn condense(raw: &[RawHint]) -> Vec<CondensedHint> {
         head_cores: run_start.head_cores(),
         head_percentile: run_start.head_percentile,
     });
-    // The budget axis is continuous at runtime but the sweep is discrete:
-    // close the gaps between adjacent rows so a budget falling between two
-    // sweep points resolves to the *smaller* budget's plan (which is always
-    // SLO-safe, since more budget never requires more resources).
+    close_gaps(&mut rows);
+    rows
+}
+
+/// The budget axis is continuous at runtime but the sweep is discrete:
+/// close the gaps between adjacent rows so a budget falling between two
+/// sweep points resolves to the *smaller* budget's plan (which is always
+/// SLO-safe, since more budget never requires more resources).
+pub(crate) fn close_gaps(rows: &mut [CondensedHint]) {
     for i in 0..rows.len().saturating_sub(1) {
         let next_start = rows[i + 1].start_ms;
         if rows[i].end_ms < next_start {
             rows[i].end_ms = f64::from_bits(next_start.to_bits() - 1);
         }
     }
-    rows
 }
 
 impl RawHint {

@@ -34,12 +34,27 @@
 //! slices of the downstream row — the very entries a per-budget evaluation
 //! of `⌊b − L⌋` reads.
 //!
-//! A pass whose head timeout exceeds the largest resilience any feasible
-//! downstream plan offers fails Eq. 6 at every budget, so it cannot change
-//! the row and is skipped before it starts ([`HintGenerator::skipped_passes`]
-//! counts them). The last level has no downstream and keeps every pass.
+//! Eq. 6 also bounds where a pass can act. The running maximum of the
+//! downstream row's resilience (infeasible entries offer none) never falls
+//! as the residual grows, so a binary search finds the first residual at
+//! which it reaches the pass's head timeout `D`. No plan at an earlier
+//! residual can absorb `D`, so every budget reading one fails Eq. 6, and
+//! the pass starts relaxing at the first budget that reads that residual.
+//! A pass whose timeout the maximum never reaches fails at every budget:
+//! it cannot change the row and is skipped before it starts
+//! ([`HintGenerator::skipped_passes`] counts them). The last level has no
+//! downstream and relaxes every pass from its first affordable budget.
+//!
+//! A hints table keeps only each swept budget's head size and percentile,
+//! which are `levels[0]` at the quantised budget, so
+//! [`HintGenerator::build_table`] run-length encodes them straight off the
+//! filled DP: no raw hint is built, and the rows are allocated once, whatever
+//! the sweep step. [`HintGenerator::sweep`] and
+//! [`condense`](crate::condense::condense) build the same table the long way,
+//! which is what tests compare it with.
 
-use crate::hints::HintsTable;
+use crate::condense::close_gaps;
+use crate::hints::{CondensedHint, HintsTable};
 use janus_profiler::percentiles::{Percentile, PercentileGrid};
 use janus_profiler::profile::{FunctionProfile, WorkflowProfile};
 use janus_simcore::resources::Millicores;
@@ -299,15 +314,17 @@ impl<'a> HintGenerator<'a> {
                 (resilience, e.planned_cores)
             })
             .unzip();
-        // The most any downstream plan can absorb: a head timeout above it
-        // fails Eq. 6 at every budget. The last level has no constraint.
-        let max_absorbable = match downstream {
-            Some(_) => down_resilience
-                .iter()
-                .copied()
-                .fold(f64::NEG_INFINITY, f64::max),
-            None => f64::INFINITY,
-        };
+        // `reach[r]`: the most any downstream plan at a residual up to `r`
+        // can absorb. A pass fails Eq. 6 at every residual before the first
+        // one whose reach covers its head timeout, so it starts relaxing
+        // there; if none does, it fails at every budget and is skipped.
+        let reach: Vec<f64> = down_resilience
+            .iter()
+            .scan(f64::NEG_INFINITY, |max, &r| {
+                *max = max.max(r);
+                Some(*max)
+            })
+            .collect();
 
         // Per budget: the best cost so far and the (candidate, allocation)
         // pair that achieved it, as `candidate * allocations + allocation`.
@@ -317,7 +334,12 @@ impl<'a> HintGenerator<'a> {
             for (ki, &mc) in allocations.iter().enumerate() {
                 let this_choice = (ci * allocations.len() + ki) as u32;
                 let timeout = cand.timeout[ki];
-                if timeout > max_absorbable {
+                // The last level has no downstream, and no Eq. 6 to meet.
+                let absorbed_from = match downstream {
+                    Some(_) => reach.partition_point(|&max| max < timeout),
+                    None => 0,
+                };
+                if absorbed_from == width {
                     *skipped += 1;
                     continue;
                 }
@@ -349,12 +371,16 @@ impl<'a> HintGenerator<'a> {
                 let head_cost = weight * k;
                 let prob = cand.prob;
                 let overrun_cost = (1.0 - prob) * downstream_count * kmax_mc;
-                let relax = |costs: &mut [f64], choices: &mut [u32], residual: usize| {
-                    let down = down_resilience[residual..]
+                // Relaxes `costs[j]` from the downstream plan at residual
+                // `j + offset`, from the first residual that can absorb
+                // `timeout` on.
+                let relax = |costs: &mut [f64], choices: &mut [u32], offset: usize| {
+                    let skip = absorbed_from.saturating_sub(offset).min(costs.len());
+                    let down = down_resilience[offset + skip..]
                         .iter()
-                        .zip(&down_planned[residual..]);
+                        .zip(&down_planned[offset + skip..]);
                     for ((best, best_at), (&resilience, &planned)) in
-                        costs.iter_mut().zip(choices).zip(down)
+                        costs[skip..].iter_mut().zip(&mut choices[skip..]).zip(down)
                     {
                         let cost = head_cost + prob * planned + overrun_cost;
                         // Resilience constraint (Eq. 6): the head's potential
@@ -450,41 +476,80 @@ impl<'a> HintGenerator<'a> {
         allocation
     }
 
-    /// Sweep every budget in `[from, to]` with the configured step and emit
-    /// the raw hints (skipping infeasible budgets). This is the outer loop of
-    /// Algorithm 1 (lines 2–4).
-    pub fn sweep(&self, from: SimDuration, to: SimDuration) -> Vec<RawHint> {
+    /// Every budget in `[from, to]` (clamped to `[0, horizon]`), in steps
+    /// of the configured granularity.
+    fn budgets(&self, from: SimDuration, to: SimDuration) -> impl Iterator<Item = f64> {
         let step = self.config.budget_step_ms;
         let from_ms = from.as_millis().max(0.0);
         let to_ms = to.as_millis().min(self.horizon_ms as f64);
-        if to_ms < from_ms {
-            return Vec::new();
-        }
-        let steps = ((to_ms - from_ms) / step).floor() as usize;
-        (0..=steps)
-            .filter_map(|i| {
-                let budget = from_ms + i as f64 * step;
-                self.generate(SimDuration::from_millis(budget))
-            })
+        let count = if to_ms < from_ms {
+            0
+        } else {
+            ((to_ms - from_ms) / step).floor() as usize + 1
+        };
+        (0..count).map(move |i| from_ms + i as f64 * step)
+    }
+
+    /// Sweep every budget in `[from, to]` with the configured step and emit
+    /// the raw hints (skipping infeasible budgets). This is the outer loop of
+    /// Algorithm 1 (lines 2–4); [`HintGenerator::build_table`] reads the same
+    /// budgets' head plans without building the hints.
+    pub fn sweep(&self, from: SimDuration, to: SimDuration) -> Vec<RawHint> {
+        self.budgets(from, to)
+            .filter_map(|budget| self.generate(SimDuration::from_millis(budget)))
             .collect()
     }
 
     /// Sweep the natural budget range `[Tmin, Tmax]` of the profile (Eq. 3),
-    /// condense the result (Algorithm 2) and return the table together with
-    /// the raw hints. `suffix_start` labels which sub-workflow this is.
+    /// or `range` when given, condense the result (Algorithm 2) and return
+    /// the table together with the number of raw hints it condenses.
+    /// `suffix_start` labels which sub-workflow this is.
+    ///
+    /// A table keeps only each budget's head size and percentile, which are
+    /// `levels[0]` at the quantised budget, so the rows are run-length
+    /// encoded straight off the DP: the same table as condensing
+    /// [`HintGenerator::sweep`]'s hints, without building them.
     pub fn build_table(
         &self,
         suffix_start: usize,
         range: Option<(SimDuration, SimDuration)>,
-    ) -> (HintsTable, Vec<RawHint>) {
+    ) -> (HintsTable, usize) {
         let low = self.config.percentiles.lowest();
         let tail = self.tail();
         let (from, to) =
             range.unwrap_or_else(|| (self.profile.min_budget(low), self.profile.max_budget(tail)));
-        let raw = self.sweep(from, to);
-        let rows = crate::condense::condense(&raw);
-        // janus-lint: allow(unwrap-discipline) — condense returns rows sorted by budget and disjoint, which is all `new` checks
-        let table = HintsTable::new(suffix_start, raw.len(), rows).expect("condensed rows");
+        let heads = || {
+            self.budgets(from, to)
+                .map(|budget| (budget, self.levels[0][self.quantize(budget)]))
+                .filter(|(_, entry)| entry.feasible)
+        };
+        // Count the runs first, so the rows are allocated once whatever the
+        // step.
+        let mut runs = 0;
+        let mut run_cores = None;
+        for (_, entry) in heads() {
+            if run_cores != Some(entry.head_cores) {
+                runs += 1;
+                run_cores = Some(entry.head_cores);
+            }
+        }
+        let mut rows: Vec<CondensedHint> = Vec::with_capacity(runs);
+        let mut raw = 0;
+        for (budget_ms, entry) in heads() {
+            raw += 1;
+            match rows.last_mut() {
+                Some(row) if row.head_cores == entry.head_cores => row.end_ms = budget_ms,
+                _ => rows.push(CondensedHint {
+                    start_ms: budget_ms,
+                    end_ms: budget_ms,
+                    head_cores: entry.head_cores,
+                    head_percentile: entry.head_percentile,
+                }),
+            }
+        }
+        close_gaps(&mut rows);
+        // janus-lint: allow(unwrap-discipline) — the rows run over ascending budgets and are disjoint, which is all `new` checks
+        let table = HintsTable::new(suffix_start, raw, rows).expect("condensed rows");
         (table, raw)
     }
 }

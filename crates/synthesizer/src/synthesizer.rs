@@ -174,7 +174,7 @@ impl Synthesizer {
             // `Synthesizer::new` validated the configuration this derives from.
             let generator = HintGenerator::with_valid_config(&suffix, &gen_config, horizon);
             let (table, raw) = generator.build_table(start, range);
-            raw_total += raw.len();
+            raw_total += raw;
             tables.push(table);
         }
 
@@ -307,7 +307,7 @@ mod tests {
                         "{} W={weight}: table after {start}",
                         exploration.variant_name()
                     );
-                    raw_hints += raw.len();
+                    raw_hints += raw;
                 }
                 assert_eq!(report.raw_hints, raw_hints);
             }

@@ -1,8 +1,9 @@
-//! Allocation budget of the serving loops, counted exactly.
+//! Allocation budgets of the serving loops and of policy set-up, counted
+//! exactly.
 //!
 //! A counting global allocator (the system allocator plus a per-thread
 //! counter) counts every `alloc`, `alloc_zeroed` and `realloc` made on the
-//! calling thread while a serve call runs, so tests running in parallel on
+//! calling thread while a counted call runs, so tests running in parallel on
 //! other threads cannot disturb the count. Requests are generated outside
 //! the counted window, and each budget is read as the difference between a
 //! 20k- and a 10k-request run, so set-up (building the simulator and the
@@ -12,15 +13,23 @@
 //! allocations and latencies) and nothing else: arrivals are refilled in
 //! place and every per-event table is reused. Tighten a budget when a change
 //! removes an allocation; never loosen one.
+//!
+//! Set-up allocates a fixed count for a given profile: hint synthesis
+//! allocates the same at a 1 ms budget step as at a 10 ms one, and an ORION
+//! build the same however many greedy steps it takes.
 
+use janus_baselines::early::{orion, OrionConfig};
 use janus_platform::executor::{ClosedLoopExecutor, ExecutorConfig};
 use janus_platform::openloop::OpenLoopSimulation;
 use janus_platform::outcome::ServingReport;
 use janus_platform::policy::FixedSizingPolicy;
+use janus_profiler::profile::WorkflowProfile;
+use janus_profiler::profiler::{Profiler, ProfilerConfig};
 use janus_simcore::cluster::{ClusterConfig, PlacementPolicy};
 use janus_simcore::resources::Millicores;
 use janus_simcore::time::SimDuration;
-use janus_workloads::apps::PaperApp;
+use janus_synthesizer::synthesizer::{Synthesizer, SynthesizerConfig};
+use janus_workloads::apps::{intelligent_assistant, PaperApp};
 use janus_workloads::request::{RequestInput, RequestInputGenerator};
 use janus_workloads::workflow::Workflow;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -72,13 +81,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Run `serve` and count the allocations it makes on this thread. The
-/// report it returns is dropped after counting stops.
-fn allocations_of(serve: impl FnOnce() -> ServingReport) -> (ServingReport, u64) {
+/// Run `f` and count the allocations it makes on this thread. What it
+/// returns is dropped after counting stops.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     ALLOCATIONS.with(|n| n.set(Some(0)));
-    let report = serve();
+    let out = f();
     let counted = ALLOCATIONS.with(|n| n.replace(None)).unwrap_or(0);
-    (report, counted)
+    (out, counted)
 }
 
 /// The Intelligent Assistant workflow on eight spread 52-core nodes, and
@@ -150,4 +159,61 @@ fn closed_loop_allocates_only_the_outcome_vecs_per_request() {
         per_request <= BUDGET_PER_REQUEST,
         "closed loop: {per_request} allocations per request, budget {BUDGET_PER_REQUEST}"
     );
+}
+
+/// The Intelligent Assistant profiled at 300 samples per grid point.
+fn ia_profile() -> WorkflowProfile {
+    Profiler::new(ProfilerConfig {
+        samples_per_point: 300,
+        ..ProfilerConfig::default()
+    })
+    .unwrap()
+    .profile_workflow(&intelligent_assistant(), 1)
+}
+
+#[test]
+fn hint_synthesis_allocates_the_same_at_every_budget_step() {
+    let profile = ia_profile();
+    let synthesize = |budget_step_ms: f64| {
+        let synthesizer = Synthesizer::new(SynthesizerConfig {
+            budget_step_ms,
+            ..SynthesizerConfig::default()
+        })
+        .unwrap();
+        let ((_, report), allocations) = allocations_of(|| synthesizer.synthesize(&profile));
+        eprintln!(
+            "{budget_step_ms} ms step: {} raw hints, {allocations} allocations",
+            report.raw_hints
+        );
+        (report.raw_hints, allocations)
+    };
+    let (fine_hints, fine) = synthesize(1.0);
+    let (coarse_hints, coarse) = synthesize(10.0);
+    assert!(
+        fine_hints > 5 * coarse_hints,
+        "the 1 ms sweep visits more budgets"
+    );
+    assert_eq!(fine, coarse, "allocations at a 1 ms step vs a 10 ms step");
+}
+
+#[test]
+fn orion_allocates_the_same_however_many_greedy_steps_it_takes() {
+    let profile = ia_profile();
+    let config = OrionConfig::default();
+    let build = |slo_ms: f64| {
+        let slo = SimDuration::from_millis(slo_ms);
+        let (policy, allocations) = allocations_of(|| orion(&profile, slo, &config).unwrap());
+        eprintln!(
+            "SLO {slo_ms} ms: {} total, {allocations} allocations",
+            policy.total()
+        );
+        (policy.total(), allocations)
+    };
+    let (loose_total, loose) = build(6000.0);
+    let (tight_total, tight) = build(3000.0);
+    assert!(
+        loose_total < tight_total,
+        "the loose SLO takes more greedy steps"
+    );
+    assert_eq!(loose, tight, "allocations at a loose SLO vs a tight one");
 }

@@ -26,7 +26,9 @@ use janus_simcore::node::NodeId;
 use janus_simcore::pod::PodId;
 use janus_simcore::resources::{CoreGrid, Millicores};
 use janus_simcore::rng::SimRng;
-use janus_simcore::stats::{percentile, percentile_of_sorted, select_percentile};
+use janus_simcore::stats::{
+    percentile, percentile_of_sorted, select_percentile, select_percentile_above,
+};
 use janus_simcore::time::{SimDuration, SimTime};
 use janus_workloads::apps::intelligent_assistant;
 use std::collections::BTreeMap;
@@ -178,7 +180,7 @@ fn lookups_inside_the_range_never_miss() {
         if table.is_empty() {
             continue;
         }
-        assert!(table.len() <= raw.len(), "case {case}");
+        assert!(table.len() <= raw, "case {case}");
         let lo = table.min_budget_ms().unwrap();
         let hi = table.max_budget_ms().unwrap();
         let budget = lo + budget_frac * (hi - lo);
@@ -411,6 +413,63 @@ fn rounding_split_edges_match_the_per_budget_scan() {
     assert!(splits >= 6, "only {splits} latencies hit a rounding split");
 }
 
+/// A table read straight off the DP is the table Algorithm 2 condenses from
+/// the swept raw hints, and counts the same raw hints: on random profiles,
+/// at several sweep steps, over the natural range and over explicit ranges
+/// (reaching below zero or past the horizon, or empty).
+#[test]
+fn tables_built_off_the_dp_match_condensing_the_sweep() {
+    let mut rng = SimRng::seed_from_u64(0x1A09);
+    let percentiles = PercentileGrid::paper_default();
+    let mut rows = 0;
+    for case in 0..CASES {
+        let horizon_ms = rng.int_range(20, 2500) as f64;
+        let profile = small_random_profile(&mut rng, horizon_ms);
+        for step in [1.0, 2.5, 5.0, 10.0] {
+            let config = GenerationConfig {
+                weight: rng.uniform_range(1.0, 3.0),
+                percentiles: percentiles.clone(),
+                exploration_depth: rng.int_range(0, 2) as usize,
+                budget_step_ms: step,
+            };
+            let generator =
+                HintGenerator::new(&profile, &config, SimDuration::from_millis(horizon_ms))
+                    .unwrap();
+            let natural = (
+                profile.min_budget(percentiles.lowest()),
+                profile.max_budget(percentiles.tail()),
+            );
+            let explicit = (
+                SimDuration::from_millis(rng.uniform_range(-50.0, horizon_ms)),
+                SimDuration::from_millis(rng.uniform_range(0.0, horizon_ms * 1.2)),
+            );
+            for (range, (from, to)) in [(None, natural), (Some(explicit), explicit)] {
+                let label = format!("case {case}: step {step} ms, range {range:?}");
+                let (table, raw) = generator.build_table(1, range);
+                let hints = generator.sweep(from, to);
+                assert_eq!(raw, hints.len(), "{label}: raw hints");
+                let want = HintsTable::new(1, hints.len(), condense(&hints)).unwrap();
+                let bits = |t: &HintsTable| {
+                    let rows = t.rows().iter();
+                    rows.map(|r| {
+                        (
+                            r.start_ms.to_bits(),
+                            r.end_ms.to_bits(),
+                            r.head_cores,
+                            r.head_percentile,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&table), bits(&want), "{label}");
+                assert_eq!(table, want, "{label}");
+                rows += table.len();
+            }
+        }
+    }
+    assert!(rows >= CASES * 4, "only {rows} rows over every table");
+}
+
 /// The (percentile, allocation) passes of a fill that Eq. 6 rejects at
 /// every budget: at every level but the last, those whose head timeout
 /// exceeds the largest resilience of any feasible plan in the scan's row
@@ -565,6 +624,78 @@ fn select_percentile_matches_the_sorted_percentile() {
             "case {case}: len {len}, p {p}"
         );
     }
+}
+
+/// The floored selection ORION's convolution tries first returns exactly
+/// the percentile of the sorted values whenever enough values clear the
+/// floor to hold the ranks it reads, and declines otherwise: floors below
+/// the answer, equal to the value at the selected rank among duplicates,
+/// and above the answer (where the convolution falls back to a full
+/// selection).
+#[test]
+fn floored_selection_matches_the_sorted_percentile() {
+    let mut rng = SimRng::seed_from_u64(0x1A08);
+    let mut kept = Vec::new();
+    let (mut selected, mut declined) = (0, 0);
+    for case in 0..CASES * 4 {
+        let len = match case % 3 {
+            0 => rng.int_range(1, 2) as usize,
+            _ => rng.int_range(3, 300) as usize,
+        };
+        // A small pool of values forces duplicates around the selected rank.
+        let pool: Vec<f64> = (0..rng.int_range(1, 6))
+            .map(|_| rng.uniform_range(0.0, 5000.0))
+            .collect();
+        let values: Vec<f64> = (0..len)
+            .map(|_| {
+                if rng.uniform() < 0.5 {
+                    pool[rng.int_range(0, pool.len() as u64 - 1) as usize]
+                } else {
+                    rng.uniform_range(0.0, 5000.0)
+                }
+            })
+            .collect();
+        let p = match case % 5 {
+            0 => 99.0,
+            1 => 0.0,
+            2 => 100.0,
+            _ => rng.uniform_range(0.0, 100.0),
+        };
+        let mut sorted = values.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let want = percentile_of_sorted(&sorted, p);
+        let lo = (p / 100.0 * (len - 1) as f64).floor() as usize;
+        let floor = match case % 4 {
+            // Below the answer: a smaller value of the set, or under all.
+            0 => sorted[rng.int_range(0, lo as u64) as usize] * rng.uniform_range(0.9, 1.0),
+            // The value at the selected rank itself, duplicates included.
+            1 => sorted[lo],
+            // Above the answer: too few values clear it.
+            2 => want + rng.uniform_range(1.0, 100.0),
+            _ => rng.uniform_range(0.0, 5000.0),
+        };
+        let clears = values
+            .iter()
+            .filter(|v| v.total_cmp(&floor).is_ge())
+            .count();
+        let got = select_percentile_above(&values, floor, &mut kept, p);
+        let label = format!("case {case}: len {len}, p {p}, floor {floor}");
+        match got {
+            Some(got) => {
+                assert_eq!(got.to_bits(), want.to_bits(), "{label}");
+                assert!(clears >= len - lo, "{label}: selected below its ranks");
+                selected += 1;
+            }
+            None => {
+                assert!(clears < len - lo, "{label}: declined with enough values");
+                declined += 1;
+            }
+        }
+    }
+    assert!(
+        selected >= CASES && declined >= CASES / 2,
+        "{selected} selected, {declined} declined"
+    );
 }
 
 const FUNCTIONS: [&str; 4] = ["asr", "qa", "tts", "od"];
