@@ -92,6 +92,9 @@ pub fn orion(
     slo: SimDuration,
     config: &OrionConfig,
 ) -> Result<FixedSizingPolicy, String> {
+    if config.convolution_samples == 0 {
+        return Err("ORION: `convolution_samples` must be at least 1, got 0".into());
+    }
     let grid = profile.grid();
     let target_ms = slo.as_millis() * config.safety_margin;
     let mut sizes: Vec<Millicores> = vec![grid.max; profile.len()];
@@ -412,6 +415,16 @@ mod tests {
                 policy.name()
             );
         }
+    }
+
+    #[test]
+    fn orion_rejects_an_empty_convolution() {
+        let config = OrionConfig {
+            convolution_samples: 0,
+            ..OrionConfig::default()
+        };
+        let err = orion(&ia_profile(), SimDuration::from_secs(3.0), &config).unwrap_err();
+        assert!(err.contains("`convolution_samples`"), "got: {err}");
     }
 
     #[test]

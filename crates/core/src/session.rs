@@ -1013,14 +1013,14 @@ impl SessionReport {
         self.report(name)?.flight.as_ref()
     }
 
-    /// The session's full JSONL trace artefact: every policy's trace lines
-    /// concatenated in configuration order (each line carries its policy
+    /// The session's full JSONL trace artefact: every policy's trace
+    /// encoded in configuration order (each line carries its policy
     /// label). `None` unless an observer with a trace sink was attached.
     pub fn trace(&self) -> Option<String> {
         let mut out = String::new();
         for p in &self.policies {
-            if let Some(trace) = p.flight.as_ref().and_then(|f| f.trace.as_deref()) {
-                out.push_str(trace);
+            if let Some(trace) = p.flight.as_ref().and_then(|f| f.trace.as_ref()) {
+                trace.write_to(&mut out);
             }
         }
         if out.is_empty() {

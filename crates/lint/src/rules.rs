@@ -140,10 +140,9 @@ impl LintConfig {
                 // place (the generator's draw and the slice's copy).
                 hot("workloads/src/request.rs", "next_request_into"),
                 // The flight recorder's per-record path: every observer's
-                // `record`, the trace line writers and the span table.
+                // `record` and the span table. The trace line writers run
+                // when a trace is read, not per record, and are not listed.
                 hot("observe/src/lib.rs", "record"),
-                hot("observe/src/lib.rs", "write_record"),
-                hot("observe/src/lib.rs", "write_tick"),
                 hot("observe/src/lib.rs", "observe"),
             ],
             record_construction_allowed: vec![
@@ -580,22 +579,23 @@ impl Sim {
         assert!(hits.iter().all(|h| h.message.contains("run_traced")));
         // The same source in an unconfigured file is silent.
         assert!(run(hot_path_alloc, "crates/platform/src/capacity.rs", src).is_empty());
-        // The flight recorder's line writers are hot paths too.
-        let writer = "\
+        // The flight recorder's per-record sink is a hot path; its line
+        // writer runs when the trace is read and is not.
+        let sink = "\
 impl TraceObserver {
-    fn write_record(&mut self, record: &Record) {
+    fn record(&mut self, record: &Record) {
         let policy = self.policy.clone();
     }
-    fn finish(&mut self) -> String {
-        self.lines.clone()
+    fn write_record(&mut self, out: &mut String, record: &Record) {
+        out.push_str(&record.to_string());
     }
 }
 ";
-        let hits = run(hot_path_alloc, "crates/observe/src/lib.rs", writer);
+        let hits = run(hot_path_alloc, "crates/observe/src/lib.rs", sink);
         assert_eq!(hits.len(), 1, "{hits:#?}");
         assert!(hits[0]
             .message
-            .contains("`clone` allocates inside hot path `write_record`"));
+            .contains("`clone` allocates inside hot path `record`"));
         // macro_rules bodies are matched too.
         let emit = "macro_rules! emit {\n    ($x:expr) => { $x.to_string() };\n}\n";
         let hits = run(hot_path_alloc, "crates/platform/src/lib.rs", emit);

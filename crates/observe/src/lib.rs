@@ -24,12 +24,12 @@
 //!
 //! * `ring` — bounded in-memory ring buffer of the most recent records.
 //! * `trace` — JSONL sink: one compact JSON document per line, per-request
-//!   sampled so traces stay bounded at any request count. Lines are written
-//!   straight into the output buffer with janus-json's own number and
-//!   string formatters, so they are byte-identical to encoding a `Value`
-//!   tree but allocate nothing per record; on a traced `chaos_sweep` cell
-//!   this cut the recorder's overhead over un-observed serving
-//!   (`observe.overhead_frac`) from about 6.5 to about 1.
+//!   sampled so traces stay bounded at any request count. The sink keeps
+//!   typed entries (each kept [`Record`] copied onto a `Vec`, each tick
+//!   with its position) in a [`Trace`], and the JSONL is encoded only when
+//!   the trace is read ([`Trace::write_to`]), with janus-json's own number
+//!   and string formatters, so it is byte-identical to encoding a `Value`
+//!   tree. Sweeps that never read the text never pay for it.
 //! * `spans` — per-request span builder deriving queue-wait / cold-start /
 //!   execution / retry breakdowns and critical-path timings.
 //! * `time-series` — capacity-tick sampler emitting a [`TimeSeriesReport`]
@@ -706,9 +706,9 @@ pub struct ObserverReport {
     pub records_seen: u64,
     /// Records (and tick samples) the observer kept after sampling.
     pub records_kept: u64,
-    /// JSONL trace body (one compact JSON document per line), when the
-    /// observer writes one.
-    pub trace: Option<String>,
+    /// The kept trace entries, when the observer keeps a trace; encode
+    /// them to JSONL with [`Trace::write_to`].
+    pub trace: Option<Trace>,
     /// Per-request span breakdowns, when the observer derives them.
     pub spans: Option<SpanSummary>,
     /// Capacity-tick telemetry, when the observer samples it.
@@ -718,13 +718,12 @@ pub struct ObserverReport {
 impl ObserverReport {
     /// Encode as a `janus-json` object. The trace *body* is deliberately
     /// excluded (it goes to its own `--trace` artefact); only its line
-    /// count is reported here.
+    /// count, counted without encoding, is reported here.
     pub fn to_json(&self) -> Value {
         let trace_lines = self
             .trace
             .as_ref()
-            .map(|t| t.lines().count() as f64)
-            .map(Value::Num)
+            .map(|t| Value::Num(t.entries() as f64))
             .unwrap_or(Value::Null);
         Value::Obj(vec![
             ("observer".to_string(), Value::Str(self.observer.clone())),
@@ -922,29 +921,17 @@ impl Observer for RingObserver {
     }
 }
 
-/// JSONL trace sink: every kept record and every tick sample becomes one
-/// compact JSON document on its own line, labelled with the policy the run
-/// belongs to. Request-scoped records are sampled by `sampling_stride`;
-/// fleet-scoped records and ticks are always kept.
-///
-/// A record line is `{"policy":…,"at_ms":…,"type":…,<variant fields>}`
-/// (decoded by [`Record::from_json`]) and a tick line is
-/// `{"policy":…,"type":"tick",<fields in TimeSeriesPoint::to_json order>}`.
-/// Lines are written straight into the output buffer with janus-json's own
-/// number and string formatters, so they are byte-identical to encoding a
-/// `Value` tree while allocating nothing per record.
+/// JSONL trace sink: keeps every sampled record and every tick sample as a
+/// typed entry of a [`Trace`], labelled with the policy the run belongs to.
+/// Request-scoped records are sampled by `sampling_stride`; fleet-scoped
+/// records and ticks are always kept. Keeping a record copies it onto a
+/// `Vec`; the JSONL text is encoded only when the trace is read
+/// ([`Trace::write_to`]).
 #[derive(Debug, Clone)]
 pub struct TraceObserver {
-    /// `{"policy":"<escaped name>",` — the fixed head of every line.
-    prefix: String,
     stride: u64,
-    lines: String,
-    /// `f64::to_bits` of the last `at_ms` written, and its JSON text: the
-    /// records of one event share an instant, so most lines reuse it.
-    at_bits: u64,
-    at_text: String,
+    trace: Trace,
     seen: u64,
-    kept: u64,
 }
 
 impl TraceObserver {
@@ -953,16 +940,14 @@ impl TraceObserver {
         let mut prefix = String::from("{\"policy\":");
         write_string(&mut prefix, &ctx.policy);
         prefix.push(',');
-        let mut at_text = String::new();
-        write_number(&mut at_text, 0.0);
         TraceObserver {
-            prefix,
             stride: sampling_stride(ctx.requests),
-            lines: String::new(),
-            at_bits: 0.0f64.to_bits(),
-            at_text,
+            trace: Trace {
+                prefix,
+                records: Vec::new(),
+                ticks: Vec::new(),
+            },
             seen: 0,
-            kept: 0,
         }
     }
 
@@ -972,24 +957,108 @@ impl TraceObserver {
             None => true,
         }
     }
+}
+
+/// One policy run's flight trace: the kept records and tick samples, in
+/// simulation order, encoded to JSONL only when read.
+///
+/// A record line is `{"policy":…,"at_ms":…,"type":…,<variant fields>}`
+/// (decoded by [`Record::from_json`]) and a tick line is
+/// `{"policy":…,"type":"tick",<fields in TimeSeriesPoint::to_json order>}`.
+/// Lines are written with janus-json's own number and string formatters,
+/// so they are byte-identical to encoding a `Value` tree. Equality compares
+/// the typed entries and the policy, so two traces are equal exactly when
+/// their texts are, except that an empty trace encodes to nothing whatever
+/// its policy.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Trace {
+    /// `{"policy":"<escaped name>",` — the fixed head of every line.
+    prefix: String,
+    records: Vec<Record>,
+    /// Each tick sample with the number of records kept before it.
+    ticks: Vec<(usize, TimeSeriesPoint)>,
+}
+
+impl Trace {
+    /// Lines in the encoded text: one per kept record and tick.
+    fn entries(&self) -> usize {
+        self.records.len() + self.ticks.len()
+    }
+
+    /// True when the trace kept nothing (and so encodes to no text).
+    pub fn is_empty(&self) -> bool {
+        self.entries() == 0
+    }
+
+    /// The encoded text's length in bytes. This encodes the trace to count
+    /// it; nothing is cached.
+    pub fn len(&self) -> usize {
+        let mut text = String::new();
+        self.write_to(&mut text);
+        text.len()
+    }
+
+    /// Append the JSONL text — one compact JSON document per line — to
+    /// `out`.
+    pub fn write_to(&self, out: &mut String) {
+        let mut encoder = LineEncoder::new(&self.prefix);
+        let mut written = 0;
+        for (before, point) in &self.ticks {
+            for record in &self.records[written..*before] {
+                encoder.write_record(out, record);
+            }
+            written = *before;
+            encoder.write_tick(out, point);
+        }
+        for record in &self.records[written..] {
+            encoder.write_record(out, record);
+        }
+    }
+}
+
+impl fmt::Display for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = String::new();
+        self.write_to(&mut text);
+        f.write_str(&text)
+    }
+}
+
+/// Writes trace lines, keeping the JSON text of the last `at_ms` written:
+/// the records of one event share an instant, so most lines reuse it.
+struct LineEncoder<'a> {
+    prefix: &'a str,
+    /// `f64::to_bits` of the last `at_ms` written, and its JSON text.
+    at_bits: u64,
+    at_text: String,
+}
+
+impl<'a> LineEncoder<'a> {
+    fn new(prefix: &'a str) -> Self {
+        let mut at_text = String::new();
+        write_number(&mut at_text, 0.0);
+        LineEncoder {
+            prefix,
+            at_bits: 0.0f64.to_bits(),
+            at_text,
+        }
+    }
 
     /// Append the policy prefix, the first key and the `at_ms` value,
     /// reformatting the timestamp only when it changed.
-    fn begin_line(&mut self, first_key: &str, at: SimTime) {
-        let ms = at.as_millis();
+    fn begin_line(&mut self, out: &mut String, first_key: &str, ms: f64) {
         if ms.to_bits() != self.at_bits {
             self.at_bits = ms.to_bits();
             self.at_text.clear();
             write_number(&mut self.at_text, ms);
         }
-        self.lines.push_str(&self.prefix);
-        self.lines.push_str(first_key);
-        self.lines.push_str(&self.at_text);
+        out.push_str(self.prefix);
+        out.push_str(first_key);
+        out.push_str(&self.at_text);
     }
 
-    fn write_record(&mut self, record: &Record) {
-        self.begin_line("\"at_ms\":", record.at);
-        let out = &mut self.lines;
+    fn write_record(&mut self, out: &mut String, record: &Record) {
+        self.begin_line(out, "\"at_ms\":", record.at.as_millis());
         out.push_str(",\"type\":");
         write_string(out, record.kind.kind_name());
         match record.kind {
@@ -1066,30 +1135,27 @@ impl TraceObserver {
             }
         }
         out.push_str("}\n");
-        self.kept += 1;
     }
 
-    fn write_tick(&mut self, sample: &TickSample) {
-        self.begin_line("\"type\":\"tick\",\"at_ms\":", sample.at);
-        let out = &mut self.lines;
-        num_field(out, "queue_depth", sample.queue_depth as f64);
-        num_field(out, "inflight", sample.inflight as f64);
-        num_field(out, "active_nodes", sample.active_nodes as f64);
+    fn write_tick(&mut self, out: &mut String, point: &TimeSeriesPoint) {
+        self.begin_line(out, "\"type\":\"tick\",\"at_ms\":", point.at_ms);
+        num_field(out, "queue_depth", point.queue_depth as f64);
+        num_field(out, "inflight", point.inflight as f64);
+        num_field(out, "active_nodes", point.active_nodes as f64);
         out.push_str(",\"nodes_per_zone\":[");
-        for (i, &n) in sample.nodes_per_zone.iter().enumerate() {
+        for (i, &n) in point.nodes_per_zone.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             write_number(out, n as f64);
         }
         out.push(']');
-        num_field(out, "utilization", sample.utilization);
-        num_field(out, "pool_size", sample.pool_size as f64);
-        num_field(out, "shed", sample.shed as f64);
-        num_field(out, "failed", sample.failed as f64);
-        num_field(out, "retried", sample.retried as f64);
+        num_field(out, "utilization", point.utilization);
+        num_field(out, "pool_size", point.pool_size as f64);
+        num_field(out, "shed", point.shed as f64);
+        num_field(out, "failed", point.failed as f64);
+        num_field(out, "retried", point.retried as f64);
         out.push_str("}\n");
-        self.kept += 1;
     }
 }
 
@@ -1116,21 +1182,24 @@ impl Observer for TraceObserver {
     fn record(&mut self, record: &Record) {
         self.seen += 1;
         if self.keeps(&record.kind) {
-            self.write_record(record);
+            self.trace.records.push(*record);
         }
     }
 
     fn tick(&mut self, sample: &TickSample) {
         self.seen += 1;
-        self.write_tick(sample);
+        let before = self.trace.records.len();
+        self.trace
+            .ticks
+            .push((before, TimeSeriesPoint::from_sample(sample)));
     }
 
     fn finish(&mut self) -> ObserverReport {
         ObserverReport {
             observer: "trace".to_string(),
             records_seen: self.seen,
-            records_kept: self.kept,
-            trace: Some(std::mem::take(&mut self.lines)),
+            records_kept: self.trace.entries() as u64,
+            trace: Some(std::mem::take(&mut self.trace)),
             ..ObserverReport::default()
         }
     }
@@ -1423,7 +1492,7 @@ mod tests {
             let record = Record { at: at(12.5), kind };
             let mut observer = TraceObserver::new(&ctx());
             observer.record(&record);
-            let trace = observer.finish().trace.unwrap();
+            let trace = observer.finish().trace.unwrap().to_string();
             let decoded = Record::from_json(&janus_json::parse(trace.trim_end()).unwrap())
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.kind_name()));
             assert_eq!(decoded, record, "round trip changed {}", kind.kind_name());
@@ -1479,7 +1548,7 @@ mod tests {
         assert_eq!(report.records_seen, 6);
         // Arrivals 0 and 2 (stride 2) + the fault + the tick.
         assert_eq!(report.records_kept, 4);
-        let trace = report.trace.unwrap();
+        let trace = report.trace.unwrap().to_string();
         assert_eq!(trace.lines().count(), 4);
         for line in trace.lines() {
             let value = janus_json::parse(line).expect("every line is a JSON document");
@@ -1614,7 +1683,7 @@ mod tests {
         let report = recorder.finish();
         assert_eq!(report.observer, "flight-recorder");
         assert_eq!(report.records_seen, 3);
-        let trace = report.trace.as_ref().unwrap();
+        let trace = report.trace.as_ref().unwrap().to_string();
         assert_eq!(trace.lines().count(), 3);
         let spans = report.spans.as_ref().unwrap();
         assert_eq!(spans.served, 1);

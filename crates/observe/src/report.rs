@@ -292,7 +292,7 @@ mod tests {
                 slo_met: true,
             },
         });
-        recorder.finish().trace.unwrap()
+        recorder.finish().trace.unwrap().to_string()
     }
 
     #[test]

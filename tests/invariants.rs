@@ -15,8 +15,8 @@ use janus_core::synthesizer::generation::{GenerationConfig, HintGenerator, Level
 use janus_core::synthesizer::hints::{HintsTable, LookupOutcome};
 use janus_json::Value;
 use janus_observe::{
-    Observer, ObserverContext, Record, RecordKind, TickSample, TimeSeriesPoint, TraceObserver,
-    FAULT_KINDS,
+    Observer, ObserverContext, ObserverReport, Record, RecordKind, TickSample, TimeSeriesPoint,
+    TraceObserver, FAULT_KINDS, TRACE_TARGET_REQUESTS,
 };
 use janus_profiler::profile::WorkflowProfile;
 use janus_simcore::cluster::{Cluster, ClusterConfig, NodeState, PlacementPolicy};
@@ -1265,7 +1265,10 @@ fn direct_trace_lines_match_the_value_tree_encoding() {
         }
         let report = observer.finish();
         assert_eq!(report.records_kept, expected.len() as u64, "case {case}");
-        let trace = report.trace.expect("the trace sink writes a trace");
+        let trace = report
+            .trace
+            .expect("the trace sink writes a trace")
+            .to_string();
         let lines: Vec<&str> = trace.split_terminator('\n').collect();
         assert_eq!(lines.len(), expected.len(), "case {case}: {trace}");
         for (i, ((line, want), input)) in lines.iter().zip(&expected).zip(&inputs).enumerate() {
@@ -1294,4 +1297,155 @@ fn direct_trace_lines_match_the_value_tree_encoding() {
             }
         }
     }
+}
+
+/// One input to a trace sink: a lifecycle record or a capacity tick.
+type TraceInput = Result<Record, TickSample>;
+
+/// A stream shaped like a serving run's: runs of records sharing one
+/// instant, with groups of ticks before the first run, between runs and
+/// after the last one. Group sizes include zero and several consecutive
+/// ticks.
+fn arbitrary_trace_stream(rng: &mut SimRng) -> Vec<TraceInput> {
+    let ticks = |rng: &mut SimRng, stream: &mut Vec<TraceInput>, at: f64| {
+        for _ in 0..rng.int_range(0, 3) {
+            stream.push(Err(arbitrary_tick(rng, SimTime::from_millis(at))));
+        }
+    };
+    let mut at = rng.uniform_range(0.0, 1e4);
+    let mut stream = Vec::new();
+    ticks(rng, &mut stream, at);
+    for _ in 0..rng.int_range(0, 8) {
+        at += rng.uniform_range(0.0, 500.0);
+        for _ in 0..rng.int_range(1, 6) {
+            let record = Record {
+                at: SimTime::from_millis(at),
+                kind: arbitrary_kind(rng),
+            };
+            stream.push(Ok(record));
+        }
+        ticks(rng, &mut stream, at);
+    }
+    stream
+}
+
+fn trace_stream(policy: &str, stride: u64, stream: &[TraceInput]) -> ObserverReport {
+    let mut observer = TraceObserver::new(&ObserverContext {
+        seed: 0,
+        policy: policy.to_string(),
+        requests: stride as usize * TRACE_TARGET_REQUESTS,
+        zones: 3,
+        slo: SimDuration::from_secs(1.0),
+    });
+    for input in stream {
+        match input {
+            Ok(record) => observer.record(record),
+            Err(sample) => observer.tick(sample),
+        }
+    }
+    observer.finish()
+}
+
+/// The trace keeps typed entries and encodes them when read. Its text
+/// matches the per-record oracle line for line wherever the ticks fall
+/// (before the first record, between records, back to back, after the
+/// last one) and whichever records sampling drops; `len()`, the kept
+/// count and `trace_lines` all agree with the text; encoding is repeatable;
+/// and two traces compare equal exactly when their texts do.
+#[test]
+fn traces_encoded_on_read_match_the_per_record_oracle() {
+    let mut rng = SimRng::seed_from_u64(0x1A0C);
+    // Cases that put a tick first, between two records, right after
+    // another tick, and last; and cases with a run of same-instant records.
+    let mut shapes = [0usize; 5];
+    for case in 0..4 * CASES {
+        let policy = arbitrary_policy(&mut rng);
+        let stride = *rng.choose(&[1, 1, 3]);
+        let stream = arbitrary_trace_stream(&mut rng);
+        let kept: Vec<&TraceInput> = stream
+            .iter()
+            .filter(|input| match input {
+                Ok(record) => record.kind.request().is_none_or(|id| id % stride == 0),
+                Err(_) => true,
+            })
+            .collect();
+        let expected: Vec<String> = kept
+            .iter()
+            .map(|input| match input {
+                Ok(record) => oracle_record_line(&policy, record),
+                Err(sample) => oracle_tick_line(&policy, sample),
+            })
+            .collect();
+        let is_tick: Vec<bool> = kept.iter().map(|input| input.is_err()).collect();
+        shapes[0] += usize::from(is_tick.len() > 1 && is_tick[0]);
+        shapes[1] += usize::from(is_tick.windows(3).any(|w| w == [false, true, false]));
+        shapes[2] += usize::from(is_tick.windows(2).any(|w| w == [true, true]));
+        shapes[3] += usize::from(is_tick.len() > 1 && is_tick[is_tick.len() - 1]);
+        shapes[4] += usize::from(stream.windows(2).any(|w| match w {
+            [Ok(a), Ok(b)] => a.at == b.at,
+            _ => false,
+        }));
+
+        let report = trace_stream(&policy, stride, &stream);
+        let trace = report.trace.as_ref().expect("the trace sink keeps a trace");
+        let mut text = String::new();
+        trace.write_to(&mut text);
+        let lines: Vec<&str> = text.split_terminator('\n').collect();
+        assert_eq!(lines, expected, "case {case}");
+        assert_eq!(trace.len(), text.len(), "case {case}");
+        assert_eq!(trace.is_empty(), text.is_empty(), "case {case}");
+        assert_eq!(report.records_kept, lines.len() as u64, "case {case}");
+        assert_eq!(
+            report.to_json().get("trace_lines").and_then(Value::as_f64),
+            Some(lines.len() as f64),
+            "case {case}"
+        );
+        let mut again = String::new();
+        trace.write_to(&mut again);
+        trace.write_to(&mut again);
+        assert_eq!(again, text.repeat(2), "case {case}: encoding is repeatable");
+        assert_eq!(trace.to_string(), text, "case {case}");
+
+        // A second stream: the same one, or one entry dropped, retimed or
+        // swapped with its neighbour, traced under the same policy or (when
+        // there is text to carry it) another one.
+        let mut other = stream.clone();
+        if !other.is_empty() {
+            let i = rng.int_range(0, other.len() as u64 - 1) as usize;
+            match rng.int_range(0, 3) {
+                0 => {}
+                1 => {
+                    let _ = other.remove(i);
+                }
+                2 => {
+                    let at = SimTime::from_millis(rng.uniform_range(0.0, 1e4));
+                    match &mut other[i] {
+                        Ok(record) => record.at = at,
+                        Err(sample) => sample.at = at,
+                    }
+                }
+                _ => {
+                    let j = (i + 1).min(other.len() - 1);
+                    other.swap(i, j);
+                }
+            }
+        }
+        let other_policy = if !text.is_empty() && rng.uniform() < 0.25 {
+            arbitrary_policy(&mut rng)
+        } else {
+            policy.clone()
+        };
+        let other_trace = trace_stream(&other_policy, stride, &other)
+            .trace
+            .expect("the trace sink keeps a trace");
+        assert_eq!(
+            *trace == other_trace,
+            text == other_trace.to_string(),
+            "case {case}: typed equality must agree with the text"
+        );
+    }
+    assert!(
+        shapes.iter().all(|&n| n > 0),
+        "every stream shape must occur: {shapes:?}"
+    );
 }

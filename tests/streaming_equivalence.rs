@@ -226,7 +226,11 @@ fn golden_traces_match_between_slice_and_stream() {
             Some(&mut recorder),
         )
         .unwrap();
-    let eager_trace = recorder.finish().trace.expect("slice run writes a trace");
+    let eager_trace = recorder
+        .finish()
+        .trace
+        .expect("slice run writes a trace")
+        .to_string();
 
     let mut recorder = FlightRecorder::new(&observer_ctx);
     let mut source = GeneratorSource::new(generator("bursty", 7), REQUESTS);
@@ -241,7 +245,11 @@ fn golden_traces_match_between_slice_and_stream() {
             Some(&mut recorder),
         )
         .unwrap();
-    let streamed_trace = recorder.finish().trace.expect("stream run writes a trace");
+    let streamed_trace = recorder
+        .finish()
+        .trace
+        .expect("stream run writes a trace")
+        .to_string();
 
     assert_eq!(eager, streamed);
     assert_eq!(
