@@ -86,11 +86,6 @@ impl Adapter {
         }
     }
 
-    /// Adapter with default configuration.
-    pub fn with_defaults(bundle: HintsBundle) -> Self {
-        Self::new(bundle, AdapterConfig::default())
-    }
-
     /// The hints bundle currently in use.
     pub fn bundle(&self) -> &HintsBundle {
         &self.bundle
@@ -230,7 +225,7 @@ mod tests {
 
     #[test]
     fn hits_return_the_table_allocation() {
-        let mut adapter = Adapter::with_defaults(bundle());
+        let mut adapter = Adapter::new(bundle(), AdapterConfig::default());
         let d = adapter.decide(0, SimDuration::from_millis(3000.0));
         assert_eq!(d.head_cores, Millicores::new(1200));
         assert_eq!(d.source, DecisionSource::TableHit);
@@ -243,7 +238,7 @@ mod tests {
 
     #[test]
     fn misses_scale_to_kmax_and_are_counted() {
-        let mut adapter = Adapter::with_defaults(bundle());
+        let mut adapter = Adapter::new(bundle(), AdapterConfig::default());
         // Budget below the smallest range: miss.
         let d = adapter.decide(0, SimDuration::from_millis(500.0));
         assert_eq!(d.source, DecisionSource::MissScaleToMax);
@@ -256,7 +251,7 @@ mod tests {
 
     #[test]
     fn budgets_above_the_table_use_the_cheapest_row() {
-        let mut adapter = Adapter::with_defaults(bundle());
+        let mut adapter = Adapter::new(bundle(), AdapterConfig::default());
         let d = adapter.decide(0, SimDuration::from_millis(60_000.0));
         assert_eq!(d.source, DecisionSource::AboveRange);
         assert_eq!(d.head_cores, Millicores::new(1200));
@@ -265,7 +260,7 @@ mod tests {
 
     #[test]
     fn decision_latency_is_tracked_and_small() {
-        let mut adapter = Adapter::with_defaults(bundle());
+        let mut adapter = Adapter::new(bundle(), AdapterConfig::default());
         assert_eq!(adapter.mean_decision_time_us(), 0.0);
         for i in 0..1000 {
             adapter.decide(0, SimDuration::from_millis(2000.0 + f64::from(i)));
@@ -282,7 +277,7 @@ mod tests {
     #[test]
     fn sampled_timing_leaves_every_decision_as_the_table_gives_it() {
         let bundle = bundle();
-        let mut adapter = Adapter::with_defaults(bundle.clone());
+        let mut adapter = Adapter::new(bundle.clone(), AdapterConfig::default());
         let (mut hits, mut misses) = (0, 0);
         for i in 0..1000_u32 {
             // Suffixes 0, 1 and an unknown 2; budgets below, inside and
@@ -307,7 +302,7 @@ mod tests {
             assert_eq!((d.head_cores, d.source), expected, "decision {i}");
         }
         assert!(hits > 0 && misses > 0);
-        assert_eq!(adapter.supervisor().hits(), hits);
+        assert_eq!(adapter.supervisor().observations(), hits + misses);
         assert_eq!(adapter.supervisor().misses(), misses);
         assert_eq!(adapter.decisions(), 1000);
         assert_eq!(adapter.timed_decisions, 16);
@@ -315,7 +310,7 @@ mod tests {
 
     #[test]
     fn regeneration_is_recommended_after_sustained_misses() {
-        let mut adapter = Adapter::with_defaults(bundle());
+        let mut adapter = Adapter::new(bundle(), AdapterConfig::default());
         assert!(!adapter.regeneration_recommended());
         for _ in 0..200 {
             adapter.decide(0, SimDuration::from_millis(100.0)); // always a miss

@@ -70,11 +70,6 @@ impl FeedbackChannel {
     pub fn drain(&self) -> Vec<FeedbackEvent> {
         self.queue().drain(..).collect()
     }
-
-    /// Number of events waiting to be consumed.
-    pub fn pending(&self) -> usize {
-        self.queue().len()
-    }
 }
 
 #[cfg(test)]
@@ -94,14 +89,14 @@ mod tests {
         chan.emit(FeedbackEvent::BundleInstalled {
             workflow: "IA".to_string(),
         });
-        assert_eq!(chan.pending(), 2);
+        assert_eq!(chan.queue().len(), 2);
         let events = chan.drain();
         assert_eq!(events.len(), 2);
         assert!(matches!(
             events[0],
             FeedbackEvent::RegenerationRequested { .. }
         ));
-        assert_eq!(chan.pending(), 0);
+        assert_eq!(chan.queue().len(), 0);
     }
 
     #[test]
@@ -118,7 +113,7 @@ mod tests {
         .join();
         assert!(crashed.is_err());
         assert!(chan.queue.is_poisoned());
-        assert_eq!(chan.pending(), 1);
+        assert_eq!(chan.queue().len(), 1);
         assert!(chan.poll().is_some());
         assert_eq!(chan.drain(), Vec::new());
     }

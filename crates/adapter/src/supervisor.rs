@@ -37,7 +37,7 @@ pub struct MissRateSupervisor {
 
 impl MissRateSupervisor {
     /// Create a supervisor.
-    pub fn new(config: SupervisorConfig) -> Self {
+    pub(crate) fn new(config: SupervisorConfig) -> Self {
         MissRateSupervisor {
             config,
             hits: 0,
@@ -46,7 +46,7 @@ impl MissRateSupervisor {
     }
 
     /// Record one lookup outcome.
-    pub fn observe(&mut self, hit: bool) {
+    pub(crate) fn observe(&mut self, hit: bool) {
         if hit {
             self.hits += 1;
         } else {
@@ -55,13 +55,8 @@ impl MissRateSupervisor {
     }
 
     /// Total observations.
-    pub fn observations(&self) -> u64 {
+    pub(crate) fn observations(&self) -> u64 {
         self.hits + self.misses
-    }
-
-    /// Number of hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Number of misses.
@@ -70,7 +65,7 @@ impl MissRateSupervisor {
     }
 
     /// Hit rate in `[0, 1]` (1.0 before any observation).
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.observations();
         if total == 0 {
             return 1.0;
@@ -79,25 +74,20 @@ impl MissRateSupervisor {
     }
 
     /// Miss rate in `[0, 1]` (0.0 before any observation).
-    pub fn miss_rate(&self) -> f64 {
+    pub(crate) fn miss_rate(&self) -> f64 {
         1.0 - self.hit_rate()
     }
 
     /// Whether regeneration of the hints tables is recommended.
-    pub fn regeneration_recommended(&self) -> bool {
+    pub(crate) fn regeneration_recommended(&self) -> bool {
         self.observations() >= self.config.min_observations
             && self.miss_rate() > self.config.miss_rate_threshold
     }
 
     /// Reset the counters (after installing regenerated tables).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.hits = 0;
         self.misses = 0;
-    }
-
-    /// The configured threshold.
-    pub fn config(&self) -> &SupervisorConfig {
-        &self.config
     }
 }
 
@@ -121,7 +111,7 @@ mod tests {
             s.observe(i % 10 != 0); // 10% misses
         }
         assert_eq!(s.observations(), 200);
-        assert_eq!(s.hits(), 180);
+        assert_eq!(s.hits, 180);
         assert_eq!(s.misses(), 20);
         assert!((s.miss_rate() - 0.10).abs() < 1e-12);
         assert!(s.regeneration_recommended(), "10% > 1% threshold");

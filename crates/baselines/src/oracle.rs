@@ -179,17 +179,6 @@ impl OptimalOracle {
         }
         plan
     }
-
-    /// The pre-computed plan for a request (None if it was not in the set the
-    /// oracle was constructed with).
-    pub fn plan(&self, request_id: u64) -> Option<&[Millicores]> {
-        self.plans.get(&request_id).map(Vec::as_slice)
-    }
-
-    /// The CPU grid the oracle plans on.
-    pub fn grid(&self) -> CoreGrid {
-        self.grid
-    }
 }
 
 impl SizingPolicy for OptimalOracle {
@@ -229,16 +218,31 @@ mod tests {
         (ia, reqs)
     }
 
+    /// The sizes the oracle serves `request` with, one `size_next` call per
+    /// function of the three-function chain.
+    fn served_plan(
+        oracle: &mut OptimalOracle,
+        request: &RequestInput,
+        slo: SimDuration,
+    ) -> Vec<Millicores> {
+        let ctx = RequestContext {
+            request_id: request.id,
+            slo,
+            concurrency: 1,
+            workflow_len: 3,
+        };
+        (0..3).map(|i| oracle.size_next(&ctx, i, slo)).collect()
+    }
+
     #[test]
     fn oracle_plans_meet_the_slo_exactly_when_feasible() {
         let (ia, reqs) = setup(100);
         let slo = SimDuration::from_secs(3.0);
         let interference = InterferenceModel::paper_calibrated();
-        let oracle =
+        let mut oracle =
             OptimalOracle::new(&ia, &reqs, slo, 1, CoreGrid::paper_default(), &interference);
         for r in &reqs {
-            let plan = oracle.plan(r.id).unwrap();
-            assert_eq!(plan.len(), 3);
+            let plan = served_plan(&mut oracle, r, slo);
             let e2e: f64 = plan
                 .iter()
                 .enumerate()
@@ -271,9 +275,9 @@ mod tests {
         let slo = SimDuration::from_secs(3.0);
         let interference = InterferenceModel::paper_calibrated();
         let grid = CoreGrid::paper_default();
-        let oracle = OptimalOracle::new(&ia, &reqs, slo, 1, grid, &interference);
+        let mut oracle = OptimalOracle::new(&ia, &reqs, slo, 1, grid, &interference);
         for r in &reqs {
-            let plan = oracle.plan(r.id).unwrap().to_vec();
+            let plan = served_plan(&mut oracle, r, slo);
             let total: u32 = plan.iter().map(|k| k.get()).sum();
             if total == 3 * grid.min.get() {
                 continue; // already the global minimum
@@ -353,7 +357,6 @@ mod tests {
             oracle.size_next(&ctx, 0, SimDuration::from_secs(3.0)),
             Millicores::new(3000)
         );
-        assert!(oracle.plan(999).is_none());
         assert!(oracle.is_late_binding());
     }
 }

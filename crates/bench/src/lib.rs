@@ -130,7 +130,7 @@ impl BenchFlags {
     }
 
     /// The experiment context these flags describe (scale + seed override).
-    pub fn ctx(&self) -> ExperimentCtx {
+    pub(crate) fn ctx(&self) -> ExperimentCtx {
         ExperimentCtx::new(self.scale).with_seed(self.seed)
     }
 

@@ -58,7 +58,7 @@ pub struct FaultContext {
 
 impl FaultContext {
     /// Validate the context before any injector consumes it.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.base_rps.is_finite() && self.base_rps > 0.0) {
             return Err(format!(
                 "fault context needs a positive base rate, got {}",
@@ -154,27 +154,6 @@ pub struct FaultSchedule {
     pub victim_seed: u64,
     /// Scheduled faults, sorted by firing time.
     pub events: Vec<FaultEvent>,
-}
-
-impl FaultSchedule {
-    /// An empty schedule under `injector`'s name (nothing ever fails).
-    pub fn empty(injector: impl Into<String>, victim_seed: u64) -> Self {
-        FaultSchedule {
-            injector: injector.into(),
-            victim_seed,
-            events: Vec::new(),
-        }
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// An object-safe fault injector: a name to register it under and a pure
@@ -297,7 +276,7 @@ pub struct SpotPreemptInjector;
 
 impl SpotPreemptInjector {
     /// The termination notice spot victims receive before the forced kill.
-    pub fn notice() -> SimDuration {
+    pub(crate) fn notice() -> SimDuration {
         SimDuration::from_secs(10.0)
     }
 }
@@ -414,7 +393,10 @@ mod tests {
         for name in registry.names() {
             let schedule = registry.build(name, &ctx()).unwrap();
             assert_eq!(schedule.injector, name);
-            assert!(!schedule.is_empty(), "{name} schedules at least one fault");
+            assert!(
+                !schedule.events.is_empty(),
+                "{name} schedules at least one fault"
+            );
         }
     }
 
@@ -462,7 +444,7 @@ mod tests {
             let schedule = registry
                 .build("zone-outage", &FaultContext { seed, ..ctx() })
                 .unwrap();
-            assert_eq!(schedule.len(), 1);
+            assert_eq!(schedule.events.len(), 1);
             match schedule.events[0].action {
                 FaultAction::ZoneOutage { zone } => assert!(zone < 2),
                 ref other => panic!("unexpected action {other:?}"),
@@ -527,25 +509,35 @@ mod tests {
     fn custom_injectors_register_and_replace_by_name() {
         let mut registry = FaultRegistry::with_builtins();
         registry.register_fn("double-outage", |ctx| {
-            let mut schedule = FaultSchedule::empty("double-outage", ctx.seed);
-            for frac in [0.3, 0.6] {
-                schedule.events.push(FaultEvent {
+            let events = [0.3, 0.6]
+                .map(|frac| FaultEvent {
                     at: SimTime::from_secs(frac * ctx.expected_span_secs()),
                     action: FaultAction::ZoneOutage { zone: 0 },
-                });
-            }
-            Ok(schedule)
+                })
+                .to_vec();
+            Ok(FaultSchedule {
+                injector: "double-outage".into(),
+                victim_seed: ctx.seed,
+                events,
+            })
         });
         assert_eq!(registry.len(), 5);
         let schedule = registry.build("double-outage", &ctx()).unwrap();
-        assert_eq!(schedule.len(), 2);
-        assert!(!schedule.is_empty());
+        assert_eq!(schedule.events.len(), 2);
         // Replacing keeps the original position.
         registry.register_fn("node-crash", |ctx| {
-            Ok(FaultSchedule::empty("node-crash", ctx.seed))
+            Ok(FaultSchedule {
+                injector: "node-crash".into(),
+                victim_seed: ctx.seed,
+                events: Vec::new(),
+            })
         });
         assert_eq!(registry.len(), 5);
         assert_eq!(registry.names()[0], "node-crash");
-        assert!(registry.build("node-crash", &ctx()).unwrap().is_empty());
+        assert!(registry
+            .build("node-crash", &ctx())
+            .unwrap()
+            .events
+            .is_empty());
     }
 }

@@ -94,7 +94,7 @@ impl TraceSink {
     }
 
     /// Append a block of JSONL lines, ensuring it stays newline-terminated.
-    pub fn append(&self, lines: &str) {
+    pub(crate) fn append(&self, lines: &str) {
         if lines.is_empty() {
             return;
         }
@@ -108,11 +108,6 @@ impl TraceSink {
     /// Take the collected lines out, leaving the sink empty.
     pub fn take(&self) -> String {
         std::mem::take(&mut *self.lock())
-    }
-
-    /// True while nothing has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
     }
 }
 
@@ -262,30 +257,24 @@ pub struct ExperimentOutput {
 
 impl ExperimentOutput {
     /// An output holding exactly one unlabelled result.
-    pub fn single(result: impl ExperimentResult + 'static) -> Self {
+    pub(crate) fn single(result: impl ExperimentResult + 'static) -> Self {
         ExperimentOutput {
             parts: vec![(String::new(), Box::new(result))],
         }
     }
 
     /// An empty output, to be filled with [`push`](Self::push).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ExperimentOutput { parts: Vec::new() }
     }
 
     /// Append a labelled result part.
-    pub fn push(&mut self, heading: impl Into<String>, result: impl ExperimentResult + 'static) {
+    pub(crate) fn push(
+        &mut self,
+        heading: impl Into<String>,
+        result: impl ExperimentResult + 'static,
+    ) {
         self.parts.push((heading.into(), Box::new(result)));
-    }
-
-    /// Number of result parts.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// True when the experiment produced no parts.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
     }
 
     /// The human summary: every part's `Display` output, multi-part outputs
@@ -557,8 +546,7 @@ mod tests {
         }));
         assert_eq!(registry.names(), vec!["noop"]);
         let out = run(&registry).unwrap();
-        assert_eq!(out.len(), 1);
-        assert!(!out.is_empty());
+        assert_eq!(out.parts.len(), 1);
         // Same-name registration replaces in place.
         registry.register(Arc::new(Experiment {
             name: "noop",

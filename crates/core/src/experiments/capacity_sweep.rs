@@ -166,19 +166,6 @@ impl CapacitySweepResult {
         Ok(result)
     }
 
-    /// The cell of one (scenario, autoscaler, admission) triple.
-    pub fn cell(&self, scenario: &str, autoscaler: &str, admission: &str) -> Option<&CapacityCell> {
-        self.cells.iter().find(|c| {
-            c.scenario == scenario && c.autoscaler == autoscaler && c.admission == admission
-        })
-    }
-
-    /// Shed rate of one cell, in `[0, 1]`.
-    pub fn shed_rate(&self, scenario: &str, autoscaler: &str, admission: &str) -> Option<f64> {
-        self.cell(scenario, autoscaler, admission)
-            .map(|c| c.shed_rate)
-    }
-
     /// The starting fleet every cell grew from.
     pub(crate) fn cluster(&self) -> ClusterConfig {
         self.sweep.spec.cluster.clone().unwrap_or_default()
@@ -186,7 +173,7 @@ impl CapacitySweepResult {
 
     /// Invariants on top of the sweep's and each session's own validation:
     /// every cell billed real capacity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for cell in &self.cells {
             if !(cell.node_seconds.is_finite() && cell.node_seconds > 0.0) {
                 return Err(format!(
@@ -292,30 +279,31 @@ mod tests {
         let result = capacity_sweep(&tiny_spec()).unwrap();
         result.validate().unwrap();
         assert_eq!(result.cells.len(), 4);
-        let violation_rate = |autoscaler| {
-            let cell = result.cell("flash-crowd", autoscaler, "admit-all");
-            cell.unwrap().slo_violation_rate
+        let cell = |autoscaler: &str, admission: &str| {
+            let mut cells = result.cells.iter();
+            cells
+                .find(|c| c.autoscaler == autoscaler && c.admission == admission)
+                .unwrap()
         };
+        let violation_rate = |autoscaler| cell(autoscaler, "admit-all").slo_violation_rate;
         let static_rate = violation_rate("static");
         let scaled_rate = violation_rate("utilization");
         assert!(
             scaled_rate < static_rate,
             "autoscaled violation rate {scaled_rate} must beat static {static_rate}"
         );
-        let scaled = result
-            .cell("flash-crowd", "utilization", "admit-all")
-            .unwrap();
+        let scaled = cell("utilization", "admit-all");
         assert!(scaled.scale_ups > 0, "the spike must trigger scale-ups");
         assert!(scaled.peak_nodes > result.cluster().nodes);
         // Both regimes bill real capacity. (No ordering assertion: the
         // static fleet *collapses* under the spike — its run stretches over
         // a longer simulated span, so two slow nodes can out-bill a larger
         // fleet that finishes quickly.)
-        let static_cell = result.cell("flash-crowd", "static", "admit-all").unwrap();
+        let static_cell = cell("static", "admit-all");
         assert!(scaled.node_seconds > 0.0 && static_cell.node_seconds > 0.0);
         // Shedding sheds under overload, and never on the admit-all column.
         assert_eq!(static_cell.shed, 0);
-        let shed_cell = result.cell("flash-crowd", "static", "queue-shed").unwrap();
+        let shed_cell = cell("static", "queue-shed");
         assert!(
             shed_cell.shed > 0,
             "queue-shed must shed during the static-fleet spike"
@@ -335,14 +323,14 @@ mod tests {
         use janus_observe::TraceReport;
 
         let sink = TraceSink::new();
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty());
         let ctx = ExperimentCtx::new(Scale::Quick)
             .with_seed(Some(7))
             .with_trace(sink.clone());
         assert_eq!(ctx.observer_name(), Some("flight-recorder"));
         run_capacity(&ctx).unwrap();
         let trace = sink.take();
-        assert!(sink.is_empty(), "take drains the sink");
+        assert!(sink.take().is_empty(), "take drains the sink");
         let report = TraceReport::from_jsonl(&trace).unwrap();
         // One qualified label per grid cell: 2 scenarios x 2 x 2 at --quick.
         assert_eq!(report.policies.len(), 8);

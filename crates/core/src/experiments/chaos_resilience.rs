@@ -153,13 +153,6 @@ impl ChaosResilienceResult {
         Ok(result)
     }
 
-    /// The row of one (autoscaler, admission, policy) triple.
-    pub fn cell(&self, autoscaler: &str, admission: &str, policy: &str) -> Option<&ChaosCell> {
-        self.cells
-            .iter()
-            .find(|c| c.autoscaler == autoscaler && c.admission == admission && c.policy == policy)
-    }
-
     /// Rows ranked most-graceful first: highest SLO attainment over what was
     /// served, fewest failed requests breaking ties.
     fn ranked(&self) -> Vec<&ChaosCell> {
@@ -175,7 +168,7 @@ impl ChaosResilienceResult {
     /// Invariants on top of the sweep's and each session's own validation:
     /// the fault killed nodes in every row, and every row billed real
     /// capacity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for cell in &self.cells {
             let label = format!(
                 "cell ({}, {}, {})",

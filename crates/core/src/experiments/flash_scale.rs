@@ -11,7 +11,7 @@
 //! so the in-flight table is bounded too: the experiment demonstrates that
 //! *no* component of the serving loop scales with the request count.
 //!
-//! [`FlashScaleResult::validate`] enforces the invariant — a run that
+//! `FlashScaleResult::validate` enforces the invariant — a run that
 //! materializes more than `streams + 1` arrivals fails, which is what the
 //! CI smoke step (`janus run flash_scale --quick`) asserts.
 
@@ -61,7 +61,7 @@ pub struct FlashScaleConfig {
 impl FlashScaleConfig {
     /// Paper scale: 100 million requests — ~20 000× the serving sessions
     /// elsewhere in this crate, runnable only because arrivals stream.
-    pub fn paper_default() -> Self {
+    pub(crate) fn paper_default() -> Self {
         FlashScaleConfig {
             app: PaperApp::IntelligentAssistant,
             scenario: "flash-crowd".to_string(),
@@ -77,7 +77,7 @@ impl FlashScaleConfig {
 
     /// Reduced scale for smoke runs and CI (`--quick`): one million
     /// requests, same shape.
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         FlashScaleConfig {
             requests: 1_000_000,
             ..Self::paper_default()
@@ -132,7 +132,7 @@ pub struct FlashScaleResult {
 
 impl FlashScaleResult {
     /// Fraction of served requests that met the SLO.
-    pub fn slo_attainment(&self) -> f64 {
+    pub(crate) fn slo_attainment(&self) -> f64 {
         if self.served == 0 {
             0.0
         } else {
@@ -141,7 +141,7 @@ impl FlashScaleResult {
     }
 
     /// Fraction of generated requests shed at admission.
-    pub fn shed_rate(&self) -> f64 {
+    pub(crate) fn shed_rate(&self) -> f64 {
         if self.generated == 0 {
             0.0
         } else {
@@ -152,7 +152,7 @@ impl FlashScaleResult {
     /// Structural invariants of a well-formed result — above all the
     /// bounded-memory invariant: peak resident arrivals may not exceed
     /// `streams + 1`, no matter how many requests the run generated.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.generated != self.config.requests {
             return Err(format!(
                 "flash_scale drew {} of {} requests",

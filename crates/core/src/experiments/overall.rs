@@ -27,7 +27,11 @@ pub struct OverallResult {
 impl OverallResult {
     /// Serve [`TABLE1_POLICIES`] on one request set: `app` at `concurrency`,
     /// at the context's scale and seed.
-    pub fn run(ctx: &ExperimentCtx, app: PaperApp, concurrency: u32) -> Result<Self, String> {
+    pub(crate) fn run(
+        ctx: &ExperimentCtx,
+        app: PaperApp,
+        concurrency: u32,
+    ) -> Result<Self, String> {
         let report = ctx
             .session(app, concurrency)
             .policies(TABLE1_POLICIES.iter().copied())

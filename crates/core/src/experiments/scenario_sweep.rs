@@ -103,30 +103,6 @@ impl ScenarioSweepResult {
         Ok(result)
     }
 
-    fn point(&self, scenario: &str) -> Option<&SweepPoint> {
-        self.sweep
-            .points
-            .iter()
-            .find(|p| p.session.scenario.as_deref() == Some(scenario))
-    }
-
-    fn policy_cell(&self, scenario: &str, policy: &str) -> Option<&PolicyCell> {
-        self.point(scenario)?
-            .policies
-            .iter()
-            .find(|c| c.name == policy)
-    }
-
-    /// The session of one scenario.
-    pub fn cell(&self, scenario: &str) -> Option<&SessionReport> {
-        self.point(scenario)?.live_report()
-    }
-
-    /// SLO attainment of one (scenario, policy) grid cell, in `[0, 1]`.
-    pub fn attainment(&self, scenario: &str, policy: &str) -> Option<f64> {
-        Some(self.policy_cell(scenario, policy)?.slo_attainment)
-    }
-
     /// Pooled end-to-end latency statistics of one policy across **every**
     /// scenario of the sweep, folded through [`StreamingSummary::merge`] —
     /// the whole-sweep tail without re-buffering or re-sorting the combined
@@ -144,7 +120,7 @@ impl ScenarioSweepResult {
     /// Invariants on top of the sweep's own validation (grid complete, in
     /// order, every point serving the spec's policies): every point ran live
     /// and served the configured number of requests under every policy.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for point in &self.sweep.points {
             served_report(point)?;
         }
@@ -254,27 +230,43 @@ mod tests {
         }
     }
 
+    /// The point of one scenario.
+    fn point<'a>(result: &'a ScenarioSweepResult, scenario: &str) -> &'a SweepPoint {
+        let mut points = result.sweep.points.iter();
+        points
+            .find(|p| p.session.scenario.as_deref() == Some(scenario))
+            .unwrap()
+    }
+
+    /// The session of one scenario.
+    fn session<'a>(result: &'a ScenarioSweepResult, scenario: &str) -> &'a SessionReport {
+        point(result, scenario).live_report().unwrap()
+    }
+
     #[test]
     fn sweep_covers_the_grid_with_paired_invariant_checked_cells() {
         let result = scenario_sweep(&tiny_spec()).unwrap();
         assert_eq!(result.sweep.points.len(), 3);
         result.validate().unwrap();
         for scenario in ["poisson", "flash-crowd", "bursty"] {
+            let point = point(&result, scenario);
             for policy in ["GrandSLAM", "Janus"] {
-                let attainment = result.attainment(scenario, policy).unwrap();
-                assert!((0.0..=1.0).contains(&attainment), "{scenario}/{policy}");
-                let cell = result.policy_cell(scenario, policy).unwrap();
+                let cell = point.policies.iter().find(|c| c.name == policy).unwrap();
+                assert!(
+                    (0.0..=1.0).contains(&cell.slo_attainment),
+                    "{scenario}/{policy}"
+                );
                 assert!(cell.mean_cpu_millicores > 0.0);
             }
             assert_eq!(
-                result.cell(scenario).unwrap().scenario.as_deref(),
+                point.live_report().unwrap().scenario.as_deref(),
                 Some(scenario)
             );
         }
         // Shape matters: at least one scenario serves differently from the
         // constant-rate baseline.
-        let p = result.cell("poisson").unwrap().serving("Janus").unwrap();
-        let b = result.cell("bursty").unwrap().serving("Janus").unwrap();
+        let p = session(&result, "poisson").serving("Janus").unwrap();
+        let b = session(&result, "bursty").serving("Janus").unwrap();
         assert_ne!(p, b);
         let shown = format!("{result}");
         assert!(shown.contains("SLO attainment"));
@@ -308,8 +300,8 @@ mod tests {
         let a = scenario_sweep(&spec).unwrap();
         let b = scenario_sweep(&spec).unwrap();
         assert_eq!(
-            a.cell("diurnal").unwrap().serving("GrandSLAM"),
-            b.cell("diurnal").unwrap().serving("GrandSLAM")
+            session(&a, "diurnal").serving("GrandSLAM"),
+            session(&b, "diurnal").serving("GrandSLAM")
         );
         let err = scenario_sweep(&SweepSpec {
             scenarios: vec![],

@@ -9,7 +9,7 @@
 //! `janus sweep <spec.json>` without writing a line of Rust. Encoding and
 //! decoding are hand-rolled over [`janus_json::Value`] (the workspace has
 //! no external dependency; see `DESIGN.md` §4): [`SweepSpec::to_json`] and
-//! [`SweepSpec::from_json`] round-trip byte-identically, and the decoder is
+//! the `FromStr` decoder round-trip byte-identically, and the decoder is
 //! *strict* — unknown keys, wrong types and missing required fields all name
 //! the offending key, so a typo in a spec file fails loudly instead of
 //! silently running the wrong grid.
@@ -499,7 +499,7 @@ impl SweepSpec {
 
     /// Decode a spec from a parsed JSON document. Strict: unknown keys,
     /// wrong types and missing required fields all report the offending key.
-    pub fn from_json(doc: &Value) -> Result<SweepSpec, String> {
+    pub(crate) fn from_json(doc: &Value) -> Result<SweepSpec, String> {
         let obj = Decoder::new(
             doc,
             &[

@@ -203,7 +203,7 @@ impl PolicyCell {
 
     /// Strict inverse of [`to_json`](PolicyCell::to_json): every field
     /// present and well-typed, errors naming the offending key.
-    pub fn from_json(doc: &Value) -> Result<Self, String> {
+    pub(crate) fn from_json(doc: &Value) -> Result<Self, String> {
         Ok(Self {
             name: doc
                 .require("name")?

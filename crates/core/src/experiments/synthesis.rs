@@ -505,20 +505,22 @@ mod tests {
     fn fig6_fails_when_a_policy_reports_no_synthesis() {
         // A "Janus+" that skips the hints pipeline has no synthesis time to
         // report; the figure must say so rather than plot 0 s.
+        let mut policies = crate::registry::PolicyRegistry::with_builtins();
+        policies.register_fn("Janus+", |ctx| {
+            Ok(crate::registry::BuiltPolicy::plain(
+                janus_platform::policy::FixedSizingPolicy::uniform(
+                    "Janus+",
+                    ctx.workflow,
+                    ctx.grid.max,
+                )?,
+            ))
+        });
         let base = ServingSession::builder()
             .app(PaperApp::IntelligentAssistant)
             .load(Load::Closed { requests: 5 })
             .samples_per_point(250)
             .budget_step_ms(10.0)
-            .register_fn("Janus+", |ctx| {
-                Ok(crate::registry::BuiltPolicy::plain(
-                    janus_platform::policy::FixedSizingPolicy::uniform(
-                        "Janus+",
-                        ctx.workflow,
-                        ctx.grid.max,
-                    )?,
-                ))
-            });
+            .registry(policies);
         let err = fig6_exploration_cost(&[3.0], &base).unwrap_err();
         assert!(err.contains("`Janus+` reported no synthesis"), "{err}");
     }

@@ -29,7 +29,7 @@
 //! * [`scenarios`] (re-exported `janus-scenarios`) — the workload axis:
 //!   pluggable arrival processes (`poisson`, `diurnal`, `bursty`,
 //!   `flash-crowd`, `trace-replay`) behind an open `ScenarioRegistry`,
-//!   selected per session with `.scenario(..)` / `.arrivals(..)` and swept
+//!   selected per session by name with `.scenario(..)` and swept
 //!   against the policy grid by [`mod@experiments::scenario_sweep`].
 //! * [`JanusFactory::synthesize`](registry::JanusFactory::synthesize) — the
 //!   developer-to-provider handoff (synthesize → deploy adapter) for one

@@ -21,7 +21,7 @@ pub struct JanusPolicy {
 impl JanusPolicy {
     /// Wrap an adapter. `name` distinguishes the Janus variants
     /// ("Janus", "Janus-", "Janus+") in reports.
-    pub fn new(name: impl Into<String>, adapter: Adapter) -> Self {
+    pub(crate) fn new(name: impl Into<String>, adapter: Adapter) -> Self {
         JanusPolicy {
             name: name.into(),
             adapter,
@@ -31,12 +31,6 @@ impl JanusPolicy {
     /// The underlying adapter (hit/miss statistics, decision latency).
     pub fn adapter(&self) -> &Adapter {
         &self.adapter
-    }
-
-    /// Number of hint-table misses observed so far (the adapter's
-    /// supervisor counts them).
-    pub fn misses(&self) -> u64 {
-        self.adapter.supervisor().misses()
     }
 }
 
@@ -131,7 +125,7 @@ mod tests {
         assert_eq!(k0, Millicores::new(1400));
         let k1 = policy.size_next(&ctx(), 1, SimDuration::from_millis(2200.0));
         assert_eq!(k1, Millicores::new(1100));
-        assert_eq!(policy.misses(), 0);
+        assert_eq!(policy.adapter().supervisor().misses(), 0);
         assert!(policy.mean_decision_time_us().unwrap() >= 0.0);
     }
 
@@ -144,7 +138,7 @@ mod tests {
         // Unknown suffix index is also a miss.
         let k = policy.size_next(&ctx(), 5, SimDuration::from_secs(2.0));
         assert_eq!(k, Millicores::new(3000));
-        assert_eq!(policy.misses(), 2);
+        assert_eq!(policy.adapter().supervisor().misses(), 2);
         assert!(policy.adapter().miss_rate() > 0.0);
     }
 
@@ -153,7 +147,7 @@ mod tests {
         let mut served =
             JanusPolicy::new("Janus", Adapter::new(bundle(), AdapterConfig::default()));
         served.size_next(&ctx(), 0, SimDuration::from_millis(100.0));
-        assert_eq!(served.misses(), 1);
+        assert_eq!(served.adapter().supervisor().misses(), 1);
         let mut fresh = served.fresh().expect("Janus makes fresh instances");
         assert_eq!(fresh.name(), "Janus");
         assert_eq!(fresh.mean_decision_time_us(), Some(0.0));

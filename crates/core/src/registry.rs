@@ -103,7 +103,7 @@ impl BuiltPolicy {
     /// A new, never-served instance of this policy carrying a copy of its
     /// synthesis report (see [`SizingPolicy::fresh`]); `None` when the
     /// policy cannot make one.
-    pub fn fresh(&self) -> Option<BuiltPolicy> {
+    pub(crate) fn fresh(&self) -> Option<BuiltPolicy> {
         Some(BuiltPolicy {
             policy: self.policy.fresh()?,
             synthesis: self.synthesis.clone(),

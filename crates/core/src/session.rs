@@ -28,11 +28,11 @@
 //! paper's evaluation), whether the load is closed- or open-loop.
 //!
 //! Open-loop sessions additionally choose *when* those requests arrive:
-//! [`arrivals`](ServingSessionBuilder::arrivals) accepts any
-//! [`ArrivalProcess`], and
-//! [`scenario`](ServingSessionBuilder::scenario) resolves one by name from a
-//! [`ScenarioRegistry`] (`"poisson"`, `"diurnal"`, `"bursty"`,
-//! `"flash-crowd"`, `"trace-replay"`, or anything registered downstream).
+//! [`scenario`](ServingSessionBuilder::scenario) resolves an
+//! [`ArrivalProcess`] by name from a [`ScenarioRegistry`] (`"poisson"`,
+//! `"diurnal"`, `"bursty"`, `"flash-crowd"`, `"trace-replay"`, or any shape
+//! registered with
+//! [`register_scenario_fn`](ServingSessionBuilder::register_scenario_fn)).
 //! `Load::Open { rps }` without a scenario stays the constant-rate Poisson
 //! special case, reproducing the historical request stream bit for bit.
 
@@ -129,27 +129,19 @@ pub struct TenantLoad {
     pub slo_ms: Option<f64>,
 }
 
-/// How an open-loop session decides request arrival times. `None` keeps the
-/// legacy constant-rate Poisson process of `Load::Open { rps }`.
-#[derive(Debug, Clone)]
-enum ArrivalSpec {
-    /// An explicit arrival process instance.
-    Process(Arc<dyn ArrivalProcess>),
-    /// A scenario name, resolved from the session's [`ScenarioRegistry`] at
-    /// run time (the registry needs the load's `rps` as base rate).
-    Named(String),
-}
-
 /// Builder for a [`ServingSession`]. Obtain with [`ServingSession::builder`].
 #[derive(Debug, Clone)]
 pub struct ServingSessionBuilder {
     app: Option<PaperApp>,
-    workflow: Option<Workflow>,
     slo: Option<SimDuration>,
     concurrency: u32,
     policies: Vec<String>,
     load: Load,
-    arrivals: Option<ArrivalSpec>,
+    /// How an open-loop session decides request arrival times: a scenario
+    /// name, resolved from `scenarios` at run time (the registry needs the
+    /// load's `rps` as base rate). `None` keeps the constant-rate Poisson
+    /// process of `Load::Open { rps }`.
+    scenario: Option<String>,
     tenants: Option<Vec<TenantLoad>>,
     cluster: Option<ClusterConfig>,
     autoscaler: Option<String>,
@@ -171,12 +163,11 @@ impl Default for ServingSessionBuilder {
     fn default() -> Self {
         ServingSessionBuilder {
             app: None,
-            workflow: None,
             slo: None,
             concurrency: 1,
             policies: Vec::new(),
             load: Load::Closed { requests: 1000 },
-            arrivals: None,
+            scenario: None,
             tenants: None,
             cluster: None,
             autoscaler: None,
@@ -203,15 +194,8 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Serve a custom workflow. Requires an explicit [`slo`](Self::slo).
-    pub fn workflow(mut self, workflow: Workflow) -> Self {
-        self.workflow = Some(workflow);
-        self
-    }
-
-    /// End-to-end latency SLO. Defaults to the app's paper SLO when an app
-    /// is set; mandatory for custom workflows.
-    pub fn slo(mut self, slo: SimDuration) -> Self {
+    /// End-to-end latency SLO. Defaults to the app's paper SLO.
+    pub(crate) fn slo(mut self, slo: SimDuration) -> Self {
         self.slo = Some(slo);
         self
     }
@@ -245,24 +229,13 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Drive an open-loop session with an explicit
-    /// [`ArrivalProcess`] instead of the
-    /// default constant-rate Poisson process. Requires `Load::Open` (its
-    /// `rps` documents the intended mean rate; the process defines the
-    /// shape). Overrides any earlier [`scenario`](Self::scenario) call.
-    pub fn arrivals(mut self, process: Arc<dyn ArrivalProcess>) -> Self {
-        self.arrivals = Some(ArrivalSpec::Process(process));
-        self
-    }
-
     /// Drive an open-loop session with a named scenario from the session's
     /// [`ScenarioRegistry`] (built-ins: `poisson`, `diurnal`, `bursty`,
     /// `flash-crowd`, `trace-replay`). The scenario is built with
     /// `Load::Open`'s `rps` as its base rate, so every scenario offers the
-    /// same long-run load in a different shape. Overrides any earlier
-    /// [`arrivals`](Self::arrivals) call.
+    /// same long-run load in a different shape.
     pub fn scenario(mut self, name: impl Into<String>) -> Self {
-        self.arrivals = Some(ArrivalSpec::Named(name.into()));
+        self.scenario = Some(name.into());
         self
     }
 
@@ -274,7 +247,7 @@ impl ServingSessionBuilder {
     /// naturally contributes proportionally more of the run. Requires
     /// `Load::Open`; every policy still replays the identical merged
     /// request set (paired comparison).
-    pub fn tenants<I>(mut self, tenants: I) -> Self
+    pub(crate) fn tenants<I>(mut self, tenants: I) -> Self
     where
         I: IntoIterator<Item = TenantLoad>,
     {
@@ -372,18 +345,6 @@ impl ServingSessionBuilder {
         self
     }
 
-    /// Register a closure-based policy factory on this session's registry.
-    pub fn register_fn<F>(mut self, name: impl Into<String>, build: F) -> Self
-    where
-        F: Fn(&PolicyContext<'_>) -> Result<crate::registry::BuiltPolicy, String>
-            + Send
-            + Sync
-            + 'static,
-    {
-        self.registry.register_fn(name, build);
-        self
-    }
-
     /// Reduced scale for tests and smoke runs: fewer profiler samples and a
     /// coarser synthesis sweep, preserving every code path.
     pub fn quick(mut self) -> Self {
@@ -397,37 +358,21 @@ impl ServingSessionBuilder {
     /// every grid point through it, so errors that a spec key can cause
     /// name that key (`` `concurrency`: … ``).
     pub fn build(self) -> Result<ServingSession, String> {
-        let (workflow, app) = match (&self.workflow, self.app) {
-            (Some(_), Some(_)) => {
-                // Accepting both would silently serve the custom workflow
-                // under the app's default SLO and batching rules.
-                return Err("set either .app(..) or .workflow(..), not both".into());
-            }
-            (Some(workflow), None) => (workflow.clone(), None),
-            (None, Some(app)) => (app.workflow(), Some(app)),
-            (None, None) => {
-                return Err("session needs .app(..) or .workflow(..)".into());
-            }
+        let Some(app) = self.app else {
+            return Err("session needs .app(..)".into());
         };
-        if workflow.is_empty() {
-            return Err("cannot serve an empty workflow".into());
-        }
         if self.concurrency == 0 {
             return Err("`concurrency`: must be at least 1".into());
         }
-        if app == Some(PaperApp::VideoAnalyze) && self.concurrency > 1 {
+        if app == PaperApp::VideoAnalyze && self.concurrency > 1 {
             return Err(
                 "`concurrency`: VA cannot batch (FE and ICO are non-batchable); use concurrency 1"
                     .into(),
             );
         }
-        let slo = match (self.slo, app) {
-            (Some(slo), _) => slo,
-            (None, Some(app)) => app.default_slo(self.concurrency),
-            (None, None) => {
-                return Err("custom workflows need an explicit .slo(..)".into());
-            }
-        };
+        let slo = self
+            .slo
+            .unwrap_or_else(|| app.default_slo(self.concurrency));
         if slo <= SimDuration::ZERO {
             return Err("SLO must be positive".into());
         }
@@ -449,7 +394,7 @@ impl ServingSessionBuilder {
             return Err("`requests`: load must offer at least one request".into());
         }
         self.load.mean_inter_arrival()?;
-        if let Some(spec) = &self.arrivals {
+        if let Some(name) = &self.scenario {
             if matches!(self.load, Load::Closed { .. }) {
                 return Err(
                     "arrival scenarios need .load(Load::Open { .. }) — a closed loop has no \
@@ -457,9 +402,7 @@ impl ServingSessionBuilder {
                         .into(),
                 );
             }
-            if let ArrivalSpec::Named(name) = spec {
-                self.scenarios.ensure_known(name)?;
-            }
+            self.scenarios.ensure_known(name)?;
         }
         let mut slo = slo;
         if let Some(tenants) = &self.tenants {
@@ -537,7 +480,7 @@ impl ServingSessionBuilder {
         }
         Ok(ServingSession {
             inputs: self,
-            workflow,
+            workflow: app.workflow(),
             slo,
         })
     }
@@ -562,7 +505,7 @@ pub(crate) fn strictest_slo(slo: SimDuration, tenants: &[TenantLoad]) -> SimDura
 /// same set-up inputs skips building them: the workflow profile, and one
 /// never-served prototype per policy whose factory does not read the
 /// request set. Later sessions serve fresh instances of the prototypes
-/// ([`BuiltPolicy::fresh`]), so no feedback state leaks between runs.
+/// (`BuiltPolicy::fresh`), so no feedback state leaks between runs.
 ///
 /// A memo is valid only for sessions whose set-up inputs are equal — in a
 /// sweep, points with equal `SessionSpec::setup_key`. Start a new memo
@@ -624,7 +567,7 @@ fn observer_hook<'a>(
 pub struct ServingSession {
     /// The builder that [`build`](ServingSessionBuilder::build) accepted.
     inputs: ServingSessionBuilder,
-    /// The served workflow: the app's, or the custom one.
+    /// The served workflow: the app's.
     workflow: Workflow,
     /// The run SLO: explicit or the app's default, tightened by the
     /// strictest tenant SLO.
@@ -652,32 +595,23 @@ impl ServingSession {
         &self.inputs.policies
     }
 
-    /// The session's policy registry.
-    pub fn registry(&self) -> &PolicyRegistry {
-        &self.inputs.registry
-    }
-
-    /// The arrival process of this session, if one was configured (either an
-    /// explicit process or a resolved scenario name).
+    /// The arrival process of this session's scenario, if one was named.
     fn arrival_process(&self) -> Result<Option<Arc<dyn ArrivalProcess>>, String> {
         let inputs = &self.inputs;
-        match &inputs.arrivals {
-            None => Ok(None),
-            Some(ArrivalSpec::Process(process)) => Ok(Some(Arc::clone(process))),
-            Some(ArrivalSpec::Named(name)) => {
-                let base_rps = match inputs.load {
-                    Load::Open { rps, .. } => rps,
-                    // build() rejects scenarios on closed loads.
-                    Load::Closed { .. } => unreachable!("validated in build()"),
-                };
-                let ctx = ScenarioContext {
-                    base_rps,
-                    requests: inputs.load.requests(),
-                    seed: inputs.seed,
-                };
-                Ok(Some(Arc::from(inputs.scenarios.build(name, &ctx)?)))
-            }
-        }
+        let Some(name) = &inputs.scenario else {
+            return Ok(None);
+        };
+        let base_rps = match inputs.load {
+            Load::Open { rps, .. } => rps,
+            // build() rejects scenarios on closed loads.
+            Load::Closed { .. } => unreachable!("validated in build()"),
+        };
+        let ctx = ScenarioContext {
+            base_rps,
+            requests: inputs.load.requests(),
+            seed: inputs.seed,
+        };
+        Ok(Some(Arc::from(inputs.scenarios.build(name, &ctx)?)))
     }
 
     /// Profile the workflow, generate one request set, and replay it under
@@ -1181,12 +1115,6 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("at least one request"), "{err}");
         let err = quick_builder()
-            .workflow(PaperApp::IntelligentAssistant.workflow())
-            .policy("Janus")
-            .build()
-            .unwrap_err();
-        assert!(err.contains("not both"), "{err}");
-        let err = quick_builder()
             .policy("Janus")
             .policy("Janus")
             .build()
@@ -1532,19 +1460,7 @@ mod tests {
     #[test]
     fn custom_arrival_processes_and_scenarios_plug_in() {
         use janus_scenarios::TraceReplay;
-        // An explicit process instance …
-        let lockstep = Arc::new(TraceReplay::from_gaps(vec![400.0]).unwrap());
-        let report = quick_builder()
-            .policy("GrandSLAM")
-            .load(Load::Open {
-                requests: 20,
-                rps: 2.5,
-            })
-            .arrivals(lockstep)
-            .run()
-            .unwrap();
-        assert_eq!(report.scenario.as_deref(), Some("trace-replay"));
-        // … and a registered custom factory, addressed by name.
+        // A registered custom factory, addressed by name.
         let report = quick_builder()
             .policy("GrandSLAM")
             .load(Load::Open {
@@ -2047,25 +1963,5 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(session.slo(), default_slo);
-    }
-
-    #[test]
-    fn custom_workflows_need_an_explicit_slo() {
-        let workflow = PaperApp::IntelligentAssistant.workflow();
-        let err = ServingSession::builder()
-            .workflow(workflow.clone())
-            .policy("GrandSLAM")
-            .build()
-            .unwrap_err();
-        assert!(err.contains("explicit .slo"), "{err}");
-        let report = ServingSession::builder()
-            .workflow(workflow)
-            .slo(SimDuration::from_secs(3.0))
-            .policy("GrandSLAM")
-            .quick()
-            .load(Load::Closed { requests: 10 })
-            .run()
-            .unwrap();
-        assert_eq!(report.policies.len(), 1);
     }
 }

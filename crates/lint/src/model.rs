@@ -33,7 +33,7 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lex and analyse one file. Lexer errors are prefixed with the path.
-    pub fn parse(path: impl Into<String>, text: impl Into<String>) -> Result<Self, String> {
+    pub(crate) fn parse(path: impl Into<String>, text: impl Into<String>) -> Result<Self, String> {
         let path = path.into();
         let text = text.into();
         let tokens = lex(&text).map_err(|e| format!("{path}:{e}"))?;

@@ -499,6 +499,28 @@ pub(crate) fn unused_pub(file: &SourceFile, config: &LintConfig, out: &mut Vec<D
 mod tests {
     use super::*;
 
+    #[test]
+    fn every_workspace_hot_path_names_a_real_item() {
+        // A deleted or renamed item would silently drop out of
+        // `hot-path-alloc`; each entry must resolve in the workspace.
+        let manifest_dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+        let root = crate::find_workspace_root(&manifest_dir).expect("workspace root");
+        let config = LintConfig::workspace_default();
+        assert!(!config.hot_paths.is_empty());
+        for hot in &config.hot_paths {
+            let path = root.join("crates").join(&hot.file_suffix);
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("hot path file {}: {e}", path.display()));
+            let file = SourceFile::parse(path.display().to_string(), text).unwrap();
+            assert!(
+                !file.item_ranges(&hot.item).is_empty(),
+                "no `{}` item in {}",
+                hot.item,
+                hot.file_suffix
+            );
+        }
+    }
+
     fn run(
         rule: fn(&SourceFile, &LintConfig, &mut Vec<Diagnostic>),
         path: &str,

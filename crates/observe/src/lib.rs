@@ -76,7 +76,7 @@ pub struct ObserverContext {
 
 impl ObserverContext {
     /// Validate the context before any factory consumes it.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.policy.is_empty() {
             return Err("observer context needs a policy name".into());
         }
@@ -471,7 +471,7 @@ pub struct TimeSeriesReport {
 
 impl TimeSeriesReport {
     /// Append a live sample.
-    pub fn push(&mut self, sample: &TickSample) {
+    pub(crate) fn push(&mut self, sample: &TickSample) {
         self.points.push(TimeSeriesPoint::from_sample(sample));
     }
 
@@ -486,7 +486,7 @@ impl TimeSeriesReport {
     }
 
     /// Encode as a `janus-json` object.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         Value::Obj(vec![(
             "points".to_string(),
             Value::Arr(self.points.iter().map(|p| p.to_json()).collect()),
@@ -532,7 +532,7 @@ pub struct SpanSummary {
 
 impl SpanSummary {
     /// Encode as a `janus-json` object with a fixed key order.
-    pub fn to_json(&self) -> Value {
+    pub(crate) fn to_json(&self) -> Value {
         Value::Obj(vec![
             ("arrivals".to_string(), Value::Num(self.arrivals as f64)),
             ("served".to_string(), Value::Num(self.served as f64)),
@@ -597,12 +597,12 @@ struct OpenSpan {
 
 impl SpanBuilder {
     /// A builder with no open spans.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Feed one record.
-    pub fn observe(&mut self, record: &Record) {
+    pub(crate) fn observe(&mut self, record: &Record) {
         match record.kind {
             RecordKind::Arrival { request } => {
                 self.arrivals += 1;
@@ -667,7 +667,7 @@ impl SpanBuilder {
     }
 
     /// The aggregate summary of everything observed so far.
-    pub fn summary(&self) -> SpanSummary {
+    pub(crate) fn summary(&self) -> SpanSummary {
         let mean = |sum: f64| {
             if self.served == 0 {
                 0.0
@@ -1266,12 +1266,13 @@ impl Observer for TimeSeriesObserver {
 }
 
 /// The composite flight recorder: sampled JSONL trace + span breakdowns +
-/// tick time series in one observer. This is what `--trace` attaches.
+/// tick time series in one observer. This is what `--trace` attaches. The
+/// trace keeps every tick, so the time series is read off it at finish:
+/// each tick is converted once.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     trace: TraceObserver,
     builder: SpanBuilder,
-    series: TimeSeriesReport,
     seen: u64,
 }
 
@@ -1281,7 +1282,6 @@ impl FlightRecorder {
         FlightRecorder {
             trace: TraceObserver::new(ctx),
             builder: SpanBuilder::new(),
-            series: TimeSeriesReport::default(),
             seen: 0,
         }
     }
@@ -1301,18 +1301,21 @@ impl Observer for FlightRecorder {
     fn tick(&mut self, sample: &TickSample) {
         self.seen += 1;
         self.trace.tick(sample);
-        self.series.push(sample);
     }
 
     fn finish(&mut self) -> ObserverReport {
         let trace = self.trace.finish();
+        let points = trace.trace.iter().flat_map(|t| &t.ticks);
+        let time_series = TimeSeriesReport {
+            points: points.map(|(_, point)| point.clone()).collect(),
+        };
         ObserverReport {
             observer: "flight-recorder".to_string(),
             records_seen: self.seen,
             records_kept: trace.records_kept,
             trace: trace.trace,
             spans: Some(self.builder.summary()),
-            time_series: Some(std::mem::take(&mut self.series)),
+            time_series: Some(time_series),
         }
     }
 }

@@ -114,7 +114,7 @@ pub struct UtilizationThresholdAutoscaler {
 
 impl UtilizationThresholdAutoscaler {
     /// Build with validated thresholds (`0 <= low < high <= 1`) and bounds.
-    pub fn new(
+    pub(crate) fn new(
         high: f64,
         low: f64,
         step: usize,
@@ -194,7 +194,7 @@ pub struct QueueDepthAutoscaler {
 
 impl QueueDepthAutoscaler {
     /// Build with a validated positive target and bounds.
-    pub fn new(
+    pub(crate) fn new(
         target_inflight_per_node: f64,
         min_nodes: usize,
         max_nodes: usize,
@@ -281,7 +281,7 @@ pub struct TokenBucketAdmission {
 
 impl TokenBucketAdmission {
     /// Build a full bucket with validated positive rate and burst.
-    pub fn new(rate_per_sec: f64, burst: f64) -> Result<Self, String> {
+    pub(crate) fn new(rate_per_sec: f64, burst: f64) -> Result<Self, String> {
         if !(rate_per_sec.is_finite() && rate_per_sec > 0.0) {
             return Err(format!(
                 "token bucket needs a positive rate, got {rate_per_sec}"

@@ -82,11 +82,6 @@ impl ClosedLoopExecutor {
         ClosedLoopExecutor { workflow, config }
     }
 
-    /// The workflow being served.
-    pub fn workflow(&self) -> &Workflow {
-        &self.workflow
-    }
-
     /// The executor configuration.
     pub fn config(&self) -> &ExecutorConfig {
         &self.config
@@ -171,7 +166,7 @@ mod tests {
     fn report_covers_every_request_with_full_allocations() {
         let exec = executor(3.0);
         let mut policy =
-            FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
+            FixedSizingPolicy::uniform("max", &exec.workflow, Millicores::new(3000)).unwrap();
         let report = exec.run(&mut policy, &requests(50, 1));
         assert_eq!(report.len(), 50);
         for o in &report.outcomes {
@@ -189,9 +184,9 @@ mod tests {
         let exec = executor(3.0);
         let reqs = requests(300, 2);
         let mut small =
-            FixedSizingPolicy::uniform("min", exec.workflow(), Millicores::new(1000)).unwrap();
+            FixedSizingPolicy::uniform("min", &exec.workflow, Millicores::new(1000)).unwrap();
         let mut large =
-            FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
+            FixedSizingPolicy::uniform("max", &exec.workflow, Millicores::new(3000)).unwrap();
         let small_report = exec.run(&mut small, &reqs);
         let large_report = exec.run(&mut large, &reqs);
         assert!(
@@ -209,9 +204,9 @@ mod tests {
         let exec = executor(3.0);
         let reqs = requests(40, 3);
         let mut p1 =
-            FixedSizingPolicy::uniform("a", exec.workflow(), Millicores::new(2000)).unwrap();
+            FixedSizingPolicy::uniform("a", &exec.workflow, Millicores::new(2000)).unwrap();
         let mut p2 =
-            FixedSizingPolicy::uniform("a", exec.workflow(), Millicores::new(2000)).unwrap();
+            FixedSizingPolicy::uniform("a", &exec.workflow, Millicores::new(2000)).unwrap();
         let r1 = exec.run(&mut p1, &reqs);
         let r2 = exec.run(&mut p2, &reqs);
         assert_eq!(r1, r2);
@@ -226,7 +221,7 @@ mod tests {
         let metrics = ServingMetrics::intern(&registry);
         let reqs = requests(50, 1);
         let mut policy =
-            FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
+            FixedSizingPolicy::uniform("max", &exec.workflow, Millicores::new(3000)).unwrap();
         let report = exec.run_traced(&mut policy, &reqs, Some(&metrics), None);
         assert_eq!(registry.counter(ServingMetrics::REQUESTS), 50);
         assert_eq!(registry.counter(ServingMetrics::FUNCTIONS), 150);
@@ -243,7 +238,7 @@ mod tests {
         // Instrumentation is observation only: the report is bit-identical
         // to an uninstrumented run.
         let mut p2 =
-            FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
+            FixedSizingPolicy::uniform("max", &exec.workflow, Millicores::new(3000)).unwrap();
         assert_eq!(exec.run(&mut p2, &reqs), report);
     }
 
@@ -253,7 +248,7 @@ mod tests {
         let exec = executor(3.0);
         let reqs = requests(30, 5);
         let mut policy =
-            FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
+            FixedSizingPolicy::uniform("max", &exec.workflow, Millicores::new(3000)).unwrap();
         let mut spans = SpanObserver::default();
         let traced = exec.run_traced(&mut policy, &reqs, None, Some(&mut spans));
         let summary = spans.finish().spans.unwrap();
@@ -267,7 +262,7 @@ mod tests {
         assert!(summary.mean_exec_ms > 0.0);
         // Observation is side-effect free on the serving path.
         let mut p2 =
-            FixedSizingPolicy::uniform("max", exec.workflow(), Millicores::new(3000)).unwrap();
+            FixedSizingPolicy::uniform("max", &exec.workflow, Millicores::new(3000)).unwrap();
         assert_eq!(exec.run(&mut p2, &reqs), traced);
     }
 
@@ -288,11 +283,10 @@ mod tests {
                 ..ExecutorConfig::paper_serving(SimDuration::from_secs(3.0), 1)
             },
         );
-        let mut p =
-            FixedSizingPolicy::uniform("x", with.workflow(), Millicores::new(2000)).unwrap();
+        let mut p = FixedSizingPolicy::uniform("x", &with.workflow, Millicores::new(2000)).unwrap();
         let r_with = with.run(&mut p, &reqs);
         let mut p =
-            FixedSizingPolicy::uniform("x", without.workflow(), Millicores::new(2000)).unwrap();
+            FixedSizingPolicy::uniform("x", &without.workflow, Millicores::new(2000)).unwrap();
         let r_without = without.run(&mut p, &reqs);
         assert!(
             r_with.e2e_summary().unwrap().mean >= r_without.e2e_summary().unwrap().mean,

@@ -122,7 +122,7 @@ impl<'a, 'o> Fleet<'a, 'o> {
             .size_next(&self.context(request.id), index, remaining)
             .clamp_to(Millicores::new(1), self.config.cluster.node_capacity);
         let id = self.functions[index];
-        let acquisition = self.pool.acquire_id(id, size);
+        let acquisition = self.pool.acquire_id(id);
         // The acquired pod is never placed: `finish` always un-places it.
         let (node, overcommitted) = match self.cluster.place_id(acquisition.pod, id, size) {
             Ok(node) => (Some(node), false),

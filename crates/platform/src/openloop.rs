@@ -11,8 +11,8 @@
 //! any arrival process — constant-rate Poisson (the historical default),
 //! diurnal, bursty MMPP, flash crowds, replayed traces — as long as each
 //! request carries its timestamp. `janus-scenarios` defines the processes
-//! and `janus-core`'s session builder (`.arrivals(..)` / `.scenario(..)`)
-//! threads them into the request generator; this module is used by the
+//! and `janus-core`'s session builder (`.scenario(..)`, with custom shapes
+//! from `.register_scenario_fn(..)`) threads them into the request generator; this module is used by the
 //! queueing / load / scenario-sweep experiments and by integration tests of
 //! the discrete-event substrate.
 //!
@@ -617,9 +617,6 @@ impl OpenLoopSimulation {
             arena.engine.schedule_in(c.cadence, Event::CapacityTick);
         }
 
-        // The event loop is written iteratively (rather than via Engine::run)
-        // because each event needs mutable access to the policy, pool and
-        // cluster in addition to the engine.
         while let Some(step) = arena.engine.step() {
             let now = arena.engine.now();
             // Bill elapsed node-seconds at the pre-event fleet size; every

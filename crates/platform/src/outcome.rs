@@ -35,7 +35,7 @@ pub struct RequestOutcome {
     pub function_latencies: Vec<SimDuration>,
     /// Whether the end-to-end latency met the SLO (`false` for shed
     /// requests, which are accounted separately via
-    /// [`ServingReport::shed_rate`], not as SLO violations).
+    /// [`ServingReport::shed_len`], not as SLO violations).
     pub slo_met: bool,
     /// Reserved for this request's hint-table misses. Neither serving loop
     /// fills it yet, so it is always 0; a late-binding policy's misses are
@@ -46,7 +46,7 @@ pub struct RequestOutcome {
 impl RequestOutcome {
     /// The outcome of a request shed by admission control: no execution, no
     /// latency, not an SLO violation.
-    pub fn shed(request_id: u64) -> Self {
+    pub(crate) fn shed(request_id: u64) -> Self {
         RequestOutcome {
             request_id,
             disposition: RequestDisposition::Shed,
@@ -63,7 +63,7 @@ impl RequestOutcome {
     /// finished functions ran with), but it is not an SLO violation — failed
     /// requests are reported via [`ServingReport::failed_len`], mirroring how
     /// shed requests are kept out of the served statistics.
-    pub fn failed(
+    pub(crate) fn failed(
         request_id: u64,
         e2e: SimDuration,
         allocations: Vec<Millicores>,
@@ -202,7 +202,7 @@ impl ServingReport {
     }
 
     /// Outcomes of requests that were actually served (shed ones excluded).
-    pub fn served(&self) -> impl Iterator<Item = &RequestOutcome> {
+    pub(crate) fn served(&self) -> impl Iterator<Item = &RequestOutcome> {
         self.outcomes.iter().filter(|o| o.is_served())
     }
 
@@ -227,14 +227,6 @@ impl ServingReport {
             .count()
     }
 
-    /// Shed fraction of the offered load, in `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return 0.0;
-        }
-        self.shed_len() as f64 / self.outcomes.len() as f64
-    }
-
     fn served_e2e_ms(&self) -> Vec<f64> {
         self.served().map(|o| o.e2e.as_millis()).collect()
     }
@@ -254,7 +246,7 @@ impl ServingReport {
 
     /// Fraction of **served** requests that violated the SLO (0.0 when
     /// nothing was served; shed requests are reported via
-    /// [`shed_rate`](Self::shed_rate), not as violations).
+    /// [`shed_len`](Self::shed_len), not as violations).
     pub fn slo_violation_rate(&self) -> f64 {
         let served = self.served_len();
         if served == 0 {
@@ -402,7 +394,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.served_len(), 2);
         assert_eq!(r.shed_len(), 1);
-        assert!((r.shed_rate() - 1.0 / 3.0).abs() < 1e-12);
         // Denominators are served-only: 1 violation of 2 served, not of 3.
         assert!((r.slo_violation_rate() - 0.5).abs() < 1e-12);
         assert_eq!(r.mean_cpu_millicores(), 3000.0);
@@ -426,7 +417,7 @@ mod tests {
         };
         assert_eq!(r.len(), 4);
         assert_eq!(r.served_len(), 0);
-        assert_eq!(r.shed_rate(), 1.0);
+        assert_eq!(r.shed_len(), 4);
         assert!(r.e2e_cdf().is_empty());
         assert!(r.e2e_summary().is_none());
         assert!(r.e2e_percentile(99.0).is_none());
@@ -461,7 +452,6 @@ mod tests {
         assert_eq!(r.served_len(), 0);
         assert_eq!(r.failed_len(), 4);
         assert_eq!(r.shed_len(), 0);
-        assert_eq!(r.shed_rate(), 0.0);
         assert!(r.e2e_cdf().is_empty());
         assert!(r.e2e_summary().is_none());
         assert!(r.e2e_percentile(99.0).is_none());

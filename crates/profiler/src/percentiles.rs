@@ -110,16 +110,6 @@ impl PercentileGrid {
         &self.values
     }
 
-    /// Number of candidate percentiles.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// A grid is never empty after construction.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// The highest percentile (the tail anchor used for non-head functions).
     pub fn tail(&self) -> Percentile {
         // janus-lint: allow(unwrap-discipline) — every constructor leaves the grid non-empty (`from_values` rejects an empty list)
@@ -147,8 +137,7 @@ mod tests {
         let g = PercentileGrid::paper_default();
         assert_eq!(g.lowest(), Percentile::P1);
         assert_eq!(g.tail(), Percentile::P99);
-        assert_eq!(g.len(), 21);
-        assert!(!g.is_empty());
+        assert_eq!(g.values().len(), 21);
         // Steps of 5 from 1 to 96.
         assert!(g.values().iter().any(|p| p.value() == 51.0));
         assert!(g.values().windows(2).all(|w| w[0] < w[1]));
@@ -178,7 +167,7 @@ mod tests {
             Percentile::P50,
         ])
         .unwrap();
-        assert_eq!(g.len(), 3);
+        assert_eq!(g.values().len(), 3);
         assert_eq!(g.lowest(), Percentile::P1);
         assert_eq!(g.tail(), Percentile::P99);
         assert!(PercentileGrid::from_values(vec![]).is_err());

@@ -51,23 +51,18 @@ impl FunctionProfile {
     }
 
     /// Name of the profiled function.
-    pub fn function(&self) -> &str {
+    pub(crate) fn function(&self) -> &str {
         &self.function
     }
 
     /// Concurrency (batch size) at which this profile was collected.
-    pub fn concurrency(&self) -> u32 {
+    pub(crate) fn concurrency(&self) -> u32 {
         self.concurrency
     }
 
     /// The CPU-allocation grid.
-    pub fn grid(&self) -> CoreGrid {
+    pub(crate) fn grid(&self) -> CoreGrid {
         self.grid
-    }
-
-    /// Number of samples per grid point.
-    pub fn samples_per_point(&self) -> usize {
-        self.samples.values().map(Vec::len).min().unwrap_or(0)
     }
 
     fn sorted_samples(&self, mc: Millicores) -> &[f64] {

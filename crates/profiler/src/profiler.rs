@@ -58,7 +58,7 @@ impl Default for ProfilerConfig {
 
 impl ProfilerConfig {
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.samples_per_point < 10 {
             return Err(format!(
                 "samples_per_point must be at least 10 (got {}) to make percentiles meaningful",
@@ -83,18 +83,6 @@ impl Profiler {
     pub fn new(config: ProfilerConfig) -> Result<Self, String> {
         config.validate()?;
         Ok(Profiler { config })
-    }
-
-    /// Profiler with default configuration.
-    pub fn with_defaults() -> Self {
-        Profiler {
-            config: ProfilerConfig::default(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ProfilerConfig {
-        &self.config
     }
 
     /// Profile one function at the given concurrency (batch size).
@@ -264,7 +252,7 @@ mod tests {
             ..ProfilerConfig::default()
         })
         .is_err());
-        assert!(Profiler::with_defaults().config().validate().is_ok());
+        assert!(Profiler::new(ProfilerConfig::default()).is_ok());
     }
 
     #[test]

@@ -64,15 +64,10 @@ pub struct PoissonArrivals {
 
 impl PoissonArrivals {
     /// Poisson arrivals at `rps` requests per second.
-    pub fn new(rps: f64) -> Result<Self, String> {
+    pub(crate) fn new(rps: f64) -> Result<Self, String> {
         Ok(PoissonArrivals {
             rps: positive_rate("poisson rps", rps)?,
         })
-    }
-
-    /// Mean arrival rate in requests per second.
-    pub fn rps(&self) -> f64 {
-        self.rps
     }
 }
 
@@ -103,7 +98,7 @@ pub struct DiurnalArrivals {
 impl DiurnalArrivals {
     /// Diurnal arrivals around `base_rps` with relative `amplitude` in
     /// `[0, 1)` and the given modulation period.
-    pub fn new(base_rps: f64, amplitude: f64, period: SimDuration) -> Result<Self, String> {
+    pub(crate) fn new(base_rps: f64, amplitude: f64, period: SimDuration) -> Result<Self, String> {
         let base_rps = positive_rate("diurnal base rps", base_rps)?;
         if !(0.0..1.0).contains(&amplitude) {
             return Err(format!(
@@ -153,7 +148,7 @@ pub struct BurstyArrivals {
 impl BurstyArrivals {
     /// An on/off process: `on_rps` during bursts, `off_rps` between them
     /// (zero allowed), with mean phase lengths `mean_on` / `mean_off`.
-    pub fn new(
+    pub(crate) fn new(
         on_rps: f64,
         off_rps: f64,
         mean_on: SimDuration,
@@ -174,13 +169,6 @@ impl BurstyArrivals {
             mean_on,
             mean_off,
         })
-    }
-
-    /// The long-run mean arrival rate of the process.
-    pub fn mean_rps(&self) -> f64 {
-        let on = self.mean_on.as_millis();
-        let off = self.mean_off.as_millis();
-        (self.on_rps * on + self.off_rps * off) / (on + off)
     }
 }
 
@@ -216,7 +204,7 @@ impl FlashCrowd {
     /// Baseline `base_rps` everywhere except the window
     /// `[spike_start, spike_start + spike_len)`, where the rate is
     /// `spike_rps` (must be at least the baseline).
-    pub fn new(
+    pub(crate) fn new(
         base_rps: f64,
         spike_rps: f64,
         spike_start: SimDuration,
@@ -291,7 +279,7 @@ impl TraceReplay {
     }
 
     /// Replay the arrival dynamics of a synthesized trace.
-    pub fn from_trace(trace: &Trace) -> Result<Self, String> {
+    pub(crate) fn from_trace(trace: &Trace) -> Result<Self, String> {
         Self::from_gaps(trace.inter_arrival_gaps_ms())
     }
 
@@ -302,12 +290,6 @@ impl TraceReplay {
         let mean_gap = self.gaps_ms.iter().sum::<f64>() / self.gaps_ms.len() as f64;
         self.scale = (1000.0 / rps) / mean_gap;
         Ok(self)
-    }
-
-    /// Mean arrival rate of the (scaled) replay, in requests per second.
-    pub fn mean_rps(&self) -> f64 {
-        let mean_gap = self.gaps_ms.iter().sum::<f64>() / self.gaps_ms.len() as f64;
-        1000.0 / (mean_gap * self.scale)
     }
 }
 
@@ -628,8 +610,11 @@ mod tests {
         );
         // Mean gap 200 ms = 5 rps; rescaled to 20 rps gaps shrink 4×.
         let scaled = replay.scaled_to_rate(20.0).unwrap();
-        assert!((scaled.mean_rps() - 20.0).abs() < 1e-9);
-        let ts = scaled.timestamps(0, 2);
+        let ts = scaled.timestamps(0, 4);
         assert!((ts[0].as_millis() - 25.0).abs() < 1e-9);
+        assert!(
+            (ts[3].as_millis() - 200.0).abs() < 1e-9,
+            "one cycle: 4 arrivals in 200 ms"
+        );
     }
 }

@@ -78,13 +78,7 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Engine with default limits.
-    pub fn with_defaults() -> Self {
-        Engine::new(EngineConfig::default())
-    }
-
-    /// Engine pre-sized for `capacity` pending events (see
-    /// [`EventQueue::with_capacity`]).
+    /// Engine pre-sized for `capacity` pending events.
     pub fn with_capacity(config: EngineConfig, capacity: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
@@ -199,17 +193,6 @@ impl<E> Engine<E> {
         Some(ev)
     }
 
-    /// Drive the simulation to completion, invoking `handler` for every event.
-    /// The handler receives `&mut Engine` so it can schedule follow-ups.
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, ScheduledEvent<E>),
-    {
-        while let Some(ev) = self.next_event() {
-            handler(self, ev);
-        }
-    }
-
     /// Drop all pending events, the held one included, and reset the clock;
     /// reuses the allocation.
     pub fn reset(&mut self) {
@@ -233,11 +216,10 @@ mod tests {
 
     #[test]
     fn clock_advances_monotonically() {
-        let mut engine: Engine<TestEvent> = Engine::with_defaults();
+        let mut engine: Engine<TestEvent> = Engine::new(EngineConfig::default());
         engine.schedule_in(SimDuration::from_millis(5.0), TestEvent::Ping(1));
         engine.schedule_in(SimDuration::from_millis(2.0), TestEvent::Ping(2));
         let mut times = Vec::new();
-        // Can't use `run` here because we want to record the clock.
         while let Some(_ev) = engine.next_event() {
             times.push(engine.now().as_millis());
         }
@@ -246,18 +228,20 @@ mod tests {
 
     #[test]
     fn handler_can_schedule_followups() {
-        let mut engine: Engine<TestEvent> = Engine::with_defaults();
+        let mut engine: Engine<TestEvent> = Engine::new(EngineConfig::default());
         engine.schedule_in(SimDuration::from_millis(1.0), TestEvent::Ping(0));
         let mut seen = Vec::new();
-        engine.run(|eng, ev| match ev.payload {
-            TestEvent::Ping(n) if n < 3 => {
-                seen.push(format!("ping{n}"));
-                eng.schedule_in(SimDuration::from_millis(1.0), TestEvent::Ping(n + 1));
-                eng.schedule_in(SimDuration::from_millis(0.5), TestEvent::Pong(n));
+        while let Some(ev) = engine.next_event() {
+            match ev.payload {
+                TestEvent::Ping(n) if n < 3 => {
+                    seen.push(format!("ping{n}"));
+                    engine.schedule_in(SimDuration::from_millis(1.0), TestEvent::Ping(n + 1));
+                    engine.schedule_in(SimDuration::from_millis(0.5), TestEvent::Pong(n));
+                }
+                TestEvent::Ping(n) => seen.push(format!("ping{n}")),
+                TestEvent::Pong(n) => seen.push(format!("pong{n}")),
             }
-            TestEvent::Ping(n) => seen.push(format!("ping{n}")),
-            TestEvent::Pong(n) => seen.push(format!("pong{n}")),
-        });
+        }
         assert_eq!(
             seen,
             vec!["ping0", "pong0", "ping1", "pong1", "ping2", "pong2", "ping3"]
@@ -267,7 +251,7 @@ mod tests {
 
     #[test]
     fn scheduling_in_the_past_is_rejected() {
-        let mut engine: Engine<u32> = Engine::with_defaults();
+        let mut engine: Engine<u32> = Engine::new(EngineConfig::default());
         engine.schedule_in(SimDuration::from_millis(10.0), 1);
         engine.next_event();
         assert_eq!(engine.now().as_millis(), 10.0);
@@ -284,10 +268,10 @@ mod tests {
         });
         engine.schedule_in(SimDuration::from_millis(1.0), 0);
         let mut count = 0;
-        engine.run(|eng, ev| {
+        while let Some(ev) = engine.next_event() {
             count += 1;
-            eng.schedule_in(SimDuration::from_millis(1.0), ev.payload + 1);
-        });
+            engine.schedule_in(SimDuration::from_millis(1.0), ev.payload + 1);
+        }
         assert_eq!(count, 5, "event cap stops an otherwise infinite chain");
 
         let mut engine: Engine<u32> = Engine::new(EngineConfig {
@@ -298,7 +282,9 @@ mod tests {
             engine.schedule_in(SimDuration::from_millis(i as f64), i);
         }
         let mut last = 0;
-        engine.run(|_eng, ev| last = ev.payload);
+        while let Some(ev) = engine.next_event() {
+            last = ev.payload;
+        }
         assert_eq!(last, 3, "events after the horizon are not delivered");
     }
 
@@ -313,7 +299,7 @@ mod tests {
         for i in 0..10 {
             engine.schedule_in(SimDuration::from_millis(i as f64), i);
         }
-        engine.run(|_eng, _ev| {});
+        while engine.next_event().is_some() {}
         assert_eq!(engine.processed(), 4, "events at 0..=3 ms are delivered");
         assert_eq!(
             engine.pending(),
@@ -334,7 +320,7 @@ mod tests {
             engine.schedule_in(SimDuration::from_millis(f64::from(i)), i);
         }
         assert_eq!(engine.peak_pending(), 10);
-        engine.run(|_eng, _ev| {});
+        while engine.next_event().is_some() {}
         assert_eq!(engine.peak_pending(), 10);
         assert_eq!(engine.processed(), 10);
         // Reset reuses the allocation and starts a fresh peak statistic.
@@ -359,7 +345,7 @@ mod tests {
         // The lazy-arrival discipline: an event held outside the queue pops
         // ahead of queued events at its instant, even ones scheduled before
         // it was held, and behind every earlier one.
-        let mut engine: Engine<u32> = Engine::with_defaults();
+        let mut engine: Engine<u32> = Engine::new(EngineConfig::default());
         engine.schedule_in(SimDuration::from_millis(5.0), 1);
         engine.schedule_in(SimDuration::from_millis(5.0), 2);
         engine.schedule_in(SimDuration::from_millis(1.0), 0);
@@ -383,7 +369,7 @@ mod tests {
 
     #[test]
     fn peak_depth_counts_the_held_event() {
-        let mut engine: Engine<u32> = Engine::with_defaults();
+        let mut engine: Engine<u32> = Engine::new(EngineConfig::default());
         engine.hold(SimTime::from_millis(10.0)).unwrap();
         engine.schedule_in(SimDuration::from_millis(1.0), 1);
         engine.schedule_in(SimDuration::from_millis(2.0), 2);
@@ -430,7 +416,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut engine: Engine<u32> = Engine::with_defaults();
+        let mut engine: Engine<u32> = Engine::new(EngineConfig::default());
         engine.schedule_in(SimDuration::from_millis(1.0), 7);
         engine.next_event();
         engine.schedule_in(SimDuration::from_millis(1.0), 8);

@@ -12,7 +12,7 @@
 //!
 //! Payloads never move while the heap sifts: each pending payload sits in a
 //! slab slot (`Vec<Option<E>>` plus a free-slot list, both kept across
-//! [`EventQueue::clear`]), and the heap orders small `Copy` keys — the firing
+//! `EventQueue::clear`), and the heap orders small `Copy` keys — the firing
 //! time as a `u64` that orders exactly like `f64::total_cmp`, the sequence
 //! number and the slot. A key is 24 bytes whatever the payload, so a push or
 //! pop moves a few words per level instead of a whole event.
@@ -86,14 +86,14 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// Empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_capacity(0)
     }
 
     /// Empty queue pre-sized for `capacity` pending events, so simulations
     /// that know their peak depth up front skip the heap's and the slab's
     /// growth reallocations.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
@@ -105,7 +105,7 @@ impl<E> EventQueue<E> {
 
     /// Schedule `payload` to fire at `at`. Returns the sequence number
     /// assigned to the event.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
+    pub(crate) fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -133,7 +133,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    pub(crate) fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let Reverse(key) = self.heap.pop()?;
         let Some(payload) = self.slots[key.slot as usize].take() else {
             unreachable!("pending event {} has an empty slab slot", key.seq);
@@ -157,13 +157,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// High-water mark of pending events since creation (or the last
@@ -176,7 +171,7 @@ impl<E> EventQueue<E> {
     /// Drop all pending events and reset the peak-depth statistic. The
     /// heap's and the slab's allocations are kept, so a cleared queue can be
     /// reused across runs without reallocating.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
@@ -214,12 +209,12 @@ mod tests {
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         q.schedule(SimTime::from_millis(1.0), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(1.0)));
         assert_eq!(q.len(), 1);
         q.clear();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -296,7 +291,9 @@ mod tests {
         fn earliest(&self) -> Option<usize> {
             (0..self.pending.len()).min_by(|&i, &j| {
                 let (a, b) = (&self.pending[i], &self.pending[j]);
-                a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+                a.0.as_millis()
+                    .total_cmp(&b.0.as_millis())
+                    .then(a.1.cmp(&b.1))
             })
         }
 
@@ -361,7 +358,6 @@ mod tests {
                 }
             }
             assert_eq!(queue.len(), model.pending.len(), "step {step}: len");
-            assert_eq!(queue.is_empty(), model.pending.is_empty());
             assert_eq!(queue.peak_len(), model.peak, "step {step}: peak");
         }
         // The run must exercise what it is meant to: many pops, many of

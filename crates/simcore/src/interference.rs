@@ -60,7 +60,7 @@ impl SlowdownCurve {
     /// Slowdown factor for `colocated` instances of the same function
     /// (including the one being measured). `colocated = 1` means running
     /// alone and always yields 1.0.
-    pub fn factor(&self, colocated: usize) -> f64 {
+    pub(crate) fn factor(&self, colocated: usize) -> f64 {
         if colocated <= 1 {
             return 1.0;
         }

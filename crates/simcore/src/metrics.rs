@@ -72,11 +72,6 @@ impl CounterHandle {
         self.cell.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Current counter value.
-    pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
-    }
-
     /// True when both handles point at the same underlying counter (i.e.
     /// they were interned under the same name on the same registry).
     pub fn shares_storage(&self, other: &CounterHandle) -> bool {
@@ -278,7 +273,6 @@ mod tests {
         c.incr(1);
         c.incr(2);
         assert_eq!(m.counter("slo_violations"), 3);
-        assert_eq!(c.get(), 3);
     }
 
     #[test]
@@ -315,7 +309,6 @@ mod tests {
         let st = m.streaming_handle("lat");
         c.incr(5);
         st.record(1.5);
-        assert_eq!(c.get(), 5);
         assert_eq!(m.counter("hits"), 5);
         assert_eq!(st.count(), 1);
         assert_eq!(st.snapshot(), m.streaming("lat").unwrap());

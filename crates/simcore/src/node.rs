@@ -38,7 +38,7 @@ pub struct Node {
 
 impl Node {
     /// Create a node with the given CPU capacity.
-    pub fn new(id: NodeId, capacity: Millicores) -> Self {
+    pub(crate) fn new(id: NodeId, capacity: Millicores) -> Self {
         Node {
             id,
             capacity,
@@ -49,32 +49,24 @@ impl Node {
     }
 
     /// Node identifier.
-    pub fn id(&self) -> NodeId {
+    pub(crate) fn id(&self) -> NodeId {
         self.id
     }
 
     /// Total CPU capacity.
-    pub fn capacity(&self) -> Millicores {
+    pub(crate) fn capacity(&self) -> Millicores {
         self.capacity
     }
 
-    /// Currently allocated CPU. May exceed [`capacity`](Self::capacity) on
+    /// Currently allocated CPU. May exceed the node's capacity on
     /// an overcommitted node.
     pub fn allocated(&self) -> Millicores {
         self.allocated
     }
 
     /// Free CPU capacity.
-    pub fn free(&self) -> Millicores {
+    pub(crate) fn free(&self) -> Millicores {
         self.capacity.saturating_sub(self.allocated)
-    }
-
-    /// CPU utilisation in `[0, 1]` (above 1 when overcommitted).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity.get() == 0 {
-            return 0.0;
-        }
-        f64::from(self.allocated.get()) / f64::from(self.capacity.get())
     }
 
     /// Number of pods hosted.
@@ -139,7 +131,6 @@ mod tests {
             0,
             "a function never placed here counts zero"
         );
-        assert!((n.utilization() - 0.5).abs() < 1e-12);
         assert_eq!(n.pod_count(), 3);
         assert!(n.can_fit(Millicores::new(4000)));
         assert!(!n.can_fit(Millicores::new(4001)));
@@ -157,7 +148,7 @@ mod tests {
         // Overcommit reads past 100 % and releases back below it.
         n.attach(FunctionId(1), Millicores::new(9000));
         assert_eq!(n.free(), Millicores::ZERO);
-        assert!(n.utilization() > 1.0);
+        assert!(n.allocated() > n.capacity);
         n.detach(FunctionId(1), Millicores::new(9000));
         assert_eq!(n.allocated().get(), 1000);
     }

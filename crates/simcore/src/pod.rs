@@ -6,7 +6,6 @@
 
 use crate::error::SimError;
 use crate::function::FunctionId;
-use crate::resources::Millicores;
 use crate::SimResult;
 
 /// Identifier of a pod (function instance).
@@ -30,46 +29,35 @@ pub enum PodState {
     Running,
 }
 
-/// A function instance with a mutable CPU allocation.
+/// A function instance. Its CPU allocation lives with its placement (see
+/// [`Cluster`](crate::Cluster)).
 #[derive(Debug, Clone)]
 pub struct Pod {
     id: PodId,
     /// The function the pod is specialised to, as its pool's id for it.
     function: Option<FunctionId>,
     state: PodState,
-    allocation: Millicores,
 }
 
 impl Pod {
     /// Create a generic (unspecialised) pod, as the pool manager does.
-    pub(crate) fn generic(id: PodId, allocation: Millicores) -> Self {
+    pub(crate) fn generic(id: PodId) -> Self {
         Pod {
             id,
             function: None,
             state: PodState::Generic,
-            allocation,
         }
-    }
-
-    /// Pod identifier.
-    pub fn id(&self) -> PodId {
-        self.id
     }
 
     /// Function the pod is specialised to, if any: an id issued by the
     /// pool that tracks the pod.
-    pub fn function(&self) -> Option<FunctionId> {
+    pub(crate) fn function(&self) -> Option<FunctionId> {
         self.function
     }
 
     /// Current lifecycle state.
-    pub fn state(&self) -> PodState {
+    pub(crate) fn state(&self) -> PodState {
         self.state
-    }
-
-    /// Current CPU allocation.
-    pub fn allocation(&self) -> Millicores {
-        self.allocation
     }
 
     /// Specialise a generic pod to `function` (the Fission "specialisation"
@@ -115,13 +103,6 @@ impl Pod {
             }),
         }
     }
-
-    /// Apply a new CPU allocation (the adapter's resize action), in any
-    /// state: the paper resizes downstream functions while they are warm,
-    /// and in-flight vertical scaling is also supported by cgroup updates.
-    pub(crate) fn resize(&mut self, new_allocation: Millicores) {
-        self.allocation = new_allocation;
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +110,7 @@ mod tests {
     use super::*;
 
     fn pod() -> Pod {
-        Pod::generic(PodId(1), Millicores::new(1000))
+        Pod::generic(PodId(1))
     }
 
     #[test]
@@ -154,7 +135,5 @@ mod tests {
         assert!(p.finish_execution().is_err(), "not running");
         p.start_execution().unwrap();
         assert!(p.start_execution().is_err(), "already running");
-        p.resize(Millicores::new(2500));
-        assert_eq!(p.allocation(), Millicores::new(2500));
     }
 }

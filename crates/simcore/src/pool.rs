@@ -23,8 +23,6 @@ use std::collections::VecDeque;
 pub struct PoolConfig {
     /// Number of generic pods kept warm.
     pub pool_size: usize,
-    /// Initial CPU allocation of pool pods (resized on specialisation).
-    pub initial_allocation: Millicores,
     /// Latency of specialising a warm generic pod to a function.
     pub specialization_delay: SimDuration,
     /// Latency of a full cold start (pool empty).
@@ -38,7 +36,6 @@ impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             pool_size: 8,
-            initial_allocation: Millicores::new(1000),
             // Fission poolmgr specialisation is tens of milliseconds; cold
             // starts (pod creation + image pull hit) are hundreds.
             specialization_delay: SimDuration::from_millis(25.0),
@@ -90,7 +87,6 @@ pub struct PoolManager {
     /// Every tracked pod, by id.
     pods: IdMap<PodId, PodEntry>,
     warm_hits: u64,
-    cold_starts: u64,
 }
 
 impl PoolManager {
@@ -104,15 +100,9 @@ impl PoolManager {
             warm: Vec::new(),
             pods: IdMap::default(),
             warm_hits: 0,
-            cold_starts: 0,
         };
         mgr.refill();
         mgr
-    }
-
-    /// Current pool configuration.
-    pub fn config(&self) -> &PoolConfig {
-        &self.config
     }
 
     /// Number of generic pods currently available.
@@ -136,24 +126,10 @@ impl PoolManager {
         self.warm_hits
     }
 
-    /// Total cold starts so far.
-    pub fn cold_starts(&self) -> u64 {
-        self.cold_starts
-    }
-
-    /// Warm-hit rate in `[0, 1]` (1.0 if nothing acquired yet).
-    pub fn warm_hit_rate(&self) -> f64 {
-        let total = self.warm_hits + self.cold_starts;
-        if total == 0 {
-            return 1.0;
-        }
-        self.warm_hits as f64 / total as f64
-    }
-
     fn new_pod(&mut self) -> PodId {
         let id = PodId(self.next_pod);
         self.next_pod += 1;
-        let pod = Pod::generic(id, self.config.initial_allocation);
+        let pod = Pod::generic(id);
         self.pods.insert(
             id,
             PodEntry {
@@ -198,8 +174,9 @@ impl PoolManager {
         self.refill();
     }
 
-    /// Acquire a pod to run `function` with `allocation` CPU. `_now` is
-    /// ignored: acquiring reads no clock (releasing does).
+    /// Acquire a pod to run `function`. `_allocation` and `_now` are
+    /// ignored: a pod's size lives with its placement in the cluster, and
+    /// acquiring reads no clock (releasing does).
     ///
     /// Preference order (mirroring Fission poolmgr):
     /// 1. an idle pod already specialised to the function → warm hit, no
@@ -212,11 +189,11 @@ impl PoolManager {
     pub fn acquire(
         &mut self,
         function: &str,
-        allocation: Millicores,
+        _allocation: Millicores,
         _now: SimTime,
     ) -> Acquisition {
         let id = self.function_id(function);
-        self.acquire_id(id, allocation)
+        self.acquire_id(id)
     }
 
     /// [`acquire`](Self::acquire) for a function already resolved by
@@ -225,10 +202,10 @@ impl PoolManager {
     /// # Panics
     ///
     /// If `function` was not issued by this pool.
-    pub fn acquire_id(&mut self, function: FunctionId, allocation: Millicores) -> Acquisition {
+    pub fn acquire_id(&mut self, function: FunctionId) -> Acquisition {
         // 1. Reuse a specialised idle pod.
         while let Some(pod_id) = self.warm[function.index()].pop_front() {
-            if self.start(pod_id, function, allocation) {
+            if self.start(pod_id, function) {
                 self.warm_hits += 1;
                 return Acquisition {
                     pod: pod_id,
@@ -239,7 +216,7 @@ impl PoolManager {
         }
         // 2. Specialise a generic pod.
         while let Some(pod_id) = self.generic.pop_front() {
-            if self.start(pod_id, function, allocation) {
+            if self.start(pod_id, function) {
                 self.warm_hits += 1;
                 return Acquisition {
                     pod: pod_id,
@@ -250,9 +227,8 @@ impl PoolManager {
         }
         // 3. Cold start: a fresh generic pod always starts.
         let pod_id = self.new_pod();
-        let started = self.start(pod_id, function, allocation);
+        let started = self.start(pod_id, function);
         debug_assert!(started, "a fresh generic pod starts");
-        self.cold_starts += 1;
         Acquisition {
             pod: pod_id,
             startup_delay: self.config.cold_start_delay,
@@ -260,12 +236,12 @@ impl PoolManager {
         }
     }
 
-    /// Run a tracked pod just taken off a queue for `function` at
-    /// `allocation`: it is no longer idle, and if it is generic or idle it is
-    /// specialised (when generic), sized and marked running. Returns `false`
+    /// Run a tracked pod just taken off a queue for `function`: it is no
+    /// longer idle, and if it is generic or idle it is specialised (when
+    /// generic) and marked running. Returns `false`
     /// when the pod is untracked or neither generic nor idle — the only
     /// states those transitions reject — leaving the pod itself untouched.
-    fn start(&mut self, pod_id: PodId, function: FunctionId, allocation: Millicores) -> bool {
+    fn start(&mut self, pod_id: PodId, function: FunctionId) -> bool {
         let Some(entry) = self.pods.get_mut(&pod_id) else {
             return false;
         };
@@ -276,10 +252,7 @@ impl PoolManager {
             PodState::Warm => true,
             PodState::Running => false,
         };
-        ready && {
-            pod.resize(allocation);
-            pod.start_execution().is_ok()
-        }
+        ready && pod.start_execution().is_ok()
     }
 
     /// Return a pod after its execution finished; it becomes an idle
@@ -357,11 +330,6 @@ impl PoolManager {
         }
         dropped
     }
-
-    /// Immutable access to a pod.
-    pub fn pod(&self, pod_id: PodId) -> Option<&Pod> {
-        self.pods.get(&pod_id).map(|entry| &entry.pod)
-    }
 }
 
 #[cfg(test)]
@@ -373,6 +341,11 @@ mod tests {
         mgr.functions
             .get(function)
             .map_or(0, |id| mgr.warm[id.index()].len())
+    }
+
+    /// The pod `mgr` tracks under `id`.
+    fn pod_of(mgr: &PoolManager, id: PodId) -> Option<&Pod> {
+        mgr.pods.get(&id).map(|entry| &entry.pod)
     }
 
     fn pool(size: usize) -> PoolManager {
@@ -394,11 +367,13 @@ mod tests {
         let mut mgr = pool(2);
         let acq = mgr.acquire("od", Millicores::new(2000), SimTime::ZERO);
         assert!(acq.warm_hit);
-        assert_eq!(acq.startup_delay, mgr.config().specialization_delay);
+        assert_eq!(
+            acq.startup_delay,
+            PoolConfig::default().specialization_delay
+        );
         assert_eq!(mgr.generic_available(), 1);
-        let pod = mgr.pod(acq.pod).unwrap();
+        let pod = pod_of(&mgr, acq.pod).unwrap();
         assert_eq!(pod.function().map(|id| mgr.functions.name(id)), Some("od"));
-        assert_eq!(pod.allocation(), Millicores::new(2000));
         assert_eq!(pod.state(), PodState::Running);
     }
 
@@ -411,11 +386,6 @@ mod tests {
         let acq2 = mgr.acquire("od", Millicores::new(2500), SimTime::from_millis(200.0));
         assert_eq!(acq2.pod, acq1.pod, "same pod reused");
         assert_eq!(acq2.startup_delay, SimDuration::ZERO);
-        assert_eq!(
-            mgr.pod(acq2.pod).unwrap().allocation(),
-            Millicores::new(2500),
-            "reuse applies the new allocation"
-        );
     }
 
     #[test]
@@ -425,10 +395,8 @@ mod tests {
         assert!(a.warm_hit);
         let b = mgr.acquire("qa", Millicores::new(1000), SimTime::ZERO);
         assert!(!b.warm_hit);
-        assert_eq!(b.startup_delay, mgr.config().cold_start_delay);
-        assert_eq!(mgr.cold_starts(), 1);
+        assert_eq!(b.startup_delay, PoolConfig::default().cold_start_delay);
         assert_eq!(mgr.warm_hits(), 1);
-        assert!((mgr.warm_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -479,21 +447,13 @@ mod tests {
         let again = mgr.acquire("od", Millicores::new(1000), SimTime::from_millis(30.0));
         assert_eq!(again.pod, first.pod);
         // The duplicate entry names a running pod: it is dropped, the
-        // running pod keeps its size, and acquisition falls through to a
+        // running pod keeps running, and acquisition falls through to a
         // cold start (the generic pool is empty).
         let next = mgr.acquire("od", Millicores::new(2000), SimTime::from_millis(40.0));
         assert_ne!(next.pod, first.pod);
         assert!(!next.warm_hit);
         assert_eq!(warm_available(&mgr, "od"), 0);
-        let running = mgr.pod(first.pod).unwrap();
-        assert_eq!(running.state(), PodState::Running);
-        assert_eq!(running.allocation(), Millicores::new(1000));
-    }
-
-    #[test]
-    fn warm_hit_rate_defaults_to_one() {
-        let mgr = pool(1);
-        assert_eq!(mgr.warm_hit_rate(), 1.0);
+        assert_eq!(pod_of(&mgr, first.pod).unwrap().state(), PodState::Running);
     }
 
     #[test]
@@ -539,10 +499,9 @@ mod tests {
         warm: Vec<(String, Vec<PodId>)>,
         /// The model's own ids for the names its pods specialise to.
         names: FunctionNames,
-        pods: Vec<Pod>,
+        pods: Vec<(PodId, Pod)>,
         idle_since: Vec<(PodId, SimTime)>,
         warm_hits: u64,
-        cold_starts: u64,
     }
 
     impl ModelPool {
@@ -556,21 +515,19 @@ mod tests {
                 pods: Vec::new(),
                 idle_since: Vec::new(),
                 warm_hits: 0,
-                cold_starts: 0,
             };
             model.refill();
             model
         }
 
         fn pod(&self, id: PodId) -> Option<&Pod> {
-            self.pods.iter().find(|p| p.id() == id)
+            self.pods.iter().find(|(p, _)| *p == id).map(|(_, pod)| pod)
         }
 
         fn new_pod(&mut self) -> PodId {
             let id = PodId(self.next_pod);
             self.next_pod += 1;
-            self.pods
-                .push(Pod::generic(id, self.config.initial_allocation));
+            self.pods.push((id, Pod::generic(id)));
             id
         }
 
@@ -582,15 +539,15 @@ mod tests {
         }
 
         fn forget(&mut self, id: PodId) {
-            self.pods.retain(|p| p.id() != id);
+            self.pods.retain(|(p, _)| *p != id);
             self.idle_since.retain(|(p, _)| *p != id);
             for (_, queue) in &mut self.warm {
                 queue.retain(|p| *p != id);
             }
         }
 
-        fn start(&mut self, id: PodId, function: &str, allocation: Millicores) -> bool {
-            let Some(pod) = self.pods.iter_mut().find(|p| p.id() == id) else {
+        fn start(&mut self, id: PodId, function: &str) -> bool {
+            let Some((_, pod)) = self.pods.iter_mut().find(|(p, _)| *p == id) else {
                 return false;
             };
             let ready = match pod.state() {
@@ -598,18 +555,15 @@ mod tests {
                 PodState::Warm => true,
                 PodState::Running => false,
             };
-            ready && {
-                pod.resize(allocation);
-                pod.start_execution().is_ok()
-            }
+            ready && pod.start_execution().is_ok()
         }
 
-        fn acquire(&mut self, function: &str, allocation: Millicores) -> Acquisition {
+        fn acquire(&mut self, function: &str) -> Acquisition {
             if let Some(q) = self.warm.iter().position(|(f, _)| f == function) {
                 while !self.warm[q].1.is_empty() {
                     let id = self.warm[q].1.remove(0);
                     self.idle_since.retain(|(p, _)| *p != id);
-                    if self.start(id, function, allocation) {
+                    if self.start(id, function) {
                         self.warm_hits += 1;
                         return Acquisition {
                             pod: id,
@@ -621,7 +575,7 @@ mod tests {
             }
             while !self.generic.is_empty() {
                 let id = self.generic.remove(0);
-                if self.start(id, function, allocation) {
+                if self.start(id, function) {
                     self.warm_hits += 1;
                     return Acquisition {
                         pod: id,
@@ -631,8 +585,7 @@ mod tests {
                 }
             }
             let id = self.new_pod();
-            assert!(self.start(id, function, allocation));
-            self.cold_starts += 1;
+            assert!(self.start(id, function));
             Acquisition {
                 pod: id,
                 startup_delay: self.config.cold_start_delay,
@@ -641,7 +594,7 @@ mod tests {
         }
 
         fn release(&mut self, id: PodId, now: SimTime) {
-            let Some(pod) = self.pods.iter_mut().find(|p| p.id() == id) else {
+            let Some((_, pod)) = self.pods.iter_mut().find(|(p, _)| *p == id) else {
                 return;
             };
             if pod.state() == PodState::Running {
@@ -689,7 +642,7 @@ mod tests {
             self.config.pool_size = target;
             while self.generic.len() > target {
                 let id = self.generic.pop().unwrap();
-                self.pods.retain(|p| p.id() != id);
+                self.pods.retain(|(p, _)| *p != id);
             }
             self.refill();
         }
@@ -704,13 +657,10 @@ mod tests {
 
     /// Everything observable about one pod, its function resolved to a
     /// name through the `names` of the pool that tracks it.
-    fn view(
-        names: &FunctionNames,
-        pod: Option<&Pod>,
-    ) -> Option<(PodState, Millicores, Option<String>)> {
+    fn view(names: &FunctionNames, pod: Option<&Pod>) -> Option<(PodState, Option<String>)> {
         pod.map(|p| {
             let function = p.function().map(|id| names.name(id).to_string());
-            (p.state(), p.allocation(), function)
+            (p.state(), function)
         })
     }
 
@@ -728,7 +678,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0x5EED_F00D);
         let mut now = SimTime::ZERO;
         let mut running: Vec<PodId> = Vec::new();
-        let (mut recycled, mut dropped, mut stale_releases) = (0, 0, 0);
+        let (mut recycled, mut dropped, mut stale_releases, mut cold_starts) = (0, 0, 0, 0);
         for step in 0..10_000 {
             now += SimDuration::from_millis(rng.uniform_range(0.0, 400.0));
             // Any id issued so far, or one just past it (unknown).
@@ -739,8 +689,9 @@ mod tests {
                     let function = FUNCTIONS[rng.int_range(0, 3) as usize];
                     let allocation = Millicores::new(1000 + 100 * rng.int_range(0, 20) as u32);
                     let got = mgr.acquire(function, allocation, now);
-                    let want = model.acquire(function, allocation);
+                    let want = model.acquire(function);
                     assert_eq!(got, want, "acquire at step {step}");
+                    cold_starts += usize::from(!got.warm_hit);
                     running.push(got.pod);
                     got.pod
                 }
@@ -784,7 +735,7 @@ mod tests {
                 }
             };
             assert_eq!(
-                view(&mgr.functions, mgr.pod(touched)),
+                view(&mgr.functions, pod_of(&mgr, touched)),
                 view(&model.names, model.pod(touched)),
                 "pod {touched} at step {step}"
             );
@@ -798,15 +749,11 @@ mod tests {
             }
             assert_eq!(mgr.pods.len(), model.pods.len(), "step {step}");
             assert_eq!(mgr.next_pod, model.next_pod, "step {step}");
-            assert_eq!(
-                (mgr.warm_hits(), mgr.cold_starts()),
-                (model.warm_hits, model.cold_starts),
-                "step {step}"
-            );
+            assert_eq!(mgr.warm_hits(), model.warm_hits, "step {step}");
         }
         // The run reached every path the model pins.
         assert!(recycled > 0 && dropped > 0 && stale_releases > 0);
-        assert!(mgr.warm_hits() > 0 && mgr.cold_starts() > 0);
+        assert!(mgr.warm_hits() > 0 && cold_starts > 0);
     }
 
     #[test]
@@ -835,6 +782,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(0x1D50_F00D);
         let mut now = SimTime::ZERO;
         let mut running: Vec<PodId> = Vec::new();
+        let mut cold_starts = 0;
         for step in 0..5_000 {
             now += SimDuration::from_millis(rng.uniform_range(0.0, 400.0));
             let issued = by_name.next_pod;
@@ -843,11 +791,8 @@ mod tests {
                     let f = rng.int_range(0, 3) as usize;
                     let allocation = Millicores::new(1000 + 100 * rng.int_range(0, 20) as u32);
                     let got = by_name.acquire(FUNCTIONS[f], allocation, now);
-                    assert_eq!(
-                        got,
-                        by_id.acquire_id(ids[f], allocation),
-                        "acquire at step {step}"
-                    );
+                    assert_eq!(got, by_id.acquire_id(ids[f]), "acquire at step {step}");
+                    cold_starts += usize::from(!got.warm_hit);
                     running.push(got.pod);
                     got.pod
                 }
@@ -881,8 +826,8 @@ mod tests {
                 }
             };
             assert_eq!(
-                view(&by_name.functions, by_name.pod(touched)),
-                view(&by_id.functions, by_id.pod(touched)),
+                view(&by_name.functions, pod_of(&by_name, touched)),
+                view(&by_id.functions, pod_of(&by_id, touched)),
                 "pod {touched} at step {step}"
             );
             for function in FUNCTIONS {
@@ -894,13 +839,9 @@ mod tests {
             }
             assert_eq!(by_name.generic_available(), by_id.generic_available());
             assert_eq!(by_name.pods.len(), by_id.pods.len());
-            assert_eq!(
-                (by_name.warm_hits(), by_name.cold_starts()),
-                (by_id.warm_hits(), by_id.cold_starts()),
-                "step {step}"
-            );
+            assert_eq!(by_name.warm_hits(), by_id.warm_hits(), "step {step}");
         }
-        assert!(by_id.warm_hits() > 0 && by_id.cold_starts() > 0);
+        assert!(by_id.warm_hits() > 0 && cold_starts > 0);
         // Resolution is stable: a name keeps its id, whichever path first
         // saw it, and the name path numbered the four functions densely.
         for (f, function) in FUNCTIONS.iter().enumerate() {

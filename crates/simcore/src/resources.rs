@@ -32,7 +32,7 @@ impl Millicores {
     }
 
     /// Saturating subtraction, never underflows below zero.
-    pub fn saturating_sub(self, other: Millicores) -> Millicores {
+    pub(crate) fn saturating_sub(self, other: Millicores) -> Millicores {
         Millicores(self.0.saturating_sub(other.0))
     }
 
@@ -120,13 +120,8 @@ impl CoreGrid {
     }
 
     /// Number of grid points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         ((self.max.get() - self.min.get()) / self.step + 1) as usize
-    }
-
-    /// Grid is never empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Iterate over allocations from `min` to `max` inclusive.
@@ -153,7 +148,7 @@ impl CoreGrid {
     }
 
     /// True if `mc` lies exactly on the grid.
-    pub fn contains(&self, mc: Millicores) -> bool {
+    pub(crate) fn contains(&self, mc: Millicores) -> bool {
         mc >= self.min && mc <= self.max && (mc.get() - self.min.get()).is_multiple_of(self.step)
     }
 

@@ -114,26 +114,6 @@ impl SimRng {
         self.lognormal(0.0, sigma)
     }
 
-    /// Zipf-distributed rank in `[1, n]` with exponent `s`. Used to synthesise
-    /// the heavy-tailed function-popularity distribution of the Azure trace
-    /// (top-100 functions account for 81.6 % of invocations).
-    pub fn zipf(&mut self, n: usize, s: f64) -> usize {
-        debug_assert!(n >= 1);
-        // Inverse-CDF sampling over the normalised harmonic weights. n is at
-        // most a few thousand in the trace generator, so the linear scan is
-        // cheap compared to the rest of the simulation.
-        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
-        let target = self.uniform() * norm;
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            if acc >= target {
-                return k;
-            }
-        }
-        n
-    }
-
     /// Exponentially distributed sample with the given mean (inter-arrival
     /// times of a Poisson arrival process).
     pub fn exponential(&mut self, mean: f64) -> f64 {
@@ -152,6 +132,43 @@ impl SimRng {
         assert!(!items.is_empty(), "cannot choose from an empty slice");
         let idx = self.int_range(0, items.len() as u64 - 1) as usize;
         &items[idx]
+    }
+}
+
+/// Zipf-distributed ranks in `[1, n]` with exponent `s`. Used to synthesise
+/// the heavy-tailed function-popularity distribution of the Azure trace
+/// (top-100 functions account for 81.6 % of invocations).
+///
+/// Inverse-CDF sampling over the harmonic weights: the prefix sums are built
+/// once, so a draw is one uniform and a binary search instead of a `powf`
+/// per rank.
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    /// `cdf[k]` is the sum of `1 / (i + 1)^s` for `i` in `0..=k`, summed in
+    /// rank order; the last entry is the normaliser.
+    cdf: Vec<f64>,
+}
+
+impl Zipf {
+    /// The sampler over ranks `1..=n` with exponent `s`.
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n >= 1, "a Zipf sampler needs at least one rank");
+        let mut acc = 0.0;
+        let cdf = (1..=n)
+            .map(|k| {
+                acc += 1.0 / (k as f64).powf(s);
+                acc
+            })
+            .collect();
+        Zipf { cdf }
+    }
+
+    /// Draw one rank: the first `k` whose prefix sum reaches
+    /// `uniform × normaliser`.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        let norm = self.cdf[self.cdf.len() - 1];
+        let target = rng.uniform() * norm;
+        (self.cdf.partition_point(|&acc| acc < target) + 1).min(self.cdf.len())
     }
 }
 
@@ -210,19 +227,53 @@ mod tests {
         assert!(p99 > 2.0, "p99 {p99}");
     }
 
+    /// The linear inverse-CDF scan the sampler replaces: re-sums the
+    /// normaliser and walks the ranks on every draw.
+    fn zipf_by_scan(rng: &mut SimRng, n: usize, s: f64) -> usize {
+        let norm: f64 = (1..=n).map(|k| 1.0 / (k as f64).powf(s)).sum();
+        let target = rng.uniform() * norm;
+        let mut acc = 0.0;
+        for k in 1..=n {
+            acc += 1.0 / (k as f64).powf(s);
+            if acc >= target {
+                return k;
+            }
+        }
+        n
+    }
+
     #[test]
     fn zipf_is_head_heavy() {
         let mut rng = SimRng::seed_from_u64(3);
         let n = 1000;
+        let zipf = Zipf::new(n, 1.1);
         let draws = 50_000;
         let mut head = 0usize;
         for _ in 0..draws {
-            if rng.zipf(n, 1.1) <= 100 {
+            if zipf.sample(&mut rng) <= 100 {
                 head += 1;
             }
         }
         let frac = head as f64 / draws as f64;
         assert!(frac > 0.6, "top-100 fraction {frac} should dominate");
+    }
+
+    #[test]
+    fn zipf_sampler_draws_the_ranks_of_the_linear_scan() {
+        for (seed, n, s) in [(3, 1000, 1.1), (7, 2000, 1.2), (101, 1, 0.8), (11, 50, 0.0)] {
+            let zipf = Zipf::new(n, s);
+            let mut fast = SimRng::seed_from_u64(seed);
+            let mut scan = SimRng::seed_from_u64(seed);
+            for draw in 0..5_000 {
+                let rank = zipf.sample(&mut fast);
+                assert_eq!(
+                    rank,
+                    zipf_by_scan(&mut scan, n, s),
+                    "seed {seed} n {n} draw {draw}"
+                );
+                assert!((1..=n).contains(&rank));
+            }
+        }
     }
 
     #[test]

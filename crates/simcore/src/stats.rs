@@ -235,7 +235,7 @@ pub struct RunningStats {
 
 impl RunningStats {
     /// Fresh accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RunningStats {
             count: 0,
             mean: 0.0,
@@ -246,7 +246,7 @@ impl RunningStats {
     }
 
     /// Fold one observation into the accumulator.
-    pub fn record(&mut self, x: f64) {
+    pub(crate) fn record(&mut self, x: f64) {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
@@ -256,12 +256,12 @@ impl RunningStats {
     }
 
     /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Mean of the recorded observations (0 if none).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -284,12 +284,12 @@ impl RunningStats {
     }
 
     /// Minimum observation (None if empty).
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Maximum observation (None if empty).
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
 
@@ -297,7 +297,7 @@ impl RunningStats {
     /// merge), as if every observation of `other` had been [`record`]ed here.
     ///
     /// [`record`]: RunningStats::record
-    pub fn merge(&mut self, other: &RunningStats) {
+    pub(crate) fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {
             return;
         }
@@ -526,12 +526,12 @@ impl StreamingSummary {
     }
 
     /// Exact minimum observation (None if empty).
-    pub fn min(&self) -> Option<f64> {
+    pub(crate) fn min(&self) -> Option<f64> {
         self.moments.min()
     }
 
     /// Exact maximum observation (None if empty).
-    pub fn max(&self) -> Option<f64> {
+    pub(crate) fn max(&self) -> Option<f64> {
         self.moments.max()
     }
 

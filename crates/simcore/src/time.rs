@@ -37,11 +37,6 @@ impl SimTime {
         self.0
     }
 
-    /// Seconds since simulation start.
-    pub fn as_secs(self) -> f64 {
-        self.0 / 1000.0
-    }
-
     /// Raw bits of the millisecond value (the event queue's time key).
     pub(crate) fn to_bits(self) -> u64 {
         self.0.to_bits()
@@ -57,12 +52,6 @@ impl SimTime {
     /// the future (never panics, mirroring `Instant::saturating_duration_since`).
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration((self.0 - earlier.0).max(0.0))
-    }
-
-    /// Total ordering helper: simulated instants are always finite so the
-    /// partial order is total in practice.
-    pub fn total_cmp(&self, other: &SimTime) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
     }
 }
 
@@ -101,11 +90,6 @@ impl SimDuration {
     /// adapter treats that as "no budget left".
     pub fn saturate(self) -> SimDuration {
         SimDuration(self.0.max(0.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two durations.

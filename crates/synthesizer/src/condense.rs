@@ -68,7 +68,7 @@ pub(crate) fn close_gaps(rows: &mut [CondensedHint]) {
 impl RawHint {
     /// The head function's planned allocation (`k₁`), the only size retained
     /// after condensing.
-    pub fn head_cores(&self) -> janus_simcore::resources::Millicores {
+    pub(crate) fn head_cores(&self) -> janus_simcore::resources::Millicores {
         self.allocation
             .first()
             .copied()

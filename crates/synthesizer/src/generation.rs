@@ -92,7 +92,7 @@ impl Default for GenerationConfig {
 
 impl GenerationConfig {
     /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.weight.is_finite() && self.weight >= 1.0) {
             return Err(format!("weight must be >= 1, got {}", self.weight));
         }
@@ -202,11 +202,6 @@ impl<'a> HintGenerator<'a> {
         };
         (gen.levels, gen.skipped_passes) = gen.fill_levels();
         gen
-    }
-
-    /// The profile this generator plans for.
-    pub fn profile(&self) -> &WorkflowProfile {
-        self.profile
     }
 
     /// The filled dynamic-programming tables: `levels()[i][b]` is the best

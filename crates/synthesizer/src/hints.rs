@@ -117,14 +117,6 @@ impl HintsTable {
         self.rows.is_empty()
     }
 
-    /// Compression ratio achieved by condensing: `1 − condensed/raw`.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.raw_hint_count == 0 {
-            return 0.0;
-        }
-        1.0 - self.rows.len() as f64 / self.raw_hint_count as f64
-    }
-
     /// Smallest budget covered by the table (ms).
     pub fn min_budget_ms(&self) -> Option<f64> {
         self.rows.first().map(|r| r.start_ms)
@@ -186,20 +178,6 @@ impl HintsBundle {
     /// Total number of condensed hints across all tables (Figure 8's y-axis).
     pub fn total_hints(&self) -> usize {
         self.tables.iter().map(HintsTable::len).sum()
-    }
-
-    /// Total number of raw hints before condensing.
-    fn total_raw_hints(&self) -> usize {
-        self.tables.iter().map(|t| t.raw_hint_count).sum()
-    }
-
-    /// Overall compression ratio across all tables.
-    pub fn compression_ratio(&self) -> f64 {
-        let raw = self.total_raw_hints();
-        if raw == 0 {
-            return 0.0;
-        }
-        1.0 - self.total_hints() as f64 / raw as f64
     }
 
     /// Approximate in-memory footprint of the condensed tables in bytes
@@ -426,8 +404,7 @@ mod tests {
     #[test]
     fn compression_ratio_reflects_condensing() {
         let t = table();
-        assert_eq!(t.len(), 3);
-        assert!((t.compression_ratio() - (1.0 - 3.0 / 3000.0)).abs() < 1e-12);
+        assert_eq!((t.raw_hint_count, t.len()), (3000, 3));
         assert_eq!(t.min_budget_ms(), Some(1000.0));
         assert_eq!(t.max_budget_ms(), Some(4000.0));
     }
@@ -444,8 +421,6 @@ mod tests {
             ],
         };
         assert_eq!(bundle.total_hints(), 4);
-        assert_eq!(bundle.total_raw_hints(), 3100);
-        assert!(bundle.compression_ratio() > 0.99);
         assert!(bundle.approx_size_bytes() > 0);
         assert!(bundle.table_after(1).is_some());
         assert!(bundle.table_after(2).is_none());

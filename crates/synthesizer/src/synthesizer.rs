@@ -22,7 +22,7 @@ pub enum ExplorationDepth {
 
 impl ExplorationDepth {
     /// The number of leading functions that explore.
-    pub fn depth(self) -> usize {
+    pub(crate) fn depth(self) -> usize {
         match self {
             ExplorationDepth::None => 0,
             ExplorationDepth::HeadOnly => 1,
@@ -72,7 +72,7 @@ impl Default for SynthesizerConfig {
 
 impl SynthesizerConfig {
     /// Validate parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.weight.is_finite() && self.weight >= 1.0) {
             return Err(format!("weight must be >= 1.0, got {}", self.weight));
         }
@@ -133,18 +133,6 @@ impl Synthesizer {
     pub fn new(config: SynthesizerConfig) -> Result<Self, String> {
         config.validate()?;
         Ok(Synthesizer { config })
-    }
-
-    /// Synthesizer with the paper's default configuration (Janus, W = 1).
-    pub fn with_defaults() -> Self {
-        Synthesizer {
-            config: SynthesizerConfig::default(),
-        }
-    }
-
-    /// Active configuration.
-    pub fn config(&self) -> &SynthesizerConfig {
-        &self.config
     }
 
     /// Synthesize the hints bundle for a workflow profile: one condensed

@@ -51,12 +51,12 @@ impl SlackAnalysis {
     }
 
     /// The SLO assigned to a function (None if it never appears in the trace).
-    pub fn slo(&self, function_id: usize) -> Option<f64> {
+    pub(crate) fn slo(&self, function_id: usize) -> Option<f64> {
         self.slos.get(function_id).copied().flatten()
     }
 
     /// Slack of one invocation: `1 − duration / SLO`, clamped to `[0, 1]`.
-    pub fn slack(&self, function_id: usize, duration_ms: f64) -> Option<f64> {
+    pub(crate) fn slack(&self, function_id: usize, duration_ms: f64) -> Option<f64> {
         let slo = self.slo(function_id)?;
         if slo <= f64::EPSILON {
             return None;

@@ -1,6 +1,6 @@
 //! Synthetic Azure-Functions-like trace generation.
 
-use janus_simcore::rng::SimRng;
+use janus_simcore::rng::{SimRng, Zipf};
 
 /// Configuration of the synthetic trace generator.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,7 +48,7 @@ impl Default for TraceConfig {
 
 impl TraceConfig {
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.functions == 0 || self.invocations == 0 {
             return Err("trace needs at least one function and one invocation".into());
         }
@@ -103,10 +103,11 @@ impl Trace {
             .map(|_| rng.uniform_range(config.sigma_range.0, config.sigma_range.1))
             .collect();
 
+        let popularity = Zipf::new(config.functions, config.popularity_exponent);
         let mut invocations: Vec<Invocation> = (0..config.invocations)
             .map(|_| {
-                // zipf returns rank 1..=functions; rank 1 = most popular = id 0.
-                let function_id = rng.zipf(config.functions, config.popularity_exponent) - 1;
+                // Ranks run 1..=functions; rank 1 = most popular = id 0.
+                let function_id = popularity.sample(&mut rng) - 1;
                 let duration_ms = medians[function_id] * rng.lognormal_noise(sigmas[function_id]);
                 Invocation {
                     function_id,
@@ -158,13 +159,8 @@ impl Trace {
     }
 
     /// Number of invocations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.invocations.len()
-    }
-
-    /// True when the trace holds no invocations.
-    pub fn is_empty(&self) -> bool {
-        self.invocations.is_empty()
     }
 
     /// Invocation counts per function id.
@@ -187,7 +183,7 @@ impl Trace {
 
     /// Fraction of all invocations that belong to the `n` most popular
     /// functions (the paper's 81.6 % for n = 100).
-    pub fn popular_fraction(&self, n: usize) -> f64 {
+    pub(crate) fn popular_fraction(&self, n: usize) -> f64 {
         if self.invocations.is_empty() {
             return 0.0;
         }
@@ -213,7 +209,7 @@ mod tests {
         let b = Trace::generate(&cfg).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 5000);
-        assert!(!a.is_empty());
+        assert!(a.len() > 0);
         assert!(a.invocations.iter().all(|i| i.duration_ms > 0.0));
         assert!(a.invocations.iter().all(|i| i.function_id < 300));
     }

@@ -244,7 +244,6 @@ mod tests {
         };
         let ia = intelligent_assistant();
         assert_eq!(names(&ia), ["od", "qa", "ts"]);
-        assert!(ia.stages().iter().all(|stage| stage.len() == 1));
         assert_eq!(batches(&ia), [true, true, true]);
         let va = video_analyze();
         assert_eq!(names(&va), ["fe", "icl", "ico"]);

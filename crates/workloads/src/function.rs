@@ -30,7 +30,7 @@ pub struct FunctionModel {
 
 impl FunctionModel {
     /// Build a function model, validating all parameters.
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         dominant: ResourceDimension,
         batchable: bool,

@@ -29,7 +29,7 @@ pub struct LatencyParams {
 
 impl LatencyParams {
     /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.base_ms.is_finite() && self.base_ms > 0.0) {
             return Err(format!("base_ms must be positive, got {}", self.base_ms));
         }

@@ -31,8 +31,7 @@
 //! * [`latency`] — the Amdahl-style resource/latency curve and batch factor.
 //! * [`workingset`] — working-set (input-size) distributions per dataset.
 //! * [`function`] — [`FunctionModel`] combining the above.
-//! * [`workflow`] — [`Workflow`] DAGs (the paper evaluates chains; parallel
-//!   stages are supported for the future-work extension).
+//! * [`workflow`] — [`Workflow`] chains, as the paper evaluates.
 //! * [`apps`] — the two real-world workflows: Intelligent Assistant (IA) and
 //!   Video Analyze (VA), calibrated to the paper's reported statistics.
 //! * [`microbench`] — the CPU / memory / IO / network intensive functions of

@@ -90,7 +90,7 @@ impl WorksetDistribution {
     }
 
     /// Sample a latency scale factor.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> f64 {
         match *self {
             WorksetDistribution::Constant => 1.0,
             WorksetDistribution::ItemCount {
@@ -110,7 +110,7 @@ impl WorksetDistribution {
     }
 
     /// Validate the distribution parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         match *self {
             WorksetDistribution::Constant => Ok(()),
             WorksetDistribution::ItemCount {
